@@ -35,7 +35,8 @@ pub enum SearchError {
     /// checkpoint was written) before this error was returned. The
     /// process never aborts on a worker panic.
     WorkerPanic {
-        /// Index of the panicking worker (`0` for the sequential engine).
+        /// Index of the panicking worker (`0` when the search ran one
+        /// worker).
         worker: usize,
         /// Stringified panic payload.
         payload: String,

@@ -70,9 +70,9 @@ pub use checkpoint::{CheckpointConfig, CheckpointError};
 pub use dense::{ConeMemo, MaskTable, Window};
 pub use error::SearchError;
 pub use fingerprint::{fingerprint, Fnv};
-pub use oracle::{DoneOracle, ReferenceOracle};
+pub use oracle::DoneOracle;
 pub use par::{try_fan_out, FanOutPanic};
 pub use search::{
-    find_best_uov, initial_uov, search_from_snapshot, search_resume, search_unit, Objective,
-    SearchConfig, SearchResult, SearchStats,
+    find_best_uov, initial_uov, search_resume, search_unit, Objective, SearchConfig, SearchResult,
+    SearchStats,
 };

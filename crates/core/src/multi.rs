@@ -13,8 +13,7 @@ use uov_isg::{IVec, Stencil};
 
 use crate::budget::{Budget, Degradation};
 use crate::error::SearchError;
-use crate::objective::storage_class_count;
-use crate::search::{try_cost_of, Objective};
+use crate::search::{cost_of, try_cost_of, Objective};
 use crate::DoneOracle;
 
 /// Result of [`find_best_common_uov`].
@@ -24,13 +23,6 @@ pub struct CommonUov {
     pub uov: IVec,
     /// Objective value (squared length, or storage-class count).
     pub cost: u128,
-}
-
-fn cost_of(objective: &Objective<'_>, w: &IVec) -> u128 {
-    match objective {
-        Objective::ShortestVector => w.norm_sq() as u128,
-        Objective::KnownBounds(domain) => storage_class_count(*domain, w) as u128,
-    }
 }
 
 /// Find the best vector that is a UOV for *every* stencil in `stencils`,
@@ -179,6 +171,7 @@ pub fn find_best_common_uov_budgeted(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::objective::storage_class_count;
     use uov_isg::ivec;
 
     fn s(vs: Vec<IVec>) -> Stencil {

@@ -564,158 +564,6 @@ fn dual_cone_functionals(stencil: &Stencil) -> Vec<IVec> {
     out
 }
 
-/// A deliberately naive reference oracle: plain `HashMap` memo, no dense
-/// window, no dual-cone cuts — just the φ-functional termination bound
-/// and memoised DFS.
-///
-/// This is the ground truth the property suites differential-test
-/// [`DoneOracle`] against: every data-structure trick in the fast oracle
-/// (dense verdict window, spill tier, scratch-arena DFS) must be
-/// invisible in the answers. Keep this implementation boring.
-///
-/// # Examples
-///
-/// ```
-/// use uov_isg::{ivec, Stencil};
-/// use uov_core::{DoneOracle, ReferenceOracle};
-///
-/// let s = Stencil::new(vec![ivec![1, 0], ivec![0, 1], ivec![1, 1]])?;
-/// let fast = DoneOracle::new(&s);
-/// let mut naive = ReferenceOracle::new(&s)?;
-/// for i in -3..=3 {
-///     for j in -3..=3 {
-///         assert_eq!(fast.in_done(&ivec![i, j]), naive.in_done(&ivec![i, j]));
-///     }
-/// }
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-#[derive(Debug)]
-pub struct ReferenceOracle {
-    stencil: Stencil,
-    phi: IVec,
-    memo: std::collections::HashMap<IVec, bool>,
-}
-
-impl ReferenceOracle {
-    /// Build a reference oracle for `stencil`.
-    ///
-    /// # Errors
-    ///
-    /// [`SearchError::Isg`] when the stencil's positive functional cannot
-    /// be represented (the same inputs [`DoneOracle::try_new`] rejects).
-    pub fn new(stencil: &Stencil) -> Result<Self, SearchError> {
-        Ok(ReferenceOracle {
-            stencil: stencil.clone(),
-            phi: stencil.try_positive_functional()?,
-            memo: std::collections::HashMap::new(),
-        })
-    }
-
-    /// Naive cone membership: memoised iterative DFS with only the
-    /// φ-functional cut.
-    ///
-    /// # Panics
-    ///
-    /// Panics on coordinate overflow or a dimension mismatch; the
-    /// reference oracle is for controlled test inputs.
-    pub fn in_done(&mut self, w: &IVec) -> bool {
-        assert_eq!(
-            w.dim(),
-            self.stencil.dim(),
-            "reference oracle dimension mismatch"
-        );
-        // Post-order DFS: expand first, then decide once all children are
-        // known. `enter` distinguishes the two visits to a node.
-        let mut stack: Vec<(IVec, bool)> = vec![(w.clone(), true)];
-        while let Some((node, enter)) = stack.pop() {
-            if node.is_zero() || self.memo.contains_key(&node) {
-                continue;
-            }
-            if self.phi.dot_i128(&node) < 0 {
-                self.memo.insert(node, false);
-                continue;
-            }
-            if enter {
-                stack.push((node.clone(), false));
-                for v in self.stencil.iter() {
-                    match node.checked_sub(v) {
-                        Ok(child) => stack.push((child, true)),
-                        Err(e) => panic!("reference oracle overflow: {e}"),
-                    }
-                }
-            } else {
-                let verdict = self.stencil.iter().any(|v| {
-                    let child = match node.checked_sub(v) {
-                        Ok(c) => c,
-                        Err(e) => panic!("reference oracle overflow: {e}"),
-                    };
-                    child.is_zero() || self.memo.get(&child).copied().unwrap_or(false)
-                });
-                self.memo.insert(node, verdict);
-            }
-        }
-        w.is_zero() || self.memo.get(w).copied().unwrap_or(false)
-    }
-
-    /// Naive DEAD membership: every reader offset `w − vᵢ` is in the cone.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`ReferenceOracle::in_done`].
-    pub fn in_dead(&mut self, w: &IVec) -> bool {
-        let readers: Vec<IVec> = self
-            .stencil
-            .iter()
-            .map(|v| match w.checked_sub(v) {
-                Ok(c) => c,
-                Err(e) => panic!("reference oracle overflow: {e}"),
-            })
-            .collect();
-        readers.iter().all(|offset| self.in_done(offset))
-    }
-
-    /// Alias of [`ReferenceOracle::in_dead`], mirroring
-    /// [`DoneOracle::is_uov`].
-    pub fn is_uov(&mut self, w: &IVec) -> bool {
-        self.in_dead(w)
-    }
-
-    /// Naive box enumeration mirroring [`DoneOracle::uovs_within`].
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`ReferenceOracle::in_done`].
-    pub fn uovs_within(&mut self, radius: i64) -> Vec<IVec> {
-        assert!(radius >= 0, "radius must be non-negative");
-        let d = self.stencil.dim();
-        let mut out = Vec::new();
-        let mut cur = vec![-radius; d];
-        loop {
-            let w = IVec::from(cur.as_slice());
-            if w.is_lex_positive() && self.is_uov(&w) {
-                out.push(w);
-            }
-            let mut k = d;
-            loop {
-                if k == 0 {
-                    return out;
-                }
-                k -= 1;
-                if cur[k] < radius {
-                    cur[k] += 1;
-                    break;
-                }
-                cur[k] = -radius;
-            }
-        }
-    }
-
-    /// Number of memoised verdicts (diagnostics for the property suite).
-    pub fn memo_len(&self) -> usize {
-        self.memo.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

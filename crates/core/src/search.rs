@@ -24,20 +24,23 @@
 //! `u`) holds at most `diam/|u| + 1` points, so the class count is at least
 //! `N·|u| / (diam + |u|)` for a domain with `N` points and diameter `diam`.
 //!
-//! # Parallel search
+//! # One engine, any thread count
 //!
-//! With [`SearchConfig::threads`] > 1 the branch-and-bound fans out over a
-//! pool of `std::thread` workers that share one frontier: each worker owns
-//! a local priority queue and *steals* from its peers when it runs dry,
-//! the PATHSET table is sharded and lock-striped, and the incumbent bound
-//! lives in an atomic cell so every worker prunes against the global best
-//! the instant it improves. The result is **deterministic**: candidates
-//! are compared by the total order `(cost, ‖w‖², lexicographic w)`, and
-//! the pruning rules only discard children that provably cannot *reach*
-//! the final key (strict inequality against the bound), so every thread
-//! count — including 1 — returns the identical `(uov, cost)` for a
-//! completed search. Only the [`SearchStats`] counters and
-//! budget-truncated results vary with scheduling.
+//! The branch-and-bound runs as [`SearchConfig::threads`] work-stealing
+//! workers that share one frontier: each worker owns a local priority
+//! queue and *steals* from its peers when it runs dry, the PATHSET table
+//! is one shared [`MaskTable`], and the incumbent bound lives in an atomic
+//! cell so every worker prunes against the global best the instant it
+//! improves. With one thread (or zero) the single worker runs on the
+//! calling thread; with nobody to steal from it pops in plain best-first
+//! order, so its [`SearchStats`] are deterministic too. The result is
+//! **deterministic** at every thread count: candidates are compared by the
+//! total order `(cost, ‖w‖², lexicographic w)`, and the pruning rules only
+//! discard children that provably cannot *reach* the final key (strict
+//! inequality against the bound), so every thread count returns the
+//! identical `(uov, cost)` for a completed search. With more than one
+//! worker only the [`SearchStats`] counters and budget-truncated results
+//! vary with scheduling.
 //!
 //! # Checkpoint/resume
 //!
@@ -51,21 +54,21 @@
 //! short), the canonical-order determinism argument applies across the
 //! interruption: a search killed at any point and resumed from its latest
 //! snapshot returns the byte-identical `(uov, cost)` of an uninterrupted
-//! run, at every thread count. The parallel engine quiesces all workers
-//! at a barrier before each mid-run snapshot so no expansion is ever torn
+//! run, at every thread count. The engine quiesces all workers at a
+//! barrier before each mid-run snapshot so no expansion is ever torn
 //! across a file.
 //!
 //! # Panic isolation
 //!
-//! Every engine body runs under `catch_unwind`: a panicking node
+//! Every worker body runs under `catch_unwind`: a panicking node
 //! evaluation (for example a user-supplied [`IterationDomain`] that
 //! panics) surfaces as a typed [`SearchError::WorkerPanic`] instead of
-//! aborting the process. In the parallel engine the surviving workers
-//! drain or stop, the final checkpoint (if configured) is still written,
-//! and children are costed *before* they touch the shared PATHSET table
-//! so a caught panic can never leave a merged-but-never-queued offset
-//! behind.
+//! aborting the process. The surviving workers drain or stop, the final
+//! checkpoint (if configured) is still written, and children are costed
+//! *before* they touch the shared PATHSET table so a caught panic can
+//! never leave a merged-but-never-queued offset behind.
 
+use std::cell::Cell;
 use std::collections::{BinaryHeap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
@@ -110,11 +113,11 @@ pub struct SearchConfig {
     /// always-legal initial UOV — and records a
     /// [`Degradation`](crate::budget::Degradation) in the result.
     pub budget: Budget,
-    /// Worker threads for the branch-and-bound. `0` and `1` both run the
-    /// sequential algorithm on the calling thread; `n > 1` spawns `n`
-    /// work-stealing workers sharing the incumbent bound and PATHSET
-    /// table. Completed searches return identical `(uov, cost)` for every
-    /// value — see the module docs' determinism guarantee.
+    /// Worker threads for the branch-and-bound. `0` and `1` both run one
+    /// worker on the calling thread, in plain best-first order; `n > 1`
+    /// spawns `n` work-stealing workers sharing the incumbent bound and
+    /// PATHSET table. Completed searches return identical `(uov, cost)`
+    /// for every value — see the module docs' determinism guarantee.
     pub threads: usize,
     /// Crash-safe snapshots: `Some` writes the search state to the given
     /// path every `interval` processed nodes (and once more when the
@@ -150,7 +153,8 @@ impl Default for SearchConfig {
 ///
 /// With `threads > 1` the counters are exact totals across workers but
 /// their values depend on scheduling (how early the bound tightened on
-/// each worker); only the returned `(uov, cost)` is deterministic.
+/// each worker); only the returned `(uov, cost)` is deterministic. With
+/// one worker they are deterministic as well.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SearchStats {
     /// Offsets extracted from the priority queue.
@@ -205,7 +209,7 @@ pub fn initial_uov(stencil: &Stencil) -> IVec {
     stencil.sum()
 }
 
-fn cost_of(objective: &Objective<'_>, w: &IVec) -> u128 {
+pub(crate) fn cost_of(objective: &Objective<'_>, w: &IVec) -> u128 {
     match objective {
         Objective::ShortestVector => w.norm_sq() as u128,
         Objective::KnownBounds(domain) => storage_class_count(*domain, w) as u128,
@@ -320,17 +324,7 @@ pub fn find_best_uov(
     objective: Objective<'_>,
     config: &SearchConfig,
 ) -> Result<SearchResult, SearchError> {
-    let (domain_facts, setup) = validated_setup(stencil, &objective)?;
-    let seed = SeedState::fresh(&setup);
-    run_engines(
-        stencil,
-        &objective,
-        config,
-        &domain_facts,
-        &setup,
-        seed,
-        None,
-    )
+    search_seeded(None, stencil, &objective, config, |_, _| ()).map(|(result, ())| result)
 }
 
 /// Resume a search from a snapshot written by a previous (interrupted or
@@ -361,44 +355,7 @@ pub fn search_resume(
     config: &SearchConfig,
 ) -> Result<SearchResult, SearchError> {
     let snap = checkpoint::read_snapshot(path)?;
-    search_from_snapshot(snap, stencil, objective, config)
-}
-
-/// [`search_resume`] for a snapshot already in memory: validate it
-/// against the live `(stencil, objective)` pair and continue the search
-/// from its state. This is the entry point the planning mesh uses for
-/// work units shipped over the wire in the `UOVCKPT1` format — the
-/// snapshot arrives as bytes, is structurally re-validated exactly like a
-/// file-based resume, and runs under the caller's budget.
-///
-/// # Errors
-///
-/// Everything [`search_resume`] reports except the file read itself.
-pub fn search_from_snapshot(
-    snap: Snapshot,
-    stencil: &Stencil,
-    objective: Objective<'_>,
-    config: &SearchConfig,
-) -> Result<SearchResult, SearchError> {
-    let (domain_facts, setup) = validated_setup(stencil, &objective)?;
-    let expected = checkpoint::fingerprint(stencil, &objective);
-    if snap.fingerprint != expected {
-        return Err(SearchError::Checkpoint(CheckpointError::StencilMismatch {
-            expected,
-            found: snap.fingerprint,
-        }));
-    }
-    let seed = SeedState::from_snapshot(&objective, &setup, snap)?;
-    config.budget.restore_nodes_charged(seed.nodes_charged);
-    run_engines(
-        stencil,
-        &objective,
-        config,
-        &domain_facts,
-        &setup,
-        seed,
-        None,
-    )
+    search_seeded(Some(snap), stencil, &objective, config, |_, _| ()).map(|(result, ())| result)
 }
 
 /// Run one search *work unit*: start from `seed` (a wire-shipped
@@ -406,56 +363,29 @@ pub fn search_from_snapshot(
 /// return both the result and a snapshot of the final state — incumbent,
 /// PATHSET table, and whatever frontier the budget left unexplored.
 ///
-/// The returned snapshot upholds the same invariant as an on-disk
-/// checkpoint: every discovered-but-not-fully-expanded path is in the
-/// frontier (including an entry a worker had in hand when the budget cut
-/// it short), so a coordinator can merge unit snapshots and re-dispatch
-/// the leftovers without ever losing a subtree. An empty final frontier
-/// means the unit ran to exhaustion.
+/// A seed snapshot is validated exactly like a file-based resume
+/// ([`search_resume`]): fingerprint, structure, and its node count folded
+/// into `config.budget`. The returned snapshot upholds the same invariant
+/// as an on-disk checkpoint: every discovered-but-not-fully-expanded path
+/// is in the frontier (including an entry a worker had in hand when the
+/// budget cut it short), so a coordinator can merge unit snapshots and
+/// re-dispatch the leftovers without ever losing a subtree. An empty
+/// final frontier means the unit ran to exhaustion.
 ///
 /// # Errors
 ///
-/// Everything [`search_from_snapshot`] reports. Budget exhaustion is not
-/// an error — it shows up as `result.degradation` plus a non-empty
-/// frontier in the snapshot.
+/// Everything [`search_resume`] reports except the file read itself.
+/// Budget exhaustion is not an error — it shows up as
+/// `result.degradation` plus a non-empty frontier in the snapshot.
 pub fn search_unit(
     seed: Option<Snapshot>,
     stencil: &Stencil,
     objective: Objective<'_>,
     config: &SearchConfig,
 ) -> Result<(SearchResult, Snapshot), SearchError> {
-    let (domain_facts, setup) = validated_setup(stencil, &objective)?;
-    let expected = checkpoint::fingerprint(stencil, &objective);
-    let seed_state = match seed {
-        Some(snap) => {
-            if snap.fingerprint != expected {
-                return Err(SearchError::Checkpoint(CheckpointError::StencilMismatch {
-                    expected,
-                    found: snap.fingerprint,
-                }));
-            }
-            let state = SeedState::from_snapshot(&objective, &setup, snap)?;
-            config.budget.restore_nodes_charged(state.nodes_charged);
-            state
-        }
-        None => SeedState::fresh(&setup),
-    };
-    let mut capture: Option<Snapshot> = None;
-    let result = run_engines(
-        stencil,
-        &objective,
-        config,
-        &domain_facts,
-        &setup,
-        seed_state,
-        Some(&mut capture),
-    )?;
-    let snap = capture.ok_or_else(|| {
-        SearchError::Checkpoint(CheckpointError::Corrupt(
-            "engine returned without capturing a final snapshot".to_string(),
-        ))
-    })?;
-    Ok((result, snap))
+    search_seeded(seed, stencil, &objective, config, |par, stats| {
+        par.build_snapshot(stats)
+    })
 }
 
 /// Validate the problem and precompute the per-search constants.
@@ -550,53 +480,9 @@ fn search_window(
     Window::from_bounds(&lo, &hi, SEARCH_WINDOW_ENTRIES)
 }
 
-/// Dispatch a seeded search to an engine, with panic isolation at the
-/// engine boundary: a panicking node evaluation becomes
-/// [`SearchError::WorkerPanic`], never an unwinding (or aborting) caller.
-fn run_engines(
-    stencil: &Stencil,
-    objective: &Objective<'_>,
-    config: &SearchConfig,
-    domain_facts: &Option<DomainFacts>,
-    setup: &Setup,
-    seed: SeedState,
-    capture: Option<&mut Option<Snapshot>>,
-) -> Result<SearchResult, SearchError> {
-    if config.threads <= 1 {
-        // The sequential engine's state lives on this stack frame, so a
-        // caught panic cannot leave a final checkpoint behind — the
-        // latest interval snapshot (if any) remains valid for resume.
-        catch_unwind(AssertUnwindSafe(|| {
-            search_sequential(
-                stencil,
-                objective,
-                config,
-                domain_facts,
-                setup,
-                seed,
-                capture,
-            )
-        }))
-        .map_err(|payload| SearchError::WorkerPanic {
-            worker: 0,
-            payload: panic_message(payload.as_ref()),
-        })
-    } else {
-        search_parallel(
-            stencil,
-            objective,
-            config,
-            domain_facts,
-            setup,
-            seed,
-            capture,
-        )
-    }
-}
-
 /// A search starting state: either the origin seed of a fresh run or the
-/// restored state of a snapshot. Both engines consume one of these, which
-/// is what makes resume "just another search".
+/// restored state of a snapshot. The engine always starts from one of
+/// these, which is what makes resume "just another search".
 struct SeedState {
     /// PATHSET union per discovered offset.
     known: HashMap<IVec, u64>,
@@ -635,7 +521,7 @@ impl SeedState {
     }
 
     /// Restore a snapshot, re-validating every structural invariant the
-    /// engines rely on. CRCs catch accidental corruption; these checks
+    /// engine relies on. CRCs catch accidental corruption; these checks
     /// catch semantic damage a CRC-valid file could still carry.
     fn from_snapshot(
         objective: &Objective<'_>,
@@ -700,9 +586,8 @@ impl SeedState {
     }
 }
 
-/// Validated per-search constants shared by the sequential and parallel
-/// engines. The incumbent starts at the initial UOV `Σvᵢ`, legal from the
-/// first moment (§3.2.1).
+/// Validated per-search constants shared by every worker. The incumbent
+/// starts at the initial UOV `Σvᵢ`, legal from the first moment (§3.2.1).
 struct Setup {
     dim: usize,
     full: u64,
@@ -769,285 +654,6 @@ fn improves_slice(cost: u128, w: &[i64], best: &(u128, i128, IVec)) -> bool {
     }
 }
 
-/// Periodic snapshot writer shared by both engines' final writes and the
-/// sequential engine's interval ticks.
-struct CkptSink<'a> {
-    cfg: &'a CheckpointConfig,
-    fingerprint: u64,
-    /// Fully-processed nodes since the last snapshot.
-    since: u64,
-    /// First write failure; checkpointing is disabled once set.
-    error: Option<CheckpointError>,
-}
-
-impl CkptSink<'_> {
-    fn write(&mut self, snap: &Snapshot) {
-        if self.error.is_some() {
-            return;
-        }
-        if let Err(e) = checkpoint::write_snapshot(&self.cfg.path, snap) {
-            self.error = Some(e);
-        }
-    }
-}
-
-/// The single-threaded engine: one priority queue, one PATHSET map.
-#[allow(clippy::too_many_arguments)]
-fn search_sequential(
-    stencil: &Stencil,
-    objective: &Objective<'_>,
-    config: &SearchConfig,
-    domain_facts: &Option<DomainFacts>,
-    setup: &Setup,
-    seed: SeedState,
-    capture: Option<&mut Option<Snapshot>>,
-) -> SearchResult {
-    let budget = &config.budget;
-    // A gossiped bound tightens pruning but never replaces the incumbent:
-    // only a witness vector can win, a scalar cannot.
-    let hint = config.bound_hint.unwrap_or(u128::MAX);
-    let mut best_key = seed.incumbent;
-    let mut stats = seed.base;
-    let mut degradation: Option<Degradation> = None;
-
-    // The PATHSET node pool: dense cells over the reachability window,
-    // hash spill outside it. The queue holds `Copy` `(cost, key, mask)`
-    // triples; for in-window nodes the key orders like `lex w`, so heap
-    // tie-breaks match the old vector-keyed behaviour for dense traffic.
-    // An entry is re-pushed whenever its PATHSET grows (Visit step 2).
-    let store = MaskTable::new(setup.window.clone());
-    for (w, mask) in &seed.known {
-        store.merge(w.as_slice(), *mask);
-    }
-    let mut heap: BinaryHeap<std::cmp::Reverse<(u128, u64, u64)>> =
-        BinaryHeap::with_capacity(seed.frontier.len());
-    for (cost, w, mask) in &seed.frontier {
-        let key = match store.key_of(w.as_slice()) {
-            Some(key) => key,
-            None => store.merge(w.as_slice(), *mask).key,
-        };
-        heap.push(std::cmp::Reverse((*cost, key, *mask)));
-    }
-
-    let fingerprint = checkpoint::fingerprint(stencil, objective);
-    let mut ckpt = config.checkpoint.as_ref().map(|cfg| CkptSink {
-        cfg,
-        fingerprint,
-        since: 0,
-        error: None,
-    });
-    // The entry popped but not fully expanded when the search stopped
-    // early; preserved into the final snapshot so its subtree is never
-    // lost across an interrupt/resume cycle (re-expansion is idempotent).
-    let mut in_hand: Option<(u128, u64, u64)> = None;
-    // Scratch coordinate buffers reused across every pop and child — the
-    // hot loop allocates only when the incumbent improves.
-    let mut wbuf: Vec<i64> = Vec::with_capacity(setup.dim);
-    let mut cbuf: Vec<i64> = Vec::with_capacity(setup.dim);
-
-    'search: while let Some(std::cmp::Reverse((cost, key, mask))) = heap.pop() {
-        // Skip stale entries: a fresher push carries the grown PATHSET.
-        if store.mask_of(key) != Some(mask) || !store.coords_of(key, &mut wbuf) {
-            continue;
-        }
-        stats.visited += 1;
-        if let Err(reason) = budget.charge() {
-            stats.complete = false;
-            degradation =
-                Some(budget.degradation(reason, store.len(), best_key.2 == setup.initial));
-            in_hand = Some((cost, key, mask));
-            break;
-        }
-        if let Some(max) = config.max_visits {
-            if stats.visited > max {
-                stats.complete = false;
-                degradation = Some(budget.degradation(
-                    Exhausted::Nodes,
-                    store.len(),
-                    best_key.2 == setup.initial,
-                ));
-                in_hand = Some((cost, key, mask));
-                break;
-            }
-        }
-
-        // Candidate check (paper Visit step 3), with the canonical
-        // tie-break so equal-cost candidates resolve deterministically.
-        if mask == setup.full && improves_slice(cost, &wbuf, &best_key) {
-            let norm = checked_norm_sq(&wbuf).unwrap_or(i128::MAX);
-            best_key = (cost, norm, IVec::from(wbuf.as_slice()));
-            stats.improvements += 1;
-        }
-
-        // Expand children along backward value dependences (Visit step 2).
-        // One parent functional value serves every child: φ·(w+vₖ) =
-        // φ·w + φ·vₖ.
-        let phi_w = dot_slices(setup.phi.as_slice(), &wbuf);
-        for (k, v) in stencil.iter().enumerate() {
-            // A child beyond i64 range can never beat the in-range
-            // incumbent; discard it like a capped offset.
-            cbuf.clear();
-            for (i, &c) in v.as_slice().iter().enumerate() {
-                match wbuf[i].checked_add(c) {
-                    Some(x) => cbuf.push(x),
-                    None => break,
-                }
-            }
-            if cbuf.len() != setup.dim {
-                stats.capped += 1;
-                continue;
-            }
-            let phi_child = phi_w + setup.phi_v[k];
-            debug_assert!(phi_child > 0, "functional must grow along dependences");
-
-            // Length lower bound for the child and all its descendants:
-            // |u|² ≥ (φ·u)²/|φ|² ≥ (φ·child)²/|φ|² (floor division → sound).
-            let len_sq_lb = (phi_child as u128 * phi_child as u128) / setup.phi_norm_sq;
-            // Strict comparisons: a subtree that can still *tie* the
-            // incumbent must survive to the lexicographic tie-break.
-            let eff_bound = best_key.0.min(hint);
-            let dominated = match domain_facts {
-                None => len_sq_lb > eff_bound,
-                Some(facts) => facts.dominated(len_sq_lb, eff_bound),
-            };
-            if dominated {
-                stats.pruned += 1;
-                continue;
-            }
-            if phi_child > setup.phi_cap {
-                stats.capped += 1;
-                continue;
-            }
-
-            let child_mask = mask | (1 << k);
-            let prior = store.probe(&cbuf);
-            if let Some(p) = prior {
-                if p | child_mask == p {
-                    continue; // this path adds nothing to the PATHSET
-                }
-            } else if let Err(reason) = budget.check_memo(store.len()) {
-                stats.complete = false;
-                degradation =
-                    Some(budget.degradation(reason, store.len(), best_key.2 == setup.initial));
-                // Mid-expansion stop: keep the parent in hand so the
-                // unexpanded remainder of its subtree survives into the
-                // snapshot.
-                in_hand = Some((cost, key, mask));
-                break 'search;
-            }
-            // Cost the child *before* touching the PATHSET table: the
-            // only step that can panic (a user-supplied domain) runs
-            // while the state is still consistent. A candidate whose
-            // cost overflows is discarded, not fatal.
-            let Some(child_cost) = try_child_cost(objective, &cbuf) else {
-                stats.capped += 1;
-                continue;
-            };
-            let out = store.merge(&cbuf, child_mask);
-            if out.grew {
-                heap.push(std::cmp::Reverse((child_cost, out.key, out.merged)));
-                stats.pushed += 1;
-            }
-        }
-
-        if let Some(sink) = ckpt.as_mut() {
-            sink.since += 1;
-            if sink.since >= sink.cfg.interval.max(1) && sink.error.is_none() {
-                sink.since = 0;
-                let snap = sequential_snapshot(
-                    sink.fingerprint,
-                    setup,
-                    &store,
-                    &heap,
-                    None,
-                    &best_key,
-                    &stats,
-                    budget,
-                );
-                sink.write(&snap);
-            }
-        }
-    }
-
-    // Final snapshot: always written when configured, so a completed (or
-    // budget-stopped) run leaves a resumable file behind.
-    let checkpoint_error = ckpt.and_then(|mut sink| {
-        let snap = sequential_snapshot(
-            sink.fingerprint,
-            setup,
-            &store,
-            &heap,
-            in_hand.as_ref(),
-            &best_key,
-            &stats,
-            budget,
-        );
-        sink.write(&snap);
-        sink.error
-    });
-    if let Some(slot) = capture {
-        *slot = Some(sequential_snapshot(
-            fingerprint,
-            setup,
-            &store,
-            &heap,
-            in_hand.as_ref(),
-            &best_key,
-            &stats,
-            budget,
-        ));
-    }
-
-    SearchResult {
-        uov: best_key.2,
-        cost: best_key.0,
-        stats,
-        degradation,
-        checkpoint_error,
-    }
-}
-
-/// Build a snapshot of the sequential engine's state. Stale heap entries
-/// (superseded by a grown-PATHSET re-push) are filtered out, so each
-/// offset appears at most once in the stored frontier. Keys decode back
-/// to coordinate vectors here, at the engine boundary — the `UOVCKPT1`
-/// wire format stays layout-independent.
-#[allow(clippy::too_many_arguments)]
-fn sequential_snapshot(
-    fingerprint: u64,
-    setup: &Setup,
-    store: &MaskTable,
-    heap: &BinaryHeap<std::cmp::Reverse<(u128, u64, u64)>>,
-    in_hand: Option<&(u128, u64, u64)>,
-    best_key: &(u128, i128, IVec),
-    stats: &SearchStats,
-    budget: &Budget,
-) -> Snapshot {
-    let mut coords = Vec::new();
-    let mut frontier: Vec<(u128, IVec, u64)> = Vec::new();
-    for std::cmp::Reverse((cost, key, mask)) in heap.iter() {
-        if store.mask_of(*key) == Some(*mask) && store.coords_of(*key, &mut coords) {
-            frontier.push((*cost, IVec::from(coords.as_slice()), *mask));
-        }
-    }
-    if let Some(&(cost, key, mask)) = in_hand {
-        if store.mask_of(key) == Some(mask) && store.coords_of(key, &mut coords) {
-            frontier.push((cost, IVec::from(coords.as_slice()), mask));
-        }
-    }
-    Snapshot {
-        fingerprint,
-        dim: setup.dim,
-        incumbent_cost: best_key.0,
-        incumbent: best_key.2.clone(),
-        frontier,
-        known: store.entries(),
-        nodes_charged: budget.nodes_charged(),
-        stats: stats.clone(),
-        epoch: 0,
-    }
-}
-
 /// Lock a mutex, recovering the data from a poisoned lock. Poisoning can
 /// only arise from a panicking peer; every structure guarded here (masks,
 /// heaps, the incumbent key) is valid after any prefix of updates, so
@@ -1059,19 +665,22 @@ fn lock_unpoisoned<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     }
 }
 
-/// Saturate a candidate cost into the atomic bound cell. `u64::MAX` is the
-/// "no finite bound" sentinel: pruning is skipped entirely rather than
-/// pruning against a too-small saturated value (which would be unsound).
+/// Saturate a candidate cost into the atomic bound cell. `u64::MAX` means
+/// "the cost does not fit": pruning then reads the exact incumbent rather
+/// than prune against a too-small saturated value (which would be
+/// unsound).
 fn saturate_bound(cost: u128) -> u64 {
     u64::try_from(cost).unwrap_or(u64::MAX)
 }
 
 /// A worker's priority queue: min-heap over `Copy` `(cost, node key,
 /// pathset)` triples — node coordinates live in the shared
-/// [`MaskTable`], not in the queue.
+/// [`MaskTable`], not in the queue. An in-window key orders like `lex w`,
+/// so for dense traffic the heap breaks cost ties lexicographically. An
+/// entry is re-pushed whenever its PATHSET grows (Visit step 2).
 type WorkQueue = BinaryHeap<std::cmp::Reverse<(u128, u64, u64)>>;
 
-/// Barrier bookkeeping for quiescent parallel snapshots.
+/// Barrier bookkeeping for quiescent mid-run snapshots.
 struct CkptBarrier {
     /// Workers still running (not yet retired).
     live: usize,
@@ -1081,10 +690,9 @@ struct CkptBarrier {
     epoch: u64,
 }
 
-/// Checkpoint plumbing of the parallel engine.
+/// Checkpoint plumbing of the engine.
 struct ParCkpt<'a> {
     cfg: &'a CheckpointConfig,
-    fingerprint: u64,
     /// Fully-processed nodes since the last snapshot request.
     since: AtomicU64,
     /// A snapshot has been requested; workers park at their next loop
@@ -1098,7 +706,8 @@ struct ParCkpt<'a> {
     cv: Condvar,
 }
 
-/// Shared state of the parallel branch-and-bound.
+/// Shared state of the work-stealing branch-and-bound, for one worker or
+/// many.
 struct ParSearch<'a> {
     stencil: &'a Stencil,
     objective: &'a Objective<'a>,
@@ -1106,6 +715,8 @@ struct ParSearch<'a> {
     setup: &'a Setup,
     budget: &'a Budget,
     max_visits: Option<u64>,
+    /// Problem fingerprint stamped on every snapshot.
+    fingerprint: u64,
 
     /// One work queue per worker; idle workers steal from peers.
     queues: Vec<Mutex<WorkQueue>>,
@@ -1122,16 +733,17 @@ struct ParSearch<'a> {
     stop_reason: Mutex<Option<Exhausted>>,
     /// Exact incumbent under the canonical total order.
     incumbent: Mutex<(u128, i128, IVec)>,
-    /// Saturated incumbent cost for lock-free pruning: always ≥ the true
-    /// best cost, so pruning against it is sound.
+    /// Saturated incumbent cost for lock-free pruning (see
+    /// [`saturate_bound`]).
     bound: AtomicU64,
-    /// Saturated external bound hint ([`SearchConfig::bound_hint`]);
-    /// `u64::MAX` means "no hint". Tightens pruning alongside `bound`
-    /// but never touches the incumbent.
-    hint: u64,
-    /// Per-worker slot for the entry popped but not yet fully expanded.
-    /// Early-stopping paths (budget, panic, memo cap) leave the entry
-    /// here so snapshots never lose its subtree.
+    /// External bound hint ([`SearchConfig::bound_hint`]), `u128::MAX`
+    /// when absent. Tightens pruning alongside `bound` but never touches
+    /// the incumbent.
+    hint: u128,
+    /// Per-worker slot for the entry popped but not yet fully expanded,
+    /// published when the worker exits. Early-stopping paths (budget,
+    /// panic, memo cap) leave the entry here so snapshots never lose its
+    /// subtree.
     in_hand: Vec<Mutex<Option<(u128, u64, u64)>>>,
     /// Statistics carried over from a resumed snapshot; mid-run snapshot
     /// counters build on these.
@@ -1166,15 +778,17 @@ impl ParSearch<'_> {
 
     /// Whether a child with descendant-cost lower bound from `len_sq_lb`
     /// is provably worse than the shared incumbent (strictly — ties
-    /// survive to the deterministic tie-break).
+    /// survive to the deterministic tie-break). The atomic cell answers
+    /// without a lock unless the incumbent's cost saturated it.
     fn child_dominated(&self, len_sq_lb: u128) -> bool {
-        let bound = self.bound.load(Ordering::Acquire).min(self.hint);
-        if bound == u64::MAX {
-            return false; // bound not representable: prune nothing (sound)
+        let bound = match self.bound.load(Ordering::Acquire) {
+            u64::MAX => lock_unpoisoned(&self.incumbent).0,
+            bound => u128::from(bound),
         }
+        .min(self.hint);
         match self.domain_facts {
-            None => len_sq_lb > bound as u128,
-            Some(facts) => facts.dominated(len_sq_lb, bound as u128),
+            None => len_sq_lb > bound,
+            Some(facts) => facts.dominated(len_sq_lb, bound),
         }
     }
 
@@ -1223,7 +837,11 @@ impl ParSearch<'_> {
             }
             let phi_child = phi_w + self.setup.phi_v[k];
             debug_assert!(phi_child > 0, "functional must grow along dependences");
-            let len_sq_lb = (phi_child as u128 * phi_child as u128) / self.setup.phi_norm_sq;
+            // Length lower bound for the child and all its descendants:
+            // |u|² ≥ (φ·u)²/|φ|² ≥ (φ·child)²/|φ|² (floor division → sound).
+            // The square saturates; ⌊u128::MAX/|φ|²⌋ is still a lower bound.
+            let len_sq_lb =
+                (phi_child as u128).saturating_mul(phi_child as u128) / self.setup.phi_norm_sq;
             if self.child_dominated(len_sq_lb) {
                 stats.pruned += 1;
                 continue;
@@ -1332,7 +950,7 @@ impl ParSearch<'_> {
                 visited: self.visited.load(Ordering::Relaxed),
                 ..self.stats_base.clone()
             };
-            let snap = self.build_snapshot(ck.fingerprint, &stats);
+            let snap = self.build_snapshot(&stats);
             if let Err(e) = checkpoint::write_snapshot(&ck.cfg.path, &snap) {
                 ck.failed.store(true, Ordering::Relaxed);
                 let mut slot = lock_unpoisoned(&ck.error);
@@ -1368,11 +986,11 @@ impl ParSearch<'_> {
     }
 
     /// Collect the full live state into a snapshot. Sound only when the
-    /// state is quiescent: at a completed barrier or after the pool has
-    /// been joined. Keys decode back to coordinate vectors here, at the
+    /// state is quiescent: at a completed barrier or after every worker
+    /// has exited. Keys decode back to coordinate vectors here, at the
     /// engine boundary — the `UOVCKPT1` wire format stays
     /// layout-independent.
-    fn build_snapshot(&self, fingerprint: u64, stats: &SearchStats) -> Snapshot {
+    fn build_snapshot(&self, stats: &SearchStats) -> Snapshot {
         let mut coords = Vec::new();
         let mut frontier: Vec<(u128, IVec, u64)> = Vec::new();
         for queue in &self.queues {
@@ -1394,7 +1012,7 @@ impl ParSearch<'_> {
         }
         let (incumbent_cost, _, incumbent) = lock_unpoisoned(&self.incumbent).clone();
         Snapshot {
-            fingerprint,
+            fingerprint: self.fingerprint,
             dim: self.setup.dim,
             incumbent_cost,
             incumbent,
@@ -1406,8 +1024,26 @@ impl ParSearch<'_> {
         }
     }
 
+    /// Run worker `id` to its exit under panic isolation. The worker's
+    /// in-hand entry is published for the snapshots *before* it retires:
+    /// until then it counts as live, so no barrier completes without it,
+    /// and a worker parked at a barrier holds nothing.
+    fn run_worker(&self, id: usize) -> SearchStats {
+        let hand = Cell::new(None);
+        let stats = match catch_unwind(AssertUnwindSafe(|| self.worker(id, &hand))) {
+            Ok(stats) => stats,
+            Err(payload) => {
+                self.note_panic(id, payload.as_ref());
+                SearchStats::default()
+            }
+        };
+        *lock_unpoisoned(&self.in_hand[id]) = hand.get();
+        self.retire();
+        stats
+    }
+
     /// One worker's main loop. Returns its local statistics.
-    fn worker(&self, id: usize) -> SearchStats {
+    fn worker(&self, id: usize, hand: &Cell<Option<(u128, u64, u64)>>) -> SearchStats {
         let mut stats = SearchStats::default();
         let mut idle_spins = 0u32;
         // Scratch coordinate buffers reused across every pop and child.
@@ -1443,7 +1079,7 @@ impl ParSearch<'_> {
             // carries the entry and no subtree is lost. `pending` is then
             // deliberately *not* decremented — the `stop` flag, not the
             // drain test, terminates the pool on those paths.
-            *lock_unpoisoned(&self.in_hand[id]) = Some((cost, key, mask));
+            hand.set(Some((cost, key, mask)));
             if let Err(reason) = self.budget.charge() {
                 self.record_stop(reason);
                 break;
@@ -1459,7 +1095,7 @@ impl ParSearch<'_> {
             if !self.expand(id, &wbuf, mask, &mut cbuf, &mut stats) {
                 break; // memo cap mid-expansion: keep the entry in hand
             }
-            *lock_unpoisoned(&self.in_hand[id]) = None;
+            hand.set(None);
             self.pending.fetch_sub(1, Ordering::Release);
             self.note_progress();
         }
@@ -1467,27 +1103,42 @@ impl ParSearch<'_> {
     }
 }
 
-/// The multi-threaded engine: `threads` work-stealing workers over shared
-/// state. See the module docs for the determinism argument.
+/// The runner behind every entry point: validate the problem, seed the
+/// engine from `seed` (a snapshot, checked against the live problem) or
+/// from the origin, and run `config.threads` work-stealing workers over
+/// shared state (see the module docs for the determinism argument).
+/// `capture` receives the drained engine and the final statistics, for
+/// callers that also want the final state back.
 ///
 /// Worker bodies run under `catch_unwind`: a panic stops the pool, lets
 /// the survivors drain, still writes the final checkpoint, and surfaces
 /// as `Err(SearchError::WorkerPanic)`.
-#[allow(clippy::too_many_arguments)]
-fn search_parallel(
+fn search_seeded<T>(
+    seed: Option<Snapshot>,
     stencil: &Stencil,
     objective: &Objective<'_>,
     config: &SearchConfig,
-    domain_facts: &Option<DomainFacts>,
-    setup: &Setup,
-    seed: SeedState,
-    capture: Option<&mut Option<Snapshot>>,
-) -> Result<SearchResult, SearchError> {
-    let threads = config.threads.max(2);
+    capture: impl FnOnce(&ParSearch<'_>, &SearchStats) -> T,
+) -> Result<(SearchResult, T), SearchError> {
+    let (domain_facts, setup) = validated_setup(stencil, objective)?;
     let fingerprint = checkpoint::fingerprint(stencil, objective);
+    let seed = match seed {
+        None => SeedState::fresh(&setup),
+        Some(snap) if snap.fingerprint != fingerprint => {
+            return Err(SearchError::Checkpoint(CheckpointError::StencilMismatch {
+                expected: fingerprint,
+                found: snap.fingerprint,
+            }));
+        }
+        Some(snap) => {
+            let state = SeedState::from_snapshot(objective, &setup, snap)?;
+            config.budget.restore_nodes_charged(state.nodes_charged);
+            state
+        }
+    };
+    let threads = config.threads.max(1);
     let ckpt = config.checkpoint.as_ref().map(|cfg| ParCkpt {
         cfg,
-        fingerprint,
         since: AtomicU64::new(0),
         requested: AtomicBool::new(false),
         failed: AtomicBool::new(false),
@@ -1502,10 +1153,11 @@ fn search_parallel(
     let par = ParSearch {
         stencil,
         objective,
-        domain_facts,
-        setup,
+        domain_facts: &domain_facts,
+        setup: &setup,
         budget: &config.budget,
         max_visits: config.max_visits,
+        fingerprint,
         queues: (0..threads).map(|_| Mutex::default()).collect(),
         store: MaskTable::new(setup.window.clone()),
         pending: AtomicU64::new(seed.frontier.len() as u64),
@@ -1513,7 +1165,7 @@ fn search_parallel(
         stop: AtomicBool::new(false),
         stop_reason: Mutex::new(None),
         bound: AtomicU64::new(saturate_bound(seed.incumbent.0)),
-        hint: config.bound_hint.map_or(u64::MAX, saturate_bound),
+        hint: config.bound_hint.unwrap_or(u128::MAX),
         incumbent: Mutex::new(seed.incumbent),
         in_hand: (0..threads).map(|_| Mutex::new(None)).collect(),
         stats_base: seed.base.clone(),
@@ -1521,8 +1173,7 @@ fn search_parallel(
         panic_slot: Mutex::new(None),
     };
 
-    // Seed the PATHSET table and distribute the frontier round-robin —
-    // for a fresh search this is exactly the sequential origin seeding.
+    // Seed the PATHSET table and distribute the frontier round-robin.
     for (w, mask) in &seed.known {
         par.store.merge(w.as_slice(), *mask);
     }
@@ -1534,29 +1185,22 @@ fn search_parallel(
         lock_unpoisoned(&par.queues[i % threads]).push(std::cmp::Reverse((*cost, key, *mask)));
     }
 
-    let worker_stats: Vec<SearchStats> = std::thread::scope(|scope| {
-        let par = &par;
-        let handles: Vec<_> = (0..threads)
-            .map(|id| {
-                scope.spawn(move || {
-                    let outcome = catch_unwind(AssertUnwindSafe(|| par.worker(id)));
-                    let stats = match outcome {
-                        Ok(stats) => stats,
-                        Err(payload) => {
-                            par.note_panic(id, payload.as_ref());
-                            SearchStats::default()
-                        }
-                    };
-                    par.retire();
-                    stats
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_default())
-            .collect()
-    });
+    let worker_stats: Vec<SearchStats> = if threads == 1 {
+        // One worker needs no pool: it runs on the calling thread, and with
+        // no peer to steal from it visits in plain best-first order.
+        vec![par.run_worker(0)]
+    } else {
+        std::thread::scope(|scope| {
+            let par = &par;
+            let handles: Vec<_> = (0..threads)
+                .map(|id| scope.spawn(move || par.run_worker(id)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_default())
+                .collect()
+        })
+    };
 
     let mut stats = seed.base;
     for ws in &worker_stats {
@@ -1575,33 +1219,34 @@ fn search_parallel(
             .degradation(reason, par.store.len(), best == setup.initial)
     });
 
-    // Final snapshot: the pool is joined, so the state is quiescent and
-    // includes every in-hand entry of early-stopped or panicked workers.
+    // Final snapshot: every worker has exited, so the state is quiescent
+    // and includes every in-hand entry of early-stopped or panicked
+    // workers.
     let mut checkpoint_error = None;
     if let Some(ck) = &par.ckpt {
         checkpoint_error = lock_unpoisoned(&ck.error).take();
         if checkpoint_error.is_none() {
-            let snap = par.build_snapshot(ck.fingerprint, &stats);
+            let snap = par.build_snapshot(&stats);
             if let Err(e) = checkpoint::write_snapshot(&ck.cfg.path, &snap) {
                 checkpoint_error = Some(e);
             }
         }
     }
-    if let Some(slot) = capture {
-        *slot = Some(par.build_snapshot(fingerprint, &stats));
-    }
 
     if let Some((worker, payload)) = lock_unpoisoned(&par.panic_slot).take() {
         return Err(SearchError::WorkerPanic { worker, payload });
     }
-
-    Ok(SearchResult {
-        uov: best,
-        cost: best_cost,
-        stats,
-        degradation,
-        checkpoint_error,
-    })
+    let captured = capture(&par, &stats);
+    Ok((
+        SearchResult {
+            uov: best,
+            cost: best_cost,
+            stats,
+            degradation,
+            checkpoint_error,
+        },
+        captured,
+    ))
 }
 
 /// Exhaustively enumerate every UOV with components in `[-radius, radius]`
@@ -1938,6 +1583,89 @@ mod tests {
         }
     }
 
+    fn scaled(s: &Stencil, k: i64) -> Stencil {
+        Stencil::new(s.iter().map(|v| v.scaled(k)).collect()).unwrap()
+    }
+
+    /// Node-for-node counters at one thread, pinned from the sequential
+    /// engine the one-worker case replaced: a single worker has nobody to
+    /// steal from, so it pops in plain best-first order and every counter
+    /// is deterministic.
+    #[test]
+    fn one_worker_stats_are_pinned() {
+        let fig3 = Stencil::new(vec![ivec![1, -1], ivec![1, 0], ivec![1, 1], ivec![0, 1]]).unwrap();
+        let fig3_isg = Polygon2::fig3_isg();
+        // 1-D, so φ = (1) and the squares stay exact while every cost
+        // exceeds u64: pruning must read the exact incumbent.
+        let huge_1d = scaled(&Stencil::new(vec![ivec![1], ivec![3]]).unwrap(), 1 << 33);
+        // [visited, pushed, improvements, pruned, capped]
+        let cases: [(&str, Stencil, Objective<'_>, [u64; 5]); 5] = [
+            (
+                "fig1",
+                fig1(),
+                Objective::ShortestVector,
+                [11, 13, 1, 19, 0],
+            ),
+            (
+                "stencil5",
+                stencil5(),
+                Objective::ShortestVector,
+                [23, 28, 1, 77, 0],
+            ),
+            (
+                "fig1 x 2^16",
+                scaled(&fig1(), 1 << 16),
+                Objective::ShortestVector,
+                [239_661, 293_953, 1, 370_739, 0],
+            ),
+            (
+                "fig3 on its ISG",
+                fig3,
+                Objective::KnownBounds(&fig3_isg),
+                [50, 66, 1, 63, 0],
+            ),
+            (
+                "1-D x 2^33",
+                huge_1d,
+                Objective::ShortestVector,
+                [5, 6, 1, 5, 0],
+            ),
+        ];
+        for (name, s, objective, [visited, pushed, improvements, pruned, capped]) in cases {
+            for threads in [0, 1] {
+                let got = find_best_uov(&s, objective, &with_threads(threads)).unwrap();
+                let want = SearchStats {
+                    visited,
+                    pushed,
+                    improvements,
+                    pruned,
+                    capped,
+                    complete: true,
+                };
+                assert_eq!(got.stats, want, "{name} threads={threads}");
+            }
+        }
+    }
+
+    /// With coordinates near 2³¹ the functional is φ = (2³³+1, 1), so
+    /// `φ·child` passes 2⁶⁴ at the first step. The pruning bound's square
+    /// must saturate: an overflow panics in debug builds and, wrapped in
+    /// release builds, silently stops all pruning.
+    #[test]
+    fn pruning_bound_saturates_on_huge_coordinates() {
+        let s = scaled(&stencil5(), 1 << 31);
+        let oracle = crate::DoneOracle::new(&s);
+        for threads in [1, 4] {
+            let config = SearchConfig {
+                budget: Budget::unlimited().with_max_nodes(2_000),
+                ..with_threads(threads)
+            };
+            let res = find_best_uov(&s, Objective::ShortestVector, &config)
+                .unwrap_or_else(|e| panic!("threads={threads}: {e}"));
+            assert!(oracle.is_uov(&res.uov), "threads={threads}: {}", res.uov);
+        }
+    }
+
     #[test]
     fn parallel_matches_sequential_on_known_optima() {
         for threads in [2, 4, 8] {
@@ -2056,7 +1784,11 @@ mod tests {
     }
 
     #[test]
-    fn saturated_bound_disables_pruning_instead_of_lying() {
+    fn saturated_bound_cell_defers_to_the_exact_incumbent() {
+        // A cost past u64 saturates the lock-free cell; pruning then reads
+        // the exact incumbent (see the 1-D pin in
+        // `one_worker_stats_are_pinned`) instead of trusting a value below
+        // the true bound.
         assert_eq!(saturate_bound(3), 3);
         assert_eq!(saturate_bound(u128::from(u64::MAX) + 1), u64::MAX);
         assert_eq!(saturate_bound(u128::MAX), u64::MAX);
@@ -2240,32 +1972,38 @@ mod tests {
     fn panicked_checkpointed_search_still_writes_a_resumable_snapshot() {
         let s = fig1();
         let grid = RectDomain::grid(6, 6);
-        let reference = find_best_uov(&s, Objective::KnownBounds(&grid), &with_threads(4)).unwrap();
-        let path = tmp_ckpt("panic_resume");
-        let fused = FusedDomain {
-            grid: &grid,
-            calls: std::sync::atomic::AtomicUsize::new(0),
-            fuse: 6,
-        };
-        let err = find_best_uov(
-            &s,
-            Objective::KnownBounds(&fused),
-            &ckpt_config(4, &path, 1),
-        )
-        .unwrap_err();
-        assert!(matches!(err, SearchError::WorkerPanic { .. }));
-        // The parallel engine writes a final snapshot even after a panic;
-        // resuming it with a healthy domain completes the search exactly.
-        let resumed = search_resume(
-            &path,
-            &s,
-            Objective::KnownBounds(&grid),
-            &ckpt_config(4, &path, 1),
-        )
-        .unwrap();
-        assert_eq!(resumed.uov, reference.uov);
-        assert_eq!(resumed.cost, reference.cost);
-        let _ = std::fs::remove_file(&path);
+        for threads in [1, 4] {
+            let reference =
+                find_best_uov(&s, Objective::KnownBounds(&grid), &with_threads(threads)).unwrap();
+            let path = tmp_ckpt(&format!("panic_resume_{threads}"));
+            let fused = FusedDomain {
+                grid: &grid,
+                calls: std::sync::atomic::AtomicUsize::new(0),
+                fuse: 6,
+            };
+            let err = find_best_uov(
+                &s,
+                Objective::KnownBounds(&fused),
+                &ckpt_config(threads, &path, 1),
+            )
+            .unwrap_err();
+            assert!(
+                matches!(err, SearchError::WorkerPanic { .. }),
+                "threads={threads}"
+            );
+            // A final snapshot is written even after a panic; resuming it
+            // with a healthy domain completes the search exactly.
+            let resumed = search_resume(
+                &path,
+                &s,
+                Objective::KnownBounds(&grid),
+                &ckpt_config(threads, &path, 1),
+            )
+            .unwrap();
+            assert_eq!(resumed.uov, reference.uov, "threads={threads}");
+            assert_eq!(resumed.cost, reference.cost, "threads={threads}");
+            let _ = std::fs::remove_file(&path);
+        }
     }
 
     #[test]

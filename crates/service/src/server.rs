@@ -116,7 +116,8 @@ pub struct ServerConfig {
     /// Bounded compute-queue depth between admission and the workers.
     /// A full queue sheds further requests with `Overloaded`.
     pub queue_depth: usize,
-    /// Branch-and-bound threads per search (`0`/`1` = sequential).
+    /// Branch-and-bound threads per search (`0`/`1` = one worker on the
+    /// compute-pool thread running the search).
     pub search_threads: usize,
     /// Distinct canonical plans retained by the cache.
     pub cache_capacity: usize,
@@ -2743,6 +2744,14 @@ mod tests {
                 flags: 0,
             });
         });
+        // Wait until that search is on the worker: sent together, the two
+        // requests race, and a fast request served first leaves the queue
+        // empty for the whole search.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while server.stats().requests < 1 {
+            assert!(Instant::now() < deadline, "busy request never started");
+            std::thread::sleep(Duration::from_millis(10));
+        }
         // …queue one more so the compute queue is non-empty…
         let ep = endpoint.clone();
         let queued = std::thread::spawn(move || {

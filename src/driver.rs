@@ -61,9 +61,9 @@ pub struct PlanConfig {
     /// wall clock and flag); node and memo caps apply per statement.
     pub budget: Budget,
     /// Worker threads for each statement's branch-and-bound. `0` and `1`
-    /// both mean sequential; the result is identical for every value (see
-    /// [`uov_core::search`]'s determinism guarantee) — threads only buy
-    /// wall-clock time.
+    /// both run one worker on the calling thread; the result is identical
+    /// for every value (see [`uov_core::search`]'s determinism guarantee)
+    /// — threads only buy wall-clock time.
     pub threads: usize,
     /// Re-validate every emitted UOV (including degraded fallbacks) with
     /// the independent checker before the plan is returned, attaching a

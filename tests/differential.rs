@@ -101,9 +101,10 @@ fn parallel_engine_matches_sequential_on_random_stencils() {
     }
 }
 
-/// Both engines against brute force: enumerate every UOV in a box known
-/// to contain the optimum and take the key-minimum. The branch-and-bound
-/// (sequential *and* parallel) must land on the identical vector.
+/// One worker and the work-stealing pool against brute force: enumerate
+/// every UOV in a box known to contain the optimum and take the
+/// key-minimum. The branch-and-bound (one worker *and* many) must land on
+/// the identical vector.
 #[test]
 fn both_engines_match_exhaustive_within_covering_radius() {
     let mut rng = StdRng::seed_from_u64(seed_from_env() ^ 0xE8AA);
@@ -167,7 +168,7 @@ fn repeated_parallel_runs_are_byte_identical() {
 /// Crash-safe resume under the same differential contract: interrupt a
 /// seeded search after a random number of node charges, resume it from
 /// the snapshot, and the final `(uov, cost)` must be **byte-identical**
-/// to the uninterrupted run — sequential and 8-way parallel alike.
+/// to the uninterrupted run — at one worker and at eight alike.
 #[test]
 fn interrupted_then_resumed_search_is_byte_identical() {
     let mut rng = StdRng::seed_from_u64(seed_from_env() ^ 0xC4C4);
@@ -552,7 +553,7 @@ mod kernel_zoo {
 
     /// Randomized extension of the zoo: on seeded random stencils the
     /// certificate transcript hash — not just `(uov, cost)` — matches
-    /// between the sequential and 8-way engines.
+    /// between one worker and eight.
     #[test]
     fn random_stencil_certificates_are_thread_independent() {
         let mut rng = StdRng::seed_from_u64(seed_from_env() ^ 0xCE27);
@@ -572,9 +573,9 @@ mod kernel_zoo {
         }
     }
 
-    /// UOVCKPT1 cross-engine compatibility: a snapshot cut mid-search by
-    /// the sequential engine resumes under the 8-way engine (and vice
-    /// versa) to the byte-identical final answer. Checkpoints are an
+    /// UOVCKPT1 cross-thread-count compatibility: a snapshot cut
+    /// mid-search by one worker resumes under eight (and vice versa) to
+    /// the byte-identical final answer. Checkpoints are an
     /// on-disk interchange format, not an engine-private cache.
     #[test]
     fn checkpoints_are_cross_engine_compatible() {

@@ -16,8 +16,8 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use uov::core::search::initial_uov;
-use uov::core::{DoneOracle, ReferenceOracle};
-use uov::isg::{ivec, IVec, RectDomain, Stencil};
+use uov::core::DoneOracle;
+use uov::isg::{ivec, IVec, IsgError, RectDomain, Stencil};
 
 fn seed_from_env() -> u64 {
     std::env::var("UOV_TEST_SEED")
@@ -124,6 +124,138 @@ proptest! {
         for (w, got) in queries.iter().zip(answers) {
             prop_assert_eq!(got, cold.is_uov(w), "racing workers flipped is_uov({})", w);
         }
+    }
+}
+
+/// A deliberately naive reference oracle: plain `HashMap` memo, no dense
+/// window, no dual-cone cuts — just the φ-functional termination bound
+/// and memoised DFS.
+///
+/// This is the ground truth the differentials below test
+/// [`DoneOracle`] against: every data-structure trick in the fast oracle
+/// (dense verdict window, spill tier, scratch-arena DFS) must be
+/// invisible in the answers. Keep this implementation boring.
+#[derive(Debug)]
+struct ReferenceOracle {
+    stencil: Stencil,
+    phi: IVec,
+    memo: std::collections::HashMap<IVec, bool>,
+}
+
+impl ReferenceOracle {
+    /// Build a reference oracle for `stencil`; fails when the stencil's
+    /// positive functional cannot be represented (the same inputs
+    /// [`DoneOracle::try_new`] rejects).
+    fn new(stencil: &Stencil) -> Result<Self, IsgError> {
+        Ok(ReferenceOracle {
+            stencil: stencil.clone(),
+            phi: stencil.try_positive_functional()?,
+            memo: std::collections::HashMap::new(),
+        })
+    }
+
+    /// Naive cone membership: memoised iterative DFS with only the
+    /// φ-functional cut.
+    ///
+    /// # Panics
+    ///
+    /// Panics on coordinate overflow or a dimension mismatch; the
+    /// reference oracle is for controlled test inputs.
+    fn in_done(&mut self, w: &IVec) -> bool {
+        assert_eq!(
+            w.dim(),
+            self.stencil.dim(),
+            "reference oracle dimension mismatch"
+        );
+        // Post-order DFS: expand first, then decide once all children are
+        // known. `enter` distinguishes the two visits to a node.
+        let mut stack: Vec<(IVec, bool)> = vec![(w.clone(), true)];
+        while let Some((node, enter)) = stack.pop() {
+            if node.is_zero() || self.memo.contains_key(&node) {
+                continue;
+            }
+            if self.phi.dot_i128(&node) < 0 {
+                self.memo.insert(node, false);
+                continue;
+            }
+            if enter {
+                stack.push((node.clone(), false));
+                for v in self.stencil.iter() {
+                    match node.checked_sub(v) {
+                        Ok(child) => stack.push((child, true)),
+                        Err(e) => panic!("reference oracle overflow: {e}"),
+                    }
+                }
+            } else {
+                let verdict = self.stencil.iter().any(|v| {
+                    let child = match node.checked_sub(v) {
+                        Ok(c) => c,
+                        Err(e) => panic!("reference oracle overflow: {e}"),
+                    };
+                    child.is_zero() || self.memo.get(&child).copied().unwrap_or(false)
+                });
+                self.memo.insert(node, verdict);
+            }
+        }
+        w.is_zero() || self.memo.get(w).copied().unwrap_or(false)
+    }
+
+    /// Naive DEAD membership: every reader offset `w − vᵢ` is in the cone.
+    ///
+    /// # Panics
+    ///
+    /// Same conditions as [`ReferenceOracle::in_done`].
+    fn in_dead(&mut self, w: &IVec) -> bool {
+        let readers: Vec<IVec> = self
+            .stencil
+            .iter()
+            .map(|v| match w.checked_sub(v) {
+                Ok(c) => c,
+                Err(e) => panic!("reference oracle overflow: {e}"),
+            })
+            .collect();
+        readers.iter().all(|offset| self.in_done(offset))
+    }
+
+    /// Alias of [`ReferenceOracle::in_dead`], mirroring
+    /// [`DoneOracle::is_uov`].
+    fn is_uov(&mut self, w: &IVec) -> bool {
+        self.in_dead(w)
+    }
+
+    /// Naive box enumeration mirroring [`DoneOracle::uovs_within`].
+    ///
+    /// # Panics
+    ///
+    /// Same conditions as [`ReferenceOracle::in_done`].
+    fn uovs_within(&mut self, radius: i64) -> Vec<IVec> {
+        assert!(radius >= 0, "radius must be non-negative");
+        let d = self.stencil.dim();
+        let mut out = Vec::new();
+        let mut cur = vec![-radius; d];
+        loop {
+            let w = IVec::from(cur.as_slice());
+            if w.is_lex_positive() && self.is_uov(&w) {
+                out.push(w);
+            }
+            let mut k = d;
+            loop {
+                if k == 0 {
+                    return out;
+                }
+                k -= 1;
+                if cur[k] < radius {
+                    cur[k] += 1;
+                    break;
+                }
+                cur[k] = -radius;
+            }
+        }
+    }
+
+    /// Number of memoised verdicts (diagnostics for the property suite).
+    fn memo_len(&self) -> usize {
+        self.memo.len()
     }
 }
 
