@@ -1,9 +1,9 @@
-//! Chaos benchmark: the resilient fabric under escalating seeded fault
+//! Chaos benchmark: the routed client under escalating seeded fault
 //! rates.
 //!
-//! Not a paper figure — this measures the PR-introduced resilience
-//! fabric. Three replicas sit behind fault-injecting proxies; a
-//! [`ResilientClient`] runs a fixed request schedule at each fault tier
+//! Not a paper figure — this measures the client's failure handling.
+//! Three replicas sit behind fault-injecting proxies; a [`MeshClient`]
+//! runs a fixed request schedule at each fault tier
 //! and the table reports what the faults cost (attempts, failovers,
 //! breaker trips, wall time) and what they did **not** cost:
 //! correctness. Every answer at every tier is checked byte-identical to
@@ -15,8 +15,8 @@ use uov_core::certify::certify;
 use uov_core::search::{find_best_uov, Objective, SearchConfig};
 use uov_isg::{ivec, Stencil};
 use uov_service::{
-    ChaosConfig, ChaosProxy, FabricEvent, ObjectiveSpec, PlanRequest, ReplicaSet, ResilientClient,
-    ResilientConfig, ServerConfig,
+    ChaosConfig, ChaosProxy, MeshClient, MeshConfig, MeshEvent, ObjectiveSpec, PlanRequest,
+    ReplicaSet, ServerConfig,
 };
 
 use crate::report::Table;
@@ -33,11 +33,11 @@ pub fn all(scale: Scale) -> Vec<Table> {
     vec![fault_escalation(scale), kill_restart_availability(scale)]
 }
 
-/// One row per fault tier: what the chaos injected, what the fabric
+/// One row per fault tier: what the chaos injected, what the client
 /// spent absorbing it, and whether every answer stayed byte-identical.
 fn fault_escalation(scale: Scale) -> Table {
     let mut t = Table::new(
-        "chaos — fabric under escalating fault rates (seed 7)",
+        "chaos — routed client under escalating fault rates (seed 7)",
         vec![
             "tier".into(),
             "fault ‰/frame".into(),
@@ -94,7 +94,7 @@ fn fault_escalation(scale: Scale) -> Table {
             .filter_map(|ep| ChaosProxy::start(ep, chaos).ok())
             .collect();
         let endpoints: Vec<String> = proxies.iter().map(|p| p.endpoint().to_string()).collect();
-        let mut fabric = match ResilientClient::new(&endpoints, fabric_config()) {
+        let mut client = match MeshClient::new(&endpoints, client_config()) {
             Ok(f) => f,
             Err(e) => {
                 t.push(vec![tier.into(), e.to_string()]);
@@ -108,7 +108,7 @@ fn fault_escalation(scale: Scale) -> Table {
         let total = passes * problems.len();
         for step in 0..total {
             let p = step % problems.len();
-            match fabric.plan(&plan_request(&problems[p])) {
+            match client.plan(&plan_request(&problems[p])) {
                 Ok(resp) => {
                     completed += 1;
                     let (uov, cost, hash) = &truths[p];
@@ -119,18 +119,18 @@ fn fault_escalation(scale: Scale) -> Table {
             }
         }
         let elapsed = started.elapsed();
-        let events = fabric.take_events();
+        let events = client.take_events();
         let attempts = events
             .iter()
-            .filter(|e| matches!(e, FabricEvent::Attempt { .. }))
+            .filter(|e| matches!(e, MeshEvent::Attempt { .. }))
             .count();
         let failures = events
             .iter()
-            .filter(|e| matches!(e, FabricEvent::Failure { .. }))
+            .filter(|e| matches!(e, MeshEvent::Failure { .. }))
             .count();
         let trips = events
             .iter()
-            .filter(|e| matches!(e, FabricEvent::BreakerOpened { .. }))
+            .filter(|e| matches!(e, MeshEvent::BreakerOpened { .. }))
             .count();
         let injected: u64 = proxies
             .into_iter()
@@ -187,7 +187,7 @@ fn kill_restart_availability(scale: Scale) -> Table {
         }
     };
     let endpoints: Vec<String> = set.endpoints().to_vec();
-    let mut fabric = match ResilientClient::new(&endpoints, fabric_config()) {
+    let mut client = match MeshClient::new(&endpoints, client_config()) {
         Ok(f) => f,
         Err(e) => {
             t.push(vec![e.to_string()]);
@@ -213,7 +213,7 @@ fn kill_restart_availability(scale: Scale) -> Table {
         set.kill(victim);
         for (p, stencil) in problems.iter().enumerate() {
             total += 1;
-            match fabric.plan(&plan_request(stencil)) {
+            match client.plan(&plan_request(stencil)) {
                 Ok(resp) => {
                     completed += 1;
                     let (uov, cost, hash) = &truths[p];
@@ -227,14 +227,14 @@ fn kill_restart_availability(scale: Scale) -> Table {
             verified = false;
         }
     }
-    let events = fabric.take_events();
+    let events = client.take_events();
     let attempts = events
         .iter()
-        .filter(|e| matches!(e, FabricEvent::Attempt { .. }))
+        .filter(|e| matches!(e, MeshEvent::Attempt { .. }))
         .count();
     let trips = events
         .iter()
-        .filter(|e| matches!(e, FabricEvent::BreakerOpened { .. }))
+        .filter(|e| matches!(e, MeshEvent::BreakerOpened { .. }))
         .count();
     set.shutdown_all();
 
@@ -253,14 +253,14 @@ fn kill_restart_availability(scale: Scale) -> Table {
     t
 }
 
-fn fabric_config() -> ResilientConfig {
-    ResilientConfig {
+fn client_config() -> MeshConfig {
+    MeshConfig {
         attempt_timeout: Duration::from_millis(500),
-        max_attempts: 40,
+        max_route_attempts: 40,
         backoff_base: Duration::from_millis(1),
         backoff_max: Duration::from_millis(4),
         seed: 7,
-        ..ResilientConfig::default()
+        ..MeshConfig::default()
     }
 }
 

@@ -3,7 +3,7 @@
 //! ```text
 //! uov-service serve  <endpoint> [--workers N] [--queue N] [--cache N] [--search-threads N]
 //!                               [--warm-cache PATH] [--wedge-timeout MS]
-//! uov-service query  <endpoint> --stencil "1,0;0,1;1,1" [--grid N,M] [--deadline MS] [--no-cache] [--mesh [--replication K]]
+//! uov-service query  <endpoint> --stencil "1,0;0,1;1,1" [--grid N,M] [--deadline MS] [--no-cache] [--mesh] [--replication K]
 //! uov-service bench  <endpoint> [--clients N] [--requests N] [--seed S] [--distinct N]
 //!                               [--deadline MS] [--csv]
 //! uov-service health <endpoint>
@@ -13,10 +13,10 @@
 //!
 //! Endpoints are TCP addresses (`127.0.0.1:7878`; port `0` picks a free
 //! port and prints it) or Unix sockets (`unix:/tmp/uov.sock`). `query`
-//! accepts a comma-separated replica list and plans through the
-//! resilient fabric when more than one endpoint is given; with `--mesh`
-//! it instead routes by consistent hash and distributes the search
-//! across the shards as re-dispatchable work units.
+//! accepts a comma-separated replica list and plans through the routed
+//! client, which sends each problem to its consistent-hash home replica
+//! and fails over along the ring; with `--mesh` it instead distributes
+//! the search across the replicas as re-dispatchable work units.
 
 use std::process::ExitCode;
 use std::time::Duration;
@@ -24,8 +24,7 @@ use std::time::Duration;
 use uov_isg::{IVec, RectDomain, Stencil};
 use uov_service::{
     serve, Client, LoadGenConfig, MeshClient, MeshConfig, ObjectiveSpec, OpenLoopConfig,
-    PlanRequest, QuotaConfig, ResilientClient, ResilientConfig, ServerConfig, TenantQuota,
-    FLAG_NO_CACHE,
+    PlanRequest, QuotaConfig, ServerConfig, TenantQuota, FLAG_NO_CACHE,
 };
 
 fn main() -> ExitCode {
@@ -57,7 +56,7 @@ const USAGE: &str = "usage:
   uov-service serve  <endpoint> [--workers N] [--queue N] [--cache N] [--search-threads N] [--warm-cache PATH] [--wedge-timeout MS]
                                 [--degrade-watermark N] [--tenant-rate N] [--tenant-burst N] [--tenant-inflight N]
                                 [--tenant-quota T:RATE:BURST:INFLIGHT[:WEIGHT] …]
-  uov-service query  <endpoint[,endpoint…]> --stencil \"1,0;0,1;1,1\" [--grid N,M] [--deadline MS] [--no-cache] [--mesh [--replication K]]
+  uov-service query  <endpoint[,endpoint…]> --stencil \"1,0;0,1;1,1\" [--grid N,M] [--deadline MS] [--no-cache] [--mesh] [--replication K]
   uov-service bench  <endpoint> [--clients N] [--requests N] [--seed S] [--distinct N] [--deadline MS] [--csv]
                                 [--open-loop [--rps N] [--duration MS] [--tenants N] [--hog T] [--hog-multiplier N] [--batch N]]
   uov-service smoke  <endpoint>
@@ -219,55 +218,38 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
         deadline_ms,
         flags,
     };
-    let mesh_mode = args.iter().any(|a| a == "--mesh");
-    let resp = if endpoint.contains(',') {
-        let endpoints: Vec<String> = endpoint
-            .split(',')
-            .map(|e| e.trim().to_string())
-            .filter(|e| !e.is_empty())
-            .collect();
-        if mesh_mode {
-            // Consistent-hash routing + distributed work units. The
-            // certified answer is pushed to `--replication K` ring
-            // successors so failover targets are warm.
-            let replication = opt_parse(
-                args,
-                "--replication",
-                MeshConfig::default().replication_factor,
-            )?;
-            let mut mesh = MeshClient::new(
-                &endpoints,
-                MeshConfig {
-                    attempt_timeout: Duration::from_secs(600),
-                    replication_factor: replication,
-                    ..MeshConfig::default()
-                },
-            )
-            .map_err(|e| e.to_string())?;
-            let resp = mesh.plan_distributed(&req).map_err(|e| e.to_string())?;
-            let stats = mesh.stats();
-            println!(
-                "mesh        {} round(s), {} unit(s), {} redispatch(es), {} replica push(es)",
-                stats.rounds, stats.units_dispatched, stats.redispatches, stats.replicas_pushed
-            );
-            resp
-        } else {
-            // A replica list: plan through the resilient fabric.
-            let mut fabric = ResilientClient::new(
-                &endpoints,
-                ResilientConfig {
-                    attempt_timeout: Duration::from_secs(600),
-                    ..ResilientConfig::default()
-                },
-            )
-            .map_err(|e| e.to_string())?;
-            fabric.plan(&req).map_err(|e| e.to_string())?
-        }
+    // Any endpoint list — one replica or many — goes through the routed
+    // client: ring routing with failover, and with `--mesh` distributed
+    // work units. A certified answer is pushed to `--replication K` ring
+    // successors so failover targets are warm.
+    let endpoints: Vec<String> = endpoint
+        .split(',')
+        .map(|e| e.trim().to_string())
+        .filter(|e| !e.is_empty())
+        .collect();
+    let replication = opt_parse(
+        args,
+        "--replication",
+        MeshConfig::default().replication_factor,
+    )?;
+    let mut client = MeshClient::new(
+        &endpoints,
+        MeshConfig {
+            attempt_timeout: Duration::from_secs(600),
+            replication_factor: replication,
+            ..MeshConfig::default()
+        },
+    )
+    .map_err(|e| e.to_string())?;
+    let resp = if args.iter().any(|a| a == "--mesh") {
+        let resp = client.plan_distributed(&req).map_err(|e| e.to_string())?;
+        let stats = client.stats();
+        println!(
+            "mesh        {} round(s), {} unit(s), {} redispatch(es), {} replica push(es)",
+            stats.rounds, stats.units_dispatched, stats.redispatches, stats.replicas_pushed
+        );
+        resp
     } else {
-        let mut client = Client::connect(endpoint).map_err(|e| e.to_string())?;
-        client
-            .set_timeout(Some(Duration::from_secs(600)))
-            .map_err(|e| e.to_string())?;
         client.plan(&req).map_err(|e| e.to_string())?
     };
     println!("uov         {}", resp.uov);

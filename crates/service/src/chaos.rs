@@ -246,7 +246,28 @@ impl ChaosProxy {
     ///
     /// [`ServiceError::Io`] if the local listener cannot be bound.
     pub fn start(upstream: &str, cfg: ChaosConfig) -> Result<Self, ServiceError> {
-        let listener = TcpListener::bind("127.0.0.1:0")?;
+        Self::start_on("127.0.0.1:0", upstream, cfg)
+    }
+
+    /// [`ChaosProxy::start`] on the local address `listen` — typically
+    /// the endpoint of a stopped proxy, so a client's ring over the
+    /// proxies, which hashes their endpoint names, is the same for the
+    /// new one. The kernel can briefly hold a just-freed port, so the
+    /// bind is retried for a short window.
+    ///
+    /// # Errors
+    ///
+    /// [`ServiceError::Io`] if `listen` cannot be bound.
+    pub fn start_on(listen: &str, upstream: &str, cfg: ChaosConfig) -> Result<Self, ServiceError> {
+        let mut bound = TcpListener::bind(listen);
+        for _ in 0..50 {
+            if bound.is_ok() {
+                break;
+            }
+            thread::sleep(Duration::from_millis(20));
+            bound = TcpListener::bind(listen);
+        }
+        let listener = bound?;
         listener.set_nonblocking(true)?;
         let endpoint = listener.local_addr()?.to_string();
         let upstream = Arc::new(Mutex::new(upstream.to_string()));
@@ -597,7 +618,7 @@ fn pump(
 ///
 /// Replicas bind ephemeral ports on first start and keep those addresses
 /// across restarts (`SO_REUSEADDR` lets a drained port be rebound
-/// immediately), so a [`crate::ResilientClient`]'s replica list stays
+/// immediately), so a [`crate::MeshClient`]'s replica list stays
 /// valid through the whole kill/restart schedule.
 pub struct ReplicaSet {
     endpoints: Vec<String>,
@@ -692,8 +713,8 @@ impl ReplicaSet {
 mod tests {
     use super::*;
     use crate::client::Client;
+    use crate::mesh::{MeshClient, MeshConfig};
     use crate::proto::{ObjectiveSpec, PlanRequest};
-    use crate::resilient::{ResilientClient, ResilientConfig};
     use uov_isg::{ivec, Stencil};
 
     fn fig1_request() -> PlanRequest {
@@ -732,14 +753,14 @@ mod tests {
         )
         .unwrap();
         let endpoints = vec![proxy.endpoint().to_string()];
-        let mut fabric = ResilientClient::new(
+        let mut fabric = MeshClient::new(
             &endpoints,
-            ResilientConfig {
+            MeshConfig {
                 attempt_timeout: Duration::from_millis(500),
-                max_attempts: 32,
+                max_route_attempts: 32,
                 backoff_base: Duration::from_millis(1),
                 backoff_max: Duration::from_millis(2),
-                ..ResilientConfig::default()
+                ..MeshConfig::default()
             },
         )
         .unwrap();
@@ -772,15 +793,15 @@ mod tests {
         )
         .unwrap();
         let endpoints = vec![proxy.endpoint().to_string()];
-        let mut fabric = ResilientClient::new(
+        let mut fabric = MeshClient::new(
             &endpoints,
-            ResilientConfig {
+            MeshConfig {
                 attempt_timeout: Duration::from_millis(500),
-                max_attempts: 32,
+                max_route_attempts: 32,
                 backoff_base: Duration::from_millis(1),
                 backoff_max: Duration::from_millis(2),
                 failure_threshold: 100,
-                ..ResilientConfig::default()
+                ..MeshConfig::default()
             },
         )
         .unwrap();

@@ -3,7 +3,7 @@
 use std::io;
 use std::time::Duration;
 
-use crate::error::{ErrorCode, ServiceError};
+use crate::error::ServiceError;
 use crate::proto::{
     kind, read_frame, write_frame_tenant, BatchRequest, BatchResponse, ErrorResponse,
     HealthResponse, PlanRequest, PlanResponse, ReplicateRequest, ReplicateResponse, StatsResponse,
@@ -139,16 +139,17 @@ impl Client {
         read_frame(&mut self.stream)
     }
 
-    /// Send one planning request and wait for the answer.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::Rejected`] when the server answers with a typed
-    /// error frame (overload, malformed, drain, internal failure); the
-    /// protocol taxonomy of [`read_frame`] for transport-level failures.
-    pub fn plan(&mut self, req: &PlanRequest) -> Result<PlanResponse, ServiceError> {
-        match self.exchange(kind::REQ_PLAN, &req.encode())? {
-            Some((kind::RESP_PLAN, payload)) => PlanResponse::decode(&payload),
+    /// Decode the answer to one request: the `expected` response kind
+    /// through `decode`, a typed error frame as [`ServiceError::Rejected`],
+    /// any other kind as [`ServiceError::Malformed`], and no frame at all
+    /// as [`ServiceError::ConnectionClosed`].
+    fn response<T>(
+        frame: Option<(u8, Vec<u8>)>,
+        expected: u8,
+        decode: fn(&[u8]) -> Result<T, ServiceError>,
+    ) -> Result<T, ServiceError> {
+        match frame {
+            Some((k, payload)) if k == expected => decode(&payload),
             Some((kind::RESP_ERROR, payload)) => {
                 let err = ErrorResponse::decode(&payload)?;
                 Err(ServiceError::Rejected {
@@ -157,10 +158,22 @@ impl Client {
                 })
             }
             Some((other, _)) => Err(ServiceError::Malformed(format!(
-                "unexpected response frame kind {other}"
+                "unexpected response frame kind {other} (expected {expected})"
             ))),
             None => Err(ServiceError::ConnectionClosed),
         }
+    }
+
+    /// Send one planning request and wait for the answer.
+    ///
+    /// # Errors
+    ///
+    /// [`ServiceError::Rejected`] when the server answers with a typed
+    /// error frame (overload, malformed, drain, internal failure); the
+    /// protocol taxonomy of [`read_frame`] for transport-level failures.
+    pub fn plan(&mut self, req: &PlanRequest) -> Result<PlanResponse, ServiceError> {
+        let frame = self.exchange(kind::REQ_PLAN, &req.encode())?;
+        Self::response(frame, kind::RESP_PLAN, PlanResponse::decode)
     }
 
     /// Send a multi-plan batch — one frame, one round trip, one answer
@@ -176,20 +189,8 @@ impl Client {
     /// with a typed error frame; the transport taxonomy of
     /// [`read_frame`] otherwise.
     pub fn plan_batch(&mut self, req: &BatchRequest) -> Result<BatchResponse, ServiceError> {
-        match self.exchange(kind::REQ_BATCH, &req.encode())? {
-            Some((kind::RESP_BATCH, payload)) => BatchResponse::decode(&payload),
-            Some((kind::RESP_ERROR, payload)) => {
-                let err = ErrorResponse::decode(&payload)?;
-                Err(ServiceError::Rejected {
-                    code: err.code,
-                    msg: err.msg,
-                })
-            }
-            Some((other, _)) => Err(ServiceError::Malformed(format!(
-                "unexpected batch response frame kind {other}"
-            ))),
-            None => Err(ServiceError::ConnectionClosed),
-        }
+        let frame = self.exchange(kind::REQ_BATCH, &req.encode())?;
+        Self::response(frame, kind::RESP_BATCH, BatchResponse::decode)
     }
 
     /// Execute one distributed-search work unit on the server: ship a
@@ -202,20 +203,8 @@ impl Client {
     /// [`ServiceError::Rejected`] for typed server errors; the transport
     /// taxonomy of [`read_frame`] otherwise.
     pub fn workunit(&mut self, req: &WorkUnitRequest) -> Result<WorkUnitResponse, ServiceError> {
-        match self.exchange(kind::REQ_WORKUNIT, &req.encode())? {
-            Some((kind::RESP_WORKUNIT, payload)) => WorkUnitResponse::decode(&payload),
-            Some((kind::RESP_ERROR, payload)) => {
-                let err = ErrorResponse::decode(&payload)?;
-                Err(ServiceError::Rejected {
-                    code: err.code,
-                    msg: err.msg,
-                })
-            }
-            Some((other, _)) => Err(ServiceError::Malformed(format!(
-                "unexpected work-unit response kind {other}"
-            ))),
-            None => Err(ServiceError::ConnectionClosed),
-        }
+        let frame = self.exchange(kind::REQ_WORKUNIT, &req.encode())?;
+        Self::response(frame, kind::RESP_WORKUNIT, WorkUnitResponse::decode)
     }
 
     /// Push one certified plan-cache entry to this server (neighbor
@@ -230,20 +219,8 @@ impl Client {
     /// `Malformed` when re-certification fails); the transport taxonomy
     /// of [`read_frame`] otherwise.
     pub fn replicate(&mut self, req: &ReplicateRequest) -> Result<ReplicateResponse, ServiceError> {
-        match self.exchange(kind::REQ_REPLICATE, &req.encode())? {
-            Some((kind::RESP_REPLICATE, payload)) => ReplicateResponse::decode(&payload),
-            Some((kind::RESP_ERROR, payload)) => {
-                let err = ErrorResponse::decode(&payload)?;
-                Err(ServiceError::Rejected {
-                    code: err.code,
-                    msg: err.msg,
-                })
-            }
-            Some((other, _)) => Err(ServiceError::Malformed(format!(
-                "unexpected replicate response kind {other}"
-            ))),
-            None => Err(ServiceError::ConnectionClosed),
-        }
+        let frame = self.exchange(kind::REQ_REPLICATE, &req.encode())?;
+        Self::response(frame, kind::RESP_REPLICATE, ReplicateResponse::decode)
     }
 
     /// Read one pending response frame **without sending anything**,
@@ -278,20 +255,8 @@ impl Client {
     /// Transport failures, or [`ServiceError::Malformed`] on an
     /// unexpected response kind.
     pub fn health(&mut self) -> Result<HealthResponse, ServiceError> {
-        match self.exchange(kind::REQ_HEALTH, &[])? {
-            Some((kind::RESP_HEALTH, payload)) => HealthResponse::decode(&payload),
-            Some((kind::RESP_ERROR, payload)) => {
-                let err = ErrorResponse::decode(&payload)?;
-                Err(ServiceError::Rejected {
-                    code: err.code,
-                    msg: err.msg,
-                })
-            }
-            Some((other, _)) => Err(ServiceError::Malformed(format!(
-                "unexpected health response kind {other}"
-            ))),
-            None => Err(ServiceError::ConnectionClosed),
-        }
+        let frame = self.exchange(kind::REQ_HEALTH, &[])?;
+        Self::response(frame, kind::RESP_HEALTH, HealthResponse::decode)
     }
 
     /// Fetch the server's traffic/fault counters and cache counters.
@@ -301,54 +266,19 @@ impl Client {
     /// Transport failures, or [`ServiceError::Malformed`] on an
     /// unexpected response kind.
     pub fn stats(&mut self) -> Result<StatsResponse, ServiceError> {
-        match self.exchange(kind::REQ_STATS, &[])? {
-            Some((kind::RESP_STATS, payload)) => StatsResponse::decode(&payload),
-            Some((kind::RESP_ERROR, payload)) => {
-                let err = ErrorResponse::decode(&payload)?;
-                Err(ServiceError::Rejected {
-                    code: err.code,
-                    msg: err.msg,
-                })
-            }
-            Some((other, _)) => Err(ServiceError::Malformed(format!(
-                "unexpected stats response kind {other}"
-            ))),
-            None => Err(ServiceError::ConnectionClosed),
-        }
+        let frame = self.exchange(kind::REQ_STATS, &[])?;
+        Self::response(frame, kind::RESP_STATS, StatsResponse::decode)
     }
 
-    /// Ask the server to drain and exit.
+    /// Ask the server to drain and exit. Sent once, never resent over a
+    /// fresh connection.
     ///
     /// # Errors
     ///
     /// Transport failures, or [`ServiceError::Malformed`] if the server
     /// answers with anything but a shutdown acknowledgement.
     pub fn shutdown_server(&mut self) -> Result<(), ServiceError> {
-        match self.exchange_once(kind::REQ_SHUTDOWN, &[])? {
-            Some((kind::RESP_SHUTDOWN_ACK, _)) => Ok(()),
-            Some((kind::RESP_ERROR, payload)) => {
-                let err = ErrorResponse::decode(&payload)?;
-                Err(ServiceError::Rejected {
-                    code: err.code,
-                    msg: err.msg,
-                })
-            }
-            Some((other, _)) => Err(ServiceError::Malformed(format!(
-                "unexpected shutdown response kind {other}"
-            ))),
-            None => Err(ServiceError::ConnectionClosed),
-        }
-    }
-
-    /// Whether a [`ServiceError`] is the server's overload rejection —
-    /// callers usually back off and retry exactly these.
-    pub fn is_overloaded(err: &ServiceError) -> bool {
-        matches!(
-            err,
-            ServiceError::Rejected {
-                code: ErrorCode::Overloaded,
-                ..
-            }
-        )
+        let frame = self.exchange_once(kind::REQ_SHUTDOWN, &[])?;
+        Self::response(frame, kind::RESP_SHUTDOWN_ACK, |_| Ok(()))
     }
 }

@@ -23,18 +23,17 @@
 //! * [`client`] / [`loadgen`] — a blocking client and a deterministic
 //!   closed-loop load generator (throughput, latency percentiles, cache
 //!   hit rates).
-//! * [`resilient`] — a [`ResilientClient`] over an ordered replica list:
-//!   per-attempt timeouts, exponential backoff with deterministic seeded
-//!   jitter, per-replica circuit breakers, optional hedged requests, and
-//!   a replayable event log of every decision.
+//! * [`mesh`] — the one routed client, [`MeshClient`], over a replica
+//!   list: consistent-hash routing (each canonical problem has a home
+//!   shard, with deterministic ring failover), per-attempt timeouts,
+//!   seeded jittered backoff, per-shard circuit breakers, optional
+//!   hedging, a per-client tenant on every frame, a replayable decision
+//!   log, and distributed branch-and-bound that ships PATHSET subtrees
+//!   as `UOVCKPT1` work units, re-dispatching any unit whose replica dies
+//!   mid-search — with a byte-identical-answer guarantee.
 //! * [`chaos`] — a deterministic seeded chaos proxy (resets, stalls,
 //!   latency spikes, truncation, bit-flips) and a replica kill/restart
 //!   orchestrator, turning every resilience claim into a repeatable test.
-//! * [`mesh`] — a fault-tolerant planning mesh: consistent-hash shard
-//!   routing (each canonical problem has a home shard, with deterministic
-//!   ring failover) and distributed branch-and-bound that ships PATHSET
-//!   subtrees as `UOVCKPT1` work units, re-dispatching any unit whose
-//!   replica dies mid-search — with a byte-identical-answer guarantee.
 //!
 //! Every answer is re-certified server-side ([`uov_core::certify`]) and
 //! carries the certificate's transcript hash, so a client can prove a
@@ -51,7 +50,6 @@ pub mod loadgen;
 pub mod mesh;
 pub mod plan_cache;
 pub mod proto;
-pub mod resilient;
 pub mod server;
 
 pub use chaos::{ChaosConfig, ChaosProxy, ChaosStats, ReplicaSet};
@@ -61,12 +59,19 @@ pub use loadgen::{
     coalescing_burst, run as run_loadgen, run_open_loop, BurstReport, LoadGenConfig, LoadReport,
     OpenLoopConfig, OpenLoopReport, TenantLoad,
 };
-pub use mesh::{MeshClient, MeshConfig, MeshEvent, MeshStats, Ring};
+pub use mesh::{FailureClass, MeshClient, MeshConfig, MeshEvent, MeshStats, Ring};
 pub use plan_cache::{CacheStats, PlanCache, Planned, WarmCacheError};
 pub use proto::{
     BatchRequest, BatchResponse, BoundGossip, CacheOutcome, DegradationCode, HealthResponse,
     ObjectiveSpec, PlanRequest, PlanResponse, ReplicateRequest, ReplicateResponse, StatsResponse,
     TenantGauge, WorkUnitRequest, WorkUnitResponse, FLAG_NO_CACHE, MAX_BATCH_ENTRIES,
 };
-pub use resilient::{FabricEvent, FailureClass, ResilientClient, ResilientConfig};
 pub use server::{serve, QuotaConfig, ServerConfig, ServerHandle, ServerStats, TenantQuota};
+
+/// Former names of [`MeshClient`] and [`MeshConfig`]. They exist solely
+/// because the benchmark (`perfbench/src/serve.rs`) still names them and
+/// changes only together with the benchmark definition; new code uses the
+/// `Mesh*` names.
+pub type ResilientClient = MeshClient;
+/// The former name of [`MeshConfig`] (see the alias above).
+pub type ResilientConfig = MeshConfig;

@@ -1,23 +1,52 @@
-//! A fault-tolerant planning mesh: consistent-hash shard routing plus
+//! The planning client: one routed client over a replica list, plus
 //! distributed branch-and-bound over `UOVCKPT1` work units.
 //!
-//! Two capabilities, one client:
+//! A replica list is a consistent-hash ring with failover. A UOV is
+//! legal under every schedule, so a certified `(uov, cost, certificate
+//! hash)` is a pure function of the canonical problem and any replica's
+//! answer can stand in for any other's; one [`MeshClient`] therefore
+//! serves a single endpoint, a replica list and a shard mesh alike.
 //!
 //! * **Routing** ([`MeshClient::plan`]) — every problem is canonicalized
 //!   ([`crate::canon`]) and its canonical fingerprint is looked up on a
 //!   consistent-hash [`Ring`] with virtual nodes, so each problem has a
 //!   stable *home shard* (and axis-relabeled duplicates of the same
-//!   problem land on the same replica's plan cache). When the home
-//!   shard's circuit breaker is open the request fails over to the next
-//!   live ring successor — deterministically, so two coordinators agree
-//!   on the failover order.
+//!   problem land on the same replica's plan cache). Attempts walk the
+//!   ring from the home, skipping shards whose circuit breaker is open —
+//!   deterministically, so two coordinators agree on the failover order.
+//! * **Failure policy** — each attempt is bounded by
+//!   [`MeshConfig::attempt_timeout`], and failed attempts back off
+//!   exponentially with jitter from a generator seeded by
+//!   [`MeshConfig::seed`]. `failure_threshold` consecutive failures open
+//!   a shard's breaker; it stays open for `cooldown` *selection rounds*
+//!   (not wall time, so transitions replay) and then admits one
+//!   half-open probe, which either closes or re-opens it. A server
+//!   rejection of the request's *content* (`Malformed`, `Unsupported`)
+//!   is a hard error that no retry can fix.
+//! * **Hedging** — with [`MeshConfig::hedge_after`], a primary still
+//!   silent after that delay triggers the same request at the next
+//!   admissible ring successor, and the first answer wins. With
+//!   [`MeshConfig::hedge_verify`] both answers are awaited and compared,
+//!   and a mismatch is the hard error [`ServiceError::ReplicaDivergence`]:
+//!   the client never silently picks one of two disagreeing replicas.
 //! * **Distributed search** ([`MeshClient::plan_distributed`]) — a large
 //!   search is split across replicas by shipping PATHSET subtrees as
-//!   [`crate::proto::WorkUnitRequest`] frames whose payload is the PR 3
+//!   [`crate::proto::WorkUnitRequest`] frames whose payload is the
 //!   `UOVCKPT1` snapshot format, verbatim. The coordinator holds a lease
 //!   (the per-attempt socket timeout) on every outstanding unit and
 //!   re-dispatches a unit to the next ring successor when its replica
 //!   dies, times out, or returns a damaged frame.
+//!
+//! Every frame the client sends carries its tenant
+//! ([`MeshClient::set_tenant`]). Routed plans, batches and work units
+//! record every outcome on one circuit breaker per shard, which gossip
+//! polls consult too; retries back off through one jittered backoff and
+//! stop on one hard-error check. Everything but work units — which dial
+//! a fresh socket per lease, see [`MeshClient::plan_distributed`] — goes
+//! through one pooled-connection exchange. Every decision lands in one
+//! [`MeshEvent`] log that records *choices, never wall-clock readings*,
+//! so a run replays event for event under the same seed and fault
+//! schedule.
 //!
 //! # Why a multi-round fixpoint, not a one-shot scatter
 //!
@@ -48,19 +77,17 @@
 //!
 //! # Neighbor replication and lease fencing
 //!
-//! Because a UOV plan is schedule-independent — the certified answer is
-//! a pure function of the canonical problem, byte-identical no matter
-//! which shard computes it — a plan-cache entry is safe to copy
-//! anywhere. The mesh exploits that: after a certified, non-degraded
-//! answer, the coordinator pushes the entry to the
-//! [`MeshConfig::replication_factor`] ring successors of the home shard
-//! (`REQ_REPLICATE`), each of which **re-certifies before storing**, so
-//! the deterministic failover order lands on a warm, certified hit
-//! instead of a cold solve. An anti-entropy sweep on the stats channel
-//! ([`MeshClient::anti_entropy_sweep`]) watches each shard's monotone
-//! connection counter; a decrease means the process restarted with an
-//! empty cache, and every entry it should hold is re-pushed, flagged as
-//! a repair.
+//! Because the certified answer is byte-identical no matter which shard
+//! computes it, a plan-cache entry is safe to copy anywhere. After a
+//! certified, non-degraded answer, the coordinator pushes the entry to
+//! the [`MeshConfig::replication_factor`] ring successors of the home
+//! shard (`REQ_REPLICATE`), each of which **re-certifies before
+//! storing**, so the deterministic failover order lands on a warm,
+//! certified hit instead of a cold solve. An anti-entropy sweep on the
+//! stats channel ([`MeshClient::anti_entropy_sweep`]) watches each
+//! shard's monotone connection counter; a decrease means the process
+//! restarted with an empty cache, and every entry it should hold is
+//! re-pushed, flagged as a repair.
 //!
 //! Work-unit leases are *fenced*: every dispatch attempt carries a fresh
 //! monotonic epoch inside the `UOVCKPT1` envelope. The server fences
@@ -75,8 +102,9 @@
 use std::collections::{HashMap, HashSet};
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use uov_core::certify::certify;
 use uov_core::checkpoint::{decode_snapshot, encode_snapshot, Snapshot};
@@ -89,10 +117,9 @@ use crate::client::Client;
 use crate::error::{ErrorCode, ServiceError};
 use crate::proto::{
     kind, BatchRequest, BatchResponse, CacheOutcome, DegradationCode, ErrorResponse, ObjectiveSpec,
-    PlanRequest, PlanResponse, ReplicateRequest, WorkUnitRequest, WorkUnitResponse,
+    PlanRequest, PlanResponse, ReplicateRequest, StatsResponse, WorkUnitRequest, WorkUnitResponse,
     MAX_BATCH_ENTRIES, MAX_PAYLOAD,
 };
-use crate::resilient::{Breaker, XorShift64};
 
 // ------------------------------------------------------------------ ring
 
@@ -114,7 +141,10 @@ pub struct Ring {
 
 impl Ring {
     /// Build the ring for `endpoints` with `vnodes` points per endpoint.
-    pub fn new(endpoints: &[String], vnodes: usize) -> Self {
+    /// Crate-private: `route` and `successors` need at least one point,
+    /// so outside code gets a ring only from [`MeshClient::ring`], whose
+    /// constructor rejects an empty endpoint list.
+    pub(crate) fn new(endpoints: &[String], vnodes: usize) -> Self {
         let vnodes = vnodes.max(1);
         let mut points = Vec::with_capacity(endpoints.len() * vnodes);
         for (i, e) in endpoints.iter().enumerate() {
@@ -187,11 +217,12 @@ pub struct MeshConfig {
     pub failure_threshold: u32,
     /// Routing passes an open breaker stays open before half-opening.
     pub cooldown: u32,
-    /// Base delay between attempts on the same unit or route.
+    /// First backoff interval; attempt `k` waits ~`base · 2ᵏ` (jittered).
     pub backoff_base: Duration,
     /// Cap on the exponential backoff.
     pub backoff_max: Duration,
-    /// Seed for the jittered routed-plan backoff.
+    /// Seed for the backoff jitter; the complete retry/backoff/breaker
+    /// schedule is a pure function of this seed and the failure pattern.
     pub seed: u64,
     /// Whether to poll shards' stats frames for gossiped incumbent
     /// bounds between rounds.
@@ -201,6 +232,15 @@ pub struct MeshConfig {
     /// Each receiver re-certifies before storing, so replication can
     /// warm a failover target but never poison it.
     pub replication_factor: usize,
+    /// Fire a hedge of a routed plan at the next admissible ring
+    /// successor when the primary has not answered within this delay.
+    /// `None` disables hedging.
+    pub hedge_after: Option<Duration>,
+    /// When hedging, wait for *both* answers and fail hard with
+    /// [`ServiceError::ReplicaDivergence`] if they disagree, instead of
+    /// returning the first. Costs latency; buys byzantine-replica
+    /// detection.
+    pub hedge_verify: bool,
 }
 
 impl Default for MeshConfig {
@@ -220,6 +260,8 @@ impl Default for MeshConfig {
             seed: 0x4D_E5_11,
             gossip: true,
             replication_factor: 1,
+            hedge_after: None,
+            hedge_verify: false,
         }
     }
 }
@@ -263,7 +305,42 @@ pub struct MeshStats {
     pub batch_fallbacks: u64,
 }
 
-/// One entry in the mesh's replayable decision log.
+/// Why an exchange with a shard failed, coarse enough to be
+/// schedule-deterministic: connection resets and torn frames both class
+/// as [`FailureClass::Transport`] because which of the two an aborted
+/// connection surfaces is an OS-level race.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FailureClass {
+    /// The shard could not be dialed.
+    Connect,
+    /// The attempt timed out waiting for a response.
+    Timeout,
+    /// The transport failed mid-exchange (reset, torn frame, CRC damage,
+    /// protocol violation).
+    Transport,
+    /// The server answered with a typed rejection (overload, drain,
+    /// transit corruption, internal failure, or a hard content error).
+    Rejected,
+}
+
+impl FailureClass {
+    /// Classify a failure coarsely (see the type docs).
+    fn of(e: &ServiceError) -> Self {
+        match e {
+            ServiceError::Io(io) => match io.kind() {
+                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => FailureClass::Timeout,
+                io::ErrorKind::ConnectionRefused | io::ErrorKind::NotFound => FailureClass::Connect,
+                _ => FailureClass::Transport,
+            },
+            ServiceError::Rejected { .. } => FailureClass::Rejected,
+            _ => FailureClass::Transport,
+        }
+    }
+}
+
+/// One entry in the client's replayable decision log. It records *what
+/// was decided*, never how long anything took, so logs from two runs
+/// with the same seed and the same fault schedule are identical.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MeshEvent {
     /// A request was routed to its home shard.
@@ -271,6 +348,62 @@ pub enum MeshEvent {
         /// The canonical routing key.
         key: u64,
         /// The home shard.
+        shard: usize,
+    },
+    /// An attempt of a routed plan began.
+    Attempt {
+        /// Zero-based attempt number within one `plan` call.
+        attempt: u32,
+        /// The shard the attempt targets.
+        shard: usize,
+    },
+    /// An exchange with a shard succeeded.
+    Success {
+        /// The shard that answered.
+        shard: usize,
+    },
+    /// An exchange with a shard failed.
+    Failure {
+        /// The shard that failed.
+        shard: usize,
+        /// Failure class.
+        class: FailureClass,
+    },
+    /// The client slept before the next attempt of a routed plan.
+    Backoff {
+        /// The attempt that just failed.
+        attempt: u32,
+        /// The jittered interval, in milliseconds.
+        ms: u64,
+    },
+    /// A shard's breaker opened (failure threshold reached, or a
+    /// half-open probe failed).
+    BreakerOpened {
+        /// The shard.
+        shard: usize,
+    },
+    /// A shard's breaker aged out of its cooldown and will admit one
+    /// probe request.
+    BreakerHalfOpen {
+        /// The shard.
+        shard: usize,
+    },
+    /// An exchange with a half-open or open shard succeeded; the shard is
+    /// healthy again.
+    BreakerClosed {
+        /// The shard.
+        shard: usize,
+    },
+    /// The primary was slow; a hedge fired at a second shard.
+    HedgeFired {
+        /// The slow primary.
+        primary: usize,
+        /// The hedge target.
+        secondary: usize,
+    },
+    /// A hedged attempt resolved; this shard's answer was taken.
+    HedgeWinner {
+        /// The winning shard.
         shard: usize,
     },
     /// A routed request was served away from home.
@@ -346,10 +479,44 @@ pub enum MeshEvent {
     },
 }
 
+/// Circuit breaker state for one shard (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Breaker {
+    Closed { failures: u32 },
+    Open { remaining: u32 },
+    HalfOpen,
+}
+
+impl Breaker {
+    /// Whether the breaker lets traffic through.
+    fn admits(self) -> bool {
+        !matches!(self, Breaker::Open { .. })
+    }
+}
+
+/// The deterministic xorshift64 generator behind the backoff jitter.
+struct XorShift64(u64);
+
+impl XorShift64 {
+    fn new(seed: u64) -> Self {
+        XorShift64(seed.max(1))
+    }
+
+    fn next(&mut self) -> u64 {
+        let mut x = self.0;
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        self.0 = x;
+        x
+    }
+}
+
 // ---------------------------------------------------------------- client
 
-/// A client over a shard mesh: consistent-hash routing with breaker-aware
-/// failover, plus the distributed-search coordinator.
+/// The routed planning client over a replica list: consistent-hash
+/// routing with breaker-aware failover, backoff and optional hedging,
+/// plus the distributed-search coordinator (see the module docs).
 pub struct MeshClient {
     endpoints: Vec<String>,
     ring: Ring,
@@ -359,6 +526,8 @@ pub struct MeshClient {
     rng: XorShift64,
     events: Vec<MeshEvent>,
     stats: MeshStats,
+    /// Tenant id stamped into every request frame (0 = anonymous).
+    tenant: u32,
     /// Monotonic source of work-unit fencing epochs. Every dispatch
     /// attempt — first try and every re-dispatch — draws a fresh epoch,
     /// so the server-side fence (highest epoch wins per problem) makes
@@ -401,26 +570,41 @@ struct Zombie {
 }
 
 /// What one work-unit dispatch thread reports back: the attempt trail
-/// (shard, success?) in order, the validated snapshot on success, and
+/// (shard, outcome) in order, the validated snapshot on success, and
 /// any zombie sockets left behind by timed-out attempts.
 struct UnitOutcome {
-    attempts: Vec<(usize, bool)>,
+    attempts: Vec<(usize, Result<(), FailureClass>)>,
     snapshot: Option<Snapshot>,
     last_error: Option<ServiceError>,
     zombies: Vec<Zombie>,
 }
 
+/// What every work unit of one round shares: where and how to dial, the
+/// fencing-epoch source, and the problem the answers must belong to.
+struct Lease<'a> {
+    endpoints: &'a [String],
+    cfg: &'a MeshConfig,
+    tenant: u32,
+    epoch: &'a AtomicU64,
+    fingerprint: u64,
+}
+
+/// One plan exchange reported back from a hedging thread: the shard, its
+/// answer, and the pooled connection if it stayed healthy.
+type Arrival = (usize, Result<PlanResponse, ServiceError>, Option<Client>);
+
 impl MeshClient {
-    /// A mesh over `endpoints`. The ring is a pure function of the
+    /// A client over `endpoints`. The ring is a pure function of the
     /// endpoint names, so every coordinator over the same list agrees on
-    /// homes and failover orders.
+    /// homes and failover orders. Connections are dialed lazily, so
+    /// replicas may be down at construction time.
     ///
     /// # Errors
     ///
     /// [`ServiceError::Malformed`] if `endpoints` is empty.
     pub fn new(endpoints: &[String], cfg: MeshConfig) -> Result<Self, ServiceError> {
         if endpoints.is_empty() {
-            return Err(ServiceError::Malformed("no mesh endpoints".into()));
+            return Err(ServiceError::Malformed("no replica endpoints".into()));
         }
         let ring = Ring::new(endpoints, cfg.vnodes);
         let seed = cfg.seed;
@@ -433,11 +617,24 @@ impl MeshClient {
             rng: XorShift64::new(seed),
             events: Vec::new(),
             stats: MeshStats::default(),
+            tenant: 0,
             epoch: AtomicU64::new(0),
             zombies: Vec::new(),
             replication_log: Vec::new(),
             last_conns: vec![None; endpoints.len()],
         })
+    }
+
+    /// Identify as `tenant` for quota accounting. Every frame the client
+    /// sends from now on — routed plans, batches, work units,
+    /// replication pushes and gossip polls — carries it, on pooled
+    /// connections as well as new ones. Tenant 0 is the anonymous
+    /// default.
+    pub fn set_tenant(&mut self, tenant: u32) {
+        self.tenant = tenant;
+        for conn in self.conns.iter_mut().flatten() {
+            conn.set_tenant(tenant);
+        }
     }
 
     /// The decision log accumulated so far.
@@ -455,7 +652,7 @@ impl MeshClient {
         self.stats
     }
 
-    /// The ring this mesh routes on.
+    /// The ring this client routes on.
     pub fn ring(&self) -> &Ring {
         &self.ring
     }
@@ -468,13 +665,16 @@ impl MeshClient {
         fingerprint(&canon.stencil, &canon.objective.as_objective())
     }
 
-    /// Plan through the mesh: home shard first, then live ring
-    /// successors, with per-shard circuit breakers and jittered backoff.
+    /// Plan through the ring: home shard first, then live ring
+    /// successors, with per-attempt timeouts, per-shard circuit breakers,
+    /// jittered backoff between attempts, and hedging when configured.
     ///
     /// # Errors
     ///
-    /// [`ServiceError::FabricExhausted`] when every attempt failed; a
-    /// non-retryable rejection (`Malformed`, `Unsupported`) immediately.
+    /// [`ServiceError::FabricExhausted`] when every attempt failed;
+    /// [`ServiceError::ReplicaDivergence`] when verified hedging caught
+    /// two shards disagreeing; a non-retryable rejection (`Malformed`,
+    /// `Unsupported`) immediately as [`ServiceError::Rejected`].
     pub fn plan(&mut self, req: &PlanRequest) -> Result<PlanResponse, ServiceError> {
         let key = Self::routing_key(req);
         let order = self.ring.successors(key);
@@ -485,43 +685,32 @@ impl MeshClient {
         let max_attempts = self.cfg.max_route_attempts.max(1);
         let mut last: Option<ServiceError> = None;
         for attempt in 0..max_attempts {
-            let shard = self.select_shard(&order);
-            match self.attempt_plan(shard, req) {
-                Ok(resp) => {
-                    self.on_success(shard);
+            let primary = self.select_shard(&order);
+            self.events.push(MeshEvent::Attempt {
+                attempt,
+                shard: primary,
+            });
+            let outcome = match self.hedge_target(primary, &order) {
+                Some(secondary) => self.attempt_hedged(primary, secondary, req),
+                None => self
+                    .attempt(primary, |c| c.plan(req))
+                    .map(|resp| (primary, resp)),
+            };
+            match outcome {
+                Ok((shard, resp)) => {
                     if shard != home {
                         self.stats.failovers += 1;
                         self.events.push(MeshEvent::Failover { home, shard });
                     }
-                    // Replicate fresh, full-fidelity answers to the ring
-                    // successors. Hits are skipped (their original miss
-                    // already replicated) and degraded answers are never
-                    // offered — a replica must only ever hold entries it
-                    // could re-certify.
-                    if resp.cache != CacheOutcome::Hit && resp.degradation == DegradationCode::None
-                    {
-                        self.push_replicas(
-                            &req.stencil,
-                            &req.objective,
-                            &resp.uov,
-                            resp.cost,
-                            &order,
-                            Some(shard),
-                        );
-                    }
+                    self.replicate_answer(req, &resp, &order, shard);
                     return Ok(resp);
                 }
-                Err(e) if Self::is_hard(&e) => return Err(e),
-                Err(e) => {
-                    self.on_failure(shard, &e);
-                    last = Some(e);
-                }
+                Err(e) if is_hard(&e) => return Err(e),
+                Err(e) => last = Some(e),
             }
             if attempt + 1 < max_attempts {
-                let ms = self.backoff_ms(attempt);
-                if ms > 0 {
-                    thread::sleep(Duration::from_millis(ms));
-                }
+                let ms = back_off(&self.cfg, &mut self.rng, attempt);
+                self.events.push(MeshEvent::Backoff { attempt, ms });
             }
         }
         Err(ServiceError::FabricExhausted {
@@ -530,7 +719,7 @@ impl MeshClient {
         })
     }
 
-    /// Plan a whole batch through the mesh.
+    /// Plan a whole batch through the ring.
     ///
     /// Entries are grouped by home shard — the consistent-hash route of
     /// each entry's canonical fingerprint — so a batch whose entries
@@ -550,7 +739,7 @@ impl MeshClient {
     /// [`ServiceError::Malformed`] for an empty batch or one larger
     /// than [`MAX_BATCH_ENTRIES`]. Per-entry failures are reported in
     /// the returned [`BatchResponse`], never by sinking the call: an
-    /// entry whose fabric attempts were all exhausted carries a typed
+    /// entry whose attempts were all exhausted carries a typed
     /// [`ErrorCode::Overloaded`] entry error.
     pub fn plan_batch(&mut self, req: &BatchRequest) -> Result<BatchResponse, ServiceError> {
         if req.entries.is_empty() {
@@ -582,46 +771,33 @@ impl MeshClient {
             let sub = BatchRequest {
                 entries: idxs.iter().map(|&i| req.entries[i].clone()).collect(),
             };
-            let attempt = if matches!(self.breakers[shard], Breaker::Open { .. }) {
-                // Don't burn the whole sub-batch on a shard we already
-                // believe is down; the per-entry path probes it.
-                Err(ServiceError::ConnectionClosed)
-            } else {
-                self.attempt_plan_batch(shard, &sub)
-            };
-            match attempt {
-                Ok(resp) if resp.entries.len() == idxs.len() => {
-                    self.on_success(shard);
+            // Don't burn the whole sub-batch on a shard we already
+            // believe is down; the per-entry path probes it.
+            let answered = self.breakers[shard].admits().then(|| {
+                self.attempt(shard, |c| {
+                    let resp = c.plan_batch(&sub)?;
+                    if resp.entries.len() == idxs.len() {
+                        Ok(resp)
+                    } else {
+                        Err(ServiceError::Malformed(format!(
+                            "shard answered {} entries for a {}-entry sub-batch",
+                            resp.entries.len(),
+                            idxs.len()
+                        )))
+                    }
+                })
+            });
+            match answered {
+                Some(Ok(resp)) => {
                     for (&i, r) in idxs.iter().zip(resp.entries) {
                         if let Ok(ref plan) = r {
-                            if plan.cache != CacheOutcome::Hit
-                                && plan.degradation == DegradationCode::None
-                            {
-                                let order =
-                                    self.ring.successors(Self::routing_key(&req.entries[i]));
-                                self.push_replicas(
-                                    &req.entries[i].stencil,
-                                    &req.entries[i].objective,
-                                    &plan.uov,
-                                    plan.cost,
-                                    &order,
-                                    Some(shard),
-                                );
-                            }
+                            let order = self.ring.successors(Self::routing_key(&req.entries[i]));
+                            self.replicate_answer(&req.entries[i], plan, &order, shard);
                         }
                         out[i] = Some(r);
                     }
                 }
-                other => {
-                    let e = match other {
-                        Ok(short) => ServiceError::Malformed(format!(
-                            "shard answered {} entries for a {}-entry sub-batch",
-                            short.entries.len(),
-                            idxs.len()
-                        )),
-                        Err(e) => e,
-                    };
-                    self.on_failure(shard, &e);
+                _ => {
                     // Fall back entry by entry: plan() retries across
                     // ring successors, so these entries survive a dead
                     // home shard.
@@ -634,7 +810,7 @@ impl MeshClient {
                             }
                             Err(e) => Err(ErrorResponse {
                                 code: ErrorCode::Overloaded,
-                                msg: format!("mesh batch entry exhausted the fabric: {e}"),
+                                msg: format!("batch entry exhausted every replica: {e}"),
                             }),
                         });
                     }
@@ -655,32 +831,13 @@ impl MeshClient {
         Ok(BatchResponse { entries })
     }
 
-    fn attempt_plan_batch(
-        &mut self,
-        shard: usize,
-        req: &BatchRequest,
-    ) -> Result<BatchResponse, ServiceError> {
-        let mut client = self.take_conn(shard)?;
-        client.set_timeout(Some(self.cfg.attempt_timeout))?;
-        match client.plan_batch(req) {
-            Ok(resp) => {
-                self.conns[shard] = Some(client);
-                Ok(resp)
-            }
-            Err(e) => {
-                // A typed rejection travelled over a working transport.
-                if matches!(e, ServiceError::Rejected { .. }) {
-                    self.conns[shard] = Some(client);
-                }
-                Err(e)
-            }
-        }
-    }
-
     /// Distribute one search across the mesh and certify the merged
     /// answer locally. See the module docs for the fixpoint argument;
     /// the returned `(uov, cost, certificate_hash)` is byte-identical to
-    /// a direct in-process search of the same request.
+    /// a direct in-process search of the same request. Work units run
+    /// concurrently, one thread each, and each lease dials its own
+    /// socket so a timed-out one can be kept and drained; their outcomes
+    /// feed the shared breakers and the decision log after the join.
     ///
     /// # Errors
     ///
@@ -897,11 +1054,6 @@ impl MeshClient {
         units: &[(WorkUnitRequest, Snapshot)],
         expected_fp: u64,
     ) -> Result<Vec<Snapshot>, ServiceError> {
-        let open: Vec<bool> = self
-            .breakers
-            .iter()
-            .map(|b| matches!(b, Breaker::Open { .. }))
-            .collect();
         // Unit j prefers successor j, so a round spreads across the ring;
         // shards behind an open breaker are demoted to last resort.
         let preferences: Vec<Vec<usize>> = (0..units.len())
@@ -909,39 +1061,31 @@ impl MeshClient {
                 let rotated: Vec<usize> = (0..order.len())
                     .map(|i| order[(j + i) % order.len()])
                     .collect();
-                let (live, dead): (Vec<usize>, Vec<usize>) =
-                    rotated.into_iter().partition(|&s| !open[s]);
+                let (live, dead): (Vec<usize>, Vec<usize>) = rotated
+                    .into_iter()
+                    .partition(|&s| self.breakers[s].admits());
                 live.into_iter().chain(dead).collect()
             })
             .collect();
+        // Each unit jitters its backoff from its own generator, seeded
+        // here in unit order so the schedule replays.
+        let seeds: Vec<u64> = units.iter().map(|_| self.rng.next()).collect();
 
-        let endpoints = &self.endpoints;
-        let timeout = self.cfg.attempt_timeout;
-        let max_attempts = self.cfg.max_unit_attempts.max(1) as usize;
-        let backoff_base = self.cfg.backoff_base;
-        let backoff_max = self.cfg.backoff_max;
-        let epoch_src = &self.epoch;
-
+        let lease = Lease {
+            endpoints: &self.endpoints,
+            cfg: &self.cfg,
+            tenant: self.tenant,
+            epoch: &self.epoch,
+            fingerprint: expected_fp,
+        };
         let outcomes: Vec<UnitOutcome> = thread::scope(|scope| {
             let handles: Vec<_> = units
                 .iter()
-                .enumerate()
-                .map(|(j, (unit, base))| {
-                    let prefs = &preferences[j];
-                    scope.spawn(move || {
-                        run_unit(
-                            endpoints,
-                            prefs,
-                            unit,
-                            base,
-                            epoch_src,
-                            expected_fp,
-                            timeout,
-                            max_attempts,
-                            backoff_base,
-                            backoff_max,
-                        )
-                    })
+                .zip(&preferences)
+                .zip(&seeds)
+                .map(|((unit, prefs), &seed)| {
+                    let lease = &lease;
+                    scope.spawn(move || run_unit(lease, prefs, unit, seed))
                 })
                 .collect();
             handles
@@ -965,7 +1109,7 @@ impl MeshClient {
             self.stats.units_dispatched += 1;
             self.zombies.extend(outcome.zombies);
             let mut prev: Option<usize> = None;
-            for &(shard, ok) in &outcome.attempts {
+            for &(shard, result) in &outcome.attempts {
                 match prev {
                     None => self.events.push(MeshEvent::UnitDispatched {
                         round,
@@ -982,16 +1126,16 @@ impl MeshClient {
                         });
                     }
                 }
-                if ok {
-                    self.on_success(shard);
-                    self.events.push(MeshEvent::UnitCompleted {
-                        round,
-                        unit: j,
-                        shard,
-                    });
-                } else {
-                    self.breaker_failure(shard);
-                    self.conns[shard] = None;
+                match result {
+                    Ok(()) => {
+                        self.on_success(shard);
+                        self.events.push(MeshEvent::UnitCompleted {
+                            round,
+                            unit: j,
+                            shard,
+                        });
+                    }
+                    Err(class) => self.on_failure(shard, class),
                 }
                 prev = Some(shard);
             }
@@ -1011,71 +1155,53 @@ impl MeshClient {
     }
 
     /// Best-effort: poll every shard's stats frame and fold a matching
-    /// gossiped bound into `hint`. Failures are ignored — a missing
+    /// gossiped bound into `hint`. Shards behind an open breaker are
+    /// skipped, and a failed poll is not a breaker event — a missing
     /// gossip costs visits, never correctness.
     fn fold_gossip(&mut self, fp: u64, hint: &mut Option<u128>) {
         for shard in 0..self.endpoints.len() {
-            if matches!(self.breakers[shard], Breaker::Open { .. }) {
+            if !self.breakers[shard].admits() {
                 continue;
             }
-            let mut client = match self.take_conn(shard) {
-                Ok(c) => c,
-                Err(_) => continue,
+            let Some(bound) = self.poll_stats(shard).and_then(|s| s.bound) else {
+                continue;
             };
-            match client.stats() {
-                Ok(stats) => {
-                    self.conns[shard] = Some(client);
-                    // Piggybacked anti-entropy: the same stats frame
-                    // carries the restart signature.
-                    if self.note_connections(shard, stats.server.connections) {
-                        self.repair_shard(shard);
-                    }
-                    if let Some(b) = stats.bound {
-                        if b.fingerprint == fp && u128::from(b.cost) < hint.unwrap_or(u128::MAX) {
-                            *hint = Some(u128::from(b.cost));
-                            self.stats.gossip_hints += 1;
-                            self.events.push(MeshEvent::GossipBound {
-                                shard,
-                                cost: b.cost,
-                            });
-                        }
-                    }
-                }
-                Err(_) => {
-                    // Stats are advisory; a failed poll is not a breaker
-                    // event, just a dropped connection.
-                }
+            if bound.fingerprint == fp && u128::from(bound.cost) < hint.unwrap_or(u128::MAX) {
+                *hint = Some(u128::from(bound.cost));
+                self.stats.gossip_hints += 1;
+                self.events.push(MeshEvent::GossipBound {
+                    shard,
+                    cost: bound.cost,
+                });
             }
         }
     }
 
     /// Anti-entropy sweep on the stats channel: poll every shard's
-    /// counters, detect restarts (the monotone `connections` counter
-    /// went backwards), and re-push every replicated entry the restarted
-    /// shard should hold, flagged as a repair. The same detection rides
-    /// along on gossip polls during distributed search; call this
-    /// between planning bursts to repair gaps sooner.
+    /// counters, detect restarts, and re-push every replicated entry a
+    /// restarted shard should hold, flagged as a repair. The same
+    /// detection rides along on gossip polls during distributed search;
+    /// call this between planning bursts to repair gaps sooner.
     pub fn anti_entropy_sweep(&mut self) {
         for shard in 0..self.endpoints.len() {
-            let mut client = match self.take_conn(shard) {
-                Ok(c) => c,
-                Err(_) => continue,
-            };
-            if let Ok(stats) = client.stats() {
-                self.conns[shard] = Some(client);
-                if self.note_connections(shard, stats.server.connections) {
-                    self.repair_shard(shard);
-                }
-            }
+            self.poll_stats(shard);
         }
     }
 
-    /// Track a shard's monotone `connections` counter; a decrease means
-    /// the process restarted with fresh counters — and an empty cache.
-    fn note_connections(&mut self, shard: usize, connections: u64) -> bool {
-        let prev = self.last_conns[shard];
-        self.last_conns[shard] = Some(connections);
-        prev.is_some_and(|p| connections < p)
+    /// Fetch `shard`'s stats frame (advisory: no breaker accounting) and
+    /// track its monotone `connections` counter. A decrease means the
+    /// process restarted with fresh counters — and an empty cache — so
+    /// the shard is repaired on the spot.
+    fn poll_stats(&mut self, shard: usize) -> Option<StatsResponse> {
+        let stats = self.exchange(shard, Client::stats).ok()?;
+        let now = stats.server.connections;
+        if self.last_conns[shard]
+            .replace(now)
+            .is_some_and(|prev| now < prev)
+        {
+            self.repair_shard(shard);
+        }
+        Some(stats)
     }
 
     /// Re-offer every remembered replication this shard was a target of,
@@ -1090,14 +1216,35 @@ impl MeshClient {
             .cloned()
             .collect();
         for r in records {
-            if let Ok(stored) =
+            if let Ok(true) =
                 self.replicate_to(shard, &r.stencil, &r.objective, &r.uov, r.cost, true)
             {
-                if stored {
-                    self.stats.anti_entropy_repairs += 1;
-                    self.events.push(MeshEvent::AntiEntropyRepair { shard });
-                }
+                self.stats.anti_entropy_repairs += 1;
+                self.events.push(MeshEvent::AntiEntropyRepair { shard });
             }
+        }
+    }
+
+    /// Replicate a routed answer from `served_by` to the ring successors
+    /// in `order`. Hits are skipped (their original miss already
+    /// replicated) and degraded answers are never offered — a replica
+    /// must only ever hold entries it could re-certify.
+    fn replicate_answer(
+        &mut self,
+        req: &PlanRequest,
+        resp: &PlanResponse,
+        order: &[usize],
+        served_by: usize,
+    ) {
+        if resp.cache != CacheOutcome::Hit && resp.degradation == DegradationCode::None {
+            self.push_replicas(
+                &req.stencil,
+                &req.objective,
+                &resp.uov,
+                resp.cost,
+                order,
+                Some(served_by),
+            );
         }
     }
 
@@ -1155,7 +1302,6 @@ impl MeshClient {
         cost: u128,
         repair: bool,
     ) -> Result<bool, ServiceError> {
-        let mut client = self.take_conn(shard)?;
         let req = ReplicateRequest {
             stencil: stencil.clone(),
             objective: objective.clone(),
@@ -1163,19 +1309,8 @@ impl MeshClient {
             cost,
             repair,
         };
-        match client.replicate(&req) {
-            Ok(resp) => {
-                self.conns[shard] = Some(client);
-                Ok(resp.stored)
-            }
-            Err(e) => {
-                // A typed rejection travelled over a working transport.
-                if matches!(e, ServiceError::Rejected { .. }) {
-                    self.conns[shard] = Some(client);
-                }
-                Err(e)
-            }
-        }
+        self.exchange(shard, |c| c.replicate(&req))
+            .map(|resp| resp.stored)
     }
 
     /// Drain sockets kept after timed-out work-unit attempts. A late
@@ -1205,12 +1340,7 @@ impl MeshClient {
                     // An error frame (the server's own fence fired) or a
                     // clean close: nothing stale escaped.
                 }
-                Err(ServiceError::Io(e))
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock
-                    ) =>
-                {
+                Err(e) if FailureClass::of(&e) == FailureClass::Timeout => {
                     if keep_pending {
                         self.zombies.push(z);
                     }
@@ -1227,23 +1357,22 @@ impl MeshClient {
     /// in `order`; when every breaker is open, half-open the one closest
     /// to its cooldown's end (probe rather than refuse).
     fn select_shard(&mut self, order: &[usize]) -> usize {
-        for &s in order {
-            if let Breaker::Open { remaining } = self.breakers[s] {
-                let remaining = remaining.saturating_sub(1);
-                self.breakers[s] = if remaining == 0 {
+        for &shard in order {
+            if let Breaker::Open { remaining } = self.breakers[shard] {
+                self.breakers[shard] = if remaining <= 1 {
+                    self.events.push(MeshEvent::BreakerHalfOpen { shard });
                     Breaker::HalfOpen
                 } else {
-                    Breaker::Open { remaining }
+                    Breaker::Open {
+                        remaining: remaining - 1,
+                    }
                 };
             }
         }
-        if let Some(&s) = order
-            .iter()
-            .find(|&&s| !matches!(self.breakers[s], Breaker::Open { .. }))
-        {
-            return s;
+        if let Some(&shard) = order.iter().find(|&&s| self.breakers[s].admits()) {
+            return shard;
         }
-        let s = order
+        let shard = order
             .iter()
             .copied()
             .min_by_key(|&s| match self.breakers[s] {
@@ -1251,91 +1380,202 @@ impl MeshClient {
                 _ => 0,
             })
             .unwrap_or(order[0]);
-        self.breakers[s] = Breaker::HalfOpen;
-        s
+        self.breakers[shard] = Breaker::HalfOpen;
+        self.events.push(MeshEvent::BreakerHalfOpen { shard });
+        shard
     }
 
-    fn take_conn(&mut self, shard: usize) -> Result<Client, ServiceError> {
-        match self.conns[shard].take() {
-            Some(c) => Ok(c),
-            None => {
-                let mut c = Client::connect(&self.endpoints[shard])?;
-                c.set_timeout(Some(self.cfg.attempt_timeout))?;
-                Ok(c)
+    /// The hedge target for `primary`: the next ring successor in
+    /// `order` whose breaker admits traffic, when hedging is enabled.
+    fn hedge_target(&self, primary: usize, order: &[usize]) -> Option<usize> {
+        self.cfg.hedge_after?;
+        order
+            .iter()
+            .copied()
+            .find(|&s| s != primary && self.breakers[s].admits())
+    }
+
+    /// One hedged attempt: the primary's exchange runs on a helper
+    /// thread; if it is silent past `hedge_after`, the secondary's is
+    /// fired too, and the first success wins (verify mode: await both
+    /// and compare). A loser that never answers is abandoned with its
+    /// thread. All breaker and event bookkeeping happens here, on the
+    /// calling thread, in a deterministic order. Returns the shard that
+    /// served with its answer.
+    fn attempt_hedged(
+        &mut self,
+        primary: usize,
+        secondary: usize,
+        req: &PlanRequest,
+    ) -> Result<(usize, PlanResponse), ServiceError> {
+        let timeout = self.cfg.attempt_timeout;
+        let hedge_after = self.cfg.hedge_after.unwrap_or(timeout);
+        let (tx, rx) = mpsc::channel::<Arrival>();
+        self.spawn_plan(primary, req, tx.clone());
+
+        // Happy path: the primary answers (or fails) before the delay.
+        if let Ok((shard, result, conn)) = rx.recv_timeout(hedge_after) {
+            self.conns[shard] = conn;
+            self.record(shard, &result);
+            return result.map(|resp| (shard, resp));
+        }
+
+        self.events
+            .push(MeshEvent::HedgeFired { primary, secondary });
+        self.spawn_plan(secondary, req, tx);
+
+        // Collect until the attempt window closes. In verify mode both
+        // answers are awaited (byzantine detection); otherwise the first
+        // success wins and the loser is abandoned.
+        let deadline = Instant::now() + timeout + hedge_after;
+        let mut winner: Option<(usize, PlanResponse)> = None;
+        let mut failures: Vec<(usize, ServiceError)> = Vec::new();
+        let mut arrived = 0u32;
+        while arrived < 2 {
+            let budget = deadline.saturating_duration_since(Instant::now());
+            let Ok((shard, result, conn)) = rx.recv_timeout(budget) else {
+                break;
+            };
+            arrived += 1;
+            if conn.is_some() {
+                self.conns[shard] = conn;
+            }
+            match (result, &winner) {
+                (Err(e), _) => failures.push((shard, e)),
+                (Ok(resp), None) => {
+                    winner = Some((shard, resp));
+                    if !self.cfg.hedge_verify {
+                        break;
+                    }
+                }
+                (Ok(resp), Some((_, first))) => {
+                    if (&first.uov, first.cost, first.certificate_hash)
+                        != (&resp.uov, resp.cost, resp.certificate_hash)
+                    {
+                        // Hard error: two certified answers disagree.
+                        let (a, b) = (first.certificate_hash, resp.certificate_hash);
+                        self.on_failure(shard, FailureClass::Rejected);
+                        return Err(ServiceError::ReplicaDivergence { a, b });
+                    }
+                }
             }
         }
+
+        let won = winner.as_ref().map(|(shard, _)| *shard);
+        if let Some(shard) = won {
+            self.events.push(MeshEvent::HedgeWinner { shard });
+            self.on_success(shard);
+        }
+        // Every other shard either failed outright or never answered
+        // within the window; both count against its breaker.
+        let mut last: Option<ServiceError> = None;
+        for shard in [primary, secondary] {
+            match failures.iter().position(|(s, _)| *s == shard) {
+                _ if won == Some(shard) => {}
+                Some(at) => {
+                    let (_, e) = failures.swap_remove(at);
+                    self.on_failure(shard, FailureClass::of(&e));
+                    last = Some(e);
+                }
+                None if arrived < 2 => self.on_failure(shard, FailureClass::Timeout),
+                None => {}
+            }
+        }
+        winner.ok_or_else(|| {
+            last.unwrap_or_else(|| {
+                ServiceError::Io(io::Error::new(
+                    io::ErrorKind::TimedOut,
+                    "hedged attempt timed out on both replicas",
+                ))
+            })
+        })
     }
 
-    fn attempt_plan(
+    /// Run one plan exchange with `shard` on a detached thread — a hedged
+    /// attempt must be able to abandon a stalled replica — and report
+    /// the answer and the still-healthy connection back over `tx`.
+    fn spawn_plan(&mut self, shard: usize, req: &PlanRequest, tx: mpsc::Sender<Arrival>) {
+        let mut conn = self.conns[shard].take();
+        let endpoint = self.endpoints[shard].clone();
+        let (timeout, tenant) = (self.cfg.attempt_timeout, self.tenant);
+        let req = req.clone();
+        thread::spawn(move || {
+            let result = exchange(&mut conn, &endpoint, timeout, tenant, |c| c.plan(&req));
+            let _ = tx.send((shard, result, conn));
+        });
+    }
+
+    /// [`exchange`] over `shard`'s pooled connection, with no breaker
+    /// accounting (replication pushes and gossip polls are best-effort).
+    fn exchange<T>(
         &mut self,
         shard: usize,
-        req: &PlanRequest,
-    ) -> Result<PlanResponse, ServiceError> {
-        let mut client = self.take_conn(shard)?;
-        client.set_timeout(Some(self.cfg.attempt_timeout))?;
-        match client.plan(req) {
-            Ok(resp) => {
-                self.conns[shard] = Some(client);
-                Ok(resp)
-            }
-            Err(e) => {
-                // A typed rejection travelled over a working transport.
-                if matches!(e, ServiceError::Rejected { .. }) {
-                    self.conns[shard] = Some(client);
-                }
-                Err(e)
-            }
-        }
-    }
-
-    fn is_hard(e: &ServiceError) -> bool {
-        matches!(
-            e,
-            ServiceError::Rejected {
-                code: ErrorCode::Malformed | ErrorCode::Unsupported,
-                ..
-            }
+        call: impl FnOnce(&mut Client) -> Result<T, ServiceError>,
+    ) -> Result<T, ServiceError> {
+        exchange(
+            &mut self.conns[shard],
+            &self.endpoints[shard],
+            self.cfg.attempt_timeout,
+            self.tenant,
+            call,
         )
     }
 
-    fn on_success(&mut self, shard: usize) {
-        self.breakers[shard] = Breaker::Closed { failures: 0 };
+    /// [`MeshClient::exchange`], with the outcome recorded on the
+    /// shard's breaker.
+    fn attempt<T>(
+        &mut self,
+        shard: usize,
+        call: impl FnOnce(&mut Client) -> Result<T, ServiceError>,
+    ) -> Result<T, ServiceError> {
+        let out = self.exchange(shard, call);
+        self.record(shard, &out);
+        out
     }
 
-    fn on_failure(&mut self, shard: usize, e: &ServiceError) {
-        self.breaker_failure(shard);
-        if !matches!(e, ServiceError::Rejected { .. }) {
-            self.conns[shard] = None;
+    fn record<T>(&mut self, shard: usize, out: &Result<T, ServiceError>) {
+        match out {
+            Ok(_) => self.on_success(shard),
+            Err(e) => self.on_failure(shard, FailureClass::of(e)),
         }
     }
 
-    fn breaker_failure(&mut self, shard: usize) {
-        let cooldown = self.cfg.cooldown.max(1);
-        let threshold = self.cfg.failure_threshold.max(1);
-        self.breakers[shard] = match self.breakers[shard] {
-            Breaker::HalfOpen => Breaker::Open {
-                remaining: cooldown,
-            },
-            Breaker::Closed { failures } => {
-                let failures = failures + 1;
-                if failures >= threshold {
-                    Breaker::Open {
-                        remaining: cooldown,
-                    }
-                } else {
-                    Breaker::Closed { failures }
-                }
-            }
-            open => open,
-        };
+    fn on_success(&mut self, shard: usize) {
+        self.events.push(MeshEvent::Success { shard });
+        if !matches!(self.breakers[shard], Breaker::Closed { .. }) {
+            self.events.push(MeshEvent::BreakerClosed { shard });
+        }
+        self.breakers[shard] = Breaker::Closed { failures: 0 };
     }
 
-    fn backoff_ms(&mut self, attempt: u32) -> u64 {
-        let base = self.cfg.backoff_base.as_millis() as u64;
-        let cap = (self.cfg.backoff_max.as_millis() as u64).max(base);
-        let exp = base.saturating_mul(1u64 << attempt.min(20)).min(cap);
-        let half = exp / 2;
-        half + self.rng.next() % (exp - half + 1)
+    /// The one breaker transition on failure: a failed half-open probe,
+    /// or the `failure_threshold`-th consecutive failure, opens the
+    /// breaker for `cooldown` selection rounds.
+    fn on_failure(&mut self, shard: usize, class: FailureClass) {
+        self.events.push(MeshEvent::Failure { shard, class });
+        let threshold = self.cfg.failure_threshold.max(1);
+        let opens = match self.breakers[shard] {
+            Breaker::HalfOpen => true,
+            Breaker::Closed { failures } if failures + 1 >= threshold => true,
+            Breaker::Closed { failures } => {
+                self.breakers[shard] = Breaker::Closed {
+                    failures: failures + 1,
+                };
+                false
+            }
+            Breaker::Open { .. } => false,
+        };
+        if opens {
+            self.breakers[shard] = Breaker::Open {
+                remaining: self.cfg.cooldown.max(1),
+            };
+            self.events.push(MeshEvent::BreakerOpened { shard });
+        }
+        // The transport is suspect on every failure class except a typed
+        // rejection, which proves the connection works.
+        if class != FailureClass::Rejected {
+            self.conns[shard] = None;
+        }
     }
 }
 
@@ -1470,40 +1710,101 @@ fn improves(cost: u128, w: &IVec, best: &(u128, i128, IVec)) -> bool {
     }
 }
 
+/// Dial `endpoint` for one shard: the attempt timeout bounds every read,
+/// and the tenant rides on every frame.
+fn dial(endpoint: &str, timeout: Duration, tenant: u32) -> Result<Client, ServiceError> {
+    let mut client = Client::connect(endpoint)?;
+    client.set_timeout(Some(timeout))?;
+    client.set_tenant(tenant);
+    Ok(client)
+}
+
+/// The one request/response exchange over a pooled connection: take
+/// the slot's connection (or dial one), run `call` on it, and put it
+/// back after a success or a typed rejection — a rejection travelled
+/// over a working transport. After any other failure the transport is
+/// suspect (a timed-out socket may still deliver a stale frame), so the
+/// connection is dropped.
+fn exchange<T>(
+    slot: &mut Option<Client>,
+    endpoint: &str,
+    timeout: Duration,
+    tenant: u32,
+    call: impl FnOnce(&mut Client) -> Result<T, ServiceError>,
+) -> Result<T, ServiceError> {
+    let mut client = match slot.take() {
+        Some(c) => c,
+        None => dial(endpoint, timeout, tenant)?,
+    };
+    let out = call(&mut client);
+    if out
+        .as_ref()
+        .err()
+        .is_none_or(|e| FailureClass::of(e) == FailureClass::Rejected)
+    {
+        *slot = Some(client);
+    }
+    out
+}
+
+/// Whether retrying cannot possibly help: the server understood the
+/// request and rejected its *content* — which every replica would — or
+/// verified hedging caught two replicas disagreeing.
+fn is_hard(e: &ServiceError) -> bool {
+    matches!(
+        e,
+        ServiceError::Rejected {
+            code: ErrorCode::Malformed | ErrorCode::Unsupported,
+            ..
+        } | ServiceError::ReplicaDivergence { .. }
+    )
+}
+
+/// Sleep out the backoff after failed attempt `attempt` and return the
+/// interval in milliseconds: exponential from `backoff_base`, capped at
+/// `backoff_max`, with jitter in `[exp/2, exp]` drawn from `rng` — enough
+/// spread to avoid thundering herds, reproducible under the seed.
+fn back_off(cfg: &MeshConfig, rng: &mut XorShift64, attempt: u32) -> u64 {
+    let base = cfg.backoff_base.as_millis() as u64;
+    let cap = (cfg.backoff_max.as_millis() as u64).max(base);
+    let exp = base.saturating_mul(1u64 << attempt.min(20)).min(cap);
+    let half = exp / 2;
+    let ms = half + rng.next() % (exp - half + 1);
+    if ms > 0 {
+        thread::sleep(Duration::from_millis(ms));
+    }
+    ms
+}
+
 /// One unit's dispatch loop, run on a scoped thread: try ring successors
 /// in preference order (wrapping) until a replica returns a frame whose
 /// snapshot decodes, CRC-checks, and fingerprints to the right problem.
-/// Each attempt is bounded by the lease (`timeout`) and carries a
-/// **fresh fencing epoch** drawn from the coordinator's monotonic
-/// counter, so once a re-dispatch lands, the server rejects any earlier
-/// attempt still executing (`StaleEpoch`) and it can never double-report
-/// into a merge. Units of one search share a fingerprint, so two
-/// *concurrent* units colliding on one shard can fence each other — that
-/// race is benign: `StaleEpoch` is retryable, every retry draws a
-/// strictly higher epoch, and the round's preference rotation sends
-/// first attempts to distinct shards, so progress is never lost, only a
-/// retry spent. A timed-out socket is kept as a zombie for the
-/// coordinator's drain instead of being dropped with a frame in flight.
-#[allow(clippy::too_many_arguments)]
+/// Each attempt dials a fresh socket, is bounded by the lease
+/// (`attempt_timeout`) and carries a **fresh fencing epoch** drawn from
+/// the coordinator's monotonic counter, so once a re-dispatch lands, the
+/// server rejects any earlier attempt still executing (`StaleEpoch`) and
+/// it can never double-report into a merge. Units of one search share a
+/// fingerprint, so two *concurrent* units colliding on one shard can
+/// fence each other — that race is benign: `StaleEpoch` is retryable,
+/// every retry draws a strictly higher epoch, and the round's preference
+/// rotation sends first attempts to distinct shards, so progress is
+/// never lost, only a retry spent. A timed-out socket is kept as a
+/// zombie for the coordinator's drain instead of being dropped with a
+/// frame in flight.
 fn run_unit(
-    endpoints: &[String],
+    lease: &Lease<'_>,
     prefs: &[usize],
-    unit: &WorkUnitRequest,
-    base: &Snapshot,
-    epoch_src: &AtomicU64,
-    expected_fp: u64,
-    timeout: Duration,
-    max_attempts: usize,
-    backoff_base: Duration,
-    backoff_max: Duration,
+    (unit, base): &(WorkUnitRequest, Snapshot),
+    seed: u64,
 ) -> UnitOutcome {
-    let mut attempts: Vec<(usize, bool)> = Vec::new();
+    let mut rng = XorShift64::new(seed);
+    let max_attempts = lease.cfg.max_unit_attempts.max(1);
+    let mut attempts = Vec::new();
     let mut last_error: Option<ServiceError> = None;
     let mut zombies: Vec<Zombie> = Vec::new();
     for attempt in 0..max_attempts {
-        let shard = prefs[attempt % prefs.len()];
-        let epoch = epoch_src.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut keep: Option<Client> = None;
+        let shard = prefs[attempt as usize % prefs.len()];
+        let epoch = lease.epoch.fetch_add(1, Ordering::Relaxed) + 1;
         let result = (|| -> Result<Snapshot, ServiceError> {
             // Re-encode the snapshot under this attempt's lease epoch.
             // The EPOCH section is fixed-width, so the frame-size check
@@ -1515,30 +1816,27 @@ fn run_unit(
                 code: ErrorCode::Internal,
                 msg: format!("work-unit re-encode: {e}"),
             })?;
-            let mut client = Client::connect(&endpoints[shard])?;
-            client.set_timeout(Some(timeout))?;
-            let resp = match client.workunit(&req) {
-                Ok(resp) => resp,
-                Err(e) => {
-                    // The lease expired with a frame possibly still in
-                    // flight: keep the socket so the coordinator can
-                    // drain (and discard by epoch) the late completion.
-                    if matches!(
-                        &e,
-                        ServiceError::Io(io) if matches!(
-                            io.kind(),
-                            io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock
-                        )
-                    ) {
-                        keep = Some(client);
-                    }
-                    return Err(e);
+            let mut client = dial(
+                &lease.endpoints[shard],
+                lease.cfg.attempt_timeout,
+                lease.tenant,
+            )?;
+            let resp = client.workunit(&req).inspect_err(|e| {
+                // The lease expired with a frame possibly still in
+                // flight: keep the socket so the coordinator can drain
+                // (and discard by epoch) the late completion.
+                if FailureClass::of(e) == FailureClass::Timeout {
+                    zombies.push(Zombie {
+                        client,
+                        shard,
+                        epoch,
+                    });
                 }
-            };
+            })?;
             let snap = decode_snapshot(&resp.snapshot).map_err(|e| {
                 ServiceError::Malformed(format!("work-unit response snapshot: {e}"))
             })?;
-            if snap.fingerprint != expected_fp {
+            if snap.fingerprint != lease.fingerprint {
                 return Err(ServiceError::Malformed(
                     "work-unit response for a different problem".into(),
                 ));
@@ -1551,16 +1849,9 @@ fn run_unit(
             }
             Ok(snap)
         })();
-        if let Some(client) = keep {
-            zombies.push(Zombie {
-                client,
-                shard,
-                epoch,
-            });
-        }
         match result {
             Ok(snap) => {
-                attempts.push((shard, true));
+                attempts.push((shard, Ok(())));
                 return UnitOutcome {
                     attempts,
                     snapshot: Some(snap),
@@ -1569,16 +1860,8 @@ fn run_unit(
                 };
             }
             Err(e) => {
-                // A malformed/unsupported rejection from a *healthy*
-                // transport will repeat on every replica: give up now.
-                let hard = matches!(
-                    e,
-                    ServiceError::Rejected {
-                        code: ErrorCode::Malformed | ErrorCode::Unsupported,
-                        ..
-                    }
-                );
-                attempts.push((shard, false));
+                attempts.push((shard, Err(FailureClass::of(&e))));
+                let hard = is_hard(&e);
                 last_error = Some(e);
                 if hard {
                     break;
@@ -1586,14 +1869,7 @@ fn run_unit(
             }
         }
         if attempt + 1 < max_attempts {
-            let base = backoff_base.as_millis() as u64;
-            let cap = (backoff_max.as_millis() as u64).max(base);
-            let ms = base
-                .saturating_mul(1u64 << (attempt as u32).min(20))
-                .min(cap);
-            if ms > 0 {
-                thread::sleep(Duration::from_millis(ms));
-            }
+            back_off(lease.cfg, &mut rng, attempt);
         }
     }
     UnitOutcome {
@@ -1607,8 +1883,326 @@ fn run_unit(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::{read_frame, write_frame};
+    use crate::server::{serve, QuotaConfig, ServerConfig, TenantQuota};
+    use std::net::TcpListener;
     use uov_core::search::{find_best_uov, Objective};
     use uov_isg::{ivec, Stencil};
+
+    fn fig1_request() -> PlanRequest {
+        PlanRequest {
+            stencil: Stencil::new(vec![ivec![1, 0], ivec![0, 1], ivec![1, 1]]).unwrap(),
+            objective: ObjectiveSpec::ShortestVector,
+            deadline_ms: 0,
+            flags: 0,
+        }
+    }
+
+    fn quick_cfg() -> MeshConfig {
+        MeshConfig {
+            attempt_timeout: Duration::from_millis(500),
+            backoff_base: Duration::from_millis(1),
+            backoff_max: Duration::from_millis(4),
+            ..MeshConfig::default()
+        }
+    }
+
+    fn endpoint_of(l: &TcpListener) -> String {
+        l.local_addr().unwrap().to_string()
+    }
+
+    /// Two reserved local endpoints, ordered so that index 0 is `req`'s
+    /// ring home and index 1 its successor; the caller decides what runs
+    /// behind each (dropping a listener leaves a dead endpoint).
+    fn home_first(req: &PlanRequest) -> [TcpListener; 2] {
+        let a = TcpListener::bind("127.0.0.1:0").unwrap();
+        let b = TcpListener::bind("127.0.0.1:0").unwrap();
+        let ring = Ring::new(&[endpoint_of(&a), endpoint_of(&b)], quick_cfg().vnodes);
+        if ring.route(MeshClient::routing_key(req)) == 0 {
+            [a, b]
+        } else {
+            [b, a]
+        }
+    }
+
+    /// A dead home shard and a live successor for `req`: the endpoint
+    /// list and the live server.
+    fn dead_home(req: &PlanRequest) -> (Vec<String>, crate::server::ServerHandle) {
+        let [home, next] = home_first(req);
+        let endpoints = vec![endpoint_of(&home), endpoint_of(&next)];
+        drop((home, next));
+        let server = serve(&endpoints[1], ServerConfig::default()).unwrap();
+        (endpoints, server)
+    }
+
+    #[test]
+    fn fails_over_from_a_dead_home_shard() {
+        let req = fig1_request();
+        let (endpoints, server) = dead_home(&req);
+        let mut mesh = MeshClient::new(&endpoints, quick_cfg()).unwrap();
+        assert_eq!(mesh.ring().route(MeshClient::routing_key(&req)), 0);
+        let resp = mesh.plan(&req).unwrap();
+        assert_eq!(resp.uov, ivec![1, 1]);
+        let events = mesh.take_events();
+        assert!(events
+            .iter()
+            .any(|e| matches!(e, MeshEvent::Failure { shard: 0, .. })));
+        assert!(events.contains(&MeshEvent::Success { shard: 1 }));
+        assert!(events.contains(&MeshEvent::Failover { home: 0, shard: 1 }));
+        server.shutdown();
+        server.join();
+    }
+
+    #[test]
+    fn breaker_opens_skips_and_probes_half_open() {
+        let req = fig1_request();
+        let (endpoints, server) = dead_home(&req);
+        let cfg = MeshConfig {
+            failure_threshold: 2,
+            cooldown: 3,
+            ..quick_cfg()
+        };
+        let mut mesh = MeshClient::new(&endpoints, cfg).unwrap();
+        for _ in 0..6 {
+            mesh.plan(&req).unwrap();
+        }
+        let events = mesh.take_events();
+        assert!(
+            events.contains(&MeshEvent::BreakerOpened { shard: 0 }),
+            "dead home's breaker never opened: {events:?}"
+        );
+        // While shard 0 is open, attempts go straight to shard 1.
+        let opened = events
+            .iter()
+            .position(|e| *e == MeshEvent::BreakerOpened { shard: 0 })
+            .unwrap();
+        let next_attempt = events[opened..]
+            .iter()
+            .find_map(|e| match e {
+                MeshEvent::Attempt { shard, .. } => Some(*shard),
+                _ => None,
+            })
+            .unwrap();
+        assert_eq!(next_attempt, 1, "open breaker was not skipped");
+        // Eventually the cooldown elapses and the dead home is probed.
+        assert!(
+            events.contains(&MeshEvent::BreakerHalfOpen { shard: 0 }),
+            "breaker never went half-open: {events:?}"
+        );
+        server.shutdown();
+        server.join();
+    }
+
+    #[test]
+    fn schedule_replays_identically_for_a_seed() {
+        let run = |seed: u64| {
+            // The endpoints differ per run, but with the dead one at the
+            // request's home the failure pattern (connection refused
+            // every time) does not.
+            let req = fig1_request();
+            let (endpoints, server) = dead_home(&req);
+            let cfg = MeshConfig {
+                seed,
+                failure_threshold: 2,
+                cooldown: 2,
+                ..quick_cfg()
+            };
+            let mut mesh = MeshClient::new(&endpoints, cfg).unwrap();
+            for _ in 0..5 {
+                mesh.plan(&req).unwrap();
+            }
+            server.shutdown();
+            server.join();
+            mesh.take_events()
+        };
+        assert_eq!(run(42), run(42), "same seed must replay identically");
+    }
+
+    /// A fake replica on `l` that speaks the protocol but answers every
+    /// plan with a fixed bogus response after a delay.
+    fn lying_server(l: TcpListener, delay: Duration) {
+        thread::spawn(move || {
+            while let Ok((mut s, _)) = l.accept() {
+                let resp = PlanResponse {
+                    uov: ivec![9, 9],
+                    cost: 999,
+                    certificate_hash: 0xBAD0_BAD0,
+                    degradation: DegradationCode::None,
+                    cache: CacheOutcome::Miss,
+                };
+                thread::spawn(move || {
+                    while let Ok(Some((kind::REQ_PLAN, _))) = read_frame(&mut s) {
+                        thread::sleep(delay);
+                        if write_frame(&mut s, kind::RESP_PLAN, &resp.encode()).is_err() {
+                            break;
+                        }
+                    }
+                });
+            }
+        });
+    }
+
+    /// A lying home shard behind `delay` and an honest successor.
+    fn lying_home(
+        req: &PlanRequest,
+        delay: Duration,
+    ) -> (Vec<String>, crate::server::ServerHandle) {
+        let [home, next] = home_first(req);
+        let endpoints = vec![endpoint_of(&home), endpoint_of(&next)];
+        lying_server(home, delay);
+        drop(next);
+        let honest = serve(&endpoints[1], ServerConfig::default()).unwrap();
+        (endpoints, honest)
+    }
+
+    #[test]
+    fn verified_hedging_turns_divergence_into_a_hard_error() {
+        // The home lies slowly; the hedge fires and the honest successor
+        // answers; verification then catches the divergence.
+        let req = fig1_request();
+        let (endpoints, honest) = lying_home(&req, Duration::from_millis(250));
+        let cfg = MeshConfig {
+            hedge_after: Some(Duration::from_millis(50)),
+            hedge_verify: true,
+            attempt_timeout: Duration::from_secs(2),
+            max_route_attempts: 1,
+            ..quick_cfg()
+        };
+        let mut mesh = MeshClient::new(&endpoints, cfg).unwrap();
+        match mesh.plan(&req) {
+            Err(ServiceError::ReplicaDivergence { .. }) => {}
+            other => panic!("expected ReplicaDivergence, got {other:?}"),
+        }
+        assert!(mesh
+            .events()
+            .iter()
+            .any(|e| matches!(e, MeshEvent::HedgeFired { .. })));
+        honest.shutdown();
+        honest.join();
+    }
+
+    #[test]
+    fn hedging_takes_the_fast_replica_when_the_primary_stalls() {
+        // The home answers far too slowly; the hedge must win.
+        let req = fig1_request();
+        let (endpoints, honest) = lying_home(&req, Duration::from_secs(30));
+        let cfg = MeshConfig {
+            hedge_after: Some(Duration::from_millis(50)),
+            attempt_timeout: Duration::from_millis(800),
+            max_route_attempts: 2,
+            ..quick_cfg()
+        };
+        let mut mesh = MeshClient::new(&endpoints, cfg).unwrap();
+        let resp = mesh.plan(&req).unwrap();
+        assert_eq!(resp.uov, ivec![1, 1]);
+        assert!(mesh.events().contains(&MeshEvent::HedgeWinner { shard: 1 }));
+        honest.shutdown();
+        honest.join();
+    }
+
+    #[test]
+    fn exhaustion_is_a_typed_error_with_the_last_cause() {
+        let dead = {
+            let l = TcpListener::bind("127.0.0.1:0").unwrap();
+            endpoint_of(&l)
+        };
+        let cfg = MeshConfig {
+            max_route_attempts: 3,
+            ..quick_cfg()
+        };
+        let mut mesh = MeshClient::new(&[dead], cfg).unwrap();
+        match mesh.plan(&fig1_request()) {
+            Err(ServiceError::FabricExhausted { attempts: 3, .. }) => {}
+            other => panic!("expected FabricExhausted, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn empty_replica_list_is_rejected() {
+        assert!(MeshClient::new(&[], MeshConfig::default()).is_err());
+    }
+
+    /// The tenant reaches every frame the client sends: a server that
+    /// sheds everything from tenant 7 refuses its routed plans, its
+    /// batches and its distributed search's work units alike, while an
+    /// anonymous client on the same server is served.
+    #[test]
+    fn the_tenant_rides_on_every_frame() {
+        let shed_all = TenantQuota {
+            burst: 0,
+            ..TenantQuota::default()
+        };
+        let server = serve(
+            "127.0.0.1:0",
+            ServerConfig {
+                quotas: Some(QuotaConfig {
+                    default: TenantQuota::default(),
+                    tenants: [(7, shed_all)].into_iter().collect(),
+                }),
+                ..ServerConfig::default()
+            },
+        )
+        .unwrap();
+        let endpoints = vec![server.endpoint().to_string()];
+        let cfg = MeshConfig {
+            local_prefix_nodes: 4,
+            max_route_attempts: 3,
+            max_unit_attempts: 2,
+            ..quick_cfg()
+        };
+        let overloaded = |e: &ServiceError| {
+            matches!(e, ServiceError::FabricExhausted { last, .. }
+                if matches!(**last, ServiceError::Rejected { code: ErrorCode::Overloaded, .. }))
+        };
+        // Work units ship for this problem: a 4-node local prefix leaves
+        // a frontier (see `distributed_search_matches_direct_search`).
+        let shipped = PlanRequest {
+            stencil: Stencil::new(vec![ivec![1, 0], ivec![0, 1], ivec![1, 3]]).unwrap(),
+            ..fig1_request()
+        };
+        let batch = BatchRequest {
+            entries: vec![fig1_request(), shipped.clone()],
+        };
+
+        let mut tenant7 = MeshClient::new(&endpoints, cfg.clone()).unwrap();
+        tenant7.set_tenant(7);
+        let plan = tenant7.plan(&fig1_request());
+        assert!(plan.as_ref().is_err_and(overloaded), "plan: {plan:?}");
+        let answers = tenant7.plan_batch(&batch).unwrap();
+        assert_eq!(answers.entries.len(), 2);
+        for entry in &answers.entries {
+            assert!(
+                matches!(
+                    entry,
+                    Err(ErrorResponse {
+                        code: ErrorCode::Overloaded,
+                        ..
+                    })
+                ),
+                "batch entry: {entry:?}"
+            );
+        }
+        let distributed = tenant7.plan_distributed(&shipped);
+        assert!(
+            matches!(
+                distributed,
+                Err(ServiceError::FabricExhausted { attempts: 2, .. })
+            ) && distributed.as_ref().is_err_and(overloaded),
+            "distributed: {distributed:?}"
+        );
+
+        let mut anonymous = MeshClient::new(&endpoints, cfg).unwrap();
+        assert_eq!(anonymous.plan(&fig1_request()).unwrap().uov, ivec![1, 1]);
+        assert!(anonymous
+            .plan_batch(&batch)
+            .unwrap()
+            .entries
+            .iter()
+            .all(Result::is_ok));
+        assert!(anonymous.plan_distributed(&shipped).is_ok());
+        server.shutdown();
+        server.join();
+    }
 
     fn endpoints(n: usize) -> Vec<String> {
         (0..n).map(|i| format!("10.0.0.{i}:7878")).collect()

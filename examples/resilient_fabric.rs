@@ -1,7 +1,7 @@
-//! The self-healing fabric, end to end: three replicas behind seeded
-//! chaos proxies, a [`ResilientClient`] planning through the faults, a
-//! replica killed and restarted mid-run, and a warm-cache drain —
-//! every answer byte-identical to a direct in-process solve.
+//! The routed client under faults, end to end: three replicas behind
+//! seeded chaos proxies, a [`MeshClient`] planning through the faults,
+//! the request's home replica killed and restarted mid-run — every
+//! answer byte-identical to a direct in-process solve.
 //!
 //! Run with: `cargo run --release --example resilient_fabric`
 
@@ -11,8 +11,8 @@ use uov::core::certify::certify;
 use uov::core::search::{find_best_uov, Objective, SearchConfig};
 use uov::isg::{ivec, Stencil};
 use uov::service::{
-    ChaosConfig, ChaosProxy, FabricEvent, ObjectiveSpec, PlanRequest, ReplicaSet, ResilientClient,
-    ResilientConfig, ServerConfig,
+    ChaosConfig, ChaosProxy, MeshClient, MeshConfig, MeshEvent, ObjectiveSpec, PlanRequest,
+    ReplicaSet, ServerConfig,
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -39,14 +39,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .collect::<Result<_, _>>()?;
     let endpoints: Vec<String> = proxies.iter().map(|p| p.endpoint().to_string()).collect();
 
-    // The fabric: ordered replicas, per-attempt timeouts, deterministic
-    // backoff, per-replica circuit breakers.
-    let mut fabric = ResilientClient::new(
+    // The client: consistent-hash routing over the replicas, per-attempt
+    // timeouts, deterministic backoff, per-replica circuit breakers.
+    let mut client = MeshClient::new(
         &endpoints,
-        ResilientConfig {
+        MeshConfig {
             attempt_timeout: Duration::from_millis(500),
             seed: 7,
-            ..ResilientConfig::default()
+            ..MeshConfig::default()
         },
     )?;
 
@@ -58,7 +58,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         flags: 0,
     };
 
-    // Ground truth from a direct in-process solve: the fabric may retry
+    // Ground truth from a direct in-process solve: the client may retry
     // and fail over, but it may never change this triple.
     let local = find_best_uov(
         &stencil,
@@ -71,16 +71,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         local.uov, local.cost, cert.transcript_hash
     );
 
+    // The request's home: the replica its routed plan tries first.
+    let home = client.ring().route(MeshClient::routing_key(&request));
     for round in 0..6 {
         if round == 2 {
-            set.kill(0);
-            println!("-- killed replica 0 (no warm-cache save: crash semantics)");
+            set.kill(home);
+            println!("-- killed home replica {home} (no warm-cache save: crash semantics)");
         }
         if round == 4 {
-            set.restart(0)?;
-            println!("-- restarted replica 0 on its original port");
+            set.restart(home)?;
+            println!("-- restarted replica {home} on its original port");
         }
-        let resp = fabric.plan(&request)?;
+        let resp = client.plan(&request)?;
         assert_eq!(resp.uov, local.uov);
         assert_eq!(resp.cost, local.cost);
         assert_eq!(resp.certificate_hash, cert.transcript_hash);
@@ -92,13 +94,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The decision log records every retry, failover, backoff and
     // breaker transition — replayable from the seed.
-    let events = fabric.take_events();
+    let events = client.take_events();
     let failures = events
         .iter()
-        .filter(|e| matches!(e, FabricEvent::Failure { .. }))
+        .filter(|e| matches!(e, MeshEvent::Failure { .. }))
         .count();
     println!(
-        "fabric : {} events, {failures} absorbed failures, answers byte-identical throughout",
+        "client : {} events, {failures} absorbed failures, answers byte-identical throughout",
         events.len()
     );
 

@@ -43,10 +43,7 @@ use uov_isg::{IVec, IterationDomain as _, Stencil};
 use uov_loopir::analysis::{flow_stencil, AnalysisError};
 use uov_loopir::{codegen, LoopNest};
 use uov_schedule::legality;
-use uov_service::{
-    DegradationCode, MeshClient, MeshConfig, ObjectiveSpec, PlanRequest, PlanResponse,
-    ResilientClient, ResilientConfig, ServiceError,
-};
+use uov_service::{DegradationCode, MeshClient, ObjectiveSpec, PlanRequest};
 use uov_storage::{Layout, OvMap, StorageMap as _};
 
 use crate::error::Error;
@@ -174,6 +171,55 @@ pub fn plan(nest: &LoopNest, layout: Layout) -> Result<TransformPlan, Error> {
 /// certifier rejects a search result — a rejected mapping is never
 /// handed to the caller.
 pub fn plan_with(nest: &LoopNest, config: &PlanConfig) -> Result<TransformPlan, Error> {
+    plan_statements(nest, config.layout, |stmt, stencil| {
+        let search_config = SearchConfig {
+            max_visits: None,
+            // Fresh node counter per statement; deadline and
+            // cancellation stay global through the clone.
+            budget: config.budget.clone(),
+            threads: config.threads.max(1),
+            checkpoint: config.checkpoint.as_ref().map(|c| {
+                let mut path = c.path.clone().into_os_string();
+                path.push(format!(".stmt{stmt}"));
+                CheckpointConfig {
+                    path: path.into(),
+                    interval: c.interval,
+                }
+            }),
+            bound_hint: None,
+        };
+        let objective = Objective::KnownBounds(nest.domain());
+        let best = find_best_uov(stencil, objective, &search_config)?;
+        let certificate = if config.certify {
+            Some(certify(stencil, &objective, &best)?)
+        } else {
+            None
+        };
+        Ok(Solved {
+            uov: best.uov,
+            degradation: best.degradation,
+            certificate,
+        })
+    })
+}
+
+/// How one statement's UOV was obtained: the only step in which local
+/// and remote planning differ.
+struct Solved {
+    uov: IVec,
+    degradation: Option<Degradation>,
+    certificate: Option<Certificate>,
+}
+
+/// The per-statement planning loop shared by [`plan_with`] and
+/// [`plan_remote`]: stencil extraction, then `solve` for each regular
+/// statement's UOV and certificate, then mapping construction, code
+/// emission and tiling advice — all local.
+fn plan_statements(
+    nest: &LoopNest,
+    layout: Layout,
+    mut solve: impl FnMut(usize, &Stencil) -> Result<Solved, Error>,
+) -> Result<TransformPlan, Error> {
     let mut statements = Vec::with_capacity(nest.stmts().len());
     let mut union: Vec<IVec> = Vec::new();
     for stmt in 0..nest.stmts().len() {
@@ -181,43 +227,17 @@ pub fn plan_with(nest: &LoopNest, config: &PlanConfig) -> Result<TransformPlan, 
             Err(e) => statements.push(Err(e)),
             Ok(stencil) => {
                 union.extend(stencil.vectors().iter().cloned());
-                let search_config = SearchConfig {
-                    max_visits: None,
-                    // Fresh node counter per statement; deadline and
-                    // cancellation stay global through the clone.
-                    budget: config.budget.clone(),
-                    threads: config.threads.max(1),
-                    checkpoint: config.checkpoint.as_ref().map(|c| {
-                        let mut path = c.path.clone().into_os_string();
-                        path.push(format!(".stmt{stmt}"));
-                        CheckpointConfig {
-                            path: path.into(),
-                            interval: c.interval,
-                        }
-                    }),
-                    bound_hint: None,
-                };
-                let objective = Objective::KnownBounds(nest.domain());
-                let best = find_best_uov(&stencil, objective, &search_config)?;
-                let certificate = if config.certify {
-                    Some(certify(
-                        &stencil,
-                        &Objective::KnownBounds(nest.domain()),
-                        &best,
-                    )?)
-                } else {
-                    None
-                };
-                let map = OvMap::try_new(nest.domain(), best.uov.clone(), config.layout)?;
+                let solved = solve(stmt, &stencil)?;
+                let map = OvMap::try_new(nest.domain(), solved.uov.clone(), layout)?;
                 let code = (nest.depth() == 2).then(|| codegen::emit_ov_mapped(nest, stmt, &map));
                 statements.push(Ok(StatementPlan {
                     natural_cells: nest.domain().num_points(),
                     mapped_cells: map.size() as u64,
                     stencil,
-                    uov: best.uov,
+                    uov: solved.uov,
                     map,
-                    degradation: best.degradation,
-                    certificate,
+                    degradation: solved.degradation,
+                    certificate: solved.certificate,
                     code,
                 }));
             }
@@ -248,17 +268,16 @@ fn tiling_advice(union: Vec<IVec>) -> (bool, Option<i64>) {
     }
 }
 
-/// [`plan`], but with every per-statement UOV search delegated to a
-/// running [`uov_service`] server instead of the in-process
-/// branch-and-bound — so one warm server (and its canonicalizing plan
-/// cache) can answer for many compiler invocations.
+/// [`plan`], but with every per-statement UOV search delegated to the
+/// planning service through `client` — one warm replica list (and its
+/// canonicalizing plan caches) answering for many compiler invocations.
 ///
-/// `endpoint` may be a single address or a comma-separated replica list
-/// (`"127.0.0.1:7878,127.0.0.1:7879"`); either way requests go through a
-/// [`ResilientClient`] with default fabric policy, so a bounced or
-/// partitioned replica costs a retry, not the plan. Use
-/// [`plan_via_replicas`] to tune the fabric, or [`plan_via_fabric`] to
-/// own the client (and its decision log) outright.
+/// Each statement is one routed [`MeshClient::plan`]: sent to its
+/// consistent-hash home replica, failing over along the ring when the
+/// home is down, under the client's breakers, backoff and hedging
+/// policy. The client is caller-owned, so its connections stay warm
+/// across nests and its decision log ([`MeshClient::events`]) can be
+/// inspected afterwards.
 ///
 /// The remote answer is *never trusted blind*: each statement's UOV is
 /// re-certified locally, and the local certificate's transcript hash must
@@ -274,163 +293,60 @@ fn tiling_advice(union: Vec<IVec>) -> (bool, Option<i64>) {
 ///
 /// # Errors
 ///
-/// [`Error::Service`] on transport failures, server rejections, or a
-/// certificate-hash mismatch; otherwise the same hard failures as
-/// [`plan`].
-pub fn plan_via_service(
+/// [`Error::Service`] when the client exhausts its attempts, a server
+/// rejects a request, or a certificate hash mismatches; otherwise the
+/// same hard failures as [`plan`].
+pub fn plan_remote(
     nest: &LoopNest,
     layout: Layout,
-    endpoint: &str,
+    client: &mut MeshClient,
     deadline_ms: u32,
 ) -> Result<TransformPlan, Error> {
-    let endpoints: Vec<String> = endpoint
-        .split(',')
-        .map(|e| e.trim().to_string())
-        .filter(|e| !e.is_empty())
-        .collect();
-    plan_via_replicas(
-        nest,
-        layout,
-        &endpoints,
-        deadline_ms,
-        ResilientConfig::default(),
-    )
-}
-
-/// [`plan_via_service`] with an explicit replica list and fabric policy
-/// (timeouts, backoff, breaker thresholds, hedging, determinism seed).
-///
-/// # Errors
-///
-/// As [`plan_via_service`].
-pub fn plan_via_replicas(
-    nest: &LoopNest,
-    layout: Layout,
-    endpoints: &[String],
-    deadline_ms: u32,
-    config: ResilientConfig,
-) -> Result<TransformPlan, Error> {
-    let mut fabric =
-        ResilientClient::new(endpoints, config).map_err(|e| Error::Service(e.to_string()))?;
-    plan_via_fabric(nest, layout, &mut fabric, deadline_ms)
-}
-
-/// [`plan_via_service`] over a caller-owned [`ResilientClient`], so the
-/// caller keeps the fabric's connections warm across nests and can
-/// inspect its decision log ([`ResilientClient::events`]) afterwards —
-/// the hook the chaos harness uses to diff two runs of the same seed.
-///
-/// # Errors
-///
-/// As [`plan_via_service`].
-pub fn plan_via_fabric(
-    nest: &LoopNest,
-    layout: Layout,
-    fabric: &mut ResilientClient,
-    deadline_ms: u32,
-) -> Result<TransformPlan, Error> {
-    plan_remote(nest, layout, deadline_ms, |req| fabric.plan(req))
-}
-
-/// [`plan_via_service`] over a planning mesh: each statement's request
-/// is routed by consistent hash to its home shard (failing over along
-/// the ring when the home is down), and large searches are split across
-/// the shards as re-dispatchable `UOVCKPT1` work units. The local
-/// re-certification in [`plan_remote`]'s loop applies unchanged, so a
-/// mesh answer is accepted only when it is byte-identical to a cold
-/// in-process solve.
-///
-/// # Errors
-///
-/// As [`plan_via_service`], plus the mesh's own
-/// [`ServiceError::FabricExhausted`] when a work unit runs out of live
-/// replicas to try.
-pub fn plan_via_mesh(
-    nest: &LoopNest,
-    layout: Layout,
-    endpoints: &[String],
-    deadline_ms: u32,
-    config: MeshConfig,
-) -> Result<TransformPlan, Error> {
-    let mut mesh = MeshClient::new(endpoints, config).map_err(|e| Error::Service(e.to_string()))?;
-    plan_remote(nest, layout, deadline_ms, |req| mesh.plan_distributed(req))
-}
-
-/// The shared remote-planning loop: per-statement stencil extraction,
-/// one exchange via `exchange`, local re-certification against the
-/// server's transcript hash, then local mapping/codegen/tiling — exactly
-/// [`plan`]'s shape with the branch-and-bound swapped for a closure.
-fn plan_remote(
-    nest: &LoopNest,
-    layout: Layout,
-    deadline_ms: u32,
-    mut exchange: impl FnMut(&PlanRequest) -> Result<PlanResponse, ServiceError>,
-) -> Result<TransformPlan, Error> {
-    let mut statements = Vec::with_capacity(nest.stmts().len());
-    let mut union: Vec<IVec> = Vec::new();
-    for stmt in 0..nest.stmts().len() {
-        match flow_stencil(nest, stmt) {
-            Err(e) => statements.push(Err(e)),
-            Ok(stencil) => {
-                union.extend(stencil.vectors().iter().cloned());
-                let resp = exchange(&PlanRequest {
-                    stencil: stencil.clone(),
-                    objective: ObjectiveSpec::KnownBounds(nest.domain().clone()),
-                    deadline_ms,
-                    flags: 0,
-                })
-                .map_err(|e| Error::Service(e.to_string()))?;
-                // The wire carries the degradation *reason*; node/memo
-                // counters are search-internal and stay at zero here.
-                let degradation = match resp.degradation {
-                    DegradationCode::None => None,
-                    code => Some(Degradation {
-                        reason: match code {
-                            DegradationCode::Deadline => Exhausted::Deadline,
-                            DegradationCode::Nodes => Exhausted::Nodes,
-                            DegradationCode::Memo => Exhausted::Memo,
-                            _ => Exhausted::Cancelled,
-                        },
-                        nodes_at_stop: 0,
-                        memo_entries_at_stop: 0,
-                        fell_back_to_initial: false,
-                    }),
-                };
-                let as_result = SearchResult {
-                    uov: resp.uov.clone(),
-                    cost: resp.cost,
-                    stats: SearchStats::default(),
-                    degradation,
-                    checkpoint_error: None,
-                };
-                let certificate =
-                    certify(&stencil, &Objective::KnownBounds(nest.domain()), &as_result)?;
-                if certificate.transcript_hash != resp.certificate_hash {
-                    return Err(Error::Service(format!(
-                        "certificate mismatch for statement {stmt}: server {:#018x}, local {:#018x}",
-                        resp.certificate_hash, certificate.transcript_hash
-                    )));
-                }
-                let map = OvMap::try_new(nest.domain(), resp.uov.clone(), layout)?;
-                let code = (nest.depth() == 2).then(|| codegen::emit_ov_mapped(nest, stmt, &map));
-                statements.push(Ok(StatementPlan {
-                    natural_cells: nest.domain().num_points(),
-                    mapped_cells: map.size() as u64,
-                    stencil,
-                    uov: resp.uov,
-                    map,
-                    degradation: as_result.degradation,
-                    certificate: Some(certificate),
-                    code,
-                }));
-            }
+    plan_statements(nest, layout, |stmt, stencil| {
+        let objective = Objective::KnownBounds(nest.domain());
+        let resp = client
+            .plan(&PlanRequest {
+                stencil: stencil.clone(),
+                objective: ObjectiveSpec::KnownBounds(nest.domain().clone()),
+                deadline_ms,
+                flags: 0,
+            })
+            .map_err(|e| Error::Service(e.to_string()))?;
+        // The wire carries the degradation *reason*; node/memo counters
+        // are search-internal and stay at zero here.
+        let degradation = match resp.degradation {
+            DegradationCode::None => None,
+            code => Some(Degradation {
+                reason: match code {
+                    DegradationCode::Deadline => Exhausted::Deadline,
+                    DegradationCode::Nodes => Exhausted::Nodes,
+                    DegradationCode::Memo => Exhausted::Memo,
+                    _ => Exhausted::Cancelled,
+                },
+                nodes_at_stop: 0,
+                memo_entries_at_stop: 0,
+                fell_back_to_initial: false,
+            }),
+        };
+        let as_result = SearchResult {
+            uov: resp.uov,
+            cost: resp.cost,
+            stats: SearchStats::default(),
+            degradation,
+            checkpoint_error: None,
+        };
+        let certificate = certify(stencil, &objective, &as_result)?;
+        if certificate.transcript_hash != resp.certificate_hash {
+            return Err(Error::Service(format!(
+                "certificate mismatch for statement {stmt}: server {:#018x}, local {:#018x}",
+                resp.certificate_hash, certificate.transcript_hash
+            )));
         }
-    }
-    let (rectangular_tiling_legal, skew_factor) = tiling_advice(union);
-    Ok(TransformPlan {
-        statements,
-        rectangular_tiling_legal,
-        skew_factor,
+        Ok(Solved {
+            uov: as_result.uov,
+            degradation: as_result.degradation,
+            certificate: Some(certificate),
+        })
     })
 }
 
@@ -753,14 +669,19 @@ mod tests {
     fn service_backed_plan_matches_local_plan() {
         let server =
             uov_service::serve("127.0.0.1:0", uov_service::ServerConfig::default()).unwrap();
+        // One client for every nest: its connection stays warm.
+        let mut client = MeshClient::new(
+            &[server.endpoint().to_string()],
+            uov_service::MeshConfig::default(),
+        )
+        .unwrap();
         for nest in [
             examples::fig1_nest(10, 6),
             examples::stencil5_nest(6, 20),
             examples::psm_nest(8, 8),
         ] {
             let local = plan(&nest, Layout::Interleaved).unwrap();
-            let remote =
-                plan_via_service(&nest, Layout::Interleaved, server.endpoint(), 0).unwrap();
+            let remote = plan_remote(&nest, Layout::Interleaved, &mut client, 0).unwrap();
             assert_eq!(local.statements.len(), remote.statements.len());
             for (l, r) in local.statements.iter().zip(&remote.statements) {
                 let (l, r) = (l.as_ref().unwrap(), r.as_ref().unwrap());
@@ -786,20 +707,31 @@ mod tests {
 
     #[test]
     fn replica_list_plan_survives_a_dead_replica() {
-        let server =
-            uov_service::serve("127.0.0.1:0", uov_service::ServerConfig::default()).unwrap();
-        // A dead first replica: bound, then immediately dropped, so the
-        // fabric's first attempt is refused and it fails over.
-        let dead = {
-            let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-            let ep = l.local_addr().unwrap().to_string();
-            drop(l);
-            ep
-        };
-        let list = format!("{dead},{}", server.endpoint());
         let nest = examples::fig1_nest(10, 6);
+        let req = PlanRequest {
+            stencil: flow_stencil(&nest, 0).unwrap(),
+            objective: ObjectiveSpec::KnownBounds(nest.domain().clone()),
+            deadline_ms: 0,
+            flags: 0,
+        };
+        // Two reserved endpoints; the statement's ring home stays dead
+        // (bound, then dropped, so every attempt there is refused) and
+        // the client fails over to the other.
+        let listeners = [
+            std::net::TcpListener::bind("127.0.0.1:0").unwrap(),
+            std::net::TcpListener::bind("127.0.0.1:0").unwrap(),
+        ];
+        let endpoints: Vec<String> = listeners
+            .iter()
+            .map(|l| l.local_addr().unwrap().to_string())
+            .collect();
+        let mut client = MeshClient::new(&endpoints, uov_service::MeshConfig::default()).unwrap();
+        let home = client.ring().route(MeshClient::routing_key(&req));
+        drop(listeners);
+        let server =
+            uov_service::serve(&endpoints[1 - home], uov_service::ServerConfig::default()).unwrap();
         let local = plan(&nest, Layout::Interleaved).unwrap();
-        let remote = plan_via_service(&nest, Layout::Interleaved, &list, 0).unwrap();
+        let remote = plan_remote(&nest, Layout::Interleaved, &mut client, 0).unwrap();
         let (l, r) = (
             local.statements[0].as_ref().unwrap(),
             remote.statements[0].as_ref().unwrap(),
@@ -809,6 +741,7 @@ mod tests {
             l.certificate.as_ref().unwrap().transcript_hash,
             r.certificate.as_ref().unwrap().transcript_hash
         );
+        assert_eq!(client.stats().failovers, 1, "the dead home was not skipped");
         server.shutdown();
         server.join();
     }

@@ -1,19 +1,20 @@
-//! The chaos differential: the resilient fabric under seeded faults must
-//! be *invisible* in the answers.
+//! The chaos differential: the routed client under seeded faults must be
+//! *invisible* in the answers.
 //!
-//! A [`ResilientClient`] runs a fixed request schedule against three
+//! A [`MeshClient`] runs a fixed request schedule against three
 //! replicas, each behind a [`ChaosProxy`] injecting connection resets,
 //! half-open stalls, latency spikes, frame truncation, and payload
-//! bit-flips — while replicas are killed and restarted mid-schedule. The
-//! contract:
+//! bit-flips — while the next request's ring home is killed and
+//! restarted mid-schedule. The contract:
 //!
 //! 1. **Completion**: every request completes despite the faults.
 //! 2. **Byte-identity**: each `(uov, cost, transcript hash)` triple is
 //!    identical to a direct in-process `find_best_uov` + `certify` run —
-//!    the fabric may retry, fail over, and reconnect, but it may never
+//!    the client may retry, fail over, and reconnect, but it may never
 //!    change an answer.
-//! 3. **Determinism**: the fabric's decision log (attempts, failures,
-//!    backoffs, breaker transitions) replays identically for a seed.
+//! 3. **Determinism**: the client's decision log (routes, attempts,
+//!    failures, backoffs, breaker transitions, replication pushes)
+//!    replays identically for a seed over the same proxy endpoints.
 //! 4. **Warm restarts**: a graceful drain persists the plan cache; the
 //!    restarted replica's first request for a cached problem is a `Hit`
 //!    with the same certificate.
@@ -29,8 +30,8 @@ use uov::core::certify::certify;
 use uov::core::search::{find_best_uov, Objective, SearchConfig};
 use uov::isg::{ivec, IVec, Stencil};
 use uov::service::{
-    CacheOutcome, ChaosConfig, ChaosProxy, Client, FabricEvent, MeshClient, MeshConfig, MeshEvent,
-    ObjectiveSpec, PlanRequest, ReplicaSet, ResilientClient, ResilientConfig, ServerConfig,
+    CacheOutcome, ChaosConfig, ChaosProxy, Client, MeshClient, MeshConfig, MeshEvent,
+    ObjectiveSpec, PlanRequest, ReplicaSet, ServerConfig,
 };
 
 /// The request schedule's problems: small enough that every search
@@ -42,7 +43,7 @@ fn problems() -> Vec<Stencil> {
 }
 
 /// What a direct, in-process solve of `stencil` yields: the ground truth
-/// every fabric answer must match byte-for-byte.
+/// every routed answer must match byte-for-byte.
 fn local_truth(stencil: &Stencil) -> (IVec, u128, u64) {
     let result = find_best_uov(stencil, Objective::ShortestVector, &SearchConfig::default())
         .expect("local search");
@@ -83,10 +84,10 @@ fn chaos_config(seed: u64) -> ChaosConfig {
     }
 }
 
-fn fabric_config(seed: u64) -> ResilientConfig {
-    ResilientConfig {
+fn client_config(seed: u64) -> MeshConfig {
+    MeshConfig {
         attempt_timeout: Duration::from_millis(400),
-        max_attempts: 40,
+        max_route_attempts: 40,
         backoff_base: Duration::from_millis(1),
         backoff_max: Duration::from_millis(4),
         seed,
@@ -94,13 +95,28 @@ fn fabric_config(seed: u64) -> ResilientConfig {
         cooldown: 4,
         hedge_after: None,
         hedge_verify: false,
+        ..MeshConfig::default()
     }
 }
 
+/// The ring home of `stencil`'s request: the replica a routed plan of it
+/// tries first.
+fn home_of(client: &MeshClient, stencil: &Stencil) -> usize {
+    client
+        .ring()
+        .route(MeshClient::routing_key(&request(stencil)))
+}
+
 /// Run the full kill/restart schedule under chaos at one seed and thread
-/// count; assert completion and byte-identity; return the fabric's
-/// decision log.
-fn run_chaos_schedule(seed: u64, search_threads: usize) -> Vec<FabricEvent> {
+/// count; assert completion and byte-identity; return the client's
+/// decision log and the proxy endpoints. The proxies listen on `listen`
+/// when given (a replay must reuse the endpoint names the ring hashes),
+/// on fresh ports otherwise.
+fn run_chaos_schedule(
+    seed: u64,
+    search_threads: usize,
+    listen: Option<&[String]>,
+) -> (Vec<MeshEvent>, Vec<String>) {
     let config = ServerConfig {
         workers: 2,
         search_threads,
@@ -110,30 +126,33 @@ fn run_chaos_schedule(seed: u64, search_threads: usize) -> Vec<FabricEvent> {
     let proxies: Vec<ChaosProxy> = set
         .endpoints()
         .iter()
-        .map(|ep| ChaosProxy::start(ep, chaos_config(seed)).expect("start proxy"))
+        .enumerate()
+        .map(|(i, ep)| {
+            let at = listen.map_or("127.0.0.1:0", |l| l[i].as_str());
+            ChaosProxy::start_on(at, ep, chaos_config(seed)).expect("start proxy")
+        })
         .collect();
     let endpoints: Vec<String> = proxies.iter().map(|p| p.endpoint().to_string()).collect();
-    let mut fabric = ResilientClient::new(&endpoints, fabric_config(seed)).expect("fabric");
+    let mut client = MeshClient::new(&endpoints, client_config(seed)).expect("client");
 
     let problems = problems();
     let truths: Vec<_> = problems.iter().map(local_truth).collect();
 
     // Two passes over the problem set (the second exercises server-side
-    // caches), with two kill/restart cycles woven between requests.
+    // caches), with two kill/restart cycles woven between requests: each
+    // kills the ring home of the request about to be sent.
     let schedule: Vec<usize> = (0..problems.len()).chain(0..problems.len()).collect();
+    let mut victim = 0;
     for (step, &p) in schedule.iter().enumerate() {
         match step {
-            4 => {
-                set.kill(0).expect("replica 0 was up");
+            4 | 8 => {
+                victim = home_of(&client, &problems[p]);
+                set.kill(victim).expect("the home replica was up");
             }
-            6 => set.restart(0).expect("restart replica 0"),
-            8 => {
-                set.kill(1).expect("replica 1 was up");
-            }
-            10 => set.restart(1).expect("restart replica 1"),
+            6 | 10 => set.restart(victim).expect("restart the home replica"),
             _ => {}
         }
-        let resp = fabric
+        let resp = client
             .plan(&request(&problems[p]))
             .unwrap_or_else(|e| panic!("step {step} (problem {p}) failed under chaos: {e}"));
         let (uov, cost, hash) = &truths[p];
@@ -151,7 +170,7 @@ fn run_chaos_schedule(seed: u64, search_threads: usize) -> Vec<FabricEvent> {
     for proxy in proxies {
         proxy.stop();
     }
-    fabric.take_events()
+    (client.take_events(), endpoints)
 }
 
 /// The acceptance differential: full completion and byte-identity under
@@ -160,11 +179,11 @@ fn run_chaos_schedule(seed: u64, search_threads: usize) -> Vec<FabricEvent> {
 fn chaos_differential_is_byte_identical_to_local_search() {
     for seed in seeds() {
         for threads in [1usize, 8] {
-            let events = run_chaos_schedule(seed, threads);
+            let (events, _) = run_chaos_schedule(seed, threads, None);
             assert!(
                 events
                     .iter()
-                    .any(|e| matches!(e, FabricEvent::Failure { .. })),
+                    .any(|e| matches!(e, MeshEvent::Failure { .. })),
                 "seed {seed}: chaos injected no faults — rates too low to test anything"
             );
         }
@@ -173,12 +192,14 @@ fn chaos_differential_is_byte_identical_to_local_search() {
 
 /// Replaying the same seed yields the same decision log, event for
 /// event: retries, backoff intervals, breaker transitions, failover
-/// order. Timing noise must not leak into decisions.
+/// order. Timing noise must not leak into decisions. The replay's
+/// proxies listen on the first run's endpoints, so both runs route on
+/// the same ring.
 #[test]
 fn chaos_decision_log_replays_identically_for_a_seed() {
     let seed = seeds()[0];
-    let first = run_chaos_schedule(seed, 1);
-    let second = run_chaos_schedule(seed, 1);
+    let (first, endpoints) = run_chaos_schedule(seed, 1, None);
+    let (second, _) = run_chaos_schedule(seed, 1, Some(&endpoints));
     assert_eq!(
         first, second,
         "seed {seed}: two runs of the same seed diverged"
@@ -202,22 +223,23 @@ fn chaos_with_hedging_still_completes_and_agrees() {
         .map(|ep| ChaosProxy::start(ep, chaos_config(seed)).expect("start proxy"))
         .collect();
     let endpoints: Vec<String> = proxies.iter().map(|p| p.endpoint().to_string()).collect();
-    let mut fabric = ResilientClient::new(
+    let mut client = MeshClient::new(
         &endpoints,
-        ResilientConfig {
+        MeshConfig {
             hedge_after: Some(Duration::from_millis(60)),
-            ..fabric_config(seed)
+            ..client_config(seed)
         },
     )
-    .expect("fabric");
+    .expect("client");
 
     let problems = problems();
     for (i, stencil) in problems.iter().enumerate() {
         if i == 2 {
-            set.kill(0).expect("replica 0 was up");
+            let home = home_of(&client, stencil);
+            set.kill(home).expect("the home replica was up");
         }
         let (uov, cost, hash) = local_truth(stencil);
-        let resp = fabric
+        let resp = client
             .plan(&request(stencil))
             .unwrap_or_else(|e| panic!("hedged request {i} failed: {e}"));
         assert_eq!(resp.uov, uov);

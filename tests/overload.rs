@@ -16,9 +16,10 @@
 //!    certificate transcript hash of a local certification of the same
 //!    `(stencil, uov)`, so answers are byte-identical across
 //!    `search_threads` 1 and 8 and across every seed.
-//! 3. **Faults compose**: a symmetric partition of one replica and an
-//!    abrupt kill + restart of another happen mid-schedule; the
-//!    resilient fabric's failover keeps the compliant view at 1.0.
+//! 3. **Faults compose**: a symmetric partition of one request's ring
+//!    home and an abrupt kill + restart of another's happen
+//!    mid-schedule; the routed client's failover keeps the compliant
+//!    view at 1.0.
 //! 4. **Zero panics**, and the hog's excess is visibly counted
 //!    (`shed_over_quota`).
 //!
@@ -38,9 +39,8 @@ use uov::core::search::{
 use uov::core::SearchResult;
 use uov::isg::{ivec, IVec, Stencil};
 use uov::service::{
-    ChaosConfig, ChaosProxy, Client, DegradationCode, ErrorCode, ObjectiveSpec, PlanRequest,
-    QuotaConfig, ReplicaSet, ResilientClient, ResilientConfig, ServerConfig, ServiceError,
-    TenantQuota,
+    ChaosConfig, ChaosProxy, Client, DegradationCode, ErrorCode, MeshClient, MeshConfig,
+    ObjectiveSpec, PlanRequest, QuotaConfig, ReplicaSet, ServerConfig, ServiceError, TenantQuota,
 };
 
 const COMPLIANT: u32 = 1;
@@ -124,10 +124,10 @@ fn soak_config(search_threads: usize) -> ServerConfig {
     }
 }
 
-fn fabric_config(seed: u64) -> ResilientConfig {
-    ResilientConfig {
+fn client_config(seed: u64) -> MeshConfig {
+    MeshConfig {
         attempt_timeout: Duration::from_millis(400),
-        max_attempts: 40,
+        max_route_attempts: 40,
         backoff_base: Duration::from_millis(1),
         backoff_max: Duration::from_millis(4),
         seed,
@@ -135,6 +135,7 @@ fn fabric_config(seed: u64) -> ResilientConfig {
         cooldown: 4,
         hedge_after: None,
         hedge_verify: false,
+        ..MeshConfig::default()
     }
 }
 
@@ -205,8 +206,8 @@ fn run_soak(seed: u64, search_threads: usize) {
         })
         .collect();
     let endpoints: Vec<String> = proxies.iter().map(|p| p.endpoint().to_string()).collect();
-    let mut fabric = ResilientClient::new(&endpoints, fabric_config(seed)).expect("fabric");
-    fabric.set_tenant(COMPLIANT);
+    let mut client = MeshClient::new(&endpoints, client_config(seed)).expect("client");
+    client.set_tenant(COMPLIANT);
 
     let problems = problems();
     let truths: Vec<Truth> = problems.iter().map(truth_of).collect();
@@ -231,21 +232,27 @@ fn run_soak(seed: u64, search_threads: usize) {
         .collect();
 
     // Two passes over the problems with faults woven in: a symmetric
-    // partition of replica 1's proxy, then an abrupt kill + restart of
-    // replica 0. Every compliant request must complete.
+    // partition of the proxy in front of one request's ring home, then an
+    // abrupt kill + restart of another request's home. Every compliant
+    // request must complete.
     let schedule: Vec<usize> = (0..problems.len()).chain(0..problems.len()).collect();
+    let home_of = |step: usize| {
+        let req = request(&problems[schedule[step]]);
+        client.ring().route(MeshClient::routing_key(&req))
+    };
+    let (partitioned, killed) = (home_of(2), home_of(5));
     let mut compliant_ok = 0u64;
     for (step, &p) in schedule.iter().enumerate() {
         match step {
-            2 => proxies[1].partition_symmetric(),
-            4 => proxies[1].heal(),
+            2 => proxies[partitioned].partition_symmetric(),
+            4 => proxies[partitioned].heal(),
             5 => {
-                set.kill(0);
+                set.kill(killed);
             }
-            7 => set.restart(0).expect("restart replica 0"),
+            7 => set.restart(killed).expect("restart the killed home"),
             _ => {}
         }
-        let resp = fabric.plan(&request(&problems[p])).unwrap_or_else(|e| {
+        let resp = client.plan(&request(&problems[p])).unwrap_or_else(|e| {
             panic!("seed {seed}, threads {search_threads}, step {step}: compliant request failed — availability < 1.0: {e}")
         });
         compliant_ok += 1;
