@@ -5,7 +5,7 @@ use std::time::Duration;
 
 use crate::error::ServiceError;
 use crate::proto::{
-    kind, read_frame, write_frame_tenant, BatchRequest, BatchResponse, ErrorResponse,
+    kind, read_frame, write_frame, BatchRequest, BatchResponse, ErrorResponse, Frame,
     HealthResponse, PlanRequest, PlanResponse, ReplicateRequest, ReplicateResponse, StatsResponse,
     WorkUnitRequest, WorkUnitResponse,
 };
@@ -108,11 +108,7 @@ impl Client {
 
     /// One request/response exchange, retried once over a fresh
     /// connection when the socket turns out to be stale.
-    fn exchange(
-        &mut self,
-        req_kind: u8,
-        payload: &[u8],
-    ) -> Result<Option<(u8, Vec<u8>)>, ServiceError> {
+    fn exchange(&mut self, req_kind: u8, payload: &[u8]) -> Result<Option<Frame>, ServiceError> {
         match self.exchange_once(req_kind, payload) {
             Err(e) if Self::is_stale_socket(&e) => {
                 self.reconnect()?;
@@ -134,8 +130,8 @@ impl Client {
         &mut self,
         req_kind: u8,
         payload: &[u8],
-    ) -> Result<Option<(u8, Vec<u8>)>, ServiceError> {
-        write_frame_tenant(&mut self.stream, req_kind, self.tenant, payload)?;
+    ) -> Result<Option<Frame>, ServiceError> {
+        write_frame(&mut self.stream, req_kind, self.tenant, payload)?;
         read_frame(&mut self.stream)
     }
 
@@ -144,23 +140,25 @@ impl Client {
     /// any other kind as [`ServiceError::Malformed`], and no frame at all
     /// as [`ServiceError::ConnectionClosed`].
     fn response<T>(
-        frame: Option<(u8, Vec<u8>)>,
+        frame: Option<Frame>,
         expected: u8,
         decode: fn(&[u8]) -> Result<T, ServiceError>,
     ) -> Result<T, ServiceError> {
-        match frame {
-            Some((k, payload)) if k == expected => decode(&payload),
-            Some((kind::RESP_ERROR, payload)) => {
-                let err = ErrorResponse::decode(&payload)?;
+        let Some(frame) = frame else {
+            return Err(ServiceError::ConnectionClosed);
+        };
+        match frame.kind {
+            k if k == expected => decode(&frame.payload),
+            kind::RESP_ERROR => {
+                let err = ErrorResponse::decode(&frame.payload)?;
                 Err(ServiceError::Rejected {
                     code: err.code,
                     msg: err.msg,
                 })
             }
-            Some((other, _)) => Err(ServiceError::Malformed(format!(
+            other => Err(ServiceError::Malformed(format!(
                 "unexpected response frame kind {other} (expected {expected})"
             ))),
-            None => Err(ServiceError::ConnectionClosed),
         }
     }
 
@@ -238,7 +236,7 @@ impl Client {
     ///
     /// The transport taxonomy of [`read_frame`], plus timeout `Io`
     /// errors when nothing arrives within `wait`.
-    pub fn recv_pending(&mut self, wait: Duration) -> Result<Option<(u8, Vec<u8>)>, ServiceError> {
+    pub fn recv_pending(&mut self, wait: Duration) -> Result<Option<Frame>, ServiceError> {
         self.stream.set_read_timeout(Some(wait))?;
         let got = read_frame(&mut self.stream);
         // Restore the configured timeout even on error paths; a failed

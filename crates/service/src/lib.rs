@@ -7,9 +7,10 @@
 //!
 //! * [`proto`] — a length-prefixed, CRC-checked binary protocol
 //!   (`PlanRequest` → `PlanResponse`) built on the same
-//!   [`uov_core::wire`] primitives as the checkpoint format.
-//! * [`server`] — an event-driven readiness loop (epoll on Linux, poll
-//!   elsewhere) feeding a fixed compute pool through a weighted-fair
+//!   [`uov_core::wire`] primitives as the checkpoint format, and the one
+//!   frame codec every reader and writer in the crate uses.
+//! * [`server`] — an epoll readiness loop (so the crate builds on Linux
+//!   only) feeding a fixed compute pool through a weighted-fair
 //!   per-tenant scheduler: typed admission control (`Overloaded`),
 //!   per-tenant token-bucket quotas and in-flight caps, idle/slow-loris
 //!   read deadlines, degrade-under-pressure to the certified `Σvᵢ` fast

@@ -115,6 +115,7 @@ use uov_isg::{IVec, Stencil};
 use crate::canon::canonicalize;
 use crate::client::Client;
 use crate::error::{ErrorCode, ServiceError};
+use crate::loadgen::XorShift64;
 use crate::proto::{
     kind, BatchRequest, BatchResponse, CacheOutcome, DegradationCode, ErrorResponse, ObjectiveSpec,
     PlanRequest, PlanResponse, ReplicateRequest, StatsResponse, WorkUnitRequest, WorkUnitResponse,
@@ -491,24 +492,6 @@ impl Breaker {
     /// Whether the breaker lets traffic through.
     fn admits(self) -> bool {
         !matches!(self, Breaker::Open { .. })
-    }
-}
-
-/// The deterministic xorshift64 generator behind the backoff jitter.
-struct XorShift64(u64);
-
-impl XorShift64 {
-    fn new(seed: u64) -> Self {
-        XorShift64(seed.max(1))
-    }
-
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x
     }
 }
 
@@ -1325,8 +1308,8 @@ impl MeshClient {
         let zombies = std::mem::take(&mut self.zombies);
         for mut z in zombies {
             match z.client.recv_pending(wait) {
-                Ok(Some((kind::RESP_WORKUNIT, payload))) => {
-                    let epoch = WorkUnitResponse::decode(&payload)
+                Ok(Some(frame)) if frame.kind == kind::RESP_WORKUNIT => {
+                    let epoch = WorkUnitResponse::decode(&frame.payload)
                         .ok()
                         .and_then(|r| decode_snapshot(&r.snapshot).ok())
                         .map_or(z.epoch, |s| s.epoch);
@@ -1883,7 +1866,7 @@ fn run_unit(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto::{read_frame, write_frame};
+    use crate::proto::{read_frame, write_frame, Frame};
     use crate::server::{serve, QuotaConfig, ServerConfig, TenantQuota};
     use std::net::TcpListener;
     use uov_core::search::{find_best_uov, Objective};
@@ -2031,9 +2014,13 @@ mod tests {
                     cache: CacheOutcome::Miss,
                 };
                 thread::spawn(move || {
-                    while let Ok(Some((kind::REQ_PLAN, _))) = read_frame(&mut s) {
+                    while let Ok(Some(Frame {
+                        kind: kind::REQ_PLAN,
+                        ..
+                    })) = read_frame(&mut s)
+                    {
                         thread::sleep(delay);
-                        if write_frame(&mut s, kind::RESP_PLAN, &resp.encode()).is_err() {
+                        if write_frame(&mut s, kind::RESP_PLAN, 0, &resp.encode()).is_err() {
                             break;
                         }
                     }

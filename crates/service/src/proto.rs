@@ -25,14 +25,21 @@
 //! crc     u32 LE CRC-32 over the whole header ‖ payload
 //! ```
 //!
-//! Readers accept both versions; a version-1 frame is tenant 0 (the
-//! anonymous tenant). The header is fixed-size per version and the
-//! version field sits at a fixed offset, so a reader always knows how
-//! much to pull before trusting anything; `len` is validated against
-//! [`MAX_PAYLOAD`] *before* any allocation, so a hostile length prefix
-//! cannot balloon memory. The CRC covers the header too — a bit flip
-//! anywhere in the frame is detected. Encoding reuses the same
-//! [`uov_core::wire`] primitives as the checkpoint format.
+//! Writers use version 1 for tenant 0 (the anonymous tenant) and
+//! version 2 otherwise; readers accept both, a version-1 frame being
+//! tenant 0. The header is fixed-size per version and the version field
+//! sits at a fixed offset, so a reader always knows how much to pull
+//! before trusting anything; `len` is validated against [`MAX_PAYLOAD`]
+//! *before* any allocation, so a hostile length prefix cannot balloon
+//! memory. The CRC covers the header too — a bit flip anywhere in the
+//! frame is detected. Encoding reuses the same [`uov_core::wire`]
+//! primitives as the checkpoint format.
+//!
+//! This module is the only code that knows the frame layout:
+//! [`encode_frame`]/[`write_frame`] build frames, the server's event loop
+//! parses them incrementally with [`parse_frame`], and blocking readers
+//! (the client, the chaos proxy) pull them with [`read_frame`] through
+//! the same header parse.
 
 use std::io::{self, Read, Write};
 
@@ -524,27 +531,45 @@ impl StatsResponse {
 
 // ---------------------------------------------------------------- frames
 
-/// Encode one version-1 frame (anonymous tenant): header, payload,
-/// trailing CRC.
-pub fn encode_frame(kind: u8, payload: &[u8]) -> Vec<u8> {
-    let mut e = Encoder::with_capacity(HEADER_LEN + payload.len() + 4);
-    e.buf.extend_from_slice(MAGIC);
-    e.u16(VERSION);
-    e.u8(kind);
-    e.u32(payload.len() as u32);
-    e.buf.extend_from_slice(payload);
-    let crc = crc32(&e.buf);
-    e.u32(crc);
-    e.buf
+/// Bytes of magic, version and kind: enough to know a header's length.
+const PREFIX_LEN: usize = 4 + 2 + 1;
+
+/// The largest frame a peer may send: a version-2 header, a
+/// [`MAX_PAYLOAD`] payload and the CRC.
+pub(crate) const MAX_FRAME_LEN: usize = HEADER_LEN_TENANT + MAX_PAYLOAD as usize + 4;
+
+/// One CRC-verified frame.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Frame {
+    /// The frame kind (see [`kind`]).
+    pub kind: u8,
+    /// The tenant id of a version-2 header; 0 for version 1.
+    pub tenant: u32,
+    /// The payload bytes.
+    pub payload: Vec<u8>,
 }
 
-/// Encode one version-2 frame carrying a tenant id in the header.
-pub fn encode_frame_tenant(kind: u8, tenant: u32, payload: &[u8]) -> Vec<u8> {
+/// A parsed frame header: the frame's kind, tenant and extent.
+pub(crate) struct FrameHeader {
+    kind: u8,
+    tenant: u32,
+    /// Header bytes: [`HEADER_LEN`] or [`HEADER_LEN_TENANT`].
+    pub(crate) header_len: usize,
+    /// The whole frame's bytes: header, payload and CRC.
+    pub(crate) frame_len: usize,
+}
+
+/// Encode one frame: version 1 for tenant 0 (the anonymous tenant, byte
+/// for byte the pre-tenant layout), version 2 carrying `tenant`
+/// otherwise.
+pub fn encode_frame(kind: u8, tenant: u32, payload: &[u8]) -> Vec<u8> {
     let mut e = Encoder::with_capacity(HEADER_LEN_TENANT + payload.len() + 4);
     e.buf.extend_from_slice(MAGIC);
-    e.u16(VERSION_TENANT);
+    e.u16(if tenant == 0 { VERSION } else { VERSION_TENANT });
     e.u8(kind);
-    e.u32(tenant);
+    if tenant != 0 {
+        e.u32(tenant);
+    }
     e.u32(payload.len() as u32);
     e.buf.extend_from_slice(payload);
     let crc = crc32(&e.buf);
@@ -552,124 +577,164 @@ pub fn encode_frame_tenant(kind: u8, tenant: u32, payload: &[u8]) -> Vec<u8> {
     e.buf
 }
 
-/// Write one version-1 frame to a stream.
+/// Write one [`encode_frame`] frame to a stream.
 ///
 /// # Errors
 ///
 /// [`ServiceError::Io`] on any socket failure.
-pub fn write_frame(w: &mut impl Write, kind: u8, payload: &[u8]) -> Result<(), ServiceError> {
-    let frame = encode_frame(kind, payload);
-    w.write_all(&frame)?;
-    w.flush()?;
-    Ok(())
-}
-
-/// Write one frame, as version 1 for tenant 0 (byte-identical to the
-/// pre-tenant protocol) and version 2 otherwise.
-///
-/// # Errors
-///
-/// [`ServiceError::Io`] on any socket failure.
-pub fn write_frame_tenant(
+pub fn write_frame(
     w: &mut impl Write,
     kind: u8,
     tenant: u32,
     payload: &[u8],
 ) -> Result<(), ServiceError> {
-    let frame = if tenant == 0 {
-        encode_frame(kind, payload)
-    } else {
-        encode_frame_tenant(kind, tenant, payload)
-    };
-    w.write_all(&frame)?;
+    w.write_all(&encode_frame(kind, tenant, payload))?;
     w.flush()?;
     Ok(())
 }
 
-/// Read one frame from a stream.
+/// The header length the version at the front of `buf` (at least
+/// `PREFIX_LEN` bytes) implies, after checking the magic.
+fn header_len(buf: &[u8]) -> Result<usize, ServiceError> {
+    if &buf[..4] != MAGIC {
+        return Err(ServiceError::BadMagic);
+    }
+    match u16::from_le_bytes([buf[4], buf[5]]) {
+        VERSION => Ok(HEADER_LEN),
+        VERSION_TENANT => Ok(HEADER_LEN_TENANT),
+        other => Err(ServiceError::UnsupportedVersion(other)),
+    }
+}
+
+/// Parse the frame header at the front of `buf`; `Ok(None)` until the
+/// whole header is there. Bad magic and unknown versions are rejected as
+/// soon as their bytes are present, and an oversized declared length
+/// from the header alone, before any payload arrives or is allocated.
+pub(crate) fn parse_header(buf: &[u8]) -> Result<Option<FrameHeader>, ServiceError> {
+    if buf.len() < PREFIX_LEN {
+        return Ok(None);
+    }
+    let header_len = header_len(buf)?;
+    if buf.len() < header_len {
+        return Ok(None);
+    }
+    let len = le_u32(&buf[header_len - 4..]);
+    if len > MAX_PAYLOAD {
+        return Err(ServiceError::FrameTooLarge(len));
+    }
+    Ok(Some(FrameHeader {
+        kind: buf[PREFIX_LEN - 1],
+        tenant: if header_len == HEADER_LEN {
+            0
+        } else {
+            le_u32(&buf[PREFIX_LEN..])
+        },
+        header_len,
+        frame_len: header_len + len as usize + 4,
+    }))
+}
+
+/// The little-endian `u32` at the front of `b`.
+fn le_u32(b: &[u8]) -> u32 {
+    u32::from_le_bytes([b[0], b[1], b[2], b[3]])
+}
+
+/// Check the trailing CRC of one whole frame's bytes and build the frame.
+fn verified(bytes: &[u8], header: &FrameHeader) -> Result<Frame, ServiceError> {
+    let body = bytes.len() - 4;
+    if crc32(&bytes[..body]) != le_u32(&bytes[body..]) {
+        return Err(ServiceError::CrcMismatch);
+    }
+    Ok(Frame {
+        kind: header.kind,
+        tenant: header.tenant,
+        payload: bytes[header.header_len..body].to_vec(),
+    })
+}
+
+/// Incrementally parse one frame from the front of `buf`. `Ok(None)`
+/// means more bytes are needed; `Ok(Some((frame, consumed)))` is one
+/// complete, CRC-verified frame of `consumed` bytes; `Err` means the
+/// stream is no longer at a trustable frame boundary.
+///
+/// # Errors
+///
+/// [`ServiceError::BadMagic`], [`ServiceError::UnsupportedVersion`],
+/// [`ServiceError::FrameTooLarge`] (from the header alone) or
+/// [`ServiceError::CrcMismatch`].
+pub fn parse_frame(buf: &[u8]) -> Result<Option<(Frame, usize)>, ServiceError> {
+    let Some(header) = parse_header(buf)? else {
+        return Ok(None);
+    };
+    let Some(bytes) = buf.get(..header.frame_len) else {
+        return Ok(None);
+    };
+    Ok(Some((verified(bytes, &header)?, header.frame_len)))
+}
+
+/// Read one frame from a blocking stream: [`parse_frame`]'s checks, in
+/// the same order, on bytes pulled as the header asks for them.
 ///
 /// Returns `Ok(None)` when the peer closes cleanly at a frame boundary
 /// (EOF before any header byte). A close mid-frame is
-/// [`ServiceError::ConnectionClosed`]. The declared payload length is
-/// checked against [`MAX_PAYLOAD`] *before* the payload buffer is
-/// allocated.
+/// [`ServiceError::ConnectionClosed`], and read timeouts pass through as
+/// [`ServiceError::Io`].
 ///
 /// # Errors
 ///
-/// The protocol taxonomy: [`ServiceError::BadMagic`],
-/// [`ServiceError::UnsupportedVersion`], [`ServiceError::FrameTooLarge`],
-/// [`ServiceError::CrcMismatch`], [`ServiceError::ConnectionClosed`], or
+/// The errors of [`parse_frame`], [`ServiceError::ConnectionClosed`] or
 /// [`ServiceError::Io`].
-pub fn read_frame(r: &mut impl Read) -> Result<Option<(u8, Vec<u8>)>, ServiceError> {
-    Ok(read_frame_tenant(r)?.map(|(kind, _tenant, payload)| (kind, payload)))
+pub fn read_frame(r: &mut impl Read) -> Result<Option<Frame>, ServiceError> {
+    let mut bytes = Vec::with_capacity(HEADER_LEN_TENANT);
+    match read_raw_frame(r, &mut bytes)? {
+        Some(header) => Ok(Some(verified(&bytes, &header)?)),
+        None => Ok(None),
+    }
 }
 
-/// Read one frame from a stream, accepting both protocol versions and
-/// surfacing the tenant id (0 for version-1 frames). Otherwise identical
-/// to [`read_frame`].
-///
-/// # Errors
-///
-/// The protocol taxonomy of [`read_frame`].
-pub fn read_frame_tenant(r: &mut impl Read) -> Result<Option<(u8, u32, Vec<u8>)>, ServiceError> {
-    // Magic ‖ version ‖ kind first: the version decides the header size.
-    let mut prefix = [0u8; 7];
+/// Read one frame's bytes, unverified, into `bytes` (cleared first),
+/// pulling exactly as many as [`parse_header`] and then the header's
+/// length ask for — never a byte of the next frame. `Ok(None)` on a
+/// clean EOF before the first byte. On a header error `bytes` holds
+/// exactly what was read, so the chaos proxy can forward it opaquely.
+pub(crate) fn read_raw_frame(
+    r: &mut impl Read,
+    bytes: &mut Vec<u8>,
+) -> Result<Option<FrameHeader>, ServiceError> {
+    bytes.clear();
+    bytes.push(0);
     // First byte separately: EOF here is a clean close, not an error.
-    let mut first = [0u8; 1];
     loop {
-        match r.read(&mut first) {
+        match r.read(bytes) {
             Ok(0) => return Ok(None),
             Ok(_) => break,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(e) => return Err(ServiceError::Io(e)),
         }
     }
-    prefix[0] = first[0];
-    read_exact_or_closed(r, &mut prefix[1..])?;
-
-    if &prefix[..4] != MAGIC {
-        return Err(ServiceError::BadMagic);
-    }
-    let version = u16::from_le_bytes([prefix[4], prefix[5]]);
-    let kind = prefix[6];
-    let rest_len = match version {
-        VERSION => 4,
-        VERSION_TENANT => 8,
-        other => return Err(ServiceError::UnsupportedVersion(other)),
+    let header = loop {
+        if let Some(header) = parse_header(bytes)? {
+            break header;
+        }
+        // Magic ‖ version ‖ kind first: the version decides the rest.
+        let need = if bytes.len() < PREFIX_LEN {
+            PREFIX_LEN
+        } else {
+            header_len(bytes)?
+        };
+        read_to(r, bytes, need)?;
     };
-    let mut rest = [0u8; 8];
-    read_exact_or_closed(r, &mut rest[..rest_len])?;
-    let (tenant, len) = if version == VERSION {
-        (0, u32::from_le_bytes([rest[0], rest[1], rest[2], rest[3]]))
-    } else {
-        (
-            u32::from_le_bytes([rest[0], rest[1], rest[2], rest[3]]),
-            u32::from_le_bytes([rest[4], rest[5], rest[6], rest[7]]),
-        )
-    };
-    if len > MAX_PAYLOAD {
-        return Err(ServiceError::FrameTooLarge(len));
-    }
-    let mut payload = vec![0u8; len as usize];
-    read_exact_or_closed(r, &mut payload)?;
-    let mut crc_bytes = [0u8; 4];
-    read_exact_or_closed(r, &mut crc_bytes)?;
-    let declared = u32::from_le_bytes(crc_bytes);
-
-    let mut h = Encoder::with_capacity(prefix.len() + rest_len + payload.len());
-    h.buf.extend_from_slice(&prefix);
-    h.buf.extend_from_slice(&rest[..rest_len]);
-    h.buf.extend_from_slice(&payload);
-    if crc32(&h.buf) != declared {
-        return Err(ServiceError::CrcMismatch);
-    }
-    Ok(Some((kind, tenant, payload)))
+    read_to(r, bytes, header.frame_len)?;
+    Ok(Some(header))
 }
 
-/// `read_exact` mapping an EOF mid-structure to `ConnectionClosed` — the
-/// half-open / torn-frame signal — and passing timeouts through as `Io`.
-fn read_exact_or_closed(r: &mut impl Read, buf: &mut [u8]) -> Result<(), ServiceError> {
-    match r.read_exact(buf) {
+/// Grow `bytes` to `len` with bytes read from `r`: an EOF is
+/// `ConnectionClosed` — the half-open / torn-frame signal — and timeouts
+/// pass through as `Io`.
+fn read_to(r: &mut impl Read, bytes: &mut Vec<u8>, len: usize) -> Result<(), ServiceError> {
+    let from = bytes.len();
+    bytes.resize(len, 0);
+    match r.read_exact(&mut bytes[from..]) {
         Ok(()) => Ok(()),
         Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => Err(ServiceError::ConnectionClosed),
         Err(e) => Err(ServiceError::Io(e)),
@@ -1509,53 +1574,96 @@ mod tests {
     #[test]
     fn frame_round_trips_through_a_stream() {
         let req = fig1_request();
-        let frame = encode_frame(kind::REQ_PLAN, &req.encode());
-        let mut cursor = io::Cursor::new(frame);
-        let (k, payload) = read_frame(&mut cursor).unwrap().unwrap();
-        assert_eq!(k, kind::REQ_PLAN);
-        assert_eq!(PlanRequest::decode(&payload).unwrap(), req);
+        let frame = encode_frame(kind::REQ_PLAN, 0, &req.encode());
+        let mut cursor = io::Cursor::new(frame.clone());
+        let got = read_frame(&mut cursor).unwrap().unwrap();
+        assert_eq!((got.kind, got.tenant), (kind::REQ_PLAN, 0));
+        assert_eq!(PlanRequest::decode(&got.payload).unwrap(), req);
         // A second read at EOF is a clean close.
         assert!(read_frame(&mut cursor).unwrap().is_none());
+        // The incremental parser stops at the frame boundary: a buffer
+        // holding two frames yields the first and its exact length.
+        let second = encode_frame(kind::REQ_HEALTH, 5, &[]);
+        let both = [frame.as_slice(), second.as_slice()].concat();
+        let (first, used) = parse_frame(&both).unwrap().unwrap();
+        assert_eq!((first, used), (got, frame.len()));
+        let (next, used) = parse_frame(&both[frame.len()..]).unwrap().unwrap();
+        assert_eq!(
+            (next.kind, next.tenant, used),
+            (kind::REQ_HEALTH, 5, second.len())
+        );
     }
 
     #[test]
     fn oversized_length_prefix_is_rejected_before_allocation() {
-        let mut frame = encode_frame(kind::REQ_PLAN, &[]);
-        // Corrupt the length field to declare a 3 GiB payload.
+        let mut frame = encode_frame(kind::REQ_PLAN, 0, &[]);
+        // Corrupt the length field to declare a 3 GiB payload: both
+        // readers reject it from the header bytes alone.
         frame[7..11].copy_from_slice(&(3u32 << 30).to_le_bytes());
-        let mut cursor = io::Cursor::new(frame);
-        match read_frame(&mut cursor) {
-            Err(ServiceError::FrameTooLarge(n)) => assert_eq!(n, 3 << 30),
-            other => panic!("expected FrameTooLarge, got {other:?}"),
+        assert_eq!(
+            agreed_verdict(&frame[..HEADER_LEN]),
+            Err(ServiceError::FrameTooLarge(3 << 30).to_string())
+        );
+    }
+
+    /// Run `bytes` through both `parse_frame` and `read_frame` and require
+    /// one verdict: the same frame (consuming all of `bytes`), the same
+    /// error, or "needs more bytes" where the stream reader, which then
+    /// meets EOF, reports `ConnectionClosed` (or a clean close before the
+    /// first byte). Returns the shared verdict.
+    fn agreed_verdict(bytes: &[u8]) -> Result<Option<Frame>, String> {
+        let parsed = parse_frame(bytes);
+        let read = read_frame(&mut io::Cursor::new(bytes));
+        match (parsed, read) {
+            (Ok(Some((a, used))), Ok(Some(b))) if a == b && used == bytes.len() => Ok(Some(a)),
+            (Ok(None), Ok(None)) if bytes.is_empty() => Ok(None),
+            (Ok(None), Err(ServiceError::ConnectionClosed)) if !bytes.is_empty() => {
+                Err(ServiceError::ConnectionClosed.to_string())
+            }
+            (Err(a), Err(b)) if format!("{a:?}") == format!("{b:?}") => Err(a.to_string()),
+            (parsed, read) => panic!("parse_frame {parsed:?} but read_frame {read:?}"),
         }
     }
 
-    #[test]
-    fn every_single_bit_flip_is_detected() {
-        let frame = encode_frame(kind::REQ_PLAN, &fig1_request().encode());
+    /// Every single-bit flip of `frame` is rejected, alike by both readers.
+    fn assert_every_flip_detected(frame: &[u8]) {
         for byte in 0..frame.len() {
             for bit in 0..8 {
-                let mut flipped = frame.clone();
+                let mut flipped = frame.to_vec();
                 flipped[byte] ^= 1 << bit;
-                let mut cursor = io::Cursor::new(flipped);
                 assert!(
-                    read_frame(&mut cursor).is_err(),
+                    agreed_verdict(&flipped).is_err(),
                     "undetected flip at byte {byte} bit {bit}"
                 );
             }
         }
     }
 
+    /// Every proper prefix of `frame` is a torn frame to both readers
+    /// (the empty one a clean close), and the whole frame reads back.
+    fn assert_every_truncation_clean(frame: &[u8], tenant: u32) {
+        assert_eq!(agreed_verdict(&[]), Ok(None));
+        for cut in 1..frame.len() {
+            assert_eq!(
+                agreed_verdict(&frame[..cut]),
+                Err(ServiceError::ConnectionClosed.to_string()),
+                "cut at {cut}"
+            );
+        }
+        let whole = agreed_verdict(frame).unwrap().unwrap();
+        assert_eq!((whole.kind, whole.tenant), (kind::REQ_PLAN, tenant));
+        assert_eq!(whole.payload, fig1_request().encode());
+    }
+
+    #[test]
+    fn every_single_bit_flip_is_detected() {
+        assert_every_flip_detected(&encode_frame(kind::REQ_PLAN, 0, &fig1_request().encode()));
+    }
+
     #[test]
     fn every_truncation_is_clean() {
-        let frame = encode_frame(kind::REQ_PLAN, &fig1_request().encode());
-        for cut in 1..frame.len() {
-            let mut cursor = io::Cursor::new(frame[..cut].to_vec());
-            match read_frame(&mut cursor) {
-                Err(ServiceError::ConnectionClosed) => {}
-                other => panic!("cut at {cut}: expected ConnectionClosed, got {other:?}"),
-            }
-        }
+        let frame = encode_frame(kind::REQ_PLAN, 0, &fig1_request().encode());
+        assert_every_truncation_clean(&frame, 0);
     }
 
     #[test]
@@ -1603,93 +1711,87 @@ mod tests {
 
     #[test]
     fn wrong_version_and_magic_are_rejected() {
-        let mut frame = encode_frame(kind::REQ_PLAN, &[]);
-        frame[0] = b'X';
-        // Recompute the CRC so only the magic is wrong.
-        let body_len = frame.len() - 4;
-        let crc = crc32(&frame[..body_len]);
-        frame[body_len..].copy_from_slice(&crc.to_le_bytes());
-        let mut cursor = io::Cursor::new(frame);
-        assert!(matches!(
-            read_frame(&mut cursor),
-            Err(ServiceError::BadMagic)
-        ));
-
-        let mut frame = encode_frame(kind::REQ_PLAN, &[]);
-        frame[4..6].copy_from_slice(&9u16.to_le_bytes());
-        let body_len = frame.len() - 4;
-        let crc = crc32(&frame[..body_len]);
-        frame[body_len..].copy_from_slice(&crc.to_le_bytes());
-        let mut cursor = io::Cursor::new(frame);
-        assert!(matches!(
-            read_frame(&mut cursor),
-            Err(ServiceError::UnsupportedVersion(9))
-        ));
+        // Overwrite header bytes at `at` and re-seal the CRC, so only the
+        // header field is wrong.
+        let resealed = |at: usize, bytes: &[u8]| {
+            let mut frame = encode_frame(kind::REQ_PLAN, 0, &[]);
+            frame[at..at + bytes.len()].copy_from_slice(bytes);
+            let body_len = frame.len() - 4;
+            let crc = crc32(&frame[..body_len]);
+            frame[body_len..].copy_from_slice(&crc.to_le_bytes());
+            frame
+        };
+        assert_eq!(
+            agreed_verdict(&resealed(0, b"X")),
+            Err(ServiceError::BadMagic.to_string())
+        );
+        assert_eq!(
+            agreed_verdict(&resealed(4, &9u16.to_le_bytes())),
+            Err(ServiceError::UnsupportedVersion(9).to_string())
+        );
     }
 
     #[test]
     fn tenant_frames_round_trip_and_interoperate() {
         let payload = fig1_request().encode();
         // A v2 frame carries its tenant id through intact.
-        let frame = encode_frame_tenant(kind::REQ_PLAN, 7, &payload);
+        let frame = encode_frame(kind::REQ_PLAN, 7, &payload);
         let mut cursor = io::Cursor::new(frame);
-        let (k, tenant, back) = read_frame_tenant(&mut cursor).unwrap().unwrap();
-        assert_eq!((k, tenant), (kind::REQ_PLAN, 7));
-        assert_eq!(back, payload);
-        assert!(read_frame_tenant(&mut cursor).unwrap().is_none());
+        let got = read_frame(&mut cursor).unwrap().unwrap();
+        assert_eq!((got.kind, got.tenant), (kind::REQ_PLAN, 7));
+        assert_eq!(got.payload, payload);
+        assert!(read_frame(&mut cursor).unwrap().is_none());
         // A v1 frame reads as tenant 0 through the same entry point.
-        let mut cursor = io::Cursor::new(encode_frame(kind::REQ_PLAN, &payload));
-        let (k, tenant, back) = read_frame_tenant(&mut cursor).unwrap().unwrap();
-        assert_eq!((k, tenant), (kind::REQ_PLAN, 0));
-        assert_eq!(back, payload);
+        let mut cursor = io::Cursor::new(encode_frame(kind::REQ_PLAN, 0, &payload));
+        let got = read_frame(&mut cursor).unwrap().unwrap();
+        assert_eq!((got.kind, got.tenant), (kind::REQ_PLAN, 0));
+        assert_eq!(got.payload, payload);
         // Tenant 0 writes the v1 layout byte for byte, so old servers
-        // never see a version they cannot parse.
+        // never see a version they cannot parse; any other tenant writes
+        // v2. Both layouts are pinned to the bytes the protocol has
+        // always produced.
         let mut wire = Vec::new();
-        write_frame_tenant(&mut wire, kind::REQ_PLAN, 0, &payload).unwrap();
-        assert_eq!(wire, encode_frame(kind::REQ_PLAN, &payload));
+        write_frame(&mut wire, kind::REQ_PLAN, 0, &[1, 2, 3]).unwrap();
+        assert_eq!(
+            wire,
+            [85, 79, 86, 83, 1, 0, 1, 3, 0, 0, 0, 1, 2, 3, 82, 244, 137, 98]
+        );
         let mut wire = Vec::new();
-        write_frame_tenant(&mut wire, kind::REQ_PLAN, 9, &payload).unwrap();
-        assert_eq!(wire, encode_frame_tenant(kind::REQ_PLAN, 9, &payload));
+        write_frame(&mut wire, kind::REQ_PLAN, 9, &[1, 2, 3]).unwrap();
+        assert_eq!(
+            wire,
+            [85, 79, 86, 83, 2, 0, 1, 9, 0, 0, 0, 3, 0, 0, 0, 1, 2, 3, 237, 14, 180, 18]
+        );
+        assert_eq!(
+            encode_frame(kind::RESP_HEALTH, 0, &[]),
+            [85, 79, 86, 83, 1, 0, 7, 0, 0, 0, 0, 218, 135, 105, 195]
+        );
     }
 
     #[test]
     fn every_tenant_frame_bit_flip_is_detected() {
-        let frame = encode_frame_tenant(kind::REQ_PLAN, 0xABCD, &fig1_request().encode());
-        for byte in 0..frame.len() {
-            for bit in 0..8 {
-                let mut flipped = frame.clone();
-                flipped[byte] ^= 1 << bit;
-                let mut cursor = io::Cursor::new(flipped);
-                assert!(
-                    read_frame_tenant(&mut cursor).is_err(),
-                    "undetected flip at byte {byte} bit {bit}"
-                );
-            }
-        }
+        assert_every_flip_detected(&encode_frame(
+            kind::REQ_PLAN,
+            0xABCD,
+            &fig1_request().encode(),
+        ));
     }
 
     #[test]
     fn every_tenant_frame_truncation_is_clean() {
-        let frame = encode_frame_tenant(kind::REQ_PLAN, 3, &fig1_request().encode());
-        for cut in 1..frame.len() {
-            let mut cursor = io::Cursor::new(frame[..cut].to_vec());
-            match read_frame_tenant(&mut cursor) {
-                Err(ServiceError::ConnectionClosed) => {}
-                other => panic!("cut at {cut}: expected ConnectionClosed, got {other:?}"),
-            }
-        }
+        let frame = encode_frame(kind::REQ_PLAN, 3, &fig1_request().encode());
+        assert_every_truncation_clean(&frame, 3);
     }
 
     #[test]
     fn oversized_tenant_frame_is_rejected_from_the_header_alone() {
-        let mut frame = encode_frame_tenant(kind::REQ_PLAN, 1, &[]);
+        let mut frame = encode_frame(kind::REQ_PLAN, 1, &[]);
         // len field sits after magic(4) + version(2) + kind(1) + tenant(4).
         frame[11..15].copy_from_slice(&(3u32 << 30).to_le_bytes());
-        let mut cursor = io::Cursor::new(frame);
-        match read_frame_tenant(&mut cursor) {
-            Err(ServiceError::FrameTooLarge(n)) => assert_eq!(n, 3 << 30),
-            other => panic!("expected FrameTooLarge, got {other:?}"),
-        }
+        assert_eq!(
+            agreed_verdict(&frame[..HEADER_LEN_TENANT]),
+            Err(ServiceError::FrameTooLarge(3 << 30).to_string())
+        );
     }
 
     #[test]

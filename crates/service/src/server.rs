@@ -1,15 +1,17 @@
-//! The planning server: a nonblocking readiness loop (epoll on Linux,
-//! `poll(2)` on other Unixes, a timed scan elsewhere) feeding a bounded
+//! The planning server: an epoll readiness loop feeding a bounded
 //! compute pool, speaking the framed protocol of [`crate::proto`].
+//! epoll is the only backend, so this crate builds on Linux only; any
+//! other target stops at one `compile_error!`.
 //!
 //! One event thread owns every socket. Connections are per-connection
 //! state machines: bytes accumulate in a read buffer and frames are
-//! parsed incrementally, so a thousand idle or slow connections cost no
-//! threads and a slow-loris sender (one byte per second) is reaped by
-//! the read deadline like any other stalled peer. Parsed compute frames
-//! are admitted — or shed — on the event thread and executed on a fixed
-//! pool of worker threads, with per-tenant weighted-fair dequeue so one
-//! hog tenant cannot starve compliant ones.
+//! parsed incrementally by [`crate::proto::parse_frame`], the codec the
+//! blocking client reads with too. A thousand idle or slow connections
+//! cost no threads, and a slow-loris sender (one byte per second) is
+//! reaped by the read deadline like any other stalled peer. Parsed
+//! compute frames are admitted — or shed — on the event thread and
+//! executed on a fixed pool of worker threads, with per-tenant
+//! weighted-fair dequeue so one hog tenant cannot starve compliant ones.
 //!
 //! Admission control is explicit, typed, and tiered. Tier 1: a tenant
 //! over its token-bucket rate or in-flight cap is shed with
@@ -32,7 +34,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
-#[cfg(unix)]
+use std::os::unix::io::AsRawFd;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -46,18 +48,16 @@ use uov_core::checkpoint::{decode_snapshot, encode_snapshot};
 use uov_core::search::{
     find_best_uov, initial_uov, search_unit, try_cost_of, SearchConfig, SearchStats,
 };
-use uov_core::wire::crc32;
 use uov_core::{fingerprint, Budget, SearchResult};
 use uov_isg::Stencil;
 
 use crate::error::{ErrorCode, ServiceError};
 use crate::plan_cache::{CacheStats, PlanCache, Planned, WarmCacheError, DEFAULT_CACHE_CAPACITY};
 use crate::proto::{
-    encode_frame, kind, BatchRequest, BatchResponse, BoundGossip, CacheOutcome, DegradationCode,
-    ErrorResponse, HealthResponse, ObjectiveSpec, PlanRequest, PlanResponse, ReplicateRequest,
-    ReplicateResponse, StatsResponse, TenantGauge, WorkUnitRequest, WorkUnitResponse,
-    FLAG_NO_CACHE, HEADER_LEN, HEADER_LEN_TENANT, MAGIC, MAX_BATCH_ENTRIES, MAX_PAYLOAD, VERSION,
-    VERSION_TENANT,
+    encode_frame, kind, parse_frame, BatchRequest, BatchResponse, BoundGossip, CacheOutcome,
+    DegradationCode, ErrorResponse, Frame, HealthResponse, ObjectiveSpec, PlanRequest,
+    PlanResponse, ReplicateRequest, ReplicateResponse, StatsResponse, TenantGauge, WorkUnitRequest,
+    WorkUnitResponse, FLAG_NO_CACHE, MAX_BATCH_ENTRIES, MAX_FRAME_LEN,
 };
 
 /// Admission quota for one tenant: a token bucket for sustained rate, a
@@ -311,7 +311,6 @@ impl Counters {
 /// endpoints.
 enum AnyListener {
     Tcp(TcpListener),
-    #[cfg(unix)]
     Unix(UnixListener),
 }
 
@@ -320,25 +319,16 @@ pub(crate) enum AnyStream {
     /// A TCP connection.
     Tcp(TcpStream),
     /// A Unix domain socket connection.
-    #[cfg(unix)]
     Unix(UnixStream),
 }
 
 impl AnyListener {
     fn bind(endpoint: &str) -> io::Result<(Self, String)> {
-        #[cfg(unix)]
         if let Some(path) = endpoint.strip_prefix("unix:") {
             // A stale socket file from a crashed server blocks rebinding.
             let _ = std::fs::remove_file(path);
             let l = UnixListener::bind(path)?;
             return Ok((AnyListener::Unix(l), format!("unix:{path}")));
-        }
-        #[cfg(not(unix))]
-        if endpoint.starts_with("unix:") {
-            return Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "unix sockets are not available on this platform",
-            ));
         }
         let l = TcpListener::bind(endpoint)?;
         let local = l.local_addr()?;
@@ -348,7 +338,6 @@ impl AnyListener {
     fn set_nonblocking(&self, nb: bool) -> io::Result<()> {
         match self {
             AnyListener::Tcp(l) => l.set_nonblocking(nb),
-            #[cfg(unix)]
             AnyListener::Unix(l) => l.set_nonblocking(nb),
         }
     }
@@ -359,7 +348,6 @@ impl AnyListener {
                 let (s, _) = l.accept()?;
                 Ok(AnyStream::Tcp(s))
             }
-            #[cfg(unix)]
             AnyListener::Unix(l) => {
                 let (s, _) = l.accept()?;
                 Ok(AnyStream::Unix(s))
@@ -367,33 +355,18 @@ impl AnyListener {
         }
     }
 
-    #[cfg(unix)]
     fn raw_fd(&self) -> i32 {
-        use std::os::unix::io::AsRawFd;
         match self {
             AnyListener::Tcp(l) => l.as_raw_fd(),
             AnyListener::Unix(l) => l.as_raw_fd(),
         }
     }
-
-    #[cfg(not(unix))]
-    fn raw_fd(&self) -> i32 {
-        -1
-    }
 }
 
 impl AnyStream {
     pub(crate) fn connect(endpoint: &str) -> io::Result<Self> {
-        #[cfg(unix)]
         if let Some(path) = endpoint.strip_prefix("unix:") {
             return Ok(AnyStream::Unix(UnixStream::connect(path)?));
-        }
-        #[cfg(not(unix))]
-        if endpoint.starts_with("unix:") {
-            return Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "unix sockets are not available on this platform",
-            ));
         }
         Ok(AnyStream::Tcp(TcpStream::connect(endpoint)?))
     }
@@ -401,7 +374,6 @@ impl AnyStream {
     fn set_nonblocking(&self, nb: bool) -> io::Result<()> {
         match self {
             AnyStream::Tcp(s) => s.set_nonblocking(nb),
-            #[cfg(unix)]
             AnyStream::Unix(s) => s.set_nonblocking(nb),
         }
     }
@@ -409,35 +381,22 @@ impl AnyStream {
     pub(crate) fn set_read_timeout(&self, t: Option<Duration>) -> io::Result<()> {
         match self {
             AnyStream::Tcp(s) => s.set_read_timeout(t),
-            #[cfg(unix)]
             AnyStream::Unix(s) => s.set_read_timeout(t),
         }
     }
 
     fn close(&self) {
-        match self {
-            AnyStream::Tcp(s) => {
-                let _ = s.shutdown(std::net::Shutdown::Both);
-            }
-            #[cfg(unix)]
-            AnyStream::Unix(s) => {
-                let _ = s.shutdown(std::net::Shutdown::Both);
-            }
-        }
+        let _ = match self {
+            AnyStream::Tcp(s) => s.shutdown(std::net::Shutdown::Both),
+            AnyStream::Unix(s) => s.shutdown(std::net::Shutdown::Both),
+        };
     }
 
-    #[cfg(unix)]
     fn raw_fd(&self) -> i32 {
-        use std::os::unix::io::AsRawFd;
         match self {
             AnyStream::Tcp(s) => s.as_raw_fd(),
             AnyStream::Unix(s) => s.as_raw_fd(),
         }
-    }
-
-    #[cfg(not(unix))]
-    fn raw_fd(&self) -> i32 {
-        -1
     }
 }
 
@@ -445,7 +404,6 @@ impl Read for AnyStream {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         match self {
             AnyStream::Tcp(s) => s.read(buf),
-            #[cfg(unix)]
             AnyStream::Unix(s) => s.read(buf),
         }
     }
@@ -455,7 +413,6 @@ impl Write for AnyStream {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
         match self {
             AnyStream::Tcp(s) => s.write(buf),
-            #[cfg(unix)]
             AnyStream::Unix(s) => s.write(buf),
         }
     }
@@ -463,7 +420,6 @@ impl Write for AnyStream {
     fn flush(&mut self) -> io::Result<()> {
         match self {
             AnyStream::Tcp(s) => s.flush(),
-            #[cfg(unix)]
             AnyStream::Unix(s) => s.flush(),
         }
     }
@@ -482,9 +438,11 @@ const TOKEN_LISTENER: u64 = 0;
 const TOKEN_WAKE: u64 = 1;
 const FIRST_CONN_TOKEN: u64 = 2;
 
-/// Linux: epoll plus a self-pipe for compute-pool wakeups. Raw FFI —
-/// std already links libc, so no new dependency.
-#[cfg(target_os = "linux")]
+#[cfg(not(target_os = "linux"))]
+compile_error!("uov-service's event loop is epoll-only: it builds on Linux");
+
+/// epoll plus a self-pipe for compute-pool wakeups. Raw FFI — std
+/// already links libc, so no new dependency.
 mod poller {
     use super::{PollEvent, TOKEN_WAKE};
     use std::io;
@@ -551,7 +509,7 @@ mod poller {
                 epfd,
                 wake_rd: fds[0],
             };
-            p.ctl(EPOLL_CTL_ADD, fds[0], TOKEN_WAKE, EPOLLIN)?;
+            p.add(fds[0], TOKEN_WAKE)?;
             Ok((p, Notifier { wake_wr: fds[1] }))
         }
 
@@ -566,27 +524,12 @@ mod poller {
             Ok(())
         }
 
-        fn mask(readable: bool, writable: bool) -> u32 {
-            let mut m = 0;
-            if readable {
-                m |= EPOLLIN;
-            }
-            if writable {
-                m |= EPOLLOUT;
-            }
-            m
+        /// Register `fd` for reading.
+        pub(crate) fn add(&self, fd: i32, token: u64) -> io::Result<()> {
+            self.ctl(EPOLL_CTL_ADD, fd, token, EPOLLIN)
         }
 
-        pub(crate) fn add(
-            &self,
-            fd: i32,
-            token: u64,
-            readable: bool,
-            writable: bool,
-        ) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_ADD, fd, token, Self::mask(readable, writable))
-        }
-
+        /// Change `fd`'s interest set.
         pub(crate) fn set(
             &self,
             fd: i32,
@@ -594,7 +537,9 @@ mod poller {
             readable: bool,
             writable: bool,
         ) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_MOD, fd, token, Self::mask(readable, writable))
+            let events =
+                (if readable { EPOLLIN } else { 0 }) | (if writable { EPOLLOUT } else { 0 });
+            self.ctl(EPOLL_CTL_MOD, fd, token, events)
         }
 
         pub(crate) fn del(&self, fd: i32) {
@@ -663,254 +608,6 @@ mod poller {
                 close(self.wake_wr);
             }
         }
-    }
-}
-
-/// Other Unixes: `poll(2)` over a registry rebuilt per wait, plus a
-/// self-pipe. Slower than epoll but identical semantics.
-#[cfg(all(unix, not(target_os = "linux")))]
-mod poller {
-    use super::{PollEvent, TOKEN_WAKE};
-    use std::io;
-    use std::os::raw::{c_int, c_void};
-    use std::sync::Mutex;
-
-    #[repr(C)]
-    struct PollFd {
-        fd: c_int,
-        events: i16,
-        revents: i16,
-    }
-
-    const POLLIN: i16 = 0x001;
-    const POLLOUT: i16 = 0x004;
-    const POLLERR: i16 = 0x008;
-    const POLLHUP: i16 = 0x010;
-
-    extern "C" {
-        fn poll(fds: *mut PollFd, nfds: u64, timeout: c_int) -> c_int;
-        fn pipe(fds: *mut c_int) -> c_int;
-        fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
-        fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
-        fn close(fd: c_int) -> c_int;
-    }
-
-    pub(crate) struct Poller {
-        registry: Mutex<Vec<(c_int, u64, bool, bool)>>,
-        wake_rd: c_int,
-    }
-
-    pub(crate) struct Notifier {
-        wake_wr: c_int,
-    }
-
-    impl Poller {
-        pub(crate) fn new() -> io::Result<(Poller, Notifier)> {
-            let mut fds: [c_int; 2] = [0; 2];
-            if unsafe { pipe(fds.as_mut_ptr()) } < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok((
-                Poller {
-                    registry: Mutex::new(Vec::new()),
-                    wake_rd: fds[0],
-                },
-                Notifier { wake_wr: fds[1] },
-            ))
-        }
-
-        pub(crate) fn add(
-            &self,
-            fd: i32,
-            token: u64,
-            readable: bool,
-            writable: bool,
-        ) -> io::Result<()> {
-            let mut reg = self.registry.lock().unwrap_or_else(|p| p.into_inner());
-            reg.push((fd, token, readable, writable));
-            Ok(())
-        }
-
-        pub(crate) fn set(
-            &self,
-            fd: i32,
-            token: u64,
-            readable: bool,
-            writable: bool,
-        ) -> io::Result<()> {
-            let mut reg = self.registry.lock().unwrap_or_else(|p| p.into_inner());
-            for slot in reg.iter_mut() {
-                if slot.0 == fd {
-                    *slot = (fd, token, readable, writable);
-                    return Ok(());
-                }
-            }
-            reg.push((fd, token, readable, writable));
-            Ok(())
-        }
-
-        pub(crate) fn del(&self, fd: i32) {
-            let mut reg = self.registry.lock().unwrap_or_else(|p| p.into_inner());
-            reg.retain(|slot| slot.0 != fd);
-        }
-
-        pub(crate) fn wait(&self, timeout_ms: i32) -> Vec<PollEvent> {
-            let entries: Vec<(c_int, u64, bool, bool)> = {
-                let reg = self.registry.lock().unwrap_or_else(|p| p.into_inner());
-                reg.clone()
-            };
-            let mut fds: Vec<PollFd> = Vec::with_capacity(entries.len() + 1);
-            fds.push(PollFd {
-                fd: self.wake_rd,
-                events: POLLIN,
-                revents: 0,
-            });
-            for &(fd, _, readable, writable) in &entries {
-                let mut events = 0;
-                if readable {
-                    events |= POLLIN;
-                }
-                if writable {
-                    events |= POLLOUT;
-                }
-                fds.push(PollFd {
-                    fd,
-                    events,
-                    revents: 0,
-                });
-            }
-            let n = unsafe { poll(fds.as_mut_ptr(), fds.len() as u64, timeout_ms) };
-            if n <= 0 {
-                return Vec::new();
-            }
-            let mut out = Vec::new();
-            if fds[0].revents & (POLLIN | POLLERR | POLLHUP) != 0 {
-                out.push(PollEvent {
-                    token: TOKEN_WAKE,
-                    readable: true,
-                    writable: false,
-                });
-            }
-            for (slot, &(_, token, _, _)) in fds[1..].iter().zip(entries.iter()) {
-                let r = slot.revents;
-                if r != 0 {
-                    out.push(PollEvent {
-                        token,
-                        readable: r & (POLLIN | POLLERR | POLLHUP) != 0,
-                        writable: r & (POLLOUT | POLLERR | POLLHUP) != 0,
-                    });
-                }
-            }
-            out
-        }
-
-        pub(crate) fn drain_wake(&self) {
-            let mut sink = [0u8; 256];
-            unsafe {
-                let _ = read(self.wake_rd, sink.as_mut_ptr().cast::<c_void>(), sink.len());
-            }
-        }
-    }
-
-    impl Drop for Poller {
-        fn drop(&mut self) {
-            unsafe {
-                close(self.wake_rd);
-            }
-        }
-    }
-
-    impl Notifier {
-        pub(crate) fn notify(&self) {
-            let byte = 1u8;
-            unsafe {
-                let _ = write(self.wake_wr, (&raw const byte).cast::<c_void>(), 1);
-            }
-        }
-    }
-
-    impl Drop for Notifier {
-        fn drop(&mut self) {
-            unsafe {
-                close(self.wake_wr);
-            }
-        }
-    }
-}
-
-/// Non-Unix fallback: a timed scan. Every registered token is reported
-/// ready each tick; spurious readiness is harmless on nonblocking
-/// sockets (reads/writes just return `WouldBlock`).
-#[cfg(not(unix))]
-mod poller {
-    use super::PollEvent;
-    use std::io;
-    use std::sync::Mutex;
-
-    pub(crate) struct Poller {
-        tokens: Mutex<Vec<u64>>,
-    }
-
-    pub(crate) struct Notifier;
-
-    impl Poller {
-        pub(crate) fn new() -> io::Result<(Poller, Notifier)> {
-            Ok((
-                Poller {
-                    tokens: Mutex::new(Vec::new()),
-                },
-                Notifier,
-            ))
-        }
-
-        pub(crate) fn add(
-            &self,
-            _fd: i32,
-            token: u64,
-            _readable: bool,
-            _writable: bool,
-        ) -> io::Result<()> {
-            let mut reg = self.tokens.lock().unwrap_or_else(|p| p.into_inner());
-            if !reg.contains(&token) {
-                reg.push(token);
-            }
-            Ok(())
-        }
-
-        pub(crate) fn set(
-            &self,
-            _fd: i32,
-            token: u64,
-            _readable: bool,
-            _writable: bool,
-        ) -> io::Result<()> {
-            self.add(_fd, token, _readable, _writable)
-        }
-
-        pub(crate) fn del(&self, _fd: i32) {
-            // Tokens are cheap; stale ones simply stop matching a
-            // connection and are ignored by the event loop.
-        }
-
-        pub(crate) fn wait(&self, timeout_ms: i32) -> Vec<PollEvent> {
-            std::thread::sleep(std::time::Duration::from_millis(
-                (timeout_ms.max(1) as u64).min(10),
-            ));
-            let reg = self.tokens.lock().unwrap_or_else(|p| p.into_inner());
-            reg.iter()
-                .map(|&token| PollEvent {
-                    token,
-                    readable: true,
-                    writable: true,
-                })
-                .collect()
-        }
-
-        pub(crate) fn drain_wake(&self) {}
-    }
-
-    impl Notifier {
-        pub(crate) fn notify(&self) {}
     }
 }
 
@@ -1412,71 +1109,6 @@ impl ServerState {
     }
 }
 
-// -------------------------------------------------------- frame parsing
-
-/// One complete inbound frame: `(kind, tenant, payload, bytes consumed)`.
-type ParsedFrame = (u8, u32, Vec<u8>, usize);
-
-/// Incrementally parse one frame from the front of `buf`, zero-copy up
-/// to the final payload extraction. `Ok(None)` means "need more bytes";
-/// `Ok(Some((kind, tenant, payload, consumed)))` is one complete,
-/// CRC-verified frame; `Err` means the stream is no longer at a
-/// trustable frame boundary. An oversized declared length is rejected
-/// from the header alone — before the payload arrives and before any
-/// allocation.
-fn parse_frame(buf: &[u8]) -> Result<Option<ParsedFrame>, ServiceError> {
-    if buf.len() < 7 {
-        return Ok(None);
-    }
-    if &buf[..4] != MAGIC {
-        return Err(ServiceError::BadMagic);
-    }
-    let version = u16::from_le_bytes([buf[4], buf[5]]);
-    let header_len = match version {
-        VERSION => HEADER_LEN,
-        VERSION_TENANT => HEADER_LEN_TENANT,
-        other => return Err(ServiceError::UnsupportedVersion(other)),
-    };
-    if buf.len() < header_len {
-        return Ok(None);
-    }
-    let frame_kind = buf[6];
-    let tenant = if version == VERSION_TENANT {
-        u32::from_le_bytes([buf[7], buf[8], buf[9], buf[10]])
-    } else {
-        0
-    };
-    let len = u32::from_le_bytes([
-        buf[header_len - 4],
-        buf[header_len - 3],
-        buf[header_len - 2],
-        buf[header_len - 1],
-    ]);
-    if len > MAX_PAYLOAD {
-        return Err(ServiceError::FrameTooLarge(len));
-    }
-    let body_end = header_len + len as usize;
-    let total = body_end + 4;
-    if buf.len() < total {
-        return Ok(None);
-    }
-    let expect = u32::from_le_bytes([
-        buf[total - 4],
-        buf[total - 3],
-        buf[total - 2],
-        buf[total - 1],
-    ]);
-    if crc32(&buf[..body_end]) != expect {
-        return Err(ServiceError::CrcMismatch);
-    }
-    Ok(Some((
-        frame_kind,
-        tenant,
-        buf[header_len..body_end].to_vec(),
-        total,
-    )))
-}
-
 // ------------------------------------------------------------ event loop
 
 /// One response (or error) frame queued for write, with a resume offset
@@ -1497,8 +1129,8 @@ struct Conn {
     /// could be buffered, so a flooding peer cannot balloon memory.
     rbuf: Vec<u8>,
     wqueue: VecDeque<WriteBuf>,
-    /// Parsed frames not yet dispatched, as `(kind, tenant, payload)`.
-    pending: VecDeque<(u8, u32, Vec<u8>)>,
+    /// Parsed frames not yet dispatched.
+    pending: VecDeque<Frame>,
     /// A compute frame from this connection is on a worker. One frame in
     /// flight per connection keeps responses in request order.
     inflight: bool,
@@ -1571,7 +1203,7 @@ fn batch_charge(payload: &[u8]) -> Option<u64> {
 
 fn enqueue_frame(conn: &mut Conn, frame_kind: u8, payload: &[u8], counts_response: bool) {
     conn.wqueue.push_back(WriteBuf {
-        bytes: encode_frame(frame_kind, payload),
+        bytes: encode_frame(frame_kind, 0, payload),
         off: 0,
         counts_response,
     });
@@ -1585,7 +1217,7 @@ fn read_conn(conn: &mut Conn) {
     }
     let mut tmp = [0u8; 16384];
     loop {
-        if conn.rbuf.len() >= MAX_PAYLOAD as usize + HEADER_LEN_TENANT + 8 {
+        if conn.rbuf.len() >= MAX_FRAME_LEN {
             break;
         }
         match conn.stream.read(&mut tmp) {
@@ -1642,13 +1274,16 @@ fn flush_conn(conn: &mut Conn, state: &ServerState) {
 /// admission gate and land on the weighted-fair queue.
 fn dispatch_frame(
     conn: &mut Conn,
-    frame_kind: u8,
-    tenant: u32,
-    payload: Vec<u8>,
+    frame: Frame,
     state: &ServerState,
     sched: &Scheduler,
     buckets: &mut HashMap<u32, Bucket>,
 ) {
+    let Frame {
+        kind: frame_kind,
+        tenant,
+        payload,
+    } = frame;
     match frame_kind {
         kind::REQ_HEALTH => {
             enqueue_frame(conn, kind::RESP_HEALTH, &state.health().encode(), false);
@@ -1773,10 +1408,10 @@ fn service_conn(
         let mut consumed = 0;
         loop {
             match parse_frame(&conn.rbuf[consumed..]) {
-                Ok(Some((frame_kind, tenant, payload, used))) => {
+                Ok(Some((frame, used))) => {
                     consumed += used;
                     conn.progress_ms = state.now_ms();
-                    conn.pending.push_back((frame_kind, tenant, payload));
+                    conn.pending.push_back(frame);
                 }
                 Ok(None) => break,
                 Err(e) => {
@@ -1816,10 +1451,10 @@ fn service_conn(
     // Dispatch in arrival order, one compute frame in flight at a time
     // (pipelining happens across connections, ordering within one).
     while !conn.inflight && !conn.closing && !conn.dead {
-        let Some((frame_kind, tenant, payload)) = conn.pending.pop_front() else {
+        let Some(frame) = conn.pending.pop_front() else {
             break;
         };
-        dispatch_frame(conn, frame_kind, tenant, payload, state, sched, buckets);
+        dispatch_frame(conn, frame, state, sched, buckets);
     }
     // Poison / EOF finalization waits for in-flight work so a valid
     // frame's answer is flushed before the error reply and the close.
@@ -1859,7 +1494,7 @@ fn event_loop(
     let mut conns: HashMap<u64, Conn> = HashMap::new();
     let mut buckets: HashMap<u32, Bucket> = HashMap::new();
     let mut next_token = FIRST_CONN_TOKEN;
-    let _ = poller.add(listener.raw_fd(), TOKEN_LISTENER, true, false);
+    let _ = poller.add(listener.raw_fd(), TOKEN_LISTENER);
     loop {
         for ev in poller.wait(100) {
             match ev.token {
@@ -1878,7 +1513,7 @@ fn event_loop(
                                 let token = next_token;
                                 next_token += 1;
                                 state.stats.connections.fetch_add(1, Ordering::Relaxed);
-                                if poller.add(stream.raw_fd(), token, true, false).is_err() {
+                                if poller.add(stream.raw_fd(), token).is_err() {
                                     stream.close();
                                     continue;
                                 }
@@ -2604,7 +2239,6 @@ mod tests {
         assert_eq!(stats.stale_epoch_rejections, 1);
     }
 
-    #[cfg(unix)]
     #[test]
     fn unix_socket_round_trip() {
         let dir = std::env::temp_dir();

@@ -611,7 +611,7 @@ mod service_faults {
             deadline_ms: 0,
             flags: 0,
         };
-        encode_frame(proto::kind::REQ_PLAN, &req.encode())
+        encode_frame(proto::kind::REQ_PLAN, 0, &req.encode())
     }
 
     /// The server survived an attack iff a fresh well-formed client still
@@ -668,9 +668,9 @@ mod service_faults {
             let _ = conn.shutdown(std::net::Shutdown::Write);
             // A clean drop (Ok(None) / Err) is also acceptable; only a
             // successful plan response would be a contract violation.
-            if let Ok(Some((kind, _))) = read_frame(&mut conn) {
+            if let Ok(Some(reply)) = read_frame(&mut conn) {
                 assert_eq!(
-                    kind,
+                    reply.kind,
                     proto::kind::RESP_ERROR,
                     "byte {i}: a corrupted frame got a non-error response"
                 );
@@ -824,12 +824,12 @@ mod service_faults {
         // A lying count with no entry bytes behind it.
         let mut payload = Vec::new();
         payload.extend_from_slice(&(MAX_BATCH_ENTRIES + 1).to_le_bytes());
-        let frame = encode_frame(proto::kind::REQ_BATCH, &payload);
+        let frame = encode_frame(proto::kind::REQ_BATCH, 0, &payload);
         let mut conn = raw_conn(&server);
         conn.write_all(&frame).expect("write oversized count");
         match read_frame(&mut conn).expect("typed reply") {
-            Some((kind, _)) => assert_eq!(
-                kind,
+            Some(reply) => assert_eq!(
+                reply.kind,
                 proto::kind::RESP_ERROR,
                 "a lying batch count must be rejected"
             ),
@@ -872,8 +872,12 @@ mod service_faults {
         conn.write_all(&bytes).expect("write");
         let _ = conn.shutdown(std::net::Shutdown::Write);
         let first = read_frame(&mut conn).expect("first frame answers");
-        let (kind, _) = first.expect("response present");
-        assert_eq!(kind, proto::kind::RESP_PLAN, "valid request must be served");
+        let reply = first.expect("response present");
+        assert_eq!(
+            reply.kind,
+            proto::kind::RESP_PLAN,
+            "valid request must be served"
+        );
         // Whatever follows is an error frame or EOF, never a hang/panic.
         let mut sink = Vec::new();
         let _ = conn.read_to_end(&mut sink);
@@ -1005,7 +1009,7 @@ mod resilience_faults {
     #[test]
     fn malformed_frame_classes_are_counted_and_exposed() {
         let server = serve("127.0.0.1:0", ServerConfig::default()).expect("bind");
-        let valid = encode_frame(proto::kind::REQ_PLAN, &fig1_request().encode());
+        let valid = encode_frame(proto::kind::REQ_PLAN, 0, &fig1_request().encode());
 
         // CRC flip: damage one payload byte; header still parses.
         let mut crc_flip = valid.clone();
