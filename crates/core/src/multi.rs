@@ -13,7 +13,7 @@ use uov_isg::{IVec, Stencil};
 
 use crate::budget::{Budget, Degradation};
 use crate::error::SearchError;
-use crate::search::{cost_of, try_cost_of, Objective};
+use crate::search::{Objective, ObjectiveCost};
 use crate::DoneOracle;
 
 /// Result of [`find_best_common_uov`].
@@ -82,9 +82,10 @@ pub fn find_best_common_uov_threaded(
     // Candidates come from the first stencil's UOV set restricted to the
     // box; each is then checked against the remaining oracles through
     // their allocation-free slice entry points (one scratch buffer per
-    // candidate serves every oracle).
+    // candidate serves every oracle and the cost).
     let candidates = oracles[0].uovs_within(radius);
     let unlimited = Budget::unlimited();
+    let cost = ObjectiveCost::new(&objective);
     crate::par::fan_out(&candidates, threads, |w| {
         let mut buf = Vec::with_capacity(dim);
         oracles[1..]
@@ -95,7 +96,10 @@ pub fn find_best_common_uov_threaded(
                     Err(e) => panic!("oracle query failed: {e}"),
                 },
             )
-            .then(|| (cost_of(&objective, w), w.norm_sq(), w.clone()))
+            .then(|| match cost.try_cost(w.as_slice(), &mut buf) {
+                Ok(c) => (c, w.norm_sq(), w.clone()),
+                Err(e) => panic!("candidate cost failed: {e}"),
+            })
     })
     .into_iter()
     .flatten()
@@ -135,6 +139,7 @@ pub fn find_best_common_uov_budgeted(
         .collect::<Result<Vec<_>, _>>()?;
 
     let (candidates, mut degradation) = oracles[0].uovs_within_budgeted(radius, budget)?;
+    let cost = ObjectiveCost::new(&objective);
     let mut best: Option<(u128, i128, IVec)> = None;
     let mut buf = Vec::with_capacity(dim);
     'candidates: for w in candidates {
@@ -151,13 +156,13 @@ pub fn find_best_common_uov_budgeted(
             }
         }
         // A candidate whose cost overflows can simply never win.
-        let Ok(cost) = try_cost_of(&objective, &w) else {
+        let Ok(c) = cost.try_cost(w.as_slice(), &mut buf) else {
             continue;
         };
         let Ok(norm) = w.try_norm_sq() else {
             continue;
         };
-        let key = (cost, norm, w);
+        let key = (c, norm, w);
         if best.as_ref().map(|b| key < *b).unwrap_or(true) {
             best = Some(key);
         }

@@ -11,7 +11,8 @@
 //! Figure 3 of the paper is the motivating case: on a skewed ISG a longer
 //! OV can need *less* storage than the shortest one.
 
-use uov_isg::project::try_form_range;
+use uov_isg::matrix::lattice_reduction_into;
+use uov_isg::vec::try_dot_slices;
 use uov_isg::{IMat, IVec, IsgError, IterationDomain};
 
 /// Number of storage-equivalence classes the occupancy vector `ov` induces
@@ -61,29 +62,121 @@ pub fn storage_class_count(domain: &dyn IterationDomain, ov: &IVec) -> u64 {
 
 /// [`storage_class_count`] returning [`IsgError`] on a zero vector,
 /// dimension mismatch, or coordinate overflow during lattice reduction and
-/// projection.
+/// projection. The one-shot form of [`ClassCounter::try_count`].
 pub fn try_storage_class_count(domain: &dyn IterationDomain, ov: &IVec) -> Result<u64, IsgError> {
-    if ov.is_zero() {
-        return Err(IsgError::ZeroVector);
+    ClassCounter::new(domain).try_count(ov.as_slice(), &mut Vec::new())
+}
+
+/// The storage-class count of [`storage_class_count`] for many occupancy
+/// vectors on one domain.
+///
+/// The domain's extreme points are read once, flattened, when the counter
+/// is built; each [`ClassCounter::try_count`] then reduces the vector into
+/// a caller-owned scratch buffer and projects the stored points, so a
+/// search costs its children without heap allocation.
+///
+/// # Examples
+///
+/// ```
+/// use uov_isg::Polygon2;
+/// use uov_core::objective::ClassCounter;
+///
+/// let isg = Polygon2::fig3_isg();
+/// let counter = ClassCounter::new(&isg);
+/// let mut scratch = Vec::new();
+/// assert_eq!(counter.try_count(&[3, 1], &mut scratch), Ok(16));
+/// assert_eq!(counter.try_count(&[3, 0], &mut scratch), Ok(27));
+/// ```
+#[derive(Debug)]
+pub struct ClassCounter<'a, D: ?Sized> {
+    domain: &'a D,
+    dim: usize,
+    /// Extreme points, `dim` coordinates each; `Err` if one has another
+    /// dimension, which every projection then reports.
+    vertices: Result<Vec<i64>, IsgError>,
+}
+
+impl<'a, D: IterationDomain + ?Sized> ClassCounter<'a, D> {
+    /// Read `domain`'s extreme points once.
+    pub fn new(domain: &'a D) -> Self {
+        let dim = domain.dim();
+        let points = domain.extreme_points();
+        let vertices = match points.iter().find(|p| p.dim() != dim) {
+            Some(p) => Err(IsgError::DimMismatch {
+                expected: dim,
+                found: p.dim(),
+            }),
+            None => Ok(points.iter().flat_map(|p| p.iter().copied()).collect()),
+        };
+        ClassCounter {
+            domain,
+            dim,
+            vertices,
+        }
     }
-    if ov.dim() != domain.dim() {
-        return Err(IsgError::DimMismatch {
-            expected: domain.dim(),
-            found: ov.dim(),
-        });
+
+    /// The domain the counter was built for.
+    pub fn domain(&self) -> &'a D {
+        self.domain
     }
-    let g = ov.try_content()? as u64;
-    let w = IMat::try_lattice_reduction(ov)?;
-    let mut classes = g;
-    for r in 1..ov.dim() {
-        let (lo, hi) = try_form_range(domain, &w.row(r))?;
-        let span = hi
-            .checked_sub(lo)
-            .and_then(|s| s.checked_add(1))
-            .ok_or(IsgError::Overflow("storage class span"))?;
-        classes = classes.saturating_mul(span as u64);
+
+    /// The extreme points, flattened: `dim` coordinates per point.
+    ///
+    /// # Errors
+    ///
+    /// [`IsgError::DimMismatch`] if an extreme point's dimension differs
+    /// from the domain's.
+    pub fn vertices(&self) -> Result<&[i64], IsgError> {
+        self.vertices.as_deref().map_err(Clone::clone)
     }
-    Ok(classes.min(domain.num_points()))
+
+    /// Number of storage-equivalence classes `ov` induces on the domain —
+    /// the value of [`storage_class_count`] — with `scratch` holding the
+    /// lattice reduction ([`lattice_reduction_into`]). Reuse one scratch
+    /// buffer across calls: after the first call of a dimension, a count
+    /// allocates nothing. The domain's `num_points`, the cap, is queried
+    /// once per successful call.
+    ///
+    /// # Errors
+    ///
+    /// [`IsgError::ZeroVector`] for a zero `ov`, [`IsgError::DimMismatch`]
+    /// when `ov` or an extreme point has another dimension,
+    /// [`IsgError::Empty`] for a multi-dimensional domain without extreme
+    /// points, and [`IsgError::Overflow`] when the reduction, a projection
+    /// or a span leaves `i64`.
+    pub fn try_count(&self, ov: &[i64], scratch: &mut Vec<i64>) -> Result<u64, IsgError> {
+        let d = self.dim;
+        if ov.iter().all(|&c| c == 0) {
+            return Err(IsgError::ZeroVector);
+        }
+        if ov.len() != d {
+            return Err(IsgError::DimMismatch {
+                expected: d,
+                found: ov.len(),
+            });
+        }
+        let mut classes = lattice_reduction_into(ov, scratch)? as u64;
+        if d > 1 {
+            let vertices = self.vertices()?;
+            if vertices.is_empty() {
+                return Err(IsgError::Empty);
+            }
+            for form in scratch.chunks_exact(d).skip(1) {
+                let (mut lo, mut hi) = (i64::MAX, i64::MIN);
+                for p in vertices.chunks_exact(d) {
+                    let v = try_dot_slices(form, p)?;
+                    lo = lo.min(v);
+                    hi = hi.max(v);
+                }
+                let span = hi
+                    .checked_sub(lo)
+                    .and_then(|s| s.checked_add(1))
+                    .ok_or(IsgError::Overflow("storage class span"))?;
+                classes = classes.saturating_mul(span as u64);
+            }
+        }
+        Ok(classes.min(self.domain.num_points()))
+    }
 }
 
 /// Exact number of *occupied* storage-equivalence classes: enumerates every

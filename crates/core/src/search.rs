@@ -81,8 +81,8 @@ use crate::budget::{Budget, Degradation, Exhausted};
 use crate::checkpoint::{self, CheckpointConfig, CheckpointError, Snapshot};
 use crate::dense::{MaskTable, Window};
 use crate::error::SearchError;
-use crate::objective::{storage_class_count, try_storage_class_count};
-use crate::oracle::dot_slices;
+use crate::objective::{storage_class_count, ClassCounter};
+use crate::oracle::{diff_into, dot_slices};
 use crate::par::panic_message;
 
 /// What the search minimises.
@@ -218,20 +218,49 @@ pub(crate) fn cost_of(objective: &Objective<'_>, w: &IVec) -> u128 {
 
 /// [`cost_of`] with overflow reported instead of panicking; the searches
 /// use this so one adversarial candidate cannot sink the whole run, and
-/// the service's plan cache uses it to re-cost permuted answers.
+/// the service's plan cache uses it to re-cost permuted answers. The
+/// one-shot form of [`ObjectiveCost::try_cost`].
 pub fn try_cost_of(objective: &Objective<'_>, w: &IVec) -> Result<u128, IsgError> {
-    match objective {
-        Objective::ShortestVector => Ok(w.try_norm_sq()? as u128),
-        Objective::KnownBounds(domain) => Ok(try_storage_class_count(*domain, w)? as u128),
+    ObjectiveCost::new(objective).try_cost(w.as_slice(), &mut Vec::new())
+}
+
+/// An [`Objective`] ready to cost many candidates: a known-bounds domain's
+/// extreme points are read once, so with a scratch buffer the caller
+/// reuses, each cost is free of heap allocation.
+pub(crate) enum ObjectiveCost<'a> {
+    ShortestVector,
+    KnownBounds(ClassCounter<'a, dyn IterationDomain + Sync + 'a>),
+}
+
+impl<'a> ObjectiveCost<'a> {
+    pub(crate) fn new(objective: &Objective<'a>) -> Self {
+        match *objective {
+            Objective::ShortestVector => ObjectiveCost::ShortestVector,
+            Objective::KnownBounds(domain) => ObjectiveCost::KnownBounds(ClassCounter::new(domain)),
+        }
+    }
+
+    /// The objective value of `w` ([`try_cost_of`]); `scratch` holds the
+    /// known-bounds lattice reduction.
+    pub(crate) fn try_cost(&self, w: &[i64], scratch: &mut Vec<i64>) -> Result<u128, IsgError> {
+        match self {
+            ObjectiveCost::ShortestVector => checked_norm_sq(w)
+                .map(|n| n as u128)
+                .ok_or(IsgError::Overflow("norm_sq")),
+            ObjectiveCost::KnownBounds(counter) => counter.try_count(w, scratch).map(u128::from),
+        }
     }
 }
 
+/// Floor square root, by Newton's iteration from `2^⌈bits(n)/2⌉`: at
+/// least `√n`, so the iterates fall monotonically to the floor root.
 fn isqrt(n: u128) -> u128 {
     if n < 2 {
         return n;
     }
-    let mut x = n;
-    let mut y = x.div_ceil(2);
+    let bits = u128::BITS - n.leading_zeros();
+    let mut x = 1u128 << bits.div_ceil(2);
+    let mut y = (x + n / x) / 2;
     while y < x {
         x = y;
         y = (x + n / x) / 2;
@@ -248,12 +277,21 @@ struct DomainFacts {
 }
 
 impl DomainFacts {
-    fn try_new(domain: &dyn IterationDomain) -> Result<Self, IsgError> {
-        let vertices = domain.extreme_points();
+    /// Read `N`, and the diameter from the extreme points the counter
+    /// already holds.
+    fn try_new(
+        counter: &ClassCounter<'_, dyn IterationDomain + Sync + '_>,
+    ) -> Result<Self, SearchError> {
+        let domain = counter.domain();
+        let vertices = counter.vertices()?;
+        let d = domain.dim();
+        let mut diff = Vec::with_capacity(d);
         let mut diam_sq: u128 = 0;
-        for (i, a) in vertices.iter().enumerate() {
-            for b in &vertices[i + 1..] {
-                diam_sq = diam_sq.max(a.checked_sub(b)?.try_norm_sq()? as u128);
+        for (i, a) in vertices.chunks_exact(d).enumerate() {
+            for b in vertices.chunks_exact(d).skip(i + 1) {
+                diff_into(a, b, &mut diff)?;
+                let sq = checked_norm_sq(&diff).ok_or(IsgError::Overflow("norm_sq"))?;
+                diam_sq = diam_sq.max(sq as u128);
             }
         }
         Ok(DomainFacts {
@@ -389,21 +427,22 @@ pub fn search_unit(
 }
 
 /// Validate the problem and precompute the per-search constants.
-fn validated_setup(
+fn validated_setup<'a>(
     stencil: &Stencil,
-    objective: &Objective<'_>,
-) -> Result<(Option<DomainFacts>, Setup), SearchError> {
-    let domain_facts = match objective {
-        Objective::KnownBounds(domain) => {
-            if domain.dim() != stencil.dim() {
-                return Err(SearchError::DimMismatch {
-                    stencil: stencil.dim(),
-                    domain: domain.dim(),
-                });
-            }
-            Some(DomainFacts::try_new(*domain)?)
+    objective: &Objective<'a>,
+) -> Result<Setup<'a>, SearchError> {
+    if let Objective::KnownBounds(domain) = objective {
+        if domain.dim() != stencil.dim() {
+            return Err(SearchError::DimMismatch {
+                stencil: stencil.dim(),
+                domain: domain.dim(),
+            });
         }
-        Objective::ShortestVector => None,
+    }
+    let cost = ObjectiveCost::new(objective);
+    let domain_facts = match &cost {
+        ObjectiveCost::KnownBounds(counter) => Some(DomainFacts::try_new(counter)?),
+        ObjectiveCost::ShortestVector => None,
     };
     let m = stencil.len();
     if m > 63 {
@@ -415,9 +454,11 @@ fn validated_setup(
     // Hard exploration cap guaranteeing termination even when the
     // storage objective cannot discriminate (every candidate costs N).
     let phi_cap = 64 * phi.dot_i128(&initial).max(1);
-    let initial_cost = try_cost_of(objective, &initial)?;
+    let initial_cost = cost.try_cost(initial.as_slice(), &mut Vec::new())?;
     let window = search_window(stencil, objective, phi_norm_sq, phi_cap, initial_cost);
-    let setup = Setup {
+    Ok(Setup {
+        cost,
+        domain_facts,
         dim: stencil.dim(),
         full: (1u64 << m) - 1,
         phi_norm_sq,
@@ -428,8 +469,7 @@ fn validated_setup(
         initial_cost,
         initial_norm: initial.try_norm_sq().unwrap_or(i128::MAX),
         initial,
-    };
-    Ok((domain_facts, setup))
+    })
 }
 
 /// Entry budget of the search's dense PATHSET window.
@@ -523,11 +563,7 @@ impl SeedState {
     /// Restore a snapshot, re-validating every structural invariant the
     /// engine relies on. CRCs catch accidental corruption; these checks
     /// catch semantic damage a CRC-valid file could still carry.
-    fn from_snapshot(
-        objective: &Objective<'_>,
-        setup: &Setup,
-        snap: Snapshot,
-    ) -> Result<Self, SearchError> {
+    fn from_snapshot(setup: &Setup<'_>, snap: Snapshot) -> Result<Self, SearchError> {
         fn corrupt(msg: &str) -> SearchError {
             SearchError::Checkpoint(CheckpointError::Corrupt(msg.to_string()))
         }
@@ -537,7 +573,10 @@ impl SeedState {
         if snap.incumbent.dim() != setup.dim {
             return Err(corrupt("incumbent dimension mismatch"));
         }
-        let recomputed = try_cost_of(objective, &snap.incumbent)
+        let mut scratch = Vec::new();
+        let recomputed = setup
+            .cost
+            .try_cost(snap.incumbent.as_slice(), &mut scratch)
             .map_err(|_| corrupt("incumbent cost is not recomputable"))?;
         if recomputed != snap.incumbent_cost {
             return Err(corrupt("incumbent cost mismatch"));
@@ -564,8 +603,17 @@ impl SeedState {
                     "frontier entry inconsistent with the PATHSET table",
                 ));
             }
-            let recomputed = try_cost_of(objective, &w)
-                .map_err(|_| corrupt("frontier cost is not recomputable"))?;
+            // The origin is queued at cost 0 under every objective (see
+            // `SeedState::fresh`); a run stopped while expanding it leaves
+            // it in the frontier, though the zero vector has no class count.
+            let recomputed = if w.is_zero() {
+                0
+            } else {
+                setup
+                    .cost
+                    .try_cost(w.as_slice(), &mut scratch)
+                    .map_err(|_| corrupt("frontier cost is not recomputable"))?
+            };
             if recomputed != cost {
                 return Err(corrupt("frontier cost mismatch"));
             }
@@ -588,7 +636,11 @@ impl SeedState {
 
 /// Validated per-search constants shared by every worker. The incumbent
 /// starts at the initial UOV `Σvᵢ`, legal from the first moment (§3.2.1).
-struct Setup {
+struct Setup<'a> {
+    /// The objective, costing candidates on worker-owned scratch.
+    cost: ObjectiveCost<'a>,
+    /// Pruning geometry; `Some` iff the objective has known bounds.
+    domain_facts: Option<DomainFacts>,
     dim: usize,
     full: u64,
     phi: IVec,
@@ -613,19 +665,6 @@ fn checked_norm_sq(w: &[i64]) -> Option<i128> {
         acc = acc.checked_add(c.checked_mul(c)?)?;
     }
     Some(acc)
-}
-
-/// Child objective cost straight from scratch coordinates:
-/// allocation-free for the shortest-vector objective; known-bounds
-/// domains take an `IVec` view. `None` (overflow) discards the candidate
-/// like a capped offset.
-fn try_child_cost(objective: &Objective<'_>, w: &[i64]) -> Option<u128> {
-    match objective {
-        Objective::ShortestVector => checked_norm_sq(w).map(|n| n as u128),
-        Objective::KnownBounds(domain) => try_storage_class_count(*domain, &IVec::from(w))
-            .ok()
-            .map(u128::from),
-    }
 }
 
 /// The canonical candidate order: objective cost, then squared length,
@@ -710,9 +749,7 @@ struct ParCkpt<'a> {
 /// many.
 struct ParSearch<'a> {
     stencil: &'a Stencil,
-    objective: &'a Objective<'a>,
-    domain_facts: &'a Option<DomainFacts>,
-    setup: &'a Setup,
+    setup: &'a Setup<'a>,
     budget: &'a Budget,
     max_visits: Option<u64>,
     /// Problem fingerprint stamped on every snapshot.
@@ -786,7 +823,7 @@ impl ParSearch<'_> {
             bound => u128::from(bound),
         }
         .min(self.hint);
-        match self.domain_facts {
+        match &self.setup.domain_facts {
             None => len_sq_lb > bound,
             Some(facts) => facts.dominated(len_sq_lb, bound),
         }
@@ -810,14 +847,16 @@ impl ParSearch<'_> {
     }
 
     /// Expand one offset's children (paper Visit step 2) into the
-    /// worker's own queue. Returns `false` if the expansion was cut
-    /// short (memo cap) — the caller then keeps the parent in hand.
+    /// worker's own queue, building each child in `cbuf` and costing it
+    /// on `scratch`. Returns `false` if the expansion was cut short (memo
+    /// cap) — the caller then keeps the parent in hand.
     fn expand(
         &self,
         id: usize,
         w: &[i64],
         mask: u64,
         cbuf: &mut Vec<i64>,
+        scratch: &mut Vec<i64>,
         stats: &mut SearchStats,
     ) -> bool {
         // One parent functional value serves every child:
@@ -868,8 +907,9 @@ impl ParSearch<'_> {
             // only step that can panic (a user-supplied domain) runs
             // while the shared state is still consistent, so a caught
             // panic can never leave a merged-but-never-queued offset
-            // behind (which a snapshot would then silently drop).
-            let Some(child_cost) = try_child_cost(self.objective, cbuf) else {
+            // behind (which a snapshot would then silently drop). An
+            // overflowing cost discards the candidate like a capped offset.
+            let Ok(child_cost) = self.setup.cost.try_cost(cbuf, scratch) else {
                 stats.capped += 1;
                 continue;
             };
@@ -1046,9 +1086,11 @@ impl ParSearch<'_> {
     fn worker(&self, id: usize, hand: &Cell<Option<(u128, u64, u64)>>) -> SearchStats {
         let mut stats = SearchStats::default();
         let mut idle_spins = 0u32;
-        // Scratch coordinate buffers reused across every pop and child.
+        // Scratch buffers reused across every pop and child: coordinates,
+        // and the lattice reduction that costs a known-bounds child.
         let mut wbuf: Vec<i64> = Vec::with_capacity(self.setup.dim);
         let mut cbuf: Vec<i64> = Vec::with_capacity(self.setup.dim);
+        let mut scratch: Vec<i64> = Vec::with_capacity(self.setup.dim * self.setup.dim);
         loop {
             if self.stop.load(Ordering::Acquire) {
                 break;
@@ -1092,7 +1134,7 @@ impl ParSearch<'_> {
             if mask == self.setup.full && self.offer(cost, &wbuf) {
                 stats.improvements += 1;
             }
-            if !self.expand(id, &wbuf, mask, &mut cbuf, &mut stats) {
+            if !self.expand(id, &wbuf, mask, &mut cbuf, &mut scratch, &mut stats) {
                 break; // memo cap mid-expansion: keep the entry in hand
             }
             hand.set(None);
@@ -1120,7 +1162,7 @@ fn search_seeded<T>(
     config: &SearchConfig,
     capture: impl FnOnce(&ParSearch<'_>, &SearchStats) -> T,
 ) -> Result<(SearchResult, T), SearchError> {
-    let (domain_facts, setup) = validated_setup(stencil, objective)?;
+    let setup = validated_setup(stencil, objective)?;
     let fingerprint = checkpoint::fingerprint(stencil, objective);
     let seed = match seed {
         None => SeedState::fresh(&setup),
@@ -1131,7 +1173,7 @@ fn search_seeded<T>(
             }));
         }
         Some(snap) => {
-            let state = SeedState::from_snapshot(objective, &setup, snap)?;
+            let state = SeedState::from_snapshot(&setup, snap)?;
             config.budget.restore_nodes_charged(state.nodes_charged);
             state
         }
@@ -1152,8 +1194,6 @@ fn search_seeded<T>(
     });
     let par = ParSearch {
         stencil,
-        objective,
-        domain_facts: &domain_facts,
         setup: &setup,
         budget: &config.budget,
         max_visits: config.max_visits,
@@ -1569,11 +1609,37 @@ mod tests {
 
     #[test]
     fn isqrt_exactness() {
+        let is_floor_root =
+            |n: u128, r: u128| r * r <= n && (r + 1).checked_mul(r + 1).is_none_or(|s| s > n);
         for n in 0u128..2000 {
             let r = isqrt(n);
-            assert!(r * r <= n && (r + 1) * (r + 1) > n, "isqrt({n}) = {r}");
+            assert!(is_floor_root(n, r), "isqrt({n}) = {r}");
         }
         assert_eq!(isqrt(u128::from(u64::MAX)), 4294967295);
+        // k² − 1, k², k² + 1 for k across the whole u64 range: every power
+        // of two and its neighbours, a geometric sweep, and the top.
+        let mut ks: Vec<u64> = (0..64)
+            .flat_map(|b| {
+                let p = 1u64 << b;
+                [p - 1, p, p + 1]
+            })
+            .collect();
+        let mut k = 3u64;
+        while let Some(next) = k.checked_mul(7).map(|x| x / 3) {
+            ks.push(k);
+            k = next;
+        }
+        ks.extend([u64::MAX - 1, u64::MAX]);
+        for k in ks {
+            let k = u128::from(k);
+            let sq = k * k;
+            for n in [sq.saturating_sub(1), sq, sq + 1] {
+                let r = isqrt(n);
+                assert!(is_floor_root(n, r), "isqrt({n}) = {r}");
+            }
+            assert_eq!(isqrt(sq), k);
+        }
+        assert_eq!(isqrt(u128::MAX), u128::from(u64::MAX));
     }
 
     fn with_threads(threads: usize) -> SearchConfig {
@@ -1598,8 +1664,24 @@ mod tests {
         // 1-D, so φ = (1) and the squares stay exact while every cost
         // exceeds u64: pruning must read the exact incumbent.
         let huge_1d = scaled(&Stencil::new(vec![ivec![1], ivec![3]]).unwrap(), 1 << 33);
+        // The heavy known-bounds searches of the benchmark's plan corpus,
+        // each on its loop nest's domain.
+        let cube = RectDomain::new(ivec![1, 1, 1], ivec![16, 32, 32]);
+        let stencil5_dom = RectDomain::new(ivec![1, 0], ivec![24, 511]);
+        let deep8_dom = RectDomain::new(ivec![1, 0], ivec![16, 4095]);
+        let wave3 = Stencil::new(vec![ivec![1, 0, 0], ivec![1, 1, 0], ivec![1, 0, 1]]).unwrap();
+        let diag3 = Stencil::new(vec![ivec![1, 0, 0], ivec![0, 1, 0], ivec![1, 1, 1]]).unwrap();
+        let heat3 = Stencil::new(vec![
+            ivec![1, 0, 0],
+            ivec![1, 1, 0],
+            ivec![1, -1, 0],
+            ivec![1, 0, 1],
+            ivec![1, 0, -1],
+        ])
+        .unwrap();
+        let deep8 = Stencil::new((1..=8).map(|k| ivec![k, 0]).collect()).unwrap();
         // [visited, pushed, improvements, pruned, capped]
-        let cases: [(&str, Stencil, Objective<'_>, [u64; 5]); 5] = [
+        let cases: [(&str, Stencil, Objective<'_>, [u64; 5]); 10] = [
             (
                 "fig1",
                 fig1(),
@@ -1629,6 +1711,37 @@ mod tests {
                 huge_1d,
                 Objective::ShortestVector,
                 [5, 6, 1, 5, 0],
+            ),
+            (
+                "wave3 on 16x32x32",
+                wave3,
+                Objective::KnownBounds(&cube),
+                [6226, 6226, 0, 1636, 0],
+            ),
+            (
+                "diag3 on 16x32x32",
+                diag3,
+                Objective::KnownBounds(&cube),
+                [3985, 3985, 0, 1462, 0],
+            ),
+            (
+                "heat3 on 16x32x32",
+                heat3,
+                Objective::KnownBounds(&cube),
+                [335, 340, 1, 576, 0],
+            ),
+            (
+                "stencil5 on 24x512",
+                stencil5(),
+                Objective::KnownBounds(&stencil5_dom),
+                [5520, 5856, 1, 1134, 0],
+            ),
+            (
+                // The one with capped children.
+                "deep8 on 16x4096",
+                deep8,
+                Objective::KnownBounds(&deep8_dom),
+                [2305, 2333, 1, 0, 36],
             ),
         ];
         for (name, s, objective, [visited, pushed, improvements, pruned, capped]) in cases {
@@ -1998,6 +2111,52 @@ mod tests {
                 &s,
                 Objective::KnownBounds(&grid),
                 &ckpt_config(threads, &path, 1),
+            )
+            .unwrap();
+            assert_eq!(resumed.uov, reference.uov, "threads={threads}");
+            assert_eq!(resumed.cost, reference.cost, "threads={threads}");
+            let _ = std::fs::remove_file(&path);
+        }
+    }
+
+    /// A fault in the origin's own expansion (fuse 3 fires at its second
+    /// child) leaves the origin, queued at cost 0, as the whole frontier.
+    /// The zero vector has no class count, and the snapshot must still
+    /// resume.
+    #[test]
+    fn panic_while_expanding_the_origin_leaves_a_resumable_snapshot() {
+        let s = fig1();
+        let grid = RectDomain::grid(6, 6);
+        for threads in [1, 4] {
+            let reference =
+                find_best_uov(&s, Objective::KnownBounds(&grid), &with_threads(threads)).unwrap();
+            let path = tmp_ckpt(&format!("origin_panic_{threads}"));
+            let fused = FusedDomain {
+                grid: &grid,
+                calls: std::sync::atomic::AtomicUsize::new(0),
+                fuse: 3,
+            };
+            let err = find_best_uov(
+                &s,
+                Objective::KnownBounds(&fused),
+                &ckpt_config(threads, &path, 1),
+            )
+            .unwrap_err();
+            assert!(
+                matches!(err, SearchError::WorkerPanic { .. }),
+                "threads={threads}"
+            );
+            let snap = checkpoint::read_snapshot(&path).unwrap();
+            assert_eq!(
+                snap.frontier,
+                vec![(0, IVec::zero(2), 0)],
+                "threads={threads}"
+            );
+            let resumed = search_resume(
+                &path,
+                &s,
+                Objective::KnownBounds(&grid),
+                &with_threads(threads),
             )
             .unwrap();
             assert_eq!(resumed.uov, reference.uov, "threads={threads}");

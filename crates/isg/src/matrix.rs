@@ -88,10 +88,6 @@ impl IMat {
         self.data[r * self.cols + c]
     }
 
-    fn at_mut(&mut self, r: usize, c: usize) -> &mut i64 {
-        &mut self.data[r * self.cols + c]
-    }
-
     /// The `r`-th row as a vector.
     ///
     /// # Panics
@@ -226,62 +222,112 @@ impl IMat {
 
     /// [`IMat::lattice_reduction`] returning [`IsgError::ZeroVector`] for
     /// the zero vector and [`IsgError::Overflow`] when a row operation's
-    /// coefficients exceed `i64`.
+    /// coefficients exceed `i64`. The allocating wrapper of
+    /// [`lattice_reduction_into`].
     pub fn try_lattice_reduction(v: &IVec) -> Result<IMat, IsgError> {
-        if v.is_zero() {
-            return Err(IsgError::ZeroVector);
-        }
-        // A content of 2⁶³ (all components 0 or i64::MIN) cannot appear in
-        // row 0 of the result; reject it before the elimination loop.
-        v.try_content()?;
         let d = v.dim();
-        let mut w = IMat::identity(d);
-        let mut cur: Vec<i64> = v.as_slice().to_vec();
-        for i in 1..d {
-            let (a, b) = (cur[0], cur[i]);
-            if b == 0 {
-                continue;
-            }
-            let (g, x, y) =
-                checked_extended_gcd(a, b).ok_or(IsgError::Overflow("lattice reduction gcd"))?;
-            // Row op with determinant +1:
-            //   row0' =  x·row0 + y·rowi
-            //   rowi' = -(b/g)·row0 + (a/g)·rowi
-            // g > 0 here (a or b non-zero), so b/g and a/g cannot hit the
-            // i64::MIN / -1 overflow; the scalings and sums can.
-            let row0 = w.row(0);
-            let rowi = w.row(i);
-            let neg_b_over_g = (b / g)
-                .checked_neg()
-                .ok_or(IsgError::Overflow("lattice reduction coefficient"))?;
-            let new0 = row0
-                .checked_scaled(x)?
-                .checked_add(&rowi.checked_scaled(y)?)?;
-            let newi = row0
-                .checked_scaled(neg_b_over_g)?
-                .checked_add(&rowi.checked_scaled(a / g)?)?;
-            for c in 0..d {
-                *w.at_mut(0, c) = new0[c];
-                *w.at_mut(i, c) = newi[c];
-            }
-            cur[0] = g;
-            cur[i] = 0;
-        }
-        // Pairwise gcd steps leave cur[0] = ±content; normalise the sign so
-        // row 0 always measures position along +v.
-        if cur[0] < 0 {
-            for c in 0..d {
-                let negated = w
-                    .at(0, c)
-                    .checked_neg()
-                    .ok_or(IsgError::Overflow("row normalisation"))?;
-                *w.at_mut(0, c) = negated;
-            }
-        }
-        debug_assert_eq!(w.mul_vec(v)[0], v.content());
-        debug_assert!(w.mul_vec(v).iter().skip(1).all(|&c| c == 0));
-        Ok(w)
+        let mut data = Vec::with_capacity(d * d);
+        lattice_reduction_into(v.as_slice(), &mut data)?;
+        Ok(IMat {
+            rows: d,
+            cols: d,
+            data,
+        })
     }
+}
+
+/// The unimodular `W` of [`IMat::lattice_reduction`], written row-major
+/// into a caller-owned buffer: `w` is resized to `d·d`, so a caller that
+/// reduces many vectors of one dimension allocates once. Returns the
+/// content `g` of `v`, the first coordinate of `W·v = (g, 0, …, 0)`.
+///
+/// # Errors
+///
+/// [`IsgError::ZeroVector`] for the zero vector, and
+/// [`IsgError::Overflow`] for a content of `2⁶³` or a row operation that
+/// leaves `i64`.
+///
+/// # Examples
+///
+/// ```
+/// use uov_isg::matrix::lattice_reduction_into;
+/// let mut w = Vec::new();
+/// assert_eq!(lattice_reduction_into(&[4, 6], &mut w)?, 2);
+/// // Row 1 is a form vanishing on (4, 6).
+/// assert_eq!(w[2] * 4 + w[3] * 6, 0);
+/// # Ok::<(), uov_isg::IsgError>(())
+/// ```
+pub fn lattice_reduction_into(v: &[i64], w: &mut Vec<i64>) -> Result<i64, IsgError> {
+    if v.iter().all(|&c| c == 0) {
+        return Err(IsgError::ZeroVector);
+    }
+    // A content of 2⁶³ (all components 0 or i64::MIN) cannot appear in
+    // row 0 of the result; reject it before the elimination loop.
+    if v.iter().all(|&c| c == 0 || c == i64::MIN) {
+        return Err(IsgError::Overflow("vector content"));
+    }
+    let d = v.len();
+    w.clear();
+    w.resize(d * d, 0);
+    for i in 0..d {
+        w[i * d + i] = 1;
+    }
+    let overflow = || IsgError::Overflow("lattice reduction row operation");
+    // `a` is the running first coordinate of W·v; coordinate i is still
+    // v[i] until step i zeroes it.
+    let mut a = v[0];
+    for (i, &b) in v.iter().enumerate().skip(1) {
+        if b == 0 {
+            continue;
+        }
+        let (g, x, y) =
+            checked_extended_gcd(a, b).ok_or(IsgError::Overflow("lattice reduction gcd"))?;
+        // Row op with determinant +1:
+        //   row0' =  x·row0 + y·rowi
+        //   rowi' = -(b/g)·row0 + (a/g)·rowi
+        // g > 0 here (a or b non-zero), so b/g and a/g cannot hit the
+        // i64::MIN / -1 overflow; the scalings and sums can.
+        let neg_b_over_g = (b / g)
+            .checked_neg()
+            .ok_or(IsgError::Overflow("lattice reduction coefficient"))?;
+        let a_over_g = a / g;
+        let (row0, rest) = w.split_at_mut(d);
+        let rowi = &mut rest[(i - 1) * d..i * d];
+        for (r0, ri) in row0.iter_mut().zip(rowi.iter_mut()) {
+            let new0 = r0
+                .checked_mul(x)
+                .zip(ri.checked_mul(y))
+                .and_then(|(p, q)| p.checked_add(q))
+                .ok_or_else(overflow)?;
+            let newi = r0
+                .checked_mul(neg_b_over_g)
+                .zip(ri.checked_mul(a_over_g))
+                .and_then(|(p, q)| p.checked_add(q))
+                .ok_or_else(overflow)?;
+            (*r0, *ri) = (new0, newi);
+        }
+        a = g;
+    }
+    // Pairwise gcd steps leave a = ±content; normalise the sign so row 0
+    // always measures position along +v.
+    let content = a.abs();
+    if a < 0 {
+        for c in &mut w[..d] {
+            *c = c
+                .checked_neg()
+                .ok_or(IsgError::Overflow("row normalisation"))?;
+        }
+    }
+    // W·v is exactly (content, 0, …, 0), so wrapping i128 sums are exact.
+    debug_assert!(
+        w.chunks_exact(d).enumerate().all(|(r, row)| {
+            let wv = (row.iter().zip(v))
+                .fold(0i128, |s, (&x, &y)| s.wrapping_add(x as i128 * y as i128));
+            wv == if r == 0 { i128::from(content) } else { 0 }
+        }),
+        "W·v must be (content, 0, …, 0)"
+    );
+    Ok(content)
 }
 
 impl Mul for &IMat {

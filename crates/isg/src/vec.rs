@@ -143,9 +143,8 @@ impl IVec {
     /// [`IVec::dot`] returning [`IsgError`] on dimension mismatch or when the
     /// result exceeds `i64`.
     ///
-    /// The per-term products and their sum are exact in `i128` (`d · 2¹²⁶`
-    /// cannot reach `i128::MAX` for any realistic dimension), so the only
-    /// failure is the final narrowing.
+    /// The arithmetic is [`try_dot_slices`]: exact in `i128`, failing only
+    /// when the running sum leaves `i128` or the result does not fit `i64`.
     ///
     /// ```
     /// use uov_isg::{ivec, IsgError};
@@ -162,16 +161,7 @@ impl IVec {
                 found: other.dim(),
             });
         }
-        let mut sum = 0i128;
-        for (&a, &b) in self.0.iter().zip(&other.0) {
-            let term = (a as i128)
-                .checked_mul(b as i128)
-                .ok_or(IsgError::Overflow("dot product term"))?;
-            sum = sum
-                .checked_add(term)
-                .ok_or(IsgError::Overflow("dot product sum"))?;
-        }
-        i64::try_from(sum).map_err(|_| IsgError::Overflow("dot product"))
+        try_dot_slices(&self.0, &other.0)
     }
 
     /// Dot product as `i128`, exact for all `i64` components.
@@ -391,6 +381,30 @@ impl IVec {
     pub fn into_inner(self) -> Vec<i64> {
         self.0
     }
+}
+
+/// [`IVec::try_dot`] on coordinate slices of equal length, for callers
+/// that keep points flattened: the terms and their running sum are exact
+/// in `i128`, and [`IsgError::Overflow`] reports a sum that leaves `i128`
+/// or a result that does not fit `i64`.
+///
+/// ```
+/// use uov_isg::vec::try_dot_slices;
+/// assert_eq!(try_dot_slices(&[1, 2], &[3, 4]), Ok(11));
+/// assert!(try_dot_slices(&[i64::MAX, i64::MAX], &[2, 2]).is_err());
+/// // Four terms of 2¹²⁶ leave i128 (a wrapping sum would read 0).
+/// assert!(try_dot_slices(&[i64::MIN; 4], &[i64::MIN; 4]).is_err());
+/// ```
+pub fn try_dot_slices(a: &[i64], b: &[i64]) -> Result<i64, IsgError> {
+    debug_assert_eq!(a.len(), b.len(), "dot product of mismatched slices");
+    let mut sum = 0i128;
+    for (&x, &y) in a.iter().zip(b) {
+        // An i64 × i64 product always fits i128; only the sum can leave it.
+        sum = sum
+            .checked_add(x as i128 * y as i128)
+            .ok_or(IsgError::Overflow("dot product sum"))?;
+    }
+    i64::try_from(sum).map_err(|_| IsgError::Overflow("dot product"))
 }
 
 impl From<Vec<i64>> for IVec {

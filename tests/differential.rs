@@ -621,3 +621,163 @@ mod kernel_zoo {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// Storage-class counting: the search's allocation-free counter against
+// the allocating count it replaced, kept here as a test-local reference
+// (row-vector lattice reduction over `IVec`s, `try_form_range` per
+// projected row, `num_points` cap). The two must agree on every `Ok`
+// value and fail on exactly the same inputs, overflow included.
+// ---------------------------------------------------------------------
+
+mod class_count {
+    use super::*;
+    use uov::core::objective::{try_storage_class_count, ClassCounter};
+    use uov::isg::num::checked_extended_gcd;
+    use uov::isg::project::try_form_range;
+    use uov::isg::{HalfspaceDomain2, IMat, IsgError, IterationDomain, Polygon2};
+
+    /// The row-vector reduction: rows of the unimodular `W` with
+    /// `W·v = (content, 0, …, 0)`, every row operation overflow-checked.
+    fn reference_reduction(v: &IVec) -> Result<Vec<IVec>, IsgError> {
+        if v.is_zero() {
+            return Err(IsgError::ZeroVector);
+        }
+        v.try_content()?;
+        let d = v.dim();
+        let mut w: Vec<IVec> = (0..d).map(|k| IVec::unit(d, k)).collect();
+        let mut cur = v.as_slice().to_vec();
+        for i in 1..d {
+            let (a, b) = (cur[0], cur[i]);
+            if b == 0 {
+                continue;
+            }
+            let (g, x, y) =
+                checked_extended_gcd(a, b).ok_or(IsgError::Overflow("reference gcd"))?;
+            let neg_b_over_g = (b / g)
+                .checked_neg()
+                .ok_or(IsgError::Overflow("reference coefficient"))?;
+            let new0 = w[0]
+                .checked_scaled(x)?
+                .checked_add(&w[i].checked_scaled(y)?)?;
+            let newi = w[0]
+                .checked_scaled(neg_b_over_g)?
+                .checked_add(&w[i].checked_scaled(a / g)?)?;
+            (w[0], w[i]) = (new0, newi);
+            (cur[0], cur[i]) = (g, 0);
+        }
+        if cur[0] < 0 {
+            w[0] = w[0].checked_scaled(-1)?;
+        }
+        Ok(w)
+    }
+
+    fn reference_count(domain: &dyn IterationDomain, ov: &IVec) -> Result<u64, IsgError> {
+        if ov.is_zero() {
+            return Err(IsgError::ZeroVector);
+        }
+        if ov.dim() != domain.dim() {
+            return Err(IsgError::DimMismatch {
+                expected: domain.dim(),
+                found: ov.dim(),
+            });
+        }
+        let mut classes = ov.try_content()? as u64;
+        for form in &reference_reduction(ov)?[1..] {
+            let (lo, hi) = try_form_range(domain, form)?;
+            let span = hi
+                .checked_sub(lo)
+                .and_then(|s| s.checked_add(1))
+                .ok_or(IsgError::Overflow("reference span"))?;
+            classes = classes.saturating_mul(span as u64);
+        }
+        Ok(classes.min(domain.num_points()))
+    }
+
+    /// One coordinate: mostly small, sometimes mid-sized, sometimes at or
+    /// within a few steps of ±i64::MAX and i64::MIN.
+    fn coord(rng: &mut StdRng) -> i64 {
+        match rng.gen_range(0u32..10) {
+            0..=5 => rng.gen_range(-6i64..=6),
+            6 => rng.gen_range(-1_000_000i64..=1_000_000),
+            7 => i64::MAX - rng.gen_range(0i64..=3),
+            8 => i64::MIN + rng.gen_range(0i64..=3),
+            _ => rng.gen_range(-(1i64 << 40)..=(1i64 << 40)),
+        }
+    }
+
+    /// A random box of dimension `dim`: small in three cases of four, with
+    /// a bound near the i64 extremes (so spans overflow) otherwise.
+    fn random_box(rng: &mut StdRng, dim: usize) -> RectDomain {
+        let huge = rng.gen_range(0u32..4) == 0;
+        let (lo, hi): (Vec<i64>, Vec<i64>) = (0..dim)
+            .map(|_| {
+                if huge {
+                    let lo = rng.gen_range(i64::MIN..=0);
+                    (lo, rng.gen_range(0..=i64::MAX))
+                } else {
+                    let lo = rng.gen_range(-20i64..=20);
+                    (lo, lo + rng.gen_range(0i64..=30))
+                }
+            })
+            .unzip();
+        RectDomain::new(IVec::from(lo), IVec::from(hi))
+    }
+
+    #[test]
+    fn counter_matches_the_allocating_reference() {
+        let mut rng = StdRng::seed_from_u64(seed_from_env() ^ 0xC1A55);
+        let mut domains: Vec<Box<dyn IterationDomain>> = vec![
+            Box::new(Polygon2::fig3_isg()),
+            Box::new(HalfspaceDomain2::lower_triangle(1, 12)),
+        ];
+        for _ in 0..48 {
+            let dim = rng.gen_range(1usize..=4);
+            domains.push(Box::new(random_box(&mut rng, dim)));
+        }
+        // One scratch buffer across every domain and dimension: a count
+        // must not depend on what the previous one left behind.
+        let mut scratch = Vec::new();
+        let (mut oks, mut errs) = (0u32, 0u32);
+        for (case, domain) in domains.iter().enumerate() {
+            let domain: &dyn IterationDomain = domain.as_ref();
+            let counter = ClassCounter::new(domain);
+            for _ in 0..40 {
+                // Mostly the domain's dimension; now and then one off, or
+                // the zero vector.
+                let dim = match rng.gen_range(0u32..16) {
+                    0 => domain.dim() + 1,
+                    1 if domain.dim() > 1 => domain.dim() - 1,
+                    _ => domain.dim(),
+                };
+                let ov = if rng.gen_range(0u32..16) == 0 {
+                    IVec::zero(dim)
+                } else {
+                    IVec::from((0..dim).map(|_| coord(&mut rng)).collect::<Vec<_>>())
+                };
+                let want = reference_count(domain, &ov).ok();
+                let got = counter.try_count(ov.as_slice(), &mut scratch).ok();
+                assert_eq!(got, want, "case {case}: counter on {domain:?}, ov {ov}");
+                let one_shot = try_storage_class_count(domain, &ov).ok();
+                assert_eq!(
+                    one_shot, want,
+                    "case {case}: one-shot on {domain:?}, ov {ov}"
+                );
+                let rows = IMat::try_lattice_reduction(&ov)
+                    .ok()
+                    .map(|w| (0..w.rows()).map(|r| w.row(r)).collect::<Vec<_>>());
+                assert_eq!(
+                    rows,
+                    reference_reduction(&ov).ok(),
+                    "case {case}: W of {ov}"
+                );
+                match want {
+                    Some(_) => oks += 1,
+                    None => errs += 1,
+                }
+            }
+        }
+        // Both outcomes must be exercised, or the differential is vacuous.
+        assert!(oks > 200 && errs > 200, "{oks} Ok and {errs} Err counts");
+    }
+}
