@@ -220,7 +220,6 @@ pub fn degradation_stats() -> Table {
                     budget: budget.clone(),
                     threads: 1,
                     checkpoint: None,
-                    bound_hint: None,
                 },
             )
             .expect("zoo stencils are in range even under a tiny budget");

@@ -2,7 +2,7 @@
 //! kill/restart schedule, plus the machine-readable `BENCH_pr6.json`
 //! artifact CI archives.
 //!
-//! Four measurements, one JSON file:
+//! Three measurements, one JSON file:
 //!
 //! * **search** — raw branch-and-bound throughput (nodes visited per
 //!   second) of a direct in-process solve, the baseline everything else
@@ -13,9 +13,7 @@
 //! * **mesh availability** — a routed request schedule across three
 //!   shards while shards are killed and restarted mid-schedule: the
 //!   fraction of requests answered (with certificate-identical answers)
-//!   despite the faults;
-//! * **distributed** — one distributed search with a mid-search home
-//!   shard kill, byte-compared against the direct solve.
+//!   despite the faults.
 //!
 //! The JSON is hand-rolled with a fixed key order — no serialization
 //! dependency, and byte-stable structure across runs (values are
@@ -42,7 +40,6 @@ pub fn all(scale: Scale) -> Vec<Table> {
     let search = search_throughput(scale);
     let service = service_latency(scale);
     let mesh = mesh_availability(scale);
-    let distributed = distributed_differential();
 
     let mut t = Table::new("mesh — BENCH_pr6.json", vec!["path".into(), "ok".into()]);
     match scale {
@@ -51,7 +48,7 @@ pub fn all(scale: Scale) -> Vec<Table> {
         // gate compares committed BENCH_pr*.json files across PRs.
         Scale::Quick => t.push(vec!["(skipped at quick scale)".into(), "true".into()]),
         Scale::Full => {
-            let json = render_json(&search, &service, &mesh, &distributed);
+            let json = render_json(&search, &service, &mesh);
             let path = bench_json_path("BENCH_pr6.json");
             match std::fs::write(&path, &json) {
                 Ok(()) => t.push(vec![path.display().to_string(), "true".into()]),
@@ -60,13 +57,7 @@ pub fn all(scale: Scale) -> Vec<Table> {
         }
     }
 
-    let mut out = vec![
-        search.table,
-        service.table,
-        mesh.table,
-        distributed.table,
-        t,
-    ];
+    let mut out = vec![search.table, service.table, mesh.table, t];
     out.extend(partition(scale));
     out
 }
@@ -383,84 +374,6 @@ fn mesh_availability(scale: Scale) -> MeshFigures {
     figures
 }
 
-struct DistributedFigures {
-    redispatches: u64,
-    rounds: u64,
-    matches_direct: bool,
-    table: Table,
-}
-
-/// One distributed search with the home shard killed at round 0:
-/// byte-compared to the direct solve, re-dispatch count recorded.
-fn distributed_differential() -> DistributedFigures {
-    let mut t = Table::new(
-        "mesh — distributed search, home shard killed mid-search",
-        vec![
-            "rounds".into(),
-            "redispatches".into(),
-            "matches direct".into(),
-        ],
-    );
-    let mut figures = DistributedFigures {
-        redispatches: 0,
-        rounds: 0,
-        matches_direct: false,
-        table: Table::new("placeholder", vec![]),
-    };
-    let stencil = Stencil::new(vec![ivec![1, 0], ivec![0, 1], ivec![1, 5]]).expect("valid");
-    let direct = find_best_uov(
-        &stencil,
-        Objective::ShortestVector,
-        &SearchConfig::default(),
-    )
-    .expect("direct search");
-    let cert = certify(&stencil, &Objective::ShortestVector, &direct).expect("certify");
-
-    let Ok(mut set) = ReplicaSet::start(3, ServerConfig::default()) else {
-        t.push(vec!["-".into(), "-".into(), "replicas unavailable".into()]);
-        figures.table = t;
-        return figures;
-    };
-    let endpoints: Vec<String> = set.endpoints().to_vec();
-    let Ok(mut mesh) = MeshClient::new(
-        &endpoints,
-        MeshConfig {
-            local_prefix_nodes: 4,
-            unit_node_budget: 12,
-            ..MeshConfig::default()
-        },
-    ) else {
-        t.push(vec!["-".into(), "-".into(), "mesh unavailable".into()]);
-        figures.table = t;
-        return figures;
-    };
-    let req = PlanRequest {
-        stencil,
-        objective: ObjectiveSpec::ShortestVector,
-        deadline_ms: 0,
-        flags: 0,
-    };
-    let home = mesh.ring().route(MeshClient::routing_key(&req));
-    let resp = mesh.plan_distributed_hooked(&req, &mut |round| {
-        if round == 0 {
-            set.kill(home);
-        }
-    });
-    figures.redispatches = mesh.stats().redispatches;
-    figures.rounds = mesh.stats().rounds;
-    figures.matches_direct = resp.is_ok_and(|r| {
-        r.uov == direct.uov && r.cost == direct.cost && r.certificate_hash == cert.transcript_hash
-    });
-    set.shutdown_all();
-    t.push(vec![
-        figures.rounds.to_string(),
-        figures.redispatches.to_string(),
-        figures.matches_direct.to_string(),
-    ]);
-    figures.table = t;
-    figures
-}
-
 struct PartitionFigures {
     requests: u64,
     completed: u64,
@@ -469,8 +382,6 @@ struct PartitionFigures {
     partitioned_requests: u64,
     warm_failover_hits: u64,
     warm_failover_hit_rate: f64,
-    stale_epoch_rejections: u64,
-    distributed_matches: bool,
     availability: f64,
     table: Table,
 }
@@ -481,9 +392,7 @@ struct PartitionFigures {
 /// each pass partitions one shard symmetrically and serves the full
 /// stream through the cut. Availability is the completed fraction, the
 /// warm-failover hit rate is the fraction of partitioned-home requests
-/// served from a neighbor's replicated cache, and a final
-/// asymmetric-partition distributed solve (responses held, then healed)
-/// exercises the lease fence so stale-epoch rejections are measured too.
+/// served from a neighbor's replicated cache.
 fn partition_availability(scale: Scale) -> PartitionFigures {
     let mut t = Table::new(
         "mesh — availability under partition-and-heal",
@@ -494,7 +403,6 @@ fn partition_availability(scale: Scale) -> PartitionFigures {
             "failovers".into(),
             "warm failover hits".into(),
             "warm failover rate".into(),
-            "stale epochs".into(),
             "availability".into(),
         ],
     );
@@ -506,8 +414,6 @@ fn partition_availability(scale: Scale) -> PartitionFigures {
         partitioned_requests: 0,
         warm_failover_hits: 0,
         warm_failover_hit_rate: 0.0,
-        stale_epoch_rejections: 0,
-        distributed_matches: false,
         availability: 0.0,
         table: Table::new("placeholder", vec![]),
     };
@@ -517,7 +423,6 @@ fn partition_availability(scale: Scale) -> PartitionFigures {
             "0".into(),
             "0".into(),
             e,
-            "-".into(),
             "-".into(),
             "-".into(),
             "0".into(),
@@ -578,7 +483,7 @@ fn partition_availability(scale: Scale) -> PartitionFigures {
         seed: 7,
         ..MeshConfig::default()
     };
-    let mut mesh = match MeshClient::new(&proxy_endpoints, cfg.clone()) {
+    let mut mesh = match MeshClient::new(&proxy_endpoints, cfg) {
         Ok(m) => m,
         Err(e) => {
             fail(&mut t, &mut figures, e.to_string());
@@ -627,50 +532,6 @@ fn partition_availability(scale: Scale) -> PartitionFigures {
     }
     figures.failovers = mesh.stats().failovers;
 
-    // Distributed solve through an asymmetric partition (requests pass,
-    // responses held) that heals mid-search: the held completion comes
-    // back under a superseded lease and must be fenced by epoch.
-    let stencil = Stencil::new(vec![ivec![1, 0], ivec![0, 1], ivec![1, 5]]).expect("valid");
-    let direct = find_best_uov(
-        &stencil,
-        Objective::ShortestVector,
-        &SearchConfig::default(),
-    )
-    .expect("direct search");
-    let cert = certify(&stencil, &Objective::ShortestVector, &direct).expect("certify");
-    let mut dmesh = match MeshClient::new(
-        &proxy_endpoints,
-        MeshConfig {
-            local_prefix_nodes: 4,
-            unit_node_budget: 12,
-            gossip: false,
-            ..cfg
-        },
-    ) {
-        Ok(m) => m,
-        Err(e) => {
-            fail(&mut t, &mut figures, e.to_string());
-            return figures;
-        }
-    };
-    let req = PlanRequest {
-        stencil,
-        objective: ObjectiveSpec::ShortestVector,
-        deadline_ms: 0,
-        flags: 0,
-    };
-    let home = dmesh.ring().route(MeshClient::routing_key(&req));
-    let resp = dmesh.plan_distributed_hooked(&req, &mut |round| match round {
-        0 => proxies[home].partition_asymmetric(false, true),
-        1 => proxies[home].heal(),
-        _ => {}
-    });
-    proxies[home].heal();
-    figures.stale_epoch_rejections = dmesh.stats().stale_epoch_rejections;
-    figures.distributed_matches = resp.is_ok_and(|r| {
-        r.uov == direct.uov && r.cost == direct.cost && r.certificate_hash == cert.transcript_hash
-    });
-
     figures.availability = if figures.requests > 0 {
         figures.completed as f64 / figures.requests as f64
     } else {
@@ -692,7 +553,6 @@ fn partition_availability(scale: Scale) -> PartitionFigures {
         figures.failovers.to_string(),
         figures.warm_failover_hits.to_string(),
         format!("{:.3}", figures.warm_failover_hit_rate),
-        figures.stale_epoch_rejections.to_string(),
         format!("{:.3}", figures.availability),
     ]);
     figures.table = t;
@@ -701,12 +561,7 @@ fn partition_availability(scale: Scale) -> PartitionFigures {
 
 /// Hand-rolled JSON with a fixed key order; all floats are finite by
 /// construction, so the output is always valid JSON.
-fn render_json(
-    search: &SearchFigures,
-    service: &ServiceFigures,
-    mesh: &MeshFigures,
-    distributed: &DistributedFigures,
-) -> String {
+fn render_json(search: &SearchFigures, service: &ServiceFigures, mesh: &MeshFigures) -> String {
     format!(
         concat!(
             "{{\n",
@@ -732,11 +587,6 @@ fn render_json(
             "    \"identical\": {},\n",
             "    \"failovers\": {},\n",
             "    \"availability\": {:.4}\n",
-            "  }},\n",
-            "  \"distributed\": {{\n",
-            "    \"rounds\": {},\n",
-            "    \"redispatches\": {},\n",
-            "    \"matches_direct\": {}\n",
             "  }}\n",
             "}}\n",
         ),
@@ -755,9 +605,6 @@ fn render_json(
         mesh.identical,
         mesh.failovers,
         mesh.availability,
-        distributed.rounds,
-        distributed.redispatches,
-        distributed.matches_direct,
     )
 }
 
@@ -780,8 +627,6 @@ fn render_pr8_json(p: &PartitionFigures) -> String {
             "    \"partitioned_requests\": {},\n",
             "    \"warm_failover_hits\": {},\n",
             "    \"warm_failover_hit_rate\": {:.4},\n",
-            "    \"stale_epoch_rejections\": {},\n",
-            "    \"distributed_matches_direct\": {},\n",
             "    \"availability\": {:.4}\n",
             "  }}\n",
             "}}\n",
@@ -794,8 +639,6 @@ fn render_pr8_json(p: &PartitionFigures) -> String {
         p.partitioned_requests,
         p.warm_failover_hits,
         p.warm_failover_hit_rate,
-        p.stale_epoch_rejections,
-        p.distributed_matches,
         p.availability,
     )
 }

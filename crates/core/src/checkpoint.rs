@@ -19,14 +19,12 @@
 //! ```
 //!
 //! Sections: `INCUMBENT` (cost + vector), `FRONTIER` (queue entries as
-//! `(cost, offset, pathset)`), `KNOWN` (the PATHSET union per offset),
-//! `PROGRESS` (budget + statistics counters) and `EPOCH` (the fencing
-//! epoch of a distributed work-unit lease; `0` for plain checkpoints).
-//! Entries are sorted before writing so a given search state always
-//! produces the identical file. Unknown tags are CRC-checked and
-//! skipped, leaving room for future sections without a version bump —
-//! which is exactly how readers older than the `EPOCH` section keep
-//! decoding newer files.
+//! `(cost, offset, pathset)`), `KNOWN` (the PATHSET union per offset) and
+//! `PROGRESS` (budget + statistics counters). Entries are sorted before
+//! writing so a given search state always produces the identical file.
+//! Unknown tags are CRC-checked and skipped, leaving room for future
+//! sections without a version bump — which is also how this reader
+//! decodes older files that carry the retired tag 5.
 //!
 //! Writes are atomic: the snapshot is written to `<path>.tmp`, fsynced,
 //! and renamed over `<path>`, so a crash mid-write leaves the previous
@@ -60,7 +58,7 @@ const SEC_INCUMBENT: u8 = 1;
 const SEC_FRONTIER: u8 = 2;
 const SEC_KNOWN: u8 = 3;
 const SEC_PROGRESS: u8 = 4;
-const SEC_EPOCH: u8 = 5;
+// Tag 5 held a distributed work unit's lease epoch. Retired: never reuse it.
 
 /// Where and how often to snapshot a search.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -170,10 +168,6 @@ pub struct Snapshot {
     /// Statistics accumulated so far (`complete` is not stored; a resumed
     /// run recomputes it).
     pub stats: SearchStats,
-    /// Fencing epoch of the distributed work-unit lease this snapshot
-    /// travels under; `0` means unleased (a plain local checkpoint, or a
-    /// file written before the epoch section existed).
-    pub epoch: u64,
 }
 
 impl From<WireError> for CheckpointError {
@@ -212,7 +206,7 @@ pub fn encode_snapshot(snap: &Snapshot) -> Result<Vec<u8>, CheckpointError> {
     e.u32(VERSION);
     e.u64(snap.fingerprint);
     e.u16(dim);
-    e.u8(5); // section count
+    e.u8(4); // section count
 
     let mut p = Encoder::new();
     p.u128(snap.incumbent_cost);
@@ -244,10 +238,6 @@ pub fn encode_snapshot(snap: &Snapshot) -> Result<Vec<u8>, CheckpointError> {
     p.u64(snap.stats.pruned);
     p.u64(snap.stats.capped);
     e.section(SEC_PROGRESS, &p.buf);
-
-    let mut p = Encoder::new();
-    p.u64(snap.epoch);
-    e.section(SEC_EPOCH, &p.buf);
 
     Ok(e.buf)
 }
@@ -311,7 +301,6 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot, CheckpointError> {
     let mut frontier: Option<Vec<(u128, IVec, u64)>> = None;
     let mut known: Option<Vec<(IVec, u64)>> = None;
     let mut progress: Option<[u64; 6]> = None;
-    let mut epoch: u64 = 0;
 
     for _ in 0..nsect {
         let start = d.pos;
@@ -331,10 +320,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot, CheckpointError> {
         let _ = stored_crc;
 
         let mut p = Decoder::new(payload);
-        let known_tag = matches!(
-            tag,
-            SEC_INCUMBENT | SEC_FRONTIER | SEC_KNOWN | SEC_PROGRESS | SEC_EPOCH
-        );
+        let known_tag = matches!(tag, SEC_INCUMBENT | SEC_FRONTIER | SEC_KNOWN | SEC_PROGRESS);
         match tag {
             SEC_INCUMBENT => {
                 let cost = p.u128()?;
@@ -368,9 +354,6 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot, CheckpointError> {
                     *v = p.u64()?;
                 }
                 progress = Some(vals);
-            }
-            SEC_EPOCH => {
-                epoch = p.u64()?;
             }
             // Unknown-but-CRC-valid sections are skipped: room for
             // forward-compatible additions within version 1.
@@ -418,8 +401,6 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot, CheckpointError> {
             capped,
             complete: false,
         },
-        // Files from before the EPOCH section decode as unleased.
-        epoch,
     })
 }
 
@@ -460,36 +441,33 @@ mod tests {
                 capped: 0,
                 complete: false,
             },
-            epoch: 9,
         }
     }
 
+    /// Files written while distributed search existed end in a tag-5
+    /// section (a work unit's lease epoch). It decodes like any unknown
+    /// section: CRC-checked, then skipped.
     #[test]
-    fn epoch_section_round_trips_and_defaults_to_zero_when_absent() {
-        let snap = sample();
-        let bytes = encode_snapshot(&snap).unwrap();
-        assert_eq!(decode_snapshot(&bytes).unwrap().epoch, 9);
-
-        // A pre-epoch writer: re-frame the same snapshot with the EPOCH
-        // section stripped and the section count dropped back to 4. Such
-        // files must decode with epoch 0, not an error.
+    fn retired_tag_5_section_is_crc_checked_and_skipped() {
+        let mut want = sample();
+        let mut old = encode_snapshot(&want).unwrap();
         // Header: magic 8 ‖ version 4 ‖ fingerprint 8 ‖ dim 2 ‖ nsect 1.
-        let mut legacy = Vec::new();
-        legacy.extend_from_slice(&bytes[..23]);
-        legacy[22] = 4; // nsect
-        let mut at = 23usize;
-        for _ in 0..5 {
-            let tag = bytes[at];
-            let len = u64::from_le_bytes(bytes[at + 1..at + 9].try_into().unwrap()) as usize;
-            let end = at + 1 + 8 + len + 4;
-            if tag != SEC_EPOCH {
-                legacy.extend_from_slice(&bytes[at..end]);
-            }
-            at = end;
-        }
-        let decoded = decode_snapshot(&legacy).unwrap();
-        assert_eq!(decoded.epoch, 0);
-        assert_eq!(decoded.frontier.len(), snap.frontier.len());
+        old[22] += 1;
+        let mut epoch = Encoder::new();
+        epoch.u64(9);
+        let mut section = Encoder::new();
+        section.section(5, &epoch.buf);
+        old.extend_from_slice(&section.buf);
+        want.frontier.sort();
+        want.known.sort();
+        assert_eq!(decode_snapshot(&old), Ok(want));
+
+        let crc_byte = old.len() - 1;
+        old[crc_byte] ^= 0x5A;
+        assert_eq!(
+            decode_snapshot(&old),
+            Err(CheckpointError::CrcMismatch { section: 5 })
+        );
     }
 
     #[test]

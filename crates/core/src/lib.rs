@@ -73,6 +73,5 @@ pub use fingerprint::{fingerprint, Fnv};
 pub use oracle::DoneOracle;
 pub use par::{try_fan_out, FanOutPanic};
 pub use search::{
-    find_best_uov, initial_uov, search_resume, search_unit, Objective, SearchConfig, SearchResult,
-    SearchStats,
+    find_best_uov, initial_uov, search_resume, Objective, SearchConfig, SearchResult, SearchStats,
 };

@@ -126,15 +126,6 @@ pub struct SearchConfig {
     /// search; the first one is reported in
     /// [`SearchResult::checkpoint_error`] and disables further writes.
     pub checkpoint: Option<CheckpointConfig>,
-    /// Externally supplied incumbent-cost bound, used *only* to tighten
-    /// pruning. Sound iff the value is the cost of a genuine UOV for the
-    /// same `(stencil, objective)` — then the optimum costs at most the
-    /// hint, pruning stays strict, and ties at the hint survive to the
-    /// canonical tie-break, so the returned `(uov, cost)` is unchanged
-    /// (only the visit counters shrink). A stale (too-high) hint merely
-    /// weakens pruning; this is what makes the mesh's best-effort bound
-    /// gossip safe.
-    pub bound_hint: Option<u128>,
 }
 
 impl Default for SearchConfig {
@@ -144,7 +135,6 @@ impl Default for SearchConfig {
             budget: Budget::default(),
             threads: 1,
             checkpoint: None,
-            bound_hint: None,
         }
     }
 }
@@ -362,7 +352,7 @@ pub fn find_best_uov(
     objective: Objective<'_>,
     config: &SearchConfig,
 ) -> Result<SearchResult, SearchError> {
-    search_seeded(None, stencil, &objective, config, |_, _| ()).map(|(result, ())| result)
+    search_seeded(None, stencil, &objective, config)
 }
 
 /// Resume a search from a snapshot written by a previous (interrupted or
@@ -393,37 +383,7 @@ pub fn search_resume(
     config: &SearchConfig,
 ) -> Result<SearchResult, SearchError> {
     let snap = checkpoint::read_snapshot(path)?;
-    search_seeded(Some(snap), stencil, &objective, config, |_, _| ()).map(|(result, ())| result)
-}
-
-/// Run one search *work unit*: start from `seed` (a wire-shipped
-/// snapshot, or a fresh origin when `None`), run under `config`, and
-/// return both the result and a snapshot of the final state — incumbent,
-/// PATHSET table, and whatever frontier the budget left unexplored.
-///
-/// A seed snapshot is validated exactly like a file-based resume
-/// ([`search_resume`]): fingerprint, structure, and its node count folded
-/// into `config.budget`. The returned snapshot upholds the same invariant
-/// as an on-disk checkpoint: every discovered-but-not-fully-expanded path
-/// is in the frontier (including an entry a worker had in hand when the
-/// budget cut it short), so a coordinator can merge unit snapshots and
-/// re-dispatch the leftovers without ever losing a subtree. An empty
-/// final frontier means the unit ran to exhaustion.
-///
-/// # Errors
-///
-/// Everything [`search_resume`] reports except the file read itself.
-/// Budget exhaustion is not an error — it shows up as
-/// `result.degradation` plus a non-empty frontier in the snapshot.
-pub fn search_unit(
-    seed: Option<Snapshot>,
-    stencil: &Stencil,
-    objective: Objective<'_>,
-    config: &SearchConfig,
-) -> Result<(SearchResult, Snapshot), SearchError> {
-    search_seeded(seed, stencil, &objective, config, |par, stats| {
-        par.build_snapshot(stats)
-    })
+    search_seeded(Some(snap), stencil, &objective, config)
 }
 
 /// Validate the problem and precompute the per-search constants.
@@ -773,10 +733,6 @@ struct ParSearch<'a> {
     /// Saturated incumbent cost for lock-free pruning (see
     /// [`saturate_bound`]).
     bound: AtomicU64,
-    /// External bound hint ([`SearchConfig::bound_hint`]), `u128::MAX`
-    /// when absent. Tightens pruning alongside `bound` but never touches
-    /// the incumbent.
-    hint: u128,
     /// Per-worker slot for the entry popped but not yet fully expanded,
     /// published when the worker exits. Early-stopping paths (budget,
     /// panic, memo cap) leave the entry here so snapshots never lose its
@@ -821,8 +777,7 @@ impl ParSearch<'_> {
         let bound = match self.bound.load(Ordering::Acquire) {
             u64::MAX => lock_unpoisoned(&self.incumbent).0,
             bound => u128::from(bound),
-        }
-        .min(self.hint);
+        };
         match &self.setup.domain_facts {
             None => len_sq_lb > bound,
             Some(facts) => facts.dominated(len_sq_lb, bound),
@@ -1060,7 +1015,6 @@ impl ParSearch<'_> {
             known: self.store.entries(),
             nodes_charged: self.budget.nodes_charged(),
             stats: stats.clone(),
-            epoch: 0,
         }
     }
 
@@ -1149,19 +1103,16 @@ impl ParSearch<'_> {
 /// engine from `seed` (a snapshot, checked against the live problem) or
 /// from the origin, and run `config.threads` work-stealing workers over
 /// shared state (see the module docs for the determinism argument).
-/// `capture` receives the drained engine and the final statistics, for
-/// callers that also want the final state back.
 ///
 /// Worker bodies run under `catch_unwind`: a panic stops the pool, lets
 /// the survivors drain, still writes the final checkpoint, and surfaces
 /// as `Err(SearchError::WorkerPanic)`.
-fn search_seeded<T>(
+fn search_seeded(
     seed: Option<Snapshot>,
     stencil: &Stencil,
     objective: &Objective<'_>,
     config: &SearchConfig,
-    capture: impl FnOnce(&ParSearch<'_>, &SearchStats) -> T,
-) -> Result<(SearchResult, T), SearchError> {
+) -> Result<SearchResult, SearchError> {
     let setup = validated_setup(stencil, objective)?;
     let fingerprint = checkpoint::fingerprint(stencil, objective);
     let seed = match seed {
@@ -1205,7 +1156,6 @@ fn search_seeded<T>(
         stop: AtomicBool::new(false),
         stop_reason: Mutex::new(None),
         bound: AtomicU64::new(saturate_bound(seed.incumbent.0)),
-        hint: config.bound_hint.unwrap_or(u128::MAX),
         incumbent: Mutex::new(seed.incumbent),
         in_hand: (0..threads).map(|_| Mutex::new(None)).collect(),
         stats_base: seed.base.clone(),
@@ -1276,17 +1226,13 @@ fn search_seeded<T>(
     if let Some((worker, payload)) = lock_unpoisoned(&par.panic_slot).take() {
         return Err(SearchError::WorkerPanic { worker, payload });
     }
-    let captured = capture(&par, &stats);
-    Ok((
-        SearchResult {
-            uov: best,
-            cost: best_cost,
-            stats,
-            degradation,
-            checkpoint_error,
-        },
-        captured,
-    ))
+    Ok(SearchResult {
+        uov: best,
+        cost: best_cost,
+        stats,
+        degradation,
+        checkpoint_error,
+    })
 }
 
 /// Exhaustively enumerate every UOV with components in `[-radius, radius]`
@@ -1504,7 +1450,6 @@ mod tests {
             threads: 1,
             budget: Budget::unlimited().with_max_nodes(2),
             checkpoint: None,
-            bound_hint: None,
         };
         let res = find_best_uov(&s, Objective::ShortestVector, &config).unwrap();
         assert!(!res.stats.complete);
@@ -1525,7 +1470,6 @@ mod tests {
             threads: 1,
             budget: Budget::unlimited().with_deadline(std::time::Duration::ZERO),
             checkpoint: None,
-            bound_hint: None,
         };
         let res = find_best_uov(&s, Objective::ShortestVector, &config).unwrap();
         assert!(!res.stats.complete);
@@ -1551,7 +1495,6 @@ mod tests {
             threads: 1,
             budget: Budget::unlimited().with_cancel_token(token),
             checkpoint: None,
-            bound_hint: None,
         };
         let res = find_best_uov(&s, Objective::ShortestVector, &config).unwrap();
         assert!(!res.stats.complete);
@@ -1571,7 +1514,6 @@ mod tests {
             threads: 1,
             budget: Budget::unlimited().with_max_memo_entries(2),
             checkpoint: None,
-            bound_hint: None,
         };
         let res = find_best_uov(&s, Objective::ShortestVector, &config).unwrap();
         assert!(!res.stats.complete);
@@ -1590,7 +1532,6 @@ mod tests {
                 .with_max_nodes(1_000_000)
                 .with_deadline(std::time::Duration::from_secs(60)),
             checkpoint: None,
-            bound_hint: None,
         };
         let best = find_best_uov(&stencil5(), Objective::ShortestVector, &config).unwrap();
         assert_eq!(best.uov, ivec![2, 0]);
@@ -1680,8 +1621,24 @@ mod tests {
         ])
         .unwrap();
         let deep8 = Stencil::new((1..=8).map(|k| ivec![k, 0]).collect()).unwrap();
+        // The rest of the plan corpus and the kernel zoo, on the same
+        // domains as their loop nests. fig1, psm's first statement and
+        // skew1 share one stencil, and their counts do not move with the
+        // corpus's domain sizes.
+        let skew = |k: i64| Stencil::new(vec![ivec![1, 0], ivec![0, 1], ivec![1, k]]).unwrap();
+        let grid32 = RectDomain::new(ivec![1, 1], ivec![32, 32]);
+        let grid64 = RectDomain::new(ivec![1, 1], ivec![64, 64]);
+        let grid256 = RectDomain::new(ivec![1, 1], ivec![256, 256]);
+        let stencil5_8 = RectDomain::new(ivec![1, 0], ivec![8, 127]);
+        let stencil5_16 = RectDomain::new(ivec![1, 0], ivec![16, 255]);
+        let deep8_16 = RectDomain::new(ivec![1, 0], ivec![16, 1023]);
+        let deep8_32 = RectDomain::new(ivec![1, 0], ivec![32, 1023]);
+        let heat3_small = RectDomain::new(ivec![1, 1, 1], ivec![8, 16, 16]);
+        let zoo_fig1 = RectDomain::new(ivec![1, 1], ivec![8, 6]);
+        let zoo_stencil5 = RectDomain::new(ivec![1, 0], ivec![6, 23]);
+        let zoo_deep8 = RectDomain::new(ivec![1, 0], ivec![12, 9]);
         // [visited, pushed, improvements, pruned, capped]
-        let cases: [(&str, Stencil, Objective<'_>, [u64; 5]); 10] = [
+        let cases: [(&str, Stencil, Objective<'_>, [u64; 5]); 23] = [
             (
                 "fig1",
                 fig1(),
@@ -1726,7 +1683,7 @@ mod tests {
             ),
             (
                 "heat3 on 16x32x32",
-                heat3,
+                heat3.clone(),
                 Objective::KnownBounds(&cube),
                 [335, 340, 1, 576, 0],
             ),
@@ -1739,9 +1696,87 @@ mod tests {
             (
                 // The one with capped children.
                 "deep8 on 16x4096",
-                deep8,
+                deep8.clone(),
                 Objective::KnownBounds(&deep8_dom),
                 [2305, 2333, 1, 0, 36],
+            ),
+            (
+                "fig1 on 32x32",
+                fig1(),
+                Objective::KnownBounds(&grid32),
+                [22, 29, 1, 27, 0],
+            ),
+            (
+                "psm statement 1 on 32x32",
+                Stencil::new(vec![ivec![1, 0]]).unwrap(),
+                Objective::KnownBounds(&grid32),
+                [3, 3, 0, 1, 0],
+            ),
+            (
+                "stencil5 on 8x128",
+                stencil5(),
+                Objective::KnownBounds(&stencil5_8),
+                [4641, 5027, 1, 1039, 0],
+            ),
+            (
+                "stencil5 on 16x256",
+                stencil5(),
+                Objective::KnownBounds(&stencil5_16),
+                [3429, 3711, 1, 890, 0],
+            ),
+            (
+                "deep8 on 16x1024",
+                deep8.clone(),
+                Objective::KnownBounds(&deep8_16),
+                [1027, 1055, 1, 36, 0],
+            ),
+            (
+                "deep8 on 32x1024",
+                deep8.clone(),
+                Objective::KnownBounds(&deep8_32),
+                [343, 371, 1, 36, 0],
+            ),
+            (
+                "skew2 on 64x64",
+                skew(2),
+                Objective::KnownBounds(&grid64),
+                [81, 103, 1, 67, 0],
+            ),
+            (
+                "skew3 on 64x64",
+                skew(3),
+                Objective::KnownBounds(&grid64),
+                [154, 191, 1, 109, 0],
+            ),
+            (
+                "skew4 on 256x256",
+                skew(4),
+                Objective::KnownBounds(&grid256),
+                [333, 399, 1, 184, 0],
+            ),
+            (
+                "heat3 on 8x16x16",
+                heat3,
+                Objective::KnownBounds(&heat3_small),
+                [488, 557, 1, 735, 0],
+            ),
+            (
+                "zoo fig1(8,6)",
+                fig1(),
+                Objective::KnownBounds(&zoo_fig1),
+                [35, 46, 1, 35, 0],
+            ),
+            (
+                "zoo stencil5(6,24)",
+                stencil5(),
+                Objective::KnownBounds(&zoo_stencil5),
+                [437, 534, 1, 309, 0],
+            ),
+            (
+                "zoo deep8(12,10)",
+                deep8,
+                Objective::KnownBounds(&zoo_deep8),
+                [32, 60, 1, 36, 0],
             ),
         ];
         for (name, s, objective, [visited, pushed, improvements, pruned, capped]) in cases {
@@ -1854,7 +1889,6 @@ mod tests {
             threads: 4,
             budget: Budget::unlimited().with_max_nodes(2),
             checkpoint: None,
-            bound_hint: None,
         };
         let res = find_best_uov(&s, Objective::ShortestVector, &config).unwrap();
         assert!(!res.stats.complete);
@@ -2165,115 +2199,40 @@ mod tests {
         }
     }
 
+    /// A chain of node-capped runs, each resumed from the previous run's
+    /// checkpoint file, lands on the exact canonical answer. The cap is
+    /// cumulative (resume restores the charged nodes), so each step grants
+    /// `cut` nodes past the charge its snapshot recorded.
     #[test]
-    fn bound_hint_never_changes_the_answer() {
-        for s in [fig1(), stencil5()] {
-            for threads in [1usize, 4] {
-                let plain =
-                    find_best_uov(&s, Objective::ShortestVector, &with_threads(threads)).unwrap();
-                // Hints at the optimum, above it, and absurdly above it
-                // must all return the identical canonical answer; a tight
-                // hint may only shrink the visit counters.
-                for hint in [plain.cost, plain.cost + 1, plain.cost * 100] {
-                    let hinted = find_best_uov(
-                        &s,
-                        Objective::ShortestVector,
-                        &SearchConfig {
-                            bound_hint: Some(hint),
-                            ..with_threads(threads)
-                        },
-                    )
-                    .unwrap();
-                    assert_eq!(hinted.uov, plain.uov, "threads={threads} hint={hint}");
-                    assert_eq!(hinted.cost, plain.cost, "threads={threads} hint={hint}");
-                    assert!(hinted.stats.complete);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn search_unit_fresh_run_matches_find_best_uov_and_leaves_no_frontier() {
-        for threads in [1usize, 4] {
-            let s = stencil5();
-            let plain =
-                find_best_uov(&s, Objective::ShortestVector, &with_threads(threads)).unwrap();
-            let (res, snap) =
-                search_unit(None, &s, Objective::ShortestVector, &with_threads(threads)).unwrap();
-            assert_eq!(res.uov, plain.uov);
-            assert_eq!(res.cost, plain.cost);
-            assert_eq!(snap.incumbent, plain.uov);
-            assert_eq!(snap.incumbent_cost, plain.cost);
-            assert!(
-                snap.frontier.is_empty(),
-                "a completed unit leaves no frontier (threads={threads})"
-            );
-            assert_eq!(
-                snap.fingerprint,
-                checkpoint::fingerprint(&s, &Objective::ShortestVector)
-            );
-        }
-    }
-
-    #[test]
-    fn budget_cut_unit_resumes_through_snapshots_to_the_exact_answer() {
+    fn node_capped_resume_chain_lands_on_the_exact_answer() {
         for threads in [1usize, 4] {
             for cut in [1u64, 3, 7] {
                 let s = stencil5();
                 let reference =
                     find_best_uov(&s, Objective::ShortestVector, &with_threads(threads)).unwrap();
-                // Run node-capped units back-to-back, each seeded with the
-                // previous unit's in-memory snapshot — the wire path of a
-                // mesh work unit, minus the wire.
-                let config = || SearchConfig {
-                    budget: Budget::unlimited().with_max_nodes(cut),
-                    ..with_threads(threads)
+                let path = tmp_ckpt(&format!("chain_{threads}_{cut}"));
+                let capped = |nodes: u64| SearchConfig {
+                    budget: Budget::unlimited().with_max_nodes(nodes),
+                    ..ckpt_config(threads, &path, 1)
                 };
-                let (mut res, mut snap) =
-                    search_unit(None, &s, Objective::ShortestVector, &config()).unwrap();
-                let mut rounds = 0;
-                while !snap.frontier.is_empty() {
-                    rounds += 1;
-                    assert!(rounds < 10_000, "unit chain failed to converge");
-                    let fresh = SearchConfig {
-                        budget: Budget::unlimited().with_max_nodes(cut),
-                        ..with_threads(threads)
-                    };
-                    // Each unit gets a fresh allowance: clear the charge
-                    // carried inside the snapshot.
-                    let mut reseed = snap;
-                    reseed.nodes_charged = 0;
-                    (res, snap) =
-                        search_unit(Some(reseed), &s, Objective::ShortestVector, &fresh).unwrap();
+                let mut res = find_best_uov(&s, Objective::ShortestVector, &capped(cut)).unwrap();
+                let mut steps = 0;
+                while !res.stats.complete {
+                    steps += 1;
+                    assert!(steps <= 10_000, "resume chain failed to converge");
+                    assert_eq!(res.checkpoint_error, None);
+                    let charged = checkpoint::read_snapshot(&path).unwrap().nodes_charged;
+                    res =
+                        search_resume(&path, &s, Objective::ShortestVector, &capped(charged + cut))
+                            .unwrap();
                 }
                 assert_eq!(
                     (res.uov, res.cost),
                     (reference.uov.clone(), reference.cost),
                     "threads={threads} cut={cut}"
                 );
+                let _ = std::fs::remove_file(&path);
             }
         }
-    }
-
-    #[test]
-    fn search_unit_rejects_a_snapshot_from_a_different_problem() {
-        let (_, snap) = search_unit(
-            None,
-            &stencil5(),
-            Objective::ShortestVector,
-            &with_threads(1),
-        )
-        .unwrap();
-        let err = search_unit(
-            Some(snap),
-            &fig1(),
-            Objective::ShortestVector,
-            &with_threads(1),
-        )
-        .unwrap_err();
-        assert!(matches!(
-            err,
-            SearchError::Checkpoint(CheckpointError::StencilMismatch { .. })
-        ));
     }
 }

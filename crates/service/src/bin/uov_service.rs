@@ -3,7 +3,7 @@
 //! ```text
 //! uov-service serve  <endpoint> [--workers N] [--queue N] [--cache N] [--search-threads N]
 //!                               [--warm-cache PATH] [--wedge-timeout MS]
-//! uov-service query  <endpoint> --stencil "1,0;0,1;1,1" [--grid N,M] [--deadline MS] [--no-cache] [--mesh] [--replication K]
+//! uov-service query  <endpoint> --stencil "1,0;0,1;1,1" [--grid N,M] [--deadline MS] [--no-cache] [--replication K]
 //! uov-service bench  <endpoint> [--clients N] [--requests N] [--seed S] [--distinct N]
 //!                               [--deadline MS] [--csv]
 //! uov-service health <endpoint>
@@ -15,8 +15,7 @@
 //! port and prints it) or Unix sockets (`unix:/tmp/uov.sock`). `query`
 //! accepts a comma-separated replica list and plans through the routed
 //! client, which sends each problem to its consistent-hash home replica
-//! and fails over along the ring; with `--mesh` it instead distributes
-//! the search across the replicas as re-dispatchable work units.
+//! and fails over along the ring.
 
 use std::process::ExitCode;
 use std::time::Duration;
@@ -56,7 +55,7 @@ const USAGE: &str = "usage:
   uov-service serve  <endpoint> [--workers N] [--queue N] [--cache N] [--search-threads N] [--warm-cache PATH] [--wedge-timeout MS]
                                 [--degrade-watermark N] [--tenant-rate N] [--tenant-burst N] [--tenant-inflight N]
                                 [--tenant-quota T:RATE:BURST:INFLIGHT[:WEIGHT] …]
-  uov-service query  <endpoint[,endpoint…]> --stencil \"1,0;0,1;1,1\" [--grid N,M] [--deadline MS] [--no-cache] [--mesh] [--replication K]
+  uov-service query  <endpoint[,endpoint…]> --stencil \"1,0;0,1;1,1\" [--grid N,M] [--deadline MS] [--no-cache] [--replication K]
   uov-service bench  <endpoint> [--clients N] [--requests N] [--seed S] [--distinct N] [--deadline MS] [--csv]
                                 [--open-loop [--rps N] [--duration MS] [--tenants N] [--hog T] [--hog-multiplier N] [--batch N]]
   uov-service smoke  <endpoint>
@@ -219,9 +218,8 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
         flags,
     };
     // Any endpoint list — one replica or many — goes through the routed
-    // client: ring routing with failover, and with `--mesh` distributed
-    // work units. A certified answer is pushed to `--replication K` ring
-    // successors so failover targets are warm.
+    // client: ring routing with failover. A certified answer is pushed to
+    // `--replication K` ring successors so failover targets are warm.
     let endpoints: Vec<String> = endpoint
         .split(',')
         .map(|e| e.trim().to_string())
@@ -241,17 +239,7 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
         },
     )
     .map_err(|e| e.to_string())?;
-    let resp = if args.iter().any(|a| a == "--mesh") {
-        let resp = client.plan_distributed(&req).map_err(|e| e.to_string())?;
-        let stats = client.stats();
-        println!(
-            "mesh        {} round(s), {} unit(s), {} redispatch(es), {} replica push(es)",
-            stats.rounds, stats.units_dispatched, stats.redispatches, stats.replicas_pushed
-        );
-        resp
-    } else {
-        client.plan(&req).map_err(|e| e.to_string())?
-    };
+    let resp = client.plan(&req).map_err(|e| e.to_string())?;
     println!("uov         {}", resp.uov);
     println!("cost        {}", resp.cost);
     println!("certificate {:#018x}", resp.certificate_hash);
@@ -477,15 +465,6 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
     println!("| panics | {} |", s.server.panics);
     println!("| watchdog cancels | {} |", s.server.watchdog_cancels);
     println!("| worker restarts | {} |", s.server.worker_restarts);
-    println!("| work units | {} |", s.server.workunits);
-    println!(
-        "| stale-epoch rejections | {} |",
-        s.server.stale_epoch_rejections
-    );
-    println!(
-        "| anti-entropy repairs | {} |",
-        s.server.anti_entropy_repairs
-    );
     println!("| warm-load corrupt | {} |", s.server.warm_load_corrupt);
     println!("| warm-load version | {} |", s.server.warm_load_version);
     println!("| shed over quota | {} |", s.server.shed_over_quota);
@@ -504,13 +483,6 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
         s.cache.replicated_entries
     );
     println!("| cache replica hits | {} |", s.cache.replica_hits);
-    match s.bound {
-        Some(b) => println!(
-            "| gossip bound | cost {} for problem {:#018x} |",
-            b.cost, b.fingerprint
-        ),
-        None => println!("| gossip bound | none |"),
-    }
     for g in &s.tenants {
         println!("| tenant {} in-flight | {} |", g.tenant, g.inflight);
     }

@@ -26,16 +26,11 @@
 //! # Network partitions
 //!
 //! On top of the per-frame fault schedule, a proxy can be **partitioned**
-//! ([`ChaosProxy::partition_symmetric`] /
-//! [`ChaosProxy::partition_asymmetric`]) and later **healed**
+//! ([`ChaosProxy::partition_symmetric`]) and later **healed**
 //! ([`ChaosProxy::heal`]). A partition does not drop or damage frames:
 //! each pump direction simply *holds* its current frame until the
 //! partition heals, modelling TCP retransmission across a cut link —
-//! delivery is delayed, order is preserved, nothing is lost. The
-//! asymmetric form blocks one direction only; blocking just the
-//! server→client direction makes the replica execute a request whose
-//! response arrives after the coordinator has given up — the natural way
-//! to manufacture a stale work-unit completion.
+//! delivery is delayed, order is preserved, nothing is lost.
 
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -144,25 +139,6 @@ impl ChaosCounters {
     }
 }
 
-/// Which pump directions of one proxy are currently cut. Direction 0 is
-/// client→upstream, direction 1 is upstream→client (the same indices the
-/// seeded pump RNGs use).
-#[derive(Default)]
-struct PartitionState {
-    to_upstream: AtomicBool,
-    to_client: AtomicBool,
-}
-
-impl PartitionState {
-    fn blocked(&self, dir: u64) -> bool {
-        if dir == 0 {
-            self.to_upstream.load(Ordering::SeqCst)
-        } else {
-            self.to_client.load(Ordering::SeqCst)
-        }
-    }
-}
-
 /// splitmix64: turns correlated seeds (`seed ^ small-counter`) into
 /// well-mixed xorshift starting states.
 fn splitmix64(mut x: u64) -> u64 {
@@ -219,7 +195,9 @@ pub struct ChaosProxy {
     upstream: Arc<Mutex<String>>,
     stop: Arc<AtomicBool>,
     counters: Arc<ChaosCounters>,
-    partition: Arc<PartitionState>,
+    /// Whether the proxy is partitioned: both pump directions hold
+    /// their frames while set.
+    partitioned: Arc<AtomicBool>,
     accept: Option<JoinHandle<()>>,
 }
 
@@ -258,12 +236,12 @@ impl ChaosProxy {
         let upstream = Arc::new(Mutex::new(upstream.to_string()));
         let stop = Arc::new(AtomicBool::new(false));
         let counters = Arc::new(ChaosCounters::default());
-        let partition = Arc::new(PartitionState::default());
+        let partitioned = Arc::new(AtomicBool::new(false));
 
         let a_upstream = Arc::clone(&upstream);
         let a_stop = Arc::clone(&stop);
         let a_counters = Arc::clone(&counters);
-        let a_partition = Arc::clone(&partition);
+        let a_partitioned = Arc::clone(&partitioned);
         let accept = thread::Builder::new()
             .name("chaos-accept".into())
             .spawn(move || {
@@ -273,7 +251,7 @@ impl ChaosProxy {
                     &a_upstream,
                     &a_stop,
                     &a_counters,
-                    &a_partition,
+                    &a_partitioned,
                 );
             })?;
 
@@ -282,7 +260,7 @@ impl ChaosProxy {
             upstream,
             stop,
             counters,
-            partition,
+            partitioned,
             accept: Some(accept),
         })
     }
@@ -310,27 +288,12 @@ impl ChaosProxy {
     /// partitioned away. In-flight and future frames are held — delayed,
     /// ordered, never dropped — until [`ChaosProxy::heal`].
     pub fn partition_symmetric(&self) {
-        self.partition.to_upstream.store(true, Ordering::SeqCst);
-        self.partition.to_client.store(true, Ordering::SeqCst);
-    }
-
-    /// Cut chosen directions only. Blocking just `to_client`
-    /// (server→client) lets requests through but holds responses: the
-    /// replica executes work whose completion surfaces after heal —
-    /// exactly how a stale work-unit completion is born.
-    pub fn partition_asymmetric(&self, block_to_upstream: bool, block_to_client: bool) {
-        self.partition
-            .to_upstream
-            .store(block_to_upstream, Ordering::SeqCst);
-        self.partition
-            .to_client
-            .store(block_to_client, Ordering::SeqCst);
+        self.partitioned.store(true, Ordering::SeqCst);
     }
 
     /// Heal the partition: held frames resume forwarding in order.
     pub fn heal(&self) {
-        self.partition.to_upstream.store(false, Ordering::SeqCst);
-        self.partition.to_client.store(false, Ordering::SeqCst);
+        self.partitioned.store(false, Ordering::SeqCst);
     }
 
     /// Stop accepting; existing pumps notice within ~100 ms.
@@ -358,7 +321,7 @@ fn accept_loop(
     upstream: &Arc<Mutex<String>>,
     stop: &Arc<AtomicBool>,
     counters: &Arc<ChaosCounters>,
-    partition: &Arc<PartitionState>,
+    partitioned: &Arc<AtomicBool>,
 ) {
     let mut conn_seq: u64 = 0;
     while !stop.load(Ordering::SeqCst) {
@@ -386,7 +349,7 @@ fn accept_loop(
         counters.connections.fetch_add(1, Ordering::Relaxed);
         let seq = conn_seq;
         conn_seq += 1;
-        spawn_pump(client, server, cfg, seq, stop, counters, partition);
+        spawn_pump(client, server, cfg, seq, stop, counters, partitioned);
     }
 }
 
@@ -400,7 +363,7 @@ fn spawn_pump(
     seq: u64,
     stop: &Arc<AtomicBool>,
     counters: &Arc<ChaosCounters>,
-    partition: &Arc<PartitionState>,
+    partitioned: &Arc<AtomicBool>,
 ) {
     let pairs = [
         (client.try_clone(), server.try_clone(), 0u64),
@@ -417,10 +380,10 @@ fn spawn_pump(
         ));
         let t_stop = Arc::clone(stop);
         let t_counters = Arc::clone(counters);
-        let t_partition = Arc::clone(partition);
+        let t_partitioned = Arc::clone(partitioned);
         let _ = thread::Builder::new()
             .name(format!("chaos-pump-{seq}-{dir}"))
-            .spawn(move || pump(src, dst, cfg, rng, dir, &t_stop, &t_counters, &t_partition));
+            .spawn(move || pump(src, dst, cfg, rng, &t_stop, &t_counters, &t_partitioned));
     }
 }
 
@@ -460,16 +423,14 @@ fn sleep_interruptible(ms: u64, stop: &AtomicBool) {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn pump(
     src: TcpStream,
     mut dst: TcpStream,
     cfg: ChaosConfig,
     mut rng: XorShift64,
-    dir: u64,
     stop: &AtomicBool,
     counters: &ChaosCounters,
-    partition: &PartitionState,
+    partitioned: &AtomicBool,
 ) {
     let close_both = |src: &TcpStream, dst: &TcpStream| {
         let _ = src.shutdown(Shutdown::Both);
@@ -496,9 +457,9 @@ fn pump(
         // delivery in order, nothing dropped — TCP retransmission across
         // a cut link. The fault roll still runs afterwards, so a seeded
         // schedule keeps its alignment through a partition window.
-        if partition.blocked(dir) {
+        if partitioned.load(Ordering::SeqCst) {
             counters.partition_holds.fetch_add(1, Ordering::Relaxed);
-            while partition.blocked(dir) && !stop.load(Ordering::SeqCst) {
+            while partitioned.load(Ordering::SeqCst) && !stop.load(Ordering::SeqCst) {
                 thread::sleep(Duration::from_millis(5));
             }
             if stop.load(Ordering::SeqCst) {
@@ -816,31 +777,6 @@ mod tests {
         assert!(stats.partition_holds >= 1, "{stats:?}");
         server.shutdown();
         server.join();
-    }
-
-    #[test]
-    fn asymmetric_partition_delays_only_the_blocked_direction() {
-        let server = serve("127.0.0.1:0", ServerConfig::default()).unwrap();
-        let proxy = ChaosProxy::start(server.endpoint(), ChaosConfig::default()).unwrap();
-
-        // Requests flow, responses are held: the server executes the
-        // plan but the client times out waiting for it.
-        proxy.partition_asymmetric(false, true);
-        let mut client = Client::connect(proxy.endpoint()).unwrap();
-        client
-            .set_timeout(Some(Duration::from_millis(300)))
-            .unwrap();
-        assert!(client.plan(&fig1_request()).is_err());
-
-        proxy.heal();
-        let stats = proxy.stop();
-        assert!(stats.partition_holds >= 1, "{stats:?}");
-        server.shutdown();
-        let final_stats = server.join();
-        assert!(
-            final_stats.requests >= 1,
-            "request never crossed the one-way partition: {final_stats:?}"
-        );
     }
 
     #[test]

@@ -7,7 +7,6 @@ use crate::error::ServiceError;
 use crate::proto::{
     kind, read_frame, write_frame, BatchRequest, BatchResponse, ErrorResponse, Frame,
     HealthResponse, PlanRequest, PlanResponse, ReplicateRequest, ReplicateResponse, StatsResponse,
-    WorkUnitRequest, WorkUnitResponse,
 };
 use crate::server::AnyStream;
 
@@ -191,20 +190,6 @@ impl Client {
         Self::response(frame, kind::RESP_BATCH, BatchResponse::decode)
     }
 
-    /// Execute one distributed-search work unit on the server: ship a
-    /// `UOVCKPT1` snapshot, get the advanced snapshot back. Idempotent
-    /// for the same reason plans are (the unit is a pure function of the
-    /// shipped state), so the same single-reconnect discipline applies.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::Rejected`] for typed server errors; the transport
-    /// taxonomy of [`read_frame`] otherwise.
-    pub fn workunit(&mut self, req: &WorkUnitRequest) -> Result<WorkUnitResponse, ServiceError> {
-        let frame = self.exchange(kind::REQ_WORKUNIT, &req.encode())?;
-        Self::response(frame, kind::RESP_WORKUNIT, WorkUnitResponse::decode)
-    }
-
     /// Push one certified plan-cache entry to this server (neighbor
     /// replication). The server re-certifies the answer before storing
     /// it, so a lying or buggy pusher cannot poison the replica's cache.
@@ -219,30 +204,6 @@ impl Client {
     pub fn replicate(&mut self, req: &ReplicateRequest) -> Result<ReplicateResponse, ServiceError> {
         let frame = self.exchange(kind::REQ_REPLICATE, &req.encode())?;
         Self::response(frame, kind::RESP_REPLICATE, ReplicateResponse::decode)
-    }
-
-    /// Read one pending response frame **without sending anything**,
-    /// waiting at most `wait`. This is the drain half of zombie-socket
-    /// recovery: after a work-unit attempt times out and the unit is
-    /// re-dispatched under a fresh fencing epoch, the old socket may
-    /// still deliver the superseded completion later. The coordinator
-    /// keeps such sockets and drains them here so the late frame is
-    /// observed (and discarded by epoch) instead of leaking.
-    ///
-    /// Returns `Ok(None)` on clean EOF. A read timeout surfaces as
-    /// [`ServiceError::Io`] with kind `WouldBlock`/`TimedOut`.
-    ///
-    /// # Errors
-    ///
-    /// The transport taxonomy of [`read_frame`], plus timeout `Io`
-    /// errors when nothing arrives within `wait`.
-    pub fn recv_pending(&mut self, wait: Duration) -> Result<Option<Frame>, ServiceError> {
-        self.stream.set_read_timeout(Some(wait))?;
-        let got = read_frame(&mut self.stream);
-        // Restore the configured timeout even on error paths; a failed
-        // restore on an already-dead socket is not worth surfacing.
-        let _ = self.stream.set_read_timeout(self.timeout);
-        got
     }
 
     /// Probe the server's liveness and readiness. Answered even while

@@ -27,12 +27,8 @@ pub enum ErrorCode {
     /// succeed. Distinct from [`ErrorCode::Malformed`], which means the
     /// request content is wrong and a retry cannot help.
     Corrupted,
-    /// A work-unit completion (or dispatch) carried a fencing epoch older
-    /// than one the server has already seen for the same problem: the
-    /// lease was superseded by a re-dispatch, and accepting the stale
-    /// unit could double-apply work. The coordinator treats this as a
-    /// benign race, not a replica failure.
-    StaleEpoch,
+    // Code 7 rejected a distributed work unit's superseded lease.
+    // Retired: never reuse it.
 }
 
 impl ErrorCode {
@@ -45,7 +41,6 @@ impl ErrorCode {
             ErrorCode::Internal => 4,
             ErrorCode::ShuttingDown => 5,
             ErrorCode::Corrupted => 6,
-            ErrorCode::StaleEpoch => 7,
         }
     }
 
@@ -58,7 +53,6 @@ impl ErrorCode {
             4 => Some(ErrorCode::Internal),
             5 => Some(ErrorCode::ShuttingDown),
             6 => Some(ErrorCode::Corrupted),
-            7 => Some(ErrorCode::StaleEpoch),
             _ => None,
         }
     }
@@ -73,7 +67,6 @@ impl fmt::Display for ErrorCode {
             ErrorCode::Internal => write!(f, "internal server error"),
             ErrorCode::ShuttingDown => write!(f, "server is shutting down"),
             ErrorCode::Corrupted => write!(f, "frame corrupted in transit"),
-            ErrorCode::StaleEpoch => write!(f, "work-unit lease epoch superseded"),
         }
     }
 }
@@ -191,11 +184,11 @@ mod tests {
             ErrorCode::Internal,
             ErrorCode::ShuttingDown,
             ErrorCode::Corrupted,
-            ErrorCode::StaleEpoch,
         ] {
             assert_eq!(ErrorCode::from_u8(code.to_u8()), Some(code));
         }
         assert_eq!(ErrorCode::from_u8(0), None);
+        assert_eq!(ErrorCode::from_u8(7), None, "retired");
         assert_eq!(ErrorCode::from_u8(99), None);
     }
 }

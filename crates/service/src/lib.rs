@@ -28,10 +28,8 @@
 //!   list: consistent-hash routing (each canonical problem has a home
 //!   shard, with deterministic ring failover), per-attempt timeouts,
 //!   seeded jittered backoff, per-shard circuit breakers, optional
-//!   hedging, a per-client tenant on every frame, a replayable decision
-//!   log, and distributed branch-and-bound that ships PATHSET subtrees
-//!   as `UOVCKPT1` work units, re-dispatching any unit whose replica dies
-//!   mid-search — with a byte-identical-answer guarantee.
+//!   hedging, a per-client tenant on every frame, neighbor replication
+//!   of certified answers, and a replayable decision log.
 //! * [`chaos`] — a deterministic seeded chaos proxy (resets, stalls,
 //!   latency spikes, truncation, bit-flips) and a replica kill/restart
 //!   orchestrator, turning every resilience claim into a repeatable test.
@@ -63,9 +61,9 @@ pub use loadgen::{
 pub use mesh::{FailureClass, MeshClient, MeshConfig, MeshEvent, MeshStats, Ring};
 pub use plan_cache::{CacheStats, PlanCache, Planned, WarmCacheError};
 pub use proto::{
-    BatchRequest, BatchResponse, BoundGossip, CacheOutcome, DegradationCode, HealthResponse,
-    ObjectiveSpec, PlanRequest, PlanResponse, ReplicateRequest, ReplicateResponse, StatsResponse,
-    TenantGauge, WorkUnitRequest, WorkUnitResponse, FLAG_NO_CACHE, MAX_BATCH_ENTRIES,
+    BatchRequest, BatchResponse, CacheOutcome, DegradationCode, HealthResponse, ObjectiveSpec,
+    PlanRequest, PlanResponse, ReplicateRequest, ReplicateResponse, StatsResponse, TenantGauge,
+    FLAG_NO_CACHE, MAX_BATCH_ENTRIES,
 };
 pub use server::{serve, QuotaConfig, ServerConfig, ServerHandle, ServerStats, TenantQuota};
 

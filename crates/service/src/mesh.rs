@@ -1,5 +1,4 @@
-//! The planning client: one routed client over a replica list, plus
-//! distributed branch-and-bound over `UOVCKPT1` work units.
+//! The planning client: one routed client over a replica list.
 //!
 //! A replica list is a consistent-hash ring with failover. A UOV is
 //! legal under every schedule, so a certified `(uov, cost, certificate
@@ -13,7 +12,7 @@
 //!   stable *home shard* (and axis-relabeled duplicates of the same
 //!   problem land on the same replica's plan cache). Attempts walk the
 //!   ring from the home, skipping shards whose circuit breaker is open —
-//!   deterministically, so two coordinators agree on the failover order.
+//!   deterministically, so two clients agree on the failover order.
 //! * **Failure policy** — each attempt is bounded by
 //!   [`MeshConfig::attempt_timeout`], and failed attempts back off
 //!   exponentially with jitter from a generator seeded by
@@ -29,97 +28,44 @@
 //!   [`MeshConfig::hedge_verify`] both answers are awaited and compared,
 //!   and a mismatch is the hard error [`ServiceError::ReplicaDivergence`]:
 //!   the client never silently picks one of two disagreeing replicas.
-//! * **Distributed search** ([`MeshClient::plan_distributed`]) — a large
-//!   search is split across replicas by shipping PATHSET subtrees as
-//!   [`crate::proto::WorkUnitRequest`] frames whose payload is the
-//!   `UOVCKPT1` snapshot format, verbatim. The coordinator holds a lease
-//!   (the per-attempt socket timeout) on every outstanding unit and
-//!   re-dispatches a unit to the next ring successor when its replica
-//!   dies, times out, or returns a damaged frame.
 //!
 //! Every frame the client sends carries its tenant
-//! ([`MeshClient::set_tenant`]). Routed plans, batches and work units
-//! record every outcome on one circuit breaker per shard, which gossip
-//! polls consult too; retries back off through one jittered backoff and
-//! stop on one hard-error check. Everything but work units — which dial
-//! a fresh socket per lease, see [`MeshClient::plan_distributed`] — goes
-//! through one pooled-connection exchange. Every decision lands in one
-//! [`MeshEvent`] log that records *choices, never wall-clock readings*,
-//! so a run replays event for event under the same seed and fault
-//! schedule.
+//! ([`MeshClient::set_tenant`]). Routed plans and batches record every
+//! outcome on one circuit breaker per shard; retries back off through
+//! one jittered backoff and stop on one hard-error check. Every exchange
+//! goes through one pooled connection per shard. Every decision lands
+//! in one [`MeshEvent`] log that records *choices, never wall-clock
+//! readings*, so a run replays event for event under the same seed and
+//! fault schedule.
 //!
-//! # Why a multi-round fixpoint, not a one-shot scatter
+//! One search is never split across replicas: DESIGN.md's "Why there is
+//! no distributed search" gives the measurements.
 //!
-//! The branch-and-bound PATHSET table is *not* partition-independent: an
-//! offset `w` can be reachable along paths explored in different work
-//! units, and only the **union** of those PATHSETs makes `w` a UOV
-//! candidate (mask = full) or generates a child's full mask. A one-shot
-//! scatter/gather would silently miss such candidates. The coordinator
-//! therefore merges unit snapshots (PATHSET masks by union, incumbents by
-//! the engine's canonical total order), then *re-frontiers* every offset
-//! whose merged mask has not provably been expanded by some single engine
-//! — and loops until no frontier remains. Masks are monotone and bounded
-//! and the explored region is capped by the engine's `phi_cap`, so the
-//! fixpoint terminates; because the engine's pruning is strict and every
-//! bound it prunes against is the cost of a genuine UOV, the fixpoint
-//! answer is byte-identical to a direct in-process search — the
-//! differential chaos tests assert exactly that, mid-kill included.
-//!
-//! # Bound gossip
-//!
-//! Replicas piggyback their best proven incumbent bound on the stats
-//! frame ([`crate::proto::BoundGossip`]). The coordinator folds a
-//! matching bound into each unit's `bound_hint`. Staleness is sound: a
-//! gossiped bound is always the cost of a *genuine* UOV, so it can only
-//! over-estimate the optimum, and the engine prunes strictly (`>`), so
-//! ties survive to the lexicographic tie-break. A lost or stale gossip
-//! frame costs visits, never correctness.
-//!
-//! # Neighbor replication and lease fencing
+//! # Neighbor replication
 //!
 //! Because the certified answer is byte-identical no matter which shard
 //! computes it, a plan-cache entry is safe to copy anywhere. After a
-//! certified, non-degraded answer, the coordinator pushes the entry to
-//! the [`MeshConfig::replication_factor`] ring successors of the home
-//! shard (`REQ_REPLICATE`), each of which **re-certifies before
-//! storing**, so the deterministic failover order lands on a warm,
-//! certified hit instead of a cold solve. An anti-entropy sweep on the
-//! stats channel ([`MeshClient::anti_entropy_sweep`]) watches each
-//! shard's monotone connection counter; a decrease means the process
-//! restarted with an empty cache, and every entry it should hold is
-//! re-pushed, flagged as a repair.
-//!
-//! Work-unit leases are *fenced*: every dispatch attempt carries a fresh
-//! monotonic epoch inside the `UOVCKPT1` envelope. The server fences
-//! each problem at the highest epoch seen and rejects older ones
-//! (`StaleEpoch`), so a zombie replica finishing a superseded unit can
-//! never double-report into a merge; the coordinator keeps timed-out
-//! sockets and drains any late completion, discarding it by epoch.
-//! Duplicate or stale completions are *also* harmless algebraically —
-//! the merge is a union of monotone masks plus a canonical minimum, so
-//! re-absorbing a snapshot is a no-op (the property test pins that).
+//! certified, non-degraded answer, the client pushes the entry to the
+//! [`MeshConfig::replication_factor`] ring successors of the home shard
+//! (`REQ_REPLICATE`), each of which **re-certifies before storing**, so
+//! the deterministic failover order lands on a warm, certified hit
+//! instead of a cold solve.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::io;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use uov_core::certify::certify;
-use uov_core::checkpoint::{decode_snapshot, encode_snapshot, Snapshot};
-use uov_core::search::{search_unit, try_cost_of, SearchConfig, SearchStats};
-use uov_core::{fingerprint, Budget, Fnv, SearchResult};
-use uov_isg::{IVec, Stencil};
+use uov_core::{fingerprint, Fnv};
 
 use crate::canon::canonicalize;
 use crate::client::Client;
 use crate::error::{ErrorCode, ServiceError};
 use crate::loadgen::XorShift64;
 use crate::proto::{
-    kind, BatchRequest, BatchResponse, CacheOutcome, DegradationCode, ErrorResponse, ObjectiveSpec,
-    PlanRequest, PlanResponse, ReplicateRequest, StatsResponse, WorkUnitRequest, WorkUnitResponse,
-    MAX_BATCH_ENTRIES, MAX_PAYLOAD,
+    BatchRequest, BatchResponse, CacheOutcome, DegradationCode, ErrorResponse, PlanRequest,
+    PlanResponse, ReplicateRequest, MAX_BATCH_ENTRIES,
 };
 
 // ------------------------------------------------------------------ ring
@@ -195,25 +141,12 @@ impl Ring {
 pub struct MeshConfig {
     /// Virtual nodes per endpoint on the [`Ring`].
     pub vnodes: usize,
-    /// The lease on one work-unit (or routed-plan) attempt: the socket
-    /// read timeout after which the coordinator declares the replica
-    /// dead for this unit and re-dispatches.
+    /// The bound on one routed-plan attempt: the socket read timeout
+    /// after which the client declares the replica dead for this attempt
+    /// and fails over.
     pub attempt_timeout: Duration,
     /// Attempts per routed plan before [`ServiceError::FabricExhausted`].
     pub max_route_attempts: u32,
-    /// Attempts per work unit (across ring successors, wrapping) before
-    /// the distributed search as a whole fails.
-    pub max_unit_attempts: u32,
-    /// Nodes the coordinator explores locally before splitting the
-    /// frontier into work units; small problems finish here and are
-    /// never shipped at all.
-    pub local_prefix_nodes: u64,
-    /// Node budget per shipped work unit (`0` = unlimited): small values
-    /// force multiple merge rounds, which the differential tests use to
-    /// exercise the fixpoint.
-    pub unit_node_budget: u64,
-    /// Work units per round (`0` = one per shard).
-    pub units_per_round: usize,
     /// Consecutive failures that open a shard's circuit breaker.
     pub failure_threshold: u32,
     /// Routing passes an open breaker stays open before half-opening.
@@ -225,9 +158,6 @@ pub struct MeshConfig {
     /// Seed for the backoff jitter; the complete retry/backoff/breaker
     /// schedule is a pure function of this seed and the failure pattern.
     pub seed: u64,
-    /// Whether to poll shards' stats frames for gossiped incumbent
-    /// bounds between rounds.
-    pub gossip: bool,
     /// How many ring successors of the home shard receive a copy of
     /// every certified, non-degraded answer (`0` disables replication).
     /// Each receiver re-certifies before storing, so replication can
@@ -250,16 +180,11 @@ impl Default for MeshConfig {
             vnodes: 32,
             attempt_timeout: Duration::from_secs(2),
             max_route_attempts: 8,
-            max_unit_attempts: 12,
-            local_prefix_nodes: 64,
-            unit_node_budget: 0,
-            units_per_round: 0,
             failure_threshold: 3,
             cooldown: 4,
             backoff_base: Duration::from_millis(2),
             backoff_max: Duration::from_millis(50),
             seed: 0x4D_E5_11,
-            gossip: true,
             replication_factor: 1,
             hedge_after: None,
             hedge_verify: false,
@@ -274,28 +199,9 @@ pub struct MeshStats {
     pub routed: u64,
     /// Routed requests served by a shard other than their home.
     pub failovers: u64,
-    /// Distributed searches coordinated.
-    pub distributed: u64,
-    /// Merge rounds run across all distributed searches.
-    pub rounds: u64,
-    /// Work units dispatched (first attempts).
-    pub units_dispatched: u64,
-    /// Work-unit re-dispatches after a dead, slow, or damaged replica.
-    pub redispatches: u64,
-    /// Gossiped bounds folded into unit hints.
-    pub gossip_hints: u64,
-    /// Distributed searches that fell back to a routed single-shard
-    /// plan because a unit payload exceeded the frame limit.
-    pub oversize_fallbacks: u64,
     /// Certified answers offered to neighbor replicas (the receiver may
     /// still refuse to store one that fails re-certification).
     pub replicas_pushed: u64,
-    /// Late work-unit completions drained from zombie sockets and
-    /// discarded because their fencing epoch was superseded.
-    pub stale_epoch_rejections: u64,
-    /// Replicated entries re-pushed to restarted shards by the
-    /// anti-entropy sweep.
-    pub anti_entropy_repairs: u64,
     /// Batch requests routed (each may fan out to several shards).
     pub batches_routed: u64,
     /// Per-shard sub-batches sent beyond the first for a single batch:
@@ -414,69 +320,12 @@ pub enum MeshEvent {
         /// The shard that served instead.
         shard: usize,
     },
-    /// A work unit went out.
-    UnitDispatched {
-        /// Merge round.
-        round: usize,
-        /// Unit index within the round.
-        unit: usize,
-        /// Target shard.
-        shard: usize,
-    },
-    /// A work unit was re-dispatched after a failed attempt.
-    UnitRedispatched {
-        /// Merge round.
-        round: usize,
-        /// Unit index within the round.
-        unit: usize,
-        /// The shard that failed the lease.
-        from: usize,
-        /// The next ring successor tried.
-        to: usize,
-    },
-    /// A work unit's snapshot came back and validated.
-    UnitCompleted {
-        /// Merge round.
-        round: usize,
-        /// Unit index within the round.
-        unit: usize,
-        /// The shard that served it.
-        shard: usize,
-    },
-    /// A merge round finished.
-    RoundMerged {
-        /// Merge round.
-        round: usize,
-        /// Offsets re-frontiered for the next round.
-        frontier: usize,
-    },
-    /// A shard gossiped a usable incumbent bound.
-    GossipBound {
-        /// The gossiping shard.
-        shard: usize,
-        /// The bound (a genuine UOV's cost).
-        cost: u64,
-    },
     /// A certified answer was offered to a neighbor replica.
     ReplicaPushed {
         /// The receiving shard.
         shard: usize,
         /// Whether the receiver re-certified and stored it.
         stored: bool,
-    },
-    /// A late work-unit completion under a superseded fencing epoch was
-    /// drained from a zombie socket and discarded before any merge.
-    StaleCompletionDiscarded {
-        /// The shard whose completion arrived too late.
-        shard: usize,
-        /// The superseded epoch the completion carried.
-        epoch: u64,
-    },
-    /// The anti-entropy sweep re-pushed a replicated entry to a shard
-    /// that restarted with an empty cache.
-    AntiEntropyRepair {
-        /// The repaired shard.
-        shard: usize,
     },
 }
 
@@ -498,8 +347,8 @@ impl Breaker {
 // ---------------------------------------------------------------- client
 
 /// The routed planning client over a replica list: consistent-hash
-/// routing with breaker-aware failover, backoff and optional hedging,
-/// plus the distributed-search coordinator (see the module docs).
+/// routing with breaker-aware failover, backoff, optional hedging and
+/// neighbor replication (see the module docs).
 pub struct MeshClient {
     endpoints: Vec<String>,
     ring: Ring,
@@ -511,65 +360,6 @@ pub struct MeshClient {
     stats: MeshStats,
     /// Tenant id stamped into every request frame (0 = anonymous).
     tenant: u32,
-    /// Monotonic source of work-unit fencing epochs. Every dispatch
-    /// attempt — first try and every re-dispatch — draws a fresh epoch,
-    /// so the server-side fence (highest epoch wins per problem) makes
-    /// superseded attempts rejectable on arrival.
-    epoch: AtomicU64,
-    /// Sockets kept after timed-out work-unit attempts, still owed a
-    /// (superseded) completion. Drained at round boundaries and at the
-    /// fixpoint so late frames are observed and discarded, never merged.
-    zombies: Vec<Zombie>,
-    /// Recent replication pushes, so the anti-entropy sweep can re-offer
-    /// them to a target that restarted with an empty cache.
-    replication_log: Vec<ReplicationRecord>,
-    /// Last-seen `connections` counter per shard; a decrease is the
-    /// restart signature anti-entropy keys on.
-    last_conns: Vec<Option<u64>>,
-}
-
-/// Pushes the anti-entropy sweep remembers. Bounded by
-/// [`REPLICATION_LOG_CAP`]; older entries age out (their home shard can
-/// always recompute and re-replicate on the next miss).
-#[derive(Clone)]
-struct ReplicationRecord {
-    stencil: Stencil,
-    objective: ObjectiveSpec,
-    uov: IVec,
-    cost: u128,
-    targets: Vec<usize>,
-}
-
-/// Cap on [`MeshClient::replication_log`].
-const REPLICATION_LOG_CAP: usize = 64;
-
-/// A socket abandoned by a timed-out work-unit attempt, kept so the late
-/// completion (fenced off server-side by a newer epoch) can be drained
-/// and discarded instead of leaking.
-struct Zombie {
-    client: Client,
-    shard: usize,
-    epoch: u64,
-}
-
-/// What one work-unit dispatch thread reports back: the attempt trail
-/// (shard, outcome) in order, the validated snapshot on success, and
-/// any zombie sockets left behind by timed-out attempts.
-struct UnitOutcome {
-    attempts: Vec<(usize, Result<(), FailureClass>)>,
-    snapshot: Option<Snapshot>,
-    last_error: Option<ServiceError>,
-    zombies: Vec<Zombie>,
-}
-
-/// What every work unit of one round shares: where and how to dial, the
-/// fencing-epoch source, and the problem the answers must belong to.
-struct Lease<'a> {
-    endpoints: &'a [String],
-    cfg: &'a MeshConfig,
-    tenant: u32,
-    epoch: &'a AtomicU64,
-    fingerprint: u64,
 }
 
 /// One plan exchange reported back from a hedging thread: the shard, its
@@ -601,18 +391,13 @@ impl MeshClient {
             events: Vec::new(),
             stats: MeshStats::default(),
             tenant: 0,
-            epoch: AtomicU64::new(0),
-            zombies: Vec::new(),
-            replication_log: Vec::new(),
-            last_conns: vec![None; endpoints.len()],
         })
     }
 
     /// Identify as `tenant` for quota accounting. Every frame the client
-    /// sends from now on — routed plans, batches, work units,
-    /// replication pushes and gossip polls — carries it, on pooled
-    /// connections as well as new ones. Tenant 0 is the anonymous
-    /// default.
+    /// sends from now on — routed plans, batches and replication pushes —
+    /// carries it, on pooled connections as well as new ones. Tenant 0 is
+    /// the anonymous default.
     pub fn set_tenant(&mut self, tenant: u32) {
         self.tenant = tenant;
         for conn in self.conns.iter_mut().flatten() {
@@ -685,7 +470,7 @@ impl MeshClient {
                         self.stats.failovers += 1;
                         self.events.push(MeshEvent::Failover { home, shard });
                     }
-                    self.replicate_answer(req, &resp, &order, shard);
+                    self.push_replicas(req, &resp, &order, shard);
                     return Ok(resp);
                 }
                 Err(e) if is_hard(&e) => return Err(e),
@@ -775,7 +560,7 @@ impl MeshClient {
                     for (&i, r) in idxs.iter().zip(resp.entries) {
                         if let Ok(ref plan) = r {
                             let order = self.ring.successors(Self::routing_key(&req.entries[i]));
-                            self.replicate_answer(&req.entries[i], plan, &order, shard);
+                            self.push_replicas(&req.entries[i], plan, &order, shard);
                         }
                         out[i] = Some(r);
                     }
@@ -814,438 +599,23 @@ impl MeshClient {
         Ok(BatchResponse { entries })
     }
 
-    /// Distribute one search across the mesh and certify the merged
-    /// answer locally. See the module docs for the fixpoint argument;
-    /// the returned `(uov, cost, certificate_hash)` is byte-identical to
-    /// a direct in-process search of the same request. Work units run
-    /// concurrently, one thread each, and each lease dials its own
-    /// socket so a timed-out one can be kept and drained; their outcomes
-    /// feed the shared breakers and the decision log after the join.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::FabricExhausted`] when some work unit ran out of
-    /// replicas to try; [`ServiceError::Malformed`] for an invalid
-    /// problem; [`ServiceError::Internal`]-coded rejections for local
-    /// engine failures.
-    pub fn plan_distributed(&mut self, req: &PlanRequest) -> Result<PlanResponse, ServiceError> {
-        self.plan_distributed_hooked(req, &mut |_| {})
-    }
-
-    /// [`MeshClient::plan_distributed`] with a hook invoked at the start
-    /// of every merge round (with the round index). The chaos tests kill
-    /// and restart replicas from this hook to make "replica dies
-    /// mid-distributed-search" a deterministic, seedable event instead
-    /// of a race.
-    ///
-    /// # Errors
-    ///
-    /// As [`MeshClient::plan_distributed`].
-    pub fn plan_distributed_hooked(
-        &mut self,
-        req: &PlanRequest,
-        on_round: &mut dyn FnMut(usize),
-    ) -> Result<PlanResponse, ServiceError> {
-        let objective = req.objective.as_objective();
-        let fp = fingerprint(&req.stencil, &objective);
-        let full = (1u64 << req.stencil.len().min(63)) - 1;
-        self.stats.distributed += 1;
-
-        // Local sequential prefix: cheap problems never touch the wire,
-        // and expensive ones yield a frontier worth splitting.
-        let prefix = SearchConfig {
-            budget: Budget::unlimited().with_max_nodes(self.cfg.local_prefix_nodes.max(1)),
-            threads: 1,
-            ..SearchConfig::default()
-        };
-        let (_, snap) = search_unit(None, &req.stencil, objective, &prefix)
-            .map_err(|e| ServiceError::Malformed(format!("distributed search setup: {e}")))?;
-
-        // Global merged state (see [`MergeState`]): absorbing the local
-        // prefix snapshot seeds `known`/`covered`/`checked` exactly as a
-        // unit completion would, and its frontier becomes the first
-        // round's work.
-        let mut merged = MergeState::seeded(&snap, full);
-        let mut frontier: Vec<(u128, IVec, u64)> = snap.frontier;
-
-        let key = Self::routing_key(req);
-        let order = self.ring.successors(key);
-        let mut round = 0usize;
-        let mut hint: Option<u128> = None;
-
-        while !frontier.is_empty() {
-            on_round(round);
-            self.stats.rounds += 1;
-
-            // Give zombie sockets from earlier rounds a brief chance to
-            // surface their superseded completions (discarded by epoch).
-            self.drain_zombies(Duration::from_millis(5), true);
-
-            if self.cfg.gossip {
-                self.fold_gossip(fp, &mut hint);
-            }
-            // The incumbent's own cost is always a sound hint; gossip can
-            // only tighten it further.
-            let incumbent_cost = merged.incumbent.0;
-            let bound_hint = Some(hint.map_or(incumbent_cost, |h| h.min(incumbent_cost)));
-
-            // Deterministic split: sort the frontier by the engine's
-            // queue order, then deal round-robin into unit slices.
-            frontier.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
-            let unit_count = if self.cfg.units_per_round == 0 {
-                self.endpoints.len()
-            } else {
-                self.cfg.units_per_round
-            }
-            .max(1)
-            .min(frontier.len());
-            let mut slices: Vec<Vec<(u128, IVec, u64)>> = vec![Vec::new(); unit_count];
-            for (i, entry) in frontier.drain(..).enumerate() {
-                slices[i % unit_count].push(entry);
-            }
-
-            // Build one work unit per slice. Every unit carries the full
-            // merged PATHSET table and the global incumbent, so its seed
-            // upholds the snapshot invariants the server re-validates.
-            // The snapshot is encoded here (epoch 0) only for the frame
-            // size check; each dispatch attempt re-encodes it under its
-            // own fresh fencing epoch, which cannot change the length
-            // (the EPOCH section is fixed-width).
-            let known_vec: Vec<(IVec, u64)> =
-                merged.known.iter().map(|(w, m)| (w.clone(), *m)).collect();
-            let mut units: Vec<(WorkUnitRequest, Snapshot)> = Vec::with_capacity(unit_count);
-            for slice in &slices {
-                let unit_snap = Snapshot {
-                    fingerprint: fp,
-                    dim: req.stencil.dim(),
-                    incumbent_cost: merged.incumbent.0,
-                    incumbent: merged.incumbent.2.clone(),
-                    frontier: slice.clone(),
-                    known: known_vec.clone(),
-                    nodes_charged: 0,
-                    stats: SearchStats::default(),
-                    epoch: 0,
-                };
-                let bytes = encode_snapshot(&unit_snap).map_err(|e| ServiceError::Rejected {
-                    code: ErrorCode::Internal,
-                    msg: format!("work-unit encode: {e}"),
-                })?;
-                let unit = WorkUnitRequest {
-                    stencil: req.stencil.clone(),
-                    objective: req.objective.clone(),
-                    deadline_ms: 0,
-                    node_budget: self.cfg.unit_node_budget,
-                    bound_hint,
-                    snapshot: bytes,
-                };
-                if unit.encode().len() > MAX_PAYLOAD as usize {
-                    // The merged table no longer fits a frame: finish on
-                    // one shard rather than truncate state.
-                    self.stats.oversize_fallbacks += 1;
-                    return self.plan(req);
-                }
-                units.push((unit, unit_snap));
-            }
-
-            let outcomes = self.dispatch_round(&order, round, &units, fp)?;
-
-            // Merge, in unit order so the log and the state are
-            // reproducible. Masks union; the incumbent takes the minimum
-            // under the engine's canonical total order — an idempotent,
-            // order-insensitive fold. Coverage is credited per unit
-            // against its assigned slice only (see
-            // [`MergeState::absorb_unit`]).
-            for (snap, (_, unit_snap)) in outcomes.iter().zip(&units) {
-                merged.absorb_unit(snap, &unit_snap.frontier);
-            }
-
-            // Re-frontier: any offset whose merged mask nobody expanded
-            // (the cross-unit union hazard), and any full-mask offset
-            // whose candidate check never ran.
-            for (w, &u) in &merged.known {
-                let cov = merged.covered.get(w).copied().unwrap_or(0);
-                let needs_children = u & !cov != 0;
-                let needs_check = u == full && !merged.checked.contains(w);
-                if needs_children || needs_check {
-                    if let Ok(cost) = try_cost_of(&objective, w) {
-                        frontier.push((cost, w.clone(), u));
-                    }
-                }
-            }
-            self.events.push(MeshEvent::RoundMerged {
-                round,
-                frontier: frontier.len(),
-            });
-            round += 1;
-        }
-
-        // Fixpoint reached. Give every remaining zombie socket a full
-        // lease to surface its superseded completion — observed,
-        // counted, discarded; the merge above never saw it, and this
-        // drain proves nothing arrives after it either.
-        let final_wait = self.cfg.attempt_timeout;
-        self.drain_zombies(final_wait, false);
-
-        // The merged exploration equals a direct search's, so the
-        // incumbent is the optimum under the canonical order. Certify
-        // locally — same path, same transcript hash.
-        let as_result = SearchResult {
-            uov: merged.incumbent.2.clone(),
-            cost: merged.incumbent.0,
-            stats: SearchStats::default(),
-            degradation: None,
-            checkpoint_error: None,
-        };
-        let cert =
-            certify(&req.stencil, &objective, &as_result).map_err(|e| ServiceError::Rejected {
-                code: ErrorCode::Internal,
-                msg: format!("certification failed: {e}"),
-            })?;
-        // The answer is certified and non-degraded by construction:
-        // replicate it so failover targets are warm for this problem.
-        // Searches that finished inside the local prefix stay off the
-        // wire entirely — a problem that cheap is cheaper to re-solve
-        // than to replicate.
-        if round > 0 {
-            self.push_replicas(
-                &req.stencil,
-                &req.objective,
-                &as_result.uov,
-                as_result.cost,
-                &order,
-                None,
-            );
-        }
-        Ok(PlanResponse {
-            uov: as_result.uov,
-            cost: as_result.cost,
-            certificate_hash: cert.transcript_hash,
-            degradation: DegradationCode::None,
-            cache: CacheOutcome::Miss,
-        })
-    }
-
-    /// Dispatch one round's units concurrently, each with its own
-    /// redispatch loop over ring successors, and return the validated
-    /// snapshots in unit order. Breaker and event bookkeeping happens
-    /// after the join, on this thread, in unit order — deterministic
-    /// regardless of network timing.
-    fn dispatch_round(
-        &mut self,
-        order: &[usize],
-        round: usize,
-        units: &[(WorkUnitRequest, Snapshot)],
-        expected_fp: u64,
-    ) -> Result<Vec<Snapshot>, ServiceError> {
-        // Unit j prefers successor j, so a round spreads across the ring;
-        // shards behind an open breaker are demoted to last resort.
-        let preferences: Vec<Vec<usize>> = (0..units.len())
-            .map(|j| {
-                let rotated: Vec<usize> = (0..order.len())
-                    .map(|i| order[(j + i) % order.len()])
-                    .collect();
-                let (live, dead): (Vec<usize>, Vec<usize>) = rotated
-                    .into_iter()
-                    .partition(|&s| self.breakers[s].admits());
-                live.into_iter().chain(dead).collect()
-            })
-            .collect();
-        // Each unit jitters its backoff from its own generator, seeded
-        // here in unit order so the schedule replays.
-        let seeds: Vec<u64> = units.iter().map(|_| self.rng.next()).collect();
-
-        let lease = Lease {
-            endpoints: &self.endpoints,
-            cfg: &self.cfg,
-            tenant: self.tenant,
-            epoch: &self.epoch,
-            fingerprint: expected_fp,
-        };
-        let outcomes: Vec<UnitOutcome> = thread::scope(|scope| {
-            let handles: Vec<_> = units
-                .iter()
-                .zip(&preferences)
-                .zip(&seeds)
-                .map(|((unit, prefs), &seed)| {
-                    let lease = &lease;
-                    scope.spawn(move || run_unit(lease, prefs, unit, seed))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join().unwrap_or_else(|_| UnitOutcome {
-                        attempts: Vec::new(),
-                        snapshot: None,
-                        last_error: Some(ServiceError::Malformed(
-                            "work-unit dispatch thread panicked".into(),
-                        )),
-                        zombies: Vec::new(),
-                    })
-                })
-                .collect()
-        });
-
-        // Post-join bookkeeping in unit order.
-        let mut snaps = Vec::with_capacity(outcomes.len());
-        for (j, outcome) in outcomes.into_iter().enumerate() {
-            self.stats.units_dispatched += 1;
-            self.zombies.extend(outcome.zombies);
-            let mut prev: Option<usize> = None;
-            for &(shard, result) in &outcome.attempts {
-                match prev {
-                    None => self.events.push(MeshEvent::UnitDispatched {
-                        round,
-                        unit: j,
-                        shard,
-                    }),
-                    Some(from) => {
-                        self.stats.redispatches += 1;
-                        self.events.push(MeshEvent::UnitRedispatched {
-                            round,
-                            unit: j,
-                            from,
-                            to: shard,
-                        });
-                    }
-                }
-                match result {
-                    Ok(()) => {
-                        self.on_success(shard);
-                        self.events.push(MeshEvent::UnitCompleted {
-                            round,
-                            unit: j,
-                            shard,
-                        });
-                    }
-                    Err(class) => self.on_failure(shard, class),
-                }
-                prev = Some(shard);
-            }
-            match outcome.snapshot {
-                Some(s) => snaps.push(s),
-                None => {
-                    return Err(ServiceError::FabricExhausted {
-                        attempts: self.cfg.max_unit_attempts.max(1),
-                        last: Box::new(
-                            outcome.last_error.unwrap_or(ServiceError::ConnectionClosed),
-                        ),
-                    })
-                }
-            }
-        }
-        Ok(snaps)
-    }
-
-    /// Best-effort: poll every shard's stats frame and fold a matching
-    /// gossiped bound into `hint`. Shards behind an open breaker are
-    /// skipped, and a failed poll is not a breaker event — a missing
-    /// gossip costs visits, never correctness.
-    fn fold_gossip(&mut self, fp: u64, hint: &mut Option<u128>) {
-        for shard in 0..self.endpoints.len() {
-            if !self.breakers[shard].admits() {
-                continue;
-            }
-            let Some(bound) = self.poll_stats(shard).and_then(|s| s.bound) else {
-                continue;
-            };
-            if bound.fingerprint == fp && u128::from(bound.cost) < hint.unwrap_or(u128::MAX) {
-                *hint = Some(u128::from(bound.cost));
-                self.stats.gossip_hints += 1;
-                self.events.push(MeshEvent::GossipBound {
-                    shard,
-                    cost: bound.cost,
-                });
-            }
-        }
-    }
-
-    /// Anti-entropy sweep on the stats channel: poll every shard's
-    /// counters, detect restarts, and re-push every replicated entry a
-    /// restarted shard should hold, flagged as a repair. The same
-    /// detection rides along on gossip polls during distributed search;
-    /// call this between planning bursts to repair gaps sooner.
-    pub fn anti_entropy_sweep(&mut self) {
-        for shard in 0..self.endpoints.len() {
-            self.poll_stats(shard);
-        }
-    }
-
-    /// Fetch `shard`'s stats frame (advisory: no breaker accounting) and
-    /// track its monotone `connections` counter. A decrease means the
-    /// process restarted with fresh counters — and an empty cache — so
-    /// the shard is repaired on the spot.
-    fn poll_stats(&mut self, shard: usize) -> Option<StatsResponse> {
-        let stats = self.exchange(shard, Client::stats).ok()?;
-        let now = stats.server.connections;
-        if self.last_conns[shard]
-            .replace(now)
-            .is_some_and(|prev| now < prev)
-        {
-            self.repair_shard(shard);
-        }
-        Some(stats)
-    }
-
-    /// Re-offer every remembered replication this shard was a target of,
-    /// flagged as an anti-entropy repair. Best-effort: the receiver
-    /// re-certifies as always, and a still-down shard is repaired on the
-    /// next sweep instead.
-    fn repair_shard(&mut self, shard: usize) {
-        let records: Vec<ReplicationRecord> = self
-            .replication_log
-            .iter()
-            .filter(|r| r.targets.contains(&shard))
-            .cloned()
-            .collect();
-        for r in records {
-            if let Ok(true) =
-                self.replicate_to(shard, &r.stencil, &r.objective, &r.uov, r.cost, true)
-            {
-                self.stats.anti_entropy_repairs += 1;
-                self.events.push(MeshEvent::AntiEntropyRepair { shard });
-            }
-        }
-    }
-
-    /// Replicate a routed answer from `served_by` to the ring successors
-    /// in `order`. Hits are skipped (their original miss already
+    /// Replicate a routed answer from `served_by` to the
+    /// [`MeshConfig::replication_factor`] ring successors of the home
+    /// shard in `order`, so a deterministic failover lands on a warm,
+    /// certified cache entry. Best-effort; every receiver re-certifies
+    /// before storing. Hits are skipped (their original miss already
     /// replicated) and degraded answers are never offered — a replica
     /// must only ever hold entries it could re-certify.
-    fn replicate_answer(
+    fn push_replicas(
         &mut self,
         req: &PlanRequest,
         resp: &PlanResponse,
         order: &[usize],
         served_by: usize,
     ) {
-        if resp.cache != CacheOutcome::Hit && resp.degradation == DegradationCode::None {
-            self.push_replicas(
-                &req.stencil,
-                &req.objective,
-                &resp.uov,
-                resp.cost,
-                order,
-                Some(served_by),
-            );
+        if resp.cache == CacheOutcome::Hit || resp.degradation != DegradationCode::None {
+            return;
         }
-    }
-
-    /// Best-effort push of a certified answer to the
-    /// [`MeshConfig::replication_factor`] ring successors of the home
-    /// shard, so a deterministic failover lands on a warm, certified
-    /// cache entry. Every receiver re-certifies before storing. The push
-    /// is recorded so anti-entropy can re-offer it after a target
-    /// restarts — including targets that were down for the original push.
-    fn push_replicas(
-        &mut self,
-        stencil: &Stencil,
-        objective: &ObjectiveSpec,
-        uov: &IVec,
-        cost: u128,
-        order: &[usize],
-        served_by: Option<usize>,
-    ) {
         let k = self
             .cfg
             .replication_factor
@@ -1253,85 +623,22 @@ impl MeshClient {
         if k == 0 {
             return;
         }
-        let targets: Vec<usize> = order[1..=k].to_vec();
-        for &shard in &targets {
-            if Some(shard) == served_by {
+        let push = ReplicateRequest {
+            stencil: req.stencil.clone(),
+            objective: req.objective.clone(),
+            uov: resp.uov.clone(),
+            cost: resp.cost,
+        };
+        for &shard in &order[1..=k] {
+            if shard == served_by {
                 continue; // the serving replica already holds the entry
             }
-            if let Ok(stored) = self.replicate_to(shard, stencil, objective, uov, cost, false) {
+            if let Ok(ack) = self.exchange(shard, |c| c.replicate(&push)) {
                 self.stats.replicas_pushed += 1;
-                self.events.push(MeshEvent::ReplicaPushed { shard, stored });
-            }
-        }
-        self.replication_log.push(ReplicationRecord {
-            stencil: stencil.clone(),
-            objective: objective.clone(),
-            uov: uov.clone(),
-            cost,
-            targets,
-        });
-        if self.replication_log.len() > REPLICATION_LOG_CAP {
-            self.replication_log.remove(0);
-        }
-    }
-
-    /// One replication push to one shard over the pooled connection.
-    fn replicate_to(
-        &mut self,
-        shard: usize,
-        stencil: &Stencil,
-        objective: &ObjectiveSpec,
-        uov: &IVec,
-        cost: u128,
-        repair: bool,
-    ) -> Result<bool, ServiceError> {
-        let req = ReplicateRequest {
-            stencil: stencil.clone(),
-            objective: objective.clone(),
-            uov: uov.clone(),
-            cost,
-            repair,
-        };
-        self.exchange(shard, |c| c.replicate(&req))
-            .map(|resp| resp.stored)
-    }
-
-    /// Drain sockets kept after timed-out work-unit attempts. A late
-    /// `RESP_WORKUNIT` surfacing here carries a superseded fencing epoch
-    /// by construction — the attempt was abandoned and the unit
-    /// re-dispatched under a fresh epoch — so it is counted and
-    /// discarded, never merged. With `keep_pending`, sockets that still
-    /// have nothing to say survive to the next drain; otherwise they are
-    /// dropped (the server-side fence and the wedge watchdog make the
-    /// zombie work harmless).
-    fn drain_zombies(&mut self, wait: Duration, keep_pending: bool) {
-        let zombies = std::mem::take(&mut self.zombies);
-        for mut z in zombies {
-            match z.client.recv_pending(wait) {
-                Ok(Some(frame)) if frame.kind == kind::RESP_WORKUNIT => {
-                    let epoch = WorkUnitResponse::decode(&frame.payload)
-                        .ok()
-                        .and_then(|r| decode_snapshot(&r.snapshot).ok())
-                        .map_or(z.epoch, |s| s.epoch);
-                    self.stats.stale_epoch_rejections += 1;
-                    self.events.push(MeshEvent::StaleCompletionDiscarded {
-                        shard: z.shard,
-                        epoch,
-                    });
-                }
-                Ok(_) => {
-                    // An error frame (the server's own fence fired) or a
-                    // clean close: nothing stale escaped.
-                }
-                Err(e) if FailureClass::of(&e) == FailureClass::Timeout => {
-                    if keep_pending {
-                        self.zombies.push(z);
-                    }
-                }
-                Err(_) => {
-                    // Dead socket (reset, torn frame): the replica died
-                    // with the zombie, nothing to discard.
-                }
+                self.events.push(MeshEvent::ReplicaPushed {
+                    shard,
+                    stored: ack.stored,
+                });
             }
         }
     }
@@ -1489,7 +796,7 @@ impl MeshClient {
     }
 
     /// [`exchange`] over `shard`'s pooled connection, with no breaker
-    /// accounting (replication pushes and gossip polls are best-effort).
+    /// accounting (replication pushes are best-effort).
     fn exchange<T>(
         &mut self,
         shard: usize,
@@ -1562,137 +869,6 @@ impl MeshClient {
     }
 }
 
-/// The coordinator's merged global state across work-unit completions.
-///
-/// `known[w]` is the union of PATHSET masks seen for offset `w`;
-/// `covered[w]` is the union of masks at which some single engine fully
-/// expanded `w`; `checked` holds offsets expanded at the *full* mask (so
-/// the candidate check provably ran). An offset is re-frontiered until
-/// its merged mask is covered and, when full, checked.
-///
-/// Coverage evidence is earned, never inferred wholesale: a unit is
-/// seeded with the entire merged PATHSET table, but only the offsets in
-/// its *assigned slice* provably pass through its queue — "absent from
-/// the final frontier" means "expanded" only for those. Crediting the
-/// whole table would mark another unit's budget-cut slice entry as
-/// covered and silently drop its subtree (see
-/// [`MergeState::absorb_unit`]). The engine's queue invariant does hold
-/// for every entry of a *fresh* run's table, which is why
-/// [`MergeState::seeded`] may absorb the local prefix in full.
-///
-/// Both folds are **idempotent and order-insensitive**: masks merge by
-/// union and the incumbent by the canonical minimum, so feeding the same
-/// completion twice — or a superseded one whose state is a subset of
-/// what a later completion already contributed — cannot move the
-/// fixpoint. That algebra is the second line of defense behind the
-/// fencing epochs, and the property test below pins it down.
-struct MergeState {
-    known: HashMap<IVec, u64>,
-    incumbent: (u128, i128, IVec),
-    covered: HashMap<IVec, u64>,
-    checked: HashSet<IVec>,
-    full: u64,
-}
-
-impl MergeState {
-    /// Seed the merge from the coordinator's local-prefix snapshot:
-    /// absorbing it contributes its PATHSET table and incumbent exactly
-    /// as a unit completion would (the snapshot's own frontier is the
-    /// first round's work, handled by the caller).
-    fn seeded(snap: &Snapshot, full: u64) -> Self {
-        let mut state = MergeState {
-            known: HashMap::new(),
-            incumbent: (
-                snap.incumbent_cost,
-                snap.incumbent.try_norm_sq().unwrap_or(i128::MAX),
-                snap.incumbent.clone(),
-            ),
-            covered: HashMap::new(),
-            checked: HashSet::new(),
-            full,
-        };
-        state.absorb(snap);
-        state
-    }
-
-    /// Fold a *fresh-run* snapshot in, trusting its whole table: every
-    /// store entry of a from-scratch run passed through the engine's
-    /// queue, so "absent from the final frontier" means "fully expanded
-    /// at its final mask" for all of them. Only [`MergeState::seeded`]
-    /// may use this; resumed units go through
-    /// [`MergeState::absorb_unit`].
-    fn absorb(&mut self, snap: &Snapshot) {
-        self.absorb_incumbent(snap);
-        let unit_frontier: HashSet<&IVec> = snap.frontier.iter().map(|(_, w, _)| w).collect();
-        for (w, m) in &snap.known {
-            *self.known.entry(w.clone()).or_insert(0) |= m;
-            if !unit_frontier.contains(w) {
-                *self.covered.entry(w.clone()).or_insert(0) |= m;
-                if *m == self.full {
-                    self.checked.insert(w.clone());
-                }
-            }
-        }
-    }
-
-    /// Fold one completed work unit in. The discovered paths (`known`)
-    /// and the incumbent merge unconditionally — unions and minima are
-    /// always sound — but coverage is credited only for the unit's
-    /// `assigned` slice: those offsets were queued, so each is either in
-    /// the final frontier (budget cut it short) or was expanded at a
-    /// mask ⊇ its assigned mask (a stale pop only ever yields to a
-    /// grown twin in the same queue, and a superset-mask expansion
-    /// subsumes the subset's children under the PATHSET union).
-    /// Descendants the unit discovered earn no credit here; the
-    /// re-frontier reassigns them until a unit expands them as its own
-    /// slice work, which keeps every claim witnessed.
-    fn absorb_unit(&mut self, snap: &Snapshot, assigned: &[(u128, IVec, u64)]) {
-        self.absorb_incumbent(snap);
-        for (w, m) in &snap.known {
-            *self.known.entry(w.clone()).or_insert(0) |= m;
-        }
-        let unit_frontier: HashSet<&IVec> = snap.frontier.iter().map(|(_, w, _)| w).collect();
-        for (_, w, u) in assigned {
-            if !unit_frontier.contains(w) {
-                *self.covered.entry(w.clone()).or_insert(0) |= u;
-                if *u == self.full {
-                    self.checked.insert(w.clone());
-                }
-            }
-        }
-    }
-
-    fn absorb_incumbent(&mut self, snap: &Snapshot) {
-        if improves(snap.incumbent_cost, &snap.incumbent, &self.incumbent) {
-            self.incumbent = (
-                snap.incumbent_cost,
-                snap.incumbent.try_norm_sq().unwrap_or(i128::MAX),
-                snap.incumbent.clone(),
-            );
-        }
-    }
-}
-
-/// The engine's canonical candidate order (cost, then squared length,
-/// then lexicographic) — the same total order `uov_core`'s engines use,
-/// so the coordinator's incumbent merge is deterministic and agrees with
-/// a direct search's tie-breaks.
-fn improves(cost: u128, w: &IVec, best: &(u128, i128, IVec)) -> bool {
-    use std::cmp::Ordering as O;
-    match cost.cmp(&best.0) {
-        O::Less => true,
-        O::Greater => false,
-        O::Equal => {
-            let norm = w.try_norm_sq().unwrap_or(i128::MAX);
-            match norm.cmp(&best.1) {
-                O::Less => true,
-                O::Greater => false,
-                O::Equal => *w < best.2,
-            }
-        }
-    }
-}
-
 /// Dial `endpoint` for one shard: the attempt timeout bounds every read,
 /// and the tenant rides on every frame.
 fn dial(endpoint: &str, timeout: Duration, tenant: u32) -> Result<Client, ServiceError> {
@@ -1759,117 +935,12 @@ fn back_off(cfg: &MeshConfig, rng: &mut XorShift64, attempt: u32) -> u64 {
     ms
 }
 
-/// One unit's dispatch loop, run on a scoped thread: try ring successors
-/// in preference order (wrapping) until a replica returns a frame whose
-/// snapshot decodes, CRC-checks, and fingerprints to the right problem.
-/// Each attempt dials a fresh socket, is bounded by the lease
-/// (`attempt_timeout`) and carries a **fresh fencing epoch** drawn from
-/// the coordinator's monotonic counter, so once a re-dispatch lands, the
-/// server rejects any earlier attempt still executing (`StaleEpoch`) and
-/// it can never double-report into a merge. Units of one search share a
-/// fingerprint, so two *concurrent* units colliding on one shard can
-/// fence each other — that race is benign: `StaleEpoch` is retryable,
-/// every retry draws a strictly higher epoch, and the round's preference
-/// rotation sends first attempts to distinct shards, so progress is
-/// never lost, only a retry spent. A timed-out socket is kept as a
-/// zombie for the coordinator's drain instead of being dropped with a
-/// frame in flight.
-fn run_unit(
-    lease: &Lease<'_>,
-    prefs: &[usize],
-    (unit, base): &(WorkUnitRequest, Snapshot),
-    seed: u64,
-) -> UnitOutcome {
-    let mut rng = XorShift64::new(seed);
-    let max_attempts = lease.cfg.max_unit_attempts.max(1);
-    let mut attempts = Vec::new();
-    let mut last_error: Option<ServiceError> = None;
-    let mut zombies: Vec<Zombie> = Vec::new();
-    for attempt in 0..max_attempts {
-        let shard = prefs[attempt as usize % prefs.len()];
-        let epoch = lease.epoch.fetch_add(1, Ordering::Relaxed) + 1;
-        let result = (|| -> Result<Snapshot, ServiceError> {
-            // Re-encode the snapshot under this attempt's lease epoch.
-            // The EPOCH section is fixed-width, so the frame-size check
-            // done at build time (epoch 0) stays valid.
-            let mut leased = base.clone();
-            leased.epoch = epoch;
-            let mut req = unit.clone();
-            req.snapshot = encode_snapshot(&leased).map_err(|e| ServiceError::Rejected {
-                code: ErrorCode::Internal,
-                msg: format!("work-unit re-encode: {e}"),
-            })?;
-            let mut client = dial(
-                &lease.endpoints[shard],
-                lease.cfg.attempt_timeout,
-                lease.tenant,
-            )?;
-            let resp = client.workunit(&req).inspect_err(|e| {
-                // The lease expired with a frame possibly still in
-                // flight: keep the socket so the coordinator can drain
-                // (and discard by epoch) the late completion.
-                if FailureClass::of(e) == FailureClass::Timeout {
-                    zombies.push(Zombie {
-                        client,
-                        shard,
-                        epoch,
-                    });
-                }
-            })?;
-            let snap = decode_snapshot(&resp.snapshot).map_err(|e| {
-                ServiceError::Malformed(format!("work-unit response snapshot: {e}"))
-            })?;
-            if snap.fingerprint != lease.fingerprint {
-                return Err(ServiceError::Malformed(
-                    "work-unit response for a different problem".into(),
-                ));
-            }
-            if snap.epoch != epoch {
-                return Err(ServiceError::Malformed(format!(
-                    "work-unit response under lease epoch {} instead of {epoch}",
-                    snap.epoch
-                )));
-            }
-            Ok(snap)
-        })();
-        match result {
-            Ok(snap) => {
-                attempts.push((shard, Ok(())));
-                return UnitOutcome {
-                    attempts,
-                    snapshot: Some(snap),
-                    last_error: None,
-                    zombies,
-                };
-            }
-            Err(e) => {
-                attempts.push((shard, Err(FailureClass::of(&e))));
-                let hard = is_hard(&e);
-                last_error = Some(e);
-                if hard {
-                    break;
-                }
-            }
-        }
-        if attempt + 1 < max_attempts {
-            back_off(lease.cfg, &mut rng, attempt);
-        }
-    }
-    UnitOutcome {
-        attempts,
-        snapshot: None,
-        last_error,
-        zombies,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto::{read_frame, write_frame, Frame};
+    use crate::proto::{kind, read_frame, write_frame, Frame, ObjectiveSpec};
     use crate::server::{serve, QuotaConfig, ServerConfig, TenantQuota};
     use std::net::TcpListener;
-    use uov_core::search::{find_best_uov, Objective};
     use uov_isg::{ivec, Stencil};
 
     fn fig1_request() -> PlanRequest {
@@ -2110,9 +1181,9 @@ mod tests {
     }
 
     /// The tenant reaches every frame the client sends: a server that
-    /// sheds everything from tenant 7 refuses its routed plans, its
-    /// batches and its distributed search's work units alike, while an
-    /// anonymous client on the same server is served.
+    /// sheds everything from tenant 7 refuses its routed plans and its
+    /// batches alike, while an anonymous client on the same server is
+    /// served.
     #[test]
     fn the_tenant_rides_on_every_frame() {
         let shed_all = TenantQuota {
@@ -2132,23 +1203,19 @@ mod tests {
         .unwrap();
         let endpoints = vec![server.endpoint().to_string()];
         let cfg = MeshConfig {
-            local_prefix_nodes: 4,
             max_route_attempts: 3,
-            max_unit_attempts: 2,
             ..quick_cfg()
         };
         let overloaded = |e: &ServiceError| {
             matches!(e, ServiceError::FabricExhausted { last, .. }
                 if matches!(**last, ServiceError::Rejected { code: ErrorCode::Overloaded, .. }))
         };
-        // Work units ship for this problem: a 4-node local prefix leaves
-        // a frontier (see `distributed_search_matches_direct_search`).
-        let shipped = PlanRequest {
+        let skew3 = PlanRequest {
             stencil: Stencil::new(vec![ivec![1, 0], ivec![0, 1], ivec![1, 3]]).unwrap(),
             ..fig1_request()
         };
         let batch = BatchRequest {
-            entries: vec![fig1_request(), shipped.clone()],
+            entries: vec![fig1_request(), skew3],
         };
 
         let mut tenant7 = MeshClient::new(&endpoints, cfg.clone()).unwrap();
@@ -2169,14 +1236,6 @@ mod tests {
                 "batch entry: {entry:?}"
             );
         }
-        let distributed = tenant7.plan_distributed(&shipped);
-        assert!(
-            matches!(
-                distributed,
-                Err(ServiceError::FabricExhausted { attempts: 2, .. })
-            ) && distributed.as_ref().is_err_and(overloaded),
-            "distributed: {distributed:?}"
-        );
 
         let mut anonymous = MeshClient::new(&endpoints, cfg).unwrap();
         assert_eq!(anonymous.plan(&fig1_request()).unwrap().uov, ivec![1, 1]);
@@ -2186,7 +1245,6 @@ mod tests {
             .entries
             .iter()
             .all(Result::is_ok));
-        assert!(anonymous.plan_distributed(&shipped).is_ok());
         server.shutdown();
         server.join();
     }
@@ -2277,158 +1335,5 @@ mod tests {
             flags: 0,
         };
         assert_eq!(MeshClient::routing_key(&a), MeshClient::routing_key(&b));
-    }
-
-    /// End-to-end distributed search against live in-process servers,
-    /// multiple merge rounds forced by a tiny unit budget, byte-compared
-    /// to the direct in-process answer.
-    #[test]
-    fn distributed_search_matches_direct_search() {
-        let stencil = Stencil::new(vec![ivec![1, 0], ivec![0, 1], ivec![1, 3]]).unwrap();
-        let direct = find_best_uov(
-            &stencil,
-            Objective::ShortestVector,
-            &SearchConfig::default(),
-        )
-        .unwrap();
-        let direct_cert = certify(
-            &stencil,
-            &Objective::ShortestVector,
-            &SearchResult {
-                uov: direct.uov.clone(),
-                cost: direct.cost,
-                stats: SearchStats::default(),
-                degradation: None,
-                checkpoint_error: None,
-            },
-        )
-        .unwrap();
-
-        let replicas =
-            crate::chaos::ReplicaSet::start(3, crate::server::ServerConfig::default()).unwrap();
-        let mut mesh = MeshClient::new(
-            replicas.endpoints(),
-            MeshConfig {
-                local_prefix_nodes: 4,
-                unit_node_budget: 16,
-                ..MeshConfig::default()
-            },
-        )
-        .unwrap();
-        let req = PlanRequest {
-            stencil,
-            objective: crate::proto::ObjectiveSpec::ShortestVector,
-            deadline_ms: 0,
-            flags: 0,
-        };
-        let resp = mesh.plan_distributed(&req).unwrap();
-        assert_eq!(resp.uov, direct.uov);
-        assert_eq!(resp.cost, direct.cost);
-        assert_eq!(resp.certificate_hash, direct_cert.transcript_hash);
-        assert!(
-            mesh.stats().rounds >= 2,
-            "unit budget too big to test merging"
-        );
-        replicas.shutdown_all();
-    }
-
-    /// One pseudo-random unit completion over a 2-D, 3-vector problem:
-    /// the snapshot plus the slice the unit was notionally assigned (a
-    /// subset of its table, some of it left unexpanded in the frontier).
-    type UnitFixture = (Snapshot, Vec<(u128, IVec, u64)>);
-
-    fn rand_unit(rng: &mut XorShift64, full: u64) -> UnitFixture {
-        let n = 1 + (rng.next() % 4) as usize;
-        let mut known = Vec::new();
-        let mut frontier = Vec::new();
-        let mut assigned = Vec::new();
-        for _ in 0..n {
-            let w = ivec![(rng.next() % 5) as i64 - 2, (rng.next() % 5) as i64 - 2];
-            let m = 1 + rng.next() % full;
-            if rng.next().is_multiple_of(3) {
-                frontier.push((0u128, w.clone(), m));
-            }
-            if rng.next().is_multiple_of(2) {
-                assigned.push((0u128, w.clone(), m));
-            }
-            known.push((w, m));
-        }
-        let incumbent = ivec![1 + (rng.next() % 3) as i64, (rng.next() % 3) as i64];
-        let incumbent_cost = incumbent.try_norm_sq().unwrap_or(9) as u128;
-        let snap = Snapshot {
-            fingerprint: 42,
-            dim: 2,
-            incumbent_cost,
-            incumbent,
-            frontier,
-            known,
-            nodes_charged: 0,
-            stats: SearchStats::default(),
-            epoch: 0,
-        };
-        (snap, assigned)
-    }
-
-    fn assert_same_fixpoint(a: &MergeState, b: &MergeState) {
-        assert_eq!(a.known, b.known, "PATHSET unions diverged");
-        assert_eq!(a.covered, b.covered, "coverage evidence diverged");
-        assert_eq!(a.checked, b.checked, "candidate checks diverged");
-        assert_eq!(a.incumbent, b.incumbent, "incumbents diverged");
-    }
-
-    /// The fencing epochs' second line of defense: the merge fold is
-    /// idempotent and order-insensitive, so a duplicate or superseded
-    /// completion — even one that somehow slipped past every epoch
-    /// check — leaves the merge fixpoint byte-identical, and with it the
-    /// certified answer and its certificate hash.
-    #[test]
-    fn merge_fold_is_idempotent_under_duplicate_and_stale_completions() {
-        let full = 0b111u64;
-        for case in 0..50u64 {
-            let mut rng = XorShift64::new(0xF3CE_D000 + case);
-            let (prefix, _) = rand_unit(&mut rng, full);
-            let units: Vec<UnitFixture> = (0..5).map(|_| rand_unit(&mut rng, full)).collect();
-
-            // Once each, in order.
-            let mut once = MergeState::seeded(&prefix, full);
-            for (s, a) in &units {
-                once.absorb_unit(s, a);
-            }
-
-            // Every completion delivered twice (a zombie double-report).
-            let mut doubled = MergeState::seeded(&prefix, full);
-            for (s, a) in &units {
-                doubled.absorb_unit(s, a);
-                doubled.absorb_unit(s, a);
-            }
-            assert_same_fixpoint(&once, &doubled);
-
-            // Reversed order, then a stale re-delivery of an early
-            // completion after everything else has merged.
-            let mut reversed = MergeState::seeded(&prefix, full);
-            for (s, a) in units.iter().rev() {
-                reversed.absorb_unit(s, a);
-            }
-            let (s, a) = &units[rng.next() as usize % units.len()];
-            reversed.absorb_unit(s, a);
-            assert_same_fixpoint(&once, &reversed);
-        }
-    }
-
-    /// A small problem finishes inside the local prefix and never ships
-    /// a unit at all.
-    #[test]
-    fn tiny_problems_never_touch_the_wire() {
-        let eps = endpoints(3); // nothing is listening here
-        let mut mesh = MeshClient::new(&eps, MeshConfig::default()).unwrap();
-        let req = PlanRequest {
-            stencil: Stencil::new(vec![ivec![1, 0], ivec![0, 1], ivec![1, 1]]).unwrap(),
-            objective: crate::proto::ObjectiveSpec::ShortestVector,
-            deadline_ms: 0,
-            flags: 0,
-        };
-        let resp = mesh.plan_distributed(&req).unwrap();
-        assert_eq!(resp.uov, ivec![1, 1]);
-        assert_eq!(mesh.stats().units_dispatched, 0);
     }
 }

@@ -91,11 +91,7 @@ pub mod kind {
     pub const REQ_STATS: u8 = 8;
     /// Server → client: server + cache counter snapshot.
     pub const RESP_STATS: u8 = 9;
-    /// Coordinator → shard: run one search work unit — a `UOVCKPT1`
-    /// snapshot carrying a slice of the PATHSET frontier.
-    pub const REQ_WORKUNIT: u8 = 10;
-    /// Shard → coordinator: the unit's final state, as `UOVCKPT1` bytes.
-    pub const RESP_WORKUNIT: u8 = 11;
+    // Kinds 10 and 11 carried distributed work units. Retired: never reuse them.
     /// Peer → replica: store a certified plan for a problem whose ring
     /// home is elsewhere, so a deterministic failover lands on a warm
     /// hit. The receiver re-certifies before inserting; degraded answers
@@ -340,8 +336,6 @@ pub struct StatsResponse {
     pub server: crate::server::ServerStats,
     /// The plan cache's monotone counters.
     pub cache: crate::plan_cache::CacheStats,
-    /// Best-effort incumbent-bound gossip piggybacked on the stats frame.
-    pub bound: Option<BoundGossip>,
     /// Per-tenant in-flight gauges (tenants with at least one admitted
     /// request currently queued or running), sorted by tenant id so the
     /// encoding is deterministic.
@@ -358,41 +352,20 @@ pub struct TenantGauge {
     pub inflight: u64,
 }
 
-/// An incumbent bound a replica is willing to share: the canonical
-/// fingerprint of the problem it most recently improved and the cost of
-/// the best *genuine* UOV it holds for that problem. Soundness does not
-/// depend on freshness — a stale bound is merely higher than the current
-/// best, which only weakens pruning, never changes an answer (pruning is
-/// strict, so ties at the bound always survive to the canonical
-/// tie-break).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BoundGossip {
-    /// `uov_core::fingerprint` of the `(stencil, objective)` the bound is
-    /// for. A bound is only usable against the identical fingerprint.
-    pub fingerprint: u64,
-    /// The UOV's cost, saturated to `u64`. `u64::MAX` (unrepresentable)
-    /// never travels — it is mapped to "no gossip" at encode time.
-    pub cost: u64,
-}
-
 impl StatsResponse {
     /// Serialize the stats payload. Fields travel as a count-prefixed
-    /// list of `u64`s in declaration order, so an older client can read
-    /// the counters it knows and skip the rest. The gossip rides as
-    /// fields 20–21 (fingerprint, cost); a zero fingerprint means "no
-    /// gossip", which an older decoder reading zeros gets for free. The
-    /// replication/fencing counters ride after it, the overload counters
-    /// (shed/degraded/batch/idle) as fields 26–29, field 30 is the count
-    /// of per-tenant gauge *pairs*, and each gauge rides as two trailing
-    /// `u64`s `(tenant, inflight)` — all skipped by older decoders as
-    /// unknown trailing fields.
+    /// list of `u64`s at fixed positions, so an older client can read the
+    /// counters it knows and skip the rest. Positions 17 (work units),
+    /// 20–21 (bound gossip), 24 (stale epochs) and 25 (anti-entropy
+    /// repairs) belonged to the retired distributed search: they are
+    /// written as 0 and ignored on read. The overload counters
+    /// (shed/degraded/batch/idle) ride as fields 26–29, field 30 is the
+    /// count of per-tenant gauge *pairs*, and each gauge rides as two
+    /// trailing `u64`s `(tenant, inflight)` — all skipped by older
+    /// decoders as unknown trailing fields.
     pub fn encode(&self) -> Vec<u8> {
         let s = &self.server;
         let c = &self.cache;
-        let (gossip_fp, gossip_cost) = match self.bound {
-            Some(b) if b.fingerprint != 0 && b.cost != u64::MAX => (b.fingerprint, b.cost),
-            _ => (0, 0),
-        };
         let fields = [
             s.connections,
             s.rejected_overloaded,
@@ -411,15 +384,15 @@ impl StatsResponse {
             c.misses,
             c.coalesced,
             c.warm_loaded,
-            s.workunits,
+            0,
             s.warm_load_corrupt,
             s.warm_load_version,
-            gossip_fp,
-            gossip_cost,
+            0,
+            0,
             c.replicated_entries,
             c.replica_hits,
-            s.stale_epoch_rejections,
-            s.anti_entropy_repairs,
+            0,
+            0,
             s.shed_over_quota,
             s.degraded_under_pressure,
             s.batch_frames,
@@ -482,14 +455,6 @@ impl StatsResponse {
         for _ in consumed..n {
             let _ = d.u64()?;
         }
-        let bound = if fields[20] != 0 && fields[21] != u64::MAX {
-            Some(BoundGossip {
-                fingerprint: fields[20],
-                cost: fields[21],
-            })
-        } else {
-            None
-        };
         Ok(StatsResponse {
             server: crate::server::ServerStats {
                 connections: fields[0],
@@ -505,11 +470,8 @@ impl StatsResponse {
                 oversized_frames: fields[10],
                 watchdog_cancels: fields[11],
                 worker_restarts: fields[12],
-                workunits: fields[17],
                 warm_load_corrupt: fields[18],
                 warm_load_version: fields[19],
-                stale_epoch_rejections: fields[24],
-                anti_entropy_repairs: fields[25],
                 shed_over_quota: fields[26],
                 degraded_under_pressure: fields[27],
                 batch_frames: fields[28],
@@ -523,7 +485,6 @@ impl StatsResponse {
                 replicated_entries: fields[22],
                 replica_hits: fields[23],
             },
-            bound,
             tenants,
         })
     }
@@ -744,7 +705,7 @@ fn read_to(r: &mut impl Read, bytes: &mut Vec<u8>, len: usize) -> Result<(), Ser
 // --------------------------------------------------------------- payloads
 
 /// Encode the `(stencil, objective)` problem prefix shared by `REQ_PLAN`
-/// and `REQ_WORKUNIT`. Byte-identical to the original `REQ_PLAN` layout.
+/// and `REQ_REPLICATE`. Byte-identical to the original `REQ_PLAN` layout.
 fn encode_problem(e: &mut Encoder, stencil: &Stencil, objective: &ObjectiveSpec) {
     e.u16(stencil.dim() as u16);
     e.u32(stencil.len() as u32);
@@ -848,151 +809,6 @@ impl PlanRequest {
     }
 }
 
-/// One distributed-search work unit (the frame body of a `REQ_WORKUNIT`):
-/// the problem, a per-unit budget, an optional incumbent-bound hint, and
-/// a slice of the coordinator's search state shipped **verbatim** in the
-/// crash-safe `UOVCKPT1` snapshot format of [`uov_core::checkpoint`] —
-/// the same bytes a disk checkpoint would hold, so a shard validates and
-/// resumes it exactly like a file-based resume.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WorkUnitRequest {
-    /// The problem's flow-dependence stencil.
-    pub stencil: Stencil,
-    /// What to minimise.
-    pub objective: ObjectiveSpec,
-    /// Per-unit wall-clock budget in milliseconds; `0` means unlimited.
-    /// An expired unit returns its partial state (non-empty frontier)
-    /// rather than erroring — the coordinator re-dispatches the leftovers.
-    pub deadline_ms: u32,
-    /// Per-unit node budget; `0` means unlimited.
-    pub node_budget: u64,
-    /// Optional incumbent-cost hint for pruning
-    /// ([`uov_core::search::SearchConfig::bound_hint`]). Sound iff it is
-    /// the cost of a genuine UOV for this problem; a stale (high) hint
-    /// only weakens pruning.
-    pub bound_hint: Option<u128>,
-    /// The unit's starting state as `UOVCKPT1` snapshot bytes.
-    pub snapshot: Vec<u8>,
-}
-
-impl WorkUnitRequest {
-    /// Serialize the work-unit payload.
-    pub fn encode(&self) -> Vec<u8> {
-        let dim = self.stencil.dim();
-        let mut e =
-            Encoder::with_capacity(48 + 8 * dim * (self.stencil.len() + 2) + self.snapshot.len());
-        encode_problem(&mut e, &self.stencil, &self.objective);
-        e.u32(self.deadline_ms);
-        e.u64(self.node_budget);
-        match self.bound_hint {
-            None => e.u8(0),
-            Some(h) => {
-                e.u8(1);
-                e.u128(h);
-            }
-        }
-        e.u32(self.snapshot.len() as u32);
-        e.buf.extend_from_slice(&self.snapshot);
-        e.buf
-    }
-
-    /// Decode a `REQ_WORKUNIT` payload. The snapshot bytes are
-    /// length-checked here but *not* parsed — structural validation
-    /// happens in the search layer's resume path, exactly as for a disk
-    /// checkpoint.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::Wire`] on truncation, [`ServiceError::Malformed`]
-    /// on any semantic violation or hostile length.
-    pub fn decode(payload: &[u8]) -> Result<Self, ServiceError> {
-        let mut d = Decoder::new(payload);
-        let (stencil, objective) = decode_problem(&mut d)?;
-        let deadline_ms = d.u32()?;
-        let node_budget = d.u64()?;
-        let bound_hint = match d.u8()? {
-            0 => None,
-            1 => Some(d.u128()?),
-            v => {
-                return Err(ServiceError::Malformed(format!(
-                    "unknown bound-hint flag {v}"
-                )))
-            }
-        };
-        let snap_len = d.u32()? as usize;
-        if snap_len > d.remaining() {
-            return Err(ServiceError::Malformed(
-                "declared snapshot exceeds the payload".into(),
-            ));
-        }
-        let snapshot = d.take(snap_len)?.to_vec();
-        if d.remaining() != 0 {
-            return Err(ServiceError::Malformed(
-                "trailing bytes in work unit".into(),
-            ));
-        }
-        Ok(WorkUnitRequest {
-            stencil,
-            objective,
-            deadline_ms,
-            node_budget,
-            bound_hint,
-            snapshot,
-        })
-    }
-}
-
-/// A shard's answer to a work unit (the frame body of a `RESP_WORKUNIT`):
-/// the unit's final search state in `UOVCKPT1` bytes — incumbent, PATHSET
-/// table and leftover frontier — plus why (if at all) it stopped early.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WorkUnitResponse {
-    /// Whether (and why) the unit was cut short. `None` means it ran its
-    /// slice to exhaustion (empty frontier in the snapshot).
-    pub degradation: DegradationCode,
-    /// The final state as `UOVCKPT1` snapshot bytes.
-    pub snapshot: Vec<u8>,
-}
-
-impl WorkUnitResponse {
-    /// Serialize the work-unit response payload.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut e = Encoder::with_capacity(8 + self.snapshot.len());
-        e.u8(self.degradation.to_u8());
-        e.u32(self.snapshot.len() as u32);
-        e.buf.extend_from_slice(&self.snapshot);
-        e.buf
-    }
-
-    /// Decode a `RESP_WORKUNIT` payload.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::Wire`] on truncation, [`ServiceError::Malformed`]
-    /// on unknown codes, hostile lengths, or trailing bytes.
-    pub fn decode(payload: &[u8]) -> Result<Self, ServiceError> {
-        let mut d = Decoder::new(payload);
-        let degradation = DegradationCode::from_u8(d.u8()?)
-            .ok_or_else(|| ServiceError::Malformed("unknown degradation code".into()))?;
-        let snap_len = d.u32()? as usize;
-        if snap_len > d.remaining() {
-            return Err(ServiceError::Malformed(
-                "declared snapshot exceeds the payload".into(),
-            ));
-        }
-        let snapshot = d.take(snap_len)?.to_vec();
-        if d.remaining() != 0 {
-            return Err(ServiceError::Malformed(
-                "trailing bytes in work-unit response".into(),
-            ));
-        }
-        Ok(WorkUnitResponse {
-            degradation,
-            snapshot,
-        })
-    }
-}
-
 /// A neighbor-replication push (the frame body of a `REQ_REPLICATE`):
 /// the problem in the *sender's* coordinates plus the certified optimal
 /// answer. The receiver canonicalizes, re-derives the canonical lex-min
@@ -1009,25 +825,23 @@ pub struct ReplicateRequest {
     pub uov: IVec,
     /// Its objective value.
     pub cost: u128,
-    /// Whether this push is an anti-entropy repair (a re-push after the
-    /// sender observed the replica restart) rather than a first-time
-    /// replication. Changes accounting only, never semantics.
-    pub repair: bool,
 }
 
 impl ReplicateRequest {
-    /// Serialize the replication payload.
+    /// Serialize the replication payload. The trailing byte once flagged
+    /// an anti-entropy repair; it is written as 0.
     pub fn encode(&self) -> Vec<u8> {
         let dim = self.stencil.dim();
         let mut e = Encoder::with_capacity(32 + 8 * dim * (self.stencil.len() + 3));
         encode_problem(&mut e, &self.stencil, &self.objective);
         e.vec(&self.uov);
         e.u128(self.cost);
-        e.u8(u8::from(self.repair));
+        e.u8(0);
         e.buf
     }
 
-    /// Decode a `REQ_REPLICATE` payload.
+    /// Decode a `REQ_REPLICATE` payload. The trailing flag byte must be 0
+    /// or 1 and is otherwise ignored.
     ///
     /// # Errors
     ///
@@ -1038,11 +852,10 @@ impl ReplicateRequest {
         let (stencil, objective) = decode_problem(&mut d)?;
         let uov = d.vec(stencil.dim())?;
         let cost = d.u128()?;
-        let repair = match d.u8()? {
-            0 => false,
-            1 => true,
+        match d.u8()? {
+            0 | 1 => {}
             v => return Err(ServiceError::Malformed(format!("bad repair flag {v}"))),
-        };
+        }
         if d.remaining() != 0 {
             return Err(ServiceError::Malformed(
                 "trailing bytes in replication".into(),
@@ -1053,7 +866,6 @@ impl ReplicateRequest {
             objective,
             uov,
             cost,
-            repair,
         })
     }
 }
@@ -1392,11 +1204,8 @@ mod tests {
                 oversized_frames: 11,
                 watchdog_cancels: 12,
                 worker_restarts: 13,
-                workunits: 18,
                 warm_load_corrupt: 19,
                 warm_load_version: 20,
-                stale_epoch_rejections: 25,
-                anti_entropy_repairs: 26,
                 shed_over_quota: 27,
                 degraded_under_pressure: 28,
                 batch_frames: 29,
@@ -1410,10 +1219,6 @@ mod tests {
                 replicated_entries: 23,
                 replica_hits: 24,
             },
-            bound: Some(BoundGossip {
-                fingerprint: 0xFEED_F00D,
-                cost: 42,
-            }),
             tenants: vec![
                 TenantGauge {
                     tenant: 7,
@@ -1426,6 +1231,20 @@ mod tests {
             ],
         };
         assert_eq!(StatsResponse::decode(&s.encode()).unwrap(), s);
+        // A frame from an older server fills the retired slots (work
+        // units, bound gossip, stale epochs, anti-entropy repairs); they
+        // are ignored and every other counter stays in its place.
+        let mut older = s.encode();
+        for (slot, v) in [(17, 18u64), (20, 0xFEED_F00D), (21, 42), (24, 25), (25, 26)] {
+            let at = 4 + 8 * slot;
+            assert_eq!(
+                older[at..at + 8],
+                [0; 8],
+                "retired slot {slot} is written as 0"
+            );
+            older[at..at + 8].copy_from_slice(&v.to_le_bytes());
+        }
+        assert_eq!(StatsResponse::decode(&older).unwrap(), s);
         // A future server appending a counter must not break this build.
         let mut extended = s.encode();
         let declared = u32::from_le_bytes(extended[0..4].try_into().unwrap());
@@ -1439,22 +1258,14 @@ mod tests {
             StatsResponse::decode(&hostile),
             Err(ServiceError::Malformed(_))
         ));
-        // No gossip travels as zeros, which an old decoder reads as none.
-        let none = StatsResponse {
-            bound: None,
-            ..s.clone()
-        };
-        assert_eq!(StatsResponse::decode(&none.encode()).unwrap().bound, None);
         // An older (17-field) frame decodes with zeroed new counters.
         let mut old = s.encode();
         old.truncate(4 + 8 * 17);
         old[0..4].copy_from_slice(&17u32.to_le_bytes());
         let decoded = StatsResponse::decode(&old).unwrap();
-        assert_eq!(decoded.server.workunits, 0);
-        assert_eq!(decoded.bound, None);
         assert_eq!(decoded.cache.warm_loaded, 17);
+        assert_eq!(decoded.server.warm_load_corrupt, 0);
         assert_eq!(decoded.cache.replicated_entries, 0);
-        assert_eq!(decoded.server.stale_epoch_rejections, 0);
         assert_eq!(decoded.server.shed_over_quota, 0);
         assert_eq!(decoded.tenants, Vec::new());
         // A 26-field (pre-overload) frame zeroes the new counters too.
@@ -1462,7 +1273,7 @@ mod tests {
         pre.truncate(4 + 8 * 26);
         pre[0..4].copy_from_slice(&26u32.to_le_bytes());
         let decoded = StatsResponse::decode(&pre).unwrap();
-        assert_eq!(decoded.server.anti_entropy_repairs, 26);
+        assert_eq!(decoded.cache.replica_hits, 24);
         assert_eq!(decoded.server.idle_timeouts, 0);
         assert_eq!(decoded.tenants, Vec::new());
         // A gauge-pair count cut off by the declared total is clamped,
@@ -1477,16 +1288,29 @@ mod tests {
 
     #[test]
     fn replicate_round_trips() {
-        for repair in [false, true] {
-            let req = ReplicateRequest {
-                stencil: Stencil::new(vec![ivec![1, 0], ivec![0, 1], ivec![1, 1]]).unwrap(),
-                objective: ObjectiveSpec::ShortestVector,
-                uov: ivec![1, 1],
-                cost: 2,
-                repair,
-            };
-            assert_eq!(ReplicateRequest::decode(&req.encode()).unwrap(), req);
-        }
+        let req = ReplicateRequest {
+            stencil: Stencil::new(vec![ivec![1, 0], ivec![0, 1], ivec![1, 1]]).unwrap(),
+            objective: ObjectiveSpec::ShortestVector,
+            uov: ivec![1, 1],
+            cost: 2,
+        };
+        let mut bytes = req.encode();
+        assert_eq!(
+            bytes.last(),
+            Some(&0),
+            "the retired flag byte is written as 0"
+        );
+        assert_eq!(ReplicateRequest::decode(&bytes).unwrap(), req);
+        // An older sender's repair flag (1) is accepted and ignored; any
+        // other value is malformed.
+        let flag = bytes.len() - 1;
+        bytes[flag] = 1;
+        assert_eq!(ReplicateRequest::decode(&bytes).unwrap(), req);
+        bytes[flag] = 2;
+        assert!(matches!(
+            ReplicateRequest::decode(&bytes),
+            Err(ServiceError::Malformed(_))
+        ));
         for stored in [false, true] {
             let resp = ReplicateResponse { stored };
             assert_eq!(ReplicateResponse::decode(&resp.encode()).unwrap(), resp);
@@ -1505,68 +1329,11 @@ mod tests {
             objective: ObjectiveSpec::ShortestVector,
             uov: ivec![1, 1],
             cost: 2,
-            repair: false,
         };
         let mut bytes = req.encode();
         bytes.push(0);
         assert!(matches!(
             ReplicateRequest::decode(&bytes),
-            Err(ServiceError::Malformed(_))
-        ));
-    }
-
-    #[test]
-    fn workunit_request_round_trips() {
-        for hint in [None, Some(12u128), Some(u128::MAX)] {
-            let req = WorkUnitRequest {
-                stencil: Stencil::new(vec![ivec![1, 0], ivec![0, 1], ivec![1, 1]]).unwrap(),
-                objective: ObjectiveSpec::ShortestVector,
-                deadline_ms: 750,
-                node_budget: 4_096,
-                bound_hint: hint,
-                snapshot: vec![0xAB; 97],
-            };
-            assert_eq!(WorkUnitRequest::decode(&req.encode()).unwrap(), req);
-        }
-    }
-
-    #[test]
-    fn workunit_response_round_trips() {
-        let resp = WorkUnitResponse {
-            degradation: DegradationCode::Nodes,
-            snapshot: vec![0xCD; 33],
-        };
-        assert_eq!(WorkUnitResponse::decode(&resp.encode()).unwrap(), resp);
-    }
-
-    #[test]
-    fn hostile_workunit_lengths_are_rejected_before_allocation() {
-        let req = WorkUnitRequest {
-            stencil: Stencil::new(vec![ivec![1, 0], ivec![0, 1]]).unwrap(),
-            objective: ObjectiveSpec::ShortestVector,
-            deadline_ms: 0,
-            node_budget: 0,
-            bound_hint: None,
-            snapshot: vec![1, 2, 3],
-        };
-        let mut bytes = req.encode();
-        // The snapshot length prefix sits 7 bytes from the end (u32 len +
-        // 3 payload bytes); declare 2 GiB.
-        let at = bytes.len() - 7;
-        bytes[at..at + 4].copy_from_slice(&(2u32 << 30).to_le_bytes());
-        assert!(matches!(
-            WorkUnitRequest::decode(&bytes),
-            Err(ServiceError::Malformed(_))
-        ));
-
-        let resp = WorkUnitResponse {
-            degradation: DegradationCode::None,
-            snapshot: vec![9; 8],
-        };
-        let mut bytes = resp.encode();
-        bytes[1..5].copy_from_slice(&(2u32 << 30).to_le_bytes());
-        assert!(matches!(
-            WorkUnitResponse::decode(&bytes),
             Err(ServiceError::Malformed(_))
         ));
     }

@@ -44,20 +44,17 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use uov_core::certify::certify;
-use uov_core::checkpoint::{decode_snapshot, encode_snapshot};
-use uov_core::search::{
-    find_best_uov, initial_uov, search_unit, try_cost_of, SearchConfig, SearchStats,
-};
-use uov_core::{fingerprint, Budget, SearchResult};
+use uov_core::search::{find_best_uov, initial_uov, try_cost_of, SearchConfig, SearchStats};
+use uov_core::{Budget, SearchResult};
 use uov_isg::Stencil;
 
 use crate::error::{ErrorCode, ServiceError};
 use crate::plan_cache::{CacheStats, PlanCache, Planned, WarmCacheError, DEFAULT_CACHE_CAPACITY};
 use crate::proto::{
-    encode_frame, kind, parse_frame, BatchRequest, BatchResponse, BoundGossip, CacheOutcome,
-    DegradationCode, ErrorResponse, Frame, HealthResponse, ObjectiveSpec, PlanRequest,
-    PlanResponse, ReplicateRequest, ReplicateResponse, StatsResponse, TenantGauge, WorkUnitRequest,
-    WorkUnitResponse, FLAG_NO_CACHE, MAX_BATCH_ENTRIES, MAX_FRAME_LEN,
+    encode_frame, kind, parse_frame, BatchRequest, BatchResponse, CacheOutcome, DegradationCode,
+    ErrorResponse, Frame, HealthResponse, ObjectiveSpec, PlanRequest, PlanResponse,
+    ReplicateRequest, ReplicateResponse, StatsResponse, TenantGauge, FLAG_NO_CACHE,
+    MAX_BATCH_ENTRIES, MAX_FRAME_LEN,
 };
 
 /// Admission quota for one tenant: a token bucket for sustained rate, a
@@ -200,22 +197,12 @@ pub struct ServerStats {
     pub watchdog_cancels: u64,
     /// Worker threads the watchdog found dead and respawned.
     pub worker_restarts: u64,
-    /// Distributed-search work units executed (`REQ_WORKUNIT`).
-    pub workunits: u64,
     /// Warm-cache snapshots refused at startup because the file was
     /// unreadable or damaged (bad magic, torn section, CRC mismatch).
     pub warm_load_corrupt: u64,
     /// Warm-cache snapshots refused at startup because a newer server
     /// wrote them — a rollback signature, not disk damage.
     pub warm_load_version: u64,
-    /// Work units rejected because their fencing epoch was superseded by
-    /// a later lease for the same problem (`StaleEpoch`) — zombie or
-    /// replayed completions that must not reach a merge.
-    pub stale_epoch_rejections: u64,
-    /// Replication pushes flagged as anti-entropy repairs that were
-    /// re-certified and stored (a peer healing this replica's cache
-    /// after it restarted).
-    pub anti_entropy_repairs: u64,
     /// Requests shed with `Overloaded` because their tenant exceeded its
     /// admission quota — rate tokens or in-flight cap (tier 1).
     pub shed_over_quota: u64,
@@ -244,11 +231,8 @@ struct Counters {
     oversized_frames: AtomicU64,
     watchdog_cancels: AtomicU64,
     worker_restarts: AtomicU64,
-    workunits: AtomicU64,
     warm_load_corrupt: AtomicU64,
     warm_load_version: AtomicU64,
-    stale_epoch_rejections: AtomicU64,
-    anti_entropy_repairs: AtomicU64,
     shed_over_quota: AtomicU64,
     degraded_under_pressure: AtomicU64,
     batch_frames: AtomicU64,
@@ -271,11 +255,8 @@ impl Counters {
             oversized_frames: self.oversized_frames.load(Ordering::Relaxed),
             watchdog_cancels: self.watchdog_cancels.load(Ordering::Relaxed),
             worker_restarts: self.worker_restarts.load(Ordering::Relaxed),
-            workunits: self.workunits.load(Ordering::Relaxed),
             warm_load_corrupt: self.warm_load_corrupt.load(Ordering::Relaxed),
             warm_load_version: self.warm_load_version.load(Ordering::Relaxed),
-            stale_epoch_rejections: self.stale_epoch_rejections.load(Ordering::Relaxed),
-            anti_entropy_repairs: self.anti_entropy_repairs.load(Ordering::Relaxed),
             shed_over_quota: self.shed_over_quota.load(Ordering::Relaxed),
             degraded_under_pressure: self.degraded_under_pressure.load(Ordering::Relaxed),
             batch_frames: self.batch_frames.load(Ordering::Relaxed),
@@ -774,18 +755,6 @@ struct ServerState {
     slots: Vec<Arc<WorkerSlot>>,
     /// Server start, the epoch for all slot timestamps.
     started: Instant,
-    /// The best incumbent bound this replica has proven, as
-    /// `(problem fingerprint, saturated cost)`. Piggybacked on stats
-    /// frames so mesh coordinators can tighten pruning on sibling
-    /// replicas. Staleness is sound: the value is always the cost of a
-    /// genuine UOV, so it can only ever *over*-estimate the optimum.
-    gossip: Mutex<Option<(u64, u64)>>,
-    /// The highest work-unit fencing epoch seen per problem fingerprint.
-    /// A unit whose snapshot carries a *lower* epoch than the recorded
-    /// fence was superseded by a re-dispatch and is rejected with
-    /// `StaleEpoch` before any work runs; an equal epoch is the same
-    /// lease resent (idempotent) and is allowed.
-    leases: Mutex<HashMap<u64, u64>>,
     /// Frames admitted but not yet answered, per tenant — the in-flight
     /// gauge behind the quota cap and the `REQ_STATS` tenant rows.
     tenant_inflight: Mutex<HashMap<u32, u64>>,
@@ -825,32 +794,6 @@ impl ServerState {
         g.get(&tenant).copied().unwrap_or(0)
     }
 
-    /// Record a proven incumbent bound for gossip. Costs that do not fit
-    /// in the wire's `u64` (or the reserved `u64::MAX`) are dropped — a
-    /// missing hint is always sound. For a repeated fingerprint only an
-    /// improvement overwrites; a different problem always takes the slot
-    /// (most-recent-problem wins, which is what a coordinator polling
-    /// mid-search wants).
-    fn update_gossip(&self, fp: u64, cost: u128) {
-        let Ok(cost) = u64::try_from(cost) else {
-            return;
-        };
-        if cost == u64::MAX || fp == 0 {
-            return;
-        }
-        let mut slot = self.gossip.lock().unwrap_or_else(|p| p.into_inner());
-        match *slot {
-            Some((f, c)) if f == fp && c <= cost => {}
-            _ => *slot = Some((fp, cost)),
-        }
-    }
-
-    /// The current gossip bound, for stats frames.
-    fn gossip_bound(&self) -> Option<BoundGossip> {
-        let slot = self.gossip.lock().unwrap_or_else(|p| p.into_inner());
-        slot.map(|(fingerprint, cost)| BoundGossip { fingerprint, cost })
-    }
-
     /// The readiness signal served by `REQ_HEALTH`.
     fn health(&self) -> HealthResponse {
         let draining = self.shutdown.load(Ordering::SeqCst);
@@ -882,7 +825,6 @@ impl ServerState {
         StatsResponse {
             server: self.stats.snapshot(),
             cache: self.cache.stats(),
-            bound: self.gossip_bound(),
             tenants,
         }
     }
@@ -920,14 +862,6 @@ impl ServerState {
             code: ErrorCode::Internal,
             msg,
         })?;
-
-        // Every served plan is a genuine UOV, so its cost is a sound
-        // upper bound worth gossiping (degraded answers included: they
-        // are legal, just possibly not optimal).
-        self.update_gossip(
-            fingerprint(&req.stencil, &req.objective.as_objective()),
-            planned.cost,
-        );
 
         // Re-certify every answer against the *request's* problem. The
         // certificate hash deliberately excludes search statistics, so a
@@ -984,88 +918,12 @@ impl ServerState {
             code: ErrorCode::Internal,
             msg: format!("certification failed: {e}"),
         })?;
-        self.update_gossip(fingerprint(&req.stencil, &objective), cost);
         Ok(PlanResponse {
             uov,
             cost,
             certificate_hash: cert.transcript_hash,
             degradation: DegradationCode::Pressure,
             cache: CacheOutcome::Miss,
-        })
-    }
-
-    /// Execute one distributed-search work unit: resume the shipped
-    /// `UOVCKPT1` snapshot under this request's budget and ship the final
-    /// engine state back. The coordinator owns correctness (merging,
-    /// re-frontiering, certification); this side only guarantees that
-    /// whatever it returns is a faithful engine snapshot of *this*
-    /// problem, which `SeedState::from_snapshot` enforced on the way in
-    /// and the snapshot capture enforces on the way out.
-    fn handle_workunit(
-        &self,
-        req: &WorkUnitRequest,
-        cancel: Arc<AtomicBool>,
-    ) -> Result<WorkUnitResponse, ErrorResponse> {
-        self.stats.requests.fetch_add(1, Ordering::Relaxed);
-        self.stats.workunits.fetch_add(1, Ordering::Relaxed);
-        let snap = decode_snapshot(&req.snapshot).map_err(|e| ErrorResponse {
-            code: ErrorCode::Malformed,
-            msg: format!("work-unit snapshot: {e}"),
-        })?;
-        // Lease fencing: a superseded epoch is a zombie or replay and is
-        // rejected before any search runs. Epoch 0 (unleased) bypasses
-        // the fence for single-coordinator callers and old coordinators.
-        let unit_epoch = snap.epoch;
-        if unit_epoch > 0 {
-            let mut leases = self.leases.lock().unwrap_or_else(|p| p.into_inner());
-            let fence = leases.entry(snap.fingerprint).or_insert(0);
-            if unit_epoch < *fence {
-                let fence = *fence;
-                drop(leases);
-                self.stats
-                    .stale_epoch_rejections
-                    .fetch_add(1, Ordering::Relaxed);
-                return Err(ErrorResponse {
-                    code: ErrorCode::StaleEpoch,
-                    msg: format!("work-unit epoch {unit_epoch} superseded by {fence}"),
-                });
-            }
-            *fence = unit_epoch;
-        }
-        let mut budget = Budget::unlimited();
-        if req.deadline_ms > 0 {
-            budget = budget.with_deadline(Duration::from_millis(u64::from(req.deadline_ms)));
-        }
-        if req.node_budget > 0 {
-            budget = budget.with_max_nodes(req.node_budget);
-        }
-        let config = SearchConfig {
-            budget: budget.with_cancel_token(cancel),
-            threads: self.config.search_threads,
-            bound_hint: req.bound_hint,
-            ..SearchConfig::default()
-        };
-        let (result, mut out) = search_unit(
-            Some(snap),
-            &req.stencil,
-            req.objective.as_objective(),
-            &config,
-        )
-        .map_err(|e| ErrorResponse {
-            code: ErrorCode::Internal,
-            msg: e.to_string(),
-        })?;
-        self.update_gossip(out.fingerprint, result.cost);
-        // Echo the lease epoch so the coordinator can discard responses
-        // from leases it has since superseded, even on a late socket.
-        out.epoch = unit_epoch;
-        let snapshot = encode_snapshot(&out).map_err(|e| ErrorResponse {
-            code: ErrorCode::Internal,
-            msg: e.to_string(),
-        })?;
-        Ok(WorkUnitResponse {
-            degradation: DegradationCode::from_exhausted(result.degradation.map(|d| d.reason)),
-            snapshot,
         })
     }
 
@@ -1094,17 +952,6 @@ impl ServerState {
         let stored = self
             .cache
             .insert_replicated(&req.stencil, &req.objective, &req.uov, req.cost);
-        if stored {
-            if req.repair {
-                self.stats
-                    .anti_entropy_repairs
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            self.update_gossip(
-                fingerprint(&req.stencil, &req.objective.as_objective()),
-                req.cost,
-            );
-        }
         Ok(ReplicateResponse { stored })
     }
 }
@@ -1116,8 +963,8 @@ impl ServerState {
 struct WriteBuf {
     bytes: Vec<u8>,
     off: usize,
-    /// Count this frame in `responses` once fully written (plan/workunit/
-    /// replicate/batch answers do; errors and probes don't).
+    /// Count this frame in `responses` once fully written (plan/replicate/
+    /// batch answers do; errors and probes don't).
     counts_response: bool,
 }
 
@@ -1301,7 +1148,7 @@ fn dispatch_frame(
             enqueue_frame(conn, kind::RESP_SHUTDOWN_ACK, &[], false);
             conn.closing = true;
         }
-        kind::REQ_PLAN | kind::REQ_WORKUNIT | kind::REQ_REPLICATE | kind::REQ_BATCH => {
+        kind::REQ_PLAN | kind::REQ_REPLICATE | kind::REQ_BATCH => {
             if frame_kind == kind::REQ_BATCH {
                 state.stats.batch_frames.fetch_add(1, Ordering::Relaxed);
             }
@@ -1362,9 +1209,9 @@ fn dispatch_frame(
                 return;
             }
             // Tier 2: between the watermark and the cap, plan-shaped
-            // work degrades to the certified Σvᵢ fast path. Work units
-            // and replication pushes never degrade — the mesh's
-            // byte-identity depends on them running for real.
+            // work degrades to the certified Σvᵢ fast path. Replication
+            // pushes never degrade: a replica stores only answers it
+            // re-certified for real.
             let dw = state.config.degrade_watermark;
             let degrade =
                 dw > 0 && qlen >= dw && matches!(frame_kind, kind::REQ_PLAN | kind::REQ_BATCH);
@@ -1669,19 +1516,6 @@ fn execute_item(item: &WorkItem, state: &ServerState, slot: &WorkerSlot) -> (u8,
             }
             Err(e) => malformed(state, &e),
         },
-        kind::REQ_WORKUNIT => match WorkUnitRequest::decode(&item.payload) {
-            Ok(req) => {
-                let cancel = Arc::new(AtomicBool::new(false));
-                slot.begin_request(state.now_ms(), Arc::clone(&cancel));
-                let outcome = state.handle_workunit(&req, cancel);
-                slot.end_request();
-                match outcome {
-                    Ok(resp) => (kind::RESP_WORKUNIT, resp.encode(), true),
-                    Err(err) => (kind::RESP_ERROR, err.encode(), false),
-                }
-            }
-            Err(e) => malformed(state, &e),
-        },
         kind::REQ_REPLICATE => match ReplicateRequest::decode(&item.payload) {
             Ok(req) => match state.handle_replicate(&req) {
                 Ok(resp) => (kind::RESP_REPLICATE, resp.encode(), true),
@@ -1938,8 +1772,6 @@ pub fn serve(endpoint: &str, config: ServerConfig) -> Result<ServerHandle, Servi
             .map(|_| Arc::new(WorkerSlot::default()))
             .collect(),
         started: Instant::now(),
-        gossip: Mutex::new(None),
-        leases: Mutex::new(HashMap::new()),
         tenant_inflight: Mutex::new(HashMap::new()),
         config,
     });
@@ -2012,6 +1844,7 @@ pub fn serve(endpoint: &str, config: ServerConfig) -> Result<ServerHandle, Servi
 mod tests {
     use super::*;
     use crate::client::Client;
+    use crate::proto::{read_frame, write_frame};
     use uov_core::npc::PartitionInstance;
     use uov_isg::{ivec, RectDomain};
 
@@ -2134,7 +1967,6 @@ mod tests {
                 objective: ObjectiveSpec::ShortestVector,
                 uov: direct.uov.clone(),
                 cost: direct.cost,
-                repair: false,
             })
             .unwrap();
         assert!(resp.stored);
@@ -2147,7 +1979,6 @@ mod tests {
                 objective: ObjectiveSpec::ShortestVector,
                 uov: direct.uov.clone(),
                 cost: direct.cost + 7,
-                repair: false,
             })
             .unwrap_err();
         assert!(
@@ -2168,75 +1999,49 @@ mod tests {
         assert_eq!(plan.uov, direct.uov);
         assert_eq!(plan.cost, direct.cost);
 
-        // Repair-flagged stores count as anti-entropy repairs.
-        let rep = client
+        // A second certified push of the same entry stores again.
+        let again = client
             .replicate(&ReplicateRequest {
                 stencil: fig1(),
                 objective: ObjectiveSpec::ShortestVector,
                 uov: direct.uov.clone(),
                 cost: direct.cost,
-                repair: true,
             })
             .unwrap();
-        assert!(rep.stored);
+        assert!(again.stored);
 
         let cache = server.cache_stats();
         assert_eq!(cache.replicated_entries, 2);
         assert_eq!(cache.replica_hits, 1);
         server.shutdown();
-        let stats = server.join();
-        assert_eq!(stats.anti_entropy_repairs, 1);
+        server.join();
     }
 
+    /// Frame kind 10 once carried a distributed work unit. The retired
+    /// kind is an unknown one: answered `Unsupported`, counted as a
+    /// protocol error, and the connection stays at a frame boundary.
     #[test]
-    fn stale_work_unit_epochs_are_fenced() {
+    fn retired_work_unit_kind_is_unsupported_and_keeps_the_connection() {
         let server = start();
-        let stencil = fig1();
-        let objective = ObjectiveSpec::ShortestVector;
-        // A legal mid-search snapshot produced by the engine itself.
-        let prefix = SearchConfig {
-            budget: Budget::unlimited().with_max_nodes(2),
-            threads: 1,
-            ..SearchConfig::default()
+        let mut stream = std::net::TcpStream::connect(server.endpoint()).unwrap();
+        let mut exchange = |frame_kind: u8, payload: &[u8]| {
+            write_frame(&mut stream, frame_kind, 0, payload).unwrap();
+            read_frame(&mut stream).unwrap().unwrap()
         };
-        let (_, mut snap) = search_unit(None, &stencil, objective.as_objective(), &prefix).unwrap();
-        let mut client = Client::connect(server.endpoint()).unwrap();
-        let send = |client: &mut Client, snap: &uov_core::checkpoint::Snapshot| {
-            client.workunit(&WorkUnitRequest {
-                stencil: stencil.clone(),
-                objective: objective.clone(),
-                deadline_ms: 0,
-                node_budget: 4,
-                bound_hint: None,
-                snapshot: encode_snapshot(snap).unwrap(),
-            })
-        };
+        let reply = exchange(10, &[]);
+        assert_eq!(reply.kind, kind::RESP_ERROR);
+        let err = ErrorResponse::decode(&reply.payload).unwrap();
+        assert_eq!(err.code, ErrorCode::Unsupported, "{err:?}");
+        assert_eq!(server.stats().protocol_errors, 1);
 
-        snap.epoch = 5;
-        let first = send(&mut client, &snap).unwrap();
-        let out = decode_snapshot(&first.snapshot).unwrap();
-        assert_eq!(out.epoch, 5, "the lease epoch must be echoed");
-
-        // An equal epoch is an idempotent resend of the same lease.
-        send(&mut client, &snap).unwrap();
-
-        // A lower epoch is a superseded lease: fenced with StaleEpoch.
-        snap.epoch = 3;
-        let err = send(&mut client, &snap).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                ServiceError::Rejected {
-                    code: ErrorCode::StaleEpoch,
-                    ..
-                }
-            ),
-            "{err:?}"
+        let reply = exchange(kind::REQ_PLAN, &plain(fig1()).encode());
+        assert_eq!(reply.kind, kind::RESP_PLAN);
+        assert_eq!(
+            PlanResponse::decode(&reply.payload).unwrap().uov,
+            ivec![1, 1]
         );
-
         server.shutdown();
-        let stats = server.join();
-        assert_eq!(stats.stale_epoch_rejections, 1);
+        assert_eq!(server.join().protocol_errors, 1);
     }
 
     #[test]

@@ -186,7 +186,6 @@ pub fn plan_with(nest: &LoopNest, config: &PlanConfig) -> Result<TransformPlan, 
                     interval: c.interval,
                 }
             }),
-            bound_hint: None,
         };
         let objective = Objective::KnownBounds(nest.domain());
         let best = find_best_uov(stencil, objective, &search_config)?;

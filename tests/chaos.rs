@@ -427,7 +427,6 @@ fn replicated_entries_survive_a_warm_restart_and_corruption_starts_cold() {
             objective: ObjectiveSpec::ShortestVector,
             uov: uov.clone(),
             cost,
-            repair: false,
         })
         .expect("replicate");
     assert!(stored.stored, "a certified entry must be accepted");

@@ -32,7 +32,6 @@ fn budgeted(budget: Budget) -> SearchConfig {
         budget,
         threads: 1,
         checkpoint: None,
-        bound_hint: None,
     }
 }
 
@@ -42,7 +41,6 @@ fn budgeted_threaded(budget: Budget, threads: usize) -> SearchConfig {
         budget,
         threads,
         checkpoint: None,
-        bound_hint: None,
     }
 }
 
