@@ -5,7 +5,8 @@
 //! ```
 //!
 //! Names are the paper's own: `fig1 fig2 fig3 fig5 fig6 table1 table2
-//! fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14 npc ablation`.
+//! fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14 npc ablation`, plus the
+//! search and schedule studies `parallel jacobi tiles baseline`.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -44,18 +45,6 @@ fn main() -> ExitCode {
     }
 
     for name in &names {
-        // `bench-check` is a gate, not an experiment: it compares the
-        // committed BENCH_pr*.json artifacts and fails the run on a >20%
-        // nodes/sec regression between consecutive PRs.
-        if name == "bench-check" {
-            let (table, ok) = experiments::perf::bench_check();
-            println!("{}", table.to_markdown());
-            if !ok {
-                eprintln!("bench-check: search throughput regressed beyond tolerance");
-                return ExitCode::FAILURE;
-            }
-            continue;
-        }
         let Some(tables) = experiments::run(name, scale) else {
             eprintln!(
                 "unknown experiment `{name}` (known: {})",

@@ -1,18 +1,11 @@
 //! One module per experiment family.
 
 pub mod ablation;
-pub mod autotune;
 pub mod baseline;
-pub mod chaos;
 pub mod extension;
-pub mod mesh;
 pub mod npc;
 pub mod overhead;
-pub mod overload;
-pub mod perf;
-pub mod resilience;
 pub mod scaling;
-pub mod service;
 pub mod storage;
 
 use crate::{Scale, Table};
@@ -39,14 +32,6 @@ pub fn run(name: &str, scale: Scale) -> Option<Vec<Table>> {
         "npc" => vec![npc::reduction_demo(scale)],
         "ablation" => ablation::all(scale),
         "parallel" => vec![ablation::parallel_consistency(scale)],
-        "resilience" => resilience::all(scale),
-        "service" => service::all(scale),
-        "chaos" => chaos::all(scale),
-        "mesh" => mesh::all(scale),
-        "partition" => mesh::partition(scale),
-        "perf" => perf::all(scale),
-        "autotune" => autotune::all(scale),
-        "overload" => overload::all(scale),
         "jacobi" => vec![extension::jacobi(scale)],
         "tiles" => vec![extension::tile_sweep(scale)],
         "baseline" => vec![
@@ -60,34 +45,8 @@ pub fn run(name: &str, scale: Scale) -> Option<Vec<Table>> {
 /// Every experiment name, in paper order.
 pub fn all_names() -> Vec<&'static str> {
     vec![
-        "fig1",
-        "fig2",
-        "fig3",
-        "fig5",
-        "fig6",
-        "table1",
-        "table2",
-        "fig7",
-        "fig8",
-        "fig9",
-        "fig10",
-        "fig11",
-        "fig12",
-        "fig13",
-        "fig14",
-        "npc",
-        "ablation",
-        "parallel",
-        "resilience",
-        "service",
-        "chaos",
-        "mesh",
-        "autotune",
-        "partition",
-        "perf",
-        "overload",
-        "jacobi",
-        "tiles",
-        "baseline",
+        "fig1", "fig2", "fig3", "fig5", "fig6", "table1", "table2", "fig7", "fig8", "fig9",
+        "fig10", "fig11", "fig12", "fig13", "fig14", "npc", "ablation", "parallel", "jacobi",
+        "tiles", "baseline",
     ]
 }

@@ -33,19 +33,12 @@ pub use report::Table;
 /// input order, identical to the sequential map (see `uov_core::par`).
 pub use uov_core::par::fan_out as par_map;
 
-/// Worker threads for embarrassingly-parallel experiment sweeps: the
-/// `UOV_BENCH_THREADS` environment variable when set (`1` forces the
-/// sequential path, e.g. for timing baselines), else every host core.
+/// Worker threads for embarrassingly-parallel experiment sweeps: every
+/// host core. [`par_map`] returns the same table at any thread count.
 pub fn sweep_threads() -> usize {
-    std::env::var("UOV_BENCH_THREADS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
 }
 
 /// How big the experiment sweeps are.

@@ -25,8 +25,8 @@
 //! Both arrays are **lazily paged**: the backing store is a directory of
 //! [`OnceLock`] pages allocated on first write. A search that touches a
 //! few dozen points near the origin pays for one or two small pages, not
-//! for the whole window — which is what keeps the per-search fixed cost
-//! low enough for the nodes/sec targets in `BENCH_pr7.json`.
+//! for the whole window — which keeps the per-search fixed cost small
+//! next to the search itself on the many small problems a planner sees.
 //!
 //! Nothing here affects *answers*: the window is a cache-shaped view and
 //! the spill tier is always consulted for out-of-window points, so

@@ -19,10 +19,15 @@
 //!    `|u| ≥ φ·u / |φ|` bounds the length of every descendant — the
 //!    lattice analogue of the paper's bounding parallelepiped (Figure 4).
 //!
-//! For the known-bounds objective the pruning additionally uses a
-//! dimension-independent fact: a class (a line of iterations in direction
-//! `u`) holds at most `diam/|u| + 1` points, so the class count is at least
-//! `N·|u| / (diam + |u|)` for a domain with `N` points and diameter `diam`.
+//! For the known-bounds objective the pruning additionally uses two
+//! dimension-independent facts about a domain with `N` points and
+//! diameter `diam`. A class (a line of iterations in direction `u`) holds
+//! at most `diam/|u| + 1` points, so the class count is at least
+//! `N·|u| / (diam + |u|)`. And an offset longer than `diam` joins no two
+//! iterations, so it costs exactly `N`: once the incumbent costs `N`, only
+//! its length can beat such offsets, and they are pruned when they are
+//! strictly longer. Without that second fact a domain on which nothing
+//! beats `N` would keep every long offset alive until the exploration cap.
 //!
 //! # One engine, any thread count
 //!
@@ -156,7 +161,8 @@ pub struct SearchStats {
     /// Children cut off by the cost bound.
     pub pruned: u64,
     /// Children cut off by the hard exploration cap (see
-    /// [`find_best_uov`]); non-zero only in degenerate known-bounds cases.
+    /// [`find_best_uov`]); non-zero only for known-bounds searches on long,
+    /// thin domains, or for candidates that overflow `i64`.
     pub capped: u64,
     /// Whether the search ran to exhaustion (false if `max_visits` hit).
     pub complete: bool,
@@ -290,14 +296,12 @@ impl DomainFacts {
         })
     }
 
-    /// `true` if every descendant of an offset with squared-length lower
-    /// bound `len_sq_lb` must cost *strictly more* than `best`: classes ≥
-    /// N·L/(diam+L). The inequality is strict so candidates that merely
-    /// *tie* the incumbent survive to the lexicographic tie-break — that
-    /// is what makes the answer independent of visit order (and hence of
-    /// the thread count).
-    fn dominated(&self, len_sq_lb: u128, best: u128) -> bool {
-        let l = isqrt(len_sq_lb); // floor → weaker bound → sound
+    /// `true` if every descendant of an offset at least `l` long must cost
+    /// *strictly more* than `best`: classes ≥ N·L/(diam+L). The inequality
+    /// is strict so candidates that merely *tie* the incumbent survive to
+    /// the lexicographic tie-break — that is what makes the answer
+    /// independent of visit order (and hence of the thread count).
+    fn dominated(&self, l: u128, best: u128) -> bool {
         self.num_points * l > best * (self.diam + l)
     }
 }
@@ -314,11 +318,14 @@ impl DomainFacts {
 ///
 /// * `complete == false` means `config.max_visits` or the budget cut the
 ///   search short; `result.degradation` says which and how far it got;
-/// * `capped > 0` can only occur for [`Objective::KnownBounds`] on
-///   degenerate domains where storage cannot discriminate candidates (the
+/// * `capped > 0` can only occur for [`Objective::KnownBounds`], where a
 ///   hard cap stops exploration at offsets 64× the functional value of the
-///   initial UOV — far beyond any storage-profitable candidate), or when
-///   individual candidates overflowed `i64` and were discarded.
+///   initial UOV, or when individual candidates overflowed `i64` and were
+///   discarded. The cap is a backstop: pruning alone ends every search,
+///   because an offset longer than the domain's diameter costs exactly `N`
+///   and is pruned against any incumbent it cannot beat. The cap still
+///   cuts offsets on long, thin domains, where the class bound stays loose
+///   up to the diameter (deep8 on 16×4096 caps 36 children).
 ///
 /// # Errors
 ///
@@ -411,8 +418,8 @@ fn validated_setup<'a>(
     let phi = stencil.try_positive_functional()?;
     let initial = stencil.try_sum()?;
     let phi_norm_sq = phi.try_norm_sq()? as u128;
-    // Hard exploration cap guaranteeing termination even when the
-    // storage objective cannot discriminate (every candidate costs N).
+    // Hard exploration cap, a backstop: pruning alone already ends every
+    // known-bounds search (see `ParSearch::child_dominated`).
     let phi_cap = 64 * phi.dot_i128(&initial).max(1);
     let initial_cost = cost.try_cost(initial.as_slice(), &mut Vec::new())?;
     let window = search_window(stencil, objective, phi_norm_sq, phi_cap, initial_cost);
@@ -772,16 +779,39 @@ impl ParSearch<'_> {
     /// Whether a child with descendant-cost lower bound from `len_sq_lb`
     /// is provably worse than the shared incumbent (strictly — ties
     /// survive to the deterministic tie-break). The atomic cell answers
-    /// without a lock unless the incumbent's cost saturated it.
+    /// without a lock unless the incumbent's cost saturated it, or a
+    /// known-bounds child beyond the diameter meets an incumbent of cost
+    /// `N` and only the incumbent's length can decide.
     fn child_dominated(&self, len_sq_lb: u128) -> bool {
         let bound = match self.bound.load(Ordering::Acquire) {
             u64::MAX => lock_unpoisoned(&self.incumbent).0,
             bound => u128::from(bound),
         };
-        match &self.setup.domain_facts {
-            None => len_sq_lb > bound,
-            Some(facts) => facts.dominated(len_sq_lb, bound),
+        let Some(facts) = &self.setup.domain_facts else {
+            return len_sq_lb > bound;
+        };
+        let l = isqrt(len_sq_lb); // floor → weaker bounds → sound
+        facts.dominated(l, bound)
+            || (l > facts.diam && self.loses_at_cost_n(facts.num_points, len_sq_lb, bound))
+    }
+
+    /// Whether a child longer than the domain's diameter, whose squared
+    /// length is at least `len_sq_lb`, is provably worse than the
+    /// incumbent. It joins no two iterations, so it and every descendant
+    /// cost exactly `n` = N, which the class bound never reaches: worse
+    /// than an incumbent below N, and worse than one of cost N only if
+    /// strictly longer — equal lengths go on to the lexicographic
+    /// tie-break. Kept out of the child loop: the class bound already
+    /// prunes every such child once the incumbent costs at most N/2, and
+    /// this rule prunes in none of the `plan` benchmark's searches.
+    #[cold]
+    #[inline(never)]
+    fn loses_at_cost_n(&self, n: u128, len_sq_lb: u128, bound: u128) -> bool {
+        if n != bound {
+            return n > bound;
         }
+        let inc = lock_unpoisoned(&self.incumbent);
+        n > inc.0 || u128::try_from(inc.1).is_ok_and(|norm| len_sq_lb > norm)
     }
 
     /// Pop from the worker's own queue, else steal the best entry from a
@@ -1386,8 +1416,7 @@ mod tests {
 
     #[test]
     fn known_bounds_terminates_on_degenerate_domain() {
-        // A single-point domain: every candidate costs 1; the hard cap must
-        // stop the search.
+        // A single-point domain: every candidate costs 1.
         let dom = RectDomain::new(ivec![0, 0], ivec![0, 0]);
         let res = find_best_uov(
             &fig1(),
@@ -1398,6 +1427,34 @@ mod tests {
         assert_eq!(res.cost, 1);
         let oracle = crate::DoneOracle::new(&fig1());
         assert!(oracle.is_uov(&res.uov));
+        // In 3-D the class bound N·L/(diam+L) never reaches N, so while the
+        // incumbent costs N only the beyond-diameter rule can end these
+        // searches short of the exploration cap, millions of nodes out.
+        let unit = Stencil::new(vec![ivec![1, 0, 0], ivec![0, 1, 0], ivec![0, 0, 1]]).unwrap();
+        let point = RectDomain::new(ivec![0, 0, 0], ivec![0, 0, 0]);
+        for (s, dom) in [(unit, point), box162()] {
+            let config = SearchConfig {
+                max_visits: Some(100_000),
+                ..SearchConfig::default()
+            };
+            let res = find_best_uov(&s, Objective::KnownBounds(&dom), &config).unwrap();
+            assert!(res.stats.complete, "{s:?}: {:?}", res.stats);
+            let ex = exhaustive_best_uov(&s, Objective::KnownBounds(&dom), 8).unwrap();
+            assert_eq!((&res.uov, res.cost), (&ex.uov, ex.cost), "{s:?}");
+        }
+    }
+
+    /// Four 3-D vectors on a box of 162 points, on which no UOV costs
+    /// less than N = 162.
+    fn box162() -> (Stencil, RectDomain) {
+        let s = Stencil::new(vec![
+            ivec![1, 1, 1],
+            ivec![1, 2, 1],
+            ivec![2, -1, 0],
+            ivec![2, 0, 2],
+        ])
+        .unwrap();
+        (s, RectDomain::new(ivec![1, 1, 1], ivec![3, 9, 6]))
     }
 
     #[test]
@@ -1594,10 +1651,44 @@ mod tests {
         Stencil::new(s.iter().map(|v| v.scaled(k)).collect()).unwrap()
     }
 
+    /// wave3's pin on 16×32×32, which the deliberately worse search order
+    /// of [`a_worse_search_order_fails_the_ratchet`] is judged against.
+    const WAVE3_PIN: [u64; 5] = [6226, 6226, 0, 1636, 0];
+
+    /// The ratchet on one pinned case: `Ok` iff a complete search's
+    /// `[visited, pushed, improvements, pruned, capped]` equal the pin.
+    /// More work (visits or pushes) fails as a search regression. Less
+    /// work, or a move of the other counters, fails until the change
+    /// lowers the pin, so the pins only ever fall.
+    fn ratchet(name: &str, got: &SearchStats, pin: [u64; 5]) -> Result<(), String> {
+        let counters = [
+            got.visited,
+            got.pushed,
+            got.improvements,
+            got.pruned,
+            got.capped,
+        ];
+        if !got.complete {
+            Err(format!("{name}: the search did not complete"))
+        } else if counters == pin {
+            Ok(())
+        } else if got.visited > pin[0] || got.pushed > pin[1] {
+            Err(format!(
+                "{name}: search regression: {counters:?} against the pin {pin:?}"
+            ))
+        } else {
+            Err(format!(
+                "{name}: {counters:?} fell from the pin {pin:?}: \
+                 lower the pin in this PR and list it in CHANGES.md"
+            ))
+        }
+    }
+
     /// Node-for-node counters at one thread, pinned from the sequential
     /// engine the one-worker case replaced: a single worker has nobody to
     /// steal from, so it pops in plain best-first order and every counter
-    /// is deterministic.
+    /// is deterministic. The pins are a ratchet (see [`ratchet`]): this is
+    /// the gate that runs the search code, where perfbench times it.
     #[test]
     fn one_worker_stats_are_pinned() {
         let fig3 = Stencil::new(vec![ivec![1, -1], ivec![1, 0], ivec![1, 1], ivec![0, 1]]).unwrap();
@@ -1637,8 +1728,10 @@ mod tests {
         let zoo_fig1 = RectDomain::new(ivec![1, 1], ivec![8, 6]);
         let zoo_stencil5 = RectDomain::new(ivec![1, 0], ivec![6, 23]);
         let zoo_deep8 = RectDomain::new(ivec![1, 0], ivec![12, 9]);
+        // Only the beyond-diameter rule ends this search.
+        let (degenerate3, box162) = box162();
         // [visited, pushed, improvements, pruned, capped]
-        let cases: [(&str, Stencil, Objective<'_>, [u64; 5]); 23] = [
+        let cases: [(&str, Stencil, Objective<'_>, [u64; 5]); 24] = [
             (
                 "fig1",
                 fig1(),
@@ -1673,7 +1766,7 @@ mod tests {
                 "wave3 on 16x32x32",
                 wave3,
                 Objective::KnownBounds(&cube),
-                [6226, 6226, 0, 1636, 0],
+                WAVE3_PIN,
             ),
             (
                 "diag3 on 16x32x32",
@@ -1776,23 +1869,62 @@ mod tests {
                 "zoo deep8(12,10)",
                 deep8,
                 Objective::KnownBounds(&zoo_deep8),
-                [32, 60, 1, 36, 0],
+                [17, 45, 1, 36, 0],
+            ),
+            (
+                "4 vectors on 3x9x6",
+                degenerate3,
+                Objective::KnownBounds(&box162),
+                [234, 247, 0, 318, 0],
             ),
         ];
-        for (name, s, objective, [visited, pushed, improvements, pruned, capped]) in cases {
+        let mut failures = Vec::new();
+        for (name, s, objective, pin) in cases {
             for threads in [0, 1] {
                 let got = find_best_uov(&s, objective, &with_threads(threads)).unwrap();
-                let want = SearchStats {
-                    visited,
-                    pushed,
-                    improvements,
-                    pruned,
-                    capped,
-                    complete: true,
-                };
-                assert_eq!(got.stats, want, "{name} threads={threads}");
+                if let Err(msg) = ratchet(&format!("{name} threads={threads}"), &got.stats, pin) {
+                    failures.push(msg);
+                }
             }
         }
+        assert!(failures.is_empty(), "{}", failures.join("\n"));
+    }
+
+    /// The ratchet catches a worse search order. wave3 with axes 0 and 1
+    /// swapped, on the swapped box, is the same problem up to relabelling:
+    /// the optimum costs 6,867 classes either way. But this order visits
+    /// 79,605 nodes where wave3 as sent visits 6,226, so held to wave3's
+    /// pin it fails as a regression.
+    #[test]
+    fn a_worse_search_order_fails_the_ratchet() {
+        let swapped = Stencil::new(vec![ivec![0, 1, 0], ivec![1, 1, 0], ivec![0, 1, 1]]).unwrap();
+        let dom = RectDomain::new(ivec![1, 1, 1], ivec![32, 16, 32]);
+        let got = find_best_uov(&swapped, Objective::KnownBounds(&dom), &with_threads(1)).unwrap();
+        assert_eq!((got.cost, got.stats.visited), (6867, 79_605));
+        let verdict = ratchet("wave3, axes 0 and 1 swapped", &got.stats, WAVE3_PIN);
+        assert!(
+            verdict
+                .as_ref()
+                .is_err_and(|msg| msg.contains("search regression")),
+            "{verdict:?}"
+        );
+        // A fall fails too, until the pin comes down: zoo deep8(12,10)
+        // before and after the beyond-diameter rule.
+        let deep8_fell = SearchStats {
+            visited: 17,
+            pushed: 45,
+            improvements: 1,
+            pruned: 36,
+            capped: 0,
+            complete: true,
+        };
+        let verdict = ratchet("zoo deep8(12,10)", &deep8_fell, [32, 60, 1, 36, 0]);
+        assert!(
+            verdict
+                .as_ref()
+                .is_err_and(|msg| msg.contains("lower the pin")),
+            "{verdict:?}"
+        );
     }
 
     /// With coordinates near 2³¹ the functional is φ = (2³³+1, 1), so

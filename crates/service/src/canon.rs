@@ -72,8 +72,9 @@ fn apply(perm: &[usize], v: &IVec) -> IVec {
 /// Map an original-coordinates vector into canonical coordinates
 /// (`out[i] = v[perm[i]]`) — the inverse of [`map_back`]. Replication
 /// uses this to carry an answer computed in a *sender's* coordinates
-/// into the receiver's canonical cache slot; norm and cone membership
-/// are permutation-invariant, so optimality survives the trip.
+/// into the receiver's canonical cache slot. Norm and cone membership
+/// survive the trip; a 3-D-and-up storage cost may not (see
+/// [`lex_min_equivalent`]), so the receiver re-derives it.
 pub fn map_to_canonical(v: &IVec, perm: &[usize]) -> IVec {
     apply(perm, v)
 }
@@ -208,12 +209,22 @@ fn isqrt(n: i128) -> i64 {
 /// Repair the lex tie-break of a permuted cache hit.
 ///
 /// `candidate` must be a UOV of `stencil` achieving the problem's optimal
-/// `(cost, ‖w‖²)` key — which `σ⁻¹` of a cached optimal answer always is,
-/// both components being permutation-invariant. This scans the integer
-/// points of the sphere `‖w‖² = ‖candidate‖²` in lexicographic order and
-/// returns the first (hence lex-least) UOV of cost `cost`: exactly the
-/// vector a direct search of the original problem returns under the
-/// engine's total order `(cost, ‖w‖², lex w)`.
+/// `(cost, ‖w‖²)` key. This scans the integer points of the sphere
+/// `‖w‖² = ‖candidate‖²` in lexicographic order and returns the first
+/// (hence lex-least) UOV of cost `cost`: exactly the vector a direct
+/// search of the original problem returns under the engine's total order
+/// `(cost, ‖w‖², lex w)`.
+///
+/// `σ⁻¹` of a cached optimal answer keeps its norm and its UOV-ness under
+/// every permutation, and its storage cost in 1-D and 2-D. It is not
+/// permutation-invariant in general: in 3-D and up the known-bounds class
+/// count comes from a bounding box that depends on the basis, so an
+/// answer's cost, and the optimum itself, can move with the axis order
+/// (diag3 on 16×32×32 costs 4,418 as sent and 3,666 with axes 0 and 1
+/// swapped). Callers recheck the cost first and solve directly when it
+/// moved. An unchanged cost does not prove that the permuted problem has
+/// no cheaper answer; the seeded 3-D service differential checks that
+/// these answers still equal a direct search.
 ///
 /// Returns `None` when the enumeration would exceed
 /// [`REPAIR_ENUM_LIMIT`] or the oracle cannot be built — the caller

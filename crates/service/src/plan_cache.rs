@@ -400,10 +400,10 @@ impl PlanCache {
         if try_cost_of(&obj, &w_canon) != Ok(cost) {
             return false;
         }
-        // `‖w‖²` and cone membership are permutation-invariant, so the
-        // mapped answer is optimal in (cost, norm) for the canonical
-        // problem; the sphere scan both verifies UOV-ness and lands on
-        // the canonical lex-min representative.
+        // `‖w‖²` and cone membership are permutation-invariant, and the
+        // recheck above refused a cost that moved (3-D storage costs can;
+        // see `lex_min_equivalent`). The sphere scan both verifies
+        // UOV-ness and lands on the canonical lex-min representative.
         let Some(canon_uov) = lex_min_equivalent(&canon.stencil, &obj, &w_canon, cost) else {
             return false;
         };

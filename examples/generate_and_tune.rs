@@ -41,8 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("stamped     :{}", cert_line.trim_start_matches("//"));
 
     // 2. Autotune the bandwidth-bound deep8 kernel at a demo scale.
-    //    (The full-scale measurement lives in the `autotune` bench
-    //    experiment, which writes BENCH_pr9.json.)
+    //    (perfbench's `tune` workload times the shipped tile.)
     let entry = zoo::deep8(6, 2048);
     let maps = entry.maps(Layout::Interleaved);
     let map_refs: Vec<Option<&OvMap>> = maps.iter().map(|m| m.as_ref()).collect();

@@ -227,9 +227,10 @@ mod service_vs_direct {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use uov::core::search::{find_best_uov, Objective};
-    use uov::isg::{IVec, RectDomain, Stencil};
+    use uov::isg::{ivec, IVec, RectDomain, Stencil};
     use uov::service::{
-        serve, CacheOutcome, Client, ObjectiveSpec, PlanRequest, ServerConfig, ServerHandle,
+        serve, CacheOutcome, Client, ObjectiveSpec, PlanRequest, ReplicateRequest, ServerConfig,
+        ServerHandle,
     };
 
     fn test_server() -> ServerHandle {
@@ -369,22 +370,31 @@ mod service_vs_direct {
 
     /// The same permutation contract under the paper's storage objective:
     /// the domain permutes alongside the stencil, and the permuted query
-    /// still matches its own direct search byte-for-byte.
+    /// still matches its own direct search byte-for-byte. In 3-D the class
+    /// count comes from a bounding box that depends on the basis, so the
+    /// cost of an answer, and even the optimum, can move with the axis
+    /// order; the cache's cost rechecks must still keep every answer equal
+    /// to a direct search.
     #[test]
     fn permuted_known_bounds_queries_match_direct_search() {
         let server = test_server();
         let mut client = Client::connect(server.endpoint()).expect("connect");
         let mut rng = StdRng::seed_from_u64(seed_from_env() ^ 0xD073);
-        let lo = IVec::from(vec![0, 0]);
-        let hi = IVec::from(vec![5, 8]); // non-square: permutation is observable
-        for case in 0..8 {
-            let s = random_stencil(&mut rng, 2, 2, 4);
+        // Boxes with distinct sides, so every permutation is observable:
+        // eight 2-D stencils, then four on each 3-D box.
+        let boxes = [(vec![5, 8], 8), (vec![2, 5, 3], 4), (vec![4, 2, 6], 4)];
+        let cases = boxes
+            .iter()
+            .flat_map(|(hi, n)| std::iter::repeat_n(hi, *n))
+            .enumerate();
+        for (case, hi) in cases {
+            let hi = IVec::from(hi.clone());
+            let lo = IVec::zero(hi.dim());
+            let s = random_stencil(&mut rng, hi.dim(), 2, 4);
             let base_dom = RectDomain::new(lo.clone(), hi.clone());
             let _ = query(&mut client, &s, ObjectiveSpec::KnownBounds(base_dom));
             for (perm, permuted) in valid_permutations(&s) {
-                let plo = IVec::from(perm.iter().map(|&k| lo[k]).collect::<Vec<i64>>());
-                let phi = IVec::from(perm.iter().map(|&k| hi[k]).collect::<Vec<i64>>());
-                let pdom = RectDomain::new(plo, phi);
+                let pdom = permuted_box(&lo, &hi, &perm);
                 let direct =
                     find_best_uov(&permuted, Objective::KnownBounds(&pdom), &with_threads(1))
                         .expect("small coordinates cannot overflow");
@@ -399,6 +409,71 @@ mod service_vs_direct {
         }
         server.shutdown();
         assert_eq!(server.join().panics, 0);
+
+        // A replicated insert: diag3's answer pushed in its sender's axes
+        // to a cold replica, then every axis order queried there. On this
+        // box one order's optimum costs 154 and the others' 192, so the
+        // replica serves the 192 orders as hits and solves the other
+        // directly once its cost recheck fails.
+        let diag3 =
+            Stencil::new(vec![ivec![1, 0, 0], ivec![0, 1, 0], ivec![1, 1, 1]]).expect("valid");
+        let (lo, hi) = (IVec::zero(3), ivec![3, 7, 5]);
+        let orders = valid_permutations(&diag3);
+        let (sender_perm, sender) = orders.last().expect("one lex-positive order").clone();
+        let sender_dom = permuted_box(&lo, &hi, &sender_perm);
+        let pushed = find_best_uov(
+            &sender,
+            Objective::KnownBounds(&sender_dom),
+            &with_threads(1),
+        )
+        .expect("small coordinates cannot overflow");
+        let replica = test_server();
+        let mut client = Client::connect(replica.endpoint()).expect("connect");
+        let stored = client
+            .replicate(&ReplicateRequest {
+                stencil: sender,
+                objective: ObjectiveSpec::KnownBounds(sender_dom),
+                uov: pushed.uov.clone(),
+                cost: pushed.cost,
+            })
+            .expect("a certified answer is accepted")
+            .stored;
+        assert!(stored, "the replica refused a certified answer");
+        let mut costs = Vec::new();
+        for (perm, permuted) in orders {
+            let pdom = permuted_box(&lo, &hi, &perm);
+            let direct = find_best_uov(&permuted, Objective::KnownBounds(&pdom), &with_threads(1))
+                .expect("small coordinates cannot overflow");
+            let (uov, cost, _, cache) =
+                query(&mut client, &permuted, ObjectiveSpec::KnownBounds(pdom));
+            assert_eq!(
+                (uov, cost),
+                (direct.uov, direct.cost),
+                "σ={perm:?}: the replica's answer diverged from direct search"
+            );
+            let want = if cost == pushed.cost {
+                CacheOutcome::Hit
+            } else {
+                CacheOutcome::Miss
+            };
+            assert_eq!(cache, want, "σ={perm:?} at cost {cost}");
+            costs.push(cost);
+        }
+        costs.sort_unstable();
+        costs.dedup();
+        assert_eq!(
+            costs,
+            [154, 192],
+            "diag3's optimum moves with the axis order"
+        );
+        replica.shutdown();
+        assert_eq!(replica.join().panics, 0);
+    }
+
+    /// `[lo, hi]` with its axes permuted by `perm`.
+    fn permuted_box(lo: &IVec, hi: &IVec, perm: &[usize]) -> RectDomain {
+        let pick = |v: &IVec| IVec::from(perm.iter().map(|&k| v[k]).collect::<Vec<i64>>());
+        RectDomain::new(pick(lo), pick(hi))
     }
 }
 
