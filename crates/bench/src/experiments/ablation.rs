@@ -139,8 +139,9 @@ pub fn objective_comparison() -> Table {
     t
 }
 
-/// Search-budget truncation: quality of the answer under shrinking
-/// `max_visits` (the paper: "take the best answer found so far").
+/// Search-budget truncation: quality of the answer under a shrinking node
+/// budget (the paper: "take the best answer found so far"). Each charged
+/// node is one visited offset, hence the column name.
 pub fn budget_truncation() -> Table {
     let s = Stencil::new(vec![
         IVec::from([1, -2]),
@@ -164,7 +165,11 @@ pub fn budget_truncation() -> Table {
             &s,
             Objective::ShortestVector,
             &SearchConfig {
-                max_visits: (budget != u64::MAX).then_some(budget),
+                budget: if budget == u64::MAX {
+                    Budget::unlimited()
+                } else {
+                    Budget::unlimited().with_max_nodes(budget)
+                },
                 ..SearchConfig::default()
             },
         )
@@ -216,7 +221,6 @@ pub fn degradation_stats() -> Table {
                 &s,
                 Objective::ShortestVector,
                 &SearchConfig {
-                    max_visits: None,
                     budget: budget.clone(),
                     threads: 1,
                     checkpoint: None,

@@ -168,14 +168,6 @@ impl Budget {
         self
     }
 
-    /// Whether any limit is configured at all.
-    pub fn is_limited(&self) -> bool {
-        self.deadline.is_some()
-            || self.max_nodes.is_some()
-            || self.max_memo.is_some()
-            || self.cancel.is_some()
-    }
-
     /// Nodes charged so far (across all sharers of this budget value).
     pub fn nodes_charged(&self) -> u64 {
         self.nodes.load(Ordering::Relaxed)
@@ -264,7 +256,6 @@ mod tests {
             assert!(b.charge().is_ok());
         }
         assert!(b.check_memo(usize::MAX).is_ok());
-        assert!(!b.is_limited());
         assert_eq!(b.nodes_charged(), 10_000);
     }
 

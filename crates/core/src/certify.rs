@@ -273,7 +273,7 @@ mod tests {
             &s,
             Objective::ShortestVector,
             &SearchConfig {
-                max_visits: Some(1),
+                budget: crate::Budget::unlimited().with_max_nodes(1),
                 ..SearchConfig::default()
             },
         )

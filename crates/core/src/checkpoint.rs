@@ -26,22 +26,22 @@
 //! sections without a version bump — which is also how this reader
 //! decodes older files that carry the retired tag 5.
 //!
-//! Writes are atomic: the snapshot is written to `<path>.tmp`, fsynced,
-//! and renamed over `<path>`, so a crash mid-write leaves the previous
-//! snapshot intact. Readers validate the magic, version, per-section CRCs
-//! and structural invariants, and report every failure as a typed
-//! [`CheckpointError`] — a corrupt file can never panic the engine or
-//! silently resume from garbage.
+//! Writes are atomic ([`crate::wire::write_atomic`]): the snapshot is
+//! written to `<path>.tmp`, fsynced, and renamed over `<path>`, so a
+//! crash mid-write leaves the previous snapshot intact. Readers validate
+//! the magic, version, per-section CRCs and structural invariants, and
+//! report every failure as a typed [`CheckpointError`] — a corrupt file
+//! can never panic the engine or silently resume from garbage.
 
 use std::fmt;
 use std::fs;
-use std::io::{self, Write as _};
+use std::io;
 use std::path::{Path, PathBuf};
 
 use uov_isg::IVec;
 
 use crate::search::SearchStats;
-use crate::wire::{crc32, Decoder, Encoder, WireError};
+use crate::wire::{write_atomic, Decoder, Encoder, WireError};
 
 // Re-exported for compatibility: the fingerprint started life here and
 // callers (certify, resume, the service plan cache) still reach it
@@ -177,6 +177,7 @@ impl From<WireError> for CheckpointError {
             WireError::Oversized(what) => {
                 CheckpointError::Corrupt(format!("{what} exceeds the section size"))
             }
+            WireError::Crc { tag } => CheckpointError::CrcMismatch { section: tag },
         }
     }
 }
@@ -253,25 +254,11 @@ pub fn encode_snapshot(snap: &Snapshot) -> Result<Vec<u8>, CheckpointError> {
 /// not encodable.
 pub fn write_snapshot(path: &Path, snap: &Snapshot) -> Result<(), CheckpointError> {
     let bytes = encode_snapshot(snap)?;
-    let mut tmp = path.as_os_str().to_os_string();
-    tmp.push(".tmp");
-    let tmp = PathBuf::from(tmp);
-    let result = (|| -> io::Result<()> {
-        let mut f = fs::File::create(&tmp)?;
-        f.write_all(&bytes)?;
-        f.sync_all()?;
-        drop(f);
-        fs::rename(&tmp, path)
-    })();
-    if let Err(e) = result {
-        let _ = fs::remove_file(&tmp);
-        return Err(CheckpointError::Io {
-            op: "write",
-            kind: e.kind(),
-            msg: e.to_string(),
-        });
-    }
-    Ok(())
+    write_atomic(path, &bytes).map_err(|e| CheckpointError::Io {
+        op: "write",
+        kind: e.kind(),
+        msg: e.to_string(),
+    })
 }
 
 // ---------------------------------------------------------------- decode
@@ -303,22 +290,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot, CheckpointError> {
     let mut progress: Option<[u64; 6]> = None;
 
     for _ in 0..nsect {
-        let start = d.pos;
-        let tag = d.u8()?;
-        let len = usize::try_from(d.u64()?)
-            .map_err(|_| CheckpointError::Corrupt("section length overflows".into()))?;
-        let payload = d.take(len)?;
-        let stored_crc = {
-            // CRC covers tag ‖ len ‖ payload, i.e. everything since `start`.
-            let body = &d.buf[start..d.pos];
-            let crc = d.u32()?;
-            if crc32(body) != crc {
-                return Err(CheckpointError::CrcMismatch { section: tag });
-            }
-            crc
-        };
-        let _ = stored_crc;
-
+        let (tag, payload) = d.section()?;
         let mut p = Decoder::new(payload);
         let known_tag = matches!(tag, SEC_INCUMBENT | SEC_FRONTIER | SEC_KNOWN | SEC_PROGRESS);
         match tag {

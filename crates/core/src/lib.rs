@@ -23,7 +23,13 @@
 //! * [`npc`] — the PARTITION ⇒ UOV-membership reduction from the paper's
 //!   NP-completeness theorem, usable in both directions for testing.
 //! * [`budget`] — resource budgets (deadline, node/memo caps, cancellation)
-//!   with graceful degradation to the always-legal initial UOV.
+//!   with graceful degradation to the always-legal initial UOV; a budget's
+//!   node cap is the search's only one.
+//! * [`certify`] — an independent re-check of a search result, with a
+//!   transcript hash that pins it byte for byte.
+//! * [`checkpoint`] — crash-safe search snapshots and resume, on the
+//!   [`wire`] primitives (CRC-checked sections, the one atomic file
+//!   writer) that the planning service's files and frames share.
 //!
 //! # Example
 //!
@@ -53,14 +59,11 @@ pub mod checkpoint;
 pub mod dense;
 pub mod error;
 pub mod fingerprint;
-pub mod frontier;
-pub mod multi;
 pub mod npc;
 pub mod objective;
 pub mod oracle;
 pub mod par;
 pub mod search;
-pub mod viz;
 pub mod wire;
 
 pub use budget::{Budget, Degradation, Exhausted};

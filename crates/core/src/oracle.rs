@@ -23,7 +23,7 @@
 
 use uov_isg::{IVec, IsgError, IterationDomain, Stencil};
 
-use crate::budget::{Budget, Degradation};
+use crate::budget::Budget;
 use crate::cache::ShardedCache;
 use crate::dense::{ConeMemo, Window};
 use crate::error::SearchError;
@@ -191,8 +191,8 @@ impl DoneOracle {
     }
 
     /// [`DoneOracle::in_done_budgeted`] on raw coordinates — the
-    /// allocation-free entry point the search, frontier and certifier
-    /// drive with scratch buffers.
+    /// allocation-free entry point the search and certifier drive with
+    /// scratch buffers.
     pub(crate) fn in_done_slice_budgeted(
         &self,
         w: &[i64],
@@ -439,54 +439,6 @@ impl DoneOracle {
                 cur[k] = -radius;
             }
         }
-    }
-
-    /// Budgeted [`DoneOracle::uovs_within`]: stops enumerating once the
-    /// budget runs out and returns the UOVs found so far together with a
-    /// [`Degradation`] record.
-    ///
-    /// Exhaustion is *not* an error here — every returned vector is a
-    /// verified UOV, the list is merely possibly incomplete. Hard errors
-    /// are reserved for arithmetic overflow during a membership query.
-    pub fn uovs_within_budgeted(
-        &self,
-        radius: i64,
-        budget: &Budget,
-    ) -> Result<(Vec<IVec>, Option<Degradation>), SearchError> {
-        if radius < 0 {
-            return Ok((Vec::new(), None));
-        }
-        let d = self.stencil.dim();
-        let mut out = Vec::new();
-        let mut degradation = None;
-        let mut cur = vec![-radius; d];
-        let mut buf = Vec::with_capacity(d);
-        'walk: loop {
-            if is_lex_positive_slice(&cur) {
-                match self.in_dead_slice_budgeted(&cur, &mut buf, budget) {
-                    Ok(true) => out.push(IVec::from(cur.as_slice())),
-                    Ok(false) => {}
-                    Err(SearchError::Exhausted(reason)) => {
-                        degradation = Some(budget.degradation(reason, self.cache_len(), false));
-                        break 'walk;
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-            let mut k = d;
-            loop {
-                if k == 0 {
-                    break 'walk;
-                }
-                k -= 1;
-                if cur[k] < radius {
-                    cur[k] += 1;
-                    continue 'walk;
-                }
-                cur[k] = -radius;
-            }
-        }
-        Ok((out, degradation))
     }
 
     /// Number of memoised cone-membership entries across both tiers
@@ -795,24 +747,6 @@ mod tests {
         let s = Stencil::new(vec![ivec![0, 1], ivec![1, 0]]).unwrap();
         let o = DoneOracle::new(&s);
         assert!(o.in_done(&ivec![500_000, 1]));
-    }
-
-    #[test]
-    fn budgeted_enumeration_degrades_to_prefix() {
-        let o = fig1_oracle();
-        let (complete, none) = o.uovs_within_budgeted(2, &Budget::unlimited()).unwrap();
-        assert!(none.is_none());
-        assert_eq!(complete, o.uovs_within(2));
-
-        let tight = Budget::unlimited().with_max_nodes(5);
-        let (partial, degradation) = o.uovs_within_budgeted(2, &tight).unwrap();
-        let d = degradation.expect("tight budget must degrade");
-        assert_eq!(d.reason, crate::budget::Exhausted::Nodes);
-        // Every reported vector is a verified UOV and part of the full set.
-        for w in &partial {
-            assert!(complete.contains(w));
-        }
-        assert!(partial.len() <= complete.len());
     }
 
     #[test]

@@ -2,9 +2,8 @@
 //!
 //! The engine cannot take a thread-pool dependency (crates.io is out of
 //! reach), so every embarrassingly-parallel loop in this workspace — the
-//! candidate checks in [`crate::multi`], the dominance filter in
-//! [`crate::frontier`], the per-instance sweeps in the bench crate —
-//! funnels through [`fan_out`]: scoped workers pull indices from one
+//! per-instance sweeps in the bench crate, the concurrent-oracle property
+//! tests — funnels through [`fan_out`]: scoped workers pull indices from one
 //! atomic counter and results are reassembled **in input order**, so the
 //! output is identical to the sequential map regardless of scheduling.
 //!

@@ -108,15 +108,12 @@ pub enum Objective<'a> {
 /// Tunables for [`find_best_uov`].
 #[derive(Debug, Clone)]
 pub struct SearchConfig {
-    /// Stop after visiting this many offsets and report the best UOV found
-    /// so far (`stats.complete` will be `false` if the limit was hit).
-    /// Mirrors the paper's "a compiler could limit the amount of time the
-    /// algorithm runs and just take the best answer found so far".
-    pub max_visits: Option<u64>,
     /// Resource budget (deadline, node cap, memo cap, cancellation). When
     /// it runs out the search degrades to the best incumbent — at worst the
     /// always-legal initial UOV — and records a
-    /// [`Degradation`](crate::budget::Degradation) in the result.
+    /// [`Degradation`](crate::budget::Degradation) in the result. A node
+    /// cap is the paper's "a compiler could limit the amount of time the
+    /// algorithm runs and just take the best answer found so far".
     pub budget: Budget,
     /// Worker threads for the branch-and-bound. `0` and `1` both run one
     /// worker on the calling thread, in plain best-first order; `n > 1`
@@ -136,7 +133,6 @@ pub struct SearchConfig {
 impl Default for SearchConfig {
     fn default() -> Self {
         SearchConfig {
-            max_visits: None,
             budget: Budget::default(),
             threads: 1,
             checkpoint: None,
@@ -164,7 +160,7 @@ pub struct SearchStats {
     /// [`find_best_uov`]); non-zero only for known-bounds searches on long,
     /// thin domains, or for candidates that overflow `i64`.
     pub capped: u64,
-    /// Whether the search ran to exhaustion (false if `max_visits` hit).
+    /// Whether the search ran to exhaustion (false if the budget ran out).
     pub complete: bool,
 }
 
@@ -177,8 +173,8 @@ pub struct SearchResult {
     pub cost: u128,
     /// Search statistics.
     pub stats: SearchStats,
-    /// Present iff the search was cut short (budget or `max_visits`); the
-    /// UOV above is still legal, merely possibly non-optimal.
+    /// Present iff the budget cut the search short; the UOV above is still
+    /// legal, merely possibly non-optimal.
     pub degradation: Option<Degradation>,
     /// Present iff a configured checkpoint write failed. The search
     /// result itself is unaffected — checkpointing is best-effort
@@ -316,8 +312,8 @@ impl DomainFacts {
 /// The returned vector is always a legal UOV. It is *optimal* for the
 /// objective whenever `stats.complete` is true and `stats.capped == 0`:
 ///
-/// * `complete == false` means `config.max_visits` or the budget cut the
-///   search short; `result.degradation` says which and how far it got;
+/// * `complete == false` means the budget cut the search short;
+///   `result.degradation` says which limit and how far it got;
 /// * `capped > 0` can only occur for [`Objective::KnownBounds`], where a
 ///   hard cap stops exploration at offsets 64× the functional value of the
 ///   initial UOV, or when individual candidates overflowed `i64` and were
@@ -718,7 +714,6 @@ struct ParSearch<'a> {
     stencil: &'a Stencil,
     setup: &'a Setup<'a>,
     budget: &'a Budget,
-    max_visits: Option<u64>,
     /// Problem fingerprint stamped on every snapshot.
     fingerprint: u64,
 
@@ -729,7 +724,7 @@ struct ParSearch<'a> {
     store: MaskTable,
     /// Queue entries not yet fully processed; 0 ⟺ the search is drained.
     pending: AtomicU64,
-    /// Global visit counter for `max_visits`.
+    /// Global visit counter, for the statistics of mid-run snapshots.
     visited: AtomicU64,
     /// Raised on budget exhaustion; workers stop at the next loop head.
     stop: AtomicBool,
@@ -1110,11 +1105,7 @@ impl ParSearch<'_> {
                 self.record_stop(reason);
                 break;
             }
-            let seen = self.visited.fetch_add(1, Ordering::Relaxed) + 1;
-            if self.max_visits.is_some_and(|max| seen > max) {
-                self.record_stop(Exhausted::Nodes);
-                break;
-            }
+            self.visited.fetch_add(1, Ordering::Relaxed);
             if mask == self.setup.full && self.offer(cost, &wbuf) {
                 stats.improvements += 1;
             }
@@ -1177,7 +1168,6 @@ fn search_seeded(
         stencil,
         setup: &setup,
         budget: &config.budget,
-        max_visits: config.max_visits,
         fingerprint,
         queues: (0..threads).map(|_| Mutex::default()).collect(),
         store: MaskTable::new(setup.window.clone()),
@@ -1434,7 +1424,7 @@ mod tests {
         let point = RectDomain::new(ivec![0, 0, 0], ivec![0, 0, 0]);
         for (s, dom) in [(unit, point), box162()] {
             let config = SearchConfig {
-                max_visits: Some(100_000),
+                budget: Budget::unlimited().with_max_nodes(100_000),
                 ..SearchConfig::default()
             };
             let res = find_best_uov(&s, Objective::KnownBounds(&dom), &config).unwrap();
@@ -1473,49 +1463,31 @@ mod tests {
     }
 
     #[test]
-    fn max_visits_truncates_but_stays_legal() {
-        let s = stencil5();
-        let oracle = crate::DoneOracle::new(&s);
-        let res = find_best_uov(
-            &s,
-            Objective::ShortestVector,
-            &SearchConfig {
-                max_visits: Some(1),
-                ..SearchConfig::default()
-            },
-        )
-        .unwrap();
-        assert!(!res.stats.complete);
-        assert!(
-            oracle.is_uov(&res.uov),
-            "even a truncated search must return a UOV"
-        );
-        assert_eq!(res.uov, initial_uov(&s));
-        let d = res
-            .degradation
-            .expect("truncated search must record degradation");
-        assert_eq!(d.reason, Exhausted::Nodes);
-        assert!(d.fell_back_to_initial);
-    }
-
-    #[test]
     fn node_budget_truncates_with_degradation() {
         let s = stencil5();
         let oracle = crate::DoneOracle::new(&s);
-        let config = SearchConfig {
-            max_visits: None,
-            threads: 1,
-            budget: Budget::unlimited().with_max_nodes(2),
-            checkpoint: None,
-        };
-        let res = find_best_uov(&s, Objective::ShortestVector, &config).unwrap();
-        assert!(!res.stats.complete);
-        assert!(oracle.is_uov(&res.uov));
-        let d = res
-            .degradation
-            .expect("budget truncation must record degradation");
-        assert_eq!(d.reason, Exhausted::Nodes);
-        assert!(d.nodes_at_stop >= 2);
+        for cap in [1, 2] {
+            let config = SearchConfig {
+                budget: Budget::unlimited().with_max_nodes(cap),
+                ..SearchConfig::default()
+            };
+            let res = find_best_uov(&s, Objective::ShortestVector, &config).unwrap();
+            assert!(!res.stats.complete);
+            assert!(
+                oracle.is_uov(&res.uov),
+                "even a truncated search must return a UOV"
+            );
+            let d = res
+                .degradation
+                .expect("budget truncation must record degradation");
+            assert_eq!(d.reason, Exhausted::Nodes);
+            assert!(d.nodes_at_stop >= cap);
+            // One node is the origin alone: nothing beats Σvᵢ yet.
+            if cap == 1 {
+                assert_eq!(res.uov, initial_uov(&s));
+                assert!(d.fell_back_to_initial);
+            }
+        }
     }
 
     #[test]
@@ -1523,7 +1495,6 @@ mod tests {
         let s = stencil5();
         let oracle = crate::DoneOracle::new(&s);
         let config = SearchConfig {
-            max_visits: None,
             threads: 1,
             budget: Budget::unlimited().with_deadline(std::time::Duration::ZERO),
             checkpoint: None,
@@ -1548,7 +1519,6 @@ mod tests {
         let token = Arc::new(AtomicBool::new(true));
         token.store(true, Ordering::Relaxed);
         let config = SearchConfig {
-            max_visits: None,
             threads: 1,
             budget: Budget::unlimited().with_cancel_token(token),
             checkpoint: None,
@@ -1567,7 +1537,6 @@ mod tests {
         let s = stencil5();
         let oracle = crate::DoneOracle::new(&s);
         let config = SearchConfig {
-            max_visits: None,
             threads: 1,
             budget: Budget::unlimited().with_max_memo_entries(2),
             checkpoint: None,
@@ -1583,7 +1552,6 @@ mod tests {
     #[test]
     fn generous_budget_still_finds_optimum() {
         let config = SearchConfig {
-            max_visits: None,
             threads: 1,
             budget: Budget::unlimited()
                 .with_max_nodes(1_000_000)
@@ -2016,37 +1984,18 @@ mod tests {
     fn parallel_budget_truncation_stays_legal() {
         let s = stencil5();
         let oracle = crate::DoneOracle::new(&s);
-        let config = SearchConfig {
-            max_visits: None,
-            threads: 4,
-            budget: Budget::unlimited().with_max_nodes(2),
-            checkpoint: None,
-        };
-        let res = find_best_uov(&s, Objective::ShortestVector, &config).unwrap();
-        assert!(!res.stats.complete);
-        assert!(oracle.is_uov(&res.uov));
-        let d = res.degradation.expect("node cap must record degradation");
-        assert_eq!(d.reason, Exhausted::Nodes);
-    }
-
-    #[test]
-    fn parallel_max_visits_truncates_but_stays_legal() {
-        let s = stencil5();
-        let oracle = crate::DoneOracle::new(&s);
-        let res = find_best_uov(
-            &s,
-            Objective::ShortestVector,
-            &SearchConfig {
-                max_visits: Some(1),
+        for cap in [1, 2] {
+            let config = SearchConfig {
                 threads: 4,
-                ..SearchConfig::default()
-            },
-        )
-        .unwrap();
-        assert!(!res.stats.complete);
-        assert!(oracle.is_uov(&res.uov));
-        let d = res.degradation.expect("visit cap must degrade");
-        assert_eq!(d.reason, Exhausted::Nodes);
+                budget: Budget::unlimited().with_max_nodes(cap),
+                checkpoint: None,
+            };
+            let res = find_best_uov(&s, Objective::ShortestVector, &config).unwrap();
+            assert!(!res.stats.complete);
+            assert!(oracle.is_uov(&res.uov));
+            let d = res.degradation.expect("node cap must record degradation");
+            assert_eq!(d.reason, Exhausted::Nodes);
+        }
     }
 
     #[test]

@@ -1,14 +1,20 @@
 //! Dependency-free binary encoding helpers shared by the checkpoint
-//! format and the `uov-service` wire protocol.
+//! format, the `uov-service` wire protocol and its warm-cache file.
 //!
 //! Everything here is deliberately boring: little-endian fixed-width
 //! integers, a bounds-checked cursor that can never read past its buffer,
-//! and a bitwise IEEE CRC-32. The checkpoint format ([`crate::checkpoint`])
-//! and the planning service's request/response frames are both built from
-//! these primitives, so a fuzzer that breaks one breaks both — and the
-//! fault-injection suites hammer both.
+//! a bitwise IEEE CRC-32, self-checking `tag ‖ len ‖ payload ‖ crc32`
+//! sections ([`Encoder::section`], [`Decoder::section`]) and one durable
+//! file writer ([`write_atomic`]). The checkpoint format
+//! ([`crate::checkpoint`]) and the planning service's frames and
+//! warm-cache snapshots are all built from these primitives, so a fuzzer
+//! that breaks one breaks all — and the fault-injection suites hammer
+//! them.
 
 use std::fmt;
+use std::fs;
+use std::io::{self, Write as _};
+use std::path::{Path, PathBuf};
 
 use uov_isg::IVec;
 
@@ -39,6 +45,11 @@ pub enum WireError {
     /// in `usize`). Rejected *before* allocating, so a hostile length
     /// prefix cannot balloon memory.
     Oversized(&'static str),
+    /// A self-checking section's stored CRC-32 does not match its bytes.
+    Crc {
+        /// Tag of the failing section.
+        tag: u8,
+    },
 }
 
 impl fmt::Display for WireError {
@@ -46,6 +57,7 @@ impl fmt::Display for WireError {
         match self {
             WireError::Truncated => write!(f, "input is truncated"),
             WireError::Oversized(what) => write!(f, "{what} exceeds the input size"),
+            WireError::Crc { tag } => write!(f, "section {tag} failed its CRC32 check"),
         }
     }
 }
@@ -104,7 +116,8 @@ impl Encoder {
     }
 
     /// Append `tag ‖ len ‖ payload ‖ crc32(tag ‖ len ‖ payload)` — the
-    /// checkpoint format's self-checking section framing.
+    /// self-checking section framing of the checkpoint and warm-cache
+    /// files, read back by [`Decoder::section`].
     pub fn section(&mut self, tag: u8, payload: &[u8]) {
         let start = self.buf.len();
         self.u8(tag);
@@ -220,6 +233,26 @@ impl<'a> Decoder<'a> {
         Ok(IVec::from(v))
     }
 
+    /// Consume one section written by [`Encoder::section`] and return its
+    /// tag and payload, after checking the CRC-32 over `tag ‖ len ‖
+    /// payload`.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::Truncated`] if the section runs past the input,
+    /// [`WireError::Crc`] if its CRC-32 does not match.
+    pub fn section(&mut self) -> Result<(u8, &'a [u8]), WireError> {
+        let start = self.pos;
+        let tag = self.u8()?;
+        let len = usize::try_from(self.u64()?).map_err(|_| WireError::Truncated)?;
+        let payload = self.take(len)?;
+        let framed = &self.buf[start..self.pos];
+        if crc32(framed) != self.u32()? {
+            return Err(WireError::Crc { tag });
+        }
+        Ok((tag, payload))
+    }
+
     /// Length-checked entry count: reads a `u64` count and verifies the
     /// remaining buffer can hold `count` entries of `entry_bytes` each —
     /// **before** any allocation sized by the count.
@@ -240,6 +273,31 @@ impl<'a> Decoder<'a> {
         }
         Ok(n as usize)
     }
+}
+
+/// Replace the file at `path` with `bytes` durably: write `<path>.tmp`,
+/// fsync it and rename it over `path`, so a crash at any point leaves the
+/// old file or the new one, never a torn one. On failure the scratch file
+/// is removed (best effort) and `path` is untouched.
+///
+/// # Errors
+///
+/// The first filesystem failure: create, write, fsync or rename.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let mut tmp = path.as_os_str().to_os_string();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    let result = (|| {
+        let mut f = fs::File::create(&tmp)?;
+        f.write_all(bytes)?;
+        f.sync_all()?;
+        drop(f);
+        fs::rename(&tmp, path)
+    })();
+    if result.is_err() {
+        let _ = fs::remove_file(&tmp);
+    }
+    result
 }
 
 #[cfg(test)]
@@ -297,8 +355,16 @@ mod tests {
         let body_len = e.buf.len() - 4;
         let crc = u32::from_le_bytes(e.buf[body_len..].try_into().unwrap());
         assert_eq!(crc, crc32(&e.buf[..body_len]));
-        let mut flipped = e.buf.clone();
-        flipped[2] ^= 1;
-        assert_ne!(crc32(&flipped[..body_len]), crc);
+        let mut d = Decoder::new(&e.buf);
+        assert_eq!(d.section(), Ok((3, b"payload".as_slice())));
+        assert_eq!(d.remaining(), 0);
+        for at in 0..e.buf.len() {
+            let mut flipped = e.buf.clone();
+            flipped[at] ^= 1;
+            let got = Decoder::new(&flipped).section();
+            assert!(got != Ok((3, b"payload".as_slice())), "flip at {at}");
+            let cut = Decoder::new(&e.buf[..at]).section();
+            assert_eq!(cut, Err(WireError::Truncated), "cut at {at}");
+        }
     }
 }

@@ -9,7 +9,7 @@ use std::fmt;
 use std::ops::{Add, Index, IndexMut, Mul, Neg, Sub};
 
 use crate::error::IsgError;
-use crate::num::{checked_floor_mod, checked_gcd_slice, floor_mod, gcd_slice};
+use crate::num::{checked_gcd_slice, gcd_slice};
 
 /// An integer vector in `Z^d`.
 ///
@@ -286,24 +286,6 @@ impl IVec {
         // because |component/g| ≤ |component|, except i64::MIN / -1 which
         // cannot occur (g > 0).
         Ok(IVec(self.0.iter().map(|&c| c / g).collect()))
-    }
-
-    /// Component-wise floor modulus by a positive modulus.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `m == 0`.
-    pub fn mod_components(&self, m: i64) -> IVec {
-        IVec(self.0.iter().map(|&c| floor_mod(c, m)).collect())
-    }
-
-    /// [`IVec::mod_components`] returning [`IsgError`] for `m == 0`.
-    pub fn try_mod_components(&self, m: i64) -> Result<IVec, IsgError> {
-        self.0
-            .iter()
-            .map(|&c| checked_floor_mod(c, m).ok_or(IsgError::Overflow("floor_mod by zero")))
-            .collect::<Result<Vec<_>, _>>()
-            .map(IVec)
     }
 
     /// Checked component-wise addition.

@@ -109,11 +109,6 @@ impl TracedMemory {
         &self.machine
     }
 
-    /// Consume the backend, returning the machine (for stats extraction).
-    pub fn into_machine(self) -> Machine {
-        self.machine
-    }
-
     /// Borrow a buffer's contents.
     ///
     /// # Panics

@@ -4,8 +4,7 @@
 //! uov-service serve  <endpoint> [--workers N] [--queue N] [--cache N] [--search-threads N]
 //!                               [--warm-cache PATH] [--wedge-timeout MS]
 //! uov-service query  <endpoint> --stencil "1,0;0,1;1,1" [--grid N,M] [--deadline MS] [--no-cache] [--replication K]
-//! uov-service bench  <endpoint> [--clients N] [--requests N] [--seed S] [--distinct N]
-//!                               [--deadline MS] [--csv]
+//! uov-service smoke  <endpoint>
 //! uov-service health <endpoint>
 //! uov-service stats  <endpoint>
 //! uov-service shutdown <endpoint>
@@ -22,8 +21,8 @@ use std::time::Duration;
 
 use uov_isg::{IVec, RectDomain, Stencil};
 use uov_service::{
-    serve, Client, LoadGenConfig, MeshClient, MeshConfig, ObjectiveSpec, OpenLoopConfig,
-    PlanRequest, QuotaConfig, ServerConfig, TenantQuota, FLAG_NO_CACHE,
+    serve, Client, LoadGenConfig, MeshClient, MeshConfig, ObjectiveSpec, PlanRequest, QuotaConfig,
+    ServerConfig, TenantQuota, FLAG_NO_CACHE,
 };
 
 fn main() -> ExitCode {
@@ -31,7 +30,6 @@ fn main() -> ExitCode {
     let result = match args.first().map(String::as_str) {
         Some("serve") => cmd_serve(&args[1..]),
         Some("query") => cmd_query(&args[1..]),
-        Some("bench") => cmd_bench(&args[1..]),
         Some("smoke") => cmd_smoke(&args[1..]),
         Some("health") => cmd_health(&args[1..]),
         Some("stats") => cmd_stats(&args[1..]),
@@ -56,8 +54,6 @@ const USAGE: &str = "usage:
                                 [--degrade-watermark N] [--tenant-rate N] [--tenant-burst N] [--tenant-inflight N]
                                 [--tenant-quota T:RATE:BURST:INFLIGHT[:WEIGHT] …]
   uov-service query  <endpoint[,endpoint…]> --stencil \"1,0;0,1;1,1\" [--grid N,M] [--deadline MS] [--no-cache] [--replication K]
-  uov-service bench  <endpoint> [--clients N] [--requests N] [--seed S] [--distinct N] [--deadline MS] [--csv]
-                                [--open-loop [--rps N] [--duration MS] [--tenants N] [--hog T] [--hog-multiplier N] [--batch N]]
   uov-service smoke  <endpoint>
   uov-service health <endpoint>
   uov-service stats  <endpoint>
@@ -248,119 +244,6 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_bench(args: &[String]) -> Result<(), String> {
-    let endpoint = endpoint_of(args)?;
-    if args.iter().any(|a| a == "--open-loop") {
-        return cmd_bench_open_loop(endpoint, args);
-    }
-    let defaults = LoadGenConfig::default();
-    let cfg = LoadGenConfig {
-        clients: opt_parse(args, "--clients", defaults.clients)?,
-        requests_per_client: opt_parse(args, "--requests", defaults.requests_per_client)?,
-        seed: opt_parse(args, "--seed", defaults.seed)?,
-        distinct_stencils: opt_parse(args, "--distinct", defaults.distinct_stencils)?,
-        deadline_ms: opt_parse(args, "--deadline", defaults.deadline_ms)?,
-        permute: true,
-    };
-    let report = uov_service::run_loadgen(endpoint, &cfg).map_err(|e| e.to_string())?;
-    if args.iter().any(|a| a == "--csv") {
-        println!(
-            "completed,errors,elapsed_ms,throughput_rps,p50_us,p99_us,max_us,hits,misses,coalesced,hit_rate"
-        );
-        println!(
-            "{},{},{},{:.1},{},{},{},{},{},{},{:.3}",
-            report.completed,
-            report.errors,
-            report.elapsed.as_millis(),
-            report.throughput_rps,
-            report.p50_us,
-            report.p99_us,
-            report.max_us,
-            report.hits,
-            report.misses,
-            report.coalesced,
-            report.hit_rate()
-        );
-    } else {
-        println!("| metric | value |");
-        println!("|---|---|");
-        println!("| completed | {} |", report.completed);
-        println!("| errors | {} |", report.errors);
-        println!("| elapsed | {:.1} ms |", report.elapsed.as_secs_f64() * 1e3);
-        println!("| throughput | {:.1} req/s |", report.throughput_rps);
-        println!("| p50 latency | {} µs |", report.p50_us);
-        println!("| p99 latency | {} µs |", report.p99_us);
-        println!("| cache hits | {} |", report.hits);
-        println!("| cache misses | {} |", report.misses);
-        println!("| coalesced | {} |", report.coalesced);
-        println!("| hit rate | {:.1}% |", report.hit_rate() * 100.0);
-    }
-    Ok(())
-}
-
-/// Open-loop overload bench: fixed per-tenant arrival rates (optionally
-/// with a hog tenant offering a multiple of everyone else's rate) and a
-/// per-tenant availability table.
-fn cmd_bench_open_loop(endpoint: &str, args: &[String]) -> Result<(), String> {
-    let defaults = OpenLoopConfig::default();
-    let hog = opt(args, "--hog")?
-        .map(|s| s.parse::<u32>().map_err(|_| format!("invalid --hog `{s}`")))
-        .transpose()?;
-    let cfg = OpenLoopConfig {
-        arrival_rps: opt_parse(args, "--rps", defaults.arrival_rps)?,
-        duration_ms: opt_parse(args, "--duration", defaults.duration_ms)?,
-        seed: opt_parse(args, "--seed", defaults.seed)?,
-        tenants: opt_parse(args, "--tenants", defaults.tenants)?,
-        hog_tenant: hog,
-        hog_multiplier: opt_parse(args, "--hog-multiplier", defaults.hog_multiplier)?,
-        distinct_stencils: opt_parse(args, "--distinct", defaults.distinct_stencils)?,
-        deadline_ms: opt_parse(args, "--deadline", defaults.deadline_ms)?,
-        batch: opt_parse(args, "--batch", defaults.batch)?,
-        conns_per_tenant: opt_parse(args, "--conns", defaults.conns_per_tenant)?,
-    };
-    let report = uov_service::run_open_loop(endpoint, &cfg).map_err(|e| e.to_string())?;
-    if args.iter().any(|a| a == "--csv") {
-        println!("tenant,offered,completed,degraded,shed,errors,availability,p50_us,p99_us");
-        for t in &report.tenants {
-            println!(
-                "{},{},{},{},{},{},{:.4},{},{}",
-                t.tenant,
-                t.offered,
-                t.completed,
-                t.degraded,
-                t.shed,
-                t.errors,
-                t.availability(),
-                t.p50_us,
-                t.p99_us
-            );
-        }
-    } else {
-        println!("| tenant | offered | completed | degraded | shed | errors | availability | p50 µs | p99 µs |");
-        println!("|---|---|---|---|---|---|---|---|---|");
-        for t in &report.tenants {
-            println!(
-                "| {} | {} | {} | {} | {} | {} | {:.4} | {} | {} |",
-                t.tenant,
-                t.offered,
-                t.completed,
-                t.degraded,
-                t.shed,
-                t.errors,
-                t.availability(),
-                t.p50_us,
-                t.p99_us
-            );
-        }
-        println!(
-            "compliant availability: {:.4} over {:.1} ms",
-            report.compliant_availability(hog),
-            report.elapsed.as_secs_f64() * 1e3
-        );
-    }
-    Ok(())
-}
-
 /// CI acceptance check against a live server: a bounded deterministic
 /// load must complete with zero errors and a warm >90% hit rate, and a
 /// synchronized burst must coalesce at least one request onto an
@@ -374,7 +257,6 @@ fn cmd_smoke(args: &[String]) -> Result<(), String> {
         requests_per_client: 25,
         distinct_stencils: 6,
         permute: true,
-        ..LoadGenConfig::default()
     };
     let cold = uov_service::run_loadgen(endpoint, &cfg).map_err(|e| e.to_string())?;
     let warm = uov_service::run_loadgen(endpoint, &cfg).map_err(|e| e.to_string())?;

@@ -1,21 +1,31 @@
 //! Coordinate-permutation canonicalization of planning problems.
 //!
-//! Two requests that differ only by a relabeling of the loop axes are the
-//! *same* NP-hard problem: a coordinate permutation `σ` is a lattice
-//! automorphism of `ℤᵈ`, so it maps non-negative integer combinations to
-//! non-negative integer combinations — `w ∈ cone(V) ⟺ σ(w) ∈ cone(σ(V))`
-//! — and therefore preserves DONE/DEAD membership and UOV-ness exactly
-//! (paper §3.1 defines all three through the cone). It also preserves
-//! both objectives: `‖σ(w)‖² = ‖w‖²`, and the storage classes of a
-//! rectangular domain `D` along `w` biject with those of `σ(D)` along
-//! `σ(w)` (lines `p + t·w` map to lines `σ(p) + t·σ(w)`).
+//! A coordinate permutation `σ` is a lattice automorphism of `ℤᵈ`, so it
+//! maps non-negative integer combinations to non-negative integer
+//! combinations — `w ∈ cone(V) ⟺ σ(w) ∈ cone(σ(V))` — and therefore
+//! preserves DONE/DEAD membership and UOV-ness exactly (paper §3.1
+//! defines all three through the cone). It preserves the shortest-vector
+//! objective too (`‖σ(w)‖² = ‖w‖²`), and in 1-D and 2-D the storage-class
+//! count on a rectangular domain (`σ(D)` along `σ(w)` has the classes of
+//! `D` along `w`). So for those problems two requests that differ only by
+//! a relabeling of the loop axes are the *same* problem with the same
+//! optimum.
 //!
-//! The canonical form of a problem is the lexicographically smallest
-//! encoding of `(sorted σ(V), σ(domain))` over all permutations `σ` that
-//! keep every stencil vector lexicographically positive (a [`Stencil`]
-//! invariant; the identity always qualifies, so the set is never empty).
-//! Symmetric and axis-relabeled requests thus collapse onto one cache
-//! entry, and the cached canonical answer is mapped back through `σ⁻¹`.
+//! In 3-D and up the engine's storage-class count is not invariant: it
+//! comes from a bounding box that depends on the lattice basis the
+//! reduction picks, so an answer's cost, and the optimum itself, can move
+//! with the axis order (diag3 on 16×32×32 costs 4,418 as sent and 3,666
+//! with axes 0 and 1 swapped). [`canonicalize`] therefore leaves
+//! known-bounds problems of dimension ≥ 3 as they are; only the request's
+//! own axis order shares their cache slot.
+//!
+//! For every other problem the canonical form is the lexicographically
+//! smallest encoding of `(sorted σ(V), σ(domain))` over all permutations
+//! `σ` that keep every stencil vector lexicographically positive (a
+//! [`Stencil`] invariant; the identity always qualifies, so the set is
+//! never empty). Symmetric and axis-relabeled requests thus collapse onto
+//! one cache entry, and the cached canonical answer is mapped back
+//! through `σ⁻¹`.
 //!
 //! One wrinkle: the search's deterministic tie-break `(cost, ‖w‖², lex w)`
 //! is *not* permutation-equivariant — `σ⁻¹` of the canonical lex-minimum
@@ -72,9 +82,9 @@ fn apply(perm: &[usize], v: &IVec) -> IVec {
 /// Map an original-coordinates vector into canonical coordinates
 /// (`out[i] = v[perm[i]]`) — the inverse of [`map_back`]. Replication
 /// uses this to carry an answer computed in a *sender's* coordinates
-/// into the receiver's canonical cache slot. Norm and cone membership
-/// survive the trip; a 3-D-and-up storage cost may not (see
-/// [`lex_min_equivalent`]), so the receiver re-derives it.
+/// into the receiver's canonical cache slot. Norm, cone membership and
+/// (for the problems [`canonicalize`] permutes) cost survive the trip;
+/// the receiver re-derives the cost all the same.
 pub fn map_to_canonical(v: &IVec, perm: &[usize]) -> IVec {
     apply(perm, v)
 }
@@ -139,6 +149,10 @@ type OrbitEntry = (Vec<i64>, Vec<usize>, Vec<IVec>, ObjectiveSpec);
 
 /// Canonicalize a problem: minimal `(sorted σ(V), σ(domain))` encoding
 /// over all lex-positivity-preserving axis permutations `σ`.
+///
+/// Known-bounds problems of dimension ≥ 3, whose optimum can depend on
+/// the axis order (module docs), and problems past [`MAX_CANON_DIM`]
+/// canonicalize to themselves (the identity permutation).
 pub fn canonicalize(stencil: &Stencil, objective: &ObjectiveSpec) -> Canonical {
     let dim = stencil.dim();
     let identity: Vec<usize> = (0..dim).collect();
@@ -147,7 +161,8 @@ pub fn canonicalize(stencil: &Stencil, objective: &ObjectiveSpec) -> Canonical {
         objective: objective.clone(),
         perm: identity.clone(),
     };
-    if dim > MAX_CANON_DIM {
+    let order_dependent = dim >= 3 && matches!(objective, ObjectiveSpec::KnownBounds(_));
+    if dim > MAX_CANON_DIM || order_dependent {
         return fallback;
     }
     let mut best: Option<OrbitEntry> = None;
@@ -216,15 +231,9 @@ fn isqrt(n: i128) -> i64 {
 /// `(cost, ‖w‖², lex w)`.
 ///
 /// `σ⁻¹` of a cached optimal answer keeps its norm and its UOV-ness under
-/// every permutation, and its storage cost in 1-D and 2-D. It is not
-/// permutation-invariant in general: in 3-D and up the known-bounds class
-/// count comes from a bounding box that depends on the basis, so an
-/// answer's cost, and the optimum itself, can move with the axis order
-/// (diag3 on 16×32×32 costs 4,418 as sent and 3,666 with axes 0 and 1
-/// swapped). Callers recheck the cost first and solve directly when it
-/// moved. An unchanged cost does not prove that the permuted problem has
-/// no cheaper answer; the seeded 3-D service differential checks that
-/// these answers still equal a direct search.
+/// every permutation, and its storage cost in 1-D and 2-D — the only
+/// known-bounds problems [`canonicalize`] permutes. Callers still recheck
+/// the cost first and solve directly if it moved.
 ///
 /// Returns `None` when the enumeration would exceed
 /// [`REPAIR_ENUM_LIMIT`] or the oracle cannot be built — the caller
@@ -338,6 +347,19 @@ mod tests {
         let s = Stencil::new(vectors).unwrap();
         let c = canonicalize(&s, &ObjectiveSpec::ShortestVector);
         assert!(c.is_identity());
+    }
+
+    #[test]
+    fn known_bounds_in_3d_keeps_its_axis_order() {
+        // The shortest-vector objective reorders these axes; the 3-D
+        // storage objective must not.
+        let s = Stencil::new(vec![ivec![0, 1, 1], ivec![1, 0, 1], ivec![1, 1, -1]]).unwrap();
+        let dom = RectDomain::new(ivec![1, 1, 1], ivec![5, 7, 2]);
+        assert!(!canonicalize(&s, &ObjectiveSpec::ShortestVector).is_identity());
+        let c = canonicalize(&s, &ObjectiveSpec::KnownBounds(dom.clone()));
+        assert!(c.is_identity());
+        assert_eq!(c.stencil.vectors(), s.vectors());
+        assert_eq!(c.objective, ObjectiveSpec::KnownBounds(dom));
     }
 
     #[test]

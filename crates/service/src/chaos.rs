@@ -35,7 +35,7 @@
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
@@ -192,7 +192,6 @@ impl ChaosConfig {
 /// A fault-injecting TCP proxy in front of one replica (module docs).
 pub struct ChaosProxy {
     endpoint: String,
-    upstream: Arc<Mutex<String>>,
     stop: Arc<AtomicBool>,
     counters: Arc<ChaosCounters>,
     /// Whether the proxy is partitioned: both pump directions hold
@@ -233,12 +232,11 @@ impl ChaosProxy {
         let listener = bound?;
         listener.set_nonblocking(true)?;
         let endpoint = listener.local_addr()?.to_string();
-        let upstream = Arc::new(Mutex::new(upstream.to_string()));
+        let upstream = upstream.to_string();
         let stop = Arc::new(AtomicBool::new(false));
         let counters = Arc::new(ChaosCounters::default());
         let partitioned = Arc::new(AtomicBool::new(false));
 
-        let a_upstream = Arc::clone(&upstream);
         let a_stop = Arc::clone(&stop);
         let a_counters = Arc::clone(&counters);
         let a_partitioned = Arc::clone(&partitioned);
@@ -248,7 +246,7 @@ impl ChaosProxy {
                 accept_loop(
                     &listener,
                     cfg,
-                    &a_upstream,
+                    &upstream,
                     &a_stop,
                     &a_counters,
                     &a_partitioned,
@@ -257,7 +255,6 @@ impl ChaosProxy {
 
         Ok(ChaosProxy {
             endpoint,
-            upstream,
             stop,
             counters,
             partitioned,
@@ -268,15 +265,6 @@ impl ChaosProxy {
     /// The proxy's own address — point clients here.
     pub fn endpoint(&self) -> &str {
         &self.endpoint
-    }
-
-    /// Retarget *new* connections at a different upstream (established
-    /// pumps keep their original peer). Used by kill/restart
-    /// orchestration when a replica comes back on a new address.
-    pub fn set_upstream(&self, endpoint: &str) {
-        if let Ok(mut guard) = self.upstream.lock() {
-            *guard = endpoint.to_string();
-        }
     }
 
     /// Snapshot the injection counters.
@@ -318,7 +306,7 @@ impl Drop for ChaosProxy {
 fn accept_loop(
     listener: &TcpListener,
     cfg: ChaosConfig,
-    upstream: &Arc<Mutex<String>>,
+    upstream: &str,
     stop: &Arc<AtomicBool>,
     counters: &Arc<ChaosCounters>,
     partitioned: &Arc<AtomicBool>,
@@ -333,11 +321,7 @@ fn accept_loop(
             }
             Err(_) => break,
         };
-        let target = match upstream.lock() {
-            Ok(guard) => guard.clone(),
-            Err(p) => p.into_inner().clone(),
-        };
-        let server = match TcpStream::connect(&target) {
+        let server = match TcpStream::connect(upstream) {
             Ok(s) => s,
             Err(_) => {
                 // Upstream down: drop the client — it sees a closed

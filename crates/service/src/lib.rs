@@ -21,9 +21,9 @@
 //!   workspace-standard fingerprint into a sharded LRU, with
 //!   single-flight dedup so N concurrent identical requests run one
 //!   search.
-//! * [`client`] / [`loadgen`] — a blocking client and a deterministic
-//!   closed-loop load generator (throughput, latency percentiles, cache
-//!   hit rates).
+//! * [`client`] / [`loadgen`] — a blocking client and the deterministic
+//!   closed-loop load generator behind `uov-service smoke` (completions,
+//!   errors, cache hit rate, single-flight coalescing).
 //! * [`mesh`] — the one routed client, [`MeshClient`], over a replica
 //!   list: consistent-hash routing (each canonical problem has a home
 //!   shard, with deterministic ring failover), per-attempt timeouts,
@@ -54,10 +54,7 @@ pub mod server;
 pub use chaos::{ChaosConfig, ChaosProxy, ChaosStats, ReplicaSet};
 pub use client::Client;
 pub use error::{ErrorCode, ServiceError};
-pub use loadgen::{
-    coalescing_burst, run as run_loadgen, run_open_loop, BurstReport, LoadGenConfig, LoadReport,
-    OpenLoopConfig, OpenLoopReport, TenantLoad,
-};
+pub use loadgen::{coalescing_burst, run as run_loadgen, BurstReport, LoadGenConfig, LoadReport};
 pub use mesh::{FailureClass, MeshClient, MeshConfig, MeshEvent, MeshStats, Ring};
 pub use plan_cache::{CacheStats, PlanCache, Planned, WarmCacheError};
 pub use proto::{

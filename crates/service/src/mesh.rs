@@ -10,7 +10,9 @@
 //!   ([`crate::canon`]) and its canonical fingerprint is looked up on a
 //!   consistent-hash [`Ring`] with virtual nodes, so each problem has a
 //!   stable *home shard* (and axis-relabeled duplicates of the same
-//!   problem land on the same replica's plan cache). Attempts walk the
+//!   problem land on the same replica's plan cache, except for 3-D
+//!   known-bounds problems, which [`crate::canon`] keeps in their own axis
+//!   order). Attempts walk the
 //!   ring from the home, skipping shards whose circuit breaker is open —
 //!   deterministically, so two clients agree on the failover order.
 //! * **Failure policy** — each attempt is bounded by
@@ -160,7 +162,9 @@ pub struct MeshConfig {
     pub seed: u64,
     /// How many ring successors of the home shard receive a copy of
     /// every certified, non-degraded answer (`0` disables replication).
-    /// Each receiver re-certifies before storing, so replication can
+    /// Each receiver re-certifies before storing, and files the answer
+    /// only under problems with the same optimum (a 3-D known-bounds
+    /// answer under its sender's axis order alone), so replication can
     /// warm a failover target but never poison it.
     pub replication_factor: usize,
     /// Fire a hedge of a routed plan at the next admissible ring
@@ -427,7 +431,8 @@ impl MeshClient {
 
     /// The canonical routing key for a request: the fingerprint of the
     /// *canonicalized* problem, so axis-relabeled duplicates share a home
-    /// shard (and therefore a plan-cache slot).
+    /// shard (and therefore a plan-cache slot). 3-D known-bounds problems
+    /// canonicalize to themselves, so each axis order has its own home.
     pub fn routing_key(req: &PlanRequest) -> u64 {
         let canon = canonicalize(&req.stencil, &req.objective);
         fingerprint(&canon.stencil, &canon.objective.as_objective())

@@ -1,8 +1,10 @@
 //! The canonicalizing plan cache with single-flight deduplication.
 //!
 //! Every planning request is first canonicalized ([`crate::canon`]) so
-//! axis-relabeled and symmetric requests share one cache slot, then keyed
-//! by the workspace-standard problem fingerprint into a sharded LRU.
+//! axis-relabeled and symmetric requests share one cache slot (except
+//! known-bounds problems of dimension ≥ 3, whose optimum depends on the
+//! axis order and which keep one slot per order), then keyed by the
+//! workspace-standard problem fingerprint into a sharded LRU.
 //!
 //! Three rules keep cached answers byte-identical to cold solves:
 //!
@@ -23,12 +25,12 @@
 
 use std::collections::{HashMap, HashSet};
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 use uov_core::search::try_cost_of;
-use uov_core::wire::{crc32, Decoder, Encoder};
+use uov_core::wire::{write_atomic, Decoder, Encoder, WireError};
 use uov_core::{fingerprint, Degradation, SearchResult, ShardedLru};
 use uov_isg::{IVec, Stencil};
 
@@ -293,15 +295,17 @@ impl PlanCache {
 
         if !leader {
             let (uov_c, cost, degradation) = flight.wait()?;
-            self.coalesced.fetch_add(1, Ordering::Relaxed);
             let degraded = degradation.is_some();
             return match self.realize(stencil, objective, &canon, &uov_c, cost, degraded) {
-                Some((uov, cost)) => Ok(Planned {
-                    uov,
-                    cost,
-                    degradation,
-                    cache: CacheOutcome::Coalesced,
-                }),
+                Some((uov, cost)) => {
+                    self.coalesced.fetch_add(1, Ordering::Relaxed);
+                    Ok(Planned {
+                        uov,
+                        cost,
+                        degradation,
+                        cache: CacheOutcome::Coalesced,
+                    })
+                }
                 None => self.direct(stencil, objective, &solve),
             };
         }
@@ -342,7 +346,8 @@ impl PlanCache {
                         degradation: result.degradation,
                         cache: CacheOutcome::Miss,
                     }),
-                    None => self.direct(stencil, objective, &solve),
+                    // This request's miss is already counted.
+                    None => solve_uncounted(stencil, objective, &solve),
                 }
             }
             Err(e) => {
@@ -352,11 +357,11 @@ impl PlanCache {
         }
     }
 
-    /// Solve the original, uncanonicalized problem. Used for cache
-    /// bypass and as the fallback when a cached answer cannot be
-    /// faithfully mapped back. Never inserts into the cache: the result
-    /// is in original coordinates, and caching a non-canonical tie-break
-    /// would break byte-identity for later hits.
+    /// Solve the original, uncanonicalized problem and count the request
+    /// as one miss. Used for cache bypass and as the fallback when a
+    /// cached answer cannot be faithfully mapped back. Never inserts into
+    /// the cache: the result is in original coordinates, and caching a
+    /// non-canonical tie-break would break byte-identity for later hits.
     pub fn direct<F>(
         &self,
         stencil: &Stencil,
@@ -367,13 +372,7 @@ impl PlanCache {
         F: Fn(&Stencil, &ObjectiveSpec) -> Result<SearchResult, String>,
     {
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let result = solve(stencil, objective)?;
-        Ok(Planned {
-            uov: result.uov,
-            cost: result.cost,
-            degradation: result.degradation,
-            cache: CacheOutcome::Miss,
-        })
+        solve_uncounted(stencil, objective, solve)
     }
 
     /// Insert a plan pushed by a peer through neighbor replication.
@@ -381,7 +380,9 @@ impl PlanCache {
     /// The answer arrives in the *sender's* coordinates; this
     /// canonicalizes the problem, maps the answer forward, re-derives the
     /// cost independently, and — crucially — normalizes to the canonical
-    /// lex-minimum via [`lex_min_equivalent`] before inserting. The LRU
+    /// lex-minimum via [`lex_min_equivalent`] before inserting. A 3-D
+    /// known-bounds answer lands only in the slot of the sender's own
+    /// axis order, since another order can have a cheaper optimum. The LRU
     /// may only ever hold the canonical tie-break: a hit whose request is
     /// already in canonical axes skips lex repair, so storing anything
     /// else would break byte-identity with a direct search. Verification
@@ -400,10 +401,10 @@ impl PlanCache {
         if try_cost_of(&obj, &w_canon) != Ok(cost) {
             return false;
         }
-        // `‖w‖²` and cone membership are permutation-invariant, and the
-        // recheck above refused a cost that moved (3-D storage costs can;
-        // see `lex_min_equivalent`). The sphere scan both verifies
-        // UOV-ness and lands on the canonical lex-min representative.
+        // `‖w‖²`, cone membership and the cost of every problem
+        // `canonicalize` permutes are permutation-invariant. The sphere
+        // scan both verifies UOV-ness and lands on the canonical lex-min
+        // representative.
         let Some(canon_uov) = lex_min_equivalent(&canon.stencil, &obj, &w_canon, cost) else {
             return false;
         };
@@ -551,8 +552,9 @@ impl CachedPlan {
 }
 
 impl PlanCache {
-    /// Persist every cached plan to `path` atomically (scratch file,
-    /// fsync, rename). Returns the number of entries written.
+    /// Persist every cached plan to `path` atomically
+    /// ([`write_atomic`]: scratch file, fsync, rename). Returns the number
+    /// of entries written.
     ///
     /// # Errors
     ///
@@ -571,22 +573,8 @@ impl PlanCache {
         e.buf.extend_from_slice(WARM_MAGIC);
         e.u32(WARM_VERSION);
         e.section(WARM_TAG_ENTRIES, &body.buf);
-
-        let mut tmp = path.as_os_str().to_os_string();
-        tmp.push(".tmp");
-        let tmp = PathBuf::from(tmp);
-        let write = (|| -> std::io::Result<()> {
-            use std::io::Write;
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(&e.buf)?;
-            f.sync_all()?;
-            drop(f);
-            fs::rename(&tmp, path)
-        })();
-        if let Err(err) = write {
-            let _ = fs::remove_file(&tmp);
-            return Err(format!("warm-cache save to {}: {err}", path.display()));
-        }
+        write_atomic(path, &e.buf)
+            .map_err(|err| format!("warm-cache save to {}: {err}", path.display()))?;
         Ok(entries.len() as u64)
     }
 
@@ -612,7 +600,7 @@ impl PlanCache {
                 )))
             }
         };
-        let corrupt = |e: uov_core::wire::WireError| WarmCacheError::Corrupt(e.to_string());
+        let corrupt = |e: WireError| WarmCacheError::Corrupt(e.to_string());
         let mut d = Decoder::new(&bytes);
         if d.take(8).ok() != Some(WARM_MAGIC.as_slice()) {
             return Err(WarmCacheError::BadMagic);
@@ -621,17 +609,7 @@ impl PlanCache {
         if version != WARM_VERSION {
             return Err(WarmCacheError::UnsupportedVersion(version));
         }
-        // Section framing: tag ‖ len ‖ payload ‖ crc32(tag ‖ len ‖ payload).
-        let section_start = d.pos;
-        let tag = d.u8().map_err(corrupt)?;
-        let len = d.u64().map_err(corrupt)? as usize;
-        let payload = d.take(len).map_err(corrupt)?;
-        let declared = d.u32().map_err(corrupt)?;
-        if crc32(&bytes[section_start..section_start + 1 + 8 + len]) != declared {
-            return Err(WarmCacheError::Corrupt(
-                "section failed its CRC32 check".into(),
-            ));
-        }
+        let (tag, payload) = d.section().map_err(corrupt)?;
         if tag != WARM_TAG_ENTRIES {
             // An unknown section from a future writer: nothing to restore.
             return Ok(0);
@@ -662,11 +640,30 @@ impl Default for PlanCache {
     }
 }
 
+/// Solve the request as sent, outside the cache's counters.
+fn solve_uncounted<F>(
+    stencil: &Stencil,
+    objective: &ObjectiveSpec,
+    solve: &F,
+) -> Result<Planned, String>
+where
+    F: Fn(&Stencil, &ObjectiveSpec) -> Result<SearchResult, String>,
+{
+    let result = solve(stencil, objective)?;
+    Ok(Planned {
+        uov: result.uov,
+        cost: result.cost,
+        degradation: result.degradation,
+        cache: CacheOutcome::Miss,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
     use uov_core::search::{find_best_uov, Objective, SearchConfig};
+    use uov_core::wire::crc32;
     use uov_isg::ivec;
 
     fn fig1() -> Stencil {
@@ -699,6 +696,32 @@ mod tests {
         assert_eq!(calls.load(Ordering::SeqCst), 1);
         assert_eq!(cache.stats().hits, 1);
         assert_eq!(cache.stats().misses, 1);
+    }
+
+    #[test]
+    fn a_fallback_solve_counts_its_request_once() {
+        // The leader's answer fails its cost recheck, so the request is
+        // solved again as sent: two solves, one request, one miss.
+        let cache = PlanCache::new(16);
+        let calls = AtomicUsize::new(0);
+        let solve = |s: &Stencil, o: &ObjectiveSpec| {
+            let mut r = find_best_uov(s, o.as_objective(), &SearchConfig::default())
+                .map_err(|e| e.to_string())?;
+            if calls.fetch_add(1, Ordering::SeqCst) == 0 {
+                r.cost += 1;
+            }
+            Ok(r)
+        };
+        let planned = cache
+            .plan(&fig1(), &ObjectiveSpec::ShortestVector, solve)
+            .unwrap();
+        assert_eq!(calls.load(Ordering::SeqCst), 2);
+        assert_eq!((planned.cost, planned.cache), (2, CacheOutcome::Miss));
+        let want = CacheStats {
+            misses: 1,
+            ..CacheStats::default()
+        };
+        assert_eq!(cache.stats(), want);
     }
 
     #[test]

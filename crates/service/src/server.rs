@@ -1686,12 +1686,6 @@ impl ServerHandle {
         self.state.shutdown.store(true, Ordering::SeqCst);
     }
 
-    /// Whether a drain has begun (via [`Self::shutdown`] or a client's
-    /// `REQ_SHUTDOWN` frame).
-    pub fn is_shutting_down(&self) -> bool {
-        self.state.shutdown.load(Ordering::SeqCst)
-    }
-
     /// Current traffic counters.
     pub fn stats(&self) -> ServerStats {
         self.state.stats.snapshot()

@@ -7,6 +7,7 @@
 use uov::core::npc::PartitionInstance;
 use uov::core::objective::storage_class_count;
 use uov::core::search::{find_best_uov, Objective, SearchConfig};
+use uov::core::Budget;
 use uov::isg::{ivec, Polygon2, Stencil};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -45,21 +46,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ivec![1, 2],
     ])?;
     println!("5-pt stencil under shrinking search budgets:");
-    for budget in [1u64, 4, 16, u64::MAX] {
+    for nodes in [1u64, 4, 16, u64::MAX] {
+        let budget = if nodes == u64::MAX {
+            Budget::unlimited()
+        } else {
+            Budget::unlimited().with_max_nodes(nodes)
+        };
         let res = find_best_uov(
             &stencil5,
             Objective::ShortestVector,
             &SearchConfig {
-                max_visits: (budget != u64::MAX).then_some(budget),
+                budget,
                 ..SearchConfig::default()
             },
         )?;
         println!(
-            "  max_visits {:>4} → UOV {} (len² {}) complete={}",
-            if budget == u64::MAX {
+            "  max nodes {:>4} → UOV {} (len² {}) complete={}",
+            if nodes == u64::MAX {
                 "∞".to_string()
             } else {
-                budget.to_string()
+                nodes.to_string()
             },
             res.uov,
             res.cost,

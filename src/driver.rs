@@ -173,7 +173,6 @@ pub fn plan(nest: &LoopNest, layout: Layout) -> Result<TransformPlan, Error> {
 pub fn plan_with(nest: &LoopNest, config: &PlanConfig) -> Result<TransformPlan, Error> {
     plan_statements(nest, config.layout, |stmt, stencil| {
         let search_config = SearchConfig {
-            max_visits: None,
             // Fresh node counter per statement; deadline and
             // cancellation stay global through the clone.
             budget: config.budget.clone(),

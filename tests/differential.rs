@@ -373,8 +373,7 @@ mod service_vs_direct {
     /// still matches its own direct search byte-for-byte. In 3-D the class
     /// count comes from a bounding box that depends on the basis, so the
     /// cost of an answer, and even the optimum, can move with the axis
-    /// order; the cache's cost rechecks must still keep every answer equal
-    /// to a direct search.
+    /// order; the cache keeps each 3-D order in a slot of its own.
     #[test]
     fn permuted_known_bounds_queries_match_direct_search() {
         let server = test_server();
@@ -410,19 +409,49 @@ mod service_vs_direct {
         server.shutdown();
         assert_eq!(server.join().panics, 0);
 
-        // A replicated insert: diag3's answer pushed in its sender's axes
-        // to a cold replica, then every axis order queried there. On this
-        // box one order's optimum costs 154 and the others' 192, so the
-        // replica serves the 192 orders as hits and solves the other
-        // directly once its cost recheck fails.
+        // Replicated inserts: an answer pushed in its sender's axes to a
+        // cold replica, then every axis order queried there. In 3-D the
+        // optimum moves with the axis order, so only the sender's order
+        // may be served from the pushed entry. On (1,1,1)..=(5,7,2) this
+        // stencil's optimum costs 66 as sent and 63 in two other orders,
+        // which a replica once answered with the pushed (3,0,3) at 66.
+        let skew =
+            Stencil::new(vec![ivec![0, 1, 1], ivec![1, 0, 1], ivec![1, 1, -1]]).expect("valid");
+        let (pushed, _) =
+            replicate_then_query_every_order(&skew, &ivec![1, 1, 1], &ivec![5, 7, 2], 0);
+        assert_eq!(pushed, (ivec![3, 3, 0], 66));
+        // diag3, pushed in its last lex-positive order: one order's
+        // optimum costs 154 and the others' 192.
         let diag3 =
             Stencil::new(vec![ivec![1, 0, 0], ivec![0, 1, 0], ivec![1, 1, 1]]).expect("valid");
-        let (lo, hi) = (IVec::zero(3), ivec![3, 7, 5]);
-        let orders = valid_permutations(&diag3);
-        let (sender_perm, sender) = orders.last().expect("one lex-positive order").clone();
-        let sender_dom = permuted_box(&lo, &hi, &sender_perm);
+        let last = valid_permutations(&diag3).len() - 1;
+        let (_, mut costs) =
+            replicate_then_query_every_order(&diag3, &IVec::zero(3), &ivec![3, 7, 5], last);
+        costs.sort_unstable();
+        costs.dedup();
+        assert_eq!(
+            costs,
+            [154, 192],
+            "diag3's optimum moves with the axis order"
+        );
+    }
+
+    /// Push the direct answer of `s` in its `sender`-th lex-positive axis
+    /// order on `[lo, hi]` to a cold replica, then query every order
+    /// there: each answer must equal its own direct search, and only the
+    /// sender's order may hit. Returns the pushed `(uov, cost)` and each
+    /// order's cost.
+    fn replicate_then_query_every_order(
+        s: &Stencil,
+        lo: &IVec,
+        hi: &IVec,
+        sender: usize,
+    ) -> ((IVec, u128), Vec<u128>) {
+        let orders = valid_permutations(s);
+        let (sender_perm, sender_stencil) = orders[sender].clone();
+        let sender_dom = permuted_box(lo, hi, &sender_perm);
         let pushed = find_best_uov(
-            &sender,
+            &sender_stencil,
             Objective::KnownBounds(&sender_dom),
             &with_threads(1),
         )
@@ -431,7 +460,7 @@ mod service_vs_direct {
         let mut client = Client::connect(replica.endpoint()).expect("connect");
         let stored = client
             .replicate(&ReplicateRequest {
-                stencil: sender,
+                stencil: sender_stencil,
                 objective: ObjectiveSpec::KnownBounds(sender_dom),
                 uov: pushed.uov.clone(),
                 cost: pushed.cost,
@@ -439,9 +468,9 @@ mod service_vs_direct {
             .expect("a certified answer is accepted")
             .stored;
         assert!(stored, "the replica refused a certified answer");
-        let mut costs = Vec::new();
+        let mut served = Vec::new();
         for (perm, permuted) in orders {
-            let pdom = permuted_box(&lo, &hi, &perm);
+            let pdom = permuted_box(lo, hi, &perm);
             let direct = find_best_uov(&permuted, Objective::KnownBounds(&pdom), &with_threads(1))
                 .expect("small coordinates cannot overflow");
             let (uov, cost, _, cache) =
@@ -449,25 +478,23 @@ mod service_vs_direct {
             assert_eq!(
                 (uov, cost),
                 (direct.uov, direct.cost),
-                "σ={perm:?}: the replica's answer diverged from direct search"
+                "σ={perm:?} of {s:?}: the replica's answer diverged from direct search"
             );
-            let want = if cost == pushed.cost {
+            served.push((perm, cost, cache));
+        }
+        // Answers first, then how the cache produced them.
+        for (perm, cost, cache) in &served {
+            let want = if *perm == sender_perm {
                 CacheOutcome::Hit
             } else {
                 CacheOutcome::Miss
             };
-            assert_eq!(cache, want, "σ={perm:?} at cost {cost}");
-            costs.push(cost);
+            assert_eq!(*cache, want, "σ={perm:?} of {s:?} at cost {cost}");
         }
-        costs.sort_unstable();
-        costs.dedup();
-        assert_eq!(
-            costs,
-            [154, 192],
-            "diag3's optimum moves with the axis order"
-        );
+        let costs = served.iter().map(|&(_, cost, _)| cost).collect();
         replica.shutdown();
         assert_eq!(replica.join().panics, 0);
+        ((pushed.uov, pushed.cost), costs)
     }
 
     /// `[lo, hi]` with its axes permuted by `perm`.

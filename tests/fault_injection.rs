@@ -28,7 +28,6 @@ use uov::storage::{Layout, MappingError, NaturalMap, OvMap};
 
 fn budgeted(budget: Budget) -> SearchConfig {
     SearchConfig {
-        max_visits: None,
         budget,
         threads: 1,
         checkpoint: None,
@@ -37,7 +36,6 @@ fn budgeted(budget: Budget) -> SearchConfig {
 
 fn budgeted_threaded(budget: Budget, threads: usize) -> SearchConfig {
     SearchConfig {
-        max_visits: None,
         budget,
         threads,
         checkpoint: None,

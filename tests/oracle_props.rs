@@ -11,6 +11,8 @@
 //! 4. Cache-hit answers equal cold-cache answers: re-querying a warmed
 //!    oracle (including one warmed by concurrent workers) never changes a
 //!    membership bit.
+//! 5. The UOV set is upward closed: `w ∈ UOV ⟹ w + vᵢ ∈ UOV` for every
+//!    stencil vector `vᵢ` (DEAD only recedes as `q` advances).
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -123,6 +125,55 @@ proptest! {
         let cold = DoneOracle::new(&s);
         for (w, got) in queries.iter().zip(answers) {
             prop_assert_eq!(got, cold.is_uov(w), "racing workers flipped is_uov({})", w);
+        }
+    }
+}
+
+/// Seeded random stencil in `dim` dimensions, mirroring the generator used
+/// by `tests/differential.rs`.
+fn random_stencil(rng: &mut StdRng, dim: usize, bound: i64, max_vecs: usize) -> Stencil {
+    loop {
+        let n = rng.gen_range(1..=max_vecs);
+        let vecs: Vec<IVec> = (0..n)
+            .map(|_| loop {
+                let v = IVec::from(
+                    (0..dim)
+                        .map(|_| rng.gen_range(-bound..=bound))
+                        .collect::<Vec<i64>>(),
+                );
+                if v.is_lex_positive() {
+                    return v;
+                }
+            })
+            .collect();
+        if let Ok(s) = Stencil::new(vecs) {
+            return s;
+        }
+    }
+}
+
+/// Invariant 5, on seeded random 2-D and 3-D stencils: every UOV that
+/// `uovs_within` enumerates stays a UOV after adding any stencil vector,
+/// checked by a cold oracle. The box reaches `Σvᵢ`, so no case is vacuous.
+#[test]
+fn uovs_are_upward_closed() {
+    let mut rng = StdRng::seed_from_u64(seed_from_env() ^ 0x0C10);
+    for case in 0..24 {
+        let dim = if case % 3 == 0 { 3 } else { 2 };
+        let s = random_stencil(&mut rng, dim, 2, 4);
+        let cold = DoneOracle::new(&s);
+        let initial = initial_uov(&s);
+        let radius = initial.as_slice().iter().map(|c| c.abs()).max();
+        let uovs = DoneOracle::new(&s).uovs_within(radius.unwrap_or(0));
+        assert!(uovs.contains(&initial), "case {case}: {s:?}");
+        for w in &uovs {
+            for v in &s {
+                let up = w + v;
+                assert!(
+                    cold.is_uov(&up),
+                    "case {case}: {w} is a UOV of {s:?} but {up} is not"
+                );
+            }
         }
     }
 }
@@ -264,29 +315,6 @@ impl ReferenceOracle {
 /// bitset/window engine must agree with it bit-for-bit on every verdict.
 mod reference_differential {
     use super::*;
-
-    /// Seeded random stencil in `dim` dimensions, mirroring the generator
-    /// used by `tests/differential.rs`.
-    fn random_stencil(rng: &mut StdRng, dim: usize, bound: i64, max_vecs: usize) -> Stencil {
-        loop {
-            let n = rng.gen_range(1..=max_vecs);
-            let vecs: Vec<IVec> = (0..n)
-                .map(|_| loop {
-                    let v = IVec::from(
-                        (0..dim)
-                            .map(|_| rng.gen_range(-bound..=bound))
-                            .collect::<Vec<i64>>(),
-                    );
-                    if v.is_lex_positive() {
-                        return v;
-                    }
-                })
-                .collect();
-            if let Ok(s) = Stencil::new(vecs) {
-                return s;
-            }
-        }
-    }
 
     /// DONE and DEAD verdicts agree with the reference oracle over a full
     /// coordinate box, on seeded random 2-D and 3-D stencils.
