@@ -4,19 +4,27 @@
 //! The tuner never guesses blindly and never dies loudly. Every legal
 //! `(t0, t1)` candidate is first *ranked* by replaying its access stream
 //! through a deliberately small [`uov_memsim::Machine`] over a scaled-down
-//! proxy domain — cheap, deterministic, and toolchain-free. Only the top K
-//! by simulated cycles are then emitted, compiled out-of-process, and
-//! wall-clock timed against the untiled baseline. Each rung of the ladder
-//! degrades independently:
+//! proxy domain — cheap, deterministic, and toolchain-free. The untiled
+//! baseline and the top K by simulated cycles are then emitted as
+//! variants of one program ([`emit_rust_variants`]) and compiled once,
+//! out of process: most of a `rustc` run is fixed cost, so one compile of
+//! K + 1 variants costs far less than K + 1 compiles. The binary is
+//! linked into the work directory under each variant's name (`baseline`,
+//! `tile_<t0>x<t1>`), and each variant runs in its own process, selected
+//! by the name it is invoked under, and is wall-clock timed against the
+//! baseline. The ladder degrades step by step:
 //!
 //! * no `rustc` on the machine → the report still ranks every candidate by
 //!   memsim cycles and says so via [`AutotuneReport::degraded`];
-//! * one candidate fails to compile, crashes, or hangs → that candidate is
-//!   marked ([`CandidateStatus`]) and tuning continues;
+//! * the one compile fails or times out, or the baseline run fails → an
+//!   `Err`, since nothing can be timed without them;
+//! * one candidate crashes or hangs → that candidate is marked
+//!   ([`CandidateStatus`]) and tuning continues;
 //! * a timed candidate whose schedule-invariant checksum disagrees with
 //!   the baseline is *disqualified*, not trusted.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use uov_isg::{IVec, RectDomain};
@@ -29,7 +37,7 @@ use uov_storage::OvMap;
 use crate::compile::{compile_rust, find_tool, run_kernel};
 use crate::error::CodegenError;
 use crate::kernel::{GenSchedule, KernelSpec};
-use crate::rust_src::emit_rust;
+use crate::rust_src::emit_rust_variants;
 
 /// Knobs for one [`autotune`] run. [`AutotuneConfig::default`] gives a
 /// search suitable for the kernel zoo.
@@ -39,7 +47,8 @@ pub struct AutotuneConfig {
     pub tiles0: Vec<i64>,
     /// Candidate tile extents along the inner (`v = f·i + j`) axis.
     pub tiles1: Vec<i64>,
-    /// How many memsim-ranked candidates to compile and wall-clock time.
+    /// How many memsim-ranked candidates to build (as variants of one
+    /// program, beside the untiled baseline) and wall-clock time.
     pub top_k: usize,
     /// Input seed passed to every generated binary.
     pub seed: u64,
@@ -50,12 +59,15 @@ pub struct AutotuneConfig {
     /// nonexistent file forces the memsim-only degradation path (used by
     /// fault-injection tests).
     pub rustc: Option<PathBuf>,
-    /// Wall-clock allowance per compile.
+    /// Wall-clock allowance for the one compile that builds the baseline
+    /// and every timed candidate together.
     pub compile_timeout: Duration,
     /// Wall-clock allowance per kernel run.
     pub run_timeout: Duration,
-    /// Where to write sources and binaries; a per-process temp dir when
-    /// `None`.
+    /// Where to write the program and link its variants (`baseline`,
+    /// `tile_<t0>x<t1>`), replacing files of those names; they stay for
+    /// the caller to run. When `None`, a fresh temporary directory that
+    /// is removed before [`autotune`] returns.
     pub work_dir: Option<PathBuf>,
     /// Per-axis caps on the proxy domain used for memsim ranking.
     pub proxy_extent: [i64; 2],
@@ -91,12 +103,10 @@ pub enum CandidateStatus {
     Ranked,
     /// Compiled, ran, checksum matched the baseline; `wall_ns` is valid.
     Timed,
-    /// The compiler rejected the generated source.
-    CompileFailed(String),
-    /// The binary crashed, exited nonzero, or produced a checksum that
+    /// The variant crashed, exited nonzero, or produced a checksum that
     /// disagrees with the untiled baseline.
     RunFailed(String),
-    /// The compile or run exceeded its allowance and was killed.
+    /// The variant's run exceeded its allowance and was killed.
     TimedOut,
 }
 
@@ -129,7 +139,7 @@ pub struct AutotuneReport {
     pub seed: u64,
     /// Skew factor the tiling was legalised with.
     pub skew_f: i64,
-    /// Wall-clock of the untiled (lexicographic) build, when compiled.
+    /// Wall-clock of the untiled (lexicographic) variant, when timed.
     pub baseline_wall_ns: Option<u128>,
     /// All candidates in memsim rank order (best simulated first).
     pub candidates: Vec<CandidateReport>,
@@ -268,10 +278,11 @@ fn rank_candidate(spec: &KernelSpec, f: i64, tile: [i64; 2]) -> u64 {
 /// # Errors
 ///
 /// Spec construction errors ([`CodegenError::UnsupportedDepth`] and
-/// friends) and I/O failures preparing the work directory. A missing
-/// toolchain is *not* an error: the report comes back memsim-ranked with
-/// [`AutotuneReport::degraded`] set. Per-candidate compile/run failures
-/// are recorded in that candidate's [`CandidateStatus`].
+/// friends), I/O failures in the work directory, a compile that fails or
+/// times out, and a failed baseline run. A missing toolchain is *not* an
+/// error: the report comes back memsim-ranked with
+/// [`AutotuneReport::degraded`] set. Per-candidate run failures are
+/// recorded in that candidate's [`CandidateStatus`].
 pub fn autotune(
     name: &str,
     nest: &LoopNest,
@@ -355,82 +366,26 @@ pub fn autotune(
         }
         Err(e) => return Err(e),
     };
-    let dir = match &cfg.work_dir {
-        Some(d) => d.clone(),
-        None => std::env::temp_dir().join(format!("uov-autotune-{}-{}", name, std::process::id())),
+    let (dir, temporary) = match &cfg.work_dir {
+        Some(d) => (d.clone(), false),
+        None => {
+            // Numbered per call: concurrent calls for one kernel name
+            // must not remove each other's directory.
+            let n = TEMP_DIRS.fetch_add(1, Ordering::Relaxed);
+            let pid = std::process::id();
+            let dir = std::env::temp_dir().join(format!("uov-autotune-{name}-{pid}-{n}"));
+            (dir, true)
+        }
     };
     std::fs::create_dir_all(&dir).map_err(|source| CodegenError::Io {
         what: format!("creating work dir {}", dir.display()),
         source,
     })?;
-
-    // Baseline: untiled, same storage. If even this fails, the whole
-    // timing rung is unusable — report it as a degradation-free error.
-    let base_src = dir.join("baseline.rs");
-    let base_bin = dir.join("baseline");
-    std::fs::write(&base_src, emit_rust(&base)).map_err(|source| CodegenError::Io {
-        what: format!("writing {}", base_src.display()),
-        source,
-    })?;
-    compile_rust(
-        &rustc,
-        &base_src,
-        &base_bin,
-        cfg.optimize,
-        cfg.compile_timeout,
-    )?;
-    let base_run = run_kernel(&base_bin, cfg.seed, cfg.reps, false, cfg.run_timeout)?;
-    report.baseline_wall_ns = Some(base_run.time_ns);
-
-    let k = cfg.top_k.min(report.candidates.len());
-    for idx in 0..k {
-        let tile = report.candidates[idx].tile;
-        let mut spec = base.clone();
-        spec.schedule = GenSchedule::SkewTiled { f, tile };
-        let stem = format!("tile_{}x{}", tile[0], tile[1]);
-        let src_path = dir.join(format!("{stem}.rs"));
-        let bin_path = dir.join(&stem);
-        if let Err(source) = std::fs::write(&src_path, emit_rust(&spec)) {
-            report.candidates[idx].status =
-                CandidateStatus::CompileFailed(format!("writing {}: {source}", src_path.display()));
-            continue;
-        }
-        match compile_rust(
-            &rustc,
-            &src_path,
-            &bin_path,
-            cfg.optimize,
-            cfg.compile_timeout,
-        ) {
-            Ok(()) => {}
-            Err(CodegenError::Timeout { .. }) => {
-                report.candidates[idx].status = CandidateStatus::TimedOut;
-                continue;
-            }
-            Err(e) => {
-                report.candidates[idx].status = CandidateStatus::CompileFailed(e.to_string());
-                continue;
-            }
-        }
-        match run_kernel(&bin_path, cfg.seed, cfg.reps, false, cfg.run_timeout) {
-            Ok(out) if out.check == base_run.check => {
-                report.candidates[idx].wall_ns = Some(out.time_ns);
-                report.candidates[idx].status = CandidateStatus::Timed;
-            }
-            Ok(out) => {
-                report.candidates[idx].status = CandidateStatus::RunFailed(format!(
-                    "checksum {:016x} disagrees with baseline {:016x}",
-                    out.check, base_run.check
-                ));
-            }
-            Err(CodegenError::Timeout { .. }) => {
-                report.candidates[idx].status = CandidateStatus::TimedOut;
-            }
-            Err(e) => {
-                report.candidates[idx].status = CandidateStatus::RunFailed(e.to_string());
-            }
-        }
+    let timed = time_top_k(&mut report, &base, f, &rustc, &dir, cfg);
+    if temporary {
+        let _ = std::fs::remove_dir_all(&dir);
     }
+    timed?;
     report.best = report
         .candidates
         .iter()
@@ -439,6 +394,84 @@ pub fn autotune(
         .min_by_key(|(_, c)| c.wall_ns.unwrap_or(u128::MAX))
         .map(|(i, _)| i);
     Ok(report)
+}
+
+/// Numbers the temporary work directories of one process.
+static TEMP_DIRS: AtomicU64 = AtomicU64::new(0);
+
+/// Build the untiled baseline and the top K candidates of `report` as
+/// variants of one program with one compile, link it into `dir` under
+/// each variant's name, and time each variant in its own process against
+/// the baseline's checksum.
+fn time_top_k(
+    report: &mut AutotuneReport,
+    base: &KernelSpec,
+    f: i64,
+    rustc: &Path,
+    dir: &Path,
+    cfg: &AutotuneConfig,
+) -> Result<(), CodegenError> {
+    let k = cfg.top_k.min(report.candidates.len());
+    let mut variants = vec![("baseline".to_string(), GenSchedule::Lex)];
+    variants.extend(report.candidates[..k].iter().map(|c| {
+        let name = format!("tile_{}x{}", c.tile[0], c.tile[1]);
+        (name, GenSchedule::SkewTiled { f, tile: c.tile })
+    }));
+    let src = dir.join("variants.rs");
+    let bin = dir.join("variants");
+    std::fs::write(&src, emit_rust_variants(base, &variants)).map_err(|source| {
+        CodegenError::Io {
+            what: format!("writing {}", src.display()),
+            source,
+        }
+    })?;
+    compile_rust(rustc, &src, &bin, cfg.optimize, cfg.compile_timeout)?;
+    for (name, _) in &variants {
+        link_variant(&bin, &dir.join(name))?;
+    }
+
+    // Every candidate's checksum is judged against the baseline's, so a
+    // failed baseline run leaves nothing to time.
+    let base_run = run_kernel(
+        &dir.join("baseline"),
+        cfg.seed,
+        cfg.reps,
+        false,
+        cfg.run_timeout,
+    )?;
+    report.baseline_wall_ns = Some(base_run.time_ns);
+    for (c, (name, _)) in report.candidates[..k].iter_mut().zip(&variants[1..]) {
+        c.status = match run_kernel(&dir.join(name), cfg.seed, cfg.reps, false, cfg.run_timeout) {
+            Ok(out) if out.check == base_run.check => {
+                c.wall_ns = Some(out.time_ns);
+                CandidateStatus::Timed
+            }
+            Ok(out) => CandidateStatus::RunFailed(format!(
+                "checksum {:016x} disagrees with baseline {:016x}",
+                out.check, base_run.check
+            )),
+            Err(CodegenError::Timeout { .. }) => CandidateStatus::TimedOut,
+            Err(e) => CandidateStatus::RunFailed(e.to_string()),
+        };
+    }
+    Ok(())
+}
+
+/// Make `to` name the program `bin`, replacing any file already there: a
+/// hard link, or a copy where the file system has none.
+fn link_variant(bin: &Path, to: &Path) -> Result<(), CodegenError> {
+    let io = |source| CodegenError::Io {
+        what: format!("linking {} as {}", bin.display(), to.display()),
+        source,
+    };
+    if let Err(e) = std::fs::remove_file(to) {
+        if e.kind() != std::io::ErrorKind::NotFound {
+            return Err(io(e));
+        }
+    }
+    std::fs::hard_link(bin, to)
+        .or_else(|_| std::fs::copy(bin, to).map(|_| ()))
+        .map_err(io)
 }
 
 #[cfg(test)]
@@ -534,5 +567,97 @@ mod tests {
         assert!(report.best.is_some());
         assert!(report.best_speedup().is_some());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A `rustc` stand-in that appends one line per call to `log`, then
+    /// runs the real compiler.
+    #[cfg(unix)]
+    fn logging_rustc(dir: &Path, log: &Path) -> PathBuf {
+        use std::os::unix::fs::PermissionsExt as _;
+        let real = find_tool("rustc", None).unwrap();
+        let wrapper = dir.join("rustc-wrapper");
+        let script = format!(
+            "#!/bin/sh\necho \"$@\" >> '{}'\nexec '{}' \"$@\"\n",
+            log.display(),
+            real.display()
+        );
+        std::fs::write(&wrapper, script).unwrap();
+        std::fs::set_permissions(&wrapper, std::fs::Permissions::from_mode(0o755)).unwrap();
+        wrapper
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn one_compile_builds_the_baseline_and_every_timed_tile() {
+        if find_tool("rustc", None).is_err() {
+            eprintln!("skipping: no rustc on PATH");
+            return;
+        }
+        let (nest, map) = small_stencil();
+        let root = std::env::temp_dir().join(format!("uov-autotune-once-{}", std::process::id()));
+        let work = root.join("work");
+        std::fs::create_dir_all(&work).unwrap();
+        // A stale file under a variant's name is replaced.
+        std::fs::write(work.join("baseline"), "stale").unwrap();
+        let log = root.join("rustc.log");
+        let cfg = AutotuneConfig {
+            tiles0: vec![2],
+            tiles1: vec![8, 16],
+            top_k: 2,
+            optimize: false,
+            proxy_extent: [6, 32],
+            rustc: Some(logging_rustc(&root, &log)),
+            work_dir: Some(work.clone()),
+            ..AutotuneConfig::default()
+        };
+        let report = autotune("stencil5", &nest, &[Some(&map)], 2, &cfg).unwrap();
+        let calls = std::fs::read_to_string(&log).unwrap();
+        assert_eq!(calls.lines().count(), 1, "rustc calls:\n{calls}");
+
+        let base = run_kernel(&work.join("baseline"), cfg.seed, 1, false, cfg.run_timeout).unwrap();
+        let timed: Vec<[i64; 2]> = report
+            .candidates
+            .iter()
+            .filter(|c| c.status == CandidateStatus::Timed)
+            .map(|c| c.tile)
+            .collect();
+        assert_eq!(timed.len(), 2);
+        for tile in timed {
+            let bin = work.join(format!("tile_{}x{}", tile[0], tile[1]));
+            let out = run_kernel(&bin, cfg.seed, 1, false, cfg.run_timeout).unwrap();
+            assert_eq!(out.check, base.check, "{}", bin.display());
+        }
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn temporary_work_dir_is_removed() {
+        if find_tool("rustc", None).is_err() {
+            eprintln!("skipping: no rustc on PATH");
+            return;
+        }
+        let (nest, map) = small_stencil();
+        let cfg = AutotuneConfig {
+            tiles0: vec![2],
+            tiles1: vec![8],
+            top_k: 1,
+            optimize: false,
+            proxy_extent: [6, 32],
+            ..AutotuneConfig::default()
+        };
+        let name = "temp_dir_probe";
+        let report = autotune(name, &nest, &[Some(&map)], 2, &cfg).unwrap();
+        assert!(report.best.is_some());
+        let dir = format!("uov-autotune-{name}-{}", std::process::id());
+        let left: Vec<_> = std::fs::read_dir(std::env::temp_dir())
+            .unwrap()
+            .filter_map(|e| e.ok())
+            .map(|e| e.path())
+            .filter(|p| {
+                let file = p.file_name().unwrap().to_string_lossy();
+                file == dir || file.starts_with(&format!("{dir}-"))
+            })
+            .collect();
+        assert!(left.is_empty(), "left behind: {left:?}");
     }
 }

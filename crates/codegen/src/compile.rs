@@ -49,6 +49,13 @@ struct Finished {
     stderr: String,
 }
 
+/// The first pause between two polls of a running child. Pauses double
+/// up to [`LONGEST_POLL`], so a short child is reaped about 0.1 ms after
+/// it exits and a long one costs few wakeups.
+const FIRST_POLL: Duration = Duration::from_micros(100);
+/// The longest pause between two polls of a running child.
+const LONGEST_POLL: Duration = Duration::from_millis(5);
+
 /// Run `cmd` to completion with a hard wall-clock allowance. The child is
 /// killed on expiry; reader threads drain stdout/stderr so a chatty child
 /// can never deadlock on a full pipe.
@@ -82,6 +89,7 @@ fn run_bounded(cmd: &mut Command, what: &str, timeout: Duration) -> Result<Finis
     let out_thread = drain(out_pipe);
     let err_thread = drain(err_pipe);
     let deadline = Instant::now() + timeout;
+    let mut pause = FIRST_POLL;
     let status = loop {
         match child
             .try_wait()
@@ -100,7 +108,8 @@ fn run_bounded(cmd: &mut Command, what: &str, timeout: Duration) -> Result<Finis
                         millis: timeout.as_millis() as u64,
                     });
                 }
-                std::thread::sleep(Duration::from_millis(5));
+                std::thread::sleep(pause);
+                pause = (pause * 2).min(LONGEST_POLL);
             }
         }
     };

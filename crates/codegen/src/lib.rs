@@ -15,11 +15,14 @@
 //! 1. [`KernelSpec`] — nest + per-statement storage decision + schedule;
 //! 2. [`emit_rust`] / [`emit_c`] — render the spec as a source program
 //!    speaking the `TIME_NS`/`CHECK`/`OUT` stdout protocol;
+//!    [`emit_rust_variants`] renders several loop orders of one spec as
+//!    variants of one program, picked by the name it is invoked under;
 //! 3. [`compile`] — out-of-process `rustc`/`cc` with hard timeouts and
 //!    typed failures, never a panic or a hang;
-//! 4. [`autotune`] — enumerate legal tile sizes, rank all of them on a
-//!    scaled-down `uov-memsim` machine, wall-clock the top K, and degrade
-//!    to memsim-only ranking when no toolchain exists.
+//! 4. [`autotune()`] — enumerate legal tile sizes, rank all of them on a
+//!    scaled-down `uov-memsim` machine, build the untiled baseline and the
+//!    top K with one compile, wall-clock each, and degrade to memsim-only
+//!    ranking when no toolchain exists.
 
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
@@ -38,4 +41,4 @@ pub use c_src::emit_c;
 pub use compile::{compile_c, compile_rust, find_tool, parse_output, run_kernel, RunOutput};
 pub use error::CodegenError;
 pub use kernel::{input_value, GenSchedule, KernelSpec, StmtAccess, StmtStorage};
-pub use rust_src::emit_rust;
+pub use rust_src::{emit_rust, emit_rust_variants};

@@ -8,14 +8,26 @@
 //! storage mapping makes the output bit-identical to the interpreter under
 //! every legal schedule.
 //!
+//! One program holds one or more *variants* of the spec: the same nest
+//! and storage under different loop orders ([`emit_rust_variants`]).
+//! The helpers and domain constants are emitted once; each variant's
+//! buffers, repetition loop and output live in an `#[inline(never)]`
+//! function of its own. `main` runs the variant named by the file name
+//! it was invoked under, so one compile serves them all: link the binary
+//! under each variant's name. A one-variant program ([`emit_rust`]) runs
+//! whatever its name.
+//!
 //! Protocol of the generated binary:
 //!
 //! ```text
-//! kernel [seed] [reps] [print]
+//! <variant> [seed] [reps] [print]
 //! TIME_NS <total-nanoseconds-for-all-reps>
 //! CHECK <16-hex schedule-invariant checksum>
 //! OUT <stmt> <lin> <16-hex f64 bits>     (one per point, when print=1)
 //! ```
+//!
+//! Invoked under a name that is not one of several variants, it prints
+//! the variant names to stderr and exits with status 2.
 //!
 //! [`input_value`]: crate::kernel::input_value
 
@@ -119,55 +131,15 @@ fn body(spec: &KernelSpec, indent: &str) -> String {
     out
 }
 
-/// Generate the complete Rust program for `spec`.
-pub fn emit_rust(spec: &KernelSpec) -> String {
+/// Append variant `v`'s function: `spec`'s buffers, the repetition loop
+/// over `schedule`, the timing and the output.
+fn emit_variant(out: &mut String, spec: &KernelSpec, v: usize, schedule: &GenSchedule) {
     let dom = spec.nest().domain();
     let (lo0, hi0) = (dom.lo()[0], dom.hi()[0]);
     let (lo1, hi1) = (dom.lo()[1], dom.hi()[1]);
-    let mut out = String::new();
-    let _ = writeln!(out, "// Generated by uov-codegen — do not edit.");
-    let _ = writeln!(out, "// kernel: {}", spec.name);
-    let _ = writeln!(out, "// schedule: {}", spec.schedule.describe());
-    for line in &spec.provenance {
-        let _ = writeln!(out, "// {line}");
-    }
     let _ = writeln!(
         out,
-        "#![allow(unused)]\n\
-         \n\
-         /// Deterministic input for imported (halo) elements; must match\n\
-         /// uov_codegen::kernel::input_value bit for bit.\n\
-         fn inp(seed: u64, array: usize, e0: i64, e1: i64) -> f64 {{\n\
-         \x20   let mut h = seed ^ (array as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);\n\
-         \x20   h = (h ^ (e0 as u64)).wrapping_mul(0x0000_0100_0000_01B3);\n\
-         \x20   h ^= h >> 29;\n\
-         \x20   h = (h ^ (e1 as u64)).wrapping_mul(0x0000_0100_0000_01B3);\n\
-         \x20   h ^= h >> 29;\n\
-         \x20   f64::from_bits((h >> 12) | 0x3FF0_0000_0000_0000)\n\
-         }}\n\
-         \n\
-         /// Schedule-invariant checksum mix: XOR-accumulated over points.\n\
-         fn mix(s: u64, i: i64, j: i64, bits: u64) -> u64 {{\n\
-         \x20   let mut h = s.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ bits;\n\
-         \x20   h = (h ^ (i as u64)).wrapping_mul(0x0000_0100_0000_01B3);\n\
-         \x20   h = (h ^ (j as u64)).wrapping_mul(0x0000_0100_0000_01B3);\n\
-         \x20   h ^ (h >> 31)\n\
-         }}\n\
-         \n\
-         fn fdiv(a: i64, b: i64) -> i64 {{\n\
-         \x20   let q = a / b;\n\
-         \x20   if a % b != 0 && (a < 0) != (b < 0) {{ q - 1 }} else {{ q }}\n\
-         }}\n"
-    );
-    let _ = writeln!(out, "const LO0: i64 = {lo0};\nconst HI0: i64 = {hi0};");
-    let _ = writeln!(out, "const LO1: i64 = {lo1};\nconst HI1: i64 = {hi1};\n");
-    let _ = writeln!(out, "fn main() {{");
-    let _ = writeln!(
-        out,
-        "    let args: Vec<String> = std::env::args().collect();\n\
-         \x20   let seed: u64 = args.get(1).and_then(|a| a.parse().ok()).unwrap_or(1);\n\
-         \x20   let reps: u32 = args.get(2).and_then(|a| a.parse().ok()).unwrap_or(1);\n\
-         \x20   let print_out = args.get(3).map(|a| a == \"1\").unwrap_or(false);"
+        "#[inline(never)]\nfn variant_{v}(seed: u64, reps: u32, print_out: bool) {{"
     );
     for (s, st) in spec.storage().iter().enumerate() {
         let _ = writeln!(out, "    let mut b{s}: Vec<f64> = vec![0.0; {}];", st.cells);
@@ -186,7 +158,7 @@ pub fn emit_rust(spec: &KernelSpec) -> String {
          \x20   for _rep in 0..reps {{\n\
          \x20       check = 0;"
     );
-    match &spec.schedule {
+    match schedule {
         GenSchedule::Lex => {
             let _ = writeln!(
                 out,
@@ -248,6 +220,107 @@ pub fn emit_rust(spec: &KernelSpec) -> String {
         }
         let _ = writeln!(out, "    }}");
     }
+    let _ = writeln!(out, "}}\n");
+}
+
+/// Generate the complete Rust program for `spec`: the one-variant case
+/// of [`emit_rust_variants`], so it runs whatever name it is invoked
+/// under.
+pub fn emit_rust(spec: &KernelSpec) -> String {
+    emit_rust_variants(spec, &[(spec.name.clone(), spec.schedule.clone())])
+}
+
+/// Generate one Rust program holding `spec` under each of `variants`'
+/// loop orders.
+///
+/// `spec` supplies the nest, the storage, capture and provenance; its
+/// own `schedule` is not used. Each variant supplies the file name that
+/// selects it and the schedule it runs. One compile then builds every
+/// variant; link the binary under each variant's name to run them. With
+/// several variants, a name that is none of them exits with status 2.
+pub fn emit_rust_variants(spec: &KernelSpec, variants: &[(String, GenSchedule)]) -> String {
+    let dom = spec.nest().domain();
+    let (lo0, hi0) = (dom.lo()[0], dom.hi()[0]);
+    let (lo1, hi1) = (dom.lo()[1], dom.hi()[1]);
+    let mut out = String::new();
+    let _ = writeln!(out, "// Generated by uov-codegen — do not edit.");
+    let _ = writeln!(out, "// kernel: {}", spec.name);
+    for (name, schedule) in variants {
+        let _ = writeln!(out, "// variant {name:?}: {}", schedule.describe());
+    }
+    for line in &spec.provenance {
+        let _ = writeln!(out, "// {line}");
+    }
+    let _ = writeln!(
+        out,
+        "#![allow(unused)]\n\
+         \n\
+         /// Deterministic input for imported (halo) elements; must match\n\
+         /// uov_codegen::kernel::input_value bit for bit.\n\
+         fn inp(seed: u64, array: usize, e0: i64, e1: i64) -> f64 {{\n\
+         \x20   let mut h = seed ^ (array as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);\n\
+         \x20   h = (h ^ (e0 as u64)).wrapping_mul(0x0000_0100_0000_01B3);\n\
+         \x20   h ^= h >> 29;\n\
+         \x20   h = (h ^ (e1 as u64)).wrapping_mul(0x0000_0100_0000_01B3);\n\
+         \x20   h ^= h >> 29;\n\
+         \x20   f64::from_bits((h >> 12) | 0x3FF0_0000_0000_0000)\n\
+         }}\n\
+         \n\
+         /// Schedule-invariant checksum mix: XOR-accumulated over points.\n\
+         fn mix(s: u64, i: i64, j: i64, bits: u64) -> u64 {{\n\
+         \x20   let mut h = s.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ bits;\n\
+         \x20   h = (h ^ (i as u64)).wrapping_mul(0x0000_0100_0000_01B3);\n\
+         \x20   h = (h ^ (j as u64)).wrapping_mul(0x0000_0100_0000_01B3);\n\
+         \x20   h ^ (h >> 31)\n\
+         }}\n\
+         \n\
+         fn fdiv(a: i64, b: i64) -> i64 {{\n\
+         \x20   let q = a / b;\n\
+         \x20   if a % b != 0 && (a < 0) != (b < 0) {{ q - 1 }} else {{ q }}\n\
+         }}\n"
+    );
+    let _ = writeln!(out, "const LO0: i64 = {lo0};\nconst HI0: i64 = {hi0};");
+    let _ = writeln!(out, "const LO1: i64 = {lo1};\nconst HI1: i64 = {hi1};\n");
+    for (v, (_, schedule)) in variants.iter().enumerate() {
+        emit_variant(&mut out, spec, v, schedule);
+    }
+    let _ = writeln!(
+        out,
+        "fn main() {{\n\
+         \x20   let args: Vec<String> = std::env::args().collect();\n\
+         \x20   let seed: u64 = args.get(1).and_then(|a| a.parse().ok()).unwrap_or(1);\n\
+         \x20   let reps: u32 = args.get(2).and_then(|a| a.parse().ok()).unwrap_or(1);\n\
+         \x20   let print_out = args.get(3).map(|a| a == \"1\").unwrap_or(false);"
+    );
+    if variants.len() == 1 {
+        let _ = writeln!(out, "    variant_0(seed, reps, print_out);");
+    } else {
+        let _ = writeln!(
+            out,
+            "    let name = args\n\
+             \x20       .first()\n\
+             \x20       .and_then(|a| std::path::Path::new(a).file_name())\n\
+             \x20       .and_then(|n| n.to_str())\n\
+             \x20       .unwrap_or(\"\");\n\
+             \x20   match name {{"
+        );
+        for (v, (name, _)) in variants.iter().enumerate() {
+            let _ = writeln!(
+                out,
+                "        {name:?} => variant_{v}(seed, reps, print_out),"
+            );
+        }
+        let names: Vec<&str> = variants.iter().map(|(n, _)| n.as_str()).collect();
+        let _ = writeln!(
+            out,
+            "        other => {{\n\
+             \x20           eprintln!(\"no variant named {{other:?}}; variants: {{}}\", {:?});\n\
+             \x20           std::process::exit(2);\n\
+             \x20       }}\n\
+             \x20   }}",
+            names.join(", ")
+        );
+    }
     let _ = writeln!(out, "}}");
     out
 }
@@ -277,6 +350,29 @@ mod tests {
         assert!(src.contains("TIME_NS"));
         assert!(src.contains("rem_euclid(2)"), "modterm expected:\n{src}");
         assert!(src.contains("for tu in"), "tile loops expected");
+    }
+
+    #[test]
+    fn variants_share_helpers_and_dispatch_on_name() {
+        let nest = examples::fig1_nest(4, 4);
+        let spec =
+            super::super::kernel::KernelSpec::new("fig1", &nest, &[], GenSchedule::Lex).unwrap();
+        let tiled = GenSchedule::SkewTiled { f: 1, tile: [2, 4] };
+        let src = emit_rust_variants(
+            &spec,
+            &[
+                ("baseline".to_string(), GenSchedule::Lex),
+                ("tile_2x4".to_string(), tiled),
+            ],
+        );
+        assert_eq!(src.matches("fn inp(").count(), 1);
+        assert_eq!(src.matches("const LO0").count(), 1);
+        assert_eq!(src.matches("#[inline(never)]").count(), 2);
+        assert!(src.contains("\"baseline\" => variant_0(seed, reps, print_out)"));
+        assert!(src.contains("\"tile_2x4\" => variant_1(seed, reps, print_out)"));
+        let single = emit_rust(&spec);
+        assert!(single.contains("    variant_0(seed, reps, print_out);"));
+        assert!(!single.contains("match name"));
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //!    The certificate transcript hash of the plan is stamped into the
 //!    emitted source's provenance header.
 //! 2. [`uov::codegen::autotune`] — memsim-ranked tile-size search with
-//!    wall-clock timing of the top K, degrading to simulation-only
-//!    ranking when no `rustc` is on the `PATH`.
+//!    wall-clock timing of the top K (built with the untiled baseline by
+//!    one `rustc` call), degrading to simulation-only ranking when no
+//!    `rustc` is on the `PATH`.
 //!
 //! Run with: `cargo run --release --example generate_and_tune`
 
@@ -64,7 +65,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             match &c.status {
                 CandidateStatus::Ranked => "ranked",
                 CandidateStatus::Timed => "timed",
-                CandidateStatus::CompileFailed(_) => "compile failed",
                 CandidateStatus::RunFailed(_) => "run failed",
                 CandidateStatus::TimedOut => "timed out",
             }

@@ -7,8 +7,9 @@
 //! run over the same deterministic inputs:
 //!
 //! * natural storage, lexicographic order;
-//! * UOV-mapped storage, lexicographic order;
-//! * UOV-mapped storage, skew-tiled at three tile sizes;
+//! * UOV-mapped storage, lexicographic order and skew-tiled at three tile
+//!   sizes: four variants of one program, compiled once and run under
+//!   each variant's name (a name that is no variant must fail typed);
 //! * (stencil5 only) the blocked modterm layout, and the C99 twin when a
 //!   C compiler is present.
 //!
@@ -22,8 +23,9 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use uov::codegen::{
-    autotune, compile_c, compile_rust, emit_c, emit_rust, find_tool, input_value, run_kernel,
-    AutotuneConfig, CandidateStatus, CodegenError, DegradeReason, GenSchedule, KernelSpec,
+    autotune, compile_c, compile_rust, emit_c, emit_rust, emit_rust_variants, find_tool,
+    input_value, run_kernel, AutotuneConfig, CandidateStatus, CodegenError, DegradeReason,
+    GenSchedule, KernelSpec,
 };
 use uov::isg::{IVec, IterationDomain as _};
 use uov::kernels::zoo;
@@ -66,15 +68,27 @@ fn reference_bits(spec: &KernelSpec, seed: u64) -> Vec<Vec<u64>> {
     bits
 }
 
-/// Compile `spec` (Rust), run it, and assert its captured values equal
-/// the interpreter reference bit for bit.
-fn assert_rust_matches_reference(spec: &KernelSpec, seed: u64, dir: &Path, tag: &str) -> u64 {
+/// Compile the Rust program `code` to `dir/<tag>`.
+fn compile_in(dir: &Path, tag: &str, code: &str) -> PathBuf {
     let rustc = find_tool("rustc", None).expect("differential suite needs rustc on PATH");
     let src = dir.join(format!("{tag}.rs"));
     let bin = dir.join(tag);
-    std::fs::write(&src, emit_rust(spec)).unwrap();
+    std::fs::write(&src, code).unwrap();
     compile_rust(&rustc, &src, &bin, false, COMPILE_T).unwrap();
-    let out = run_kernel(&bin, seed, 1, true, RUN_T).unwrap();
+    bin
+}
+
+/// Compile `spec` (Rust), run it, and assert its captured values equal
+/// the interpreter reference bit for bit.
+fn assert_rust_matches_reference(spec: &KernelSpec, seed: u64, dir: &Path, tag: &str) -> u64 {
+    let bin = compile_in(dir, tag, &emit_rust(spec));
+    assert_run_matches_reference(&bin, spec, seed, tag)
+}
+
+/// Run `bin` with `print = 1` and assert its captured values equal the
+/// interpreter reference for `spec`'s nest bit for bit.
+fn assert_run_matches_reference(bin: &Path, spec: &KernelSpec, seed: u64, tag: &str) -> u64 {
+    let out = run_kernel(bin, seed, 1, true, RUN_T).unwrap();
     let expect = reference_bits(spec, seed);
     let total: usize = expect.iter().map(|v| v.len()).sum();
     assert_eq!(out.outs.len(), total, "{tag}: capture line count");
@@ -95,38 +109,57 @@ fn compiled_zoo_matches_interpreter_at_three_tile_sizes() {
     for entry in zoo::all_small() {
         let maps = entry.maps(Layout::Interleaved);
         let map_refs: Vec<Option<&OvMap>> = maps.iter().map(|m| m.as_ref()).collect();
-        let mk = |schedule: GenSchedule| {
-            KernelSpec::new(entry.name, &entry.nest, &map_refs, schedule).unwrap()
-        };
 
         // Natural storage, untiled: the baseline shape.
         let natural = KernelSpec::new(entry.name, &entry.nest, &[], GenSchedule::Lex).unwrap();
         let check_nat =
             assert_rust_matches_reference(&natural, seed, &dir, &format!("{}_nat", entry.name));
 
-        // Mapped, untiled.
-        let check_lex = assert_rust_matches_reference(
-            &mk(GenSchedule::Lex),
-            seed,
+        // Mapped, untiled and tiled at three tile sizes: variants of one
+        // program, each run under its own name.
+        let mapped = KernelSpec::new(entry.name, &entry.nest, &map_refs, GenSchedule::Lex).unwrap();
+        let mut variants = vec![(format!("{}_lex", entry.name), GenSchedule::Lex)];
+        for tile in [[2, 4], [3, 8], [5, 16]] {
+            let name = format!("{}_t{}x{}", entry.name, tile[0], tile[1]);
+            let f = entry.skew_f;
+            variants.push((name, GenSchedule::SkewTiled { f, tile }));
+        }
+        let bin = compile_in(
             &dir,
-            &format!("{}_lex", entry.name),
+            &format!("{}_mapped", entry.name),
+            &emit_rust_variants(&mapped, &variants),
         );
+        let mut checks = Vec::new();
+        for (name, _) in &variants {
+            let link = dir.join(name);
+            std::fs::hard_link(&bin, &link).unwrap();
+            checks.push(assert_run_matches_reference(&link, &mapped, seed, name));
+        }
         assert_eq!(
-            check_nat, check_lex,
+            check_nat, checks[0],
             "{}: schedule-invariant checksum must not depend on storage",
             entry.name
         );
-
-        // Mapped, tiled at three tile sizes.
-        for tile in [[2, 4], [3, 8], [5, 16]] {
-            let spec = mk(GenSchedule::SkewTiled {
-                f: entry.skew_f,
-                tile,
-            });
-            let tag = format!("{}_t{}x{}", entry.name, tile[0], tile[1]);
-            let check = assert_rust_matches_reference(&spec, seed, &dir, &tag);
-            assert_eq!(check, check_lex, "{tag}: tiled checksum drifted");
+        for ((name, _), check) in variants.iter().zip(&checks).skip(1) {
+            assert_eq!(*check, checks[0], "{name}: tiled checksum drifted");
         }
+
+        // Under a name that is none of its variants the program refuses
+        // to run.
+        let stray = dir.join(format!("{}_stray", entry.name));
+        std::fs::hard_link(&bin, &stray).unwrap();
+        let err = run_kernel(&stray, seed, 1, false, RUN_T).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                CodegenError::RunFailed {
+                    status: Some(2),
+                    ..
+                }
+            ),
+            "{}: expected RunFailed, got {err}",
+            entry.name
+        );
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
