@@ -14,15 +14,16 @@
 //! port and prints it) or Unix sockets (`unix:/tmp/uov.sock`). `query`
 //! accepts a comma-separated replica list and plans through the routed
 //! client, which sends each problem to its consistent-hash home replica
-//! and fails over along the ring.
+//! and fails over along the ring. A flag the subcommand does not know
+//! is an error (exit status 2), never silently ignored.
 
 use std::process::ExitCode;
 use std::time::Duration;
 
 use uov_isg::{IVec, RectDomain, Stencil};
 use uov_service::{
-    serve, Client, LoadGenConfig, MeshClient, MeshConfig, ObjectiveSpec, PlanRequest, QuotaConfig,
-    ServerConfig, TenantQuota, FLAG_NO_CACHE,
+    serve, Client, LoadGenConfig, MeshClient, MeshConfig, ObjectiveSpec, PlanRequest, ServerConfig,
+    FLAG_NO_CACHE,
 };
 
 fn main() -> ExitCode {
@@ -51,8 +52,6 @@ fn main() -> ExitCode {
 
 const USAGE: &str = "usage:
   uov-service serve  <endpoint> [--workers N] [--queue N] [--cache N] [--search-threads N] [--warm-cache PATH] [--wedge-timeout MS]
-                                [--degrade-watermark N] [--tenant-rate N] [--tenant-burst N] [--tenant-inflight N]
-                                [--tenant-quota T:RATE:BURST:INFLIGHT[:WEIGHT] …]
   uov-service query  <endpoint[,endpoint…]> --stencil \"1,0;0,1;1,1\" [--grid N,M] [--deadline MS] [--no-cache] [--replication K]
   uov-service smoke  <endpoint>
   uov-service health <endpoint>
@@ -77,11 +76,29 @@ fn opt_parse<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> R
     }
 }
 
-fn endpoint_of(args: &[String]) -> Result<&str, String> {
-    args.first()
+/// The endpoint at the front of `args`, after checking that everything
+/// behind it is one of the subcommand's flags: one of `valued` followed
+/// by its value, or one of `bare`.
+fn endpoint_of<'a>(args: &'a [String], valued: &[&str], bare: &[&str]) -> Result<&'a str, String> {
+    let endpoint = args
+        .first()
         .map(String::as_str)
         .filter(|a| !a.starts_with("--"))
-        .ok_or_else(|| format!("missing endpoint\n{USAGE}"))
+        .ok_or_else(|| format!("missing endpoint\n{USAGE}"))?;
+    let mut rest = args[1..].iter().map(String::as_str);
+    while let Some(arg) = rest.next() {
+        if valued.contains(&arg) {
+            rest.next();
+        } else if !bare.contains(&arg) {
+            let what = if arg.starts_with("--") {
+                "unknown flag"
+            } else {
+                "unexpected argument"
+            };
+            return Err(format!("{what} `{arg}`\n{USAGE}"));
+        }
+    }
+    Ok(endpoint)
 }
 
 /// Parse `"1,0;0,1;1,1"` into a stencil.
@@ -108,66 +125,19 @@ fn parse_grid(spec: &str) -> Result<RectDomain, String> {
     Ok(RectDomain::grid(n as i64, m as i64))
 }
 
-/// Parse one `--tenant-quota T:RATE:BURST:INFLIGHT[:WEIGHT]` spec.
-fn parse_tenant_quota(spec: &str) -> Result<(u32, TenantQuota), String> {
-    let parts: Vec<&str> = spec.split(':').collect();
-    if !(4..=5).contains(&parts.len()) {
-        return Err(format!(
-            "--tenant-quota wants T:RATE:BURST:INFLIGHT[:WEIGHT], got `{spec}`"
-        ));
-    }
-    let field = |i: usize| -> Result<u64, String> {
-        parts[i]
-            .trim()
-            .parse()
-            .map_err(|_| format!("invalid --tenant-quota field `{}`", parts[i]))
-    };
-    Ok((
-        field(0)? as u32,
-        TenantQuota {
-            tokens_per_sec: field(1)?,
-            burst: field(2)?,
-            max_inflight: field(3)?,
-            weight: if parts.len() == 5 {
-                field(4)? as u32
-            } else {
-                1
-            },
-        },
-    ))
-}
-
 fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let endpoint = endpoint_of(args)?;
-    let base = TenantQuota::default();
-    let default_quota = TenantQuota {
-        tokens_per_sec: opt_parse(args, "--tenant-rate", base.tokens_per_sec)?,
-        burst: opt_parse(args, "--tenant-burst", base.burst)?,
-        max_inflight: opt_parse(args, "--tenant-inflight", base.max_inflight)?,
-        weight: base.weight,
-    };
-    let mut tenants = std::collections::HashMap::new();
-    let mut i = 0;
-    while let Some(pos) = args[i..].iter().position(|a| a == "--tenant-quota") {
-        let at = i + pos;
-        let spec = args
-            .get(at + 1)
-            .ok_or_else(|| "--tenant-quota needs a value".to_string())?;
-        let (tenant, quota) = parse_tenant_quota(spec)?;
-        tenants.insert(tenant, quota);
-        i = at + 2;
-    }
-    let quota_flags = ["--tenant-rate", "--tenant-burst", "--tenant-inflight"]
-        .iter()
-        .any(|f| args.iter().any(|a| a == f));
-    let quotas = if quota_flags || !tenants.is_empty() {
-        Some(QuotaConfig {
-            default: default_quota,
-            tenants,
-        })
-    } else {
-        None
-    };
+    let endpoint = endpoint_of(
+        args,
+        &[
+            "--workers",
+            "--queue",
+            "--cache",
+            "--search-threads",
+            "--warm-cache",
+            "--wedge-timeout",
+        ],
+        &[],
+    )?;
     let config = ServerConfig {
         workers: opt_parse(args, "--workers", ServerConfig::default().workers)?,
         queue_depth: opt_parse(args, "--queue", ServerConfig::default().queue_depth)?,
@@ -175,8 +145,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         cache_capacity: opt_parse(args, "--cache", ServerConfig::default().cache_capacity)?,
         warm_cache: opt(args, "--warm-cache")?.map(std::path::PathBuf::from),
         wedge_timeout: Duration::from_millis(opt_parse(args, "--wedge-timeout", 0u64)?),
-        degrade_watermark: opt_parse(args, "--degrade-watermark", 0usize)?,
-        quotas,
         ..ServerConfig::default()
     };
     let server = serve(endpoint, config).map_err(|e| e.to_string())?;
@@ -195,7 +163,11 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_query(args: &[String]) -> Result<(), String> {
-    let endpoint = endpoint_of(args)?;
+    let endpoint = endpoint_of(
+        args,
+        &["--stencil", "--grid", "--deadline", "--replication"],
+        &["--no-cache"],
+    )?;
     let stencil = parse_stencil(opt(args, "--stencil")?.ok_or("query needs --stencil")?)?;
     let objective = match opt(args, "--grid")? {
         Some(g) => ObjectiveSpec::KnownBounds(parse_grid(g)?),
@@ -249,7 +221,7 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
 /// synchronized burst must coalesce at least one request onto an
 /// in-flight search. Exits non-zero on any violation.
 fn cmd_smoke(args: &[String]) -> Result<(), String> {
-    let endpoint = endpoint_of(args)?;
+    let endpoint = endpoint_of(args, &[], &[])?;
 
     // Cold pass populates the cache; warm pass must run >90% hit rate.
     let cfg = LoadGenConfig {
@@ -307,7 +279,7 @@ fn cmd_smoke(args: &[String]) -> Result<(), String> {
 /// Probe liveness/readiness. Exit code 0 iff the server is ready, so
 /// orchestration scripts can gate on it directly.
 fn cmd_health(args: &[String]) -> Result<(), String> {
-    let endpoint = endpoint_of(args)?;
+    let endpoint = endpoint_of(args, &[], &[])?;
     let mut client = Client::connect(endpoint).map_err(|e| e.to_string())?;
     client
         .set_timeout(Some(Duration::from_secs(10)))
@@ -326,7 +298,7 @@ fn cmd_health(args: &[String]) -> Result<(), String> {
 
 /// Dump the server's traffic/fault counters and cache counters.
 fn cmd_stats(args: &[String]) -> Result<(), String> {
-    let endpoint = endpoint_of(args)?;
+    let endpoint = endpoint_of(args, &[], &[])?;
     let mut client = Client::connect(endpoint).map_err(|e| e.to_string())?;
     client
         .set_timeout(Some(Duration::from_secs(10)))
@@ -349,12 +321,6 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
     println!("| worker restarts | {} |", s.server.worker_restarts);
     println!("| warm-load corrupt | {} |", s.server.warm_load_corrupt);
     println!("| warm-load version | {} |", s.server.warm_load_version);
-    println!("| shed over quota | {} |", s.server.shed_over_quota);
-    println!(
-        "| degraded under pressure | {} |",
-        s.server.degraded_under_pressure
-    );
-    println!("| batch frames | {} |", s.server.batch_frames);
     println!("| idle timeouts | {} |", s.server.idle_timeouts);
     println!("| cache hits | {} |", s.cache.hits);
     println!("| cache misses | {} |", s.cache.misses);
@@ -365,14 +331,11 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
         s.cache.replicated_entries
     );
     println!("| cache replica hits | {} |", s.cache.replica_hits);
-    for g in &s.tenants {
-        println!("| tenant {} in-flight | {} |", g.tenant, g.inflight);
-    }
     Ok(())
 }
 
 fn cmd_shutdown(args: &[String]) -> Result<(), String> {
-    let endpoint = endpoint_of(args)?;
+    let endpoint = endpoint_of(args, &[], &[])?;
     let mut client = Client::connect(endpoint).map_err(|e| e.to_string())?;
     client.shutdown_server().map_err(|e| e.to_string())?;
     println!("shutdown acknowledged");

@@ -14,14 +14,13 @@
 //!   them gracefully, and restarts them on their original ports.
 //!
 //! The proxy is frame-aware: it learns each frame's extent from the
-//! protocol's own header parse (both header versions, so tenant-stamped
-//! traffic is framed like anonymous traffic), then applies at most one
-//! fault per frame. Bit-flips target the payload/CRC region so the
-//! receiver's CRC check — not luck — is what catches them; truncation
-//! closes the socket mid-frame to exercise torn-read handling; stalls
-//! hold the connection silent long past the client's attempt timeout to
-//! exercise half-open detection. Bytes that do not parse as a frame
-//! header are pumped opaquely so the proxy never deadlocks on garbage.
+//! protocol's own header parse, then applies at most one fault per
+//! frame. Bit-flips target the payload/CRC region so the receiver's CRC
+//! check — not luck — is what catches them; truncation closes the
+//! socket mid-frame to exercise torn-read handling; stalls hold the
+//! connection silent long past the client's attempt timeout to exercise
+//! half-open detection. Bytes that do not parse as a frame header are
+//! pumped opaquely so the proxy never deadlocks on garbage.
 //!
 //! # Network partitions
 //!
@@ -426,7 +425,7 @@ fn pump(
     let mut frame = Vec::new();
     loop {
         let header_len = match read_raw_frame(&mut reader, &mut frame) {
-            Ok(Some(header)) => header.header_len,
+            Ok(Some(header)) => header.header_len(),
             Ok(None) | Err(ServiceError::ConnectionClosed | ServiceError::Io(_)) => break,
             Err(_) => {
                 // Not a frame header: forward what was read, then copy
@@ -724,41 +723,6 @@ mod tests {
         let stats = proxy.stop();
         assert!(stats.partition_holds >= 1, "{stats:?}");
         assert_eq!(stats.resets + stats.truncations + stats.bit_flips, 0);
-        server.shutdown();
-        server.join();
-    }
-
-    #[test]
-    fn partitions_hold_tenant_stamped_frames() {
-        let server = serve("127.0.0.1:0", ServerConfig::default()).unwrap();
-        let proxy = ChaosProxy::start(server.endpoint(), ChaosConfig::default()).unwrap();
-        let mut client = Client::connect(proxy.endpoint()).unwrap();
-        client.set_tenant(7);
-        client.plan(&fig1_request()).unwrap();
-
-        // Version-2 frames are framed like version-1 ones, so the
-        // partition holds the second request instead of pumping it
-        // through unframed.
-        proxy.partition_symmetric();
-        client
-            .set_timeout(Some(Duration::from_millis(300)))
-            .unwrap();
-        assert!(client.plan(&fig1_request()).is_err());
-        assert_eq!(
-            server.stats().requests,
-            1,
-            "a held frame reached the server"
-        );
-
-        // Healed: the held request is delivered, not dropped.
-        proxy.heal();
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while server.stats().requests < 2 && std::time::Instant::now() < deadline {
-            thread::sleep(Duration::from_millis(5));
-        }
-        assert_eq!(server.stats().requests, 2);
-        let stats = proxy.stop();
-        assert!(stats.partition_holds >= 1, "{stats:?}");
         server.shutdown();
         server.join();
     }

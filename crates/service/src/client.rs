@@ -5,8 +5,8 @@ use std::time::Duration;
 
 use crate::error::ServiceError;
 use crate::proto::{
-    kind, read_frame, write_frame, BatchRequest, BatchResponse, ErrorResponse, Frame,
-    HealthResponse, PlanRequest, PlanResponse, ReplicateRequest, ReplicateResponse, StatsResponse,
+    kind, read_frame, write_frame, ErrorResponse, Frame, HealthResponse, PlanRequest, PlanResponse,
+    ReplicateRequest, ReplicateResponse, StatsResponse,
 };
 use crate::server::AnyStream;
 
@@ -25,12 +25,6 @@ pub struct Client {
     stream: AnyStream,
     endpoint: String,
     timeout: Option<Duration>,
-    /// Tenant id stamped into request frame headers for the server's
-    /// admission quotas. Tenant 0 (the default) keeps the version-1
-    /// frame layout byte-for-byte; any other tenant upgrades request
-    /// frames to the version-2 tenant header. Responses are always
-    /// version 1 either way.
-    tenant: u32,
 }
 
 impl Client {
@@ -46,25 +40,12 @@ impl Client {
             stream,
             endpoint: endpoint.to_string(),
             timeout: None,
-            tenant: 0,
         })
     }
 
     /// The endpoint this client dials.
     pub fn endpoint(&self) -> &str {
         &self.endpoint
-    }
-
-    /// Identify as `tenant` for quota accounting on every subsequent
-    /// request. Tenant 0 is the anonymous default and keeps the v1
-    /// frame layout on the wire.
-    pub fn set_tenant(&mut self, tenant: u32) {
-        self.tenant = tenant;
-    }
-
-    /// The tenant id stamped into this client's request frames.
-    pub fn tenant(&self) -> u32 {
-        self.tenant
     }
 
     /// Cap how long [`Client::plan`] waits for a response frame.
@@ -130,7 +111,7 @@ impl Client {
         req_kind: u8,
         payload: &[u8],
     ) -> Result<Option<Frame>, ServiceError> {
-        write_frame(&mut self.stream, req_kind, self.tenant, payload)?;
+        write_frame(&mut self.stream, req_kind, payload)?;
         read_frame(&mut self.stream)
     }
 
@@ -171,23 +152,6 @@ impl Client {
     pub fn plan(&mut self, req: &PlanRequest) -> Result<PlanResponse, ServiceError> {
         let frame = self.exchange(kind::REQ_PLAN, &req.encode())?;
         Self::response(frame, kind::RESP_PLAN, PlanResponse::decode)
-    }
-
-    /// Send a multi-plan batch — one frame, one round trip, one answer
-    /// per entry — amortizing framing and syscalls across a whole
-    /// program's loop nests. Entries succeed or fail independently;
-    /// the whole frame is rejected only by admission control (quota,
-    /// overload, drain) or a malformed batch envelope. Idempotent like
-    /// [`Client::plan`], so the single-reconnect discipline applies.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::Rejected`] when the server sheds the whole batch
-    /// with a typed error frame; the transport taxonomy of
-    /// [`read_frame`] otherwise.
-    pub fn plan_batch(&mut self, req: &BatchRequest) -> Result<BatchResponse, ServiceError> {
-        let frame = self.exchange(kind::REQ_BATCH, &req.encode())?;
-        Self::response(frame, kind::RESP_BATCH, BatchResponse::decode)
     }
 
     /// Push one certified plan-cache entry to this server (neighbor

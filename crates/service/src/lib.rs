@@ -10,12 +10,10 @@
 //!   [`uov_core::wire`] primitives as the checkpoint format, and the one
 //!   frame codec every reader and writer in the crate uses.
 //! * [`server`] — an epoll readiness loop (so the crate builds on Linux
-//!   only) feeding a fixed compute pool through a weighted-fair
-//!   per-tenant scheduler: typed admission control (`Overloaded`),
-//!   per-tenant token-bucket quotas and in-flight caps, idle/slow-loris
-//!   read deadlines, degrade-under-pressure to the certified `Σvᵢ` fast
-//!   path, per-request deadline budgets, panic isolation, and graceful
-//!   drain on shutdown.
+//!   only) feeding a fixed compute pool through a bounded FIFO queue:
+//!   one admission rule (a full queue sheds with a typed `Overloaded`),
+//!   idle/slow-loris read deadlines, per-request deadline budgets, panic
+//!   isolation, and graceful drain on shutdown.
 //! * [`plan_cache`] — a canonicalizing plan cache: requests are reduced
 //!   modulo coordinate permutation ([`canon`]) and keyed by the
 //!   workspace-standard fingerprint into a sharded LRU, with
@@ -28,8 +26,8 @@
 //!   list: consistent-hash routing (each canonical problem has a home
 //!   shard, with deterministic ring failover), per-attempt timeouts,
 //!   seeded jittered backoff, per-shard circuit breakers, optional
-//!   hedging, a per-client tenant on every frame, neighbor replication
-//!   of certified answers, and a replayable decision log.
+//!   hedging, neighbor replication of certified answers, and a
+//!   replayable decision log.
 //! * [`chaos`] — a deterministic seeded chaos proxy (resets, stalls,
 //!   latency spikes, truncation, bit-flips) and a replica kill/restart
 //!   orchestrator, turning every resilience claim into a repeatable test.
@@ -58,11 +56,10 @@ pub use loadgen::{coalescing_burst, run as run_loadgen, BurstReport, LoadGenConf
 pub use mesh::{FailureClass, MeshClient, MeshConfig, MeshEvent, MeshStats, Ring};
 pub use plan_cache::{CacheStats, PlanCache, Planned, WarmCacheError};
 pub use proto::{
-    BatchRequest, BatchResponse, CacheOutcome, DegradationCode, HealthResponse, ObjectiveSpec,
-    PlanRequest, PlanResponse, ReplicateRequest, ReplicateResponse, StatsResponse, TenantGauge,
-    FLAG_NO_CACHE, MAX_BATCH_ENTRIES,
+    CacheOutcome, DegradationCode, HealthResponse, ObjectiveSpec, PlanRequest, PlanResponse,
+    ReplicateRequest, ReplicateResponse, StatsResponse, FLAG_NO_CACHE,
 };
-pub use server::{serve, QuotaConfig, ServerConfig, ServerHandle, ServerStats, TenantQuota};
+pub use server::{serve, ServerConfig, ServerHandle, ServerStats};
 
 /// Former names of [`MeshClient`] and [`MeshConfig`]. They exist solely
 /// because the benchmark (`perfbench/src/serve.rs`) still names them and

@@ -31,14 +31,12 @@
 //!   and a mismatch is the hard error [`ServiceError::ReplicaDivergence`]:
 //!   the client never silently picks one of two disagreeing replicas.
 //!
-//! Every frame the client sends carries its tenant
-//! ([`MeshClient::set_tenant`]). Routed plans and batches record every
-//! outcome on one circuit breaker per shard; retries back off through
-//! one jittered backoff and stop on one hard-error check. Every exchange
-//! goes through one pooled connection per shard. Every decision lands
-//! in one [`MeshEvent`] log that records *choices, never wall-clock
-//! readings*, so a run replays event for event under the same seed and
-//! fault schedule.
+//! Routed plans record every outcome on one circuit breaker per shard;
+//! retries back off through one jittered backoff and stop on one
+//! hard-error check. Every exchange goes through one pooled connection
+//! per shard. Every decision lands in one [`MeshEvent`] log that records
+//! *choices, never wall-clock readings*, so a run replays event for
+//! event under the same seed and fault schedule.
 //!
 //! One search is never split across replicas: DESIGN.md's "Why there is
 //! no distributed search" gives the measurements.
@@ -53,7 +51,6 @@
 //! the deterministic failover order lands on a warm, certified hit
 //! instead of a cold solve.
 
-use std::collections::HashMap;
 use std::io;
 use std::sync::mpsc;
 use std::thread;
@@ -65,10 +62,7 @@ use crate::canon::canonicalize;
 use crate::client::Client;
 use crate::error::{ErrorCode, ServiceError};
 use crate::loadgen::XorShift64;
-use crate::proto::{
-    BatchRequest, BatchResponse, CacheOutcome, DegradationCode, ErrorResponse, PlanRequest,
-    PlanResponse, ReplicateRequest, MAX_BATCH_ENTRIES,
-};
+use crate::proto::{CacheOutcome, DegradationCode, PlanRequest, PlanResponse, ReplicateRequest};
 
 // ------------------------------------------------------------------ ring
 
@@ -206,14 +200,6 @@ pub struct MeshStats {
     /// Certified answers offered to neighbor replicas (the receiver may
     /// still refuse to store one that fails re-certification).
     pub replicas_pushed: u64,
-    /// Batch requests routed (each may fan out to several shards).
-    pub batches_routed: u64,
-    /// Per-shard sub-batches sent beyond the first for a single batch:
-    /// the extra frames paid because entries hashed to different homes.
-    pub batch_splits: u64,
-    /// Batch entries that fell back to individual routed plans after a
-    /// shard's sub-batch attempt failed.
-    pub batch_fallbacks: u64,
 }
 
 /// Why an exchange with a shard failed, coarse enough to be
@@ -362,8 +348,6 @@ pub struct MeshClient {
     rng: XorShift64,
     events: Vec<MeshEvent>,
     stats: MeshStats,
-    /// Tenant id stamped into every request frame (0 = anonymous).
-    tenant: u32,
 }
 
 /// One plan exchange reported back from a hedging thread: the shard, its
@@ -394,19 +378,7 @@ impl MeshClient {
             rng: XorShift64::new(seed),
             events: Vec::new(),
             stats: MeshStats::default(),
-            tenant: 0,
         })
-    }
-
-    /// Identify as `tenant` for quota accounting. Every frame the client
-    /// sends from now on — routed plans, batches and replication pushes —
-    /// carries it, on pooled connections as well as new ones. Tenant 0 is
-    /// the anonymous default.
-    pub fn set_tenant(&mut self, tenant: u32) {
-        self.tenant = tenant;
-        for conn in self.conns.iter_mut().flatten() {
-            conn.set_tenant(tenant);
-        }
     }
 
     /// The decision log accumulated so far.
@@ -490,118 +462,6 @@ impl MeshClient {
             attempts: max_attempts,
             last: Box::new(last.unwrap_or(ServiceError::ConnectionClosed)),
         })
-    }
-
-    /// Plan a whole batch through the ring.
-    ///
-    /// Entries are grouped by home shard — the consistent-hash route of
-    /// each entry's canonical fingerprint — so a batch whose entries
-    /// hash to different homes is split client-side into one sub-batch
-    /// frame per shard, then the per-entry outcomes are merged back
-    /// into the caller's original order. When a shard's sub-batch
-    /// attempt fails, its entries fall back to individual
-    /// [`MeshClient::plan`] calls (failover, breakers, and backoff then
-    /// apply per entry), so one sick shard cannot sink the whole batch.
-    ///
-    /// Fresh, full-fidelity answers are replicated to ring successors
-    /// exactly as [`MeshClient::plan`] replicates them; cache hits and
-    /// degraded answers are never offered.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::Malformed`] for an empty batch or one larger
-    /// than [`MAX_BATCH_ENTRIES`]. Per-entry failures are reported in
-    /// the returned [`BatchResponse`], never by sinking the call: an
-    /// entry whose attempts were all exhausted carries a typed
-    /// [`ErrorCode::Overloaded`] entry error.
-    pub fn plan_batch(&mut self, req: &BatchRequest) -> Result<BatchResponse, ServiceError> {
-        if req.entries.is_empty() {
-            return Err(ServiceError::Malformed("empty batch".into()));
-        }
-        if req.entries.len() > MAX_BATCH_ENTRIES as usize {
-            return Err(ServiceError::Malformed(format!(
-                "batch of {} entries exceeds the limit of {MAX_BATCH_ENTRIES}",
-                req.entries.len()
-            )));
-        }
-        self.stats.batches_routed += 1;
-
-        // Group entry indices by home shard, preserving request order
-        // within each group.
-        let mut groups: HashMap<usize, Vec<usize>> = HashMap::new();
-        for (i, entry) in req.entries.iter().enumerate() {
-            let home = self.ring.route(Self::routing_key(entry));
-            groups.entry(home).or_default().push(i);
-        }
-        self.stats.batch_splits += groups.len() as u64 - 1;
-
-        let mut out: Vec<Option<Result<PlanResponse, ErrorResponse>>> =
-            (0..req.entries.len()).map(|_| None).collect();
-        let mut shards: Vec<usize> = groups.keys().copied().collect();
-        shards.sort_unstable();
-        for shard in shards {
-            let idxs = &groups[&shard];
-            let sub = BatchRequest {
-                entries: idxs.iter().map(|&i| req.entries[i].clone()).collect(),
-            };
-            // Don't burn the whole sub-batch on a shard we already
-            // believe is down; the per-entry path probes it.
-            let answered = self.breakers[shard].admits().then(|| {
-                self.attempt(shard, |c| {
-                    let resp = c.plan_batch(&sub)?;
-                    if resp.entries.len() == idxs.len() {
-                        Ok(resp)
-                    } else {
-                        Err(ServiceError::Malformed(format!(
-                            "shard answered {} entries for a {}-entry sub-batch",
-                            resp.entries.len(),
-                            idxs.len()
-                        )))
-                    }
-                })
-            });
-            match answered {
-                Some(Ok(resp)) => {
-                    for (&i, r) in idxs.iter().zip(resp.entries) {
-                        if let Ok(ref plan) = r {
-                            let order = self.ring.successors(Self::routing_key(&req.entries[i]));
-                            self.push_replicas(&req.entries[i], plan, &order, shard);
-                        }
-                        out[i] = Some(r);
-                    }
-                }
-                _ => {
-                    // Fall back entry by entry: plan() retries across
-                    // ring successors, so these entries survive a dead
-                    // home shard.
-                    for &i in idxs {
-                        self.stats.batch_fallbacks += 1;
-                        out[i] = Some(match self.plan(&req.entries[i]) {
-                            Ok(resp) => Ok(resp),
-                            Err(ServiceError::Rejected { code, msg }) => {
-                                Err(ErrorResponse { code, msg })
-                            }
-                            Err(e) => Err(ErrorResponse {
-                                code: ErrorCode::Overloaded,
-                                msg: format!("batch entry exhausted every replica: {e}"),
-                            }),
-                        });
-                    }
-                }
-            }
-        }
-        let entries = out
-            .into_iter()
-            .map(|r| {
-                r.unwrap_or_else(|| {
-                    Err(ErrorResponse {
-                        code: ErrorCode::Internal,
-                        msg: "batch entry was never answered".into(),
-                    })
-                })
-            })
-            .collect();
-        Ok(BatchResponse { entries })
     }
 
     /// Replicate a routed answer from `served_by` to the
@@ -792,10 +652,10 @@ impl MeshClient {
     fn spawn_plan(&mut self, shard: usize, req: &PlanRequest, tx: mpsc::Sender<Arrival>) {
         let mut conn = self.conns[shard].take();
         let endpoint = self.endpoints[shard].clone();
-        let (timeout, tenant) = (self.cfg.attempt_timeout, self.tenant);
+        let timeout = self.cfg.attempt_timeout;
         let req = req.clone();
         thread::spawn(move || {
-            let result = exchange(&mut conn, &endpoint, timeout, tenant, |c| c.plan(&req));
+            let result = exchange(&mut conn, &endpoint, timeout, |c| c.plan(&req));
             let _ = tx.send((shard, result, conn));
         });
     }
@@ -811,7 +671,6 @@ impl MeshClient {
             &mut self.conns[shard],
             &self.endpoints[shard],
             self.cfg.attempt_timeout,
-            self.tenant,
             call,
         )
     }
@@ -874,12 +733,10 @@ impl MeshClient {
     }
 }
 
-/// Dial `endpoint` for one shard: the attempt timeout bounds every read,
-/// and the tenant rides on every frame.
-fn dial(endpoint: &str, timeout: Duration, tenant: u32) -> Result<Client, ServiceError> {
+/// Dial `endpoint` for one shard: the attempt timeout bounds every read.
+fn dial(endpoint: &str, timeout: Duration) -> Result<Client, ServiceError> {
     let mut client = Client::connect(endpoint)?;
     client.set_timeout(Some(timeout))?;
-    client.set_tenant(tenant);
     Ok(client)
 }
 
@@ -893,12 +750,11 @@ fn exchange<T>(
     slot: &mut Option<Client>,
     endpoint: &str,
     timeout: Duration,
-    tenant: u32,
     call: impl FnOnce(&mut Client) -> Result<T, ServiceError>,
 ) -> Result<T, ServiceError> {
     let mut client = match slot.take() {
         Some(c) => c,
-        None => dial(endpoint, timeout, tenant)?,
+        None => dial(endpoint, timeout)?,
     };
     let out = call(&mut client);
     if out
@@ -944,7 +800,7 @@ fn back_off(cfg: &MeshConfig, rng: &mut XorShift64, attempt: u32) -> u64 {
 mod tests {
     use super::*;
     use crate::proto::{kind, read_frame, write_frame, Frame, ObjectiveSpec};
-    use crate::server::{serve, QuotaConfig, ServerConfig, TenantQuota};
+    use crate::server::{serve, ServerConfig};
     use std::net::TcpListener;
     use uov_isg::{ivec, Stencil};
 
@@ -1096,7 +952,7 @@ mod tests {
                     })) = read_frame(&mut s)
                     {
                         thread::sleep(delay);
-                        if write_frame(&mut s, kind::RESP_PLAN, 0, &resp.encode()).is_err() {
+                        if write_frame(&mut s, kind::RESP_PLAN, &resp.encode()).is_err() {
                             break;
                         }
                     }
@@ -1183,75 +1039,6 @@ mod tests {
     #[test]
     fn empty_replica_list_is_rejected() {
         assert!(MeshClient::new(&[], MeshConfig::default()).is_err());
-    }
-
-    /// The tenant reaches every frame the client sends: a server that
-    /// sheds everything from tenant 7 refuses its routed plans and its
-    /// batches alike, while an anonymous client on the same server is
-    /// served.
-    #[test]
-    fn the_tenant_rides_on_every_frame() {
-        let shed_all = TenantQuota {
-            burst: 0,
-            ..TenantQuota::default()
-        };
-        let server = serve(
-            "127.0.0.1:0",
-            ServerConfig {
-                quotas: Some(QuotaConfig {
-                    default: TenantQuota::default(),
-                    tenants: [(7, shed_all)].into_iter().collect(),
-                }),
-                ..ServerConfig::default()
-            },
-        )
-        .unwrap();
-        let endpoints = vec![server.endpoint().to_string()];
-        let cfg = MeshConfig {
-            max_route_attempts: 3,
-            ..quick_cfg()
-        };
-        let overloaded = |e: &ServiceError| {
-            matches!(e, ServiceError::FabricExhausted { last, .. }
-                if matches!(**last, ServiceError::Rejected { code: ErrorCode::Overloaded, .. }))
-        };
-        let skew3 = PlanRequest {
-            stencil: Stencil::new(vec![ivec![1, 0], ivec![0, 1], ivec![1, 3]]).unwrap(),
-            ..fig1_request()
-        };
-        let batch = BatchRequest {
-            entries: vec![fig1_request(), skew3],
-        };
-
-        let mut tenant7 = MeshClient::new(&endpoints, cfg.clone()).unwrap();
-        tenant7.set_tenant(7);
-        let plan = tenant7.plan(&fig1_request());
-        assert!(plan.as_ref().is_err_and(overloaded), "plan: {plan:?}");
-        let answers = tenant7.plan_batch(&batch).unwrap();
-        assert_eq!(answers.entries.len(), 2);
-        for entry in &answers.entries {
-            assert!(
-                matches!(
-                    entry,
-                    Err(ErrorResponse {
-                        code: ErrorCode::Overloaded,
-                        ..
-                    })
-                ),
-                "batch entry: {entry:?}"
-            );
-        }
-
-        let mut anonymous = MeshClient::new(&endpoints, cfg).unwrap();
-        assert_eq!(anonymous.plan(&fig1_request()).unwrap().uov, ivec![1, 1]);
-        assert!(anonymous
-            .plan_batch(&batch)
-            .unwrap()
-            .entries
-            .iter()
-            .all(Result::is_ok));
-        server.shutdown();
-        server.join();
     }
 
     fn endpoints(n: usize) -> Vec<String> {

@@ -1,6 +1,6 @@
 //! The length-prefixed binary planning protocol.
 //!
-//! Every message travels as one self-checking frame. Version 1 frames:
+//! Every message travels as one self-checking frame:
 //!
 //! ```text
 //! magic   b"UOVS"                      4 bytes
@@ -12,24 +12,10 @@
 //!         magic ‖ version ‖ kind ‖ len ‖ payload
 //! ```
 //!
-//! Version 2 frames carry a tenant id in the header, between `kind` and
-//! `len`, for per-tenant admission control:
-//!
-//! ```text
-//! magic   b"UOVS"                      4 bytes
-//! version u16 LE (= 2)                 2 bytes
-//! kind    u8                           1 byte
-//! tenant  u32 LE tenant id             4 bytes
-//! len     u32 LE payload length        4 bytes   (≤ MAX_PAYLOAD)
-//! payload len bytes
-//! crc     u32 LE CRC-32 over the whole header ‖ payload
-//! ```
-//!
-//! Writers use version 1 for tenant 0 (the anonymous tenant) and
-//! version 2 otherwise; readers accept both, a version-1 frame being
-//! tenant 0. The header is fixed-size per version and the version field
-//! sits at a fixed offset, so a reader always knows how much to pull
-//! before trusting anything; `len` is validated against [`MAX_PAYLOAD`]
+//! One frame carries one request or one answer. The header is fixed-size
+//! and checked as it arrives: a foreign magic or any version but 1 is
+//! rejected once those bytes are present (version 2 once carried a tenant
+//! id and is retired), and `len` is validated against [`MAX_PAYLOAD`]
 //! *before* any allocation, so a hostile length prefix cannot balloon
 //! memory. The CRC covers the header too — a bit flip anywhere in the
 //! frame is detected. Encoding reuses the same [`uov_core::wire`]
@@ -51,24 +37,15 @@ use crate::error::{ErrorCode, ServiceError};
 
 /// Frame magic: "UOV service".
 pub const MAGIC: &[u8; 4] = b"UOVS";
-/// Base protocol version: no tenant id in the header (tenant 0).
+/// The protocol version. Version 2 (a tenant id in the header) is
+/// retired: readers reject it like any unknown version.
 pub const VERSION: u16 = 1;
-/// Tenant-tagged protocol version: the header carries a `u32` tenant id
-/// between `kind` and `len`.
-pub const VERSION_TENANT: u16 = 2;
 /// Hard cap on a frame's payload. Generous for any realistic stencil
 /// (a request of 1 MiB holds ~16k stencil vectors in 8 dimensions) and
 /// small enough that a hostile length prefix cannot exhaust memory.
 pub const MAX_PAYLOAD: u32 = 1 << 20;
-/// Bytes of the fixed version-1 frame header (magic, version, kind, len).
+/// Bytes of the fixed frame header (magic, version, kind, len).
 pub const HEADER_LEN: usize = 4 + 2 + 1 + 4;
-/// Bytes of the version-2 frame header (magic, version, kind, tenant,
-/// len).
-pub const HEADER_LEN_TENANT: usize = 4 + 2 + 1 + 4 + 4;
-/// Hard cap on entries in one `REQ_BATCH` frame. Small enough that a
-/// hostile count cannot balloon per-entry bookkeeping, large enough for
-/// any realistic compiler invocation (one entry per loop nest).
-pub const MAX_BATCH_ENTRIES: u32 = 128;
 
 /// Frame kinds. The numeric values are wire format; never reassign them.
 pub mod kind {
@@ -99,11 +76,7 @@ pub mod kind {
     pub const REQ_REPLICATE: u8 = 12;
     /// Replica → peer: whether the replicated plan was stored.
     pub const RESP_REPLICATE: u8 = 13;
-    /// Client → server: plan a whole batch of stencils in one round
-    /// trip (N `(stencil, objective)` entries under a single CRC).
-    pub const REQ_BATCH: u8 = 14;
-    /// Server → client: per-entry statuses for a batch request.
-    pub const RESP_BATCH: u8 = 15;
+    // Kinds 14 and 15 carried multi-plan batches. Retired: never reuse them.
 }
 
 /// What the request wants minimised — an owned mirror of
@@ -191,10 +164,8 @@ pub enum DegradationCode {
     Memo,
     /// The request was cancelled.
     Cancelled,
-    /// The server was under load pressure and served the always-legal
-    /// `Σvᵢ` fast path instead of running a full search. The answer is
-    /// certified and legal, possibly not optimal, and is never cached.
-    Pressure,
+    // Byte 5 marked a load-pressure `Σvᵢ` answer. Retired: it decodes
+    // as malformed.
 }
 
 impl DegradationCode {
@@ -205,7 +176,6 @@ impl DegradationCode {
             DegradationCode::Nodes => 2,
             DegradationCode::Memo => 3,
             DegradationCode::Cancelled => 4,
-            DegradationCode::Pressure => 5,
         }
     }
 
@@ -216,7 +186,6 @@ impl DegradationCode {
             2 => Some(DegradationCode::Nodes),
             3 => Some(DegradationCode::Memo),
             4 => Some(DegradationCode::Cancelled),
-            5 => Some(DegradationCode::Pressure),
             _ => None,
         }
     }
@@ -336,20 +305,6 @@ pub struct StatsResponse {
     pub server: crate::server::ServerStats,
     /// The plan cache's monotone counters.
     pub cache: crate::plan_cache::CacheStats,
-    /// Per-tenant in-flight gauges (tenants with at least one admitted
-    /// request currently queued or running), sorted by tenant id so the
-    /// encoding is deterministic.
-    pub tenants: Vec<TenantGauge>,
-}
-
-/// One tenant's instantaneous in-flight gauge, carried on stats frames.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TenantGauge {
-    /// The tenant id from the frame header.
-    pub tenant: u32,
-    /// Requests admitted for this tenant that have not yet been answered
-    /// (queued in the compute pool or running).
-    pub inflight: u64,
 }
 
 impl StatsResponse {
@@ -357,12 +312,10 @@ impl StatsResponse {
     /// list of `u64`s at fixed positions, so an older client can read the
     /// counters it knows and skip the rest. Positions 17 (work units),
     /// 20–21 (bound gossip), 24 (stale epochs) and 25 (anti-entropy
-    /// repairs) belonged to the retired distributed search: they are
-    /// written as 0 and ignored on read. The overload counters
-    /// (shed/degraded/batch/idle) ride as fields 26–29, field 30 is the
-    /// count of per-tenant gauge *pairs*, and each gauge rides as two
-    /// trailing `u64`s `(tenant, inflight)` — all skipped by older
-    /// decoders as unknown trailing fields.
+    /// repairs) belonged to the retired distributed search, and 27–28
+    /// (pressure answers, batch frames) to the retired admission tiers:
+    /// they are written as 0 and ignored on read. Position 30 and the
+    /// per-tenant pairs after it are no longer written.
     pub fn encode(&self) -> Vec<u8> {
         let s = &self.server;
         let c = &self.cache;
@@ -394,20 +347,14 @@ impl StatsResponse {
             0,
             0,
             s.shed_over_quota,
-            s.degraded_under_pressure,
-            s.batch_frames,
+            0,
+            0,
             s.idle_timeouts,
-            self.tenants.len() as u64,
         ];
-        let total = fields.len() + 2 * self.tenants.len();
-        let mut e = Encoder::with_capacity(4 + 8 * total);
-        e.u32(total as u32);
+        let mut e = Encoder::with_capacity(4 + 8 * fields.len());
+        e.u32(fields.len() as u32);
         for v in fields {
             e.u64(v);
-        }
-        for g in &self.tenants {
-            e.u64(u64::from(g.tenant));
-            e.u64(g.inflight);
         }
         e.buf
     }
@@ -431,28 +378,14 @@ impl StatsResponse {
                 "declared counters exceed the payload".into(),
             ));
         }
-        let mut fields = [0u64; 31];
+        let mut fields = [0u64; 30];
         for (i, slot) in fields.iter_mut().enumerate() {
             if i < n {
                 *slot = d.u64()?;
             }
         }
-        let mut consumed = n.min(fields.len());
-        // Per-tenant gauge pairs follow the scalar counters; the pair
-        // count travels as field 30 and is implicitly bounded by the
-        // declared total (itself validated against the payload above).
-        let mut tenants = Vec::new();
-        for _ in 0..fields[30] {
-            if consumed + 2 > n {
-                break;
-            }
-            let tenant = u32::try_from(d.u64()?).unwrap_or(u32::MAX);
-            let inflight = d.u64()?;
-            consumed += 2;
-            tenants.push(TenantGauge { tenant, inflight });
-        }
         // Skip counters this build does not know about.
-        for _ in consumed..n {
+        for _ in fields.len()..n {
             let _ = d.u64()?;
         }
         Ok(StatsResponse {
@@ -473,8 +406,6 @@ impl StatsResponse {
                 warm_load_corrupt: fields[18],
                 warm_load_version: fields[19],
                 shed_over_quota: fields[26],
-                degraded_under_pressure: fields[27],
-                batch_frames: fields[28],
                 idle_timeouts: fields[29],
             },
             cache: crate::plan_cache::CacheStats {
@@ -485,52 +416,48 @@ impl StatsResponse {
                 replicated_entries: fields[22],
                 replica_hits: fields[23],
             },
-            tenants,
         })
     }
 }
 
 // ---------------------------------------------------------------- frames
 
-/// Bytes of magic, version and kind: enough to know a header's length.
-const PREFIX_LEN: usize = 4 + 2 + 1;
+/// Bytes of magic and version: enough to reject a foreign stream.
+const PREFIX_LEN: usize = 4 + 2;
 
-/// The largest frame a peer may send: a version-2 header, a
-/// [`MAX_PAYLOAD`] payload and the CRC.
-pub(crate) const MAX_FRAME_LEN: usize = HEADER_LEN_TENANT + MAX_PAYLOAD as usize + 4;
+/// The largest frame a peer may send: the header, a [`MAX_PAYLOAD`]
+/// payload and the CRC.
+pub(crate) const MAX_FRAME_LEN: usize = HEADER_LEN + MAX_PAYLOAD as usize + 4;
 
 /// One CRC-verified frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame {
     /// The frame kind (see [`kind`]).
     pub kind: u8,
-    /// The tenant id of a version-2 header; 0 for version 1.
-    pub tenant: u32,
     /// The payload bytes.
     pub payload: Vec<u8>,
 }
 
-/// A parsed frame header: the frame's kind, tenant and extent.
+/// A parsed frame header: the frame's kind and extent.
 pub(crate) struct FrameHeader {
     kind: u8,
-    tenant: u32,
-    /// Header bytes: [`HEADER_LEN`] or [`HEADER_LEN_TENANT`].
-    pub(crate) header_len: usize,
     /// The whole frame's bytes: header, payload and CRC.
     pub(crate) frame_len: usize,
 }
 
-/// Encode one frame: version 1 for tenant 0 (the anonymous tenant, byte
-/// for byte the pre-tenant layout), version 2 carrying `tenant`
-/// otherwise.
-pub fn encode_frame(kind: u8, tenant: u32, payload: &[u8]) -> Vec<u8> {
-    let mut e = Encoder::with_capacity(HEADER_LEN_TENANT + payload.len() + 4);
-    e.buf.extend_from_slice(MAGIC);
-    e.u16(if tenant == 0 { VERSION } else { VERSION_TENANT });
-    e.u8(kind);
-    if tenant != 0 {
-        e.u32(tenant);
+impl FrameHeader {
+    /// Header bytes: where the payload starts.
+    pub(crate) fn header_len(&self) -> usize {
+        HEADER_LEN
     }
+}
+
+/// Encode one frame.
+pub fn encode_frame(kind: u8, payload: &[u8]) -> Vec<u8> {
+    let mut e = Encoder::with_capacity(HEADER_LEN + payload.len() + 4);
+    e.buf.extend_from_slice(MAGIC);
+    e.u16(VERSION);
+    e.u8(kind);
     e.u32(payload.len() as u32);
     e.buf.extend_from_slice(payload);
     let crc = crc32(&e.buf);
@@ -543,28 +470,10 @@ pub fn encode_frame(kind: u8, tenant: u32, payload: &[u8]) -> Vec<u8> {
 /// # Errors
 ///
 /// [`ServiceError::Io`] on any socket failure.
-pub fn write_frame(
-    w: &mut impl Write,
-    kind: u8,
-    tenant: u32,
-    payload: &[u8],
-) -> Result<(), ServiceError> {
-    w.write_all(&encode_frame(kind, tenant, payload))?;
+pub fn write_frame(w: &mut impl Write, kind: u8, payload: &[u8]) -> Result<(), ServiceError> {
+    w.write_all(&encode_frame(kind, payload))?;
     w.flush()?;
     Ok(())
-}
-
-/// The header length the version at the front of `buf` (at least
-/// `PREFIX_LEN` bytes) implies, after checking the magic.
-fn header_len(buf: &[u8]) -> Result<usize, ServiceError> {
-    if &buf[..4] != MAGIC {
-        return Err(ServiceError::BadMagic);
-    }
-    match u16::from_le_bytes([buf[4], buf[5]]) {
-        VERSION => Ok(HEADER_LEN),
-        VERSION_TENANT => Ok(HEADER_LEN_TENANT),
-        other => Err(ServiceError::UnsupportedVersion(other)),
-    }
 }
 
 /// Parse the frame header at the front of `buf`; `Ok(None)` until the
@@ -575,23 +484,23 @@ pub(crate) fn parse_header(buf: &[u8]) -> Result<Option<FrameHeader>, ServiceErr
     if buf.len() < PREFIX_LEN {
         return Ok(None);
     }
-    let header_len = header_len(buf)?;
-    if buf.len() < header_len {
+    if &buf[..4] != MAGIC {
+        return Err(ServiceError::BadMagic);
+    }
+    let version = u16::from_le_bytes([buf[4], buf[5]]);
+    if version != VERSION {
+        return Err(ServiceError::UnsupportedVersion(version));
+    }
+    if buf.len() < HEADER_LEN {
         return Ok(None);
     }
-    let len = le_u32(&buf[header_len - 4..]);
+    let len = le_u32(&buf[HEADER_LEN - 4..]);
     if len > MAX_PAYLOAD {
         return Err(ServiceError::FrameTooLarge(len));
     }
     Ok(Some(FrameHeader {
-        kind: buf[PREFIX_LEN - 1],
-        tenant: if header_len == HEADER_LEN {
-            0
-        } else {
-            le_u32(&buf[PREFIX_LEN..])
-        },
-        header_len,
-        frame_len: header_len + len as usize + 4,
+        kind: buf[PREFIX_LEN],
+        frame_len: HEADER_LEN + len as usize + 4,
     }))
 }
 
@@ -608,8 +517,7 @@ fn verified(bytes: &[u8], header: &FrameHeader) -> Result<Frame, ServiceError> {
     }
     Ok(Frame {
         kind: header.kind,
-        tenant: header.tenant,
-        payload: bytes[header.header_len..body].to_vec(),
+        payload: bytes[HEADER_LEN..body].to_vec(),
     })
 }
 
@@ -646,7 +554,7 @@ pub fn parse_frame(buf: &[u8]) -> Result<Option<(Frame, usize)>, ServiceError> {
 /// The errors of [`parse_frame`], [`ServiceError::ConnectionClosed`] or
 /// [`ServiceError::Io`].
 pub fn read_frame(r: &mut impl Read) -> Result<Option<Frame>, ServiceError> {
-    let mut bytes = Vec::with_capacity(HEADER_LEN_TENANT);
+    let mut bytes = Vec::with_capacity(HEADER_LEN);
     match read_raw_frame(r, &mut bytes)? {
         Some(header) => Ok(Some(verified(&bytes, &header)?)),
         None => Ok(None),
@@ -677,11 +585,11 @@ pub(crate) fn read_raw_frame(
         if let Some(header) = parse_header(bytes)? {
             break header;
         }
-        // Magic ‖ version ‖ kind first: the version decides the rest.
+        // Magic ‖ version first, so a foreign stream is refused early.
         let need = if bytes.len() < PREFIX_LEN {
             PREFIX_LEN
         } else {
-            header_len(bytes)?
+            HEADER_LEN
         };
         read_to(r, bytes, need)?;
     };
@@ -986,142 +894,6 @@ impl ErrorResponse {
     }
 }
 
-/// A multi-plan batch request (the frame body of a `REQ_BATCH`): N
-/// independent `(stencil, objective)` entries under one header and one
-/// CRC — one round trip per loop-nest *program* instead of per nest.
-/// Each entry is a full [`PlanRequest`], length-prefixed so a decoder
-/// can validate entry boundaries before parsing entry contents.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BatchRequest {
-    /// The entries, answered position-for-position in `RESP_BATCH`.
-    pub entries: Vec<PlanRequest>,
-}
-
-impl BatchRequest {
-    /// Serialize the batch payload.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut e = Encoder::with_capacity(8 + 64 * self.entries.len());
-        e.u32(self.entries.len() as u32);
-        for entry in &self.entries {
-            let bytes = entry.encode();
-            e.u32(bytes.len() as u32);
-            e.buf.extend_from_slice(&bytes);
-        }
-        e.buf
-    }
-
-    /// Decode a `REQ_BATCH` payload. The entry count is validated against
-    /// [`MAX_BATCH_ENTRIES`] and each declared entry length against the
-    /// remaining payload *before* any entry is parsed, so a hostile count
-    /// or length cannot balloon memory.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::Wire`] on truncation, [`ServiceError::Malformed`]
-    /// on an empty or oversized batch, hostile lengths, any invalid
-    /// entry, or trailing bytes.
-    pub fn decode(payload: &[u8]) -> Result<Self, ServiceError> {
-        let mut d = Decoder::new(payload);
-        let count = d.u32()?;
-        if count == 0 {
-            return Err(ServiceError::Malformed("empty batch".into()));
-        }
-        if count > MAX_BATCH_ENTRIES {
-            return Err(ServiceError::Malformed(format!(
-                "batch of {count} entries exceeds the {MAX_BATCH_ENTRIES}-entry limit"
-            )));
-        }
-        let mut entries = Vec::with_capacity(count as usize);
-        for i in 0..count {
-            let len = d.u32()? as usize;
-            if len > d.remaining() {
-                return Err(ServiceError::Malformed(format!(
-                    "batch entry {i} declares {len} bytes beyond the payload"
-                )));
-            }
-            let bytes = d.take(len)?;
-            entries.push(
-                PlanRequest::decode(bytes)
-                    .map_err(|e| ServiceError::Malformed(format!("batch entry {i}: {e}")))?,
-            );
-        }
-        if d.remaining() != 0 {
-            return Err(ServiceError::Malformed("trailing bytes in batch".into()));
-        }
-        Ok(BatchRequest { entries })
-    }
-}
-
-/// A batch response (the frame body of a `RESP_BATCH`): one status per
-/// request entry, position-for-position — a plan or a typed error, so
-/// one malformed or shed entry never poisons its siblings.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BatchResponse {
-    /// Per-entry outcomes, in request order.
-    pub entries: Vec<Result<PlanResponse, ErrorResponse>>,
-}
-
-impl BatchResponse {
-    /// Serialize the batch-response payload.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut e = Encoder::with_capacity(8 + 64 * self.entries.len());
-        e.u32(self.entries.len() as u32);
-        for entry in &self.entries {
-            let (tag, bytes) = match entry {
-                Ok(plan) => (0u8, plan.encode()),
-                Err(err) => (1u8, err.encode()),
-            };
-            e.u8(tag);
-            e.u32(bytes.len() as u32);
-            e.buf.extend_from_slice(&bytes);
-        }
-        e.buf
-    }
-
-    /// Decode a `RESP_BATCH` payload with the same hostile-length guards
-    /// as [`BatchRequest::decode`].
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::Wire`] on truncation, [`ServiceError::Malformed`]
-    /// on unknown tags, hostile counts or lengths, or trailing bytes.
-    pub fn decode(payload: &[u8]) -> Result<Self, ServiceError> {
-        let mut d = Decoder::new(payload);
-        let count = d.u32()?;
-        if count > MAX_BATCH_ENTRIES {
-            return Err(ServiceError::Malformed(format!(
-                "batch response of {count} entries exceeds the {MAX_BATCH_ENTRIES}-entry limit"
-            )));
-        }
-        let mut entries = Vec::with_capacity(count as usize);
-        for i in 0..count {
-            let tag = d.u8()?;
-            let len = d.u32()? as usize;
-            if len > d.remaining() {
-                return Err(ServiceError::Malformed(format!(
-                    "batch response entry {i} declares {len} bytes beyond the payload"
-                )));
-            }
-            let bytes = d.take(len)?;
-            entries.push(match tag {
-                0 => Ok(PlanResponse::decode(bytes)?),
-                1 => Err(ErrorResponse::decode(bytes)?),
-                other => {
-                    return Err(ServiceError::Malformed(format!(
-                        "unknown batch entry tag {other}"
-                    )))
-                }
-            });
-        }
-        if d.remaining() != 0 {
-            return Err(ServiceError::Malformed(
-                "trailing bytes in batch response".into(),
-            ));
-        }
-        Ok(BatchResponse { entries })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1158,6 +930,13 @@ mod tests {
             cache: CacheOutcome::Coalesced,
         };
         assert_eq!(PlanResponse::decode(&resp.encode()).unwrap(), resp);
+        // Degradation byte 5 (the retired pressure answer) is malformed.
+        let mut retired = resp.encode();
+        retired[1] = 5;
+        assert!(matches!(
+            PlanResponse::decode(&retired),
+            Err(ServiceError::Malformed(_))
+        ));
     }
 
     #[test]
@@ -1207,8 +986,6 @@ mod tests {
                 warm_load_corrupt: 19,
                 warm_load_version: 20,
                 shed_over_quota: 27,
-                degraded_under_pressure: 28,
-                batch_frames: 29,
                 idle_timeouts: 30,
             },
             cache: crate::plan_cache::CacheStats {
@@ -1219,23 +996,23 @@ mod tests {
                 replicated_entries: 23,
                 replica_hits: 24,
             },
-            tenants: vec![
-                TenantGauge {
-                    tenant: 7,
-                    inflight: 3,
-                },
-                TenantGauge {
-                    tenant: 42,
-                    inflight: 1,
-                },
-            ],
         };
         assert_eq!(StatsResponse::decode(&s.encode()).unwrap(), s);
         // A frame from an older server fills the retired slots (work
-        // units, bound gossip, stale epochs, anti-entropy repairs); they
-        // are ignored and every other counter stays in its place.
+        // units, bound gossip, stale epochs, anti-entropy repairs,
+        // pressure answers, batch frames); they are ignored and every
+        // other counter stays in its place.
         let mut older = s.encode();
-        for (slot, v) in [(17, 18u64), (20, 0xFEED_F00D), (21, 42), (24, 25), (25, 26)] {
+        let retired = [
+            (17, 18u64),
+            (20, 0xFEED_F00D),
+            (21, 42),
+            (24, 25),
+            (25, 26),
+            (27, 28),
+            (28, 29),
+        ];
+        for (slot, v) in retired {
             let at = 4 + 8 * slot;
             assert_eq!(
                 older[at..at + 8],
@@ -1267,7 +1044,6 @@ mod tests {
         assert_eq!(decoded.server.warm_load_corrupt, 0);
         assert_eq!(decoded.cache.replicated_entries, 0);
         assert_eq!(decoded.server.shed_over_quota, 0);
-        assert_eq!(decoded.tenants, Vec::new());
         // A 26-field (pre-overload) frame zeroes the new counters too.
         let mut pre = s.encode();
         pre.truncate(4 + 8 * 26);
@@ -1275,15 +1051,6 @@ mod tests {
         let decoded = StatsResponse::decode(&pre).unwrap();
         assert_eq!(decoded.cache.replica_hits, 24);
         assert_eq!(decoded.server.idle_timeouts, 0);
-        assert_eq!(decoded.tenants, Vec::new());
-        // A gauge-pair count cut off by the declared total is clamped,
-        // never read past the payload.
-        let mut torn = s.encode();
-        let full = u32::from_le_bytes(torn[0..4].try_into().unwrap());
-        torn.truncate(torn.len() - 8);
-        torn[0..4].copy_from_slice(&(full - 1).to_le_bytes());
-        let decoded = StatsResponse::decode(&torn).unwrap();
-        assert_eq!(decoded.tenants.len(), 1);
     }
 
     #[test]
@@ -1341,29 +1108,42 @@ mod tests {
     #[test]
     fn frame_round_trips_through_a_stream() {
         let req = fig1_request();
-        let frame = encode_frame(kind::REQ_PLAN, 0, &req.encode());
+        let frame = encode_frame(kind::REQ_PLAN, &req.encode());
         let mut cursor = io::Cursor::new(frame.clone());
         let got = read_frame(&mut cursor).unwrap().unwrap();
-        assert_eq!((got.kind, got.tenant), (kind::REQ_PLAN, 0));
+        assert_eq!(got.kind, kind::REQ_PLAN);
         assert_eq!(PlanRequest::decode(&got.payload).unwrap(), req);
         // A second read at EOF is a clean close.
         assert!(read_frame(&mut cursor).unwrap().is_none());
         // The incremental parser stops at the frame boundary: a buffer
         // holding two frames yields the first and its exact length.
-        let second = encode_frame(kind::REQ_HEALTH, 5, &[]);
+        let second = encode_frame(kind::REQ_HEALTH, &[]);
         let both = [frame.as_slice(), second.as_slice()].concat();
         let (first, used) = parse_frame(&both).unwrap().unwrap();
         assert_eq!((first, used), (got, frame.len()));
         let (next, used) = parse_frame(&both[frame.len()..]).unwrap().unwrap();
+        assert_eq!((next.kind, used), (kind::REQ_HEALTH, second.len()));
+    }
+
+    /// The frame layout is pinned to the bytes the protocol has always
+    /// produced.
+    #[test]
+    fn frames_are_byte_exact() {
+        let mut wire = Vec::new();
+        write_frame(&mut wire, kind::REQ_PLAN, &[1, 2, 3]).unwrap();
         assert_eq!(
-            (next.kind, next.tenant, used),
-            (kind::REQ_HEALTH, 5, second.len())
+            wire,
+            [85, 79, 86, 83, 1, 0, 1, 3, 0, 0, 0, 1, 2, 3, 82, 244, 137, 98]
+        );
+        assert_eq!(
+            encode_frame(kind::RESP_HEALTH, &[]),
+            [85, 79, 86, 83, 1, 0, 7, 0, 0, 0, 0, 218, 135, 105, 195]
         );
     }
 
     #[test]
     fn oversized_length_prefix_is_rejected_before_allocation() {
-        let mut frame = encode_frame(kind::REQ_PLAN, 0, &[]);
+        let mut frame = encode_frame(kind::REQ_PLAN, &[]);
         // Corrupt the length field to declare a 3 GiB payload: both
         // readers reject it from the header bytes alone.
         frame[7..11].copy_from_slice(&(3u32 << 30).to_le_bytes());
@@ -1392,11 +1172,13 @@ mod tests {
         }
     }
 
-    /// Every single-bit flip of `frame` is rejected, alike by both readers.
-    fn assert_every_flip_detected(frame: &[u8]) {
+    /// Every single-bit flip of a frame is rejected, alike by both readers.
+    #[test]
+    fn every_single_bit_flip_is_detected() {
+        let frame = encode_frame(kind::REQ_PLAN, &fig1_request().encode());
         for byte in 0..frame.len() {
             for bit in 0..8 {
-                let mut flipped = frame.to_vec();
+                let mut flipped = frame.clone();
                 flipped[byte] ^= 1 << bit;
                 assert!(
                     agreed_verdict(&flipped).is_err(),
@@ -1406,9 +1188,11 @@ mod tests {
         }
     }
 
-    /// Every proper prefix of `frame` is a torn frame to both readers
+    /// Every proper prefix of a frame is a torn frame to both readers
     /// (the empty one a clean close), and the whole frame reads back.
-    fn assert_every_truncation_clean(frame: &[u8], tenant: u32) {
+    #[test]
+    fn every_truncation_is_clean() {
+        let frame = encode_frame(kind::REQ_PLAN, &fig1_request().encode());
         assert_eq!(agreed_verdict(&[]), Ok(None));
         for cut in 1..frame.len() {
             assert_eq!(
@@ -1417,20 +1201,9 @@ mod tests {
                 "cut at {cut}"
             );
         }
-        let whole = agreed_verdict(frame).unwrap().unwrap();
-        assert_eq!((whole.kind, whole.tenant), (kind::REQ_PLAN, tenant));
+        let whole = agreed_verdict(&frame).unwrap().unwrap();
+        assert_eq!(whole.kind, kind::REQ_PLAN);
         assert_eq!(whole.payload, fig1_request().encode());
-    }
-
-    #[test]
-    fn every_single_bit_flip_is_detected() {
-        assert_every_flip_detected(&encode_frame(kind::REQ_PLAN, 0, &fig1_request().encode()));
-    }
-
-    #[test]
-    fn every_truncation_is_clean() {
-        let frame = encode_frame(kind::REQ_PLAN, 0, &fig1_request().encode());
-        assert_every_truncation_clean(&frame, 0);
     }
 
     #[test]
@@ -1481,7 +1254,7 @@ mod tests {
         // Overwrite header bytes at `at` and re-seal the CRC, so only the
         // header field is wrong.
         let resealed = |at: usize, bytes: &[u8]| {
-            let mut frame = encode_frame(kind::REQ_PLAN, 0, &[]);
+            let mut frame = encode_frame(kind::REQ_PLAN, &[]);
             frame[at..at + bytes.len()].copy_from_slice(bytes);
             let body_len = frame.len() - 4;
             let crc = crc32(&frame[..body_len]);
@@ -1492,175 +1265,12 @@ mod tests {
             agreed_verdict(&resealed(0, b"X")),
             Err(ServiceError::BadMagic.to_string())
         );
-        assert_eq!(
-            agreed_verdict(&resealed(4, &9u16.to_le_bytes())),
-            Err(ServiceError::UnsupportedVersion(9).to_string())
-        );
-    }
-
-    #[test]
-    fn tenant_frames_round_trip_and_interoperate() {
-        let payload = fig1_request().encode();
-        // A v2 frame carries its tenant id through intact.
-        let frame = encode_frame(kind::REQ_PLAN, 7, &payload);
-        let mut cursor = io::Cursor::new(frame);
-        let got = read_frame(&mut cursor).unwrap().unwrap();
-        assert_eq!((got.kind, got.tenant), (kind::REQ_PLAN, 7));
-        assert_eq!(got.payload, payload);
-        assert!(read_frame(&mut cursor).unwrap().is_none());
-        // A v1 frame reads as tenant 0 through the same entry point.
-        let mut cursor = io::Cursor::new(encode_frame(kind::REQ_PLAN, 0, &payload));
-        let got = read_frame(&mut cursor).unwrap().unwrap();
-        assert_eq!((got.kind, got.tenant), (kind::REQ_PLAN, 0));
-        assert_eq!(got.payload, payload);
-        // Tenant 0 writes the v1 layout byte for byte, so old servers
-        // never see a version they cannot parse; any other tenant writes
-        // v2. Both layouts are pinned to the bytes the protocol has
-        // always produced.
-        let mut wire = Vec::new();
-        write_frame(&mut wire, kind::REQ_PLAN, 0, &[1, 2, 3]).unwrap();
-        assert_eq!(
-            wire,
-            [85, 79, 86, 83, 1, 0, 1, 3, 0, 0, 0, 1, 2, 3, 82, 244, 137, 98]
-        );
-        let mut wire = Vec::new();
-        write_frame(&mut wire, kind::REQ_PLAN, 9, &[1, 2, 3]).unwrap();
-        assert_eq!(
-            wire,
-            [85, 79, 86, 83, 2, 0, 1, 9, 0, 0, 0, 3, 0, 0, 0, 1, 2, 3, 237, 14, 180, 18]
-        );
-        assert_eq!(
-            encode_frame(kind::RESP_HEALTH, 0, &[]),
-            [85, 79, 86, 83, 1, 0, 7, 0, 0, 0, 0, 218, 135, 105, 195]
-        );
-    }
-
-    #[test]
-    fn every_tenant_frame_bit_flip_is_detected() {
-        assert_every_flip_detected(&encode_frame(
-            kind::REQ_PLAN,
-            0xABCD,
-            &fig1_request().encode(),
-        ));
-    }
-
-    #[test]
-    fn every_tenant_frame_truncation_is_clean() {
-        let frame = encode_frame(kind::REQ_PLAN, 3, &fig1_request().encode());
-        assert_every_truncation_clean(&frame, 3);
-    }
-
-    #[test]
-    fn oversized_tenant_frame_is_rejected_from_the_header_alone() {
-        let mut frame = encode_frame(kind::REQ_PLAN, 1, &[]);
-        // len field sits after magic(4) + version(2) + kind(1) + tenant(4).
-        frame[11..15].copy_from_slice(&(3u32 << 30).to_le_bytes());
-        assert_eq!(
-            agreed_verdict(&frame[..HEADER_LEN_TENANT]),
-            Err(ServiceError::FrameTooLarge(3 << 30).to_string())
-        );
-    }
-
-    #[test]
-    fn batch_request_round_trips() {
-        let one = fig1_request();
-        let two = PlanRequest {
-            objective: ObjectiveSpec::ShortestVector,
-            deadline_ms: 10,
-            ..one.clone()
-        };
-        let batch = BatchRequest {
-            entries: vec![one, two],
-        };
-        assert_eq!(BatchRequest::decode(&batch.encode()).unwrap(), batch);
-    }
-
-    #[test]
-    fn batch_response_round_trips() {
-        let resp = BatchResponse {
-            entries: vec![
-                Ok(PlanResponse {
-                    uov: ivec![1, 1],
-                    cost: 2,
-                    certificate_hash: 0xF00D,
-                    degradation: DegradationCode::Pressure,
-                    cache: CacheOutcome::Miss,
-                }),
-                Err(ErrorResponse {
-                    code: ErrorCode::Overloaded,
-                    msg: "tenant over quota".into(),
-                }),
-            ],
-        };
-        assert_eq!(BatchResponse::decode(&resp.encode()).unwrap(), resp);
-    }
-
-    #[test]
-    fn hostile_batches_are_typed_errors() {
-        // Empty batches carry no work and are rejected.
-        let empty = BatchRequest { entries: vec![] };
-        assert!(matches!(
-            BatchRequest::decode(&empty.encode()),
-            Err(ServiceError::Malformed(_))
-        ));
-        // A count beyond the limit is rejected before any allocation.
-        let mut e = Encoder::new();
-        e.u32(MAX_BATCH_ENTRIES + 1);
-        assert!(matches!(
-            BatchRequest::decode(&e.buf),
-            Err(ServiceError::Malformed(_))
-        ));
-        let mut e = Encoder::new();
-        e.u32(u32::MAX);
-        assert!(matches!(
-            BatchRequest::decode(&e.buf),
-            Err(ServiceError::Malformed(_))
-        ));
-        // A hostile per-entry length is bounded by the payload size.
-        let batch = BatchRequest {
-            entries: vec![fig1_request()],
-        };
-        let mut bytes = batch.encode();
-        bytes[4..8].copy_from_slice(&(2u32 << 30).to_le_bytes());
-        assert!(matches!(
-            BatchRequest::decode(&bytes),
-            Err(ServiceError::Malformed(_))
-        ));
-        // Trailing bytes after the declared entries are rejected.
-        let mut bytes = batch.encode();
-        bytes.push(0);
-        assert!(matches!(
-            BatchRequest::decode(&bytes),
-            Err(ServiceError::Malformed(_))
-        ));
-        // An unknown status tag in a response is rejected.
-        let resp = BatchResponse {
-            entries: vec![Err(ErrorResponse {
-                code: ErrorCode::Internal,
-                msg: "x".into(),
-            })],
-        };
-        let mut bytes = resp.encode();
-        bytes[4] = 9;
-        assert!(matches!(
-            BatchResponse::decode(&bytes),
-            Err(ServiceError::Malformed(_))
-        ));
-    }
-
-    #[test]
-    fn pressure_degradation_round_trips() {
-        assert_eq!(
-            DegradationCode::from_u8(DegradationCode::Pressure.to_u8()).unwrap(),
-            DegradationCode::Pressure
-        );
-        let resp = PlanResponse {
-            uov: ivec![1, 1],
-            cost: 2,
-            certificate_hash: 1,
-            degradation: DegradationCode::Pressure,
-            cache: CacheOutcome::Miss,
-        };
-        assert_eq!(PlanResponse::decode(&resp.encode()).unwrap(), resp);
+        // Version 2, the retired tenant header, is as unknown as 9.
+        for version in [2u16, 9] {
+            assert_eq!(
+                agreed_verdict(&resealed(4, &version.to_le_bytes())),
+                Err(ServiceError::UnsupportedVersion(version).to_string())
+            );
+        }
     }
 }

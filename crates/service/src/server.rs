@@ -10,18 +10,14 @@
 //! cost no threads, and a slow-loris sender (one byte per second) is
 //! reaped by the read deadline like any other stalled peer. Parsed
 //! compute frames are admitted — or shed — on the event thread and
-//! executed on a fixed pool of worker threads, with per-tenant
-//! weighted-fair dequeue so one hog tenant cannot starve compliant ones.
+//! executed in arrival order on a fixed pool of worker threads.
 //!
-//! Admission control is explicit, typed, and tiered. Tier 1: a tenant
-//! over its token-bucket rate or in-flight cap is shed with
-//! `Overloaded` (`shed_over_quota`). Tier 2: once the compute queue
-//! reaches [`ServerConfig::degrade_watermark`], in-budget plan requests
-//! are served through the certified always-legal `Σvᵢ` fast path
-//! (`degraded_under_pressure`, never cached) instead of queuing a full
-//! search. Tier 3: a full queue rejects with `Overloaded`
-//! (`rejected_overloaded`). Compliant traffic is only dropped after
-//! both shedding tiers.
+//! Admission has one rule: a compute frame that finds the bounded queue
+//! full ([`ServerConfig::queue_depth`]) is shed with a typed `Overloaded`
+//! (`rejected_overloaded`). A client that wants an answer within a time
+//! bound says so with the request's `deadline_ms`: the search then stops
+//! at the deadline with the best certified legal UOV found (at worst
+//! `Σvᵢ`).
 //!
 //! Shutdown is a drain, not a kill: the drain flag stops the accept
 //! path, in-flight searches run to completion, queued-but-unstarted
@@ -44,65 +40,17 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use uov_core::certify::certify;
-use uov_core::search::{find_best_uov, initial_uov, try_cost_of, SearchConfig, SearchStats};
+use uov_core::search::{find_best_uov, SearchConfig, SearchStats};
 use uov_core::{Budget, SearchResult};
 use uov_isg::Stencil;
 
 use crate::error::{ErrorCode, ServiceError};
 use crate::plan_cache::{CacheStats, PlanCache, Planned, WarmCacheError, DEFAULT_CACHE_CAPACITY};
 use crate::proto::{
-    encode_frame, kind, parse_frame, BatchRequest, BatchResponse, CacheOutcome, DegradationCode,
-    ErrorResponse, Frame, HealthResponse, ObjectiveSpec, PlanRequest, PlanResponse,
-    ReplicateRequest, ReplicateResponse, StatsResponse, TenantGauge, FLAG_NO_CACHE,
-    MAX_BATCH_ENTRIES, MAX_FRAME_LEN,
+    encode_frame, kind, parse_frame, DegradationCode, ErrorResponse, Frame, HealthResponse,
+    ObjectiveSpec, PlanRequest, PlanResponse, ReplicateRequest, ReplicateResponse, StatsResponse,
+    FLAG_NO_CACHE, MAX_FRAME_LEN,
 };
-
-/// Admission quota for one tenant: a token bucket for sustained rate, a
-/// concurrency cap, and a weighted-fair-dequeue share.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TenantQuota {
-    /// Sustained admission rate, in requests per second (a batch of N
-    /// entries charges N tokens). `0` means no sustained refill — only
-    /// the initial `burst` is ever admitted.
-    pub tokens_per_sec: u64,
-    /// Bucket capacity: how many requests may arrive at once before the
-    /// rate limit bites. `0` sheds everything from this tenant.
-    pub burst: u64,
-    /// Maximum frames from this tenant admitted but not yet answered.
-    pub max_inflight: u64,
-    /// Weighted-fair-dequeue share: a tenant with weight `w` may take
-    /// `w` consecutive items from the compute queue before the next
-    /// tenant's turn. Minimum effective weight is 1.
-    pub weight: u32,
-}
-
-impl Default for TenantQuota {
-    fn default() -> Self {
-        TenantQuota {
-            tokens_per_sec: 10_000,
-            burst: 10_000,
-            max_inflight: 1024,
-            weight: 1,
-        }
-    }
-}
-
-/// Per-tenant admission control for [`ServerConfig::quotas`]. Tenants
-/// not listed in `tenants` fall back to `default`.
-#[derive(Debug, Clone, Default)]
-pub struct QuotaConfig {
-    /// Quota applied to tenants without an explicit entry.
-    pub default: TenantQuota,
-    /// Explicit per-tenant overrides, keyed by the tenant id carried in
-    /// version-2 `UOVS` frame headers (version-1 frames are tenant 0).
-    pub tenants: HashMap<u32, TenantQuota>,
-}
-
-impl QuotaConfig {
-    fn for_tenant(&self, tenant: u32) -> &TenantQuota {
-        self.tenants.get(&tenant).unwrap_or(&self.default)
-    }
-}
 
 /// Tunables for [`serve`].
 #[derive(Debug, Clone)]
@@ -134,16 +82,6 @@ pub struct ServerConfig {
     /// `Duration::ZERO` (the default) disables wedge detection —
     /// legitimate unbounded searches are never cut.
     pub wedge_timeout: Duration,
-    /// Per-tenant admission quotas (token-bucket rate, in-flight cap,
-    /// weighted-fair share). `None` (the default) disables quota
-    /// enforcement entirely; the weighted-fair dequeue still applies
-    /// with uniform weight 1.
-    pub quotas: Option<QuotaConfig>,
-    /// Compute-queue length at which in-budget plan requests stop
-    /// queuing full searches and are served through the certified
-    /// always-legal `Σvᵢ` fast path instead (`DegradationCode::
-    /// Pressure`, never cached). `0` (the default) disables the tier.
-    pub degrade_watermark: usize,
 }
 
 impl Default for ServerConfig {
@@ -156,8 +94,6 @@ impl Default for ServerConfig {
             idle_ticks: 300,
             warm_cache: None,
             wedge_timeout: Duration::ZERO,
-            quotas: None,
-            degrade_watermark: 0,
         }
     }
 }
@@ -168,7 +104,7 @@ pub struct ServerStats {
     /// Connections accepted by the event loop.
     pub connections: u64,
     /// Requests shed with `Overloaded` because the compute queue was
-    /// full (load-shedding tier 3).
+    /// full.
     pub rejected_overloaded: u64,
     /// Plan requests admitted to a worker.
     pub requests: u64,
@@ -203,15 +139,12 @@ pub struct ServerStats {
     /// Warm-cache snapshots refused at startup because a newer server
     /// wrote them — a rollback signature, not disk damage.
     pub warm_load_version: u64,
-    /// Requests shed with `Overloaded` because their tenant exceeded its
-    /// admission quota — rate tokens or in-flight cap (tier 1).
+    /// Always 0: the server has no per-tenant quotas any more. The field
+    /// (stats slot 26) exists solely because the benchmark
+    /// (`perfbench/src/serve.rs`) still reads it and changes only
+    /// together with the benchmark definition; new code reads
+    /// `rejected_overloaded`.
     pub shed_over_quota: u64,
-    /// In-budget plan requests served through the certified `Σvᵢ` fast
-    /// path because the compute queue reached the degrade watermark
-    /// (tier 2; such answers are never cached).
-    pub degraded_under_pressure: u64,
-    /// `REQ_BATCH` frames received (before admission).
-    pub batch_frames: u64,
     /// Connections reaped by the idle/slow-loris read deadline.
     pub idle_timeouts: u64,
 }
@@ -233,9 +166,6 @@ struct Counters {
     worker_restarts: AtomicU64,
     warm_load_corrupt: AtomicU64,
     warm_load_version: AtomicU64,
-    shed_over_quota: AtomicU64,
-    degraded_under_pressure: AtomicU64,
-    batch_frames: AtomicU64,
     idle_timeouts: AtomicU64,
 }
 
@@ -257,9 +187,7 @@ impl Counters {
             worker_restarts: self.worker_restarts.load(Ordering::Relaxed),
             warm_load_corrupt: self.warm_load_corrupt.load(Ordering::Relaxed),
             warm_load_version: self.warm_load_version.load(Ordering::Relaxed),
-            shed_over_quota: self.shed_over_quota.load(Ordering::Relaxed),
-            degraded_under_pressure: self.degraded_under_pressure.load(Ordering::Relaxed),
-            batch_frames: self.batch_frames.load(Ordering::Relaxed),
+            shed_over_quota: 0,
             idle_timeouts: self.idle_timeouts.load(Ordering::Relaxed),
         }
     }
@@ -597,13 +525,8 @@ mod poller {
 /// One admitted compute frame, queued for a worker.
 struct WorkItem {
     token: u64,
-    tenant: u32,
     kind: u8,
     payload: Vec<u8>,
-    /// Serve through the certified `Σvᵢ` pressure fast path instead of a
-    /// full search (load-shedding tier 2).
-    degrade: bool,
-    weight: u32,
 }
 
 /// A finished computation, handed back to the event thread for writing.
@@ -617,19 +540,12 @@ struct Completion {
 
 #[derive(Default)]
 struct SchedInner {
-    queues: HashMap<u32, VecDeque<WorkItem>>,
-    /// Round-robin order of tenants with queued work. Invariant: a
-    /// tenant is present here iff its queue exists and is non-empty.
-    order: VecDeque<u32>,
-    /// Consecutive items already taken from the front tenant this turn.
-    deficit: u32,
+    queue: VecDeque<WorkItem>,
     closed: bool,
 }
 
-/// Weighted-fair compute queue: tenants with queued work take turns, and
-/// a tenant with weight `w` takes `w` consecutive items per turn. A hog
-/// tenant with a thousand queued frames still yields the pool to a
-/// compliant tenant after at most `w` dequeues.
+/// The compute queue: admitted frames in arrival order, shared by the
+/// workers. Its length is bounded at admission, not here.
 struct Scheduler {
     inner: Mutex<SchedInner>,
     cv: Condvar,
@@ -644,45 +560,17 @@ impl Scheduler {
     }
 
     fn push(&self, item: WorkItem) {
-        let tenant = item.tenant;
         let mut inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-        let was_empty = {
-            let q = inner.queues.entry(tenant).or_default();
-            let was = q.is_empty();
-            q.push_back(item);
-            was
-        };
-        if was_empty {
-            inner.order.push_back(tenant);
-        }
+        inner.queue.push_back(item);
         drop(inner);
         self.cv.notify_one();
     }
 
-    /// Blocking weighted-fair dequeue; `None` once closed and drained.
+    /// Blocking FIFO dequeue; `None` once closed and drained.
     fn pop(&self) -> Option<WorkItem> {
         let mut inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
         loop {
-            if let Some(&tenant) = inner.order.front() {
-                let item = inner.queues.get_mut(&tenant).and_then(|q| q.pop_front());
-                let Some(item) = item else {
-                    // Defensive: a stale order entry is dropped, never
-                    // served.
-                    inner.queues.remove(&tenant);
-                    inner.order.pop_front();
-                    inner.deficit = 0;
-                    continue;
-                };
-                let now_empty = inner.queues.get(&tenant).is_none_or(|q| q.is_empty());
-                inner.deficit += 1;
-                if now_empty {
-                    inner.queues.remove(&tenant);
-                    inner.order.pop_front();
-                    inner.deficit = 0;
-                } else if inner.deficit >= item.weight.max(1) {
-                    inner.order.rotate_left(1);
-                    inner.deficit = 0;
-                }
+            if let Some(item) = inner.queue.pop_front() {
                 return Some(item);
             }
             if inner.closed {
@@ -755,43 +643,11 @@ struct ServerState {
     slots: Vec<Arc<WorkerSlot>>,
     /// Server start, the epoch for all slot timestamps.
     started: Instant,
-    /// Frames admitted but not yet answered, per tenant — the in-flight
-    /// gauge behind the quota cap and the `REQ_STATS` tenant rows.
-    tenant_inflight: Mutex<HashMap<u32, u64>>,
 }
 
 impl ServerState {
     fn now_ms(&self) -> u64 {
         self.started.elapsed().as_millis() as u64
-    }
-
-    fn gauge_add(&self, tenant: u32) {
-        let mut g = self
-            .tenant_inflight
-            .lock()
-            .unwrap_or_else(|p| p.into_inner());
-        *g.entry(tenant).or_insert(0) += 1;
-    }
-
-    fn gauge_sub(&self, tenant: u32) {
-        let mut g = self
-            .tenant_inflight
-            .lock()
-            .unwrap_or_else(|p| p.into_inner());
-        if let Some(v) = g.get_mut(&tenant) {
-            *v = v.saturating_sub(1);
-            if *v == 0 {
-                g.remove(&tenant);
-            }
-        }
-    }
-
-    fn gauge_of(&self, tenant: u32) -> u64 {
-        let g = self
-            .tenant_inflight
-            .lock()
-            .unwrap_or_else(|p| p.into_inner());
-        g.get(&tenant).copied().unwrap_or(0)
     }
 
     /// The readiness signal served by `REQ_HEALTH`.
@@ -809,23 +665,11 @@ impl ServerState {
         }
     }
 
-    /// The full stats frame, including per-tenant in-flight gauges
-    /// (sorted by tenant id for a deterministic wire image).
+    /// The full stats frame.
     fn stats_response(&self) -> StatsResponse {
-        let mut tenants: Vec<TenantGauge> = {
-            let g = self
-                .tenant_inflight
-                .lock()
-                .unwrap_or_else(|p| p.into_inner());
-            g.iter()
-                .map(|(&tenant, &inflight)| TenantGauge { tenant, inflight })
-                .collect()
-        };
-        tenants.sort_by_key(|t| t.tenant);
         StatsResponse {
             server: self.stats.snapshot(),
             cache: self.cache.stats(),
-            tenants,
         }
     }
 
@@ -889,44 +733,6 @@ impl ServerState {
         })
     }
 
-    /// Serve one plan request through the always-legal `Σvᵢ` fast path
-    /// (load-shedding tier 2). No search runs: the sum of the dependence
-    /// vectors is a universal occupancy vector for *any* stencil (the
-    /// paper's fallback), so the answer is computed, costed, and
-    /// certified in microseconds. The response is marked
-    /// `DegradationCode::Pressure` and is never cached — a later
-    /// uncontended request must get the real optimum.
-    fn handle_plan_pressure(&self, req: &PlanRequest) -> Result<PlanResponse, ErrorResponse> {
-        self.stats.requests.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .degraded_under_pressure
-            .fetch_add(1, Ordering::Relaxed);
-        let objective = req.objective.as_objective();
-        let uov = initial_uov(&req.stencil);
-        let cost = try_cost_of(&objective, &uov).map_err(|e| ErrorResponse {
-            code: ErrorCode::Internal,
-            msg: format!("pressure fast path: {e}"),
-        })?;
-        let as_result = SearchResult {
-            uov: uov.clone(),
-            cost,
-            stats: SearchStats::default(),
-            degradation: None,
-            checkpoint_error: None,
-        };
-        let cert = certify(&req.stencil, &objective, &as_result).map_err(|e| ErrorResponse {
-            code: ErrorCode::Internal,
-            msg: format!("certification failed: {e}"),
-        })?;
-        Ok(PlanResponse {
-            uov,
-            cost,
-            certificate_hash: cert.transcript_hash,
-            degradation: DegradationCode::Pressure,
-            cache: CacheOutcome::Miss,
-        })
-    }
-
     /// Accept a neighbor-replication push: re-certify the answer against
     /// the shipped problem, then hand it to the plan cache's validating
     /// replicated-insert path (which canonicalizes and re-derives the
@@ -963,8 +769,8 @@ impl ServerState {
 struct WriteBuf {
     bytes: Vec<u8>,
     off: usize,
-    /// Count this frame in `responses` once fully written (plan/replicate/
-    /// batch answers do; errors and probes don't).
+    /// Count this frame in `responses` once fully written (plan and
+    /// replicate answers do; errors and probes don't).
     counts_response: bool,
 }
 
@@ -997,60 +803,9 @@ struct Conn {
     reg_write: bool,
 }
 
-/// Token-bucket balance for one tenant, in nano-tokens so fractional
-/// refill per millisecond tick is exact.
-struct Bucket {
-    nanos: u128,
-    last_ms: u64,
-}
-
-const NANO: u128 = 1_000_000_000;
-
-/// Debit `charge` tokens from `tenant`'s bucket, refilling for elapsed
-/// time first. Buckets start full (a fresh tenant gets its burst).
-fn take_tokens(
-    buckets: &mut HashMap<u32, Bucket>,
-    tenant: u32,
-    quota: &TenantQuota,
-    charge: u64,
-    now_ms: u64,
-) -> bool {
-    let cap = u128::from(quota.burst) * NANO;
-    let b = buckets.entry(tenant).or_insert(Bucket {
-        nanos: cap,
-        last_ms: now_ms,
-    });
-    let elapsed = now_ms.saturating_sub(b.last_ms);
-    b.last_ms = now_ms;
-    b.nanos =
-        (b.nanos + u128::from(elapsed) * u128::from(quota.tokens_per_sec) * 1_000_000).min(cap);
-    let need = u128::from(charge) * NANO;
-    if b.nanos >= need {
-        b.nanos -= need;
-        true
-    } else {
-        false
-    }
-}
-
-/// The rate-token charge a batch frame declares: its entry count. `None`
-/// for counts the decoder will reject anyway (zero, hostile, or a
-/// truncated prefix) — those skip quota accounting and fail as
-/// `Malformed` on the worker.
-fn batch_charge(payload: &[u8]) -> Option<u64> {
-    if payload.len() < 4 {
-        return None;
-    }
-    let n = u32::from_le_bytes([payload[0], payload[1], payload[2], payload[3]]);
-    if n == 0 || n > MAX_BATCH_ENTRIES {
-        return None;
-    }
-    Some(u64::from(n))
-}
-
 fn enqueue_frame(conn: &mut Conn, frame_kind: u8, payload: &[u8], counts_response: bool) {
     conn.wqueue.push_back(WriteBuf {
-        bytes: encode_frame(frame_kind, 0, payload),
+        bytes: encode_frame(frame_kind, payload),
         off: 0,
         counts_response,
     });
@@ -1117,18 +872,11 @@ fn flush_conn(conn: &mut Conn, state: &ServerState) {
 
 /// Admit, shed, or answer one parsed frame. Probes (health/stats) and
 /// shutdown are answered inline on the event thread — even mid-drain,
-/// even with every worker wedged. Compute frames pass the three-tier
-/// admission gate and land on the weighted-fair queue.
-fn dispatch_frame(
-    conn: &mut Conn,
-    frame: Frame,
-    state: &ServerState,
-    sched: &Scheduler,
-    buckets: &mut HashMap<u32, Bucket>,
-) {
+/// even with every worker wedged. Compute frames join the queue unless
+/// it is full.
+fn dispatch_frame(conn: &mut Conn, frame: Frame, state: &ServerState, sched: &Scheduler) {
     let Frame {
         kind: frame_kind,
-        tenant,
         payload,
     } = frame;
     match frame_kind {
@@ -1148,10 +896,7 @@ fn dispatch_frame(
             enqueue_frame(conn, kind::RESP_SHUTDOWN_ACK, &[], false);
             conn.closing = true;
         }
-        kind::REQ_PLAN | kind::REQ_REPLICATE | kind::REQ_BATCH => {
-            if frame_kind == kind::REQ_BATCH {
-                state.stats.batch_frames.fetch_add(1, Ordering::Relaxed);
-            }
+        kind::REQ_PLAN | kind::REQ_REPLICATE => {
             if state.shutdown.load(Ordering::SeqCst) {
                 state
                     .stats
@@ -1165,36 +910,7 @@ fn dispatch_frame(
                 conn.closing = true;
                 return;
             }
-            // Tier 1: per-tenant quotas. A batch charges one rate token
-            // per entry; a hostile count skips quota accounting and is
-            // rejected as `Malformed` by the worker's decoder instead.
-            let charge = if frame_kind == kind::REQ_BATCH {
-                batch_charge(&payload)
-            } else {
-                Some(1)
-            };
-            let quota = state.config.quotas.as_ref().map(|q| *q.for_tenant(tenant));
-            if let (Some(q), Some(charge)) = (quota, charge) {
-                if state.gauge_of(tenant) >= q.max_inflight {
-                    state.stats.shed_over_quota.fetch_add(1, Ordering::Relaxed);
-                    let err = ErrorResponse {
-                        code: ErrorCode::Overloaded,
-                        msg: format!("tenant {tenant} is over its in-flight cap"),
-                    };
-                    enqueue_frame(conn, kind::RESP_ERROR, &err.encode(), false);
-                    return;
-                }
-                if !take_tokens(buckets, tenant, &q, charge, state.now_ms()) {
-                    state.stats.shed_over_quota.fetch_add(1, Ordering::Relaxed);
-                    let err = ErrorResponse {
-                        code: ErrorCode::Overloaded,
-                        msg: format!("tenant {tenant} is over its rate quota"),
-                    };
-                    enqueue_frame(conn, kind::RESP_ERROR, &err.encode(), false);
-                    return;
-                }
-            }
-            // Tier 3: a full compute queue sheds whatever remains.
+            // The one admission rule: a full compute queue sheds.
             let qlen = state.queue_len.load(Ordering::Relaxed) as usize;
             if qlen >= state.config.queue_depth.max(1) {
                 state
@@ -1208,23 +924,11 @@ fn dispatch_frame(
                 enqueue_frame(conn, kind::RESP_ERROR, &err.encode(), false);
                 return;
             }
-            // Tier 2: between the watermark and the cap, plan-shaped
-            // work degrades to the certified Σvᵢ fast path. Replication
-            // pushes never degrade: a replica stores only answers it
-            // re-certified for real.
-            let dw = state.config.degrade_watermark;
-            let degrade =
-                dw > 0 && qlen >= dw && matches!(frame_kind, kind::REQ_PLAN | kind::REQ_BATCH);
-            let weight = quota.map_or(1, |q| q.weight);
-            state.gauge_add(tenant);
             state.queue_len.fetch_add(1, Ordering::Relaxed);
             sched.push(WorkItem {
                 token: conn.token,
-                tenant,
                 kind: frame_kind,
                 payload,
-                degrade,
-                weight,
             });
             conn.inflight = true;
         }
@@ -1244,13 +948,7 @@ fn dispatch_frame(
 /// Advance one connection's state machine: parse buffered bytes into
 /// frames, dispatch them in order, finalize poison/EOF once in-flight
 /// work has drained, flush output, and resync poller interest.
-fn service_conn(
-    conn: &mut Conn,
-    state: &ServerState,
-    sched: &Scheduler,
-    poller: &poller::Poller,
-    buckets: &mut HashMap<u32, Bucket>,
-) {
+fn service_conn(conn: &mut Conn, state: &ServerState, sched: &Scheduler, poller: &poller::Poller) {
     if conn.poisoned.is_none() && !conn.closing {
         let mut consumed = 0;
         loop {
@@ -1301,7 +999,7 @@ fn service_conn(
         let Some(frame) = conn.pending.pop_front() else {
             break;
         };
-        dispatch_frame(conn, frame, state, sched, buckets);
+        dispatch_frame(conn, frame, state, sched);
     }
     // Poison / EOF finalization waits for in-flight work so a valid
     // frame's answer is flushed before the error reply and the close.
@@ -1327,8 +1025,8 @@ fn service_conn(
     }
 }
 
-/// The event thread: owns the listener, every connection, the poller,
-/// and the admission buckets. Exits once a drain has begun and the last
+/// The event thread: owns the listener, every connection and the
+/// poller. Exits once a drain has begun and the last
 /// connection is gone, then closes the scheduler so workers drain and
 /// exit.
 fn event_loop(
@@ -1339,7 +1037,6 @@ fn event_loop(
     completions: &Mutex<Vec<Completion>>,
 ) {
     let mut conns: HashMap<u64, Conn> = HashMap::new();
-    let mut buckets: HashMap<u32, Bucket> = HashMap::new();
     let mut next_token = FIRST_CONN_TOKEN;
     let _ = poller.add(listener.raw_fd(), TOKEN_LISTENER);
     loop {
@@ -1397,7 +1094,7 @@ fn event_loop(
                         if ev.writable {
                             flush_conn(conn, state);
                         }
-                        service_conn(conn, state, sched, poller, &mut buckets);
+                        service_conn(conn, state, sched, poller);
                     }
                 }
             }
@@ -1417,7 +1114,7 @@ fn event_loop(
                     conn.poisoned = None;
                     conn.closing = true;
                 }
-                service_conn(conn, state, sched, poller, &mut buckets);
+                service_conn(conn, state, sched, poller);
             }
         }
         // Read-deadline and drain reaping. A connection with work in
@@ -1498,17 +1195,12 @@ fn execute_item(item: &WorkItem, state: &ServerState, slot: &WorkerSlot) -> (u8,
     match item.kind {
         kind::REQ_PLAN => match PlanRequest::decode(&item.payload) {
             Ok(req) => {
-                let outcome = if item.degrade {
-                    state.handle_plan_pressure(&req)
-                } else {
-                    // Register with the watchdog before the (potentially
-                    // long) search, clear after.
-                    let cancel = Arc::new(AtomicBool::new(false));
-                    slot.begin_request(state.now_ms(), Arc::clone(&cancel));
-                    let r = state.handle_plan(&req, cancel);
-                    slot.end_request();
-                    r
-                };
+                // Register with the watchdog before the (potentially
+                // long) search, clear after.
+                let cancel = Arc::new(AtomicBool::new(false));
+                slot.begin_request(state.now_ms(), Arc::clone(&cancel));
+                let outcome = state.handle_plan(&req, cancel);
+                slot.end_request();
                 match outcome {
                     Ok(resp) => (kind::RESP_PLAN, resp.encode(), true),
                     Err(err) => (kind::RESP_ERROR, err.encode(), false),
@@ -1521,31 +1213,6 @@ fn execute_item(item: &WorkItem, state: &ServerState, slot: &WorkerSlot) -> (u8,
                 Ok(resp) => (kind::RESP_REPLICATE, resp.encode(), true),
                 Err(err) => (kind::RESP_ERROR, err.encode(), false),
             },
-            Err(e) => malformed(state, &e),
-        },
-        kind::REQ_BATCH => match BatchRequest::decode(&item.payload) {
-            Ok(req) => {
-                // One watchdog registration and one cancel token cover
-                // the whole batch: a wedged batch degrades as a unit,
-                // and canonicalization/certification state stays warm
-                // across entries of the same program.
-                let cancel = Arc::new(AtomicBool::new(false));
-                slot.begin_request(state.now_ms(), Arc::clone(&cancel));
-                let entries = req
-                    .entries
-                    .iter()
-                    .map(|entry| {
-                        if item.degrade {
-                            state.handle_plan_pressure(entry)
-                        } else {
-                            state.handle_plan(entry, Arc::clone(&cancel))
-                        }
-                    })
-                    .collect();
-                slot.end_request();
-                let resp = BatchResponse { entries };
-                (kind::RESP_BATCH, resp.encode(), true)
-            }
             Err(e) => malformed(state, &e),
         },
         other => {
@@ -1579,7 +1246,6 @@ fn worker_loop(index: usize, ctx: &WorkerCtx) {
         // so a dead request's cancel token is never tripped later.
         slot.end_request();
         slot.beat(state.now_ms());
-        state.gauge_sub(item.tenant);
         let comp = match outcome {
             Ok((frame_kind, payload, counts_response)) => Completion {
                 token: item.token,
@@ -1766,7 +1432,6 @@ pub fn serve(endpoint: &str, config: ServerConfig) -> Result<ServerHandle, Servi
             .map(|_| Arc::new(WorkerSlot::default()))
             .collect(),
         started: Instant::now(),
-        tenant_inflight: Mutex::new(HashMap::new()),
         config,
     });
 
@@ -1838,7 +1503,7 @@ pub fn serve(endpoint: &str, config: ServerConfig) -> Result<ServerHandle, Servi
 mod tests {
     use super::*;
     use crate::client::Client;
-    use crate::proto::{read_frame, write_frame};
+    use crate::proto::{read_frame, write_frame, CacheOutcome};
     use uov_core::npc::PartitionInstance;
     use uov_isg::{ivec, RectDomain};
 
@@ -2011,31 +1676,35 @@ mod tests {
         server.join();
     }
 
-    /// Frame kind 10 once carried a distributed work unit. The retired
-    /// kind is an unknown one: answered `Unsupported`, counted as a
-    /// protocol error, and the connection stays at a frame boundary.
+    /// Frame kinds 10 and 11 once carried distributed work units, 14 and
+    /// 15 multi-plan batches. Each retired kind is an unknown one:
+    /// answered `Unsupported`, counted as a protocol error, and the
+    /// connection stays at a frame boundary.
     #[test]
     fn retired_work_unit_kind_is_unsupported_and_keeps_the_connection() {
         let server = start();
         let mut stream = std::net::TcpStream::connect(server.endpoint()).unwrap();
         let mut exchange = |frame_kind: u8, payload: &[u8]| {
-            write_frame(&mut stream, frame_kind, 0, payload).unwrap();
+            write_frame(&mut stream, frame_kind, payload).unwrap();
             read_frame(&mut stream).unwrap().unwrap()
         };
-        let reply = exchange(10, &[]);
-        assert_eq!(reply.kind, kind::RESP_ERROR);
-        let err = ErrorResponse::decode(&reply.payload).unwrap();
-        assert_eq!(err.code, ErrorCode::Unsupported, "{err:?}");
-        assert_eq!(server.stats().protocol_errors, 1);
+        let retired = [10, 11, 14, 15];
+        for (n, frame_kind) in (1..).zip(retired) {
+            let reply = exchange(frame_kind, &[]);
+            assert_eq!(reply.kind, kind::RESP_ERROR);
+            let err = ErrorResponse::decode(&reply.payload).unwrap();
+            assert_eq!(err.code, ErrorCode::Unsupported, "{err:?}");
+            assert_eq!(server.stats().protocol_errors, n);
 
-        let reply = exchange(kind::REQ_PLAN, &plain(fig1()).encode());
-        assert_eq!(reply.kind, kind::RESP_PLAN);
-        assert_eq!(
-            PlanResponse::decode(&reply.payload).unwrap().uov,
-            ivec![1, 1]
-        );
+            let reply = exchange(kind::REQ_PLAN, &plain(fig1()).encode());
+            assert_eq!(reply.kind, kind::RESP_PLAN);
+            assert_eq!(
+                PlanResponse::decode(&reply.payload).unwrap().uov,
+                ivec![1, 1]
+            );
+        }
         server.shutdown();
-        assert_eq!(server.join().protocol_errors, 1);
+        assert_eq!(server.join().protocol_errors, 4);
     }
 
     #[test]
@@ -2052,90 +1721,45 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
+    /// The one admission rule: with the only worker wedged and the
+    /// one-slot queue full, a further request is shed with a typed
+    /// `Overloaded`, and the queued request is still answered.
     #[test]
-    fn weighted_fair_dequeue_interleaves_tenants() {
-        let sched = Scheduler::new();
-        let item = |tenant: u32, weight: u32| WorkItem {
-            token: 0,
-            tenant,
-            kind: kind::REQ_PLAN,
-            payload: Vec::new(),
-            degrade: false,
-            weight,
-        };
-        for _ in 0..4 {
-            sched.push(item(1, 1));
-        }
-        for _ in 0..4 {
-            sched.push(item(2, 1));
-        }
-        let order: Vec<u32> = (0..8).map(|_| sched.pop().unwrap().tenant).collect();
-        assert_eq!(order, vec![1, 2, 1, 2, 1, 2, 1, 2]);
-
-        // A weight-2 tenant takes two consecutive slots per turn.
-        for _ in 0..4 {
-            sched.push(item(1, 2));
-        }
-        for _ in 0..2 {
-            sched.push(item(2, 1));
-        }
-        let order: Vec<u32> = (0..6).map(|_| sched.pop().unwrap().tenant).collect();
-        assert_eq!(order, vec![1, 1, 2, 1, 1, 2]);
-    }
-
-    #[test]
-    fn batched_plans_round_trip_with_per_entry_status() {
-        let server = start();
-        let mut client = Client::connect(server.endpoint()).unwrap();
-        let req = BatchRequest {
-            entries: vec![
-                plain(fig1()),
-                PlanRequest {
-                    stencil: fig1(),
-                    objective: ObjectiveSpec::KnownBounds(RectDomain::grid(6, 6)),
-                    deadline_ms: 0,
-                    flags: 0,
-                },
-            ],
-        };
-        let resp = client.plan_batch(&req).unwrap();
-        assert_eq!(resp.entries.len(), 2);
-        let first = resp.entries[0].as_ref().unwrap();
-        assert_eq!(first.uov, ivec![1, 1]);
-        assert_eq!(first.cost, 2);
-        assert_ne!(first.certificate_hash, 0);
-        assert!(resp.entries[1].is_ok());
-        server.shutdown();
-        let stats = server.join();
-        assert_eq!(stats.batch_frames, 1);
-        assert_eq!(stats.requests, 2, "each batch entry is one request");
-        assert_eq!(stats.responses, 1, "but one response frame");
-    }
-
-    #[test]
-    fn over_quota_tenants_are_shed_with_typed_overloaded() {
-        let mut quotas = QuotaConfig::default();
-        quotas.tenants.insert(
-            7,
-            TenantQuota {
-                tokens_per_sec: 0,
-                burst: 1,
-                max_inflight: 8,
-                weight: 1,
-            },
-        );
+    fn a_full_queue_sheds_with_typed_overloaded() {
         let server = serve(
             "127.0.0.1:0",
             ServerConfig {
-                quotas: Some(quotas),
+                workers: 1,
+                queue_depth: 1,
                 ..ServerConfig::default()
             },
         )
         .unwrap();
-        let mut hog = Client::connect(server.endpoint()).unwrap();
-        hog.set_tenant(7);
-        hog.plan(&plain(fig1())).unwrap();
-        let err = hog.plan(&plain(fig1())).unwrap_err();
+        let ask = |req: PlanRequest| {
+            let ep = server.endpoint().to_string();
+            std::thread::spawn(move || Client::connect(&ep).unwrap().plan(&req))
+        };
+        let wait_for = |what: &str, done: &dyn Fn() -> bool| {
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while !done() {
+                assert!(Instant::now() < deadline, "{what}");
+                std::thread::sleep(Duration::from_millis(10));
+            }
+        };
+        let busy = ask(PlanRequest {
+            deadline_ms: 2000,
+            ..plain(wedge())
+        });
+        wait_for("the wedge never reached the worker", &|| {
+            server.stats().requests == 1
+        });
+        let queued = ask(plain(fig1()));
+        wait_for("the queue never filled", &|| server.health().queue_len == 1);
+
+        let err = Client::connect(server.endpoint())
+            .unwrap()
+            .plan(&plain(fig1()))
+            .unwrap_err();
         assert!(
             matches!(
                 err,
@@ -2146,115 +1770,12 @@ mod tests {
             ),
             "{err:?}"
         );
-        // The compliant (default-quota) tenant is untouched.
-        let mut compliant = Client::connect(server.endpoint()).unwrap();
-        compliant.plan(&plain(fig1())).unwrap();
+        let answer = queued.join().unwrap().unwrap();
+        assert_eq!((answer.uov, answer.cost), (ivec![1, 1], 2));
+        busy.join().unwrap().unwrap();
         server.shutdown();
         let stats = server.join();
-        assert_eq!(stats.shed_over_quota, 1);
-    }
-
-    #[test]
-    fn queue_pressure_degrades_to_certified_sum_fast_path() {
-        let server = serve(
-            "127.0.0.1:0",
-            ServerConfig {
-                workers: 1,
-                degrade_watermark: 1,
-                ..ServerConfig::default()
-            },
-        )
-        .unwrap();
-        let endpoint = server.endpoint().to_string();
-        // Occupy the single worker with an effectively unbounded search…
-        let ep = endpoint.clone();
-        let busy = std::thread::spawn(move || {
-            let mut c = Client::connect(&ep).unwrap();
-            let _ = c.plan(&PlanRequest {
-                stencil: wedge(),
-                objective: ObjectiveSpec::ShortestVector,
-                deadline_ms: 1500,
-                flags: 0,
-            });
-        });
-        // Wait until that search is on the worker: sent together, the two
-        // requests race, and a fast request served first leaves the queue
-        // empty for the whole search.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while server.stats().requests < 1 {
-            assert!(Instant::now() < deadline, "busy request never started");
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        // …queue one more so the compute queue is non-empty…
-        let ep = endpoint.clone();
-        let queued = std::thread::spawn(move || {
-            let mut c = Client::connect(&ep).unwrap();
-            let _ = c.plan(&PlanRequest {
-                stencil: fig1(),
-                objective: ObjectiveSpec::ShortestVector,
-                deadline_ms: 0,
-                flags: 0,
-            });
-        });
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while server.health().queue_len < 1 {
-            assert!(Instant::now() < deadline, "queue never filled");
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        // …then a third request must be served through the Σvᵢ path,
-        // still certified, never cached.
-        let mut c = Client::connect(&endpoint).unwrap();
-        let resp = c.plan(&plain(fig1())).unwrap();
-        assert_eq!(resp.degradation, DegradationCode::Pressure);
-        assert_eq!(resp.cache, CacheOutcome::Miss);
-        assert_eq!(resp.uov, ivec![2, 2], "Σvᵢ of fig1");
-        assert_ne!(resp.certificate_hash, 0);
-        busy.join().unwrap();
-        queued.join().unwrap();
-        server.shutdown();
-        let stats = server.join();
-        assert!(stats.degraded_under_pressure >= 1);
-    }
-
-    #[test]
-    fn tenant_inflight_gauges_are_visible_in_stats() {
-        let server = serve(
-            "127.0.0.1:0",
-            ServerConfig {
-                workers: 1,
-                ..ServerConfig::default()
-            },
-        )
-        .unwrap();
-        let ep = server.endpoint().to_string();
-        let busy = std::thread::spawn(move || {
-            let mut c = Client::connect(&ep).unwrap();
-            c.set_tenant(9);
-            let _ = c.plan(&PlanRequest {
-                stencil: wedge(),
-                objective: ObjectiveSpec::ShortestVector,
-                deadline_ms: 800,
-                flags: 0,
-            });
-        });
-        let mut probe = Client::connect(server.endpoint()).unwrap();
-        let deadline = Instant::now() + Duration::from_secs(5);
-        let mut seen = false;
-        while Instant::now() < deadline {
-            let stats = probe.stats().unwrap();
-            if stats
-                .tenants
-                .iter()
-                .any(|g| g.tenant == 9 && g.inflight >= 1)
-            {
-                seen = true;
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        assert!(seen, "tenant 9's in-flight gauge never appeared");
-        busy.join().unwrap();
-        server.shutdown();
-        server.join();
+        assert_eq!(stats.rejected_overloaded, 1);
+        assert_eq!(stats.panics, 0);
     }
 }

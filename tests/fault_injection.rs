@@ -607,7 +607,7 @@ mod service_faults {
             deadline_ms: 0,
             flags: 0,
         };
-        encode_frame(proto::kind::REQ_PLAN, 0, &req.encode())
+        encode_frame(proto::kind::REQ_PLAN, &req.encode())
     }
 
     /// The server survived an attack iff a fresh well-formed client still
@@ -806,57 +806,6 @@ mod service_faults {
         server.join();
     }
 
-    /// A batch frame whose entry count exceeds `MAX_BATCH_ENTRIES` is a
-    /// typed `Malformed` rejection — counted, never allocated for, never
-    /// a panic — both as a lying raw count and as a genuinely oversized
-    /// well-formed batch.
-    #[test]
-    fn oversized_batch_counts_are_typed_malformed_rejections() {
-        use uov::service::proto::{BatchRequest, MAX_BATCH_ENTRIES};
-        use uov::service::{ErrorCode, ServiceError};
-
-        let server = test_server();
-
-        // A lying count with no entry bytes behind it.
-        let mut payload = Vec::new();
-        payload.extend_from_slice(&(MAX_BATCH_ENTRIES + 1).to_le_bytes());
-        let frame = encode_frame(proto::kind::REQ_BATCH, 0, &payload);
-        let mut conn = raw_conn(&server);
-        conn.write_all(&frame).expect("write oversized count");
-        match read_frame(&mut conn).expect("typed reply") {
-            Some(reply) => assert_eq!(
-                reply.kind,
-                proto::kind::RESP_ERROR,
-                "a lying batch count must be rejected"
-            ),
-            None => panic!("connection dropped without a typed error"),
-        }
-
-        // A well-formed but oversized batch through the real client.
-        let mut client = Client::connect(server.endpoint()).expect("connect");
-        let req = PlanRequest {
-            stencil: Stencil::new(vec![ivec![1, 0], ivec![0, 1], ivec![1, 1]])
-                .expect("valid stencil"),
-            objective: ObjectiveSpec::ShortestVector,
-            deadline_ms: 0,
-            flags: 0,
-        };
-        let batch = BatchRequest {
-            entries: vec![req; MAX_BATCH_ENTRIES as usize + 1],
-        };
-        match client.plan_batch(&batch) {
-            Err(ServiceError::Rejected { code, .. }) => assert_eq!(
-                code,
-                ErrorCode::Malformed,
-                "an oversized batch must be a typed Malformed rejection"
-            ),
-            other => panic!("oversized batch was not rejected: {other:?}"),
-        }
-        assert_still_serving(&server);
-        server.shutdown();
-        server.join();
-    }
-
     /// Garbage *after* a valid frame on the same connection: the first
     /// request is answered, the trailing garbage is a typed drop.
     #[test]
@@ -1005,7 +954,7 @@ mod resilience_faults {
     #[test]
     fn malformed_frame_classes_are_counted_and_exposed() {
         let server = serve("127.0.0.1:0", ServerConfig::default()).expect("bind");
-        let valid = encode_frame(proto::kind::REQ_PLAN, 0, &fig1_request().encode());
+        let valid = encode_frame(proto::kind::REQ_PLAN, &fig1_request().encode());
 
         // CRC flip: damage one payload byte; header still parses.
         let mut crc_flip = valid.clone();
