@@ -6,7 +6,8 @@
 //! emitters consume the same spec, so the loop-bound and index algebra is
 //! decided here exactly once.
 
-use uov_isg::{IVec, IterationDomain as _};
+use uov_isg::num::floor_div;
+use uov_isg::{IVec, IterationDomain as _, RectDomain};
 use uov_loopir::emit::{MappedIndex, OvAccess};
 use uov_loopir::{AffineExpr, LoopNest};
 use uov_storage::{OvMap, StorageMap as _};
@@ -19,7 +20,8 @@ use crate::error::CodegenError;
 /// corresponding `uov_schedule::LoopSchedule` materialisation
 /// (`Lexicographic`, and `TransformedTiled` with the 2-D skew
 /// `v = f·i + j`), so interpreter-side legality results carry over to the
-/// generated code verbatim.
+/// generated code verbatim. [`GenSchedule::for_each_point`] runs the same
+/// loops in process.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GenSchedule {
     /// Original program order: lexicographic on `(i, j)`.
@@ -45,6 +47,49 @@ impl GenSchedule {
             GenSchedule::Lex => "lexicographic (untiled)".to_string(),
             GenSchedule::SkewTiled { f, tile } => {
                 format!("skew f={f}, tile {}x{}", tile[0], tile[1])
+            }
+        }
+    }
+
+    /// Run the loops the emitters print for this schedule over the 2-D
+    /// box `dom`, in process, calling `visit(i, j)` at every point.
+    ///
+    /// The `SkewTiled` arm walks the same `(tu, tv, u, v)` bounds as the
+    /// generated Rust and C, so the visit order is the order the compiled
+    /// kernel runs, with no point list materialised.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dom` is not 2-D or a tile extent is < 1.
+    pub fn for_each_point(&self, dom: &RectDomain, mut visit: impl FnMut(i64, i64)) {
+        let (lo0, hi0) = (dom.lo()[0], dom.hi()[0]);
+        let (lo1, hi1) = (dom.lo()[1], dom.hi()[1]);
+        match *self {
+            GenSchedule::Lex => {
+                for i in lo0..=hi0 {
+                    for j in lo1..=hi1 {
+                        visit(i, j);
+                    }
+                }
+            }
+            GenSchedule::SkewTiled { f, tile: [t0, t1] } => {
+                let vank = f * lo0 + lo1;
+                let vmin = (f * lo0).min(f * hi0) + lo1;
+                let vmax = (f * lo0).max(f * hi0) + hi1;
+                for tu in 0..=(hi0 - lo0) / t0 {
+                    let ulo = lo0 + tu * t0;
+                    let uhi = (ulo + t0 - 1).min(hi0);
+                    for tv in floor_div(vmin - vank, t1)..=floor_div(vmax - vank, t1) {
+                        let vband = vank + tv * t1;
+                        for u in ulo..=uhi {
+                            let vlo = vband.max(f * u + lo1);
+                            let vhi = (vband + t1 - 1).min(f * u + hi1);
+                            for v in vlo..=vhi {
+                                visit(u, v - f * u);
+                            }
+                        }
+                    }
+                }
             }
         }
     }

@@ -173,7 +173,8 @@ fn emit_variant(out: &mut String, spec: &KernelSpec, v: usize, schedule: &GenSch
             // Tiles live in the image space (u, v) = (i, f·i + j),
             // anchored at the image of the domain's lower corner; loops
             // enumerate lexicographically by (tile u, tile v, u, v) —
-            // exactly LoopSchedule::skewed_tiled_2d's order.
+            // exactly LoopSchedule::skewed_tiled_2d's order, and the
+            // bounds GenSchedule::for_each_point walks in process.
             let vmin = (f * lo0).min(f * hi0) + lo1;
             let vmax = (f * lo0).max(f * hi0) + hi1;
             let _ = writeln!(

@@ -6,15 +6,16 @@
 //! * **Checkpoint validation** ([`crate::checkpoint`]) — a snapshot
 //!   records the fingerprint of the problem it belongs to, and resume
 //!   refuses snapshots taken for a different stencil or objective.
-//! * **Result certification** ([`crate::certify`]) — the certificate's
-//!   transcript hash is seeded with the problem fingerprint, so two
-//!   certificates can only collide if they certify the same problem.
+//! * **Result certification** ([`certify`](mod@crate::certify)) — the
+//!   certificate's transcript hash is seeded with the problem fingerprint,
+//!   so two certificates can only collide if they certify the same
+//!   problem.
 //! * **The plan cache** (`uov-service`) — canonicalized problems are
 //!   keyed by fingerprint into the sharded LRU, so every layer of the
 //!   system agrees on what "the same problem" means.
 //!
-//! The encoding is canonical because [`Stencil`](uov_isg::Stencil) stores
-//! its vectors sorted and deduplicated, and the known-bounds branch hashes
+//! The encoding is canonical because [`Stencil`] stores its vectors
+//! sorted and deduplicated, and the known-bounds branch hashes
 //! the domain's *sorted* extreme points: two domains with identical
 //! vertices and cardinality are deliberately interchangeable (they define
 //! the same storage-class count for every candidate vector).

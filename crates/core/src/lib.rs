@@ -25,8 +25,8 @@
 //! * [`budget`] — resource budgets (deadline, node/memo caps, cancellation)
 //!   with graceful degradation to the always-legal initial UOV; a budget's
 //!   node cap is the search's only one.
-//! * [`certify`] — an independent re-check of a search result, with a
-//!   transcript hash that pins it byte for byte.
+//! * [`certify`](mod@certify) — an independent re-check of a search
+//!   result, with a transcript hash that pins it byte for byte.
 //! * [`checkpoint`] — crash-safe search snapshots and resume, on the
 //!   [`wire`] primitives (CRC-checked sections, the one atomic file
 //!   writer) that the planning service's files and frames share.

@@ -110,10 +110,10 @@ pub enum Objective<'a> {
 pub struct SearchConfig {
     /// Resource budget (deadline, node cap, memo cap, cancellation). When
     /// it runs out the search degrades to the best incumbent — at worst the
-    /// always-legal initial UOV — and records a
-    /// [`Degradation`](crate::budget::Degradation) in the result. A node
-    /// cap is the paper's "a compiler could limit the amount of time the
-    /// algorithm runs and just take the best answer found so far".
+    /// always-legal initial UOV — and records a [`Degradation`] in the
+    /// result. A node cap is the paper's "a compiler could limit the
+    /// amount of time the algorithm runs and just take the best answer
+    /// found so far".
     pub budget: Budget,
     /// Worker threads for the branch-and-bound. `0` and `1` both run one
     /// worker on the calling thread, in plain best-first order; `n > 1`
@@ -208,10 +208,10 @@ pub(crate) fn cost_of(objective: &Objective<'_>, w: &IVec) -> u128 {
     }
 }
 
-/// [`cost_of`] with overflow reported instead of panicking; the searches
-/// use this so one adversarial candidate cannot sink the whole run, and
-/// the service's plan cache uses it to re-cost permuted answers. The
-/// one-shot form of [`ObjectiveCost::try_cost`].
+/// The cost of `w` under `objective`, with overflow reported instead of
+/// panicking; the searches use this so one adversarial candidate cannot
+/// sink the whole run, and the service's plan cache uses it to re-cost
+/// permuted answers.
 pub fn try_cost_of(objective: &Objective<'_>, w: &IVec) -> Result<u128, IsgError> {
     ObjectiveCost::new(objective).try_cost(w.as_slice(), &mut Vec::new())
 }

@@ -1,5 +1,5 @@
 //! Parallel tiled execution on OV-mapped storage — the claim of §1/§2
-//! ("[tiling] can also be used as a technique to implement parallelism"),
+//! ("\[tiling\] can also be used as a technique to implement parallelism"),
 //! executed on real threads.
 //!
 //! After skewing, the 5-point stencil's inter-tile dependences are

@@ -81,7 +81,7 @@ impl HierarchicalTiling {
             None => domain.lo().clone(),
         };
         let mut points: Vec<IVec> = domain.points().collect();
-        points.sort_by_key(|p| {
+        points.sort_by_cached_key(|p| {
             let img = match &self.transform {
                 Some(m) => m.mul_vec(p),
                 None => p.clone(),

@@ -86,7 +86,9 @@ impl LoopSchedule {
 
     /// Materialise the execution order over `domain`.
     ///
-    /// The result contains every point of the domain exactly once.
+    /// The result contains every point of the domain exactly once. Each
+    /// point's sort key is built once, not per comparison; every key holds
+    /// the point or an injective image of it, so keys never tie.
     ///
     /// # Panics
     ///
@@ -106,19 +108,20 @@ impl LoopSchedule {
                     check.iter().copied().eq(0..d),
                     "interchange must be a permutation of 0..{d}"
                 );
-                points.sort_by_key(|p| perm.iter().map(|&axis| p[axis]).collect::<Vec<i64>>());
+                points
+                    .sort_by_cached_key(|p| perm.iter().map(|&axis| p[axis]).collect::<Vec<i64>>());
                 points
             }
             LoopSchedule::Transformed(m) => {
                 assert_eq!(m.cols(), d, "transform width must match dimension");
                 assert!(m.is_unimodular(), "schedule transform must be unimodular");
-                points.sort_by_key(|p| m.mul_vec(p));
+                points.sort_by_cached_key(|p| m.mul_vec(p));
                 points
             }
             LoopSchedule::Tiled { tile } => {
                 validate_tile(tile, d);
                 let lo = domain.lo().clone();
-                points.sort_by_key(|p| tile_key(p, &lo, tile));
+                points.sort_by_cached_key(|p| tile_key(p, &lo, tile));
                 points
             }
             LoopSchedule::TransformedTiled { transform, tile } => {
@@ -131,7 +134,7 @@ impl LoopSchedule {
                 // Tile the image space; anchor tiles at the image of the
                 // domain's lower corner so tiling is translation-stable.
                 let lo_img = transform.mul_vec(domain.lo());
-                points.sort_by_key(|p| {
+                points.sort_by_cached_key(|p| {
                     let img = transform.mul_vec(p);
                     tile_key(&img, &lo_img, tile)
                 });
@@ -139,7 +142,7 @@ impl LoopSchedule {
             }
             LoopSchedule::Wavefront(weights) => {
                 assert_eq!(weights.dim(), d, "wavefront weights must match dimension");
-                points.sort_by_key(|p| (weights.dot(p), p.clone()));
+                points.sort_by_cached_key(|p| (weights.dot(p), p.clone()));
                 points
             }
         }

@@ -89,8 +89,8 @@ pub fn map_to_canonical(v: &IVec, perm: &[usize]) -> IVec {
     apply(perm, v)
 }
 
-/// Invert [`apply`]: given a canonical-coordinates vector, recover the
-/// original-coordinates one (`out[perm[i]] = w[i]`).
+/// Invert [`map_to_canonical`]: given a canonical-coordinates vector,
+/// recover the original-coordinates one (`out[perm[i]] = w[i]`).
 pub fn map_back(w: &IVec, perm: &[usize]) -> IVec {
     let mut out = vec![0i64; w.dim()];
     for (i, &p) in perm.iter().enumerate() {

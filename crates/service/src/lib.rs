@@ -32,7 +32,7 @@
 //!   latency spikes, truncation, bit-flips) and a replica kill/restart
 //!   orchestrator, turning every resilience claim into a repeatable test.
 //!
-//! Every answer is re-certified server-side ([`uov_core::certify`]) and
+//! Every answer is re-certified server-side ([`uov_core::certify()`]) and
 //! carries the certificate's transcript hash, so a client can prove a
 //! cached response is byte-identical to a cold solve.
 

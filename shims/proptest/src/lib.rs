@@ -231,7 +231,7 @@ pub mod collection {
     use crate::test_runner::TestRng;
     use std::ops::{Range, RangeInclusive};
 
-    /// A length specification for [`vec`]: a fixed size or a range.
+    /// A length specification for [`vec()`]: a fixed size or a range.
     #[derive(Debug, Clone, Copy)]
     pub struct SizeRange {
         lo: usize,

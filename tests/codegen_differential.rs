@@ -18,18 +18,26 @@
 //! A second group fault-injects the ladder: missing toolchain, broken
 //! source, and a run that exceeds its allowance must all surface as
 //! *typed* [`uov::codegen::CodegenError`] values — never panics.
+//!
+//! A third group holds the autotuner's toolchain-free half to the
+//! schedule crate: the in-process loop walker must visit exactly
+//! [`uov::schedule::LoopSchedule`]'s order, and the memsim ranking of
+//! perfbench's tile grid is pinned cycle for cycle.
 
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use uov::codegen::{
     autotune, compile_c, compile_rust, emit_c, emit_rust, emit_rust_variants, find_tool,
     input_value, run_kernel, AutotuneConfig, CandidateStatus, CodegenError, DegradeReason,
     GenSchedule, KernelSpec,
 };
-use uov::isg::{IVec, IterationDomain as _};
+use uov::isg::{IVec, IterationDomain as _, RectDomain};
 use uov::kernels::zoo;
 use uov::loopir::interp;
+use uov::schedule::LoopSchedule;
 use uov::storage::{Layout, OvMap};
 
 fn seed_from_env() -> u64 {
@@ -244,6 +252,94 @@ fn missing_toolchain_degrades_autotune_without_panicking() {
         .iter()
         .all(|c| c.status == CandidateStatus::Ranked));
     assert!(report.best.is_none());
+}
+
+/// The walker the ranking replays visits exactly the order the schedule
+/// crate materialises: `SkewTiled { f, tile }` is
+/// `skewed_tiled_2d(f, tile)` and `Lex` is `Lexicographic`, on boxes on
+/// either side of the origin, under negative skews, and with tiles both
+/// larger and smaller than the box.
+#[test]
+fn walker_visits_the_schedule_order() {
+    let mut rng = StdRng::seed_from_u64(seed_from_env() ^ 0x7A1C);
+    for case in 0..3000 {
+        let lo = [rng.gen_range(-20..=20), rng.gen_range(-20..=20)];
+        let hi = [lo[0] + rng.gen_range(0..=9), lo[1] + rng.gen_range(0..=9)];
+        let dom = RectDomain::new(IVec::from(lo), IVec::from(hi));
+        let f = rng.gen_range(-3..=3);
+        let tile = [rng.gen_range(1..=12), rng.gen_range(1..=12)];
+        let walk = |schedule: GenSchedule| {
+            let mut order = Vec::new();
+            schedule.for_each_point(&dom, |i, j| order.push(IVec::from([i, j])));
+            order
+        };
+        assert_eq!(
+            walk(GenSchedule::SkewTiled { f, tile }),
+            LoopSchedule::skewed_tiled_2d(f, tile.to_vec()).order(&dom),
+            "case {case}: f {f}, tile {tile:?}, box {lo:?}..={hi:?}"
+        );
+        assert_eq!(
+            walk(GenSchedule::Lex),
+            LoopSchedule::Lexicographic.order(&dom),
+            "case {case}: box {lo:?}..={hi:?}"
+        );
+    }
+}
+
+/// The memsim ranking of perfbench's tile grid, pinned: the replay may
+/// get cheaper, but every `(tile, memsim_cycles)` pair and their order
+/// must stay byte-identical.
+#[test]
+fn memsim_ranking_of_the_zoo_is_pinned() {
+    let cfg = AutotuneConfig {
+        tiles0: vec![8, 16],
+        tiles1: vec![256, 1024, 4096],
+        rustc: Some(PathBuf::from("/nonexistent/toolchain/rustc")),
+        ..AutotuneConfig::default()
+    };
+    let ties = |cycles: u64| -> Vec<([i64; 2], u64)> {
+        [8, 16]
+            .into_iter()
+            .flat_map(|t0| [256, 1024, 4096].map(|t1| ([t0, t1], cycles)))
+            .collect()
+    };
+    let cases = [
+        (
+            zoo::stencil5(64, 4096),
+            vec![
+                ([16, 256], 915_222),
+                ([16, 1024], 923_708),
+                ([8, 256], 1_328_046),
+                ([8, 1024], 1_331_856),
+                ([16, 4096], 2_124_506),
+                ([8, 4096], 2_134_010),
+            ],
+        ),
+        (
+            zoo::deep8(16, 1 << 17),
+            vec![
+                ([16, 256], 1_131_776),
+                ([16, 1024], 1_131_776),
+                ([16, 4096], 1_574_144),
+                ([8, 256], 1_577_984),
+                ([8, 1024], 1_577_984),
+                ([8, 4096], 1_987_584),
+            ],
+        ),
+        (zoo::psm(512, 512), ties(186_599)),
+        (zoo::fig1(512, 512), ties(100_063)),
+    ];
+    for (entry, want) in cases {
+        let maps = entry.maps(Layout::Interleaved);
+        let map_refs: Vec<Option<&OvMap>> = maps.iter().map(|m| m.as_ref()).collect();
+        let report = autotune(entry.name, &entry.nest, &map_refs, entry.skew_f, &cfg).unwrap();
+        let got: Vec<([i64; 2], u64)> = report
+            .candidates
+            .iter()
+            .map(|c| (c.tile, c.memsim_cycles))
+            .collect();
+        assert_eq!(got, want, "{}: memsim ranking drifted", entry.name);
+    }
 }
 
 #[test]
