@@ -48,34 +48,6 @@ fn bench_search(c: &mut Criterion) {
     group.finish();
 }
 
-/// The parallel engine on the 13-vector 3-D stencil, threads = 1 vs the
-/// host core count. On a 4+ core machine the parallel run should show the
-/// ≥ 2× wall-clock speedup; on any machine the results are identical.
-fn bench_parallel_search(c: &mut Criterion) {
-    let s = uov_bench::experiments::ablation::stencil_3d();
-    let ncores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let mut counts = vec![1usize, 2, 4, ncores];
-    counts.sort_unstable();
-    counts.dedup();
-    let mut group = c.benchmark_group("uov_search_parallel");
-    for threads in counts {
-        group.bench_with_input(
-            BenchmarkId::new("3d_stencil", threads),
-            &threads,
-            |b, &threads| {
-                let config = SearchConfig {
-                    threads,
-                    ..SearchConfig::default()
-                };
-                b.iter(|| find_best_uov(&s, Objective::ShortestVector, &config))
-            },
-        );
-    }
-    group.finish();
-}
-
 fn bench_npc(c: &mut Criterion) {
     let mut group = c.benchmark_group("npc_membership");
     for n in [4usize, 6, 8] {
@@ -90,5 +62,5 @@ fn bench_npc(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_search, bench_parallel_search, bench_npc);
+criterion_group!(benches, bench_search, bench_npc);
 criterion_main!(benches);

@@ -6,7 +6,7 @@
 //!
 //! Names are the paper's own: `fig1 fig2 fig3 fig5 fig6 table1 table2
 //! fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14 npc ablation`, plus the
-//! search and schedule studies `parallel jacobi tiles baseline`.
+//! schedule studies `jacobi tiles baseline`.
 
 use std::path::PathBuf;
 use std::process::ExitCode;

@@ -116,14 +116,8 @@ pub fn objective_comparison() -> Table {
     let shortest = find_best_uov(&s, Objective::ShortestVector, &SearchConfig::default())
         .expect("fig3 stencil is in range");
     for (name, domain) in [
-        (
-            "fig3 skewed ISG",
-            &fig3 as &(dyn uov_isg::IterationDomain + Sync),
-        ),
-        (
-            "10x10 grid",
-            &square as &(dyn uov_isg::IterationDomain + Sync),
-        ),
+        ("fig3 skewed ISG", &fig3 as &dyn uov_isg::IterationDomain),
+        ("10x10 grid", &square as &dyn uov_isg::IterationDomain),
     ] {
         let best = find_best_uov(&s, Objective::KnownBounds(domain), &SearchConfig::default())
             .expect("fig3 stencil is in range");
@@ -222,8 +216,7 @@ pub fn degradation_stats() -> Table {
                 Objective::ShortestVector,
                 &SearchConfig {
                     budget: budget.clone(),
-                    threads: 1,
-                    checkpoint: None,
+                    ..SearchConfig::default()
                 },
             )
             .expect("zoo stencils are in range even under a tiny budget");
@@ -258,68 +251,6 @@ pub fn degradation_stats() -> Table {
     t
 }
 
-/// All ablation tables.
-/// A 13-vector 3-D stencil — the parallel-speedup workload. Big enough
-/// (2^13 PATHSETs over a 3-D offset lattice) that the branch-and-bound
-/// has real work to distribute.
-pub fn stencil_3d() -> Stencil {
-    let mut vs = Vec::new();
-    for a in -1i64..=1 {
-        for b in -1i64..=1 {
-            vs.push(IVec::from([1, a, b]));
-        }
-    }
-    for (a, b) in [(-2i64, 0i64), (2, 0), (0, -2), (0, 2)] {
-        vs.push(IVec::from([1, a, b]));
-    }
-    Stencil::new(vs).expect("all vectors lex-positive")
-}
-
-/// Thread-count sweep on the 3-D stencil: wall-clock per thread count and
-/// the returned `(UOV, cost)` — which must be identical in every row (the
-/// determinism guarantee made observable). Speedup is only expected on
-/// multi-core hosts; the *consistency* columns hold everywhere.
-pub fn parallel_consistency(scale: Scale) -> Table {
-    let s = stencil_3d();
-    let ncores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let mut counts = match scale {
-        Scale::Quick => vec![1, 2, ncores.max(2)],
-        Scale::Full => vec![1, 2, 4, 8, ncores.max(2)],
-    };
-    counts.sort_unstable();
-    counts.dedup();
-    let mut t = Table::new(
-        "parallel search — thread sweep on the 13-vector 3-D stencil",
-        vec![
-            "threads".into(),
-            "wall ms".into(),
-            "UOV".into(),
-            "cost".into(),
-            "visited".into(),
-        ],
-    );
-    for threads in counts {
-        let config = SearchConfig {
-            threads,
-            ..SearchConfig::default()
-        };
-        let start = std::time::Instant::now();
-        let res =
-            find_best_uov(&s, Objective::ShortestVector, &config).expect("3-D stencil is in range");
-        let ms = start.elapsed().as_secs_f64() * 1e3;
-        t.push(vec![
-            threads.to_string(),
-            format!("{ms:.2}"),
-            res.uov.to_string(),
-            res.cost.to_string(),
-            res.stats.visited.to_string(),
-        ]);
-    }
-    t
-}
-
 /// Every ablation table at the given scale.
 pub fn all(scale: Scale) -> Vec<Table> {
     vec![
@@ -327,7 +258,6 @@ pub fn all(scale: Scale) -> Vec<Table> {
         objective_comparison(),
         budget_truncation(),
         degradation_stats(),
-        parallel_consistency(scale),
     ]
 }
 
@@ -375,17 +305,6 @@ mod tests {
         // The zero deadline rows must all report a deadline degradation.
         let total = t.rows().last().unwrap().clone();
         assert!(total[4].starts_with(&zoo().len().to_string()), "{total:?}");
-    }
-
-    #[test]
-    fn parallel_consistency_rows_agree() {
-        let t = parallel_consistency(Scale::Quick);
-        let rows = t.rows();
-        assert!(rows.len() >= 2, "need at least two thread counts");
-        for row in rows {
-            assert_eq!(row[2], rows[0][2], "UOV changed with thread count");
-            assert_eq!(row[3], rows[0][3], "cost changed with thread count");
-        }
     }
 
     #[test]

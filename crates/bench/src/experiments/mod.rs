@@ -31,7 +31,6 @@ pub fn run(name: &str, scale: Scale) -> Option<Vec<Table>> {
         "fig14" => vec![scaling::psm_scaling(2, scale)],
         "npc" => vec![npc::reduction_demo(scale)],
         "ablation" => ablation::all(scale),
-        "parallel" => vec![ablation::parallel_consistency(scale)],
         "jacobi" => vec![extension::jacobi(scale)],
         "tiles" => vec![extension::tile_sweep(scale)],
         "baseline" => vec![
@@ -46,7 +45,7 @@ pub fn run(name: &str, scale: Scale) -> Option<Vec<Table>> {
 pub fn all_names() -> Vec<&'static str> {
     vec![
         "fig1", "fig2", "fig3", "fig5", "fig6", "table1", "table2", "fig7", "fig8", "fig9",
-        "fig10", "fig11", "fig12", "fig13", "fig14", "npc", "ablation", "parallel", "jacobi",
-        "tiles", "baseline",
+        "fig10", "fig11", "fig12", "fig13", "fig14", "npc", "ablation", "jacobi", "tiles",
+        "baseline",
     ]
 }

@@ -10,12 +10,12 @@
 //! together with a [`Degradation`] record saying what was cut short.
 //!
 //! Budgets are cheap to check: the node counter is an [`AtomicU64`], so a
-//! single budget can be shared by every worker of a parallel search, and
-//! the clock is only consulted once every
-//! [`CHECK_INTERVAL`](Budget::CHECK_INTERVAL) nodes. The counter is
-//! global across workers but the worker that observes an expired clock
-//! still has to propagate the stop, so a deadline may be overshot by at
-//! most one check interval's worth of node expansions **per worker**.
+//! budget works through a shared reference (the oracle and the search
+//! both charge it), and the clock and the cancellation token — which
+//! another thread, such as the planning server's watchdog, may set — are
+//! only consulted once every [`CHECK_INTERVAL`](Budget::CHECK_INTERVAL)
+//! nodes. A deadline or a cancellation may therefore be overshot by at
+//! most one check interval's worth of node expansions.
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -98,11 +98,9 @@ impl fmt::Display for Degradation {
 /// ```
 ///
 /// A single `Budget` value tracks consumed nodes across everything it is
-/// threaded through — including every worker of a parallel search, which
-/// all charge the same atomic counter. Clone it to get an independent
-/// counter with the same limits (a cloned deadline still refers to the
-/// same wall-clock instant, and a cloned cancellation token still trips
-/// together).
+/// threaded through. Clone it to get an independent counter with the same
+/// limits (a cloned deadline still refers to the same wall-clock instant,
+/// and a cloned cancellation token still trips together).
 #[derive(Debug, Default)]
 pub struct Budget {
     deadline: Option<Instant>,
@@ -126,11 +124,8 @@ impl Clone for Budget {
 
 impl Budget {
     /// The deadline and the cancellation token are polled once every this
-    /// many charged nodes. The counter is shared by all workers of a
-    /// parallel search, so either can be overshot by at most
-    /// `CHECK_INTERVAL − 1` node expansions **per worker** — the observing
-    /// worker stops at the poll, the others within their next charge after
-    /// the stop flag propagates.
+    /// many charged nodes, so either can be overshot by at most
+    /// `CHECK_INTERVAL − 1` node expansions.
     pub const CHECK_INTERVAL: u64 = 64;
 
     /// A budget with no limits: never reports exhaustion.
@@ -168,7 +163,8 @@ impl Budget {
         self
     }
 
-    /// Nodes charged so far (across all sharers of this budget value).
+    /// Nodes charged so far (across everything this budget value is
+    /// threaded through).
     pub fn nodes_charged(&self) -> u64 {
         self.nodes.load(Ordering::Relaxed)
     }
@@ -183,18 +179,15 @@ impl Budget {
         self.nodes.fetch_max(n, Ordering::Relaxed);
     }
 
-    /// Charge one unit of work (one search-node expansion).
-    ///
-    /// Safe to call concurrently from many workers: the counter is a
-    /// single atomic, so the node cap stays exact under contention, and
-    /// every `CHECK_INTERVAL`-th global charge polls the clock and token.
+    /// Charge one unit of work (one search-node expansion). Every
+    /// `CHECK_INTERVAL`-th charge polls the clock and token.
     ///
     /// # Errors
     ///
     /// Returns the exhausted dimension once a limit is hit. The node cap is
     /// exact; deadline and cancellation are polled every
-    /// [`CHECK_INTERVAL`](Budget::CHECK_INTERVAL) nodes, giving a
-    /// per-worker overshoot bound of one check interval.
+    /// [`CHECK_INTERVAL`](Budget::CHECK_INTERVAL) nodes, giving an
+    /// overshoot bound of one check interval.
     pub fn charge(&self) -> Result<(), Exhausted> {
         let n = self.nodes.fetch_add(1, Ordering::Relaxed).saturating_add(1);
         if let Some(cap) = self.max_nodes {

@@ -1,122 +1,24 @@
-//! Sharded, lock-striped concurrent caches.
+//! A sharded, lock-striped LRU cache.
 //!
-//! Two flavours share the striping scheme:
-//!
-//! * [`ShardedCache`] — an unbounded insert-only map. This is the memo
-//!   table of the [`DoneOracle`](crate::DoneOracle): verdicts for a fixed
-//!   stencil are unique, so last-writer-wins races are harmless, and
-//!   entries are never evicted (the budget's memo cap bounds growth).
-//! * [`ShardedLru`] — a capacity-bounded map with least-recently-used
-//!   eviction per shard. This is what the planning service's canonical
-//!   plan cache builds on: hot stencils stay resident, cold ones age out,
-//!   and the capacity bound holds under any workload.
+//! [`ShardedLru`] is a capacity-bounded map with least-recently-used
+//! eviction per shard. This is what the planning service's canonical
+//! plan cache builds on: hot stencils stay resident, cold ones age out,
+//! and the capacity bound holds under any workload.
 //!
 //! Striping keeps contention low — a key hashes to one of `shards`
 //! independently locked maps, so two threads only collide when they touch
 //! the same stripe at the same instant. Locks are never held across user
-//! code, so neither structure can deadlock.
+//! code, so the cache cannot deadlock.
 
-use std::borrow::Borrow;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::{Mutex, RwLock};
+use std::sync::Mutex;
 
 fn stripe_of<Q: Hash + ?Sized>(key: &Q, mask: usize) -> usize {
     let mut h = DefaultHasher::new();
     key.hash(&mut h);
     (h.finish() as usize) & mask
-}
-
-/// An unbounded sharded concurrent map (see the module docs).
-///
-/// Readers take a shard's lock shared, writers exclusively. A poisoned
-/// stripe (a panicking writer elsewhere) degrades to a cache miss rather
-/// than propagating the panic.
-#[derive(Debug)]
-pub struct ShardedCache<K, V> {
-    shards: Vec<RwLock<HashMap<K, V>>>,
-    mask: usize,
-}
-
-impl<K: Hash + Eq, V: Clone> Default for ShardedCache<K, V> {
-    fn default() -> Self {
-        ShardedCache::new(Self::DEFAULT_SHARDS)
-    }
-}
-
-impl<K: Hash + Eq, V: Clone> ShardedCache<K, V> {
-    /// Default stripe count; a power of two so the shard index is a mask.
-    pub const DEFAULT_SHARDS: usize = 16;
-
-    /// A cache striped over `shards` locks (rounded up to a power of two).
-    pub fn new(shards: usize) -> Self {
-        let n = shards.max(1).next_power_of_two();
-        ShardedCache {
-            shards: (0..n).map(|_| RwLock::default()).collect(),
-            mask: n - 1,
-        }
-    }
-
-    fn shard<Q>(&self, key: &Q) -> &RwLock<HashMap<K, V>>
-    where
-        Q: Hash + ?Sized,
-    {
-        &self.shards[stripe_of(key, self.mask)]
-    }
-
-    /// Cached value for `key`, if any. Accepts any borrowed form of the
-    /// key (e.g. probe an `IVec`-keyed cache with a `&[i64]` scratch
-    /// slice — no allocation on the lookup path).
-    pub fn get<Q>(&self, key: &Q) -> Option<V>
-    where
-        K: Borrow<Q>,
-        Q: Hash + Eq + ?Sized,
-    {
-        match self.shard(key).read() {
-            Ok(guard) => guard.get(key).cloned(),
-            Err(_) => None,
-        }
-    }
-
-    /// Insert a value; returns whether the entry is new. Last-writer wins
-    /// on a race — callers must only store values that concurrent writers
-    /// agree on (memoised verdicts, canonical results).
-    pub fn insert(&self, key: K, val: V) -> bool {
-        match self.shard(&key).write() {
-            Ok(mut guard) => guard.insert(key, val).is_none(),
-            Err(_) => false,
-        }
-    }
-
-    /// Whether `key` has a cached value (borrowed-form lookup like
-    /// [`ShardedCache::get`]).
-    pub fn contains<Q>(&self, key: &Q) -> bool
-    where
-        K: Borrow<Q>,
-        Q: Hash + Eq + ?Sized,
-    {
-        match self.shard(key).read() {
-            Ok(guard) => guard.contains_key(key),
-            Err(_) => false,
-        }
-    }
-
-    /// Total entries across stripes. Exact when quiescent; a snapshot
-    /// (each stripe read at a slightly different instant) under
-    /// concurrent insertion, which is all the memo-cap check needs.
-    pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.read().map(|g| g.len()).unwrap_or(0))
-            .sum()
-    }
-
-    /// Whether the cache holds no entries (same snapshot caveat as
-    /// [`ShardedCache::len`]).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 /// One LRU shard: a map plus a monotone access clock. Eviction scans for
@@ -260,33 +162,6 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLru<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sharded_cache_inserts_and_hits() {
-        let c: ShardedCache<u64, u64> = ShardedCache::default();
-        assert!(c.is_empty());
-        assert!(c.insert(1, 10));
-        assert!(!c.insert(1, 11), "overwrite is not a new entry");
-        assert_eq!(c.get(&1), Some(11));
-        assert!(!c.contains(&2));
-        assert_eq!(c.len(), 1);
-    }
-
-    #[test]
-    fn sharded_cache_is_concurrent() {
-        let c: ShardedCache<u64, u64> = ShardedCache::new(8);
-        std::thread::scope(|scope| {
-            for t in 0..4u64 {
-                let c = &c;
-                scope.spawn(move || {
-                    for i in 0..100 {
-                        c.insert(t * 1000 + i, i);
-                    }
-                });
-            }
-        });
-        assert_eq!(c.len(), 400);
-    }
 
     #[test]
     fn lru_evicts_least_recently_used() {

@@ -145,9 +145,10 @@ impl std::error::Error for CheckpointError {}
 /// A decoded (or to-be-encoded) search snapshot.
 ///
 /// The `frontier` holds every queue entry that was live at snapshot time
-/// — including entries a worker had popped but not fully expanded — and
-/// `known` the full PATHSET union table, so resuming re-creates exactly
-/// the state the canonical-order determinism argument needs (DESIGN §6d).
+/// — including the entry the search had popped but not fully expanded —
+/// and `known` the full PATHSET union table, so resuming re-creates
+/// exactly the state the canonical-order determinism argument needs
+/// (DESIGN §6d).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Snapshot {
     /// FNV-1a fingerprint of the stencil + objective (see [`fingerprint`]).

@@ -19,22 +19,22 @@
 //! * [`MaskTable`] — the search's PATHSET node pool: a dense `u64` cell
 //!   per window point (bit 63 is the PRESENT flag — stencils have at
 //!   most 63 vectors, so PATHSET masks only ever use bits `0..=62`)
-//!   plus a sharded spill map and an arena of out-of-window coordinates,
+//!   plus a spill map and an arena of out-of-window coordinates,
 //!   addressed by stable `u64` keys so queue entries are `Copy`.
 //!
 //! Both arrays are **lazily paged**: the backing store is a directory of
-//! [`OnceLock`] pages allocated on first write. A search that touches a
-//! few dozen points near the origin pays for one or two small pages, not
-//! for the whole window — which keeps the per-search fixed cost small
-//! next to the search itself on the many small problems a planner sees.
+//! pages allocated on first write. A search that touches a few dozen
+//! points near the origin pays for one or two small pages, not for the
+//! whole window — which keeps the per-search fixed cost small next to
+//! the search itself on the many small problems a planner sees.
+//!
+//! Both are single-threaded: one search, or one oracle, owns each.
 //!
 //! Nothing here affects *answers*: the window is a cache-shaped view and
 //! the spill tier is always consulted for out-of-window points, so
 //! results are identical whatever bounds the window ends up with.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use uov_isg::IVec;
 
@@ -55,16 +55,6 @@ const PRESENT: u64 = 1 << 63;
 /// the `u64` key space handed out by [`MaskTable::merge`]. Dense indices
 /// are bounded by the window entry budget, far below this bit.
 const SPILL_TAG: u64 = 1 << 63;
-
-/// Take a mutex even when a panicking holder poisoned it: every critical
-/// section here is a few plain stores with no invariants that a panic
-/// could tear, so the data is still well-formed.
-fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
 
 /// Row-major linearization of an axis-aligned box `[lo_k, hi_k]` in
 /// `Z^d` that contains the origin.
@@ -204,60 +194,49 @@ impl Window {
     }
 }
 
-/// Directory of lazily-allocated atomic pages; cells start at `zero`.
+/// Directory of lazily-allocated pages; cells start at zero.
 #[derive(Debug)]
 struct Pages<T> {
-    pages: Vec<OnceLock<Box<[T]>>>,
+    pages: Vec<Option<Box<[T]>>>,
 }
 
-impl<T> Pages<T> {
+impl<T: Copy + Default> Pages<T> {
     fn new(len: usize) -> Self {
         Pages {
-            pages: (0..len.div_ceil(PAGE)).map(|_| OnceLock::new()).collect(),
+            pages: (0..len.div_ceil(PAGE)).map(|_| None).collect(),
         }
     }
-}
 
-macro_rules! atomic_pages {
-    ($t:ty, $atom:ty) => {
-        impl Pages<$atom> {
-            /// Read a cell; an unallocated page reads as zero.
-            #[inline]
-            fn load(&self, idx: usize) -> $t {
-                match self.pages[idx >> PAGE_BITS].get() {
-                    Some(page) => page[idx & (PAGE - 1)].load(Ordering::Relaxed),
-                    None => 0,
-                }
-            }
-
-            /// The cell for `idx`, allocating its page on first touch.
-            #[inline]
-            fn cell(&self, idx: usize) -> &$atom {
-                let page = self.pages[idx >> PAGE_BITS]
-                    .get_or_init(|| (0..PAGE).map(|_| <$atom>::new(0)).collect());
-                &page[idx & (PAGE - 1)]
-            }
+    /// Read a cell; an unallocated page reads as zero.
+    #[inline]
+    fn load(&self, idx: usize) -> T {
+        match &self.pages[idx >> PAGE_BITS] {
+            Some(page) => page[idx & (PAGE - 1)],
+            None => T::default(),
         }
-    };
-}
+    }
 
-atomic_pages!(u8, AtomicU8);
-atomic_pages!(u64, AtomicU64);
+    /// The cell for `idx`, allocating its page on first touch.
+    #[inline]
+    fn cell(&mut self, idx: usize) -> &mut T {
+        let page = self.pages[idx >> PAGE_BITS]
+            .get_or_insert_with(|| vec![T::default(); PAGE].into_boxed_slice());
+        &mut page[idx & (PAGE - 1)]
+    }
+}
 
 const VERDICT_FALSE: u8 = 1;
 const VERDICT_TRUE: u8 = 2;
 
 /// Dense tri-state cone-membership memo over a [`Window`].
 ///
-/// Cell states are `unknown`, `false`, `true`. Verdicts for a fixed
-/// stencil are unique, so concurrent writers always agree and relaxed
-/// atomics suffice; the occupancy counter is claimed by compare-exchange
-/// so it counts each cell exactly once.
+/// Cell states are `unknown`, `false`, `true`; the occupancy counter
+/// counts each recorded cell once.
 #[derive(Debug)]
 pub struct ConeMemo {
     window: Window,
-    cells: Pages<AtomicU8>,
-    occupied: AtomicUsize,
+    cells: Pages<u8>,
+    occupied: usize,
 }
 
 impl ConeMemo {
@@ -267,7 +246,7 @@ impl ConeMemo {
         ConeMemo {
             window,
             cells,
-            occupied: AtomicUsize::new(0),
+            occupied: 0,
         }
     }
 
@@ -287,27 +266,21 @@ impl ConeMemo {
     }
 
     /// Record a verdict; returns whether the cell was previously
-    /// unknown. Losing a race to another writer is harmless — verdicts
-    /// are unique — and does not double-count occupancy.
-    pub fn set(&self, idx: usize, val: bool) -> bool {
-        let verdict = if val { VERDICT_TRUE } else { VERDICT_FALSE };
-        match self.cells.cell(idx).compare_exchange(
-            0,
-            verdict,
-            Ordering::Relaxed,
-            Ordering::Relaxed,
-        ) {
-            Ok(_) => {
-                self.occupied.fetch_add(1, Ordering::Relaxed);
-                true
-            }
-            Err(_) => false,
+    /// unknown. A recorded verdict is never overwritten: verdicts for a
+    /// fixed stencil are unique.
+    pub fn set(&mut self, idx: usize, val: bool) -> bool {
+        let cell = self.cells.cell(idx);
+        if *cell != 0 {
+            return false;
         }
+        *cell = if val { VERDICT_TRUE } else { VERDICT_FALSE };
+        self.occupied += 1;
+        true
     }
 
     /// Number of recorded verdicts.
     pub fn len(&self) -> usize {
-        self.occupied.load(Ordering::Relaxed)
+        self.occupied
     }
 
     /// Whether no verdict has been recorded.
@@ -332,12 +305,9 @@ pub struct MergeOutcome {
     pub key: u64,
 }
 
-/// Number of spill stripes; a power of two so the stripe index is a mask.
-const SPILL_SHARDS: usize = 16;
-
 /// The search's PATHSET node pool: dense `u64` cells over a [`Window`]
-/// (PRESENT bit + mask bits), spilling out-of-window nodes to a sharded
-/// map plus a coordinate arena so every node has a stable `Copy` key.
+/// (PRESENT bit + mask bits), spilling out-of-window nodes to a map plus
+/// a coordinate arena so every node has a stable `Copy` key.
 ///
 /// Queue entries throughout the search are `(cost, key, mask)` triples —
 /// no heap-allocated vectors on the hot path. For in-window nodes the
@@ -347,16 +317,14 @@ const SPILL_SHARDS: usize = 16;
 #[derive(Debug)]
 pub struct MaskTable {
     window: Window,
-    cells: Pages<AtomicU64>,
+    cells: Pages<u64>,
     /// Keys of occupied dense cells in insertion order, so snapshots
     /// enumerate occupancy without scanning the whole window.
-    dense_log: Mutex<Vec<u32>>,
-    /// Total node count across both tiers (the memo-cap figure).
-    count: AtomicUsize,
+    dense_log: Vec<u32>,
     /// Out-of-window nodes: coords → (mask, arena id).
-    spill: Vec<Mutex<HashMap<IVec, (u64, u32)>>>,
+    spill: HashMap<IVec, (u64, u32)>,
     /// Spill id → coords, so spill keys decode without a map walk.
-    arena: Mutex<Vec<IVec>>,
+    arena: Vec<IVec>,
 }
 
 impl MaskTable {
@@ -367,12 +335,9 @@ impl MaskTable {
         MaskTable {
             window,
             cells,
-            dense_log: Mutex::new(Vec::new()),
-            count: AtomicUsize::new(0),
-            spill: (0..SPILL_SHARDS)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
-            arena: Mutex::new(Vec::new()),
+            dense_log: Vec::new(),
+            spill: HashMap::new(),
+            arena: Vec::new(),
         }
     }
 
@@ -381,18 +346,10 @@ impl MaskTable {
         &self.window
     }
 
-    fn shard(&self, w: &[i64]) -> &Mutex<HashMap<IVec, (u64, u32)>> {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        w.hash(&mut h);
-        &self.spill[(h.finish() as usize) & (SPILL_SHARDS - 1)]
-    }
-
-    /// Total nodes across the dense and spill tiers. Exact when
-    /// quiescent; a snapshot under concurrent insertion, which is all
-    /// the memo-cap check needs.
+    /// Total nodes across the dense and spill tiers (the memo-cap
+    /// figure).
     pub fn len(&self) -> usize {
-        self.count.load(Ordering::Relaxed)
+        self.dense_log.len() + self.spill.len()
     }
 
     /// Whether the pool holds no nodes.
@@ -412,7 +369,7 @@ impl MaskTable {
                     None
                 }
             }
-            None => lock_unpoisoned(self.shard(w)).get(w).map(|&(mask, _)| mask),
+            None => self.spill.get(w).map(|&(mask, _)| mask),
         }
     }
 
@@ -421,32 +378,25 @@ impl MaskTable {
     pub fn key_of(&self, w: &[i64]) -> Option<u64> {
         match self.window.index(w) {
             Some(idx) => (self.cells.load(idx) & PRESENT != 0).then_some(idx as u64),
-            None => lock_unpoisoned(self.shard(w))
-                .get(w)
-                .map(|&(_, id)| SPILL_TAG | id as u64),
+            None => self.spill.get(w).map(|&(_, id)| SPILL_TAG | id as u64),
         }
     }
 
-    /// Union `mask` into the node at `w`, creating it if absent.
-    ///
-    /// Dense nodes merge with one `fetch_or` (the PRESENT bit rides
-    /// along, so presence and mask update are a single atomic op);
-    /// spill nodes take a stripe lock. Exactly one racing creator
-    /// observes `is_new`.
-    pub fn merge(&self, w: &[i64], mask: u64) -> MergeOutcome {
+    /// Union `mask` into the node at `w`, creating it if absent. Dense
+    /// nodes merge with one `|=`: the PRESENT bit rides along, so presence
+    /// and mask update together.
+    pub fn merge(&mut self, w: &[i64], mask: u64) -> MergeOutcome {
         debug_assert_eq!(mask & PRESENT, 0, "PATHSET masks use bits 0..=62");
         match self.window.index(w) {
             Some(idx) => {
-                let prior = self
-                    .cells
-                    .cell(idx)
-                    .fetch_or(PRESENT | mask, Ordering::AcqRel);
+                let cell = self.cells.cell(idx);
+                let prior = *cell;
+                *cell |= PRESENT | mask;
                 let is_new = prior & PRESENT == 0;
                 let prior_mask = prior & !PRESENT;
                 let merged = prior_mask | mask;
                 if is_new {
-                    self.count.fetch_add(1, Ordering::Relaxed);
-                    lock_unpoisoned(&self.dense_log).push(idx as u32);
+                    self.dense_log.push(idx as u32);
                 }
                 MergeOutcome {
                     grew: is_new || merged != prior_mask,
@@ -456,32 +406,25 @@ impl MaskTable {
                 }
             }
             None => {
-                let mut shard = lock_unpoisoned(self.shard(w));
-                if let Some((m, id)) = shard.get_mut(w) {
+                if let Some((m, id)) = self.spill.get_mut(w) {
                     let merged = *m | mask;
                     let grew = merged != *m;
                     *m = merged;
-                    MergeOutcome {
+                    return MergeOutcome {
                         grew,
                         merged,
                         is_new: false,
                         key: SPILL_TAG | *id as u64,
-                    }
-                } else {
-                    let coords = IVec::from(w);
-                    let id = {
-                        let mut arena = lock_unpoisoned(&self.arena);
-                        arena.push(coords.clone());
-                        (arena.len() - 1) as u32
                     };
-                    shard.insert(coords, (mask, id));
-                    self.count.fetch_add(1, Ordering::Relaxed);
-                    MergeOutcome {
-                        grew: true,
-                        merged: mask,
-                        is_new: true,
-                        key: SPILL_TAG | id as u64,
-                    }
+                }
+                let id = self.arena.len() as u32;
+                self.arena.push(IVec::from(w));
+                self.spill.insert(IVec::from(w), (mask, id));
+                MergeOutcome {
+                    grew: true,
+                    merged: mask,
+                    is_new: true,
+                    key: SPILL_TAG | id as u64,
                 }
             }
         }
@@ -494,11 +437,8 @@ impl MaskTable {
             let cell = self.cells.load(key as usize);
             (cell & PRESENT != 0).then_some(cell & !PRESENT)
         } else {
-            let id = (key & !SPILL_TAG) as usize;
-            let coords = lock_unpoisoned(&self.arena).get(id).cloned()?;
-            lock_unpoisoned(self.shard(coords.as_slice()))
-                .get(coords.as_slice())
-                .map(|&(mask, _)| mask)
+            let coords = self.arena.get((key & !SPILL_TAG) as usize)?;
+            self.spill.get(coords).map(|&(mask, _)| mask)
         }
     }
 
@@ -510,8 +450,7 @@ impl MaskTable {
             true
         } else {
             out.clear();
-            let id = (key & !SPILL_TAG) as usize;
-            match lock_unpoisoned(&self.arena).get(id) {
+            match self.arena.get((key & !SPILL_TAG) as usize) {
                 Some(coords) => {
                     out.extend_from_slice(coords.as_slice());
                     true
@@ -522,22 +461,17 @@ impl MaskTable {
     }
 
     /// Every `(coords, mask)` pair across both tiers, in unspecified
-    /// order (snapshot encoding sorts). Quiescent callers get an exact
-    /// enumeration; cost is proportional to occupancy, not window size.
+    /// order (snapshot encoding sorts); cost is proportional to
+    /// occupancy, not window size.
     pub fn entries(&self) -> Vec<(IVec, u64)> {
         let mut out = Vec::with_capacity(self.len());
         let mut coords = Vec::new();
-        for &idx in lock_unpoisoned(&self.dense_log).iter() {
+        for &idx in &self.dense_log {
             let cell = self.cells.load(idx as usize);
-            if cell & PRESENT != 0 {
-                self.window.decode(idx as usize, &mut coords);
-                out.push((IVec::from(coords.as_slice()), cell & !PRESENT));
-            }
+            self.window.decode(idx as usize, &mut coords);
+            out.push((IVec::from(coords.as_slice()), cell & !PRESENT));
         }
-        for shard in &self.spill {
-            let guard = lock_unpoisoned(shard);
-            out.extend(guard.iter().map(|(w, &(mask, _))| (w.clone(), mask)));
-        }
+        out.extend(self.spill.iter().map(|(w, &(mask, _))| (w.clone(), mask)));
         out
     }
 }
@@ -612,7 +546,7 @@ mod tests {
 
     #[test]
     fn cone_memo_records_and_counts() {
-        let memo = ConeMemo::new(Window::from_bounds(&[-4], &[4], 64));
+        let mut memo = ConeMemo::new(Window::from_bounds(&[-4], &[4], 64));
         let idx = memo.window().index(&[2]).expect("in bounds");
         assert_eq!(memo.get(idx), None);
         assert!(memo.set(idx, true));
@@ -623,7 +557,7 @@ mod tests {
 
     #[test]
     fn mask_table_dense_merge_and_stale_keys() {
-        let t = MaskTable::new(Window::from_bounds(&[0, 0], &[8, 8], 1 << 10));
+        let mut t = MaskTable::new(Window::from_bounds(&[0, 0], &[8, 8], 1 << 10));
         let a = t.merge(&[1, 2], 0b01);
         assert!(a.is_new && a.grew);
         assert_eq!(a.merged, 0b01);
@@ -643,7 +577,7 @@ mod tests {
 
     #[test]
     fn mask_table_spills_out_of_window_nodes() {
-        let t = MaskTable::new(Window::from_bounds(&[0, 0], &[4, 4], 1 << 10));
+        let mut t = MaskTable::new(Window::from_bounds(&[0, 0], &[4, 4], 1 << 10));
         let far = [1_000_000i64, -7];
         let a = t.merge(&far, 0b1);
         assert!(a.is_new);
@@ -664,7 +598,7 @@ mod tests {
 
     #[test]
     fn mask_table_entries_cover_both_tiers() {
-        let t = MaskTable::new(Window::from_bounds(&[0, 0], &[4, 4], 1 << 10));
+        let mut t = MaskTable::new(Window::from_bounds(&[0, 0], &[4, 4], 1 << 10));
         t.merge(&[1, 1], 0b1);
         t.merge(&[2, 0], 0b10);
         t.merge(&[99, 99], 0b11);
@@ -678,30 +612,5 @@ mod tests {
                 (ivec![99, 99], 0b11),
             ]
         );
-    }
-
-    #[test]
-    fn mask_table_is_concurrent() {
-        let t = MaskTable::new(Window::from_bounds(&[0, 0], &[63, 63], 1 << 12));
-        std::thread::scope(|scope| {
-            for worker in 0..4u64 {
-                let t = &t;
-                scope.spawn(move || {
-                    for i in 0..32i64 {
-                        for j in 0..32i64 {
-                            t.merge(&[i, j], 1 << (worker % 8));
-                        }
-                    }
-                });
-            }
-        });
-        assert_eq!(t.len(), 32 * 32, "each node counted exactly once");
-        for i in 0..32i64 {
-            for j in 0..32i64 {
-                let mask = t.probe(&[i, j]).expect("present");
-                assert_eq!(mask, 0b1111, "all four workers' bits merged");
-            }
-        }
-        assert_eq!(t.entries().len(), 32 * 32);
     }
 }

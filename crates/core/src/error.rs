@@ -30,14 +30,11 @@ pub enum SearchError {
     Isg(IsgError),
     /// A budgeted query ran out of budget before reaching an answer.
     Exhausted(Exhausted),
-    /// A search worker panicked; the panic was caught at the worker
-    /// boundary and the surviving workers drained (or the final
-    /// checkpoint was written) before this error was returned. The
-    /// process never aborts on a worker panic.
+    /// The search panicked (for example in a user-supplied iteration
+    /// domain); the panic was caught and the final checkpoint, if one is
+    /// configured, was written before this error was returned. The
+    /// process never aborts on a search panic.
     WorkerPanic {
-        /// Index of the panicking worker (`0` when the search ran one
-        /// worker).
-        worker: usize,
         /// Stringified panic payload.
         payload: String,
     },
@@ -56,9 +53,7 @@ impl fmt::Display for SearchError {
             }
             SearchError::Isg(e) => write!(f, "lattice arithmetic failed: {e}"),
             SearchError::Exhausted(e) => write!(f, "query budget exhausted: {e}"),
-            SearchError::WorkerPanic { worker, payload } => {
-                write!(f, "search worker {worker} panicked: {payload}")
-            }
+            SearchError::WorkerPanic { payload } => write!(f, "search panicked: {payload}"),
             SearchError::Checkpoint(e) => write!(f, "checkpoint resume failed: {e}"),
         }
     }
@@ -116,11 +111,9 @@ mod tests {
     #[test]
     fn panic_and_checkpoint_variants_display() {
         let e = SearchError::WorkerPanic {
-            worker: 3,
             payload: "boom".into(),
         };
-        assert!(e.to_string().contains("worker 3"));
-        assert!(e.to_string().contains("boom"));
+        assert!(e.to_string().contains("panicked: boom"));
         let e: SearchError = CheckpointError::BadMagic.into();
         assert!(matches!(
             e,

@@ -17,7 +17,9 @@
 //!   worst-case exponential but fast for realistic stencils.
 //! * [`search`] — the paper's branch-and-bound search for the *optimal*
 //!   UOV (shortest, or storage-minimal when loop bounds are known),
-//!   including the trivially legal initial UOV `Σvᵢ`.
+//!   including the trivially legal initial UOV `Σvᵢ`. It is one
+//!   best-first worker on the calling thread, and the oracle and the
+//!   search's [`dense`] tables are single-threaded.
 //! * [`objective`] — storage-class counting for candidate OVs over concrete
 //!   iteration domains (paper §3.2, Fig. 3 and Fig. 6).
 //! * [`npc`] — the PARTITION ⇒ UOV-membership reduction from the paper's
@@ -67,7 +69,7 @@ pub mod search;
 pub mod wire;
 
 pub use budget::{Budget, Degradation, Exhausted};
-pub use cache::{ShardedCache, ShardedLru};
+pub use cache::ShardedLru;
 pub use certify::{certify, Certificate, CertifyError};
 pub use checkpoint::{CheckpointConfig, CheckpointError};
 pub use dense::{ConeMemo, MaskTable, Window};

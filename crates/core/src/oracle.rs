@@ -21,15 +21,17 @@
 //! vectors (paper theorem, see [`crate::npc`]); for realistic stencils the
 //! memoised search is fast, which is the paper's practicality argument.
 
+use std::cell::RefCell;
+use std::collections::HashMap;
+
 use uov_isg::{IVec, IsgError, IterationDomain, Stencil};
 
 use crate::budget::Budget;
-use crate::cache::ShardedCache;
 use crate::dense::{ConeMemo, Window};
 use crate::error::SearchError;
 
 /// Entry budget for the dense verdict window; out-of-window queries use
-/// the sharded spill map, so this only trades memory for hit rate.
+/// the spill map, so this only trades memory for hit rate.
 const ORACLE_WINDOW_ENTRIES: usize = 1 << 20;
 
 /// Exact `i128` dot product of two equal-length slices (the slice twin
@@ -79,11 +81,10 @@ fn is_lex_positive_slice(w: &[i64]) -> bool {
 /// Memoising decision oracle for DONE/DEAD/UOV membership over one stencil.
 ///
 /// The oracle caches cone-membership results across queries, so reuse it
-/// when testing many candidate vectors against the same stencil. The memo
-/// table is sharded and lock-striped, so one oracle can be shared (`&self`)
-/// by many threads — concurrent queries pool their transitive-closure work
-/// instead of each recomputing it, and answers are identical to what a
-/// cold, single-threaded oracle would return.
+/// when testing many candidate vectors against the same stencil. Queries
+/// take `&self` and record verdicts through interior mutability, so an
+/// oracle belongs to one thread; warm answers are identical to what a
+/// cold oracle would return.
 ///
 /// # Examples
 ///
@@ -108,14 +109,66 @@ pub struct DoneOracle {
     /// makes even the adversarial NP-completeness instances tractable for
     /// realistic sizes.
     prunes: Vec<IVec>,
-    /// Dense verdict tier: a lazily-paged tri-state array over the
-    /// bounded query window, answering the hot-path probes with a load
-    /// instead of a hash-map walk.
-    memo: ConeMemo,
+    /// The verdicts recorded so far, in two tiers.
+    memo: RefCell<Memo>,
+}
+
+/// The oracle's verdict memo. Verdicts are identical whichever tier
+/// records them.
+#[derive(Debug)]
+struct Memo {
+    /// Dense tier: a lazily-paged tri-state array over the bounded query
+    /// window, answering the hot-path probes with a load instead of a
+    /// hash-map walk.
+    dense: ConeMemo,
     /// Spill tier for out-of-window queries (adversarially large
-    /// coordinates, deep chain walks): the sharded map the memo used to
-    /// be. Verdicts are identical whichever tier records them.
-    spill: ShardedCache<IVec, bool>,
+    /// coordinates, deep chain walks).
+    spill: HashMap<IVec, bool>,
+}
+
+impl Memo {
+    /// The verdict recorded for `w`, whose dense window index is `key`.
+    #[inline]
+    fn get(&self, w: &[i64], key: Option<usize>) -> Option<bool> {
+        match key {
+            Some(idx) => self.dense.get(idx),
+            None => self.spill.get(w).copied(),
+        }
+    }
+
+    /// Write a verdict to whichever tier owns `w`.
+    fn store(&mut self, w: &[i64], key: Option<usize>, val: bool) {
+        match key {
+            Some(idx) => {
+                self.dense.set(idx, val);
+            }
+            None => {
+                self.spill.insert(IVec::from(w), val);
+            }
+        }
+    }
+
+    /// Recorded verdicts across both tiers.
+    fn len(&self) -> usize {
+        self.dense.len() + self.spill.len()
+    }
+
+    /// Memoise a *computed* verdict; a full memo table here is a hard
+    /// stop because discarding the verdict would make the time bound
+    /// vacuous.
+    fn record_computed(
+        &mut self,
+        w: &[i64],
+        key: Option<usize>,
+        val: bool,
+        budget: &Budget,
+    ) -> Result<(), SearchError> {
+        if self.get(w, key).is_none() {
+            budget.check_memo(self.len())?;
+            self.store(w, key, val);
+        }
+        Ok(())
+    }
 }
 
 /// Outcome of inspecting a cone node without expanding it.
@@ -148,8 +201,10 @@ impl DoneOracle {
             stencil: stencil.clone(),
             phi,
             prunes: dual_cone_functionals(stencil),
-            memo: ConeMemo::new(window),
-            spill: ShardedCache::default(),
+            memo: RefCell::new(Memo {
+                dense: ConeMemo::new(window),
+                spill: HashMap::new(),
+            }),
         })
     }
 
@@ -205,17 +260,19 @@ impl DoneOracle {
             });
         }
         budget.charge()?;
-        if let Eval::Decided(b) = self.quick_eval(w, self.memo.window().index(w)) {
+        let mut memo = self.memo.borrow_mut();
+        let key = memo.dense.window().index(w);
+        if let Eval::Decided(b) = self.quick_eval(&memo, w, key) {
             return Ok(b);
         }
-        self.in_cone_dfs(w, budget)
+        self.in_cone_dfs(&mut memo, w, key, budget)
     }
 
     /// Inspect one node without expanding: base cases, functional cuts, and
     /// the memo tiers. `key` is the node's dense window index, computed
     /// once by the caller and reused for the verdict write.
     #[inline]
-    fn quick_eval(&self, w: &[i64], key: Option<usize>) -> Eval {
+    fn quick_eval(&self, memo: &Memo, w: &[i64], key: Option<usize>) -> Eval {
         if w.iter().all(|&c| c == 0) {
             return Eval::Decided(true);
         }
@@ -227,11 +284,7 @@ impl DoneOracle {
         if self.prunes.iter().any(|f| dot_slices(f.as_slice(), w) < 0) {
             return Eval::Decided(false);
         }
-        let hit = match key {
-            Some(idx) => self.memo.get(idx),
-            None => self.spill.get(w),
-        };
-        match hit {
+        match memo.get(w, key) {
             Some(verdict) => Eval::Decided(verdict),
             None => Eval::Expand,
         }
@@ -247,14 +300,20 @@ impl DoneOracle {
     ///
     /// Termination: φ·(w − v) ≤ φ·w − 1, so every edge strictly decreases
     /// φ and the frame chain is acyclic.
-    fn in_cone_dfs(&self, w: &[i64], budget: &Budget) -> Result<bool, SearchError> {
+    fn in_cone_dfs(
+        &self,
+        memo: &mut Memo,
+        w: &[i64],
+        key: Option<usize>,
+        budget: &Budget,
+    ) -> Result<bool, SearchError> {
         let d = self.stencil.dim();
         let m = self.stencil.len();
         let vectors = self.stencil.vectors();
         let mut coords: Vec<i64> = Vec::with_capacity(32 * d);
         coords.extend_from_slice(w);
         // Per frame: (next child index, dense window key of the frame).
-        let mut frames: Vec<(usize, Option<usize>)> = vec![(0, self.memo.window().index(w))];
+        let mut frames: Vec<(usize, Option<usize>)> = vec![(0, key)];
         loop {
             let depth = frames.len() - 1;
             let base = depth * d;
@@ -262,7 +321,7 @@ impl DoneOracle {
             if child_idx >= m {
                 // Every child failed: this node is not in the cone.
                 let key = frames[depth].1;
-                self.record_computed(&coords[base..base + d], key, false, budget)?;
+                memo.record_computed(&coords[base..base + d], key, false, budget)?;
                 frames.pop();
                 coords.truncate(base);
                 if frames.is_empty() {
@@ -281,54 +340,22 @@ impl DoneOracle {
                 coords.push(c);
             }
             budget.charge()?;
-            let child_key = self.memo.window().index(&coords[child_base..]);
-            match self.quick_eval(&coords[child_base..], child_key) {
+            let child_key = memo.dense.window().index(&coords[child_base..]);
+            match self.quick_eval(memo, &coords[child_base..], child_key) {
                 Eval::Decided(true) => {
                     // The whole ancestor chain is in the cone. Memoise what
                     // fits under the cap — the answer is already decided, so
                     // a full table only costs future queries, not this one.
                     for (f, &(_, key)) in frames.iter().enumerate() {
-                        if budget.check_memo(self.cache_len()).is_err() {
+                        if budget.check_memo(memo.len()).is_err() {
                             break;
                         }
-                        self.store_verdict(&coords[f * d..(f + 1) * d], key, true);
+                        memo.store(&coords[f * d..(f + 1) * d], key, true);
                     }
                     return Ok(true);
                 }
                 Eval::Decided(false) => coords.truncate(child_base),
                 Eval::Expand => frames.push((0, child_key)),
-            }
-        }
-    }
-
-    /// Memoise a *computed* verdict; a full memo table here is a hard stop
-    /// because discarding the verdict would make the time bound vacuous.
-    fn record_computed(
-        &self,
-        w: &[i64],
-        key: Option<usize>,
-        val: bool,
-        budget: &Budget,
-    ) -> Result<(), SearchError> {
-        let present = match key {
-            Some(idx) => self.memo.get(idx).is_some(),
-            None => self.spill.contains(w),
-        };
-        if !present {
-            budget.check_memo(self.cache_len())?;
-            self.store_verdict(w, key, val);
-        }
-        Ok(())
-    }
-
-    /// Write a verdict to whichever tier owns `w`.
-    fn store_verdict(&self, w: &[i64], key: Option<usize>, val: bool) {
-        match key {
-            Some(idx) => {
-                self.memo.set(idx, val);
-            }
-            None => {
-                self.spill.insert(IVec::from(w), val);
             }
         }
     }
@@ -443,9 +470,8 @@ impl DoneOracle {
 
     /// Number of memoised cone-membership entries across both tiers
     /// (for diagnostics/benches and the certifier's witness count).
-    /// A point-in-time snapshot when other threads are inserting.
     pub fn cache_len(&self) -> usize {
-        self.memo.len() + self.spill.len()
+        self.memo.borrow().len()
     }
 }
 
@@ -453,7 +479,7 @@ impl DoneOracle {
 /// `64 · φ·Σvᵢ` steps of the largest generator component in either
 /// direction (the same headroom factor the search's φ-cap uses), shrunk
 /// to the entry budget. Purely a performance knob — out-of-window
-/// queries spill to the sharded map with identical verdicts.
+/// queries spill to the hash map with identical verdicts.
 fn query_window(stencil: &Stencil, phi: &IVec) -> Window {
     let d = stencil.dim();
     let mut strength: i128 = 0;
@@ -747,38 +773,6 @@ mod tests {
         let s = Stencil::new(vec![ivec![0, 1], ivec![1, 0]]).unwrap();
         let o = DoneOracle::new(&s);
         assert!(o.in_done(&ivec![500_000, 1]));
-    }
-
-    #[test]
-    fn oracle_is_send_and_sync() {
-        fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<DoneOracle>();
-    }
-
-    #[test]
-    fn concurrent_queries_match_cold_oracle() {
-        // Hammer one shared oracle from several threads; every answer must
-        // equal what a cold sequential oracle computes for the same query.
-        let shared = stencil5_oracle();
-        let queries: Vec<IVec> = (-3..=3)
-            .flat_map(|i| (-3..=3).map(move |j| ivec![i, j]))
-            .collect();
-        let answers: Vec<Vec<bool>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..4)
-                .map(|_| {
-                    let shared = &shared;
-                    let queries = &queries;
-                    scope.spawn(move || queries.iter().map(|w| shared.in_done(w)).collect())
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        let cold = stencil5_oracle();
-        let reference: Vec<bool> = queries.iter().map(|w| cold.in_done(w)).collect();
-        for per_thread in answers {
-            assert_eq!(per_thread, reference, "warm shared cache changed answers");
-        }
-        assert!(shared.cache_len() > 0, "concurrent queries populate cache");
     }
 
     #[test]

@@ -29,56 +29,45 @@
 //! strictly longer. Without that second fact a domain on which nothing
 //! beats `N` would keep every long offset alive until the exploration cap.
 //!
-//! # One engine, any thread count
+//! # One worker
 //!
-//! The branch-and-bound runs as [`SearchConfig::threads`] work-stealing
-//! workers that share one frontier: each worker owns a local priority
-//! queue and *steals* from its peers when it runs dry, the PATHSET table
-//! is one shared [`MaskTable`], and the incumbent bound lives in an atomic
-//! cell so every worker prunes against the global best the instant it
-//! improves. With one thread (or zero) the single worker runs on the
-//! calling thread; with nobody to steal from it pops in plain best-first
-//! order, so its [`SearchStats`] are deterministic too. The result is
-//! **deterministic** at every thread count: candidates are compared by the
-//! total order `(cost, ‖w‖², lexicographic w)`, and the pruning rules only
-//! discard children that provably cannot *reach* the final key (strict
-//! inequality against the bound), so every thread count returns the
-//! identical `(uov, cost)` for a completed search. With more than one
-//! worker only the [`SearchStats`] counters and budget-truncated results
-//! vary with scheduling.
+//! The branch-and-bound is one best-first worker on the calling thread:
+//! one priority queue, one PATHSET table ([`MaskTable`]) and one
+//! incumbent. Candidates are compared by the total order `(cost, ‖w‖²,
+//! lexicographic w)`, and the pruning rules only discard children that
+//! provably cannot *reach* the final key (strict inequality against the
+//! bound), so the returned `(uov, cost)` is the key-minimum over a
+//! candidate set that does not depend on visit order. The node order, and
+//! with it every [`SearchStats`] counter, is a function of the problem.
 //!
 //! # Checkpoint/resume
 //!
 //! With [`SearchConfig::checkpoint`] set, the engine snapshots its state
-//! — frontier, PATHSET table, incumbent and budget progress — to disk
-//! every `interval` processed nodes and once more when it stops, using
-//! the crash-safe format of [`crate::checkpoint`]. [`search_resume`]
+//! — frontier, PATHSET table, incumbent, counters and budget progress —
+//! to disk every `interval` processed nodes and once more when it stops,
+//! using the crash-safe format of [`crate::checkpoint`]. [`search_resume`]
 //! restores a snapshot and continues. Because the snapshot captures a
 //! *valid* search state (every discovered-but-unexpanded path is in the
-//! frontier, including entries a worker had in hand when the run was cut
-//! short), the canonical-order determinism argument applies across the
-//! interruption: a search killed at any point and resumed from its latest
-//! snapshot returns the byte-identical `(uov, cost)` of an uninterrupted
-//! run, at every thread count. The engine quiesces all workers at a
-//! barrier before each mid-run snapshot so no expansion is ever torn
+//! frontier, including the entry in hand when the run was cut short),
+//! the canonical-order argument applies across the interruption: a
+//! search killed at any point and resumed from its latest snapshot
+//! returns the byte-identical `(uov, cost)` of an uninterrupted run.
+//! Snapshots are written between nodes, so no expansion is ever torn
 //! across a file.
 //!
 //! # Panic isolation
 //!
-//! Every worker body runs under `catch_unwind`: a panicking node
-//! evaluation (for example a user-supplied [`IterationDomain`] that
-//! panics) surfaces as a typed [`SearchError::WorkerPanic`] instead of
-//! aborting the process. The surviving workers drain or stop, the final
-//! checkpoint (if configured) is still written, and children are costed
-//! *before* they touch the shared PATHSET table so a caught panic can
+//! The run is under `catch_unwind`: a panicking node evaluation (for
+//! example a user-supplied [`IterationDomain`] that panics) surfaces as a
+//! typed [`SearchError::WorkerPanic`] instead of aborting the process.
+//! The final checkpoint (if configured) is still written, and children
+//! are costed *before* they touch the PATHSET table so a caught panic can
 //! never leave a merged-but-never-queued offset behind.
 
-use std::cell::Cell;
+use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex};
 
 use uov_isg::{IVec, IsgError, IterationDomain, Stencil};
 
@@ -100,9 +89,8 @@ pub enum Objective<'a> {
     /// Minimise the Euclidean length of the UOV (squared, exactly).
     ShortestVector,
     /// Minimise the number of storage-equivalence classes on the given
-    /// domain. The domain is `Sync` so the parallel search can evaluate
-    /// candidates from every worker thread.
-    KnownBounds(&'a (dyn IterationDomain + Sync)),
+    /// domain.
+    KnownBounds(&'a dyn IterationDomain),
 }
 
 /// Tunables for [`find_best_uov`].
@@ -115,11 +103,9 @@ pub struct SearchConfig {
     /// amount of time the algorithm runs and just take the best answer
     /// found so far".
     pub budget: Budget,
-    /// Worker threads for the branch-and-bound. `0` and `1` both run one
-    /// worker on the calling thread, in plain best-first order; `n > 1`
-    /// spawns `n` work-stealing workers sharing the incumbent bound and
-    /// PATHSET table. Completed searches return identical `(uov, cost)`
-    /// for every value — see the module docs' determinism guarantee.
+    /// Ignored: the search is one worker on the calling thread (see the
+    /// module docs). The field remains only so that existing struct
+    /// literals naming it still compile, and will be deleted.
     pub threads: usize,
     /// Crash-safe snapshots: `Some` writes the search state to the given
     /// path every `interval` processed nodes (and once more when the
@@ -142,10 +128,12 @@ impl Default for SearchConfig {
 
 /// Counters describing a finished search, for the ablation experiments.
 ///
-/// With `threads > 1` the counters are exact totals across workers but
-/// their values depend on scheduling (how early the bound tightened on
-/// each worker); only the returned `(uov, cost)` is deterministic. With
-/// one worker they are deterministic as well.
+/// The counters are a function of the problem. A search that its budget's
+/// node cap, deadline or cancellation stopped, resumed from its final
+/// snapshot, reports the counters of an uninterrupted run: the node in
+/// hand at the stop is counted when the resumed run visits it. (Offsets
+/// outside the dense PATHSET window are re-keyed on resume, so equal-cost
+/// ties among them may then pop in another order.)
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SearchStats {
     /// Offsets extracted from the priority queue.
@@ -221,7 +209,7 @@ pub fn try_cost_of(objective: &Objective<'_>, w: &IVec) -> Result<u128, IsgError
 /// reuses, each cost is free of heap allocation.
 pub(crate) enum ObjectiveCost<'a> {
     ShortestVector,
-    KnownBounds(ClassCounter<'a, dyn IterationDomain + Sync + 'a>),
+    KnownBounds(ClassCounter<'a, dyn IterationDomain + 'a>),
 }
 
 impl<'a> ObjectiveCost<'a> {
@@ -271,9 +259,7 @@ struct DomainFacts {
 impl DomainFacts {
     /// Read `N`, and the diameter from the extreme points the counter
     /// already holds.
-    fn try_new(
-        counter: &ClassCounter<'_, dyn IterationDomain + Sync + '_>,
-    ) -> Result<Self, SearchError> {
+    fn try_new(counter: &ClassCounter<'_, dyn IterationDomain + '_>) -> Result<Self, SearchError> {
         let domain = counter.domain();
         let vertices = counter.vertices()?;
         let d = domain.dim();
@@ -296,9 +282,23 @@ impl DomainFacts {
     /// *strictly more* than `best`: classes ≥ N·L/(diam+L). The inequality
     /// is strict so candidates that merely *tie* the incumbent survive to
     /// the lexicographic tie-break — that is what makes the answer
-    /// independent of visit order (and hence of the thread count).
+    /// independent of visit order.
     fn dominated(&self, l: u128, best: u128) -> bool {
         self.num_points * l > best * (self.diam + l)
+    }
+
+    /// Whether a child longer than the diameter, whose squared length is
+    /// at least `len_sq_lb`, is provably worse than an incumbent of cost
+    /// `best` and squared length `norm`. It joins no two iterations, so it
+    /// and every descendant cost exactly N, which the class bound never
+    /// reaches: worse than an incumbent below N, and worse than one of
+    /// cost N only if strictly longer — equal lengths go on to the
+    /// lexicographic tie-break. The class bound already prunes every such
+    /// child once the incumbent costs at most N/2, and this rule prunes in
+    /// none of the `plan` benchmark's searches.
+    fn loses_at_cost_n(&self, len_sq_lb: u128, best: u128, norm: i128) -> bool {
+        let n = self.num_points;
+        n > best || (n == best && u128::try_from(norm).is_ok_and(|norm| len_sq_lb > norm))
     }
 }
 
@@ -415,7 +415,7 @@ fn validated_setup<'a>(
     let initial = stencil.try_sum()?;
     let phi_norm_sq = phi.try_norm_sq()? as u128;
     // Hard exploration cap, a backstop: pruning alone already ends every
-    // known-bounds search (see `ParSearch::child_dominated`).
+    // known-bounds search (see `Engine::child_dominated`).
     let phi_cap = 64 * phi.dot_i128(&initial).max(1);
     let initial_cost = cost.try_cost(initial.as_slice(), &mut Vec::new())?;
     let window = search_window(stencil, objective, phi_norm_sq, phi_cap, initial_cost);
@@ -597,10 +597,10 @@ impl SeedState {
     }
 }
 
-/// Validated per-search constants shared by every worker. The incumbent
-/// starts at the initial UOV `Σvᵢ`, legal from the first moment (§3.2.1).
+/// Validated per-search constants. The incumbent starts at the initial
+/// UOV `Σvᵢ`, legal from the first moment (§3.2.1).
 struct Setup<'a> {
-    /// The objective, costing candidates on worker-owned scratch.
+    /// The objective, costing candidates on the engine's scratch buffer.
     cost: ObjectiveCost<'a>,
     /// Pruning geometry; `Some` iff the objective has known bounds.
     domain_facts: Option<DomainFacts>,
@@ -633,7 +633,7 @@ fn checked_norm_sq(w: &[i64]) -> Option<i128> {
 /// The canonical candidate order: objective cost, then squared length,
 /// then lexicographic. A *total* order over candidates, so the minimum of
 /// any discovered set is independent of discovery order — this is what
-/// makes the parallel search deterministic.
+/// lets a resumed search land on the answer of an uninterrupted one.
 #[cfg(test)]
 fn improves(cost: u128, w: &IVec, best: &(u128, i128, IVec)) -> bool {
     improves_slice(cost, w.as_slice(), best)
@@ -656,193 +656,83 @@ fn improves_slice(cost: u128, w: &[i64], best: &(u128, i128, IVec)) -> bool {
     }
 }
 
-/// Lock a mutex, recovering the data from a poisoned lock. Poisoning can
-/// only arise from a panicking peer; every structure guarded here (masks,
-/// heaps, the incumbent key) is valid after any prefix of updates, so
-/// continuing is sound.
-fn lock_unpoisoned<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
+/// The priority queue: min-heap over `Copy` `(cost, node key, pathset)`
+/// triples — node coordinates live in the [`MaskTable`], not in the
+/// queue. An in-window key orders like `lex w`, so for dense traffic the
+/// heap breaks cost ties lexicographically. An entry is re-pushed
+/// whenever its PATHSET grows (Visit step 2).
+type WorkQueue = BinaryHeap<Reverse<(u128, u64, u64)>>;
 
-/// Saturate a candidate cost into the atomic bound cell. `u64::MAX` means
-/// "the cost does not fit": pruning then reads the exact incumbent rather
-/// than prune against a too-small saturated value (which would be
-/// unsound).
-fn saturate_bound(cost: u128) -> u64 {
-    u64::try_from(cost).unwrap_or(u64::MAX)
-}
-
-/// A worker's priority queue: min-heap over `Copy` `(cost, node key,
-/// pathset)` triples — node coordinates live in the shared
-/// [`MaskTable`], not in the queue. An in-window key orders like `lex w`,
-/// so for dense traffic the heap breaks cost ties lexicographically. An
-/// entry is re-pushed whenever its PATHSET grows (Visit step 2).
-type WorkQueue = BinaryHeap<std::cmp::Reverse<(u128, u64, u64)>>;
-
-/// Barrier bookkeeping for quiescent mid-run snapshots.
-struct CkptBarrier {
-    /// Workers still running (not yet retired).
-    live: usize,
-    /// Workers currently parked at the barrier.
-    parked: usize,
-    /// Bumped when a barrier completes; parked workers wait for it.
-    epoch: u64,
-}
-
-/// Checkpoint plumbing of the engine.
-struct ParCkpt<'a> {
-    cfg: &'a CheckpointConfig,
-    /// Fully-processed nodes since the last snapshot request.
-    since: AtomicU64,
-    /// A snapshot has been requested; workers park at their next loop
-    /// head. Set outside the barrier lock, cleared only under it.
-    requested: AtomicBool,
-    /// A write failed; checkpointing is disabled from then on.
-    failed: AtomicBool,
-    /// The first write failure, reported in the result.
-    error: Mutex<Option<CheckpointError>>,
-    state: Mutex<CkptBarrier>,
-    cv: Condvar,
-}
-
-/// Shared state of the work-stealing branch-and-bound, for one worker or
-/// many.
-struct ParSearch<'a> {
+/// The state of one best-first branch-and-bound run.
+struct Engine<'a> {
     stencil: &'a Stencil,
     setup: &'a Setup<'a>,
     budget: &'a Budget,
     /// Problem fingerprint stamped on every snapshot.
     fingerprint: u64,
-
-    /// One work queue per worker; idle workers steal from peers.
-    queues: Vec<Mutex<WorkQueue>>,
-    /// The shared PATHSET node pool: dense cells over the reachability
-    /// window, hash spill outside it. Its length is the memo-cap measure.
+    queue: WorkQueue,
+    /// The PATHSET node pool: dense cells over the reachability window,
+    /// hash spill outside it. Its length is the memo-cap measure.
     store: MaskTable,
-    /// Queue entries not yet fully processed; 0 ⟺ the search is drained.
-    pending: AtomicU64,
-    /// Global visit counter, for the statistics of mid-run snapshots.
-    visited: AtomicU64,
-    /// Raised on budget exhaustion; workers stop at the next loop head.
-    stop: AtomicBool,
-    /// First exhaustion reason wins (the recorded degradation cause).
-    stop_reason: Mutex<Option<Exhausted>>,
-    /// Exact incumbent under the canonical total order.
-    incumbent: Mutex<(u128, i128, IVec)>,
-    /// Saturated incumbent cost for lock-free pruning (see
-    /// [`saturate_bound`]).
-    bound: AtomicU64,
-    /// Per-worker slot for the entry popped but not yet fully expanded,
-    /// published when the worker exits. Early-stopping paths (budget,
-    /// panic, memo cap) leave the entry here so snapshots never lose its
-    /// subtree.
-    in_hand: Vec<Mutex<Option<(u128, u64, u64)>>>,
-    /// Statistics carried over from a resumed snapshot; mid-run snapshot
-    /// counters build on these.
-    stats_base: SearchStats,
-    /// Checkpoint plumbing; `None` disables snapshots entirely.
-    ckpt: Option<ParCkpt<'a>>,
-    /// First worker panic `(worker, payload)`; set before `stop`.
-    panic_slot: Mutex<Option<(usize, String)>>,
+    /// Incumbent under the canonical total order.
+    incumbent: (u128, i128, IVec),
+    /// Counters so far, including those carried over from a resumed
+    /// snapshot, so every snapshot records the whole run's.
+    stats: SearchStats,
+    /// Why the budget stopped the run, if it did.
+    stop: Option<Exhausted>,
+    /// The entry popped but not yet fully expanded. A run stopped mid-node
+    /// (budget, memo cap, panic) leaves it here, and snapshots include it
+    /// so no subtree is lost.
+    in_hand: Option<(u128, u64, u64)>,
+    /// Snapshot target; `None` disables snapshots entirely.
+    ckpt: Option<&'a CheckpointConfig>,
+    /// Fully processed nodes since the last snapshot.
+    since_snapshot: u64,
+    /// The first snapshot write failure; no snapshot is written after it.
+    ckpt_error: Option<CheckpointError>,
 }
 
-impl ParSearch<'_> {
-    fn record_stop(&self, reason: Exhausted) {
-        let mut slot = lock_unpoisoned(&self.stop_reason);
-        if slot.is_none() {
-            *slot = Some(reason);
+impl Engine<'_> {
+    /// Offer a UOV candidate to the incumbent; true if it improved.
+    fn offer(&mut self, cost: u128, w: &[i64]) -> bool {
+        if !improves_slice(cost, w, &self.incumbent) {
+            return false;
         }
-        self.stop.store(true, Ordering::Release);
-    }
-
-    /// Offer a UOV candidate to the shared incumbent; true if it improved.
-    fn offer(&self, cost: u128, w: &[i64]) -> bool {
-        let mut inc = lock_unpoisoned(&self.incumbent);
-        if improves_slice(cost, w, &inc) {
-            let norm = checked_norm_sq(w).unwrap_or(i128::MAX);
-            *inc = (cost, norm, IVec::from(w));
-            self.bound.store(saturate_bound(cost), Ordering::Release);
-            true
-        } else {
-            false
-        }
+        let norm = checked_norm_sq(w).unwrap_or(i128::MAX);
+        self.incumbent = (cost, norm, IVec::from(w));
+        true
     }
 
     /// Whether a child with descendant-cost lower bound from `len_sq_lb`
-    /// is provably worse than the shared incumbent (strictly — ties
-    /// survive to the deterministic tie-break). The atomic cell answers
-    /// without a lock unless the incumbent's cost saturated it, or a
-    /// known-bounds child beyond the diameter meets an incumbent of cost
-    /// `N` and only the incumbent's length can decide.
+    /// is provably worse than the incumbent (strictly — ties survive to
+    /// the deterministic tie-break).
     fn child_dominated(&self, len_sq_lb: u128) -> bool {
-        let bound = match self.bound.load(Ordering::Acquire) {
-            u64::MAX => lock_unpoisoned(&self.incumbent).0,
-            bound => u128::from(bound),
-        };
+        let (bound, norm, _) = &self.incumbent;
         let Some(facts) = &self.setup.domain_facts else {
-            return len_sq_lb > bound;
+            return len_sq_lb > *bound;
         };
         let l = isqrt(len_sq_lb); // floor → weaker bounds → sound
-        facts.dominated(l, bound)
-            || (l > facts.diam && self.loses_at_cost_n(facts.num_points, len_sq_lb, bound))
+        facts.dominated(l, *bound)
+            || (l > facts.diam && facts.loses_at_cost_n(len_sq_lb, *bound, *norm))
     }
 
-    /// Whether a child longer than the domain's diameter, whose squared
-    /// length is at least `len_sq_lb`, is provably worse than the
-    /// incumbent. It joins no two iterations, so it and every descendant
-    /// cost exactly `n` = N, which the class bound never reaches: worse
-    /// than an incumbent below N, and worse than one of cost N only if
-    /// strictly longer — equal lengths go on to the lexicographic
-    /// tie-break. Kept out of the child loop: the class bound already
-    /// prunes every such child once the incumbent costs at most N/2, and
-    /// this rule prunes in none of the `plan` benchmark's searches.
-    #[cold]
-    #[inline(never)]
-    fn loses_at_cost_n(&self, n: u128, len_sq_lb: u128, bound: u128) -> bool {
-        if n != bound {
-            return n > bound;
-        }
-        let inc = lock_unpoisoned(&self.incumbent);
-        n > inc.0 || u128::try_from(inc.1).is_ok_and(|norm| len_sq_lb > norm)
-    }
-
-    /// Pop from the worker's own queue, else steal the best entry from a
-    /// peer (scanning round-robin from the worker's successor).
-    fn pop_or_steal(&self, id: usize) -> Option<(u128, u64, u64)> {
-        let n = self.queues.len();
-        for i in 0..n {
-            let std::cmp::Reverse(item) = {
-                let mut q = lock_unpoisoned(&self.queues[(id + i) % n]);
-                match q.pop() {
-                    Some(entry) => entry,
-                    None => continue,
-                }
-            };
-            return Some(item);
-        }
-        None
-    }
-
-    /// Expand one offset's children (paper Visit step 2) into the
-    /// worker's own queue, building each child in `cbuf` and costing it
-    /// on `scratch`. Returns `false` if the expansion was cut short (memo
-    /// cap) — the caller then keeps the parent in hand.
+    /// Expand one offset's children (paper Visit step 2) into the queue,
+    /// building each child in `cbuf` and costing it on `scratch`. Stops
+    /// with the memo cap's [`Exhausted`] if the cap cuts the expansion
+    /// short — the caller then keeps the parent in hand.
     fn expand(
-        &self,
-        id: usize,
+        &mut self,
         w: &[i64],
         mask: u64,
         cbuf: &mut Vec<i64>,
         scratch: &mut Vec<i64>,
-        stats: &mut SearchStats,
-    ) -> bool {
+    ) -> Result<(), Exhausted> {
+        let (stencil, setup) = (self.stencil, self.setup);
         // One parent functional value serves every child:
         // φ·(w+vₖ) = φ·w + φ·vₖ.
-        let phi_w = dot_slices(self.setup.phi.as_slice(), w);
-        for (k, v) in self.stencil.iter().enumerate() {
+        let phi_w = dot_slices(setup.phi.as_slice(), w);
+        for (k, v) in stencil.iter().enumerate() {
             cbuf.clear();
             for (i, &c) in v.as_slice().iter().enumerate() {
                 match w[i].checked_add(c) {
@@ -850,284 +740,135 @@ impl ParSearch<'_> {
                     None => break,
                 }
             }
-            if cbuf.len() != self.setup.dim {
-                stats.capped += 1;
+            if cbuf.len() != setup.dim {
+                self.stats.capped += 1;
                 continue;
             }
-            let phi_child = phi_w + self.setup.phi_v[k];
+            let phi_child = phi_w + setup.phi_v[k];
             debug_assert!(phi_child > 0, "functional must grow along dependences");
             // Length lower bound for the child and all its descendants:
             // |u|² ≥ (φ·u)²/|φ|² ≥ (φ·child)²/|φ|² (floor division → sound).
             // The square saturates; ⌊u128::MAX/|φ|²⌋ is still a lower bound.
             let len_sq_lb =
-                (phi_child as u128).saturating_mul(phi_child as u128) / self.setup.phi_norm_sq;
+                (phi_child as u128).saturating_mul(phi_child as u128) / setup.phi_norm_sq;
             if self.child_dominated(len_sq_lb) {
-                stats.pruned += 1;
+                self.stats.pruned += 1;
                 continue;
             }
-            if phi_child > self.setup.phi_cap {
-                stats.capped += 1;
+            if phi_child > setup.phi_cap {
+                self.stats.capped += 1;
                 continue;
             }
             let child_mask = mask | (1 << k);
-            let prior = self.store.probe(cbuf);
-            if let Some(p) = prior {
-                if p | child_mask == p {
-                    continue; // this path adds nothing to the PATHSET
-                }
-            } else {
-                // Racing workers may each admit one entry past the cap —
-                // the documented per-worker memo overshoot.
-                if let Err(reason) = self.budget.check_memo(self.store.len()) {
-                    self.record_stop(reason);
-                    return false;
-                }
+            match self.store.probe(cbuf) {
+                // This path adds nothing to the PATHSET.
+                Some(p) if p | child_mask == p => continue,
+                Some(_) => {}
+                None => self.budget.check_memo(self.store.len())?,
             }
             // Cost the child *before* touching the PATHSET table: the
             // only step that can panic (a user-supplied domain) runs
-            // while the shared state is still consistent, so a caught
-            // panic can never leave a merged-but-never-queued offset
-            // behind (which a snapshot would then silently drop). An
-            // overflowing cost discards the candidate like a capped offset.
-            let Ok(child_cost) = self.setup.cost.try_cost(cbuf, scratch) else {
-                stats.capped += 1;
+            // while the state is still consistent, so a caught panic can
+            // never leave a merged-but-never-queued offset behind (which
+            // a snapshot would then silently drop). An overflowing cost
+            // discards the candidate like a capped offset.
+            let Ok(child_cost) = setup.cost.try_cost(cbuf, scratch) else {
+                self.stats.capped += 1;
                 continue;
             };
             let out = self.store.merge(cbuf, child_mask);
             if out.grew {
-                // Increment `pending` *before* the push so the drain test
-                // (`pending == 0`) can never observe a false empty.
-                self.pending.fetch_add(1, Ordering::Release);
-                lock_unpoisoned(&self.queues[id])
-                    .push(std::cmp::Reverse((child_cost, out.key, out.merged)));
-                stats.pushed += 1;
+                self.queue.push(Reverse((child_cost, out.key, out.merged)));
+                self.stats.pushed += 1;
             }
         }
-        true
+        Ok(())
     }
 
-    /// Record the first worker panic and stop the pool. The payload is
-    /// stringified here; the original is not resumable (the worker that
-    /// caught it returns normally).
-    fn note_panic(&self, worker: usize, payload: &(dyn std::any::Any + Send)) {
-        let mut slot = lock_unpoisoned(&self.panic_slot);
-        if slot.is_none() {
-            *slot = Some((worker, panic_message(payload)));
-        }
-        self.stop.store(true, Ordering::Release);
-    }
-
-    /// Count one fully-processed node towards the checkpoint interval,
-    /// requesting a barrier snapshot when it elapses.
-    fn note_progress(&self) {
-        let Some(ck) = &self.ckpt else { return };
-        if ck.failed.load(Ordering::Relaxed) {
-            return;
-        }
-        let n = ck.since.fetch_add(1, Ordering::Relaxed) + 1;
-        if n < ck.cfg.interval.max(1) {
-            return;
-        }
-        ck.since.store(0, Ordering::Relaxed);
-        ck.requested.store(true, Ordering::Release);
-    }
-
-    /// Park at the snapshot barrier if one is requested. The last worker
-    /// to arrive writes the snapshot while every live peer is quiescent
-    /// (no entry mid-expansion), then releases the barrier.
-    fn park_for_checkpoint(&self) {
-        let Some(ck) = &self.ckpt else { return };
-        if !ck.requested.load(Ordering::Acquire) {
-            return;
-        }
-        let mut st = lock_unpoisoned(&ck.state);
-        // Re-check under the lock: the barrier may have completed (and
-        // `requested` been cleared) while we waited for it.
-        if !ck.requested.load(Ordering::Acquire) {
-            return;
-        }
-        st.parked += 1;
-        if st.parked == st.live {
-            self.complete_barrier(ck, &mut st);
-        } else {
-            let epoch = st.epoch;
-            while st.epoch == epoch {
-                st = match ck.cv.wait(st) {
-                    Ok(g) => g,
-                    Err(poisoned) => poisoned.into_inner(),
-                };
+    /// Pop and expand until the queue drains or the budget stops the run.
+    fn run(&mut self) {
+        // Scratch buffers reused across every pop and child: coordinates,
+        // and the lattice reduction that costs a known-bounds child.
+        let dim = self.setup.dim;
+        let mut wbuf: Vec<i64> = Vec::with_capacity(dim);
+        let mut cbuf: Vec<i64> = Vec::with_capacity(dim);
+        let mut scratch: Vec<i64> = Vec::with_capacity(dim * dim);
+        while let Some(Reverse(entry @ (cost, key, mask))) = self.queue.pop() {
+            // Skip stale entries: a fresher push carries the grown PATHSET.
+            if self.store.mask_of(key) != Some(mask) || !self.store.coords_of(key, &mut wbuf) {
+                continue;
             }
-        }
-    }
-
-    /// Write the snapshot and release the barrier. Caller holds the
-    /// barrier lock; all live workers except the caller are parked and
-    /// retired workers' in-hand slots are frozen, so the shared state is
-    /// quiescent.
-    fn complete_barrier(&self, ck: &ParCkpt<'_>, st: &mut CkptBarrier) {
-        if !ck.failed.load(Ordering::Relaxed) {
-            let stats = SearchStats {
-                visited: self.visited.load(Ordering::Relaxed),
-                ..self.stats_base.clone()
-            };
-            let snap = self.build_snapshot(&stats);
-            if let Err(e) = checkpoint::write_snapshot(&ck.cfg.path, &snap) {
-                ck.failed.store(true, Ordering::Relaxed);
-                let mut slot = lock_unpoisoned(&ck.error);
-                if slot.is_none() {
-                    *slot = Some(e);
-                }
+            self.in_hand = Some(entry);
+            // A node counts as visited only once the budget admits it, so
+            // the node a stop leaves in hand is counted once, on resume.
+            if let Err(reason) = self.budget.charge() {
+                self.stop = Some(reason);
+                return;
             }
-        }
-        st.parked = 0;
-        st.epoch += 1;
-        ck.requested.store(false, Ordering::Release);
-        ck.cv.notify_all();
-    }
-
-    /// A worker is exiting (drained, stopped, or panicked). If a barrier
-    /// is pending and this was the last straggler, complete it on behalf
-    /// of the parked peers so they can observe the stop/drain condition.
-    fn retire(&self) {
-        let Some(ck) = &self.ckpt else { return };
-        let mut st = lock_unpoisoned(&ck.state);
-        // Invariant: a worker is either parked or running, and only a
-        // running worker retires, so `parked ≤ live - 1` here.
-        st.live -= 1;
-        if st.live == 0 {
-            // Pool is gone; the final snapshot is written by the
-            // coordinating thread after the join.
-            ck.requested.store(false, Ordering::Release);
-            st.epoch += 1;
-            ck.cv.notify_all();
-        } else if ck.requested.load(Ordering::Acquire) && st.parked == st.live {
-            self.complete_barrier(ck, &mut st);
+            self.stats.visited += 1;
+            if mask == self.setup.full && self.offer(cost, &wbuf) {
+                self.stats.improvements += 1;
+            }
+            if let Err(reason) = self.expand(&wbuf, mask, &mut cbuf, &mut scratch) {
+                self.stop = Some(reason);
+                return;
+            }
+            self.in_hand = None;
+            self.note_progress();
         }
     }
 
-    /// Collect the full live state into a snapshot. Sound only when the
-    /// state is quiescent: at a completed barrier or after every worker
-    /// has exited. Keys decode back to coordinate vectors here, at the
+    /// Count one fully processed node towards the checkpoint interval,
+    /// writing a snapshot when it elapses.
+    fn note_progress(&mut self) {
+        let Some(cfg) = self.ckpt else { return };
+        self.since_snapshot += 1;
+        if self.ckpt_error.is_none() && self.since_snapshot >= cfg.interval.max(1) {
+            self.since_snapshot = 0;
+            self.write_snapshot(cfg);
+        }
+    }
+
+    /// Write the live state to `cfg.path`, keeping the first failure.
+    fn write_snapshot(&mut self, cfg: &CheckpointConfig) {
+        if let Err(e) = checkpoint::write_snapshot(&cfg.path, &self.snapshot()) {
+            self.ckpt_error = Some(e);
+        }
+    }
+
+    /// Collect the live state into a snapshot: the queue's live entries,
+    /// the entry in hand, the PATHSET table, the incumbent and the
+    /// counters. Keys decode back to coordinate vectors here, at the
     /// engine boundary — the `UOVCKPT1` wire format stays
     /// layout-independent.
-    fn build_snapshot(&self, stats: &SearchStats) -> Snapshot {
+    fn snapshot(&self) -> Snapshot {
         let mut coords = Vec::new();
         let mut frontier: Vec<(u128, IVec, u64)> = Vec::new();
-        for queue in &self.queues {
-            let guard = lock_unpoisoned(queue);
-            for std::cmp::Reverse((cost, key, mask)) in guard.iter() {
-                if self.store.mask_of(*key) == Some(*mask)
-                    && self.store.coords_of(*key, &mut coords)
-                {
-                    frontier.push((*cost, IVec::from(coords.as_slice()), *mask));
-                }
+        let queued = self.queue.iter().map(|Reverse(entry)| entry);
+        for &(cost, key, mask) in queued.chain(&self.in_hand) {
+            if self.store.mask_of(key) == Some(mask) && self.store.coords_of(key, &mut coords) {
+                frontier.push((cost, IVec::from(coords.as_slice()), mask));
             }
         }
-        for slot in &self.in_hand {
-            if let Some((cost, key, mask)) = *lock_unpoisoned(slot) {
-                if self.store.mask_of(key) == Some(mask) && self.store.coords_of(key, &mut coords) {
-                    frontier.push((cost, IVec::from(coords.as_slice()), mask));
-                }
-            }
-        }
-        let (incumbent_cost, _, incumbent) = lock_unpoisoned(&self.incumbent).clone();
         Snapshot {
             fingerprint: self.fingerprint,
             dim: self.setup.dim,
-            incumbent_cost,
-            incumbent,
+            incumbent_cost: self.incumbent.0,
+            incumbent: self.incumbent.2.clone(),
             frontier,
             known: self.store.entries(),
             nodes_charged: self.budget.nodes_charged(),
-            stats: stats.clone(),
+            stats: self.stats.clone(),
         }
-    }
-
-    /// Run worker `id` to its exit under panic isolation. The worker's
-    /// in-hand entry is published for the snapshots *before* it retires:
-    /// until then it counts as live, so no barrier completes without it,
-    /// and a worker parked at a barrier holds nothing.
-    fn run_worker(&self, id: usize) -> SearchStats {
-        let hand = Cell::new(None);
-        let stats = match catch_unwind(AssertUnwindSafe(|| self.worker(id, &hand))) {
-            Ok(stats) => stats,
-            Err(payload) => {
-                self.note_panic(id, payload.as_ref());
-                SearchStats::default()
-            }
-        };
-        *lock_unpoisoned(&self.in_hand[id]) = hand.get();
-        self.retire();
-        stats
-    }
-
-    /// One worker's main loop. Returns its local statistics.
-    fn worker(&self, id: usize, hand: &Cell<Option<(u128, u64, u64)>>) -> SearchStats {
-        let mut stats = SearchStats::default();
-        let mut idle_spins = 0u32;
-        // Scratch buffers reused across every pop and child: coordinates,
-        // and the lattice reduction that costs a known-bounds child.
-        let mut wbuf: Vec<i64> = Vec::with_capacity(self.setup.dim);
-        let mut cbuf: Vec<i64> = Vec::with_capacity(self.setup.dim);
-        let mut scratch: Vec<i64> = Vec::with_capacity(self.setup.dim * self.setup.dim);
-        loop {
-            if self.stop.load(Ordering::Acquire) {
-                break;
-            }
-            self.park_for_checkpoint();
-            let Some((cost, key, mask)) = self.pop_or_steal(id) else {
-                if self.pending.load(Ordering::Acquire) == 0 {
-                    break; // globally drained: every worker exits
-                }
-                // A peer is still expanding; its children may arrive.
-                idle_spins += 1;
-                if idle_spins > 64 {
-                    std::thread::sleep(std::time::Duration::from_micros(50));
-                } else {
-                    std::thread::yield_now();
-                }
-                continue;
-            };
-            idle_spins = 0;
-            // Skip stale entries: a fresher push carries the grown PATHSET.
-            if self.store.mask_of(key) != Some(mask) || !self.store.coords_of(key, &mut wbuf) {
-                self.pending.fetch_sub(1, Ordering::Release);
-                continue;
-            }
-            stats.visited += 1;
-            // Hold the entry while it is being processed: if this worker
-            // stops (budget) or dies (panic) mid-node, the snapshot still
-            // carries the entry and no subtree is lost. `pending` is then
-            // deliberately *not* decremented — the `stop` flag, not the
-            // drain test, terminates the pool on those paths.
-            hand.set(Some((cost, key, mask)));
-            if let Err(reason) = self.budget.charge() {
-                self.record_stop(reason);
-                break;
-            }
-            self.visited.fetch_add(1, Ordering::Relaxed);
-            if mask == self.setup.full && self.offer(cost, &wbuf) {
-                stats.improvements += 1;
-            }
-            if !self.expand(id, &wbuf, mask, &mut cbuf, &mut scratch, &mut stats) {
-                break; // memo cap mid-expansion: keep the entry in hand
-            }
-            hand.set(None);
-            self.pending.fetch_sub(1, Ordering::Release);
-            self.note_progress();
-        }
-        stats
     }
 }
 
 /// The runner behind every entry point: validate the problem, seed the
 /// engine from `seed` (a snapshot, checked against the live problem) or
-/// from the origin, and run `config.threads` work-stealing workers over
-/// shared state (see the module docs for the determinism argument).
+/// from the origin, and run it on the calling thread.
 ///
-/// Worker bodies run under `catch_unwind`: a panic stops the pool, lets
-/// the survivors drain, still writes the final checkpoint, and surfaces
-/// as `Err(SearchError::WorkerPanic)`.
+/// The run is under `catch_unwind`: a panic still writes the final
+/// checkpoint and surfaces as `Err(SearchError::WorkerPanic)`.
 fn search_seeded(
     seed: Option<Snapshot>,
     stencil: &Stencil,
@@ -1150,108 +891,60 @@ fn search_seeded(
             state
         }
     };
-    let threads = config.threads.max(1);
-    let ckpt = config.checkpoint.as_ref().map(|cfg| ParCkpt {
-        cfg,
-        since: AtomicU64::new(0),
-        requested: AtomicBool::new(false),
-        failed: AtomicBool::new(false),
-        error: Mutex::new(None),
-        state: Mutex::new(CkptBarrier {
-            live: threads,
-            parked: 0,
-            epoch: 0,
-        }),
-        cv: Condvar::new(),
-    });
-    let par = ParSearch {
+    let mut engine = Engine {
         stencil,
         setup: &setup,
         budget: &config.budget,
         fingerprint,
-        queues: (0..threads).map(|_| Mutex::default()).collect(),
+        queue: WorkQueue::with_capacity(seed.frontier.len()),
         store: MaskTable::new(setup.window.clone()),
-        pending: AtomicU64::new(seed.frontier.len() as u64),
-        visited: AtomicU64::new(seed.base.visited),
-        stop: AtomicBool::new(false),
-        stop_reason: Mutex::new(None),
-        bound: AtomicU64::new(saturate_bound(seed.incumbent.0)),
-        incumbent: Mutex::new(seed.incumbent),
-        in_hand: (0..threads).map(|_| Mutex::new(None)).collect(),
-        stats_base: seed.base.clone(),
-        ckpt,
-        panic_slot: Mutex::new(None),
+        incumbent: seed.incumbent,
+        stats: seed.base,
+        stop: None,
+        in_hand: None,
+        ckpt: config.checkpoint.as_ref(),
+        since_snapshot: 0,
+        ckpt_error: None,
     };
-
-    // Seed the PATHSET table and distribute the frontier round-robin.
     for (w, mask) in &seed.known {
-        par.store.merge(w.as_slice(), *mask);
+        engine.store.merge(w.as_slice(), *mask);
     }
-    for (i, (cost, w, mask)) in seed.frontier.iter().enumerate() {
-        let key = match par.store.key_of(w.as_slice()) {
+    for (cost, w, mask) in &seed.frontier {
+        let key = match engine.store.key_of(w.as_slice()) {
             Some(key) => key,
-            None => par.store.merge(w.as_slice(), *mask).key,
+            None => engine.store.merge(w.as_slice(), *mask).key,
         };
-        lock_unpoisoned(&par.queues[i % threads]).push(std::cmp::Reverse((*cost, key, *mask)));
+        engine.queue.push(Reverse((*cost, key, *mask)));
     }
 
-    let worker_stats: Vec<SearchStats> = if threads == 1 {
-        // One worker needs no pool: it runs on the calling thread, and with
-        // no peer to steal from it visits in plain best-first order.
-        vec![par.run_worker(0)]
-    } else {
-        std::thread::scope(|scope| {
-            let par = &par;
-            let handles: Vec<_> = (0..threads)
-                .map(|id| scope.spawn(move || par.run_worker(id)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_default())
-                .collect()
-        })
-    };
-
-    let mut stats = seed.base;
-    for ws in &worker_stats {
-        stats.visited += ws.visited;
-        stats.pushed += ws.pushed;
-        stats.improvements += ws.improvements;
-        stats.pruned += ws.pruned;
-        stats.capped += ws.capped;
-    }
-    let stop_reason = lock_unpoisoned(&par.stop_reason).take();
-    let (best_cost, _, best) = lock_unpoisoned(&par.incumbent).clone();
-    let degradation = stop_reason.map(|reason| {
-        stats.complete = false;
-        config
-            .budget
-            .degradation(reason, par.store.len(), best == setup.initial)
+    let panic = catch_unwind(AssertUnwindSafe(|| engine.run()))
+        .err()
+        .map(|payload| panic_message(payload.as_ref()));
+    let degradation = engine.stop.map(|reason| {
+        engine.stats.complete = false;
+        config.budget.degradation(
+            reason,
+            engine.store.len(),
+            engine.incumbent.2 == setup.initial,
+        )
     });
-
-    // Final snapshot: every worker has exited, so the state is quiescent
-    // and includes every in-hand entry of early-stopped or panicked
-    // workers.
-    let mut checkpoint_error = None;
-    if let Some(ck) = &par.ckpt {
-        checkpoint_error = lock_unpoisoned(&ck.error).take();
-        if checkpoint_error.is_none() {
-            let snap = par.build_snapshot(&stats);
-            if let Err(e) = checkpoint::write_snapshot(&ck.cfg.path, &snap) {
-                checkpoint_error = Some(e);
-            }
+    // Final snapshot, including the entry in hand of a stopped or
+    // panicked run.
+    if let Some(cfg) = engine.ckpt {
+        if engine.ckpt_error.is_none() {
+            engine.write_snapshot(cfg);
         }
     }
-
-    if let Some((worker, payload)) = lock_unpoisoned(&par.panic_slot).take() {
-        return Err(SearchError::WorkerPanic { worker, payload });
+    if let Some(payload) = panic {
+        return Err(SearchError::WorkerPanic { payload });
     }
+    let (cost, _, uov) = engine.incumbent;
     Ok(SearchResult {
-        uov: best,
-        cost: best_cost,
-        stats,
+        uov,
+        cost,
+        stats: engine.stats,
         degradation,
-        checkpoint_error,
+        checkpoint_error: engine.ckpt_error,
     })
 }
 
@@ -1495,9 +1188,8 @@ mod tests {
         let s = stencil5();
         let oracle = crate::DoneOracle::new(&s);
         let config = SearchConfig {
-            threads: 1,
             budget: Budget::unlimited().with_deadline(std::time::Duration::ZERO),
-            checkpoint: None,
+            ..SearchConfig::default()
         };
         let res = find_best_uov(&s, Objective::ShortestVector, &config).unwrap();
         assert!(!res.stats.complete);
@@ -1519,9 +1211,8 @@ mod tests {
         let token = Arc::new(AtomicBool::new(true));
         token.store(true, Ordering::Relaxed);
         let config = SearchConfig {
-            threads: 1,
             budget: Budget::unlimited().with_cancel_token(token),
-            checkpoint: None,
+            ..SearchConfig::default()
         };
         let res = find_best_uov(&s, Objective::ShortestVector, &config).unwrap();
         assert!(!res.stats.complete);
@@ -1537,9 +1228,8 @@ mod tests {
         let s = stencil5();
         let oracle = crate::DoneOracle::new(&s);
         let config = SearchConfig {
-            threads: 1,
             budget: Budget::unlimited().with_max_memo_entries(2),
-            checkpoint: None,
+            ..SearchConfig::default()
         };
         let res = find_best_uov(&s, Objective::ShortestVector, &config).unwrap();
         assert!(!res.stats.complete);
@@ -1552,11 +1242,10 @@ mod tests {
     #[test]
     fn generous_budget_still_finds_optimum() {
         let config = SearchConfig {
-            threads: 1,
             budget: Budget::unlimited()
                 .with_max_nodes(1_000_000)
                 .with_deadline(std::time::Duration::from_secs(60)),
-            checkpoint: None,
+            ..SearchConfig::default()
         };
         let best = find_best_uov(&stencil5(), Objective::ShortestVector, &config).unwrap();
         assert_eq!(best.uov, ivec![2, 0]);
@@ -1608,13 +1297,6 @@ mod tests {
         assert_eq!(isqrt(u128::MAX), u128::from(u64::MAX));
     }
 
-    fn with_threads(threads: usize) -> SearchConfig {
-        SearchConfig {
-            threads,
-            ..SearchConfig::default()
-        }
-    }
-
     fn scaled(s: &Stencil, k: i64) -> Stencil {
         Stencil::new(s.iter().map(|v| v.scaled(k)).collect()).unwrap()
     }
@@ -1652,11 +1334,11 @@ mod tests {
         }
     }
 
-    /// Node-for-node counters at one thread, pinned from the sequential
-    /// engine the one-worker case replaced: a single worker has nobody to
-    /// steal from, so it pops in plain best-first order and every counter
-    /// is deterministic. The pins are a ratchet (see [`ratchet`]): this is
-    /// the gate that runs the search code, where perfbench times it.
+    /// Node-for-node counters, pinned from the sequential engine that the
+    /// one-worker engine replaced: it pops in plain best-first order, so
+    /// every counter is deterministic. The pins are a ratchet (see
+    /// [`ratchet`]): this is the gate that runs the search code, where
+    /// perfbench times it.
     #[test]
     fn one_worker_stats_are_pinned() {
         let fig3 = Stencil::new(vec![ivec![1, -1], ivec![1, 0], ivec![1, 1], ivec![0, 1]]).unwrap();
@@ -1848,11 +1530,9 @@ mod tests {
         ];
         let mut failures = Vec::new();
         for (name, s, objective, pin) in cases {
-            for threads in [0, 1] {
-                let got = find_best_uov(&s, objective, &with_threads(threads)).unwrap();
-                if let Err(msg) = ratchet(&format!("{name} threads={threads}"), &got.stats, pin) {
-                    failures.push(msg);
-                }
+            let got = find_best_uov(&s, objective, &SearchConfig::default()).unwrap();
+            if let Err(msg) = ratchet(name, &got.stats, pin) {
+                failures.push(msg);
             }
         }
         assert!(failures.is_empty(), "{}", failures.join("\n"));
@@ -1867,7 +1547,12 @@ mod tests {
     fn a_worse_search_order_fails_the_ratchet() {
         let swapped = Stencil::new(vec![ivec![0, 1, 0], ivec![1, 1, 0], ivec![0, 1, 1]]).unwrap();
         let dom = RectDomain::new(ivec![1, 1, 1], ivec![32, 16, 32]);
-        let got = find_best_uov(&swapped, Objective::KnownBounds(&dom), &with_threads(1)).unwrap();
+        let got = find_best_uov(
+            &swapped,
+            Objective::KnownBounds(&dom),
+            &SearchConfig::default(),
+        )
+        .unwrap();
         assert_eq!((got.cost, got.stats.visited), (6867, 79_605));
         let verdict = ratchet("wave3, axes 0 and 1 swapped", &got.stats, WAVE3_PIN);
         assert!(
@@ -1903,99 +1588,12 @@ mod tests {
     fn pruning_bound_saturates_on_huge_coordinates() {
         let s = scaled(&stencil5(), 1 << 31);
         let oracle = crate::DoneOracle::new(&s);
-        for threads in [1, 4] {
-            let config = SearchConfig {
-                budget: Budget::unlimited().with_max_nodes(2_000),
-                ..with_threads(threads)
-            };
-            let res = find_best_uov(&s, Objective::ShortestVector, &config)
-                .unwrap_or_else(|e| panic!("threads={threads}: {e}"));
-            assert!(oracle.is_uov(&res.uov), "threads={threads}: {}", res.uov);
-        }
-    }
-
-    #[test]
-    fn parallel_matches_sequential_on_known_optima() {
-        for threads in [2, 4, 8] {
-            let best =
-                find_best_uov(&fig1(), Objective::ShortestVector, &with_threads(threads)).unwrap();
-            assert_eq!(best.uov, ivec![1, 1], "threads={threads}");
-            assert_eq!(best.cost, 2);
-            assert!(best.stats.complete);
-            assert!(best.degradation.is_none());
-
-            let best = find_best_uov(
-                &stencil5(),
-                Objective::ShortestVector,
-                &with_threads(threads),
-            )
-            .unwrap();
-            assert_eq!(best.uov, ivec![2, 0], "threads={threads}");
-            assert_eq!(best.cost, 4);
-        }
-    }
-
-    #[test]
-    fn parallel_matches_sequential_uov_and_cost_exactly() {
-        let stencils = [
-            fig1(),
-            stencil5(),
-            Stencil::new(vec![ivec![2, 1], ivec![1, 3]]).unwrap(),
-            Stencil::new(vec![ivec![1, -1], ivec![1, 1], ivec![2, 0]]).unwrap(),
-            Stencil::new(vec![ivec![0, 1], ivec![1, -3]]).unwrap(),
-            Stencil::new(vec![ivec![1, 0, 0], ivec![0, 1, 0], ivec![0, 0, 1]]).unwrap(),
-        ];
-        for s in &stencils {
-            let seq = find_best_uov(s, Objective::ShortestVector, &with_threads(1)).unwrap();
-            for threads in [2, 3, 8] {
-                let par =
-                    find_best_uov(s, Objective::ShortestVector, &with_threads(threads)).unwrap();
-                assert_eq!(par.uov, seq.uov, "UOV diverged at threads={threads}");
-                assert_eq!(par.cost, seq.cost, "cost diverged at threads={threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_known_bounds_matches_sequential() {
-        let grid = RectDomain::grid(6, 9);
-        for s in [fig1(), stencil5()] {
-            let seq = find_best_uov(&s, Objective::KnownBounds(&grid), &with_threads(1)).unwrap();
-            let par = find_best_uov(&s, Objective::KnownBounds(&grid), &with_threads(4)).unwrap();
-            assert_eq!(par.uov, seq.uov);
-            assert_eq!(par.cost, seq.cost);
-        }
-    }
-
-    #[test]
-    fn parallel_search_repeats_deterministically() {
-        // Many repetitions under the OS scheduler: every completed run of
-        // the parallel engine must return the identical (uov, cost).
-        let s = stencil5();
-        let reference = find_best_uov(&s, Objective::ShortestVector, &with_threads(1)).unwrap();
-        for round in 0..20 {
-            let par = find_best_uov(&s, Objective::ShortestVector, &with_threads(4)).unwrap();
-            assert_eq!(par.uov, reference.uov, "round {round}");
-            assert_eq!(par.cost, reference.cost, "round {round}");
-        }
-    }
-
-    #[test]
-    fn parallel_budget_truncation_stays_legal() {
-        let s = stencil5();
-        let oracle = crate::DoneOracle::new(&s);
-        for cap in [1, 2] {
-            let config = SearchConfig {
-                threads: 4,
-                budget: Budget::unlimited().with_max_nodes(cap),
-                checkpoint: None,
-            };
-            let res = find_best_uov(&s, Objective::ShortestVector, &config).unwrap();
-            assert!(!res.stats.complete);
-            assert!(oracle.is_uov(&res.uov));
-            let d = res.degradation.expect("node cap must record degradation");
-            assert_eq!(d.reason, Exhausted::Nodes);
-        }
+        let config = SearchConfig {
+            budget: Budget::unlimited().with_max_nodes(2_000),
+            ..SearchConfig::default()
+        };
+        let res = find_best_uov(&s, Objective::ShortestVector, &config).unwrap();
+        assert!(oracle.is_uov(&res.uov), "{}", res.uov);
     }
 
     #[test]
@@ -2011,17 +1609,6 @@ mod tests {
         assert!(!improves(6, &ivec![0, 1], &best));
     }
 
-    #[test]
-    fn saturated_bound_cell_defers_to_the_exact_incumbent() {
-        // A cost past u64 saturates the lock-free cell; pruning then reads
-        // the exact incumbent (see the 1-D pin in
-        // `one_worker_stats_are_pinned`) instead of trusting a value below
-        // the true bound.
-        assert_eq!(saturate_bound(3), 3);
-        assert_eq!(saturate_bound(u128::from(u64::MAX) + 1), u64::MAX);
-        assert_eq!(saturate_bound(u128::MAX), u64::MAX);
-    }
-
     fn tmp_ckpt(name: &str) -> std::path::PathBuf {
         let mut p = std::env::temp_dir();
         p.push(format!(
@@ -2032,9 +1619,8 @@ mod tests {
         p
     }
 
-    fn ckpt_config(threads: usize, path: &std::path::Path, interval: u64) -> SearchConfig {
+    fn ckpt_config(path: &std::path::Path, interval: u64) -> SearchConfig {
         SearchConfig {
-            threads,
             checkpoint: Some(CheckpointConfig {
                 path: path.to_path_buf(),
                 interval,
@@ -2045,59 +1631,49 @@ mod tests {
 
     #[test]
     fn checkpointed_run_writes_a_final_snapshot_and_matches_plain_run() {
-        for threads in [1, 4] {
-            let s = stencil5();
-            let plain =
-                find_best_uov(&s, Objective::ShortestVector, &with_threads(threads)).unwrap();
-            let path = tmp_ckpt(&format!("final_{threads}"));
-            let res = find_best_uov(
-                &s,
-                Objective::ShortestVector,
-                &ckpt_config(threads, &path, 4),
-            )
-            .unwrap();
-            assert_eq!(res.checkpoint_error, None, "threads={threads}");
-            assert_eq!(res.uov, plain.uov);
-            assert_eq!(res.cost, plain.cost);
-            let snap = checkpoint::read_snapshot(&path).unwrap();
-            assert_eq!(snap.incumbent, res.uov);
-            assert_eq!(snap.incumbent_cost, res.cost);
-            assert!(
-                snap.frontier.is_empty(),
-                "a completed search leaves no frontier (threads={threads})"
-            );
-            let _ = std::fs::remove_file(&path);
-        }
+        let s = stencil5();
+        let plain = find_best_uov(&s, Objective::ShortestVector, &SearchConfig::default()).unwrap();
+        let path = tmp_ckpt("final");
+        let res = find_best_uov(&s, Objective::ShortestVector, &ckpt_config(&path, 4)).unwrap();
+        assert_eq!(res.checkpoint_error, None);
+        assert_eq!(res.uov, plain.uov);
+        assert_eq!(res.cost, plain.cost);
+        let snap = checkpoint::read_snapshot(&path).unwrap();
+        assert_eq!(snap.incumbent, res.uov);
+        assert_eq!(snap.incumbent_cost, res.cost);
+        assert!(
+            snap.frontier.is_empty(),
+            "a completed search leaves no frontier"
+        );
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn interrupted_then_resumed_search_matches_uninterrupted() {
-        for threads in [1, 4] {
-            for cut in [1u64, 3, 7, 15] {
-                let s = stencil5();
-                let reference =
-                    find_best_uov(&s, Objective::ShortestVector, &with_threads(threads)).unwrap();
-                let path = tmp_ckpt(&format!("resume_{threads}_{cut}"));
-                let mut interrupted = SearchConfig {
-                    budget: Budget::unlimited().with_max_nodes(cut),
-                    ..ckpt_config(threads, &path, 1)
-                };
-                let partial = find_best_uov(&s, Objective::ShortestVector, &interrupted).unwrap();
-                assert_eq!(partial.checkpoint_error, None);
-                // Resume with the node cap lifted: must land on the exact
-                // canonical answer, not merely *a* UOV.
-                interrupted.budget = Budget::unlimited();
-                let resumed =
-                    search_resume(&path, &s, Objective::ShortestVector, &interrupted).unwrap();
-                assert_eq!(
-                    (resumed.uov.clone(), resumed.cost),
-                    (reference.uov.clone(), reference.cost),
-                    "threads={threads} cut={cut}"
-                );
-                assert!(resumed.stats.complete);
-                assert!(resumed.degradation.is_none());
-                let _ = std::fs::remove_file(&path);
-            }
+        let s = stencil5();
+        let reference =
+            find_best_uov(&s, Objective::ShortestVector, &SearchConfig::default()).unwrap();
+        for cut in [1u64, 3, 7, 15] {
+            let path = tmp_ckpt(&format!("resume_{cut}"));
+            let mut interrupted = SearchConfig {
+                budget: Budget::unlimited().with_max_nodes(cut),
+                ..ckpt_config(&path, 1)
+            };
+            let partial = find_best_uov(&s, Objective::ShortestVector, &interrupted).unwrap();
+            assert_eq!(partial.checkpoint_error, None);
+            // Resume with the node cap lifted: must land on the exact
+            // canonical answer, not merely *a* UOV, by the same work.
+            interrupted.budget = Budget::unlimited();
+            let resumed =
+                search_resume(&path, &s, Objective::ShortestVector, &interrupted).unwrap();
+            assert_eq!(
+                (resumed.uov.clone(), resumed.cost),
+                (reference.uov.clone(), reference.cost),
+                "cut={cut}"
+            );
+            assert_eq!(resumed.stats, reference.stats, "cut={cut}");
+            assert!(resumed.degradation.is_none());
+            let _ = std::fs::remove_file(&path);
         }
     }
 
@@ -2107,7 +1683,7 @@ mod tests {
         let path = tmp_ckpt("cumulative");
         let config = SearchConfig {
             budget: Budget::unlimited().with_max_nodes(3),
-            ..ckpt_config(1, &path, 1)
+            ..ckpt_config(&path, 1)
         };
         let first = find_best_uov(&s, Objective::ShortestVector, &config).unwrap();
         assert!(first.degradation.is_some());
@@ -2115,7 +1691,7 @@ mod tests {
         // instead of granting a fresh allowance.
         let config = SearchConfig {
             budget: Budget::unlimited().with_max_nodes(3),
-            ..ckpt_config(1, &path, 1)
+            ..ckpt_config(&path, 1)
         };
         let resumed = search_resume(&path, &s, Objective::ShortestVector, &config).unwrap();
         let d = resumed.degradation.expect("cumulative cap must still bind");
@@ -2128,11 +1704,16 @@ mod tests {
     fn resume_rejects_a_snapshot_from_a_different_problem() {
         let s = stencil5();
         let path = tmp_ckpt("mismatch");
-        let res = find_best_uov(&s, Objective::ShortestVector, &ckpt_config(1, &path, 8)).unwrap();
+        let res = find_best_uov(&s, Objective::ShortestVector, &ckpt_config(&path, 8)).unwrap();
         assert_eq!(res.checkpoint_error, None);
         let other = fig1();
-        let err =
-            search_resume(&path, &other, Objective::ShortestVector, &with_threads(1)).unwrap_err();
+        let err = search_resume(
+            &path,
+            &other,
+            Objective::ShortestVector,
+            &SearchConfig::default(),
+        )
+        .unwrap_err();
         assert!(matches!(
             err,
             SearchError::Checkpoint(CheckpointError::StencilMismatch { .. })
@@ -2141,14 +1722,24 @@ mod tests {
     }
 
     /// A domain whose `num_points` panics after `fuse` calls. Setup
-    /// (`DomainFacts` + the initial UOV's cost) spends two calls on the
-    /// caller thread, so any fuse ≥ 3 fires inside the engines, where a
-    /// cost evaluation per expanded child keeps querying it.
+    /// (`DomainFacts` + the initial UOV's cost) spends two calls, so any
+    /// fuse ≥ 3 fires inside the engine, where a cost evaluation per
+    /// expanded child keeps querying it.
     #[derive(Debug)]
     struct FusedDomain<'a> {
         grid: &'a RectDomain,
-        calls: std::sync::atomic::AtomicUsize,
+        calls: std::cell::Cell<usize>,
         fuse: usize,
+    }
+
+    impl<'a> FusedDomain<'a> {
+        fn new(grid: &'a RectDomain, fuse: usize) -> Self {
+            FusedDomain {
+                grid,
+                calls: std::cell::Cell::new(0),
+                fuse,
+            }
+        }
     }
 
     impl uov_isg::IterationDomain for FusedDomain<'_> {
@@ -2165,8 +1756,8 @@ mod tests {
             self.grid.points()
         }
         fn num_points(&self) -> u64 {
-            use std::sync::atomic::Ordering;
-            let n = self.calls.fetch_add(1, Ordering::Relaxed);
+            let n = self.calls.get();
+            self.calls.set(n + 1);
             assert!(n < self.fuse, "injected domain fault");
             self.grid.num_points()
         }
@@ -2176,23 +1767,14 @@ mod tests {
     fn worker_panic_is_caught_as_a_typed_error() {
         let s = fig1();
         let grid = RectDomain::grid(6, 6);
-        for threads in [1, 4] {
-            let fused = FusedDomain {
-                grid: &grid,
-                calls: std::sync::atomic::AtomicUsize::new(0),
-                fuse: 3,
-            };
-            let err = find_best_uov(&s, Objective::KnownBounds(&fused), &with_threads(threads))
-                .unwrap_err();
-            match err {
-                SearchError::WorkerPanic { payload, .. } => {
-                    assert!(
-                        payload.contains("injected domain fault"),
-                        "threads={threads}"
-                    );
-                }
-                other => panic!("expected WorkerPanic, got {other:?} (threads={threads})"),
+        let fused = FusedDomain::new(&grid, 3);
+        let err = find_best_uov(&s, Objective::KnownBounds(&fused), &SearchConfig::default())
+            .unwrap_err();
+        match err {
+            SearchError::WorkerPanic { payload } => {
+                assert!(payload.contains("injected domain fault"), "{payload}");
             }
+            other => panic!("expected WorkerPanic, got {other:?}"),
         }
     }
 
@@ -2200,38 +1782,25 @@ mod tests {
     fn panicked_checkpointed_search_still_writes_a_resumable_snapshot() {
         let s = fig1();
         let grid = RectDomain::grid(6, 6);
-        for threads in [1, 4] {
-            let reference =
-                find_best_uov(&s, Objective::KnownBounds(&grid), &with_threads(threads)).unwrap();
-            let path = tmp_ckpt(&format!("panic_resume_{threads}"));
-            let fused = FusedDomain {
-                grid: &grid,
-                calls: std::sync::atomic::AtomicUsize::new(0),
-                fuse: 6,
-            };
-            let err = find_best_uov(
-                &s,
-                Objective::KnownBounds(&fused),
-                &ckpt_config(threads, &path, 1),
-            )
-            .unwrap_err();
-            assert!(
-                matches!(err, SearchError::WorkerPanic { .. }),
-                "threads={threads}"
-            );
-            // A final snapshot is written even after a panic; resuming it
-            // with a healthy domain completes the search exactly.
-            let resumed = search_resume(
-                &path,
-                &s,
-                Objective::KnownBounds(&grid),
-                &ckpt_config(threads, &path, 1),
-            )
-            .unwrap();
-            assert_eq!(resumed.uov, reference.uov, "threads={threads}");
-            assert_eq!(resumed.cost, reference.cost, "threads={threads}");
-            let _ = std::fs::remove_file(&path);
-        }
+        let reference =
+            find_best_uov(&s, Objective::KnownBounds(&grid), &SearchConfig::default()).unwrap();
+        let path = tmp_ckpt("panic_resume");
+        let fused = FusedDomain::new(&grid, 6);
+        let err =
+            find_best_uov(&s, Objective::KnownBounds(&fused), &ckpt_config(&path, 1)).unwrap_err();
+        assert!(matches!(err, SearchError::WorkerPanic { .. }));
+        // A final snapshot is written even after a panic; resuming it
+        // with a healthy domain completes the search exactly.
+        let resumed = search_resume(
+            &path,
+            &s,
+            Objective::KnownBounds(&grid),
+            &ckpt_config(&path, 1),
+        )
+        .unwrap();
+        assert_eq!(resumed.uov, reference.uov);
+        assert_eq!(resumed.cost, reference.cost);
+        let _ = std::fs::remove_file(&path);
     }
 
     /// A fault in the origin's own expansion (fuse 3 fires at its second
@@ -2242,42 +1811,25 @@ mod tests {
     fn panic_while_expanding_the_origin_leaves_a_resumable_snapshot() {
         let s = fig1();
         let grid = RectDomain::grid(6, 6);
-        for threads in [1, 4] {
-            let reference =
-                find_best_uov(&s, Objective::KnownBounds(&grid), &with_threads(threads)).unwrap();
-            let path = tmp_ckpt(&format!("origin_panic_{threads}"));
-            let fused = FusedDomain {
-                grid: &grid,
-                calls: std::sync::atomic::AtomicUsize::new(0),
-                fuse: 3,
-            };
-            let err = find_best_uov(
-                &s,
-                Objective::KnownBounds(&fused),
-                &ckpt_config(threads, &path, 1),
-            )
-            .unwrap_err();
-            assert!(
-                matches!(err, SearchError::WorkerPanic { .. }),
-                "threads={threads}"
-            );
-            let snap = checkpoint::read_snapshot(&path).unwrap();
-            assert_eq!(
-                snap.frontier,
-                vec![(0, IVec::zero(2), 0)],
-                "threads={threads}"
-            );
-            let resumed = search_resume(
-                &path,
-                &s,
-                Objective::KnownBounds(&grid),
-                &with_threads(threads),
-            )
-            .unwrap();
-            assert_eq!(resumed.uov, reference.uov, "threads={threads}");
-            assert_eq!(resumed.cost, reference.cost, "threads={threads}");
-            let _ = std::fs::remove_file(&path);
-        }
+        let reference =
+            find_best_uov(&s, Objective::KnownBounds(&grid), &SearchConfig::default()).unwrap();
+        let path = tmp_ckpt("origin_panic");
+        let fused = FusedDomain::new(&grid, 3);
+        let err =
+            find_best_uov(&s, Objective::KnownBounds(&fused), &ckpt_config(&path, 1)).unwrap_err();
+        assert!(matches!(err, SearchError::WorkerPanic { .. }));
+        let snap = checkpoint::read_snapshot(&path).unwrap();
+        assert_eq!(snap.frontier, vec![(0, IVec::zero(2), 0)]);
+        let resumed = search_resume(
+            &path,
+            &s,
+            Objective::KnownBounds(&grid),
+            &SearchConfig::default(),
+        )
+        .unwrap();
+        assert_eq!(resumed.uov, reference.uov);
+        assert_eq!(resumed.cost, reference.cost);
+        let _ = std::fs::remove_file(&path);
     }
 
     /// A chain of node-capped runs, each resumed from the previous run's
@@ -2286,34 +1838,31 @@ mod tests {
     /// `cut` nodes past the charge its snapshot recorded.
     #[test]
     fn node_capped_resume_chain_lands_on_the_exact_answer() {
-        for threads in [1usize, 4] {
-            for cut in [1u64, 3, 7] {
-                let s = stencil5();
-                let reference =
-                    find_best_uov(&s, Objective::ShortestVector, &with_threads(threads)).unwrap();
-                let path = tmp_ckpt(&format!("chain_{threads}_{cut}"));
-                let capped = |nodes: u64| SearchConfig {
-                    budget: Budget::unlimited().with_max_nodes(nodes),
-                    ..ckpt_config(threads, &path, 1)
-                };
-                let mut res = find_best_uov(&s, Objective::ShortestVector, &capped(cut)).unwrap();
-                let mut steps = 0;
-                while !res.stats.complete {
-                    steps += 1;
-                    assert!(steps <= 10_000, "resume chain failed to converge");
-                    assert_eq!(res.checkpoint_error, None);
-                    let charged = checkpoint::read_snapshot(&path).unwrap().nodes_charged;
-                    res =
-                        search_resume(&path, &s, Objective::ShortestVector, &capped(charged + cut))
-                            .unwrap();
-                }
-                assert_eq!(
-                    (res.uov, res.cost),
-                    (reference.uov.clone(), reference.cost),
-                    "threads={threads} cut={cut}"
-                );
-                let _ = std::fs::remove_file(&path);
+        let s = stencil5();
+        let reference =
+            find_best_uov(&s, Objective::ShortestVector, &SearchConfig::default()).unwrap();
+        for cut in [1u64, 3, 7] {
+            let path = tmp_ckpt(&format!("chain_{cut}"));
+            let capped = |nodes: u64| SearchConfig {
+                budget: Budget::unlimited().with_max_nodes(nodes),
+                ..ckpt_config(&path, 1)
+            };
+            let mut res = find_best_uov(&s, Objective::ShortestVector, &capped(cut)).unwrap();
+            let mut steps = 0;
+            while !res.stats.complete {
+                steps += 1;
+                assert!(steps <= 10_000, "resume chain failed to converge");
+                assert_eq!(res.checkpoint_error, None);
+                let charged = checkpoint::read_snapshot(&path).unwrap().nodes_charged;
+                res = search_resume(&path, &s, Objective::ShortestVector, &capped(charged + cut))
+                    .unwrap();
             }
+            assert_eq!(
+                (res.uov, res.cost),
+                (reference.uov.clone(), reference.cost),
+                "cut={cut}"
+            );
+            let _ = std::fs::remove_file(&path);
         }
     }
 }

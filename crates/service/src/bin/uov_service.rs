@@ -1,8 +1,8 @@
 //! Command-line front end for the UOV planning service.
 //!
 //! ```text
-//! uov-service serve  <endpoint> [--workers N] [--queue N] [--cache N] [--search-threads N]
-//!                               [--warm-cache PATH] [--wedge-timeout MS]
+//! uov-service serve  <endpoint> [--workers N] [--queue N] [--cache N] [--warm-cache PATH]
+//!                               [--wedge-timeout MS]
 //! uov-service query  <endpoint> --stencil "1,0;0,1;1,1" [--grid N,M] [--deadline MS] [--no-cache] [--replication K]
 //! uov-service smoke  <endpoint>
 //! uov-service health <endpoint>
@@ -51,7 +51,7 @@ fn main() -> ExitCode {
 }
 
 const USAGE: &str = "usage:
-  uov-service serve  <endpoint> [--workers N] [--queue N] [--cache N] [--search-threads N] [--warm-cache PATH] [--wedge-timeout MS]
+  uov-service serve  <endpoint> [--workers N] [--queue N] [--cache N] [--warm-cache PATH] [--wedge-timeout MS]
   uov-service query  <endpoint[,endpoint…]> --stencil \"1,0;0,1;1,1\" [--grid N,M] [--deadline MS] [--no-cache] [--replication K]
   uov-service smoke  <endpoint>
   uov-service health <endpoint>
@@ -132,7 +132,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             "--workers",
             "--queue",
             "--cache",
-            "--search-threads",
             "--warm-cache",
             "--wedge-timeout",
         ],
@@ -141,7 +140,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let config = ServerConfig {
         workers: opt_parse(args, "--workers", ServerConfig::default().workers)?,
         queue_depth: opt_parse(args, "--queue", ServerConfig::default().queue_depth)?,
-        search_threads: opt_parse(args, "--search-threads", 1)?,
         cache_capacity: opt_parse(args, "--cache", ServerConfig::default().cache_capacity)?,
         warm_cache: opt(args, "--warm-cache")?.map(std::path::PathBuf::from),
         wedge_timeout: Duration::from_millis(opt_parse(args, "--wedge-timeout", 0u64)?),

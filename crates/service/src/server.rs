@@ -61,9 +61,6 @@ pub struct ServerConfig {
     /// Bounded compute-queue depth between admission and the workers.
     /// A full queue sheds further requests with `Overloaded`.
     pub queue_depth: usize,
-    /// Branch-and-bound threads per search (`0`/`1` = one worker on the
-    /// compute-pool thread running the search).
-    pub search_threads: usize,
     /// Distinct canonical plans retained by the cache.
     pub cache_capacity: usize,
     /// Read deadline in ~100 ms ticks: a connection that completes no
@@ -89,7 +86,6 @@ impl Default for ServerConfig {
         ServerConfig {
             workers: 4,
             queue_depth: 64,
-            search_threads: 1,
             cache_capacity: DEFAULT_CACHE_CAPACITY,
             idle_ticks: 300,
             warm_cache: None,
@@ -691,7 +687,6 @@ impl ServerState {
         .with_cancel_token(cancel);
         let config = SearchConfig {
             budget,
-            threads: self.config.search_threads,
             ..SearchConfig::default()
         };
         let solve = |s: &Stencil, o: &ObjectiveSpec| {

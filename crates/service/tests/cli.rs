@@ -31,11 +31,15 @@ fn run(args: &[&str]) -> (Option<i32>, String) {
 
 #[test]
 fn unknown_flags_exit_2_naming_the_flag() {
-    let cases: [(&[&str], &str); 3] = [
+    let cases: [(&[&str], &str); 4] = [
         (&["serve", "127.0.0.1:0", "--wokers", "8"], "--wokers"),
         (
             &["serve", "127.0.0.1:0", "--tenant-rate", "5"],
             "--tenant-rate",
+        ),
+        (
+            &["serve", "127.0.0.1:0", "--search-threads", "2"],
+            "--search-threads",
         ),
         (
             &["query", "127.0.0.1:1", "--stencil", "1,0;0,1", "--no-cahce"],

@@ -26,8 +26,11 @@ use uov::core::search::{find_best_uov, search_resume, Objective, SearchConfig, S
 use uov::core::{certify, SearchError};
 use uov::isg::{ivec, Stencil};
 
-/// Nodes expanded between snapshots. Small enough that a kill loses
-/// little work, large enough that snapshot writes stay a rounding error.
+/// Nodes expanded between snapshots: a kill loses at most this much work.
+/// The writes are not free. Each snapshot re-encodes and fsyncs the whole
+/// PATHSET table, which grows with the search (to about 42 MB here), so
+/// on a 2-vCPU host a checkpointed run took about 21 s against 2.3 s for
+/// `clean`.
 const INTERVAL: u64 = 50_000;
 
 fn workload() -> Stencil {
@@ -69,7 +72,6 @@ fn main() -> Result<(), SearchError> {
                 std::process::exit(2);
             });
             let config = SearchConfig {
-                threads: 4,
                 checkpoint: Some(CheckpointConfig {
                     path: path.to_path_buf(),
                     interval: INTERVAL,

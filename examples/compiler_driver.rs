@@ -50,9 +50,8 @@ fn main() -> Result<(), uov::Error> {
             }
         );
         if let Some(Ok(s)) = p.statements.first() {
-            if let Some(code) = &s.code {
-                println!("\n-- OV-mapped (statement 0) --\n{code}");
-            }
+            let code = codegen::emit_ov_mapped(&nest, 0, &s.map);
+            println!("\n-- OV-mapped (statement 0) --\n{code}");
         }
     }
 

@@ -15,7 +15,10 @@
 //!    modterm layout chosen by the caller.
 //! 4. **Schedule advice** (§2/§5): whether rectangular tiling is already
 //!    legal, and if not, the 2-D skew factor that legalises it.
-//! 5. **Code emission** (§4): the transformed pseudocode for inspection.
+//!
+//! The transformed pseudocode of a 2-D statement is rendered on demand
+//! from its mapping with [`uov_loopir::codegen::emit_ov_mapped`], and
+//! [`plan_and_emit`] lowers a whole plan to compilable source.
 //!
 //! # Example
 //!
@@ -41,7 +44,7 @@ use uov_core::search::{find_best_uov, Objective, SearchConfig};
 use uov_core::search::{SearchResult, SearchStats};
 use uov_isg::{IVec, IterationDomain as _, Stencil};
 use uov_loopir::analysis::{flow_stencil, AnalysisError};
-use uov_loopir::{codegen, LoopNest};
+use uov_loopir::LoopNest;
 use uov_schedule::legality;
 use uov_service::{DegradationCode, MeshClient, ObjectiveSpec, PlanRequest};
 use uov_storage::{Layout, OvMap, StorageMap as _};
@@ -57,11 +60,6 @@ pub struct PlanConfig {
     /// or cancellation token is global (every statement shares the same
     /// wall clock and flag); node and memo caps apply per statement.
     pub budget: Budget,
-    /// Worker threads for each statement's branch-and-bound. `0` and `1`
-    /// both run one worker on the calling thread; the result is identical
-    /// for every value (see [`uov_core::search`]'s determinism guarantee)
-    /// — threads only buy wall-clock time.
-    pub threads: usize,
     /// Re-validate every emitted UOV (including degraded fallbacks) with
     /// the independent checker before the plan is returned, attaching a
     /// [`Certificate`] to each statement. On by default; a rejected result
@@ -79,7 +77,6 @@ impl Default for PlanConfig {
         PlanConfig {
             layout: Layout::default(),
             budget: Budget::unlimited(),
-            threads: 1,
             certify: true,
             checkpoint: None,
         }
@@ -106,8 +103,6 @@ pub struct StatementPlan {
     /// Independent re-validation of the UOV and its cost; present unless
     /// certification was disabled via [`PlanConfig::certify`].
     pub certificate: Option<Certificate>,
-    /// Transformed pseudocode (2-D nests only; `None` otherwise).
-    pub code: Option<String>,
 }
 
 /// The full plan for a nest.
@@ -176,7 +171,6 @@ pub fn plan_with(nest: &LoopNest, config: &PlanConfig) -> Result<TransformPlan, 
             // Fresh node counter per statement; deadline and
             // cancellation stay global through the clone.
             budget: config.budget.clone(),
-            threads: config.threads.max(1),
             checkpoint: config.checkpoint.as_ref().map(|c| {
                 let mut path = c.path.clone().into_os_string();
                 path.push(format!(".stmt{stmt}"));
@@ -185,6 +179,7 @@ pub fn plan_with(nest: &LoopNest, config: &PlanConfig) -> Result<TransformPlan, 
                     interval: c.interval,
                 }
             }),
+            ..SearchConfig::default()
         };
         let objective = Objective::KnownBounds(nest.domain());
         let best = find_best_uov(stencil, objective, &search_config)?;
@@ -211,8 +206,8 @@ struct Solved {
 
 /// The per-statement planning loop shared by [`plan_with`] and
 /// [`plan_remote`]: stencil extraction, then `solve` for each regular
-/// statement's UOV and certificate, then mapping construction, code
-/// emission and tiling advice — all local.
+/// statement's UOV and certificate, then mapping construction and
+/// tiling advice — all local.
 fn plan_statements(
     nest: &LoopNest,
     layout: Layout,
@@ -227,7 +222,6 @@ fn plan_statements(
                 union.extend(stencil.vectors().iter().cloned());
                 let solved = solve(stmt, &stencil)?;
                 let map = OvMap::try_new(nest.domain(), solved.uov.clone(), layout)?;
-                let code = (nest.depth() == 2).then(|| codegen::emit_ov_mapped(nest, stmt, &map));
                 statements.push(Ok(StatementPlan {
                     natural_cells: nest.domain().num_points(),
                     mapped_cells: map.size() as u64,
@@ -236,7 +230,6 @@ fn plan_statements(
                     map,
                     degradation: solved.degradation,
                     certificate: solved.certificate,
-                    code,
                 }));
             }
         }
@@ -279,8 +272,8 @@ fn tiling_advice(union: Vec<IVec>) -> (bool, Option<i64>) {
 ///
 /// The remote answer is *never trusted blind*: each statement's UOV is
 /// re-certified locally, and the local certificate's transcript hash must
-/// equal the hash the server computed. Mapping construction, tiling
-/// legality and code emission all stay local, so the returned
+/// equal the hash the server computed. Mapping construction and tiling
+/// legality stay local, so the returned
 /// [`TransformPlan`] is interchangeable with [`plan`]'s — the engine's
 /// deterministic total order makes the two byte-identical for completed
 /// searches.
@@ -487,10 +480,7 @@ mod tests {
         assert!(s.degradation.is_none());
         assert!(p.rectangular_tiling_legal);
         assert_eq!(p.skew_factor, Some(0));
-        assert!(s
-            .code
-            .as_ref()
-            .unwrap()
+        assert!(uov_loopir::codegen::emit_ov_mapped(&nest, 0, &s.map)
             .contains("for (i = 1; i <= 10; i++)"));
         assert!(s.mapped_cells < s.natural_cells);
     }
@@ -567,28 +557,6 @@ mod tests {
         assert!(DoneOracle::new(&s.stencil).is_uov(&s.uov));
         // And the mapping realises it.
         assert_eq!(s.map.ov(), &s.uov);
-    }
-
-    #[test]
-    fn threaded_plan_matches_sequential_plan() {
-        for nest in [
-            examples::fig1_nest(10, 6),
-            examples::stencil5_nest(6, 20),
-            examples::psm_nest(8, 8),
-        ] {
-            let seq = plan(&nest, Layout::Interleaved).unwrap();
-            let config = PlanConfig {
-                layout: Layout::Interleaved,
-                threads: 4,
-                ..PlanConfig::default()
-            };
-            let par = plan_with(&nest, &config).unwrap();
-            for (s, p) in seq.statements.iter().zip(&par.statements) {
-                let (s, p) = (s.as_ref().unwrap(), p.as_ref().unwrap());
-                assert_eq!(s.uov, p.uov, "UOV must not depend on thread count");
-                assert_eq!(s.mapped_cells, p.mapped_cells);
-            }
-        }
     }
 
     #[test]
@@ -685,7 +653,6 @@ mod tests {
                 let (l, r) = (l.as_ref().unwrap(), r.as_ref().unwrap());
                 assert_eq!(l.uov, r.uov, "service and local plans must agree");
                 assert_eq!(l.mapped_cells, r.mapped_cells);
-                assert_eq!(l.code, r.code);
                 // The remote certificate is recomputed locally and must
                 // hash identically to the in-process plan's.
                 assert_eq!(

@@ -60,6 +60,11 @@
 pub mod driver;
 pub mod error;
 
+/// The README's Rust snippets, compiled and run as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;
+
 pub use error::Error;
 
 pub use uov_bench as bench;

@@ -107,19 +107,14 @@ fn home_of(client: &MeshClient, stencil: &Stencil) -> usize {
         .route(MeshClient::routing_key(&request(stencil)))
 }
 
-/// Run the full kill/restart schedule under chaos at one seed and thread
-/// count; assert completion and byte-identity; return the client's
+/// Run the full kill/restart schedule under chaos at one seed; assert
+/// completion and byte-identity; return the client's
 /// decision log and the proxy endpoints. The proxies listen on `listen`
 /// when given (a replay must reuse the endpoint names the ring hashes),
 /// on fresh ports otherwise.
-fn run_chaos_schedule(
-    seed: u64,
-    search_threads: usize,
-    listen: Option<&[String]>,
-) -> (Vec<MeshEvent>, Vec<String>) {
+fn run_chaos_schedule(seed: u64, listen: Option<&[String]>) -> (Vec<MeshEvent>, Vec<String>) {
     let config = ServerConfig {
         workers: 2,
-        search_threads,
         ..ServerConfig::default()
     };
     let mut set = ReplicaSet::start(3, config).expect("start replicas");
@@ -174,19 +169,17 @@ fn run_chaos_schedule(
 }
 
 /// The acceptance differential: full completion and byte-identity under
-/// chaos, at every seed, at thread counts 1 and 8.
+/// chaos, at every seed.
 #[test]
 fn chaos_differential_is_byte_identical_to_local_search() {
     for seed in seeds() {
-        for threads in [1usize, 8] {
-            let (events, _) = run_chaos_schedule(seed, threads, None);
-            assert!(
-                events
-                    .iter()
-                    .any(|e| matches!(e, MeshEvent::Failure { .. })),
-                "seed {seed}: chaos injected no faults — rates too low to test anything"
-            );
-        }
+        let (events, _) = run_chaos_schedule(seed, None);
+        assert!(
+            events
+                .iter()
+                .any(|e| matches!(e, MeshEvent::Failure { .. })),
+            "seed {seed}: chaos injected no faults — rates too low to test anything"
+        );
     }
 }
 
@@ -198,8 +191,8 @@ fn chaos_differential_is_byte_identical_to_local_search() {
 #[test]
 fn chaos_decision_log_replays_identically_for_a_seed() {
     let seed = seeds()[0];
-    let (first, endpoints) = run_chaos_schedule(seed, 1, None);
-    let (second, _) = run_chaos_schedule(seed, 1, Some(&endpoints));
+    let (first, endpoints) = run_chaos_schedule(seed, None);
+    let (second, _) = run_chaos_schedule(seed, Some(&endpoints));
     assert_eq!(
         first, second,
         "seed {seed}: two runs of the same seed diverged"

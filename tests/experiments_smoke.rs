@@ -76,7 +76,7 @@ fn npc_table_agrees_everywhere() {
 #[test]
 fn ablation_confirms_optimality() {
     let tables = experiments::run("ablation", Scale::Quick).unwrap();
-    assert_eq!(tables.len(), 5);
+    assert_eq!(tables.len(), 4);
     for row in tables[0].rows() {
         if row[7] != "(skipped)" {
             assert_eq!(row[7], "true", "B&B missed the optimum: {row:?}");

@@ -3,10 +3,9 @@
 //!
 //! 1. **No panics.** Malformed or extreme inputs produce `Err`, never a
 //!    crash — library crates deny `unwrap`/`expect` outside tests.
-//! 2. **Budgets are respected.** The node cap is exact (the counter is a
-//!    single atomic shared by all workers); deadline and cancellation
-//!    overshoot is bounded by one check interval of node expansions
-//!    ([`Budget::CHECK_INTERVAL`]) **per worker**.
+//! 2. **Budgets are respected.** The node cap is exact; deadline and
+//!    cancellation overshoot is bounded by one check interval of node
+//!    expansions ([`Budget::CHECK_INTERVAL`]).
 //! 3. **Degradation stays legal.** A budget-truncated search still returns
 //!    a true UOV (at worst the initial `Σvᵢ`), verified by the exact
 //!    oracle after the fact.
@@ -29,16 +28,7 @@ use uov::storage::{Layout, MappingError, NaturalMap, OvMap};
 fn budgeted(budget: Budget) -> SearchConfig {
     SearchConfig {
         budget,
-        threads: 1,
-        checkpoint: None,
-    }
-}
-
-fn budgeted_threaded(budget: Budget, threads: usize) -> SearchConfig {
-    SearchConfig {
-        budget,
-        threads,
-        checkpoint: None,
+        ..SearchConfig::default()
     }
 }
 
@@ -110,83 +100,6 @@ fn cancellation_token_stops_search_immediately() {
     // Un-tripping after the fact changes nothing about the returned record.
     token.store(false, Ordering::Relaxed);
     assert_eq!(d.reason, Exhausted::Cancelled);
-}
-
-/// Concurrency stress: the 8-worker parallel search under a 1 ms deadline
-/// on the engine's NP-hard worst case. It must come back promptly (no
-/// deadlock, no livelock in the termination protocol), respect the
-/// per-worker overshoot bound, and return an oracle-verified UOV.
-#[test]
-fn parallel_search_survives_one_ms_deadline_with_8_threads() {
-    let inst = PartitionInstance::new(vec![8, 7, 6, 5, 4, 3, 2, 1]).expect("positive");
-    let (stencil, _) = inst.reduce().expect("in range");
-    let threads = 8;
-    let budget = Budget::unlimited().with_deadline(Duration::from_millis(1));
-    let res = find_best_uov(
-        &stencil,
-        Objective::ShortestVector,
-        &budgeted_threaded(budget, threads),
-    )
-    .expect("a deadline never turns a valid instance into an error");
-    assert!(
-        DoneOracle::new(&stencil).is_uov(&res.uov),
-        "degraded parallel answer is not a UOV: {}",
-        res.uov
-    );
-    if let Some(d) = &res.degradation {
-        assert_eq!(d.reason, Exhausted::Deadline);
-    }
-}
-
-/// A pre-tripped cancellation token with 8 workers: each worker observes
-/// the token within its own first check interval, so the total overshoot
-/// is bounded by one interval *per worker* — the documented bound.
-#[test]
-fn parallel_cancellation_overshoot_is_bounded_per_worker() {
-    let inst = PartitionInstance::new(vec![8, 7, 6, 5, 4, 3, 2, 1]).expect("positive");
-    let (stencil, _) = inst.reduce().expect("in range");
-    let threads: u64 = 8;
-    let token = Arc::new(AtomicBool::new(true));
-    let budget = Budget::unlimited().with_cancel_token(token);
-    let res = find_best_uov(
-        &stencil,
-        Objective::ShortestVector,
-        &budgeted_threaded(budget, threads as usize),
-    )
-    .expect("cancellation degrades, not errors");
-    let d = res.degradation.expect("tripped token must degrade");
-    assert_eq!(d.reason, Exhausted::Cancelled);
-    assert!(
-        d.nodes_at_stop <= Budget::CHECK_INTERVAL * threads,
-        "overshoot {} nodes exceeds one check interval per worker",
-        d.nodes_at_stop
-    );
-    assert!(DoneOracle::new(&stencil).is_uov(&res.uov));
-    assert_eq!(res.uov, initial_uov(&stencil), "no time to improve on Σvᵢ");
-}
-
-/// An expired deadline with 8 workers stops within one check interval per
-/// worker and still falls back to the always-legal initial UOV.
-#[test]
-fn parallel_deadline_overshoot_is_bounded_per_worker() {
-    let inst = PartitionInstance::new(vec![13, 11, 9, 7, 2]).expect("positive");
-    let (stencil, _) = inst.reduce().expect("in range");
-    let threads: u64 = 8;
-    let budget = Budget::unlimited().with_deadline(Duration::ZERO);
-    let res = find_best_uov(
-        &stencil,
-        Objective::ShortestVector,
-        &budgeted_threaded(budget, threads as usize),
-    )
-    .expect("degrades, not errors");
-    let d = res.degradation.expect("expired deadline must degrade");
-    assert_eq!(d.reason, Exhausted::Deadline);
-    assert!(
-        d.nodes_at_stop <= Budget::CHECK_INTERVAL * threads,
-        "overshoot {} nodes exceeds one check interval per worker",
-        d.nodes_at_stop
-    );
-    assert!(DoneOracle::new(&stencil).is_uov(&res.uov));
 }
 
 /// Near-`i64::MAX` coordinates: every layer reports overflow as an error
@@ -454,9 +367,9 @@ fn snapshot_from_a_different_stencil_cannot_resume() {
 // Kill -9 and resume: the crash-safety acceptance test, in-process.
 // ---------------------------------------------------------------------
 
-/// The kill-loop workload: ~1 s of debug-profile search at 4 threads —
-/// long enough that a 250 ms timer reliably SIGKILLs it mid-run, short
-/// enough that the final resumed completion stays cheap.
+/// The kill-loop workload: a few seconds of debug-profile search — long
+/// enough that a 250 ms timer reliably SIGKILLs it mid-run, short enough
+/// that the final resumed completion stays cheap.
 fn kill_workload() -> Stencil {
     Stencil::new(vec![
         ivec![5, 0, 0],
@@ -469,7 +382,6 @@ fn kill_workload() -> Stencil {
 
 fn kill_workload_config(path: &Path) -> SearchConfig {
     SearchConfig {
-        threads: 4,
         checkpoint: Some(CheckpointConfig {
             path: path.to_path_buf(),
             interval: 2_000,
@@ -504,10 +416,7 @@ fn sigkilled_and_resumed_search_matches_clean_run() {
     let clean = find_best_uov(
         &kill_workload(),
         Objective::ShortestVector,
-        &SearchConfig {
-            threads: 4,
-            ..SearchConfig::default()
-        },
+        &SearchConfig::default(),
     )
     .expect("in range");
 
@@ -1153,7 +1062,7 @@ mod dense_faults {
         }
     }
 
-    /// Budget cancellation mid-sweep: a token tripped while 8 workers are
+    /// Budget cancellation mid-sweep: a token tripped while the search is
     /// expanding leaves (a) a decodable snapshot with no orphaned PATHSET
     /// entries and (b) a state that resumes to the byte-identical final
     /// answer of an uninterrupted run.
@@ -1183,7 +1092,7 @@ mod dense_faults {
                 path: path.clone(),
                 interval: 1,
             }),
-            ..budgeted_threaded(Budget::unlimited().with_cancel_token(Arc::clone(&token)), 8)
+            ..budgeted(Budget::unlimited().with_cancel_token(Arc::clone(&token)))
         };
         let cut = find_best_uov(&s, Objective::ShortestVector, &config)
             .expect("cancellation degrades, not errors");
@@ -1256,7 +1165,7 @@ mod dense_faults {
 
     /// An iteration domain that delegates to a [`RectDomain`] but panics
     /// on the Nth `num_points` call — `num_points` sits on the KnownBounds
-    /// cost path, so the panic detonates inside a search worker mid-sweep.
+    /// cost path, so the panic detonates inside the search mid-sweep.
     #[derive(Debug)]
     struct DetonatingDomain {
         inner: RectDomain,
@@ -1287,7 +1196,7 @@ mod dense_faults {
         }
     }
 
-    /// A worker panic mid-sweep must not corrupt the on-disk state: the
+    /// A search panic mid-sweep must not corrupt the on-disk state: the
     /// snapshot present after the panic decodes, carries no orphaned
     /// PATHSET entries, and resumes (with the fault disarmed) to the
     /// byte-identical answer of a never-faulted run.
@@ -1319,9 +1228,9 @@ mod dense_faults {
             find_best_uov(&s, Objective::KnownBounds(&grid), &cut_config).expect("in range");
         assert_eq!(partial.checkpoint_error, None);
 
-        // Phase 2: resume on 8 workers through the detonating domain.
-        // The fingerprint check passes (the wrapper delegates), then the
-        // fuse blows inside a worker's cost evaluation.
+        // Phase 2: resume through the detonating domain. The fingerprint
+        // check passes (the wrapper delegates), then the fuse blows inside
+        // the search's cost evaluation.
         let domain = DetonatingDomain {
             inner: RectDomain::grid(10, 10),
             calls: AtomicU64::new(0),
@@ -1332,10 +1241,10 @@ mod dense_faults {
                 path: path.clone(),
                 interval: 1,
             }),
-            ..budgeted_threaded(Budget::unlimited(), 8)
+            ..SearchConfig::default()
         };
-        // The engine's contract: a worker panic is reaped into a typed
-        // `SearchError::WorkerPanic`, never an unwinding main thread. The
+        // The engine's contract: a search panic is caught into a typed
+        // `SearchError::WorkerPanic`, never an unwinding caller. The
         // catch_unwind is belt-and-braces so a regression to propagation
         // still reaches the snapshot checks below instead of aborting.
         let blown = catch_unwind(AssertUnwindSafe(|| {
@@ -1395,7 +1304,7 @@ mod dense_faults {
             assert_eq!(window.index(&w), None, "window admitted {w:?}");
         }
 
-        let table = MaskTable::new(Window::from_bounds(&[-8, -8], &[8, 8], 1 << 16));
+        let mut table = MaskTable::new(Window::from_bounds(&[-8, -8], &[8, 8], 1 << 16));
         let far = [i64::MAX - 1, i64::MIN + 2];
         let first = table.merge(&far, 0b101);
         assert!(first.is_new && first.grew);
@@ -1416,7 +1325,7 @@ mod dense_faults {
 
         // The cone memo's dense tier is likewise immune: indices only
         // come from Window::index, so extremes can never reach a page.
-        let memo = ConeMemo::new(Window::from_bounds(&[-4, -4], &[4, 4], 1 << 12));
+        let mut memo = ConeMemo::new(Window::from_bounds(&[-4, -4], &[4, 4], 1 << 12));
         let idx = memo.window().index(&[3, -2]).expect("in window");
         assert_eq!(memo.get(idx), None);
         assert!(memo.set(idx, true));

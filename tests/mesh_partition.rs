@@ -5,15 +5,14 @@
 //! Every replica sits behind a seeded [`ChaosProxy`], whose partition
 //! mode *holds* frames (delayed, ordered, never dropped — TCP
 //! retransmission across a cut link) until healed. One property is
-//! pinned per seed, at server search-thread counts 1 and 8: **warm
-//! failover**. A certified answer computed on the home shard is
+//! pinned per seed: **warm failover**. A certified answer computed on the home shard is
 //! replicated to its ring successor; with the home partitioned away, the
 //! failover request is served from the neighbor's replica cache,
 //! byte-identical, and the hit is attributed to replication
 //! (`replica_hits ≥ 1` on the real servers).
 //!
 //! Seeds come from `UOV_CHAOS_SEED`-style env (`UOV_MESH_SEED`) when
-//! set; CI loops a fixed list over this schedule matrix.
+//! set; CI loops a fixed list over this schedule.
 
 use std::time::Duration;
 
@@ -76,10 +75,9 @@ struct Fabric {
 impl Fabric {
     /// Three real replicas, each behind a clean (no fault rates) seeded
     /// chaos proxy; the mesh sees only the proxy endpoints.
-    fn start(seed: u64, search_threads: usize) -> Fabric {
+    fn start(seed: u64) -> Fabric {
         let config = ServerConfig {
             workers: 2,
-            search_threads,
             ..ServerConfig::default()
         };
         let set = ReplicaSet::start(3, config).expect("start replicas");
@@ -176,20 +174,18 @@ fn run_warm_failover(fabric: &Fabric, seed: u64) {
     );
 }
 
-/// The acceptance matrix: every seed, at server search-thread counts 1
-/// and 8, runs warm failover from a neighbor replica through a
-/// partition, with byte-identity and availability throughout.
+/// The acceptance test: every seed runs warm failover from a neighbor
+/// replica through a partition, with byte-identity and availability
+/// throughout.
 #[test]
 fn mesh_survives_partition_and_heal_byte_identically() {
     for seed in seeds() {
-        for threads in [1usize, 8] {
-            let fabric = Fabric::start(seed, threads);
-            run_warm_failover(&fabric, seed);
-            let Fabric { set, proxies, .. } = fabric;
-            for p in proxies {
-                p.stop();
-            }
-            set.shutdown_all();
+        let fabric = Fabric::start(seed);
+        run_warm_failover(&fabric, seed);
+        let Fabric { set, proxies, .. } = fabric;
+        for p in proxies {
+            p.stop();
         }
+        set.shutdown_all();
     }
 }
