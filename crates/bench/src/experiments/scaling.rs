@@ -2,6 +2,9 @@
 //! sizes sweep from cache-resident to out-of-memory, for every storage
 //! variant, on all three machine models.
 
+use std::panic::resume_unwind;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use uov_kernels::{psm, stencil5};
 use uov_memsim::{machines, Machine};
 
@@ -16,6 +19,32 @@ fn machine(idx: usize) -> Machine {
         2 => machines::alpha_21164(),
         _ => panic!("machine index must be 0..3"),
     }
+}
+
+/// Map `f` over `items` on at most one scoped thread per host core, each
+/// claiming the next unclaimed item, and return the results in input
+/// order — the table is the sequential sweep's. A panic in `f` is
+/// re-raised on the calling thread with its original payload.
+fn map_in_order<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let next = AtomicUsize::new(0);
+    let claim = || {
+        let claims = std::iter::from_fn(|| Some(next.fetch_add(1, Ordering::Relaxed)));
+        claims
+            .map_while(|i| Some((i, f(items.get(i)?))))
+            .collect::<Vec<_>>()
+    };
+    let mut done: Vec<(usize, R)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..cores.min(items.len()))
+            .map(|_| scope.spawn(claim))
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().unwrap_or_else(|p| resume_unwind(p)))
+            .collect()
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
 }
 
 /// Time steps for the stencil sweeps: enough for reuse to matter, small
@@ -61,7 +90,7 @@ pub fn stencil5_scaling(machine_idx: usize, scale: Scale) -> Table {
         // The lengths of one series are independent simulations: fan them
         // out across the host cores (order-preserving, so the table is
         // identical to the sequential sweep).
-        row.extend(crate::par_map(&lengths, crate::sweep_threads(), |&len| {
+        row.extend(map_in_order(&lengths, |&len| {
             let natural = matches!(
                 v,
                 stencil5::Variant::Natural | stencil5::Variant::NaturalTiled
@@ -102,7 +131,7 @@ pub fn psm_scaling(machine_idx: usize, scale: Scale) -> Table {
     );
     for v in psm::Variant::all() {
         let mut row = vec![v.label().to_string()];
-        row.extend(crate::par_map(&lengths, crate::sweep_threads(), |&n| {
+        row.extend(map_in_order(&lengths, |&n| {
             fmt_f64(psm_cpi(machine(machine_idx), v, n, n, None))
         }));
         t.push(row);
@@ -121,6 +150,33 @@ mod tests {
             .unwrap_or_else(|| panic!("no series {label}"))[col]
             .parse()
             .unwrap()
+    }
+
+    #[test]
+    fn map_in_order_keeps_input_order_with_more_items_than_workers() {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let items: Vec<u64> = (0..4 * cores as u64 + 3).collect();
+        // Uneven per-item cost, so workers finish out of order.
+        let work = |&x: &u64| {
+            std::thread::sleep(std::time::Duration::from_micros(x % 5 * 300));
+            x * x
+        };
+        let sequential: Vec<u64> = items.iter().map(work).collect();
+        assert_eq!(map_in_order(&items, work), sequential);
+        assert!(map_in_order(&[] as &[u64], work).is_empty());
+    }
+
+    #[test]
+    fn map_in_order_reraises_the_original_panic_payload() {
+        #[derive(Debug, PartialEq)]
+        struct Fault(u64);
+        let items: Vec<u64> = (0..16).collect();
+        let fault_at_5 = |&x: &u64| match x {
+            5 => std::panic::panic_any(Fault(x)),
+            _ => x,
+        };
+        let caught = std::panic::catch_unwind(|| map_in_order(&items, fault_at_5)).unwrap_err();
+        assert_eq!(caught.downcast_ref::<Fault>(), Some(&Fault(5)));
     }
 
     #[test]

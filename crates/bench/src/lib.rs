@@ -19,8 +19,7 @@
 //! | §3.2 search behaviour (ablation) | `ablation` | [`experiments::ablation`] |
 //!
 //! Cycles come from the deterministic machine models of `uov-memsim`
-//! (substituting for the 1998 hardware — see DESIGN.md §5); wall-clock
-//! counterparts live in `benches/`.
+//! (substituting for the 1998 hardware — see DESIGN.md §5).
 
 #![warn(missing_docs)]
 
@@ -28,18 +27,6 @@ pub mod experiments;
 pub mod report;
 
 pub use report::Table;
-
-/// Deterministic parallel map for experiment sweeps: results come back in
-/// input order, identical to the sequential map (see `uov_core::par`).
-pub use uov_core::par::fan_out as par_map;
-
-/// Worker threads for embarrassingly-parallel experiment sweeps: every
-/// host core. [`par_map`] returns the same table at any thread count.
-pub fn sweep_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
 
 /// How big the experiment sweeps are.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

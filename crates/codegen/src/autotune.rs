@@ -7,7 +7,7 @@
 //! proxy domain — cheap, deterministic, and toolchain-free. Each
 //! statement's reads and write are lowered once per kernel to flat affine
 //! forms in `(i, j)`, and [`GenSchedule::for_each_point`] walks the same
-//! skew-tiled loops the emitters print, so the replay builds no point list
+//! skew-tiled loops the emitter prints, so the replay builds no point list
 //! and allocates nothing per point: about 2 ms per candidate at the
 //! default proxy extent, most of it simulation. A tuning run is
 //! `rustc`-bound: in perfbench's `tune` round the one build per kernel

@@ -165,40 +165,6 @@ pub fn compile_rust(
     Ok(())
 }
 
-/// Compile a generated C source file to a standalone binary.
-///
-/// `-ffp-contract=off` keeps the doubles bit-identical to the Rust and
-/// interpreter runs (no FMA contraction of the stencil sums).
-///
-/// # Errors
-///
-/// As [`compile_rust`].
-pub fn compile_c(
-    cc: &Path,
-    src: &Path,
-    out: &Path,
-    optimize: bool,
-    timeout: Duration,
-) -> Result<(), CodegenError> {
-    let opt = if optimize { "-O2" } else { "-O0" };
-    let mut cmd = Command::new(cc);
-    cmd.arg("-std=c99")
-        .arg(opt)
-        .arg("-ffp-contract=off")
-        .arg(src)
-        .arg("-o")
-        .arg(out);
-    let fin = run_bounded(&mut cmd, "cc", timeout)?;
-    if fin.status != Some(0) {
-        return Err(CodegenError::CompileFailed {
-            tool: "cc".to_string(),
-            status: fin.status,
-            stderr: tail(&fin.stderr),
-        });
-    }
-    Ok(())
-}
-
 /// Parsed output of a generated kernel binary.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunOutput {

@@ -29,7 +29,7 @@ pub enum CodegenError {
     TilingNotLegalized,
     /// No usable compiler binary was found (and none was configured).
     ToolchainMissing {
-        /// The tool looked for (`rustc`, `cc`).
+        /// The tool looked for (`rustc`).
         tool: String,
     },
     /// The compiler ran and rejected the source.

@@ -1,10 +1,10 @@
-//! The kernel model: what to generate, independent of target language.
+//! The kernel model: what to generate, before it is rendered as source.
 //!
 //! A [`KernelSpec`] couples a validated 2-deep [`LoopNest`] with a
 //! per-statement storage decision (natural dense array, or a UOV-mapped
-//! 1-D buffer via [`OvAccess`]) and a [`GenSchedule`]. The Rust and C
-//! emitters consume the same spec, so the loop-bound and index algebra is
-//! decided here exactly once.
+//! 1-D buffer via [`OvAccess`]) and a [`GenSchedule`]. The Rust emitter
+//! and the in-process loop walker consume the same spec, so the
+//! loop-bound and index algebra is decided here exactly once.
 
 use uov_isg::num::floor_div;
 use uov_isg::{IVec, IterationDomain as _, RectDomain};
@@ -51,11 +51,11 @@ impl GenSchedule {
         }
     }
 
-    /// Run the loops the emitters print for this schedule over the 2-D
+    /// Run the loops the emitter prints for this schedule over the 2-D
     /// box `dom`, in process, calling `visit(i, j)` at every point.
     ///
     /// The `SkewTiled` arm walks the same `(tu, tv, u, v)` bounds as the
-    /// generated Rust and C, so the visit order is the order the compiled
+    /// generated Rust, so the visit order is the order the compiled
     /// kernel runs, with no point list materialised.
     ///
     /// # Panics
@@ -117,7 +117,7 @@ pub struct StmtStorage {
     pub cells: usize,
 }
 
-/// Everything the emitters need to generate one executable kernel.
+/// Everything the emitter needs to generate one executable kernel.
 #[derive(Debug, Clone)]
 pub struct KernelSpec {
     /// Kernel name, stamped into the generated source.
@@ -301,7 +301,7 @@ impl KernelSpec {
 ///
 /// The value is always in `[1, 2)` — built from the top bits of an
 /// integer hash pasted into an IEEE-754 mantissa — so weighted stencil
-/// sums stay far from denormals and the generated C/Rust and the
+/// sums stay far from denormals and the generated Rust and the
 /// interpreter agree on every bit.
 pub fn input_value(seed: u64, array: usize, elem: &IVec) -> f64 {
     let mut h = seed ^ (array as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);

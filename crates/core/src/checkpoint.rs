@@ -43,11 +43,6 @@ use uov_isg::IVec;
 use crate::search::SearchStats;
 use crate::wire::{write_atomic, Decoder, Encoder, WireError};
 
-// Re-exported for compatibility: the fingerprint started life here and
-// callers (certify, resume, the service plan cache) still reach it
-// through `checkpoint::fingerprint`.
-pub use crate::fingerprint::{fingerprint, Fnv};
-
 /// File magic: "UOV checkpoint, format family 1".
 const MAGIC: &[u8; 8] = b"UOVCKPT1";
 /// Current format version.
@@ -66,9 +61,13 @@ pub struct CheckpointConfig {
     /// Snapshot file. The writer uses `<path>.tmp` as scratch and renames
     /// atomically, so `path` always holds a complete snapshot (or nothing).
     pub path: PathBuf,
-    /// Fully-processed nodes between snapshots; `0` behaves like `1`
-    /// (snapshot after every node). A final snapshot is always written
-    /// when the search stops, whatever the interval.
+    /// Fully-processed nodes before the first snapshot; `0` behaves like
+    /// `1`. Every later gap is at least the nodes processed before it
+    /// (counting those before a resume), so the gaps double: the bytes
+    /// written stay within a small multiple of the final snapshot, and a
+    /// kill loses at most `max(interval, half the nodes processed)`. A
+    /// final snapshot is always written when the search stops, whatever
+    /// the interval.
     pub interval: u64,
 }
 
@@ -151,7 +150,8 @@ impl std::error::Error for CheckpointError {}
 /// (DESIGN §6d).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Snapshot {
-    /// FNV-1a fingerprint of the stencil + objective (see [`fingerprint`]).
+    /// FNV-1a fingerprint of the stencil + objective (see
+    /// [`crate::fingerprint()`]).
     pub fingerprint: u64,
     /// Stencil dimensionality; every vector below has this many entries.
     pub dim: usize,
@@ -555,19 +555,5 @@ mod tests {
             Err(CheckpointError::Io { op: "write", .. }) => {}
             other => panic!("expected Io error, got {other:?}"),
         }
-    }
-
-    /// The fingerprint moved to [`crate::fingerprint`]; this pins the
-    /// compatibility re-export so existing `checkpoint::fingerprint`
-    /// callers keep compiling and hashing identically.
-    #[test]
-    fn fingerprint_reexport_is_the_shared_fingerprint() {
-        use crate::search::Objective;
-        use uov_isg::Stencil;
-        let s = Stencil::new(vec![ivec![1, 0], ivec![0, 1], ivec![1, 1]]).unwrap();
-        assert_eq!(
-            fingerprint(&s, &Objective::ShortestVector),
-            crate::fingerprint::fingerprint(&s, &Objective::ShortestVector)
-        );
     }
 }

@@ -64,7 +64,6 @@ pub mod fingerprint;
 pub mod npc;
 pub mod objective;
 pub mod oracle;
-pub mod par;
 pub mod search;
 pub mod wire;
 
@@ -76,7 +75,6 @@ pub use dense::{ConeMemo, MaskTable, Window};
 pub use error::SearchError;
 pub use fingerprint::{fingerprint, Fnv};
 pub use oracle::DoneOracle;
-pub use par::{try_fan_out, FanOutPanic};
 pub use search::{
     find_best_uov, initial_uov, search_resume, Objective, SearchConfig, SearchResult, SearchStats,
 };

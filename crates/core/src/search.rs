@@ -44,8 +44,10 @@
 //!
 //! With [`SearchConfig::checkpoint`] set, the engine snapshots its state
 //! — frontier, PATHSET table, incumbent, counters and budget progress —
-//! to disk every `interval` processed nodes and once more when it stops,
-//! using the crash-safe format of [`crate::checkpoint`]. [`search_resume`]
+//! to disk after the first `interval` processed nodes, then each time the
+//! nodes processed since the last snapshot reach the nodes processed
+//! before it, and once more when it stops, using the crash-safe format of
+//! [`crate::checkpoint`]. [`search_resume`]
 //! restores a snapshot and continues. Because the snapshot captures a
 //! *valid* search state (every discovered-but-unexpanded path is in the
 //! frontier, including the entry in hand when the run was cut short),
@@ -64,6 +66,7 @@
 //! are costed *before* they touch the PATHSET table so a caught panic can
 //! never leave a merged-but-never-queued offset behind.
 
+use std::any::Any;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -77,7 +80,6 @@ use crate::dense::{MaskTable, Window};
 use crate::error::SearchError;
 use crate::objective::{storage_class_count, ClassCounter};
 use crate::oracle::{diff_into, dot_slices};
-use crate::par::panic_message;
 
 /// What the search minimises.
 ///
@@ -108,8 +110,9 @@ pub struct SearchConfig {
     /// literals naming it still compile, and will be deleted.
     pub threads: usize,
     /// Crash-safe snapshots: `Some` writes the search state to the given
-    /// path every `interval` processed nodes (and once more when the
-    /// search stops), ready for [`search_resume`]. `None` (the default)
+    /// path at gaps that start at `interval` processed nodes and double
+    /// (see [`CheckpointConfig::interval`]), and once more when the search
+    /// stops, ready for [`search_resume`]. `None` (the default)
     /// disables checkpointing. Snapshot write failures never fail the
     /// search; the first one is reported in
     /// [`SearchResult::checkpoint_error`] and disables further writes.
@@ -818,12 +821,14 @@ impl Engine<'_> {
         }
     }
 
-    /// Count one fully processed node towards the checkpoint interval,
-    /// writing a snapshot when it elapses.
+    /// Count one fully processed node towards the next snapshot, writing
+    /// it when [`snapshot_due`].
     fn note_progress(&mut self) {
         let Some(cfg) = self.ckpt else { return };
         self.since_snapshot += 1;
-        if self.ckpt_error.is_none() && self.since_snapshot >= cfg.interval.max(1) {
+        if self.ckpt_error.is_none()
+            && snapshot_due(self.since_snapshot, self.stats.visited, cfg.interval)
+        {
             self.since_snapshot = 0;
             self.write_snapshot(cfg);
         }
@@ -863,6 +868,13 @@ impl Engine<'_> {
     }
 }
 
+/// Whether a snapshot is due `since` nodes after the last one, with
+/// `visited` nodes visited in all, a resumed run's included: the gaps
+/// start at `interval` and double (see [`CheckpointConfig::interval`]).
+fn snapshot_due(since: u64, visited: u64, interval: u64) -> bool {
+    since >= interval.max(1).max(visited.saturating_sub(since))
+}
+
 /// The runner behind every entry point: validate the problem, seed the
 /// engine from `seed` (a snapshot, checked against the live problem) or
 /// from the origin, and run it on the calling thread.
@@ -876,7 +888,7 @@ fn search_seeded(
     config: &SearchConfig,
 ) -> Result<SearchResult, SearchError> {
     let setup = validated_setup(stencil, objective)?;
-    let fingerprint = checkpoint::fingerprint(stencil, objective);
+    let fingerprint = crate::fingerprint(stencil, objective);
     let seed = match seed {
         None => SeedState::fresh(&setup),
         Some(snap) if snap.fingerprint != fingerprint => {
@@ -946,6 +958,18 @@ fn search_seeded(
         degradation,
         checkpoint_error: engine.ckpt_error,
     })
+}
+
+/// Render a caught panic payload as text: the conventional `&str` and
+/// `String` payloads verbatim, anything else a placeholder.
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&'static str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
 }
 
 /// Exhaustively enumerate every UOV with components in `[-radius, radius]`
@@ -1776,6 +1800,45 @@ mod tests {
             }
             other => panic!("expected WorkerPanic, got {other:?}"),
         }
+    }
+
+    /// Snapshot points at interval 3 for nodes `from + 1 ..= 5000`.
+    fn snapshot_points(from: u64) -> Vec<u64> {
+        let mut since = 0;
+        let mut due = |visited: &u64| {
+            since += 1;
+            let due = snapshot_due(since, *visited, 3);
+            if due {
+                since = 0;
+            }
+            due
+        };
+        (from + 1..=5000).filter(|v| due(v)).collect()
+    }
+
+    #[test]
+    fn snapshot_gaps_start_at_the_interval_and_double() {
+        assert_eq!(snapshot_points(0)[..6], [3, 6, 12, 24, 48, 96]);
+        // A resume counts the nodes visited before it.
+        assert_eq!(snapshot_points(40)[..3], [80, 160, 320]);
+        assert!(snapshot_due(1, 1, 0), "an interval of 0 counts as 1");
+        // A kill loses at most max(interval, half the nodes visited).
+        for from in [0, 1, 40, 1000] {
+            let mut last = from;
+            for &next in snapshot_points(from).iter().chain(&[5001]) {
+                let killed_at = next - 1;
+                assert!(killed_at - last <= (killed_at / 2).max(3), "{from}");
+                last = next;
+            }
+        }
+    }
+
+    #[test]
+    fn panic_message_handles_all_payload_shapes() {
+        let caught = catch_unwind(|| panic!("plain str")).unwrap_err();
+        assert_eq!(panic_message(caught.as_ref()), "plain str");
+        let caught = catch_unwind(|| std::panic::panic_any(7u32)).unwrap_err();
+        assert_eq!(panic_message(caught.as_ref()), "non-string panic payload");
     }
 
     #[test]

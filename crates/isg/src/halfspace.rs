@@ -7,10 +7,11 @@
 //! nests (`for i { for j in 0..=i }`) that the rectangular and
 //! vertex-listed domains cannot express directly.
 //!
-//! The bounding box comes from rational constraint-pair intersections;
-//! extreme points are the exact convex hull of the domain's *lattice*
-//! points (monotone chain), so projection spans — and therefore storage
-//! counts — are exact even when the rational vertices are non-integral.
+//! The bounding box comes from the rational vertices (constraint-pair
+//! intersections), located with exact `i128` arithmetic; extreme points
+//! are the exact convex hull of the domain's *lattice* points (monotone
+//! chain), so projection spans — and therefore storage counts — are exact
+//! even when the rational vertices are non-integral.
 
 use std::fmt;
 
@@ -39,20 +40,26 @@ use crate::vec::IVec;
 #[derive(Clone, PartialEq, Eq)]
 pub struct HalfspaceDomain2 {
     constraints: Vec<(IVec, i64)>,
-    bbox: ((i64, i64), (i64, i64)),
+    bbox: BBox,
 }
+
+/// `((min x, min y), (max x, max y))` of a domain's integer points.
+type BBox = ((i64, i64), (i64, i64));
 
 /// Error constructing a [`HalfspaceDomain2`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum HalfspaceError {
     /// Fewer than three constraints can never bound a 2-D region.
     TooFewConstraints(usize),
-    /// A constraint vector is not 2-dimensional or is zero.
+    /// A constraint vector is not 2-dimensional, is zero, or has a
+    /// component beyond ±[`MAX_NORMAL`].
     BadConstraint(IVec),
     /// The region is unbounded (no finite bounding box exists).
     Unbounded,
     /// The region contains no integer point.
     Empty,
+    /// The region reaches coordinates outside `i64`.
+    Overflow,
 }
 
 impl fmt::Display for HalfspaceError {
@@ -64,11 +71,17 @@ impl fmt::Display for HalfspaceError {
             HalfspaceError::BadConstraint(v) => write!(f, "bad constraint normal {v}"),
             HalfspaceError::Unbounded => write!(f, "constraint system is unbounded"),
             HalfspaceError::Empty => write!(f, "constraint system has no integer solution"),
+            HalfspaceError::Overflow => write!(f, "region reaches outside i64"),
         }
     }
 }
 
 impl std::error::Error for HalfspaceError {}
+
+/// The largest magnitude of a constraint-normal component. Loop bounds
+/// have small coefficients, and this bound keeps the exact vertex
+/// arithmetic within `i128`.
+pub const MAX_NORMAL: u64 = 1 << 30;
 
 impl HalfspaceDomain2 {
     /// Build the domain of integer points satisfying every `a·p ≤ b`.
@@ -76,20 +89,20 @@ impl HalfspaceDomain2 {
     /// # Errors
     ///
     /// Returns [`HalfspaceError`] for malformed, unbounded, or empty
-    /// systems.
+    /// systems, and for regions that reach coordinates outside `i64`.
     pub fn new(constraints: Vec<(IVec, i64)>) -> Result<Self, HalfspaceError> {
         if constraints.len() < 3 {
             return Err(HalfspaceError::TooFewConstraints(constraints.len()));
         }
         for (a, _) in &constraints {
-            if a.dim() != 2 || a.is_zero() {
+            if a.dim() != 2 || a.is_zero() || a.iter().any(|c| c.unsigned_abs() > MAX_NORMAL) {
                 return Err(HalfspaceError::BadConstraint(a.clone()));
             }
         }
         if !Self::is_bounded(&constraints) {
             return Err(HalfspaceError::Unbounded);
         }
-        let Some(bbox) = Self::bounding_box_of(&constraints) else {
+        let Some(bbox) = Self::bounding_box_of(&constraints)? else {
             return Err(HalfspaceError::Empty); // bounded but infeasible
         };
         let dom = HalfspaceDomain2 { constraints, bbox };
@@ -133,44 +146,49 @@ impl HalfspaceDomain2 {
         }
     }
 
-    /// Rational vertex enumeration → conservative integer bounding box.
-    fn bounding_box_of(constraints: &[(IVec, i64)]) -> Option<((i64, i64), (i64, i64))> {
-        // Intersect every pair of constraint lines; keep feasible
-        // intersection points (rational), then take floor/ceil bounds.
-        let mut any = false;
-        let (mut min_x, mut max_x) = (f64::INFINITY, f64::NEG_INFINITY);
-        let (mut min_y, mut max_y) = (f64::INFINITY, f64::NEG_INFINITY);
-        let n = constraints.len();
-        for i in 0..n {
-            for j in i + 1..n {
-                let (a1, b1) = (&constraints[i].0, constraints[i].1);
-                let (a2, b2) = (&constraints[j].0, constraints[j].1);
-                let det = a1[0] * a2[1] - a1[1] * a2[0];
+    /// Exact rational vertex enumeration → the bounding box of the
+    /// region's integer points, `None` when it has none.
+    fn bounding_box_of(constraints: &[(IVec, i64)]) -> Result<Option<BBox>, HalfspaceError> {
+        // Intersect every pair of constraint lines at (nx, ny) / det, keep
+        // the feasible intersections, and bound the integer points by the
+        // ceilings of their least coordinates and the floors of their
+        // greatest. With normals within MAX_NORMAL = 2³⁰: |det| ≤ 2⁶¹,
+        // |nx|, |ny| ≤ 2⁹⁴, and each side of the feasibility test ≤ 2¹²⁵.
+        let wide = |(a, b): &(IVec, i64)| [i128::from(a[0]), i128::from(a[1]), i128::from(*b)];
+        let (mut lo, mut hi) = ([i128::MAX; 2], [i128::MIN; 2]);
+        for (i, c1) in constraints.iter().enumerate() {
+            for c2 in &constraints[i + 1..] {
+                let ([a10, a11, b1], [a20, a21, b2]) = (wide(c1), wide(c2));
+                let det = a10 * a21 - a11 * a20;
                 if det == 0 {
                     continue;
                 }
-                let x = (b1 * a2[1] - b2 * a1[1]) as f64 / det as f64;
-                let y = (a1[0] * b2 - a2[0] * b1) as f64 / det as f64;
-                // Feasible within a small tolerance?
-                let feasible = constraints
-                    .iter()
-                    .all(|(a, b)| a[0] as f64 * x + a[1] as f64 * y <= *b as f64 + 1e-9);
-                if feasible {
-                    any = true;
-                    min_x = min_x.min(x);
-                    max_x = max_x.max(x);
-                    min_y = min_y.min(y);
-                    max_y = max_y.max(y);
+                // A positive det keeps the inequalities' sense.
+                let sign = det.signum();
+                let n = [(b1 * a21 - b2 * a11) * sign, (a10 * b2 - a20 * b1) * sign];
+                let det = det.abs();
+                let feasible = constraints.iter().all(|c| {
+                    let [a0, a1, b] = wide(c);
+                    a0 * n[0] + a1 * n[1] <= b * det
+                });
+                if !feasible {
+                    continue;
+                }
+                for k in 0..2 {
+                    let floor = n[k].div_euclid(det);
+                    lo[k] = lo[k].min(floor + i128::from(n[k].rem_euclid(det) != 0));
+                    hi[k] = hi[k].max(floor);
                 }
             }
         }
-        if !any || !min_x.is_finite() || !max_x.is_finite() {
-            return None;
+        if lo[0] > hi[0] || lo[1] > hi[1] {
+            return Ok(None);
         }
-        Some((
-            (min_x.floor() as i64, min_y.floor() as i64),
-            (max_x.ceil() as i64, max_y.ceil() as i64),
-        ))
+        let fit = |v: i128| i64::try_from(v).map_err(|_| HalfspaceError::Overflow);
+        Ok(Some((
+            (fit(lo[0])?, fit(lo[1])?),
+            (fit(hi[0])?, fit(hi[1])?),
+        )))
     }
 }
 
@@ -181,7 +199,10 @@ impl IterationDomain for HalfspaceDomain2 {
 
     fn contains(&self, p: &IVec) -> bool {
         assert_eq!(p.dim(), 2, "HalfspaceDomain2 holds 2-D points");
-        self.constraints.iter().all(|(a, b)| a.dot(p) <= *b)
+        // Normals within MAX_NORMAL: |a·p| < 2⁹⁵, exact in i128.
+        self.constraints
+            .iter()
+            .all(|(a, b)| a.dot_i128(p) <= i128::from(*b))
     }
 
     fn extreme_points(&self) -> Vec<IVec> {
@@ -329,6 +350,42 @@ mod tests {
                 .unwrap_err(),
             HalfspaceError::BadConstraint(_)
         ));
+    }
+
+    /// Coefficients and bounds near the ends of `i64` give exact answers
+    /// or a typed error, never an overflow panic (debug build) or a
+    /// wrapped region (release build).
+    #[test]
+    fn extreme_coefficients_are_exact_or_typed_errors() {
+        // 0 ≤ x ≤ x_max, 0 ≤ y, and a·p ≤ b.
+        let quadrant = |x_max: i64, a: IVec, b: i64| {
+            let axes = [(ivec![-1, 0], 0), (ivec![1, 0], x_max), (ivec![0, -1], 0)];
+            HalfspaceDomain2::new(axes.into_iter().chain([(a, b)]).collect())
+        };
+        // y ≤ 2⁶³·x: a normal beyond MAX_NORMAL.
+        let err = quadrant(4, ivec![i64::MIN, 1], 0).unwrap_err();
+        assert_eq!(err, HalfspaceError::BadConstraint(ivec![i64::MIN, 1]));
+        // y ≤ 2³⁰·x on x ≤ 2⁴⁰: the vertex (2⁴⁰, 2⁷⁰) is outside i64.
+        let err = quadrant(1 << 40, ivec![-(1 << 30), 1], 0).unwrap_err();
+        assert_eq!(err, HalfspaceError::Overflow);
+        // x + 3y ≤ i64::MAX/2 on x ≤ i64::MAX/2: every vertex fits.
+        let half = i64::MAX / 2;
+        let tri = quadrant(half, ivec![1, 3], half).unwrap();
+        assert!(tri.contains(&ivec![half, 0]) && tri.contains(&ivec![0, half / 3]));
+        assert!(!tri.contains(&ivec![0, half / 3 + 1]));
+        assert!(!tri.contains(&ivec![i64::MAX, i64::MAX]));
+        // The whole i64 box cut by x + y ≤ i64::MAX.
+        let max = i64::MAX;
+        let cut = [
+            ivec![-1, 0],
+            ivec![1, 0],
+            ivec![0, -1],
+            ivec![0, 1],
+            ivec![1, 1],
+        ];
+        let all = HalfspaceDomain2::new(cut.into_iter().map(|a| (a, max)).collect()).unwrap();
+        assert!(all.contains(&ivec![max, 0]) && !all.contains(&ivec![max, max]));
+        assert_eq!(all.points().next(), Some(ivec![-max, -max]));
     }
 
     #[test]

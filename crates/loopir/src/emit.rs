@@ -8,8 +8,8 @@
 //! and an [`OvMap`], it turns any access subscript into a [`MappedIndex`] —
 //! either a pure affine expression over the loop indices, or an affine
 //! base plus a `(position mod g) · scale` term for non-prime OVs. Renderers
-//! (pseudocode, Rust, C) then only decide surface syntax; the index
-//! algebra lives here once.
+//! (pseudocode, Rust) then only decide surface syntax; the index algebra
+//! lives here once.
 
 use std::fmt;
 use std::fmt::Write as _;
@@ -33,7 +33,8 @@ pub fn index_name(k: usize) -> String {
 }
 
 /// Render an affine expression as infix source (`-i + 2*j + 3`), valid in
-/// both C and Rust. This is the one affine printer of the workspace.
+/// both the C-like pseudocode and Rust. This is the one affine printer of
+/// the workspace.
 pub fn render_affine(e: &AffineExpr) -> String {
     let mut out = String::new();
     let mut first = true;

@@ -41,7 +41,6 @@
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod alloc;
 pub mod baseline;
 pub mod error;
 pub mod legality;

@@ -504,6 +504,36 @@ mod tests {
         }
     }
 
+    /// The paper's known-bounds counts: Figure 6 (§4.3) projects the
+    /// bordered `(n+1)×(m+1)` ISG's extreme points to `n + m + 1` cells for
+    /// `ov = (1,1)`, and on Figure 3's polygon (3,1) needs 16 and (3,0) 27.
+    #[test]
+    fn fig6_and_fig3_storage_class_counts() {
+        use uov_core::objective::storage_class_count;
+        let (n, m) = (7, 4);
+        let isg = RectDomain::new(ivec![0, 0], ivec![n, m]);
+        assert_eq!(storage_class_count(&isg, &ivec![1, 1]), (n + m + 1) as u64);
+        let fig3 = uov_isg::Polygon2::fig3_isg();
+        assert_eq!(storage_class_count(&fig3, &ivec![3, 1]), 16);
+        assert_eq!(storage_class_count(&fig3, &ivec![3, 0]), 27);
+    }
+
+    #[test]
+    fn size_is_the_storage_class_count() {
+        let rect = RectDomain::new(ivec![0, 0], ivec![9, 6]);
+        for ov in [
+            ivec![1, 1],
+            ivec![2, 0],
+            ivec![3, 1],
+            ivec![1, -2],
+            ivec![2, 2],
+        ] {
+            let map = OvMap::new(&rect, ov.clone(), Layout::Interleaved);
+            let count = uov_core::objective::storage_class_count(&rect, &ov);
+            assert_eq!(map.size() as u64, count, "size mismatch for {ov}");
+        }
+    }
+
     #[test]
     fn mapping_vector_2d_is_perpendicular() {
         let dom = RectDomain::grid(5, 5);

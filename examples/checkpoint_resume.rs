@@ -26,11 +26,12 @@ use uov::core::search::{find_best_uov, search_resume, Objective, SearchConfig, S
 use uov::core::{certify, SearchError};
 use uov::isg::{ivec, Stencil};
 
-/// Nodes expanded between snapshots: a kill loses at most this much work.
-/// The writes are not free. Each snapshot re-encodes and fsyncs the whole
-/// PATHSET table, which grows with the search (to about 42 MB here), so
-/// on a 2-vCPU host a checkpointed run took about 21 s against 2.3 s for
-/// `clean`.
+/// Nodes expanded before the first snapshot. Each later gap is at least
+/// the nodes expanded so far, so the gaps double: a kill loses at most
+/// `max(INTERVAL, half the work done)`. Each snapshot re-encodes and
+/// fsyncs the whole PATHSET table, which grows with the search (to about
+/// 42 MB here); with doubling gaps that is six snapshots, and on a 2-vCPU
+/// host a checkpointed run takes about twice as long as `clean`.
 const INTERVAL: u64 = 50_000;
 
 fn workload() -> Stencil {

@@ -4,8 +4,8 @@
 //! Two halves:
 //!
 //! 1. [`uov::driver::plan_and_emit`] — one call from a [`LoopNest`] to a
-//!    standalone Rust program (and its C99 twin) whose loops are
-//!    skew-tiled and whose stores go through the planned UOV mapping.
+//!    standalone Rust program whose loops are skew-tiled and whose
+//!    stores go through the planned UOV mapping.
 //!    The certificate transcript hash of the plan is stamped into the
 //!    emitted source's provenance header.
 //! 2. [`uov::codegen::autotune`] — memsim-ranked tile-size search with
@@ -30,9 +30,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("provenance  : {line}");
     }
     println!(
-        "emitted     : {} lines of Rust, {} lines of C",
-        emitted.rust_source.lines().count(),
-        emitted.c_source.lines().count()
+        "emitted     : {} lines of Rust",
+        emitted.rust_source.lines().count()
     );
     let cert_line = emitted
         .rust_source

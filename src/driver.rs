@@ -350,9 +350,6 @@ pub struct EmittedKernel {
     /// Standalone Rust program speaking the `TIME_NS`/`CHECK`/`OUT`
     /// protocol.
     pub rust_source: String,
-    /// The C99 twin, bit-identical to the Rust program and the
-    /// interpreter.
-    pub c_source: String,
     /// The storage plan the spec was derived from.
     pub plan: TransformPlan,
 }
@@ -366,7 +363,7 @@ pub struct EmittedKernel {
 /// kernel still runs. With `tile = Some([t0, t1])` the loops are tiled in
 /// the skewed space `(u, v) = (i, f·i + j)` using the plan's legalising
 /// skew factor. Each statement's certificate transcript hash is stamped
-/// into the generated sources' provenance header, so an artifact can be
+/// into the generated source's provenance header, so an artifact can be
 /// traced back to the exact certified plan that produced it.
 ///
 /// # Errors
@@ -380,7 +377,7 @@ pub fn plan_and_emit(
     layout: Layout,
     tile: Option<[i64; 2]>,
 ) -> Result<EmittedKernel, Error> {
-    use uov_codegen::{emit_c, emit_rust, CodegenError, GenSchedule, KernelSpec};
+    use uov_codegen::{emit_rust, CodegenError, GenSchedule, KernelSpec};
 
     let plan = plan(nest, layout)?;
     let maps: Vec<Option<&OvMap>> = plan
@@ -420,7 +417,6 @@ pub fn plan_and_emit(
     let spec = KernelSpec::new(name, nest, &maps, schedule)?.with_provenance(provenance);
     Ok(EmittedKernel {
         rust_source: emit_rust(&spec),
-        c_source: emit_c(&spec),
         spec,
         plan,
     })
@@ -452,7 +448,6 @@ mod tests {
             ek.rust_source.contains(&hash),
             "certificate hash in Rust source"
         );
-        assert!(ek.c_source.contains(&hash), "certificate hash in C source");
         assert!(ek.rust_source.contains("for tu in"), "tiled loops emitted");
         assert!(matches!(
             ek.spec.schedule,
