@@ -143,20 +143,6 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLru<K, V> {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// A snapshot of every entry, stripe by stripe, without refreshing
-    /// recency. Ordering is unspecified (callers that need determinism
-    /// sort by key); under concurrent mutation each stripe is read at a
-    /// slightly different instant, which is all persistence needs.
-    pub fn entries(&self) -> Vec<(K, V)> {
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            if let Ok(guard) = shard.lock() {
-                out.extend(guard.map.iter().map(|(k, (v, _))| (k.clone(), v.clone())));
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -187,18 +173,18 @@ mod tests {
     }
 
     #[test]
-    fn lru_entries_snapshot_and_remove() {
+    fn lru_remove_drops_only_that_entry() {
         let c: ShardedLru<u64, u64> = ShardedLru::new(16, 4);
         for i in 0..5 {
             c.insert(i, i * 10);
         }
-        let mut snap = c.entries();
-        snap.sort_unstable();
-        assert_eq!(snap, vec![(0, 0), (1, 10), (2, 20), (3, 30), (4, 40)]);
         assert_eq!(c.remove(&2), Some(20));
         assert_eq!(c.remove(&2), None);
         assert_eq!(c.get(&2), None);
         assert_eq!(c.len(), 4);
+        for i in [0, 1, 3, 4] {
+            assert_eq!(c.get(&i), Some(i * 10));
+        }
     }
 
     #[test]

@@ -1,15 +1,14 @@
 //! Dependency-free binary encoding helpers shared by the checkpoint
-//! format, the `uov-service` wire protocol and its warm-cache file.
+//! format and the `uov-service` wire protocol.
 //!
 //! Everything here is deliberately boring: little-endian fixed-width
 //! integers, a bounds-checked cursor that can never read past its buffer,
 //! a bitwise IEEE CRC-32, self-checking `tag ‖ len ‖ payload ‖ crc32`
 //! sections ([`Encoder::section`], [`Decoder::section`]) and one durable
 //! file writer ([`write_atomic`]). The checkpoint format
-//! ([`crate::checkpoint`]) and the planning service's frames and
-//! warm-cache snapshots are all built from these primitives, so a fuzzer
-//! that breaks one breaks all — and the fault-injection suites hammer
-//! them.
+//! ([`crate::checkpoint`]) and the planning service's frames are both
+//! built from these primitives, so a fuzzer that breaks one breaks both —
+//! and the fault-injection suites hammer them.
 
 use std::fmt;
 use std::fs;
@@ -116,8 +115,8 @@ impl Encoder {
     }
 
     /// Append `tag ‖ len ‖ payload ‖ crc32(tag ‖ len ‖ payload)` — the
-    /// self-checking section framing of the checkpoint and warm-cache
-    /// files, read back by [`Decoder::section`].
+    /// self-checking section framing of the checkpoint file, read back by
+    /// [`Decoder::section`].
     pub fn section(&mut self, tag: u8, payload: &[u8]) {
         let start = self.buf.len();
         self.u8(tag);

@@ -33,7 +33,6 @@
 
 pub mod domain;
 pub mod error;
-pub mod halfspace;
 pub mod matrix;
 pub mod num;
 pub mod poly;
@@ -43,7 +42,6 @@ pub mod vec;
 
 pub use domain::{IterationDomain, RectDomain};
 pub use error::IsgError;
-pub use halfspace::HalfspaceDomain2;
 pub use matrix::IMat;
 pub use poly::Polygon2;
 pub use stencil::{Stencil, StencilError};

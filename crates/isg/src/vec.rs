@@ -164,14 +164,19 @@ impl IVec {
         try_dot_slices(&self.0, &other.0)
     }
 
-    /// Dot product as `i128`, exact for all `i64` components.
+    /// Dot product as `i128`, for callers that need the sign or an `i128`
+    /// comparison rather than an `i64` (cone-membership tests, pruning
+    /// bounds).
     ///
-    /// Used where the caller only needs the sign or an `i128` comparison and
-    /// must not fail on magnitude (cone-membership tests, pruning bounds).
+    /// Every product `aₖ·bₖ` is exact in `i128`, and so is the sum while
+    /// `Σₖ |aₖ·bₖ| < 2¹²⁷`: for example whenever every component lies
+    /// within ±2⁶⁰ and there are at most 127 of them. Beyond that a running
+    /// sum can leave `i128` — `[i64::MIN, i64::MIN]` dotted with itself is
+    /// 2¹²⁷ — and the call panics instead of returning a wrapped value.
     ///
     /// # Panics
     ///
-    /// Panics if dimensions differ.
+    /// Panics if dimensions differ, or if a running sum overflows `i128`.
     pub fn dot_i128(&self, other: &IVec) -> i128 {
         assert_eq!(
             self.dim(),
@@ -180,13 +185,20 @@ impl IVec {
             self.dim(),
             other.dim()
         );
-        // Each term is at most 2¹²⁶ in magnitude; i128 sums of realistic
-        // dimensions (d ≤ hundreds) cannot wrap.
-        self.0
+        // Each product is at most 2¹²⁶ in magnitude, so only the sum can
+        // leave i128, and it does once the terms' magnitudes reach 2¹²⁷
+        // (two terms of i64::MIN² already do).
+        let sum = self
+            .0
             .iter()
             .zip(&other.0)
-            .map(|(&a, &b)| a as i128 * b as i128)
-            .sum()
+            .try_fold(0i128, |sum, (&a, &b)| {
+                sum.checked_add(a as i128 * b as i128)
+            });
+        match sum {
+            Some(sum) => sum,
+            None => panic!("dot product overflows i128"),
+        }
     }
 
     /// Squared Euclidean length, in `i128` to avoid overflow.
@@ -680,6 +692,19 @@ mod tests {
             ivec![i64::MIN].dot_i128(&ivec![i64::MIN]),
             (i64::MIN as i128).pow(2)
         );
+        // 2¹²⁶ + (2⁶³ − 1)² is 2¹²⁷ − 2⁶⁴ + 1: inside i128, and exact.
+        let edge = ivec![i64::MIN, i64::MAX];
+        assert_eq!(
+            edge.dot_i128(&edge),
+            (1i128 << 126) + (i64::MAX as i128).pow(2)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "dot product overflows i128")]
+    fn dot_i128_panics_when_the_sum_leaves_i128() {
+        let min = ivec![i64::MIN, i64::MIN];
+        let _ = min.dot_i128(&min);
     }
 
     #[test]

@@ -128,56 +128,3 @@ proptest! {
         }
     }
 }
-
-fn halfspace_of_rect(lo: &IVec, hi: &IVec) -> uov_isg::HalfspaceDomain2 {
-    uov_isg::HalfspaceDomain2::new(vec![
-        (IVec::from([-1, 0]), -lo[0]),
-        (IVec::from([1, 0]), hi[0]),
-        (IVec::from([0, -1]), -lo[1]),
-        (IVec::from([0, 1]), hi[1]),
-    ])
-    .expect("boxes are bounded and non-empty")
-}
-
-proptest! {
-    #[test]
-    fn halfspace_boxes_agree_with_rect_domains(
-        lo in prop::collection::vec(-4i64..4, 2),
-        extent in prop::collection::vec(0i64..5, 2),
-    ) {
-        let lo = IVec::from(lo);
-        let hi: IVec = lo.iter().zip(&extent).map(|(&l, &e)| l + e).collect();
-        let rect = RectDomain::new(lo.clone(), hi.clone());
-        let hs = halfspace_of_rect(&lo, &hi);
-        prop_assert_eq!(hs.num_points(), rect.num_points());
-        for p in rect.points() {
-            prop_assert!(hs.contains(&p));
-        }
-        // Spans of arbitrary primitive forms agree, so storage counts do.
-        for form in [IVec::from([1, 1]), IVec::from([-1, 1]), IVec::from([2, 1])] {
-            prop_assert_eq!(
-                uov_isg::project::form_range(&hs, &form),
-                uov_isg::project::form_range(&rect, &form),
-                "form {} disagrees", form
-            );
-        }
-    }
-
-    #[test]
-    fn triangle_hull_is_minimal_and_covering(hi in 1i64..12) {
-        let tri = uov_isg::HalfspaceDomain2::lower_triangle(0, hi);
-        let hull = tri.extreme_points();
-        // Hull points are domain points…
-        for p in &hull {
-            prop_assert!(tri.contains(p));
-        }
-        // …and every domain point's coordinates are bounded by hull spans.
-        for form in [IVec::from([1, 0]), IVec::from([0, 1]), IVec::from([1, -1])] {
-            let (lo, hi_v) = uov_isg::project::form_range(&tri, &form);
-            for p in tri.points() {
-                let v = form.dot(&p);
-                prop_assert!(lo <= v && v <= hi_v);
-            }
-        }
-    }
-}

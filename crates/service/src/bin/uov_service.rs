@@ -1,9 +1,8 @@
 //! Command-line front end for the UOV planning service.
 //!
 //! ```text
-//! uov-service serve  <endpoint> [--workers N] [--queue N] [--cache N] [--warm-cache PATH]
-//!                               [--wedge-timeout MS]
-//! uov-service query  <endpoint> --stencil "1,0;0,1;1,1" [--grid N,M] [--deadline MS] [--no-cache] [--replication K]
+//! uov-service serve  <endpoint> [--workers N] [--queue N] [--cache N] [--wedge-timeout MS]
+//! uov-service query  <endpoint> --stencil "1,0;0,1;1,1" [--grid N,M] [--deadline MS] [--no-cache]
 //! uov-service smoke  <endpoint>
 //! uov-service health <endpoint>
 //! uov-service stats  <endpoint>
@@ -51,8 +50,8 @@ fn main() -> ExitCode {
 }
 
 const USAGE: &str = "usage:
-  uov-service serve  <endpoint> [--workers N] [--queue N] [--cache N] [--warm-cache PATH] [--wedge-timeout MS]
-  uov-service query  <endpoint[,endpoint…]> --stencil \"1,0;0,1;1,1\" [--grid N,M] [--deadline MS] [--no-cache] [--replication K]
+  uov-service serve  <endpoint> [--workers N] [--queue N] [--cache N] [--wedge-timeout MS]
+  uov-service query  <endpoint[,endpoint…]> --stencil \"1,0;0,1;1,1\" [--grid N,M] [--deadline MS] [--no-cache]
   uov-service smoke  <endpoint>
   uov-service health <endpoint>
   uov-service stats  <endpoint>
@@ -128,20 +127,13 @@ fn parse_grid(spec: &str) -> Result<RectDomain, String> {
 fn cmd_serve(args: &[String]) -> Result<(), String> {
     let endpoint = endpoint_of(
         args,
-        &[
-            "--workers",
-            "--queue",
-            "--cache",
-            "--warm-cache",
-            "--wedge-timeout",
-        ],
+        &["--workers", "--queue", "--cache", "--wedge-timeout"],
         &[],
     )?;
     let config = ServerConfig {
         workers: opt_parse(args, "--workers", ServerConfig::default().workers)?,
         queue_depth: opt_parse(args, "--queue", ServerConfig::default().queue_depth)?,
         cache_capacity: opt_parse(args, "--cache", ServerConfig::default().cache_capacity)?,
-        warm_cache: opt(args, "--warm-cache")?.map(std::path::PathBuf::from),
         wedge_timeout: Duration::from_millis(opt_parse(args, "--wedge-timeout", 0u64)?),
         ..ServerConfig::default()
     };
@@ -163,7 +155,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 fn cmd_query(args: &[String]) -> Result<(), String> {
     let endpoint = endpoint_of(
         args,
-        &["--stencil", "--grid", "--deadline", "--replication"],
+        &["--stencil", "--grid", "--deadline"],
         &["--no-cache"],
     )?;
     let stencil = parse_stencil(opt(args, "--stencil")?.ok_or("query needs --stencil")?)?;
@@ -184,23 +176,16 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
         flags,
     };
     // Any endpoint list — one replica or many — goes through the routed
-    // client: ring routing with failover. A certified answer is pushed to
-    // `--replication K` ring successors so failover targets are warm.
+    // client: ring routing with failover.
     let endpoints: Vec<String> = endpoint
         .split(',')
         .map(|e| e.trim().to_string())
         .filter(|e| !e.is_empty())
         .collect();
-    let replication = opt_parse(
-        args,
-        "--replication",
-        MeshConfig::default().replication_factor,
-    )?;
     let mut client = MeshClient::new(
         &endpoints,
         MeshConfig {
             attempt_timeout: Duration::from_secs(600),
-            replication_factor: replication,
             ..MeshConfig::default()
         },
     )
@@ -317,18 +302,10 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
     println!("| panics | {} |", s.server.panics);
     println!("| watchdog cancels | {} |", s.server.watchdog_cancels);
     println!("| worker restarts | {} |", s.server.worker_restarts);
-    println!("| warm-load corrupt | {} |", s.server.warm_load_corrupt);
-    println!("| warm-load version | {} |", s.server.warm_load_version);
     println!("| idle timeouts | {} |", s.server.idle_timeouts);
     println!("| cache hits | {} |", s.cache.hits);
     println!("| cache misses | {} |", s.cache.misses);
     println!("| cache coalesced | {} |", s.cache.coalesced);
-    println!("| cache warm-loaded | {} |", s.cache.warm_loaded);
-    println!(
-        "| cache replicated entries | {} |",
-        s.cache.replicated_entries
-    );
-    println!("| cache replica hits | {} |", s.cache.replica_hits);
     Ok(())
 }
 

@@ -79,18 +79,8 @@ fn apply(perm: &[usize], v: &IVec) -> IVec {
     IVec::from(perm.iter().map(|&p| v[p]).collect::<Vec<i64>>())
 }
 
-/// Map an original-coordinates vector into canonical coordinates
-/// (`out[i] = v[perm[i]]`) — the inverse of [`map_back`]. Replication
-/// uses this to carry an answer computed in a *sender's* coordinates
-/// into the receiver's canonical cache slot. Norm, cone membership and
-/// (for the problems [`canonicalize`] permutes) cost survive the trip;
-/// the receiver re-derives the cost all the same.
-pub fn map_to_canonical(v: &IVec, perm: &[usize]) -> IVec {
-    apply(perm, v)
-}
-
-/// Invert [`map_to_canonical`]: given a canonical-coordinates vector,
-/// recover the original-coordinates one (`out[perm[i]] = w[i]`).
+/// Invert the canonicalizing permutation: given a canonical-coordinates
+/// vector, recover the original-coordinates one (`out[perm[i]] = w[i]`).
 pub fn map_back(w: &IVec, perm: &[usize]) -> IVec {
     let mut out = vec![0i64; w.dim()];
     for (i, &p) in perm.iter().enumerate() {
@@ -327,7 +317,6 @@ mod tests {
         let perm = vec![2usize, 0, 1];
         let v = ivec![7, -3, 5];
         assert_eq!(map_back(&apply(&perm, &v), &perm), v);
-        assert_eq!(map_to_canonical(&v, &perm), apply(&perm, &v));
     }
 
     #[test]

@@ -10,8 +10,7 @@
 //!   `(seed, n, d)`, so a failing chaos run replays exactly from its
 //!   seed.
 //! * [`ReplicaSet`] — an in-process orchestrator that starts N replicas,
-//!   kills them abruptly (simulated crash: no warm-cache save), drains
-//!   them gracefully, and restarts them on their original ports.
+//!   kills them, and restarts them cold on their original ports.
 //!
 //! The proxy is frame-aware: it learns each frame's extent from the
 //! protocol's own header parse, then applies at most one fault per
@@ -21,15 +20,6 @@
 //! connection silent long past the client's attempt timeout to exercise
 //! half-open detection. Bytes that do not parse as a frame header are
 //! pumped opaquely so the proxy never deadlocks on garbage.
-//!
-//! # Network partitions
-//!
-//! On top of the per-frame fault schedule, a proxy can be **partitioned**
-//! ([`ChaosProxy::partition_symmetric`]) and later **healed**
-//! ([`ChaosProxy::heal`]). A partition does not drop or damage frames:
-//! each pump direction simply *holds* its current frame until the
-//! partition heals, modelling TCP retransmission across a cut link —
-//! delivery is delayed, order is preserved, nothing is lost.
 
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -106,9 +96,6 @@ pub struct ChaosStats {
     pub bit_flips: u64,
     /// Frames delayed.
     pub delays: u64,
-    /// Frames held at a partition boundary until it healed (or the
-    /// proxy stopped).
-    pub partition_holds: u64,
 }
 
 #[derive(Default)]
@@ -120,7 +107,6 @@ struct ChaosCounters {
     truncations: AtomicU64,
     bit_flips: AtomicU64,
     delays: AtomicU64,
-    partition_holds: AtomicU64,
 }
 
 impl ChaosCounters {
@@ -133,7 +119,6 @@ impl ChaosCounters {
             truncations: self.truncations.load(Ordering::Relaxed),
             bit_flips: self.bit_flips.load(Ordering::Relaxed),
             delays: self.delays.load(Ordering::Relaxed),
-            partition_holds: self.partition_holds.load(Ordering::Relaxed),
         }
     }
 }
@@ -193,9 +178,6 @@ pub struct ChaosProxy {
     endpoint: String,
     stop: Arc<AtomicBool>,
     counters: Arc<ChaosCounters>,
-    /// Whether the proxy is partitioned: both pump directions hold
-    /// their frames while set.
-    partitioned: Arc<AtomicBool>,
     accept: Option<JoinHandle<()>>,
 }
 
@@ -234,29 +216,17 @@ impl ChaosProxy {
         let upstream = upstream.to_string();
         let stop = Arc::new(AtomicBool::new(false));
         let counters = Arc::new(ChaosCounters::default());
-        let partitioned = Arc::new(AtomicBool::new(false));
 
         let a_stop = Arc::clone(&stop);
         let a_counters = Arc::clone(&counters);
-        let a_partitioned = Arc::clone(&partitioned);
         let accept = thread::Builder::new()
             .name("chaos-accept".into())
-            .spawn(move || {
-                accept_loop(
-                    &listener,
-                    cfg,
-                    &upstream,
-                    &a_stop,
-                    &a_counters,
-                    &a_partitioned,
-                );
-            })?;
+            .spawn(move || accept_loop(&listener, cfg, &upstream, &a_stop, &a_counters))?;
 
         Ok(ChaosProxy {
             endpoint,
             stop,
             counters,
-            partitioned,
             accept: Some(accept),
         })
     }
@@ -269,18 +239,6 @@ impl ChaosProxy {
     /// Snapshot the injection counters.
     pub fn stats(&self) -> ChaosStats {
         self.counters.snapshot()
-    }
-
-    /// Cut both directions: the replica behind this proxy is fully
-    /// partitioned away. In-flight and future frames are held — delayed,
-    /// ordered, never dropped — until [`ChaosProxy::heal`].
-    pub fn partition_symmetric(&self) {
-        self.partitioned.store(true, Ordering::SeqCst);
-    }
-
-    /// Heal the partition: held frames resume forwarding in order.
-    pub fn heal(&self) {
-        self.partitioned.store(false, Ordering::SeqCst);
     }
 
     /// Stop accepting; existing pumps notice within ~100 ms.
@@ -308,7 +266,6 @@ fn accept_loop(
     upstream: &str,
     stop: &Arc<AtomicBool>,
     counters: &Arc<ChaosCounters>,
-    partitioned: &Arc<AtomicBool>,
 ) {
     let mut conn_seq: u64 = 0;
     while !stop.load(Ordering::SeqCst) {
@@ -332,13 +289,12 @@ fn accept_loop(
         counters.connections.fetch_add(1, Ordering::Relaxed);
         let seq = conn_seq;
         conn_seq += 1;
-        spawn_pump(client, server, cfg, seq, stop, counters, partitioned);
+        spawn_pump(client, server, cfg, seq, stop, counters);
     }
 }
 
 /// Two pump threads, one per direction, each with its own RNG derived
 /// from `(seed, connection sequence, direction)`.
-#[allow(clippy::too_many_arguments)]
 fn spawn_pump(
     client: TcpStream,
     server: TcpStream,
@@ -346,7 +302,6 @@ fn spawn_pump(
     seq: u64,
     stop: &Arc<AtomicBool>,
     counters: &Arc<ChaosCounters>,
-    partitioned: &Arc<AtomicBool>,
 ) {
     let pairs = [
         (client.try_clone(), server.try_clone(), 0u64),
@@ -363,10 +318,9 @@ fn spawn_pump(
         ));
         let t_stop = Arc::clone(stop);
         let t_counters = Arc::clone(counters);
-        let t_partitioned = Arc::clone(partitioned);
         let _ = thread::Builder::new()
             .name(format!("chaos-pump-{seq}-{dir}"))
-            .spawn(move || pump(src, dst, cfg, rng, &t_stop, &t_counters, &t_partitioned));
+            .spawn(move || pump(src, dst, cfg, rng, &t_stop, &t_counters));
     }
 }
 
@@ -413,7 +367,6 @@ fn pump(
     mut rng: XorShift64,
     stop: &AtomicBool,
     counters: &ChaosCounters,
-    partitioned: &AtomicBool,
 ) {
     let close_both = |src: &TcpStream, dst: &TcpStream| {
         let _ = src.shutdown(Shutdown::Both);
@@ -436,19 +389,6 @@ fn pump(
                 break;
             }
         };
-        // A partition holds this direction's frame until heal: delayed
-        // delivery in order, nothing dropped — TCP retransmission across
-        // a cut link. The fault roll still runs afterwards, so a seeded
-        // schedule keeps its alignment through a partition window.
-        if partitioned.load(Ordering::SeqCst) {
-            counters.partition_holds.fetch_add(1, Ordering::Relaxed);
-            while partitioned.load(Ordering::SeqCst) && !stop.load(Ordering::SeqCst) {
-                thread::sleep(Duration::from_millis(5));
-            }
-            if stop.load(Ordering::SeqCst) {
-                break;
-            }
-        }
         match cfg.decide(rng.next()) {
             Fault::Reset => {
                 counters.resets.fetch_add(1, Ordering::Relaxed);
@@ -498,7 +438,7 @@ fn pump(
     close_both(&src, &dst);
 }
 
-/// An in-process set of replicas with kill/drain/restart orchestration.
+/// An in-process set of replicas with kill/restart orchestration.
 ///
 /// Replicas bind ephemeral ports on first start and keep those addresses
 /// across restarts (`SO_REUSEADDR` lets a drained port be rebound
@@ -542,18 +482,10 @@ impl ReplicaSet {
         self.handles.get(i).is_some_and(Option::is_some)
     }
 
-    /// Crash replica `i`: stop it without persisting its warm cache
-    /// (crash semantics). No-op if already down. Returns the server's
-    /// final stats when it was up.
+    /// Stop replica `i`: drain it and reclaim its threads and port. Its
+    /// plan cache goes with it, so a restart comes back cold. No-op if
+    /// already down. Returns the server's final stats when it was up.
     pub fn kill(&mut self, i: usize) -> Option<ServerStats> {
-        let handle = self.handles.get_mut(i)?.take()?;
-        handle.shutdown();
-        Some(handle.join_abrupt())
-    }
-
-    /// Gracefully drain replica `i`, persisting its warm cache when
-    /// configured. No-op if already down.
-    pub fn drain(&mut self, i: usize) -> Option<ServerStats> {
         let handle = self.handles.get_mut(i)?.take()?;
         handle.shutdown();
         Some(handle.join())
@@ -587,9 +519,9 @@ impl ReplicaSet {
         Err(last.unwrap_or(ServiceError::ConnectionClosed))
     }
 
-    /// Drain every running replica and return their final stats.
+    /// Stop every running replica and return their final stats.
     pub fn shutdown_all(mut self) -> Vec<Option<ServerStats>> {
-        (0..self.handles.len()).map(|i| self.drain(i)).collect()
+        (0..self.handles.len()).map(|i| self.kill(i)).collect()
     }
 }
 
@@ -694,35 +626,6 @@ mod tests {
         }
         let stats = proxy.stop();
         assert!(stats.resets > 0, "chaos never fired: {stats:?}");
-        server.shutdown();
-        server.join();
-    }
-
-    #[test]
-    fn partitions_hold_frames_and_heal_releases_them() {
-        let server = serve("127.0.0.1:0", ServerConfig::default()).unwrap();
-        let proxy = ChaosProxy::start(server.endpoint(), ChaosConfig::default()).unwrap();
-
-        // Partitioned: the request frame is held, so a short-timeout
-        // plan fails without the server ever being damaged.
-        proxy.partition_symmetric();
-        let mut client = Client::connect(proxy.endpoint()).unwrap();
-        client
-            .set_timeout(Some(Duration::from_millis(200)))
-            .unwrap();
-        assert!(client.plan(&fig1_request()).is_err());
-
-        // Healed: the held frame is delivered (not dropped), the server
-        // answers it, and a fresh request works end to end.
-        proxy.heal();
-        let mut fresh = Client::connect(proxy.endpoint()).unwrap();
-        fresh.set_timeout(Some(Duration::from_secs(5))).unwrap();
-        let resp = fresh.plan(&fig1_request()).unwrap();
-        assert_eq!(resp.uov, ivec![1, 1]);
-
-        let stats = proxy.stop();
-        assert!(stats.partition_holds >= 1, "{stats:?}");
-        assert_eq!(stats.resets + stats.truncations + stats.bit_flips, 0);
         server.shutdown();
         server.join();
     }

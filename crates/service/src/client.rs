@@ -6,7 +6,7 @@ use std::time::Duration;
 use crate::error::ServiceError;
 use crate::proto::{
     kind, read_frame, write_frame, ErrorResponse, Frame, HealthResponse, PlanRequest, PlanResponse,
-    ReplicateRequest, ReplicateResponse, StatsResponse,
+    StatsResponse,
 };
 use crate::server::AnyStream;
 
@@ -152,22 +152,6 @@ impl Client {
     pub fn plan(&mut self, req: &PlanRequest) -> Result<PlanResponse, ServiceError> {
         let frame = self.exchange(kind::REQ_PLAN, &req.encode())?;
         Self::response(frame, kind::RESP_PLAN, PlanResponse::decode)
-    }
-
-    /// Push one certified plan-cache entry to this server (neighbor
-    /// replication). The server re-certifies the answer before storing
-    /// it, so a lying or buggy pusher cannot poison the replica's cache.
-    /// Idempotent: replicating the same entry twice stores the same
-    /// canonical bytes, so the single-reconnect discipline applies.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::Rejected`] for typed server errors (notably
-    /// `Malformed` when re-certification fails); the transport taxonomy
-    /// of [`read_frame`] otherwise.
-    pub fn replicate(&mut self, req: &ReplicateRequest) -> Result<ReplicateResponse, ServiceError> {
-        let frame = self.exchange(kind::REQ_REPLICATE, &req.encode())?;
-        Self::response(frame, kind::RESP_REPLICATE, ReplicateResponse::decode)
     }
 
     /// Probe the server's liveness and readiness. Answered even while

@@ -109,15 +109,6 @@ pub enum ServiceError {
         /// The failure of the last attempt.
         last: Box<ServiceError>,
     },
-    /// Two replicas returned *certified* answers whose transcript hashes
-    /// disagree. The fabric cannot know which replica is lying, so this
-    /// is a hard error — never silently pick one.
-    ReplicaDivergence {
-        /// Transcript hash from the first replica to answer.
-        a: u64,
-        /// Transcript hash from the second replica.
-        b: u64,
-    },
 }
 
 impl fmt::Display for ServiceError {
@@ -139,11 +130,6 @@ impl fmt::Display for ServiceError {
             ServiceError::FabricExhausted { attempts, last } => {
                 write!(f, "all replicas failed after {attempts} attempts: {last}")
             }
-            ServiceError::ReplicaDivergence { a, b } => write!(
-                f,
-                "replicas returned divergent certified answers \
-                 (transcript {a:#018x} vs {b:#018x})"
-            ),
         }
     }
 }

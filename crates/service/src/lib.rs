@@ -24,17 +24,19 @@
 //!   errors, cache hit rate, single-flight coalescing).
 //! * [`mesh`] — the one routed client, [`MeshClient`], over a replica
 //!   list: consistent-hash routing (each canonical problem has a home
-//!   shard, with deterministic ring failover), per-attempt timeouts,
-//!   seeded jittered backoff, per-shard circuit breakers, optional
-//!   hedging, neighbor replication of certified answers, and a
-//!   replayable decision log.
+//!   shard, with deterministic ring failover), one attempt at a time,
+//!   per-attempt timeouts, seeded jittered backoff, per-shard circuit
+//!   breakers, and a replayable decision log.
 //! * [`chaos`] — a deterministic seeded chaos proxy (resets, stalls,
 //!   latency spikes, truncation, bit-flips) and a replica kill/restart
 //!   orchestrator, turning every resilience claim into a repeatable test.
 //!
 //! Every answer is re-certified server-side ([`uov_core::certify()`]) and
 //! carries the certificate's transcript hash, so a client can prove a
-//! cached response is byte-identical to a cold solve.
+//! cached response is byte-identical to a cold solve. Certification
+//! checks legality and cost, not optimality, so a server's plan cache
+//! holds only answers its own search produced: no frame and no file puts
+//! an answer into it, and a restarted server starts cold.
 
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
@@ -54,10 +56,10 @@ pub use client::Client;
 pub use error::{ErrorCode, ServiceError};
 pub use loadgen::{coalescing_burst, run as run_loadgen, BurstReport, LoadGenConfig, LoadReport};
 pub use mesh::{FailureClass, MeshClient, MeshConfig, MeshEvent, MeshStats, Ring};
-pub use plan_cache::{CacheStats, PlanCache, Planned, WarmCacheError};
+pub use plan_cache::{CacheStats, PlanCache, Planned};
 pub use proto::{
     CacheOutcome, DegradationCode, HealthResponse, ObjectiveSpec, PlanRequest, PlanResponse,
-    ReplicateRequest, ReplicateResponse, StatsResponse, FLAG_NO_CACHE,
+    StatsResponse, FLAG_NO_CACHE,
 };
 pub use server::{serve, ServerConfig, ServerHandle, ServerStats};
 

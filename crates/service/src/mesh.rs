@@ -24,37 +24,23 @@
 //!   half-open probe, which either closes or re-opens it. A server
 //!   rejection of the request's *content* (`Malformed`, `Unsupported`)
 //!   is a hard error that no retry can fix.
-//! * **Hedging** — with [`MeshConfig::hedge_after`], a primary still
-//!   silent after that delay triggers the same request at the next
-//!   admissible ring successor, and the first answer wins. With
-//!   [`MeshConfig::hedge_verify`] both answers are awaited and compared,
-//!   and a mismatch is the hard error [`ServiceError::ReplicaDivergence`]:
-//!   the client never silently picks one of two disagreeing replicas.
 //!
-//! Routed plans record every outcome on one circuit breaker per shard;
-//! retries back off through one jittered backoff and stop on one
-//! hard-error check. Every exchange goes through one pooled connection
-//! per shard. Every decision lands in one [`MeshEvent`] log that records
-//! *choices, never wall-clock readings*, so a run replays event for
-//! event under the same seed and fault schedule.
+//! A routed plan makes one attempt at a time, on the calling thread, and
+//! records every outcome on one circuit breaker per shard; retries back
+//! off through one jittered backoff and stop on one hard-error check.
+//! Every exchange goes through one pooled connection per shard. Every
+//! decision lands in one [`MeshEvent`] log that records *choices, never
+//! wall-clock readings*, so a run replays event for event under the same
+//! seed and fault schedule.
 //!
-//! One search is never split across replicas: DESIGN.md's "Why there is
-//! no distributed search" gives the measurements.
-//!
-//! # Neighbor replication
-//!
-//! Because the certified answer is byte-identical no matter which shard
-//! computes it, a plan-cache entry is safe to copy anywhere. After a
-//! certified, non-degraded answer, the client pushes the entry to the
-//! [`MeshConfig::replication_factor`] ring successors of the home shard
-//! (`REQ_REPLICATE`), each of which **re-certifies before storing**, so
-//! the deterministic failover order lands on a warm, certified hit
-//! instead of a cold solve.
+//! The client only asks for plans: a replica's cache holds only its own
+//! searches, and one search is never split across replicas. DESIGN.md's
+//! "Why a replica's cache holds only its own searches" and "Why there is
+//! no distributed search" give the measurements.
 
 use std::io;
-use std::sync::mpsc;
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use uov_core::{fingerprint, Fnv};
 
@@ -62,7 +48,7 @@ use crate::canon::canonicalize;
 use crate::client::Client;
 use crate::error::{ErrorCode, ServiceError};
 use crate::loadgen::XorShift64;
-use crate::proto::{CacheOutcome, DegradationCode, PlanRequest, PlanResponse, ReplicateRequest};
+use crate::proto::{PlanRequest, PlanResponse};
 
 // ------------------------------------------------------------------ ring
 
@@ -154,22 +140,6 @@ pub struct MeshConfig {
     /// Seed for the backoff jitter; the complete retry/backoff/breaker
     /// schedule is a pure function of this seed and the failure pattern.
     pub seed: u64,
-    /// How many ring successors of the home shard receive a copy of
-    /// every certified, non-degraded answer (`0` disables replication).
-    /// Each receiver re-certifies before storing, and files the answer
-    /// only under problems with the same optimum (a 3-D known-bounds
-    /// answer under its sender's axis order alone), so replication can
-    /// warm a failover target but never poison it.
-    pub replication_factor: usize,
-    /// Fire a hedge of a routed plan at the next admissible ring
-    /// successor when the primary has not answered within this delay.
-    /// `None` disables hedging.
-    pub hedge_after: Option<Duration>,
-    /// When hedging, wait for *both* answers and fail hard with
-    /// [`ServiceError::ReplicaDivergence`] if they disagree, instead of
-    /// returning the first. Costs latency; buys byzantine-replica
-    /// detection.
-    pub hedge_verify: bool,
 }
 
 impl Default for MeshConfig {
@@ -183,9 +153,6 @@ impl Default for MeshConfig {
             backoff_base: Duration::from_millis(2),
             backoff_max: Duration::from_millis(50),
             seed: 0x4D_E5_11,
-            replication_factor: 1,
-            hedge_after: None,
-            hedge_verify: false,
         }
     }
 }
@@ -197,9 +164,6 @@ pub struct MeshStats {
     pub routed: u64,
     /// Routed requests served by a shard other than their home.
     pub failovers: u64,
-    /// Certified answers offered to neighbor replicas (the receiver may
-    /// still refuse to store one that fails re-certification).
-    pub replicas_pushed: u64,
 }
 
 /// Why an exchange with a shard failed, coarse enough to be
@@ -291,31 +255,12 @@ pub enum MeshEvent {
         /// The shard.
         shard: usize,
     },
-    /// The primary was slow; a hedge fired at a second shard.
-    HedgeFired {
-        /// The slow primary.
-        primary: usize,
-        /// The hedge target.
-        secondary: usize,
-    },
-    /// A hedged attempt resolved; this shard's answer was taken.
-    HedgeWinner {
-        /// The winning shard.
-        shard: usize,
-    },
     /// A routed request was served away from home.
     Failover {
         /// The home shard that was skipped or failed.
         home: usize,
         /// The shard that served instead.
         shard: usize,
-    },
-    /// A certified answer was offered to a neighbor replica.
-    ReplicaPushed {
-        /// The receiving shard.
-        shard: usize,
-        /// Whether the receiver re-certified and stored it.
-        stored: bool,
     },
 }
 
@@ -337,8 +282,8 @@ impl Breaker {
 // ---------------------------------------------------------------- client
 
 /// The routed planning client over a replica list: consistent-hash
-/// routing with breaker-aware failover, backoff, optional hedging and
-/// neighbor replication (see the module docs).
+/// routing with breaker-aware failover and backoff, one attempt at a
+/// time (see the module docs).
 pub struct MeshClient {
     endpoints: Vec<String>,
     ring: Ring,
@@ -349,10 +294,6 @@ pub struct MeshClient {
     events: Vec<MeshEvent>,
     stats: MeshStats,
 }
-
-/// One plan exchange reported back from a hedging thread: the shard, its
-/// answer, and the pooled connection if it stayed healthy.
-type Arrival = (usize, Result<PlanResponse, ServiceError>, Option<Client>);
 
 impl MeshClient {
     /// A client over `endpoints`. The ring is a pure function of the
@@ -411,15 +352,14 @@ impl MeshClient {
     }
 
     /// Plan through the ring: home shard first, then live ring
-    /// successors, with per-attempt timeouts, per-shard circuit breakers,
-    /// jittered backoff between attempts, and hedging when configured.
+    /// successors, one attempt at a time, with per-attempt timeouts,
+    /// per-shard circuit breakers and jittered backoff between attempts.
     ///
     /// # Errors
     ///
-    /// [`ServiceError::FabricExhausted`] when every attempt failed;
-    /// [`ServiceError::ReplicaDivergence`] when verified hedging caught
-    /// two shards disagreeing; a non-retryable rejection (`Malformed`,
-    /// `Unsupported`) immediately as [`ServiceError::Rejected`].
+    /// [`ServiceError::FabricExhausted`] when every attempt failed; a
+    /// non-retryable rejection (`Malformed`, `Unsupported`) immediately
+    /// as [`ServiceError::Rejected`].
     pub fn plan(&mut self, req: &PlanRequest) -> Result<PlanResponse, ServiceError> {
         let key = Self::routing_key(req);
         let order = self.ring.successors(key);
@@ -430,24 +370,14 @@ impl MeshClient {
         let max_attempts = self.cfg.max_route_attempts.max(1);
         let mut last: Option<ServiceError> = None;
         for attempt in 0..max_attempts {
-            let primary = self.select_shard(&order);
-            self.events.push(MeshEvent::Attempt {
-                attempt,
-                shard: primary,
-            });
-            let outcome = match self.hedge_target(primary, &order) {
-                Some(secondary) => self.attempt_hedged(primary, secondary, req),
-                None => self
-                    .attempt(primary, |c| c.plan(req))
-                    .map(|resp| (primary, resp)),
-            };
-            match outcome {
-                Ok((shard, resp)) => {
+            let shard = self.select_shard(&order);
+            self.events.push(MeshEvent::Attempt { attempt, shard });
+            match self.attempt(shard, req) {
+                Ok(resp) => {
                     if shard != home {
                         self.stats.failovers += 1;
                         self.events.push(MeshEvent::Failover { home, shard });
                     }
-                    self.push_replicas(req, &resp, &order, shard);
                     return Ok(resp);
                 }
                 Err(e) if is_hard(&e) => return Err(e),
@@ -462,50 +392,6 @@ impl MeshClient {
             attempts: max_attempts,
             last: Box::new(last.unwrap_or(ServiceError::ConnectionClosed)),
         })
-    }
-
-    /// Replicate a routed answer from `served_by` to the
-    /// [`MeshConfig::replication_factor`] ring successors of the home
-    /// shard in `order`, so a deterministic failover lands on a warm,
-    /// certified cache entry. Best-effort; every receiver re-certifies
-    /// before storing. Hits are skipped (their original miss already
-    /// replicated) and degraded answers are never offered — a replica
-    /// must only ever hold entries it could re-certify.
-    fn push_replicas(
-        &mut self,
-        req: &PlanRequest,
-        resp: &PlanResponse,
-        order: &[usize],
-        served_by: usize,
-    ) {
-        if resp.cache == CacheOutcome::Hit || resp.degradation != DegradationCode::None {
-            return;
-        }
-        let k = self
-            .cfg
-            .replication_factor
-            .min(order.len().saturating_sub(1));
-        if k == 0 {
-            return;
-        }
-        let push = ReplicateRequest {
-            stencil: req.stencil.clone(),
-            objective: req.objective.clone(),
-            uov: resp.uov.clone(),
-            cost: resp.cost,
-        };
-        for &shard in &order[1..=k] {
-            if shard == served_by {
-                continue; // the serving replica already holds the entry
-            }
-            if let Ok(ack) = self.exchange(shard, |c| c.replicate(&push)) {
-                self.stats.replicas_pushed += 1;
-                self.events.push(MeshEvent::ReplicaPushed {
-                    shard,
-                    stored: ack.stored,
-                });
-            }
-        }
     }
 
     /// Age open breakers one tick, then pick the first admissible shard
@@ -540,158 +426,27 @@ impl MeshClient {
         shard
     }
 
-    /// The hedge target for `primary`: the next ring successor in
-    /// `order` whose breaker admits traffic, when hedging is enabled.
-    fn hedge_target(&self, primary: usize, order: &[usize]) -> Option<usize> {
-        self.cfg.hedge_after?;
-        order
-            .iter()
-            .copied()
-            .find(|&s| s != primary && self.breakers[s].admits())
-    }
-
-    /// One hedged attempt: the primary's exchange runs on a helper
-    /// thread; if it is silent past `hedge_after`, the secondary's is
-    /// fired too, and the first success wins (verify mode: await both
-    /// and compare). A loser that never answers is abandoned with its
-    /// thread. All breaker and event bookkeeping happens here, on the
-    /// calling thread, in a deterministic order. Returns the shard that
-    /// served with its answer.
-    fn attempt_hedged(
-        &mut self,
-        primary: usize,
-        secondary: usize,
-        req: &PlanRequest,
-    ) -> Result<(usize, PlanResponse), ServiceError> {
-        let timeout = self.cfg.attempt_timeout;
-        let hedge_after = self.cfg.hedge_after.unwrap_or(timeout);
-        let (tx, rx) = mpsc::channel::<Arrival>();
-        self.spawn_plan(primary, req, tx.clone());
-
-        // Happy path: the primary answers (or fails) before the delay.
-        if let Ok((shard, result, conn)) = rx.recv_timeout(hedge_after) {
-            self.conns[shard] = conn;
-            self.record(shard, &result);
-            return result.map(|resp| (shard, resp));
+    /// One plan exchange with `shard`, its outcome recorded on the
+    /// shard's breaker. It runs over the shard's pooled connection (or a
+    /// fresh dial, whose reads the attempt timeout bounds), which goes
+    /// back to the pool. `on_failure` drops it again unless the failure
+    /// was a typed rejection: a rejection travelled over a working
+    /// transport, but a timed-out socket may still deliver a stale frame.
+    fn attempt(&mut self, shard: usize, req: &PlanRequest) -> Result<PlanResponse, ServiceError> {
+        let out = match self.conns[shard].take() {
+            Some(client) => Ok(client),
+            None => dial(&self.endpoints[shard], self.cfg.attempt_timeout),
         }
-
-        self.events
-            .push(MeshEvent::HedgeFired { primary, secondary });
-        self.spawn_plan(secondary, req, tx);
-
-        // Collect until the attempt window closes. In verify mode both
-        // answers are awaited (byzantine detection); otherwise the first
-        // success wins and the loser is abandoned.
-        let deadline = Instant::now() + timeout + hedge_after;
-        let mut winner: Option<(usize, PlanResponse)> = None;
-        let mut failures: Vec<(usize, ServiceError)> = Vec::new();
-        let mut arrived = 0u32;
-        while arrived < 2 {
-            let budget = deadline.saturating_duration_since(Instant::now());
-            let Ok((shard, result, conn)) = rx.recv_timeout(budget) else {
-                break;
-            };
-            arrived += 1;
-            if conn.is_some() {
-                self.conns[shard] = conn;
-            }
-            match (result, &winner) {
-                (Err(e), _) => failures.push((shard, e)),
-                (Ok(resp), None) => {
-                    winner = Some((shard, resp));
-                    if !self.cfg.hedge_verify {
-                        break;
-                    }
-                }
-                (Ok(resp), Some((_, first))) => {
-                    if (&first.uov, first.cost, first.certificate_hash)
-                        != (&resp.uov, resp.cost, resp.certificate_hash)
-                    {
-                        // Hard error: two certified answers disagree.
-                        let (a, b) = (first.certificate_hash, resp.certificate_hash);
-                        self.on_failure(shard, FailureClass::Rejected);
-                        return Err(ServiceError::ReplicaDivergence { a, b });
-                    }
-                }
-            }
-        }
-
-        let won = winner.as_ref().map(|(shard, _)| *shard);
-        if let Some(shard) = won {
-            self.events.push(MeshEvent::HedgeWinner { shard });
-            self.on_success(shard);
-        }
-        // Every other shard either failed outright or never answered
-        // within the window; both count against its breaker.
-        let mut last: Option<ServiceError> = None;
-        for shard in [primary, secondary] {
-            match failures.iter().position(|(s, _)| *s == shard) {
-                _ if won == Some(shard) => {}
-                Some(at) => {
-                    let (_, e) = failures.swap_remove(at);
-                    self.on_failure(shard, FailureClass::of(&e));
-                    last = Some(e);
-                }
-                None if arrived < 2 => self.on_failure(shard, FailureClass::Timeout),
-                None => {}
-            }
-        }
-        winner.ok_or_else(|| {
-            last.unwrap_or_else(|| {
-                ServiceError::Io(io::Error::new(
-                    io::ErrorKind::TimedOut,
-                    "hedged attempt timed out on both replicas",
-                ))
-            })
-        })
-    }
-
-    /// Run one plan exchange with `shard` on a detached thread — a hedged
-    /// attempt must be able to abandon a stalled replica — and report
-    /// the answer and the still-healthy connection back over `tx`.
-    fn spawn_plan(&mut self, shard: usize, req: &PlanRequest, tx: mpsc::Sender<Arrival>) {
-        let mut conn = self.conns[shard].take();
-        let endpoint = self.endpoints[shard].clone();
-        let timeout = self.cfg.attempt_timeout;
-        let req = req.clone();
-        thread::spawn(move || {
-            let result = exchange(&mut conn, &endpoint, timeout, |c| c.plan(&req));
-            let _ = tx.send((shard, result, conn));
+        .and_then(|mut client| {
+            let resp = client.plan(req);
+            self.conns[shard] = Some(client);
+            resp
         });
-    }
-
-    /// [`exchange`] over `shard`'s pooled connection, with no breaker
-    /// accounting (replication pushes are best-effort).
-    fn exchange<T>(
-        &mut self,
-        shard: usize,
-        call: impl FnOnce(&mut Client) -> Result<T, ServiceError>,
-    ) -> Result<T, ServiceError> {
-        exchange(
-            &mut self.conns[shard],
-            &self.endpoints[shard],
-            self.cfg.attempt_timeout,
-            call,
-        )
-    }
-
-    /// [`MeshClient::exchange`], with the outcome recorded on the
-    /// shard's breaker.
-    fn attempt<T>(
-        &mut self,
-        shard: usize,
-        call: impl FnOnce(&mut Client) -> Result<T, ServiceError>,
-    ) -> Result<T, ServiceError> {
-        let out = self.exchange(shard, call);
-        self.record(shard, &out);
-        out
-    }
-
-    fn record<T>(&mut self, shard: usize, out: &Result<T, ServiceError>) {
-        match out {
+        match &out {
             Ok(_) => self.on_success(shard),
             Err(e) => self.on_failure(shard, FailureClass::of(e)),
         }
+        out
     }
 
     fn on_success(&mut self, shard: usize) {
@@ -740,43 +495,15 @@ fn dial(endpoint: &str, timeout: Duration) -> Result<Client, ServiceError> {
     Ok(client)
 }
 
-/// The one request/response exchange over a pooled connection: take
-/// the slot's connection (or dial one), run `call` on it, and put it
-/// back after a success or a typed rejection — a rejection travelled
-/// over a working transport. After any other failure the transport is
-/// suspect (a timed-out socket may still deliver a stale frame), so the
-/// connection is dropped.
-fn exchange<T>(
-    slot: &mut Option<Client>,
-    endpoint: &str,
-    timeout: Duration,
-    call: impl FnOnce(&mut Client) -> Result<T, ServiceError>,
-) -> Result<T, ServiceError> {
-    let mut client = match slot.take() {
-        Some(c) => c,
-        None => dial(endpoint, timeout)?,
-    };
-    let out = call(&mut client);
-    if out
-        .as_ref()
-        .err()
-        .is_none_or(|e| FailureClass::of(e) == FailureClass::Rejected)
-    {
-        *slot = Some(client);
-    }
-    out
-}
-
 /// Whether retrying cannot possibly help: the server understood the
-/// request and rejected its *content* — which every replica would — or
-/// verified hedging caught two replicas disagreeing.
+/// request and rejected its *content*, which every replica would.
 fn is_hard(e: &ServiceError) -> bool {
     matches!(
         e,
         ServiceError::Rejected {
             code: ErrorCode::Malformed | ErrorCode::Unsupported,
             ..
-        } | ServiceError::ReplicaDivergence { .. }
+        }
     )
 }
 
@@ -799,7 +526,7 @@ fn back_off(cfg: &MeshConfig, rng: &mut XorShift64, attempt: u32) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto::{kind, read_frame, write_frame, Frame, ObjectiveSpec};
+    use crate::proto::ObjectiveSpec;
     use crate::server::{serve, ServerConfig};
     use std::net::TcpListener;
     use uov_isg::{ivec, Stencil};
@@ -931,92 +658,6 @@ mod tests {
             mesh.take_events()
         };
         assert_eq!(run(42), run(42), "same seed must replay identically");
-    }
-
-    /// A fake replica on `l` that speaks the protocol but answers every
-    /// plan with a fixed bogus response after a delay.
-    fn lying_server(l: TcpListener, delay: Duration) {
-        thread::spawn(move || {
-            while let Ok((mut s, _)) = l.accept() {
-                let resp = PlanResponse {
-                    uov: ivec![9, 9],
-                    cost: 999,
-                    certificate_hash: 0xBAD0_BAD0,
-                    degradation: DegradationCode::None,
-                    cache: CacheOutcome::Miss,
-                };
-                thread::spawn(move || {
-                    while let Ok(Some(Frame {
-                        kind: kind::REQ_PLAN,
-                        ..
-                    })) = read_frame(&mut s)
-                    {
-                        thread::sleep(delay);
-                        if write_frame(&mut s, kind::RESP_PLAN, &resp.encode()).is_err() {
-                            break;
-                        }
-                    }
-                });
-            }
-        });
-    }
-
-    /// A lying home shard behind `delay` and an honest successor.
-    fn lying_home(
-        req: &PlanRequest,
-        delay: Duration,
-    ) -> (Vec<String>, crate::server::ServerHandle) {
-        let [home, next] = home_first(req);
-        let endpoints = vec![endpoint_of(&home), endpoint_of(&next)];
-        lying_server(home, delay);
-        drop(next);
-        let honest = serve(&endpoints[1], ServerConfig::default()).unwrap();
-        (endpoints, honest)
-    }
-
-    #[test]
-    fn verified_hedging_turns_divergence_into_a_hard_error() {
-        // The home lies slowly; the hedge fires and the honest successor
-        // answers; verification then catches the divergence.
-        let req = fig1_request();
-        let (endpoints, honest) = lying_home(&req, Duration::from_millis(250));
-        let cfg = MeshConfig {
-            hedge_after: Some(Duration::from_millis(50)),
-            hedge_verify: true,
-            attempt_timeout: Duration::from_secs(2),
-            max_route_attempts: 1,
-            ..quick_cfg()
-        };
-        let mut mesh = MeshClient::new(&endpoints, cfg).unwrap();
-        match mesh.plan(&req) {
-            Err(ServiceError::ReplicaDivergence { .. }) => {}
-            other => panic!("expected ReplicaDivergence, got {other:?}"),
-        }
-        assert!(mesh
-            .events()
-            .iter()
-            .any(|e| matches!(e, MeshEvent::HedgeFired { .. })));
-        honest.shutdown();
-        honest.join();
-    }
-
-    #[test]
-    fn hedging_takes_the_fast_replica_when_the_primary_stalls() {
-        // The home answers far too slowly; the hedge must win.
-        let req = fig1_request();
-        let (endpoints, honest) = lying_home(&req, Duration::from_secs(30));
-        let cfg = MeshConfig {
-            hedge_after: Some(Duration::from_millis(50)),
-            attempt_timeout: Duration::from_millis(800),
-            max_route_attempts: 2,
-            ..quick_cfg()
-        };
-        let mut mesh = MeshClient::new(&endpoints, cfg).unwrap();
-        let resp = mesh.plan(&req).unwrap();
-        assert_eq!(resp.uov, ivec![1, 1]);
-        assert!(mesh.events().contains(&MeshEvent::HedgeWinner { shard: 1 }));
-        honest.shutdown();
-        honest.join();
     }
 
     #[test]

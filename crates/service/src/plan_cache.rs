@@ -22,19 +22,23 @@
 //! concurrent identical requests still receive one identical answer — but
 //! are **never** inserted into the LRU: the cache only ever serves answers
 //! that were optimal when computed.
+//!
+//! The cache's own miss leader is the only writer of the LRU. Certification
+//! checks an answer's legality and cost, not its optimality (UOV membership
+//! alone is NP-complete), so an answer handed in from outside — by a peer
+//! or from a file — could not be confirmed optimal without searching again.
+//! DESIGN.md's "Why a replica's cache holds only its own searches" gives
+//! the measurements.
 
-use std::collections::{HashMap, HashSet};
-use std::fs;
-use std::path::Path;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 use uov_core::search::try_cost_of;
-use uov_core::wire::{write_atomic, Decoder, Encoder, WireError};
 use uov_core::{fingerprint, Degradation, SearchResult, ShardedLru};
 use uov_isg::{IVec, Stencil};
 
-use crate::canon::{canonicalize, lex_min_equivalent, map_back, map_to_canonical, Canonical};
+use crate::canon::{canonicalize, lex_min_equivalent, map_back, Canonical};
 use crate::proto::{CacheOutcome, ObjectiveSpec};
 
 /// Default number of distinct canonical plans the cache retains.
@@ -103,44 +107,6 @@ impl Flight {
     }
 }
 
-/// Why a warm-cache snapshot could not be restored as a whole.
-///
-/// The variants matter operationally: a [`WarmCacheError::Corrupt`] file
-/// points at disk or transport damage (delete it and move on), while an
-/// [`WarmCacheError::UnsupportedVersion`] file points at a rollback — a
-/// *newer* server wrote it, and upgrading again would recover the warmth.
-/// The server logs the variant and counts the two classes separately in
-/// its startup stats.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WarmCacheError {
-    /// The snapshot file exists but could not be read.
-    Io(String),
-    /// The file does not start with the `UOVWARM1` magic — it is not a
-    /// warm-cache snapshot at all.
-    BadMagic,
-    /// The file was written by a future (or otherwise unknown) format
-    /// version; restoring it would require that writer's code.
-    UnsupportedVersion(u32),
-    /// The file is framed as a snapshot but its contents are damaged
-    /// (torn section, CRC mismatch, truncated header).
-    Corrupt(String),
-}
-
-impl std::fmt::Display for WarmCacheError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            WarmCacheError::Io(msg) => write!(f, "{msg}"),
-            WarmCacheError::BadMagic => write!(f, "warm-cache snapshot has wrong magic"),
-            WarmCacheError::UnsupportedVersion(v) => {
-                write!(f, "unsupported warm-cache version {v}")
-            }
-            WarmCacheError::Corrupt(msg) => write!(f, "corrupt warm-cache snapshot: {msg}"),
-        }
-    }
-}
-
-impl std::error::Error for WarmCacheError {}
-
 /// Cache traffic counters, all monotonically increasing.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -150,14 +116,6 @@ pub struct CacheStats {
     pub misses: u64,
     /// Requests that parked on another request's in-flight search.
     pub coalesced: u64,
-    /// Entries restored from a warm-cache snapshot at startup.
-    pub warm_loaded: u64,
-    /// Entries inserted through neighbor replication (`REQ_REPLICATE`),
-    /// i.e. plans this replica holds for problems whose ring home is
-    /// elsewhere.
-    pub replicated_entries: u64,
-    /// Cache hits served from a replicated entry — warm failovers.
-    pub replica_hits: u64,
 }
 
 /// Ensures a flight leader that panics or errors before publishing still
@@ -195,12 +153,6 @@ pub struct PlanCache {
     hits: AtomicU64,
     misses: AtomicU64,
     coalesced: AtomicU64,
-    warm_loaded: AtomicU64,
-    /// Canonical keys whose entry arrived by neighbor replication, so a
-    /// hit on one can be attributed to the replication machinery.
-    replica_keys: Mutex<HashSet<u64>>,
-    replicated: AtomicU64,
-    replica_hits: AtomicU64,
 }
 
 impl PlanCache {
@@ -212,10 +164,6 @@ impl PlanCache {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
-            warm_loaded: AtomicU64::new(0),
-            replica_keys: Mutex::new(HashSet::new()),
-            replicated: AtomicU64::new(0),
-            replica_hits: AtomicU64::new(0),
         }
     }
 
@@ -225,9 +173,6 @@ impl PlanCache {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             coalesced: self.coalesced.load(Ordering::Relaxed),
-            warm_loaded: self.warm_loaded.load(Ordering::Relaxed),
-            replicated_entries: self.replicated.load(Ordering::Relaxed),
-            replica_hits: self.replica_hits.load(Ordering::Relaxed),
         }
     }
 
@@ -260,13 +205,6 @@ impl PlanCache {
                     self.realize(stencil, objective, &canon, &entry.uov, entry.cost, false)
                 {
                     self.hits.fetch_add(1, Ordering::Relaxed);
-                    let replicated = {
-                        let keys = self.replica_keys.lock().unwrap_or_else(|p| p.into_inner());
-                        keys.contains(&key)
-                    };
-                    if replicated {
-                        self.replica_hits.fetch_add(1, Ordering::Relaxed);
-                    }
                     return Ok(Planned {
                         uov,
                         cost,
@@ -375,56 +313,6 @@ impl PlanCache {
         solve_uncounted(stencil, objective, solve)
     }
 
-    /// Insert a plan pushed by a peer through neighbor replication.
-    ///
-    /// The answer arrives in the *sender's* coordinates; this
-    /// canonicalizes the problem, maps the answer forward, re-derives the
-    /// cost independently, and — crucially — normalizes to the canonical
-    /// lex-minimum via [`lex_min_equivalent`] before inserting. A 3-D
-    /// known-bounds answer lands only in the slot of the sender's own
-    /// axis order, since another order can have a cheaper optimum. The LRU
-    /// may only ever hold the canonical tie-break: a hit whose request is
-    /// already in canonical axes skips lex repair, so storing anything
-    /// else would break byte-identity with a direct search. Verification
-    /// failure (or hitting the repair enumeration limit) refuses the
-    /// entry and returns `false` — the replica stays cold, never wrong.
-    pub fn insert_replicated(
-        &self,
-        stencil: &Stencil,
-        objective: &ObjectiveSpec,
-        uov: &IVec,
-        cost: u128,
-    ) -> bool {
-        let canon = canonicalize(stencil, objective);
-        let obj = canon.objective.as_objective();
-        let w_canon = map_to_canonical(uov, &canon.perm);
-        if try_cost_of(&obj, &w_canon) != Ok(cost) {
-            return false;
-        }
-        // `‖w‖²`, cone membership and the cost of every problem
-        // `canonicalize` permutes are permutation-invariant. The sphere
-        // scan both verifies UOV-ness and lands on the canonical lex-min
-        // representative.
-        let Some(canon_uov) = lex_min_equivalent(&canon.stencil, &obj, &w_canon, cost) else {
-            return false;
-        };
-        let key = fingerprint(&canon.stencil, &obj);
-        self.lru.insert(
-            key,
-            CachedPlan {
-                vectors: canon.stencil.vectors().to_vec(),
-                objective: canon.objective.clone(),
-                uov: canon_uov,
-                cost,
-            },
-        );
-        let mut keys = self.replica_keys.lock().unwrap_or_else(|p| p.into_inner());
-        keys.insert(key);
-        drop(keys);
-        self.replicated.fetch_add(1, Ordering::Relaxed);
-        true
-    }
-
     /// Map a canonical-coordinates answer back into the request's
     /// coordinates, verify its cost independently, and repair the lex
     /// tie-break when the permutation is non-trivial. `None` means the
@@ -448,189 +336,6 @@ impl PlanCache {
             return Some((w, cost));
         }
         lex_min_equivalent(stencil, &obj, &w, cost).map(|repaired| (repaired, cost))
-    }
-}
-
-// --------------------------------------------------- warm-cache snapshots
-//
-// The snapshot file follows the checkpoint format discipline:
-//
-// ```text
-// magic    b"UOVWARM1"                          8 bytes
-// version  u32 LE (currently 1)                 4 bytes
-// section  tag=1 ‖ len u64 ‖ payload ‖ crc32    (self-checking)
-// ```
-//
-// The payload is a count-prefixed list of entries *sorted by key*, so two
-// drains of the same cache contents produce byte-identical files. Each
-// entry carries the full canonical problem, not just the answer: on load
-// the key is recomputed from the problem and the answer's cost is
-// re-derived, so a snapshot that was tampered with (but re-CRC'd) still
-// cannot inject a wrong plan — at worst an entry is skipped. Legality is
-// re-checked at serve time by the server's per-response certification.
-
-/// Warm-cache snapshot magic.
-const WARM_MAGIC: &[u8; 8] = b"UOVWARM1";
-/// Warm-cache snapshot version.
-const WARM_VERSION: u32 = 1;
-/// Section tag holding the entry list.
-const WARM_TAG_ENTRIES: u8 = 1;
-
-impl CachedPlan {
-    fn encode_into(&self, key: u64, e: &mut Encoder) {
-        e.u64(key);
-        let dim = self.uov.dim();
-        e.u16(dim as u16);
-        e.u32(self.vectors.len() as u32);
-        for v in &self.vectors {
-            e.vec(v);
-        }
-        match &self.objective {
-            ObjectiveSpec::ShortestVector => e.u8(0),
-            ObjectiveSpec::KnownBounds(d) => {
-                e.u8(1);
-                e.vec(d.lo());
-                e.vec(d.hi());
-            }
-        }
-        e.vec(&self.uov);
-        e.u128(self.cost);
-    }
-
-    /// Decode one entry and re-validate it from first principles. `None`
-    /// means the entry is damaged or inconsistent and must be skipped.
-    fn decode_validated(d: &mut Decoder<'_>) -> Option<(u64, CachedPlan)> {
-        let key = d.u64().ok()?;
-        let dim = usize::from(d.u16().ok()?);
-        if dim == 0 {
-            return None;
-        }
-        let nvec = d.u32().ok()? as usize;
-        if nvec.checked_mul(dim)?.checked_mul(8)? > d.remaining() {
-            return None;
-        }
-        let mut vectors = Vec::with_capacity(nvec);
-        for _ in 0..nvec {
-            vectors.push(d.vec(dim).ok()?);
-        }
-        let objective = match d.u8().ok()? {
-            0 => ObjectiveSpec::ShortestVector,
-            1 => {
-                let lo = d.vec(dim).ok()?;
-                let hi = d.vec(dim).ok()?;
-                if (0..dim).any(|k| lo[k] > hi[k]) {
-                    return None;
-                }
-                ObjectiveSpec::KnownBounds(uov_isg::RectDomain::new(lo, hi))
-            }
-            _ => return None,
-        };
-        let uov = d.vec(dim).ok()?;
-        let cost = d.u128().ok()?;
-        // The stored key must be derivable from the stored problem, and
-        // the stored cost from the stored answer.
-        let stencil = Stencil::new(vectors.clone()).ok()?;
-        if stencil.vectors() != vectors.as_slice() {
-            return None;
-        }
-        if fingerprint(&stencil, &objective.as_objective()) != key {
-            return None;
-        }
-        if try_cost_of(&objective.as_objective(), &uov) != Ok(cost) {
-            return None;
-        }
-        Some((
-            key,
-            CachedPlan {
-                vectors,
-                objective,
-                uov,
-                cost,
-            },
-        ))
-    }
-}
-
-impl PlanCache {
-    /// Persist every cached plan to `path` atomically
-    /// ([`write_atomic`]: scratch file, fsync, rename). Returns the number
-    /// of entries written.
-    ///
-    /// # Errors
-    ///
-    /// A human-readable description of the I/O failure; the previous
-    /// snapshot (if any) is left intact.
-    pub fn save(&self, path: &Path) -> Result<u64, String> {
-        let mut entries = self.lru.entries();
-        entries.sort_by_key(|(k, _)| *k);
-
-        let mut body = Encoder::new();
-        body.u64(entries.len() as u64);
-        for (key, plan) in &entries {
-            plan.encode_into(*key, &mut body);
-        }
-        let mut e = Encoder::with_capacity(16 + body.buf.len());
-        e.buf.extend_from_slice(WARM_MAGIC);
-        e.u32(WARM_VERSION);
-        e.section(WARM_TAG_ENTRIES, &body.buf);
-        write_atomic(path, &e.buf)
-            .map_err(|err| format!("warm-cache save to {}: {err}", path.display()))?;
-        Ok(entries.len() as u64)
-    }
-
-    /// Restore plans from a snapshot written by [`PlanCache::save`].
-    /// Damaged or inconsistent entries are skipped, never served; a
-    /// missing file restores zero entries and is not an error. Returns
-    /// the number of entries restored (also visible as
-    /// [`CacheStats::warm_loaded`]).
-    ///
-    /// # Errors
-    ///
-    /// A [`WarmCacheError`] saying why the file as a whole is unreadable,
-    /// distinguishing damage ([`WarmCacheError::Corrupt`]) from version
-    /// skew ([`WarmCacheError::UnsupportedVersion`]).
-    pub fn load(&self, path: &Path) -> Result<u64, WarmCacheError> {
-        let bytes = match fs::read(path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(0),
-            Err(e) => {
-                return Err(WarmCacheError::Io(format!(
-                    "warm-cache read {}: {e}",
-                    path.display()
-                )))
-            }
-        };
-        let corrupt = |e: WireError| WarmCacheError::Corrupt(e.to_string());
-        let mut d = Decoder::new(&bytes);
-        if d.take(8).ok() != Some(WARM_MAGIC.as_slice()) {
-            return Err(WarmCacheError::BadMagic);
-        }
-        let version = d.u32().map_err(corrupt)?;
-        if version != WARM_VERSION {
-            return Err(WarmCacheError::UnsupportedVersion(version));
-        }
-        let (tag, payload) = d.section().map_err(corrupt)?;
-        if tag != WARM_TAG_ENTRIES {
-            // An unknown section from a future writer: nothing to restore.
-            return Ok(0);
-        }
-
-        let mut body = Decoder::new(payload);
-        let count = body.u64().map_err(corrupt)?;
-        let mut restored = 0u64;
-        for _ in 0..count {
-            match CachedPlan::decode_validated(&mut body) {
-                Some((key, plan)) => {
-                    self.lru.insert(key, plan);
-                    restored += 1;
-                }
-                // One damaged entry poisons the cursor position, so stop
-                // rather than misread the rest as garbage entries.
-                None => break,
-            }
-        }
-        self.warm_loaded.fetch_add(restored, Ordering::Relaxed);
-        Ok(restored)
     }
 }
 
@@ -663,7 +368,6 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
     use uov_core::search::{find_best_uov, Objective, SearchConfig};
-    use uov_core::wire::crc32;
     use uov_isg::ivec;
 
     fn fig1() -> Stencil {
@@ -808,203 +512,6 @@ mod tests {
             .unwrap();
         assert_eq!(ok.cache, CacheOutcome::Miss);
         assert_eq!(calls.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
-    fn warm_snapshot_round_trips_and_serves_hits() {
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!(
-            "uov-warm-test-{}-{:?}.bin",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_file(&path);
-
-        let cache = PlanCache::new(16);
-        let calls = AtomicUsize::new(0);
-        let solve = counting_solver(&calls);
-        let cold = cache
-            .plan(&fig1(), &ObjectiveSpec::ShortestVector, &solve)
-            .unwrap();
-        let written = cache.save(&path).unwrap();
-        assert_eq!(written, 1);
-        // Byte-determinism: saving the same contents again is identical.
-        let first = std::fs::read(&path).unwrap();
-        cache.save(&path).unwrap();
-        assert_eq!(std::fs::read(&path).unwrap(), first);
-
-        // A fresh cache restored from the snapshot hits without solving.
-        let warm = PlanCache::new(16);
-        assert_eq!(warm.load(&path).unwrap(), 1);
-        assert_eq!(warm.stats().warm_loaded, 1);
-        let calls2 = AtomicUsize::new(0);
-        let solve2 = counting_solver(&calls2);
-        let hit = warm
-            .plan(&fig1(), &ObjectiveSpec::ShortestVector, &solve2)
-            .unwrap();
-        assert_eq!(hit.cache, CacheOutcome::Hit);
-        assert_eq!(calls2.load(Ordering::SeqCst), 0);
-        assert_eq!((hit.uov, hit.cost), (cold.uov, cold.cost));
-
-        // Loading a missing file restores nothing and is not an error.
-        let _ = std::fs::remove_file(&path);
-        assert_eq!(PlanCache::new(4).load(&path).unwrap(), 0);
-    }
-
-    #[test]
-    fn corrupt_warm_snapshot_is_rejected_not_served() {
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!(
-            "uov-warm-corrupt-{}-{:?}.bin",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let cache = PlanCache::new(16);
-        let calls = AtomicUsize::new(0);
-        let solve = counting_solver(&calls);
-        cache
-            .plan(&fig1(), &ObjectiveSpec::ShortestVector, &solve)
-            .unwrap();
-        cache.save(&path).unwrap();
-
-        // Flip one payload bit: the section CRC must catch it, and the
-        // failure must be typed as damage, not version skew.
-        let good = std::fs::read(&path).unwrap();
-        let mut bytes = good.clone();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x10;
-        std::fs::write(&path, &bytes).unwrap();
-        let warm = PlanCache::new(16);
-        assert!(matches!(warm.load(&path), Err(WarmCacheError::Corrupt(_))));
-        assert_eq!(warm.stats().warm_loaded, 0);
-
-        // Wrong magic is its own variant.
-        std::fs::write(&path, b"NOTAWARM").unwrap();
-        assert_eq!(PlanCache::new(4).load(&path), Err(WarmCacheError::BadMagic));
-
-        // A future version is *not* corruption: the bytes are intact, the
-        // reader is just too old. The distinction drives different ops
-        // responses (delete vs. roll forward).
-        let mut future = good;
-        future[8..12].copy_from_slice(&9u32.to_le_bytes());
-        std::fs::write(&path, &future).unwrap();
-        assert_eq!(
-            PlanCache::new(4).load(&path),
-            Err(WarmCacheError::UnsupportedVersion(9))
-        );
-        let _ = std::fs::remove_file(&path);
-    }
-
-    /// A neighbor-replicated entry rides the `UOVWARM1` snapshot like
-    /// any other plan and is re-validated from first principles on load
-    /// — a tampered copy (re-CRC'd so the section check passes) is
-    /// skipped, never served.
-    #[test]
-    fn replicated_entries_survive_warm_snapshots_and_tampering_is_skipped() {
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!(
-            "uov-warm-replica-{}-{:?}.bin",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_file(&path);
-
-        let home = PlanCache::new(16);
-        let calls = AtomicUsize::new(0);
-        let solve = counting_solver(&calls);
-        let planned = home
-            .plan(&fig1(), &ObjectiveSpec::ShortestVector, &solve)
-            .unwrap();
-
-        // The replica accepts the pushed copy and persists it.
-        let replica = PlanCache::new(16);
-        assert!(replica.insert_replicated(
-            &fig1(),
-            &ObjectiveSpec::ShortestVector,
-            &planned.uov,
-            planned.cost,
-        ));
-        assert_eq!(replica.save(&path).unwrap(), 1);
-
-        // A restarted replica restores it and serves without solving.
-        let restarted = PlanCache::new(16);
-        assert_eq!(restarted.load(&path).unwrap(), 1);
-        let calls2 = AtomicUsize::new(0);
-        let solve2 = counting_solver(&calls2);
-        let hit = restarted
-            .plan(&fig1(), &ObjectiveSpec::ShortestVector, &solve2)
-            .unwrap();
-        assert_eq!(hit.cache, CacheOutcome::Hit);
-        assert_eq!(calls2.load(Ordering::SeqCst), 0);
-        assert_eq!((hit.uov, &hit.cost), (planned.uov.clone(), &planned.cost));
-
-        // Tamper with the stored cost and re-CRC the section so only the
-        // semantic re-validation can catch it: the entry must be skipped.
-        let mut bytes = std::fs::read(&path).unwrap();
-        // u128 cost is the last entry field, just before the section CRC.
-        let cost_at = bytes.len() - 4 - 16;
-        bytes[cost_at] ^= 0xFF;
-        let body_len = u64::from_le_bytes(bytes[13..21].try_into().unwrap()) as usize;
-        let crc = crc32(&bytes[12..12 + 1 + 8 + body_len]);
-        let crc_at = bytes.len() - 4;
-        bytes[crc_at..].copy_from_slice(&crc.to_le_bytes());
-        std::fs::write(&path, &bytes).unwrap();
-        let tampered = PlanCache::new(16);
-        assert_eq!(
-            tampered.load(&path).unwrap(),
-            0,
-            "a tampered entry must be skipped, not restored"
-        );
-        let calls3 = AtomicUsize::new(0);
-        let solve3 = counting_solver(&calls3);
-        let fresh = tampered
-            .plan(&fig1(), &ObjectiveSpec::ShortestVector, &solve3)
-            .unwrap();
-        assert_eq!(fresh.cache, CacheOutcome::Miss, "tampered entry served");
-        assert_eq!(fresh.cost, planned.cost);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn replicated_inserts_hit_byte_identically_and_count() {
-        // Push an answer computed in swapped axes; requests in *either*
-        // axis order must then hit and match their own direct search.
-        let a = Stencil::new(vec![ivec![1, 0], ivec![2, 1]]).unwrap();
-        let b = Stencil::new(vec![ivec![0, 1], ivec![1, 2]]).unwrap();
-        let answer_b =
-            find_best_uov(&b, Objective::ShortestVector, &SearchConfig::default()).unwrap();
-
-        let cache = PlanCache::new(16);
-        assert!(cache.insert_replicated(
-            &b,
-            &ObjectiveSpec::ShortestVector,
-            &answer_b.uov,
-            answer_b.cost
-        ));
-        assert_eq!(cache.stats().replicated_entries, 1);
-
-        for s in [&a, &b] {
-            let calls = AtomicUsize::new(0);
-            let solve = counting_solver(&calls);
-            let served = cache
-                .plan(s, &ObjectiveSpec::ShortestVector, &solve)
-                .unwrap();
-            assert_eq!(served.cache, CacheOutcome::Hit);
-            assert_eq!(calls.load(Ordering::SeqCst), 0);
-            let direct =
-                find_best_uov(s, Objective::ShortestVector, &SearchConfig::default()).unwrap();
-            assert_eq!((served.uov, served.cost), (direct.uov, direct.cost));
-        }
-        assert_eq!(cache.stats().replica_hits, 2);
-
-        // A push with a wrong cost is refused, never served.
-        assert!(!cache.insert_replicated(
-            &fig1(),
-            &ObjectiveSpec::ShortestVector,
-            &ivec![1, 1],
-            999
-        ));
-        assert_eq!(cache.stats().replicated_entries, 1);
     }
 
     #[test]

@@ -68,15 +68,9 @@ pub mod kind {
     pub const REQ_STATS: u8 = 8;
     /// Server → client: server + cache counter snapshot.
     pub const RESP_STATS: u8 = 9;
-    // Kinds 10 and 11 carried distributed work units. Retired: never reuse them.
-    /// Peer → replica: store a certified plan for a problem whose ring
-    /// home is elsewhere, so a deterministic failover lands on a warm
-    /// hit. The receiver re-certifies before inserting; degraded answers
-    /// never travel in this frame.
-    pub const REQ_REPLICATE: u8 = 12;
-    /// Replica → peer: whether the replicated plan was stored.
-    pub const RESP_REPLICATE: u8 = 13;
-    // Kinds 14 and 15 carried multi-plan batches. Retired: never reuse them.
+    // Kinds 10 and 11 carried distributed work units, 12 and 13 neighbour
+    // replication pushes, 14 and 15 multi-plan batches. Retired: never
+    // reuse them.
 }
 
 /// What the request wants minimised — an owned mirror of
@@ -312,7 +306,9 @@ impl StatsResponse {
     /// list of `u64`s at fixed positions, so an older client can read the
     /// counters it knows and skip the rest. Positions 17 (work units),
     /// 20–21 (bound gossip), 24 (stale epochs) and 25 (anti-entropy
-    /// repairs) belonged to the retired distributed search, and 27–28
+    /// repairs) belonged to the retired distributed search, 16, 18 and 19
+    /// (cache snapshot loads) and 22–23 (entries pushed by peers, and
+    /// their hits) to the retired ways into the plan cache, and 27–28
     /// (pressure answers, batch frames) to the retired admission tiers:
     /// they are written as 0 and ignored on read. Position 30 and the
     /// per-tenant pairs after it are no longer written.
@@ -336,14 +332,14 @@ impl StatsResponse {
             c.hits,
             c.misses,
             c.coalesced,
-            c.warm_loaded,
-            0,
-            s.warm_load_corrupt,
-            s.warm_load_version,
             0,
             0,
-            c.replicated_entries,
-            c.replica_hits,
+            0,
+            0,
+            0,
+            0,
+            0,
+            0,
             0,
             0,
             s.shed_over_quota,
@@ -403,8 +399,6 @@ impl StatsResponse {
                 oversized_frames: fields[10],
                 watchdog_cancels: fields[11],
                 worker_restarts: fields[12],
-                warm_load_corrupt: fields[18],
-                warm_load_version: fields[19],
                 shed_over_quota: fields[26],
                 idle_timeouts: fields[29],
             },
@@ -412,9 +406,6 @@ impl StatsResponse {
                 hits: fields[13],
                 misses: fields[14],
                 coalesced: fields[15],
-                warm_loaded: fields[16],
-                replicated_entries: fields[22],
-                replica_hits: fields[23],
             },
         })
     }
@@ -612,81 +603,24 @@ fn read_to(r: &mut impl Read, bytes: &mut Vec<u8>, len: usize) -> Result<(), Ser
 
 // --------------------------------------------------------------- payloads
 
-/// Encode the `(stencil, objective)` problem prefix shared by `REQ_PLAN`
-/// and `REQ_REPLICATE`. Byte-identical to the original `REQ_PLAN` layout.
-fn encode_problem(e: &mut Encoder, stencil: &Stencil, objective: &ObjectiveSpec) {
-    e.u16(stencil.dim() as u16);
-    e.u32(stencil.len() as u32);
-    for v in stencil.iter() {
-        e.vec(v);
-    }
-    match objective {
-        ObjectiveSpec::ShortestVector => e.u8(0),
-        ObjectiveSpec::KnownBounds(d) => {
-            e.u8(1);
-            e.vec(d.lo());
-            e.vec(d.hi());
-        }
-    }
-}
-
-/// Decode the problem prefix, validating every structural and semantic
-/// invariant (dimensions, lex-positivity via [`Stencil::new`], non-empty
-/// domains) with hostile-count guards before any allocation.
-fn decode_problem(d: &mut Decoder<'_>) -> Result<(Stencil, ObjectiveSpec), ServiceError> {
-    let dim = usize::from(d.u16()?);
-    if dim == 0 {
-        return Err(ServiceError::Malformed("zero-dimensional stencil".into()));
-    }
-    let nvec = d.u32()? as usize;
-    // Reject a hostile vector count before allocating for it.
-    let need = nvec
-        .checked_mul(dim)
-        .and_then(|n| n.checked_mul(8))
-        .ok_or_else(|| ServiceError::Malformed("vector count overflows".into()))?;
-    if need > d.remaining() {
-        return Err(ServiceError::Malformed(
-            "declared vectors exceed the payload".into(),
-        ));
-    }
-    let mut vectors = Vec::with_capacity(nvec);
-    for _ in 0..nvec {
-        vectors.push(d.vec(dim)?);
-    }
-    let stencil = Stencil::new(vectors)
-        .map_err(|e| ServiceError::Malformed(format!("invalid stencil: {e}")))?;
-    if stencil.dim() != dim {
-        return Err(ServiceError::Malformed("stencil dimension mismatch".into()));
-    }
-    let objective = match d.u8()? {
-        0 => ObjectiveSpec::ShortestVector,
-        1 => {
-            let lo = d.vec(dim)?;
-            let hi = d.vec(dim)?;
-            for k in 0..dim {
-                if lo[k] > hi[k] {
-                    return Err(ServiceError::Malformed(format!(
-                        "empty domain: lo[{k}] > hi[{k}]"
-                    )));
-                }
-            }
-            ObjectiveSpec::KnownBounds(RectDomain::new(lo, hi))
-        }
-        other => {
-            return Err(ServiceError::Malformed(format!(
-                "unknown objective tag {other}"
-            )))
-        }
-    };
-    Ok((stencil, objective))
-}
-
 impl PlanRequest {
     /// Serialize the request payload (the frame body of a `REQ_PLAN`).
     pub fn encode(&self) -> Vec<u8> {
         let dim = self.stencil.dim();
         let mut e = Encoder::with_capacity(16 + 8 * dim * (self.stencil.len() + 2));
-        encode_problem(&mut e, &self.stencil, &self.objective);
+        e.u16(dim as u16);
+        e.u32(self.stencil.len() as u32);
+        for v in self.stencil.iter() {
+            e.vec(v);
+        }
+        match &self.objective {
+            ObjectiveSpec::ShortestVector => e.u8(0),
+            ObjectiveSpec::KnownBounds(d) => {
+                e.u8(1);
+                e.vec(d.lo());
+                e.vec(d.hi());
+            }
+        }
         e.u32(self.deadline_ms);
         e.u32(self.flags);
         e.buf
@@ -694,7 +628,8 @@ impl PlanRequest {
 
     /// Decode a `REQ_PLAN` payload, validating every structural and
     /// semantic invariant (dimensions, lex-positivity via
-    /// [`Stencil::new`], non-empty domains).
+    /// [`Stencil::new`], non-empty domains) with hostile-count guards
+    /// before any allocation.
     ///
     /// # Errors
     ///
@@ -702,7 +637,50 @@ impl PlanRequest {
     /// on any semantic violation.
     pub fn decode(payload: &[u8]) -> Result<Self, ServiceError> {
         let mut d = Decoder::new(payload);
-        let (stencil, objective) = decode_problem(&mut d)?;
+        let dim = usize::from(d.u16()?);
+        if dim == 0 {
+            return Err(ServiceError::Malformed("zero-dimensional stencil".into()));
+        }
+        let nvec = d.u32()? as usize;
+        // Reject a hostile vector count before allocating for it.
+        let need = nvec
+            .checked_mul(dim)
+            .and_then(|n| n.checked_mul(8))
+            .ok_or_else(|| ServiceError::Malformed("vector count overflows".into()))?;
+        if need > d.remaining() {
+            return Err(ServiceError::Malformed(
+                "declared vectors exceed the payload".into(),
+            ));
+        }
+        let mut vectors = Vec::with_capacity(nvec);
+        for _ in 0..nvec {
+            vectors.push(d.vec(dim)?);
+        }
+        let stencil = Stencil::new(vectors)
+            .map_err(|e| ServiceError::Malformed(format!("invalid stencil: {e}")))?;
+        if stencil.dim() != dim {
+            return Err(ServiceError::Malformed("stencil dimension mismatch".into()));
+        }
+        let objective = match d.u8()? {
+            0 => ObjectiveSpec::ShortestVector,
+            1 => {
+                let lo = d.vec(dim)?;
+                let hi = d.vec(dim)?;
+                for k in 0..dim {
+                    if lo[k] > hi[k] {
+                        return Err(ServiceError::Malformed(format!(
+                            "empty domain: lo[{k}] > hi[{k}]"
+                        )));
+                    }
+                }
+                ObjectiveSpec::KnownBounds(RectDomain::new(lo, hi))
+            }
+            other => {
+                return Err(ServiceError::Malformed(format!(
+                    "unknown objective tag {other}"
+                )))
+            }
+        };
         let deadline_ms = d.u32()?;
         let flags = d.u32()?;
         if d.remaining() != 0 {
@@ -714,105 +692,6 @@ impl PlanRequest {
             deadline_ms,
             flags,
         })
-    }
-}
-
-/// A neighbor-replication push (the frame body of a `REQ_REPLICATE`):
-/// the problem in the *sender's* coordinates plus the certified optimal
-/// answer. The receiver canonicalizes, re-derives the canonical lex-min
-/// answer, re-certifies, and only then inserts — a hostile or damaged
-/// push can cost it a search, never a wrong cached plan. Degraded
-/// answers are never replicated (the plan cache refuses them anyway).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReplicateRequest {
-    /// The problem's flow-dependence stencil.
-    pub stencil: Stencil,
-    /// What to minimise.
-    pub objective: ObjectiveSpec,
-    /// The certified optimal UOV, in the sender's coordinates.
-    pub uov: IVec,
-    /// Its objective value.
-    pub cost: u128,
-}
-
-impl ReplicateRequest {
-    /// Serialize the replication payload. The trailing byte once flagged
-    /// an anti-entropy repair; it is written as 0.
-    pub fn encode(&self) -> Vec<u8> {
-        let dim = self.stencil.dim();
-        let mut e = Encoder::with_capacity(32 + 8 * dim * (self.stencil.len() + 3));
-        encode_problem(&mut e, &self.stencil, &self.objective);
-        e.vec(&self.uov);
-        e.u128(self.cost);
-        e.u8(0);
-        e.buf
-    }
-
-    /// Decode a `REQ_REPLICATE` payload. The trailing flag byte must be 0
-    /// or 1 and is otherwise ignored.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::Wire`] on truncation, [`ServiceError::Malformed`]
-    /// on any semantic violation or trailing bytes.
-    pub fn decode(payload: &[u8]) -> Result<Self, ServiceError> {
-        let mut d = Decoder::new(payload);
-        let (stencil, objective) = decode_problem(&mut d)?;
-        let uov = d.vec(stencil.dim())?;
-        let cost = d.u128()?;
-        match d.u8()? {
-            0 | 1 => {}
-            v => return Err(ServiceError::Malformed(format!("bad repair flag {v}"))),
-        }
-        if d.remaining() != 0 {
-            return Err(ServiceError::Malformed(
-                "trailing bytes in replication".into(),
-            ));
-        }
-        Ok(ReplicateRequest {
-            stencil,
-            objective,
-            uov,
-            cost,
-        })
-    }
-}
-
-/// A replica's answer to a replication push (the frame body of a
-/// `RESP_REPLICATE`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReplicateResponse {
-    /// Whether the entry passed re-certification and was stored. `false`
-    /// is not an error: the replica may refuse (repair-enumeration limit,
-    /// failed verification) and simply stay cold for this problem.
-    pub stored: bool,
-}
-
-impl ReplicateResponse {
-    /// Serialize the replication-response payload.
-    pub fn encode(&self) -> Vec<u8> {
-        vec![u8::from(self.stored)]
-    }
-
-    /// Decode a `RESP_REPLICATE` payload.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::Wire`] on truncation, [`ServiceError::Malformed`]
-    /// on a non-boolean flag or trailing bytes.
-    pub fn decode(payload: &[u8]) -> Result<Self, ServiceError> {
-        let mut d = Decoder::new(payload);
-        let stored = match d.u8()? {
-            0 => false,
-            1 => true,
-            v => return Err(ServiceError::Malformed(format!("bad stored flag {v}"))),
-        };
-        if d.remaining() != 0 {
-            return Err(ServiceError::Malformed(
-                "trailing bytes in replication response".into(),
-            ));
-        }
-        Ok(ReplicateResponse { stored })
     }
 }
 
@@ -983,8 +862,6 @@ mod tests {
                 oversized_frames: 11,
                 watchdog_cancels: 12,
                 worker_restarts: 13,
-                warm_load_corrupt: 19,
-                warm_load_version: 20,
                 shed_over_quota: 27,
                 idle_timeouts: 30,
             },
@@ -992,21 +869,24 @@ mod tests {
                 hits: 14,
                 misses: 15,
                 coalesced: 16,
-                warm_loaded: 17,
-                replicated_entries: 23,
-                replica_hits: 24,
             },
         };
         assert_eq!(StatsResponse::decode(&s.encode()).unwrap(), s);
-        // A frame from an older server fills the retired slots (work
-        // units, bound gossip, stale epochs, anti-entropy repairs,
+        // A frame from an older server fills the retired slots (cache
+        // snapshot loads, work units, bound gossip, entries pushed by
+        // peers and their hits, stale epochs, anti-entropy repairs,
         // pressure answers, batch frames); they are ignored and every
         // other counter stays in its place.
         let mut older = s.encode();
         let retired = [
-            (17, 18u64),
+            (16, 17u64),
+            (17, 18),
+            (18, 19),
+            (19, 20),
             (20, 0xFEED_F00D),
             (21, 42),
+            (22, 23),
+            (23, 24),
             (24, 25),
             (25, 26),
             (27, 28),
@@ -1035,74 +915,21 @@ mod tests {
             StatsResponse::decode(&hostile),
             Err(ServiceError::Malformed(_))
         ));
-        // An older (17-field) frame decodes with zeroed new counters.
+        // An older (17-field) frame decodes with zeroed later counters.
         let mut old = s.encode();
         old.truncate(4 + 8 * 17);
         old[0..4].copy_from_slice(&17u32.to_le_bytes());
         let decoded = StatsResponse::decode(&old).unwrap();
-        assert_eq!(decoded.cache.warm_loaded, 17);
-        assert_eq!(decoded.server.warm_load_corrupt, 0);
-        assert_eq!(decoded.cache.replicated_entries, 0);
+        assert_eq!(decoded.cache, s.cache);
         assert_eq!(decoded.server.shed_over_quota, 0);
-        // A 26-field (pre-overload) frame zeroes the new counters too.
+        assert_eq!(decoded.server.idle_timeouts, 0);
+        // A 26-field (pre-overload) frame zeroes the later counters too.
         let mut pre = s.encode();
         pre.truncate(4 + 8 * 26);
         pre[0..4].copy_from_slice(&26u32.to_le_bytes());
         let decoded = StatsResponse::decode(&pre).unwrap();
-        assert_eq!(decoded.cache.replica_hits, 24);
+        assert_eq!(decoded.server.worker_restarts, 13);
         assert_eq!(decoded.server.idle_timeouts, 0);
-    }
-
-    #[test]
-    fn replicate_round_trips() {
-        let req = ReplicateRequest {
-            stencil: Stencil::new(vec![ivec![1, 0], ivec![0, 1], ivec![1, 1]]).unwrap(),
-            objective: ObjectiveSpec::ShortestVector,
-            uov: ivec![1, 1],
-            cost: 2,
-        };
-        let mut bytes = req.encode();
-        assert_eq!(
-            bytes.last(),
-            Some(&0),
-            "the retired flag byte is written as 0"
-        );
-        assert_eq!(ReplicateRequest::decode(&bytes).unwrap(), req);
-        // An older sender's repair flag (1) is accepted and ignored; any
-        // other value is malformed.
-        let flag = bytes.len() - 1;
-        bytes[flag] = 1;
-        assert_eq!(ReplicateRequest::decode(&bytes).unwrap(), req);
-        bytes[flag] = 2;
-        assert!(matches!(
-            ReplicateRequest::decode(&bytes),
-            Err(ServiceError::Malformed(_))
-        ));
-        for stored in [false, true] {
-            let resp = ReplicateResponse { stored };
-            assert_eq!(ReplicateResponse::decode(&resp.encode()).unwrap(), resp);
-        }
-        // Non-boolean flags and trailing bytes are typed errors.
-        assert!(matches!(
-            ReplicateResponse::decode(&[7]),
-            Err(ServiceError::Malformed(_))
-        ));
-        assert!(matches!(
-            ReplicateResponse::decode(&[1, 0]),
-            Err(ServiceError::Malformed(_))
-        ));
-        let req = ReplicateRequest {
-            stencil: Stencil::new(vec![ivec![1, 0], ivec![0, 1]]).unwrap(),
-            objective: ObjectiveSpec::ShortestVector,
-            uov: ivec![1, 1],
-            cost: 2,
-        };
-        let mut bytes = req.encode();
-        bytes.push(0);
-        assert!(matches!(
-            ReplicateRequest::decode(&bytes),
-            Err(ServiceError::Malformed(_))
-        ));
     }
 
     #[test]

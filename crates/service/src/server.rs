@@ -33,7 +33,6 @@ use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
@@ -45,11 +44,10 @@ use uov_core::{Budget, SearchResult};
 use uov_isg::Stencil;
 
 use crate::error::{ErrorCode, ServiceError};
-use crate::plan_cache::{CacheStats, PlanCache, Planned, WarmCacheError, DEFAULT_CACHE_CAPACITY};
+use crate::plan_cache::{CacheStats, PlanCache, Planned, DEFAULT_CACHE_CAPACITY};
 use crate::proto::{
     encode_frame, kind, parse_frame, DegradationCode, ErrorResponse, Frame, HealthResponse,
-    ObjectiveSpec, PlanRequest, PlanResponse, ReplicateRequest, ReplicateResponse, StatsResponse,
-    FLAG_NO_CACHE, MAX_FRAME_LEN,
+    ObjectiveSpec, PlanRequest, PlanResponse, StatsResponse, FLAG_NO_CACHE, MAX_FRAME_LEN,
 };
 
 /// Tunables for [`serve`].
@@ -68,11 +66,6 @@ pub struct ServerConfig {
     /// Default ≈ 30 s. Connections with a response in flight or output
     /// still buffered are never reaped.
     pub idle_ticks: u32,
-    /// Warm-cache snapshot path. When set, the plan cache is restored
-    /// from this file on startup (a missing or corrupt snapshot starts
-    /// cold, never fails the boot) and persisted to it atomically on a
-    /// graceful drain, so a bounced replica keeps its hot set.
-    pub warm_cache: Option<PathBuf>,
     /// How long a worker may stay busy on a single request before the
     /// watchdog trips its budget's cancellation token, degrading the
     /// search to the best certified legal answer found so far.
@@ -88,7 +81,6 @@ impl Default for ServerConfig {
             queue_depth: 64,
             cache_capacity: DEFAULT_CACHE_CAPACITY,
             idle_ticks: 300,
-            warm_cache: None,
             wedge_timeout: Duration::ZERO,
         }
     }
@@ -129,12 +121,6 @@ pub struct ServerStats {
     pub watchdog_cancels: u64,
     /// Worker threads the watchdog found dead and respawned.
     pub worker_restarts: u64,
-    /// Warm-cache snapshots refused at startup because the file was
-    /// unreadable or damaged (bad magic, torn section, CRC mismatch).
-    pub warm_load_corrupt: u64,
-    /// Warm-cache snapshots refused at startup because a newer server
-    /// wrote them — a rollback signature, not disk damage.
-    pub warm_load_version: u64,
     /// Always 0: the server has no per-tenant quotas any more. The field
     /// (stats slot 26) exists solely because the benchmark
     /// (`perfbench/src/serve.rs`) still reads it and changes only
@@ -160,8 +146,6 @@ struct Counters {
     oversized_frames: AtomicU64,
     watchdog_cancels: AtomicU64,
     worker_restarts: AtomicU64,
-    warm_load_corrupt: AtomicU64,
-    warm_load_version: AtomicU64,
     idle_timeouts: AtomicU64,
 }
 
@@ -181,8 +165,6 @@ impl Counters {
             oversized_frames: self.oversized_frames.load(Ordering::Relaxed),
             watchdog_cancels: self.watchdog_cancels.load(Ordering::Relaxed),
             worker_restarts: self.worker_restarts.load(Ordering::Relaxed),
-            warm_load_corrupt: self.warm_load_corrupt.load(Ordering::Relaxed),
-            warm_load_version: self.warm_load_version.load(Ordering::Relaxed),
             shed_over_quota: 0,
             idle_timeouts: self.idle_timeouts.load(Ordering::Relaxed),
         }
@@ -518,10 +500,9 @@ mod poller {
 
 // ------------------------------------------------------------- scheduler
 
-/// One admitted compute frame, queued for a worker.
+/// One admitted plan frame, queued for a worker.
 struct WorkItem {
     token: u64,
-    kind: u8,
     payload: Vec<u8>,
 }
 
@@ -727,34 +708,6 @@ impl ServerState {
             cache: planned.cache,
         })
     }
-
-    /// Accept a neighbor-replication push: re-certify the answer against
-    /// the shipped problem, then hand it to the plan cache's validating
-    /// replicated-insert path (which canonicalizes and re-derives the
-    /// canonical lex-min independently). A push that fails certification
-    /// is a protocol-level `Malformed`; a push the cache *refuses*
-    /// (repair-enumeration limit) is a successful `stored: false` — the
-    /// replica stays cold for that problem, never wrong.
-    fn handle_replicate(&self, req: &ReplicateRequest) -> Result<ReplicateResponse, ErrorResponse> {
-        self.stats.requests.fetch_add(1, Ordering::Relaxed);
-        let as_result = SearchResult {
-            uov: req.uov.clone(),
-            cost: req.cost,
-            stats: SearchStats::default(),
-            degradation: None,
-            checkpoint_error: None,
-        };
-        if let Err(e) = certify(&req.stencil, &req.objective.as_objective(), &as_result) {
-            return Err(ErrorResponse {
-                code: ErrorCode::Malformed,
-                msg: format!("replicated plan failed certification: {e}"),
-            });
-        }
-        let stored = self
-            .cache
-            .insert_replicated(&req.stencil, &req.objective, &req.uov, req.cost);
-        Ok(ReplicateResponse { stored })
-    }
 }
 
 // ------------------------------------------------------------ event loop
@@ -764,8 +717,8 @@ impl ServerState {
 struct WriteBuf {
     bytes: Vec<u8>,
     off: usize,
-    /// Count this frame in `responses` once fully written (plan and
-    /// replicate answers do; errors and probes don't).
+    /// Count this frame in `responses` once fully written (plan answers
+    /// do; errors and probes don't).
     counts_response: bool,
 }
 
@@ -891,7 +844,7 @@ fn dispatch_frame(conn: &mut Conn, frame: Frame, state: &ServerState, sched: &Sc
             enqueue_frame(conn, kind::RESP_SHUTDOWN_ACK, &[], false);
             conn.closing = true;
         }
-        kind::REQ_PLAN | kind::REQ_REPLICATE => {
+        kind::REQ_PLAN => {
             if state.shutdown.load(Ordering::SeqCst) {
                 state
                     .stats
@@ -922,7 +875,6 @@ fn dispatch_frame(conn: &mut Conn, frame: Frame, state: &ServerState, sched: &Sc
             state.queue_len.fetch_add(1, Ordering::Relaxed);
             sched.push(WorkItem {
                 token: conn.token,
-                kind: frame_kind,
                 payload,
             });
             conn.inflight = true;
@@ -1162,16 +1114,7 @@ struct WorkerCtx {
     notifier: Arc<poller::Notifier>,
 }
 
-fn malformed(state: &ServerState, e: &ServiceError) -> (u8, Vec<u8>, bool) {
-    state.stats.protocol_error(e);
-    let err = ErrorResponse {
-        code: ErrorCode::Malformed,
-        msg: e.to_string(),
-    };
-    (kind::RESP_ERROR, err.encode(), false)
-}
-
-/// Execute one admitted work item, returning the response frame as
+/// Execute one admitted plan frame, returning the response frame as
 /// `(kind, payload, counts_response)`.
 fn execute_item(item: &WorkItem, state: &ServerState, slot: &WorkerSlot) -> (u8, Vec<u8>, bool) {
     // Queued-but-unstarted work admitted before the drain flag went up
@@ -1187,34 +1130,24 @@ fn execute_item(item: &WorkItem, state: &ServerState, slot: &WorkerSlot) -> (u8,
         };
         return (kind::RESP_ERROR, err.encode(), false);
     }
-    match item.kind {
-        kind::REQ_PLAN => match PlanRequest::decode(&item.payload) {
-            Ok(req) => {
-                // Register with the watchdog before the (potentially
-                // long) search, clear after.
-                let cancel = Arc::new(AtomicBool::new(false));
-                slot.begin_request(state.now_ms(), Arc::clone(&cancel));
-                let outcome = state.handle_plan(&req, cancel);
-                slot.end_request();
-                match outcome {
-                    Ok(resp) => (kind::RESP_PLAN, resp.encode(), true),
-                    Err(err) => (kind::RESP_ERROR, err.encode(), false),
-                }
-            }
-            Err(e) => malformed(state, &e),
-        },
-        kind::REQ_REPLICATE => match ReplicateRequest::decode(&item.payload) {
-            Ok(req) => match state.handle_replicate(&req) {
-                Ok(resp) => (kind::RESP_REPLICATE, resp.encode(), true),
+    match PlanRequest::decode(&item.payload) {
+        Ok(req) => {
+            // Register with the watchdog before the (potentially long)
+            // search, clear after.
+            let cancel = Arc::new(AtomicBool::new(false));
+            slot.begin_request(state.now_ms(), Arc::clone(&cancel));
+            let outcome = state.handle_plan(&req, cancel);
+            slot.end_request();
+            match outcome {
+                Ok(resp) => (kind::RESP_PLAN, resp.encode(), true),
                 Err(err) => (kind::RESP_ERROR, err.encode(), false),
-            },
-            Err(e) => malformed(state, &e),
-        },
-        other => {
-            state.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        Err(e) => {
+            state.stats.protocol_error(&e);
             let err = ErrorResponse {
-                code: ErrorCode::Unsupported,
-                msg: format!("unknown frame kind {other}"),
+                code: ErrorCode::Malformed,
+                msg: e.to_string(),
             };
             (kind::RESP_ERROR, err.encode(), false)
         }
@@ -1363,23 +1296,9 @@ impl ServerHandle {
     }
 
     /// Wait for the drain to finish: the event loop, the watchdog, and
-    /// every worker exit, in-flight connections included. On a graceful
-    /// drain the plan cache is persisted to the configured warm-cache
-    /// path (atomically; best-effort — a full disk loses warmth, not
-    /// correctness).
-    pub fn join(self) -> ServerStats {
-        self.join_inner(true)
-    }
-
-    /// Like [`ServerHandle::join`] but *without* persisting the warm
-    /// cache: the shutdown behaves like a crash for cache-warmth
-    /// purposes. Chaos tests use this to model a killed replica while
-    /// still reclaiming its threads and port.
-    pub fn join_abrupt(self) -> ServerStats {
-        self.join_inner(false)
-    }
-
-    fn join_inner(mut self, save_warm: bool) -> ServerStats {
+    /// every worker exit, in-flight connections included. The plan cache
+    /// goes with the server: a restarted server starts cold.
+    pub fn join(mut self) -> ServerStats {
         // The event thread exits once the drain empties the connection
         // table, closing both the listener and the scheduler — which in
         // turn lets the workers drain the queue and exit.
@@ -1395,11 +1314,6 @@ impl ServerHandle {
         };
         for w in handles {
             let _ = w.join();
-        }
-        if save_warm {
-            if let Some(path) = &self.state.config.warm_cache {
-                let _ = self.state.cache.save(path);
-            }
         }
         self.state.stats.snapshot()
     }
@@ -1429,30 +1343,6 @@ pub fn serve(endpoint: &str, config: ServerConfig) -> Result<ServerHandle, Servi
         started: Instant::now(),
         config,
     });
-
-    // A warm start: restore the previous drain's plans. A refused
-    // snapshot starts cold — never a boot failure — but the *reason* is
-    // typed, logged, and counted so operators can tell disk damage
-    // (delete the file) from a rollback (roll forward to recover it).
-    if let Some(path) = &state.config.warm_cache {
-        if let Err(e) = state.cache.load(path) {
-            match e {
-                WarmCacheError::UnsupportedVersion(_) => {
-                    state
-                        .stats
-                        .warm_load_version
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-                WarmCacheError::Io(_) | WarmCacheError::BadMagic | WarmCacheError::Corrupt(_) => {
-                    state
-                        .stats
-                        .warm_load_corrupt
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            eprintln!("uov-service: warm cache not restored ({e}); starting cold");
-        }
-    }
 
     let (poller, notifier) = poller::Poller::new().map_err(ServiceError::Io)?;
     let sched = Arc::new(Scheduler::new());
@@ -1604,102 +1494,61 @@ mod tests {
         assert_eq!(stats.panics, 0);
     }
 
-    #[test]
-    fn replicated_entries_store_after_recertification_and_serve_hits() {
-        let server = start();
-        let direct = find_best_uov(
-            &fig1(),
-            ObjectiveSpec::ShortestVector.as_objective(),
-            &SearchConfig::default(),
-        )
-        .unwrap();
-        let mut client = Client::connect(server.endpoint()).unwrap();
-
-        let resp = client
-            .replicate(&ReplicateRequest {
-                stencil: fig1(),
-                objective: ObjectiveSpec::ShortestVector,
-                uov: direct.uov.clone(),
-                cost: direct.cost,
-            })
-            .unwrap();
-        assert!(resp.stored);
-
-        // A push whose cost does not re-certify is refused with a typed
-        // error — a lying peer cannot poison this cache.
-        let err = client
-            .replicate(&ReplicateRequest {
-                stencil: fig1(),
-                objective: ObjectiveSpec::ShortestVector,
-                uov: direct.uov.clone(),
-                cost: direct.cost + 7,
-            })
-            .unwrap_err();
-        assert!(
-            matches!(
-                err,
-                ServiceError::Rejected {
-                    code: ErrorCode::Malformed,
-                    ..
-                }
-            ),
-            "{err:?}"
-        );
-
-        // The replicated entry serves a byte-identical warm hit, and the
-        // hit is attributed to replication.
-        let plan = client.plan(&plain(fig1())).unwrap();
-        assert_eq!(plan.cache, CacheOutcome::Hit);
-        assert_eq!(plan.uov, direct.uov);
-        assert_eq!(plan.cost, direct.cost);
-
-        // A second certified push of the same entry stores again.
-        let again = client
-            .replicate(&ReplicateRequest {
-                stencil: fig1(),
-                objective: ObjectiveSpec::ShortestVector,
-                uov: direct.uov.clone(),
-                cost: direct.cost,
-            })
-            .unwrap();
-        assert!(again.stored);
-
-        let cache = server.cache_stats();
-        assert_eq!(cache.replicated_entries, 2);
-        assert_eq!(cache.replica_hits, 1);
-        server.shutdown();
-        server.join();
-    }
-
-    /// Frame kinds 10 and 11 once carried distributed work units, 14 and
-    /// 15 multi-plan batches. Each retired kind is an unknown one:
-    /// answered `Unsupported`, counted as a protocol error, and the
-    /// connection stays at a frame boundary.
+    /// Frame kinds 10 and 11 once carried distributed work units, 12 and
+    /// 13 neighbour replication pushes, 14 and 15 multi-plan batches.
+    /// Each retired kind is an unknown one: answered `Unsupported`,
+    /// counted as a protocol error, and the connection stays at a frame
+    /// boundary. Kind 12 carries the payload that once planted `Σvᵢ` =
+    /// (2, 2) at cost 8 as fig1's cached answer; the optimum, (1, 1) at
+    /// cost 2, must still be served.
     #[test]
     fn retired_work_unit_kind_is_unsupported_and_keeps_the_connection() {
+        use uov_core::wire::Encoder;
+        // The retired replication payload: the problem as in `REQ_PLAN`,
+        // then the pushed answer, its cost and a zero flag byte.
+        let mut push = Encoder::new();
+        push.u16(2);
+        push.u32(3);
+        for v in fig1().iter() {
+            push.vec(v);
+        }
+        push.u8(0);
+        push.vec(&fig1().sum());
+        push.u128(8);
+        push.u8(0);
+
         let server = start();
         let mut stream = std::net::TcpStream::connect(server.endpoint()).unwrap();
         let mut exchange = |frame_kind: u8, payload: &[u8]| {
             write_frame(&mut stream, frame_kind, payload).unwrap();
             read_frame(&mut stream).unwrap().unwrap()
         };
-        let retired = [10, 11, 14, 15];
-        for (n, frame_kind) in (1..).zip(retired) {
-            let reply = exchange(frame_kind, &[]);
-            assert_eq!(reply.kind, kind::RESP_ERROR);
+        let retired: [(u8, &[u8]); 6] = [
+            (10, &[]),
+            (11, &[]),
+            (12, &push.buf),
+            (13, &[1]),
+            (14, &[]),
+            (15, &[]),
+        ];
+        for (n, (frame_kind, payload)) in (1..).zip(retired) {
+            let reply = exchange(frame_kind, payload);
+            let plan = exchange(kind::REQ_PLAN, &plain(fig1()).encode());
+            assert_eq!(plan.kind, kind::RESP_PLAN);
+            let plan = PlanResponse::decode(&plan.payload).unwrap();
+            assert_eq!(
+                (plan.uov, plan.cost),
+                (ivec![1, 1], 2),
+                "after kind {frame_kind}"
+            );
+
+            assert_eq!(reply.kind, kind::RESP_ERROR, "kind {frame_kind}");
             let err = ErrorResponse::decode(&reply.payload).unwrap();
             assert_eq!(err.code, ErrorCode::Unsupported, "{err:?}");
             assert_eq!(server.stats().protocol_errors, n);
-
-            let reply = exchange(kind::REQ_PLAN, &plain(fig1()).encode());
-            assert_eq!(reply.kind, kind::RESP_PLAN);
-            assert_eq!(
-                PlanResponse::decode(&reply.payload).unwrap().uov,
-                ivec![1, 1]
-            );
         }
         server.shutdown();
-        assert_eq!(server.join().protocol_errors, 4);
+        assert_eq!(server.join().protocol_errors, 6);
     }
 
     #[test]

@@ -31,7 +31,9 @@ fn run(args: &[&str]) -> (Option<i32>, String) {
 
 #[test]
 fn unknown_flags_exit_2_naming_the_flag() {
-    let cases: [(&[&str], &str); 4] = [
+    let warm = std::env::temp_dir().join(format!("uov-cli-retired-{}.bin", std::process::id()));
+    let warm = warm.to_str().expect("temporary paths are UTF-8");
+    let cases: [(&[&str], &str); 6] = [
         (&["serve", "127.0.0.1:0", "--wokers", "8"], "--wokers"),
         (
             &["serve", "127.0.0.1:0", "--tenant-rate", "5"],
@@ -42,8 +44,23 @@ fn unknown_flags_exit_2_naming_the_flag() {
             "--search-threads",
         ),
         (
+            &["serve", "127.0.0.1:0", "--warm-cache", warm],
+            "--warm-cache",
+        ),
+        (
             &["query", "127.0.0.1:1", "--stencil", "1,0;0,1", "--no-cahce"],
             "--no-cahce",
+        ),
+        (
+            &[
+                "query",
+                "127.0.0.1:1",
+                "--stencil",
+                "1,0;0,1;1,1",
+                "--replication",
+                "1",
+            ],
+            "--replication",
         ),
     ];
     for (args, flag) in cases {

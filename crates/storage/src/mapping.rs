@@ -599,7 +599,7 @@ mod tests {
 mod domain_shape_tests {
     //! OvMap over non-rectangular domains: the paper's footnote-6 ISGs.
     use super::*;
-    use uov_isg::{ivec, HalfspaceDomain2, Polygon2};
+    use uov_isg::{ivec, Polygon2};
 
     #[test]
     fn ovmap_on_fig3_polygon() {
@@ -631,7 +631,7 @@ mod domain_shape_tests {
 
     #[test]
     fn ovmap_on_triangle() {
-        let tri = HalfspaceDomain2::lower_triangle(0, 9);
+        let tri = Polygon2::new(vec![(0, 0), (9, 0), (9, 9)]).unwrap();
         let map = OvMap::new(&tri, ivec![1, 1], Layout::Interleaved);
         // Anti-diagonal classes of the triangle: span of (−1,1) over the
         // hull {(0,0),(9,0),(9,9)} = 0 − (−9) + 1 = 10.

@@ -76,7 +76,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for round in 0..6 {
         if round == 2 {
             set.kill(home);
-            println!("-- killed home replica {home} (no warm-cache save: crash semantics)");
+            println!("-- killed home replica {home}; it restarts cold");
         }
         if round == 4 {
             set.restart(home)?;

@@ -265,8 +265,8 @@ fn tiling_advice(union: Vec<IVec>) -> (bool, Option<i64>) {
 ///
 /// Each statement is one routed [`MeshClient::plan`]: sent to its
 /// consistent-hash home replica, failing over along the ring when the
-/// home is down, under the client's breakers, backoff and hedging
-/// policy. The client is caller-owned, so its connections stay warm
+/// home is down, under the client's breakers and backoff. The client
+/// is caller-owned, so its connections stay warm
 /// across nests and its decision log ([`MeshClient::events`]) can be
 /// inspected afterwards.
 ///

@@ -151,8 +151,7 @@ mod service_vs_direct {
     use uov::core::search::{find_best_uov, Objective, SearchConfig};
     use uov::isg::{ivec, IVec, RectDomain, Stencil};
     use uov::service::{
-        serve, CacheOutcome, Client, ObjectiveSpec, PlanRequest, ReplicateRequest, ServerConfig,
-        ServerHandle,
+        serve, CacheOutcome, Client, ObjectiveSpec, PlanRequest, ServerConfig, ServerHandle,
     };
 
     fn test_server() -> ServerHandle {
@@ -338,24 +337,23 @@ mod service_vs_direct {
         server.shutdown();
         assert_eq!(server.join().panics, 0);
 
-        // Replicated inserts: an answer pushed in its sender's axes to a
-        // cold replica, then every axis order queried there. In 3-D the
-        // optimum moves with the axis order, so only the sender's order
-        // may be served from the pushed entry. On (1,1,1)..=(5,7,2) this
-        // stencil's optimum costs 66 as sent and 63 in two other orders,
-        // which a replica once answered with the pushed (3,0,3) at 66.
+        // One axis order planned on a cold server, then every order
+        // queried there. In 3-D the optimum moves with the axis order, so
+        // only the first order may be served from its cached entry. On
+        // (1,1,1)..=(5,7,2) this stencil's optimum costs 66 as sent and 63
+        // in two other orders, which a server once answered with the
+        // cached (3,0,3) at 66.
         let skew =
             Stencil::new(vec![ivec![0, 1, 1], ivec![1, 0, 1], ivec![1, 1, -1]]).expect("valid");
-        let (pushed, _) =
-            replicate_then_query_every_order(&skew, &ivec![1, 1, 1], &ivec![5, 7, 2], 0);
-        assert_eq!(pushed, (ivec![3, 3, 0], 66));
-        // diag3, pushed in its last lex-positive order: one order's
+        let (first, _) = plan_then_query_every_order(&skew, &ivec![1, 1, 1], &ivec![5, 7, 2], 0);
+        assert_eq!(first, (ivec![3, 3, 0], 66));
+        // diag3, planned first in its last lex-positive order: one order's
         // optimum costs 154 and the others' 192.
         let diag3 =
             Stencil::new(vec![ivec![1, 0, 0], ivec![0, 1, 0], ivec![1, 1, 1]]).expect("valid");
         let last = valid_permutations(&diag3).len() - 1;
         let (_, mut costs) =
-            replicate_then_query_every_order(&diag3, &IVec::zero(3), &ivec![3, 7, 5], last);
+            plan_then_query_every_order(&diag3, &IVec::zero(3), &ivec![3, 7, 5], last);
         costs.sort_unstable();
         costs.dedup();
         assert_eq!(
@@ -365,38 +363,27 @@ mod service_vs_direct {
         );
     }
 
-    /// Push the direct answer of `s` in its `sender`-th lex-positive axis
-    /// order on `[lo, hi]` to a cold replica, then query every order
-    /// there: each answer must equal its own direct search, and only the
-    /// sender's order may hit. Returns the pushed `(uov, cost)` and each
-    /// order's cost.
-    fn replicate_then_query_every_order(
+    /// Plan `s` in its `first`-th lex-positive axis order on `[lo, hi]`
+    /// on a cold server, then query every order there: each answer must
+    /// equal its own direct search, and only the first order may hit.
+    /// Returns the first order's `(uov, cost)` and each order's cost.
+    fn plan_then_query_every_order(
         s: &Stencil,
         lo: &IVec,
         hi: &IVec,
-        sender: usize,
+        first: usize,
     ) -> ((IVec, u128), Vec<u128>) {
         let orders = valid_permutations(s);
-        let (sender_perm, sender_stencil) = orders[sender].clone();
-        let sender_dom = permuted_box(lo, hi, &sender_perm);
-        let pushed = find_best_uov(
-            &sender_stencil,
-            Objective::KnownBounds(&sender_dom),
-            &SearchConfig::default(),
-        )
-        .expect("small coordinates cannot overflow");
-        let replica = test_server();
-        let mut client = Client::connect(replica.endpoint()).expect("connect");
-        let stored = client
-            .replicate(&ReplicateRequest {
-                stencil: sender_stencil,
-                objective: ObjectiveSpec::KnownBounds(sender_dom),
-                uov: pushed.uov.clone(),
-                cost: pushed.cost,
-            })
-            .expect("a certified answer is accepted")
-            .stored;
-        assert!(stored, "the replica refused a certified answer");
+        let (first_perm, first_stencil) = orders[first].clone();
+        let first_dom = permuted_box(lo, hi, &first_perm);
+        let server = test_server();
+        let mut client = Client::connect(server.endpoint()).expect("connect");
+        let (uov, cost, _, cache) = query(
+            &mut client,
+            &first_stencil,
+            ObjectiveSpec::KnownBounds(first_dom),
+        );
+        assert_eq!(cache, CacheOutcome::Miss, "the server starts cold");
         let mut served = Vec::new();
         for (perm, permuted) in orders {
             let pdom = permuted_box(lo, hi, &perm);
@@ -411,13 +398,13 @@ mod service_vs_direct {
             assert_eq!(
                 (uov, cost),
                 (direct.uov, direct.cost),
-                "σ={perm:?} of {s:?}: the replica's answer diverged from direct search"
+                "σ={perm:?} of {s:?}: the server's answer diverged from direct search"
             );
             served.push((perm, cost, cache));
         }
         // Answers first, then how the cache produced them.
         for (perm, cost, cache) in &served {
-            let want = if *perm == sender_perm {
+            let want = if *perm == first_perm {
                 CacheOutcome::Hit
             } else {
                 CacheOutcome::Miss
@@ -425,9 +412,9 @@ mod service_vs_direct {
             assert_eq!(*cache, want, "σ={perm:?} of {s:?} at cost {cost}");
         }
         let costs = served.iter().map(|&(_, cost, _)| cost).collect();
-        replica.shutdown();
-        assert_eq!(replica.join().panics, 0);
-        ((pushed.uov, pushed.cost), costs)
+        server.shutdown();
+        assert_eq!(server.join().panics, 0);
+        ((uov, cost), costs)
     }
 
     /// `[lo, hi]` with its axes permuted by `perm`.
@@ -562,7 +549,7 @@ mod class_count {
     use uov::core::objective::{try_storage_class_count, ClassCounter};
     use uov::isg::num::checked_extended_gcd;
     use uov::isg::project::try_form_range;
-    use uov::isg::{HalfspaceDomain2, IMat, IsgError, IterationDomain, Polygon2};
+    use uov::isg::{IMat, IsgError, IterationDomain, Polygon2};
 
     /// The row-vector reduction: rows of the unimodular `W` with
     /// `W·v = (content, 0, …, 0)`, every row operation overflow-checked.
@@ -656,7 +643,7 @@ mod class_count {
         let mut rng = StdRng::seed_from_u64(seed_from_env() ^ 0xC1A55);
         let mut domains: Vec<Box<dyn IterationDomain>> = vec![
             Box::new(Polygon2::fig3_isg()),
-            Box::new(HalfspaceDomain2::lower_triangle(1, 12)),
+            Box::new(Polygon2::new(vec![(1, 1), (12, 1), (12, 12)]).expect("a triangle")),
         ];
         for _ in 0..48 {
             let dim = rng.gen_range(1usize..=4);

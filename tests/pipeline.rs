@@ -205,8 +205,8 @@ fn triangular_domain_storage_counting() {
     // A lower-triangular nest (footnote 6's A·i ≤ b form): the UOV theory
     // and mappings work unchanged on non-rectangular ISGs.
     use uov::core::objective::{storage_class_count, storage_class_count_exact};
-    use uov::isg::{ivec, HalfspaceDomain2, IterationDomain as _};
-    let tri = HalfspaceDomain2::lower_triangle(0, 12);
+    use uov::isg::{ivec, IterationDomain as _, Polygon2};
+    let tri = Polygon2::new(vec![(0, 0), (12, 0), (12, 12)]).expect("a triangle");
     for ov in [ivec![1, 1], ivec![1, 0], ivec![2, 1]] {
         let formula = storage_class_count(&tri, &ov);
         let exact = storage_class_count_exact(&tri, &ov);
