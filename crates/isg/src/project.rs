@@ -2,8 +2,8 @@
 //!
 //! Storage counting with known loop bounds (paper §3.2, §4.3) reduces to:
 //! apply the mapping vector to the domain's extreme points and count the
-//! integer values spanned. These helpers compute such spans for arbitrary
-//! linear forms.
+//! integer values spanned. [`try_form_range`] computes the range of an
+//! arbitrary linear form; the span is `hi − lo + 1`.
 
 use crate::domain::IterationDomain;
 use crate::error::IsgError;
@@ -13,29 +13,26 @@ use crate::vec::IVec;
 /// points of `domain`.
 ///
 /// For a convex domain the extremes of a linear form are attained at
-/// vertices, so this equals the min/max over the whole domain.
+/// vertices, so this equals the min/max over the whole domain. The form
+/// spans `hi − lo + 1` integer values; with a *primitive* `form` and the
+/// convex lattice domains used in this workspace every one of them is
+/// attained, so that is exactly the paper's "number of integer points in
+/// the projection" (§4.3, Fig. 6).
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if `form.dim() != domain.dim()`.
+/// [`IsgError::DimMismatch`] when `form` and `domain` differ in
+/// dimension, [`IsgError::Empty`] for an empty extreme-point set, and
+/// [`IsgError::Overflow`] when a dot product leaves `i64`.
 ///
 /// # Examples
 ///
 /// ```
-/// use uov_isg::{ivec, project::form_range, RectDomain};
+/// use uov_isg::{ivec, project::try_form_range, RectDomain};
 ///
 /// let d = RectDomain::grid(4, 6);
-/// assert_eq!(form_range(&d, &ivec![-1, 1]), (-3, 5));
+/// assert_eq!(try_form_range(&d, &ivec![-1, 1]), Ok((-3, 5)));
 /// ```
-pub fn form_range(domain: &dyn IterationDomain, form: &IVec) -> (i64, i64) {
-    match try_form_range(domain, form) {
-        Ok(r) => r,
-        Err(e) => panic!("form range failed: {e}"),
-    }
-}
-
-/// [`form_range`] returning [`IsgError`] on dimension mismatch, an empty
-/// extreme-point set, or dot-product overflow.
 pub fn try_form_range(domain: &dyn IterationDomain, form: &IVec) -> Result<(i64, i64), IsgError> {
     if form.dim() != domain.dim() {
         return Err(IsgError::DimMismatch {
@@ -54,67 +51,6 @@ pub fn try_form_range(domain: &dyn IterationDomain, form: &IVec) -> Result<(i64,
     range.ok_or(IsgError::Empty)
 }
 
-/// Number of integer values the linear form `form · p` spans over the
-/// domain: `max − min + 1` evaluated at the extreme points.
-///
-/// With a *primitive* `form` and the convex lattice domains used in this
-/// workspace, every integer in the range is attained, so this is exactly
-/// the paper's "number of integer points in the projection" (§4.3, Fig. 6).
-///
-/// # Panics
-///
-/// Panics if `form.dim() != domain.dim()`.
-pub fn form_span(domain: &dyn IterationDomain, form: &IVec) -> i64 {
-    match try_form_span(domain, form) {
-        Ok(s) => s,
-        Err(e) => panic!("form span failed: {e}"),
-    }
-}
-
-/// [`form_span`] returning [`IsgError`] when the range computation fails or
-/// `hi − lo + 1` overflows `i64`.
-pub fn try_form_span(domain: &dyn IterationDomain, form: &IVec) -> Result<i64, IsgError> {
-    let (lo, hi) = try_form_range(domain, form)?;
-    hi.checked_sub(lo)
-        .and_then(|w| w.checked_add(1))
-        .ok_or(IsgError::Overflow("form span"))
-}
-
-/// The minimum projection `P_M` of the domain over a set of candidate
-/// primitive forms: the smallest [`form_span`] among them.
-///
-/// §3.2.1 bounds the known-bounds search with `P_ovo·|ovo| / P_M`; for a
-/// rectangle `P_M` "corresponds to the side with the shortest length"
-/// (footnote 4), i.e. the minimum over the axis forms. Callers choose the
-/// candidate set; [`axis_forms`] provides the axis-aligned ones.
-///
-/// # Panics
-///
-/// Panics if `forms` is empty or dimensions mismatch.
-pub fn min_projection(domain: &dyn IterationDomain, forms: &[IVec]) -> i64 {
-    match try_min_projection(domain, forms) {
-        Ok(m) => m,
-        Err(IsgError::Empty) => panic!("need at least one candidate form"),
-        Err(e) => panic!("min projection failed: {e}"),
-    }
-}
-
-/// [`min_projection`] returning [`IsgError::Empty`] for an empty candidate
-/// set and propagating span failures.
-pub fn try_min_projection(domain: &dyn IterationDomain, forms: &[IVec]) -> Result<i64, IsgError> {
-    let mut best: Option<i64> = None;
-    for f in forms {
-        let span = try_form_span(domain, f)?;
-        best = Some(best.map_or(span, |b| b.min(span)));
-    }
-    best.ok_or(IsgError::Empty)
-}
-
-/// The `d` axis-aligned unit forms of a `d`-dimensional space.
-pub fn axis_forms(dim: usize) -> Vec<IVec> {
-    (0..dim).map(|k| IVec::unit(dim, k)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -122,11 +58,17 @@ mod tests {
     use crate::ivec;
     use crate::poly::Polygon2;
 
+    /// The number of integer values `form` spans over `domain`.
+    fn span(domain: &dyn IterationDomain, form: &IVec) -> i64 {
+        let (lo, hi) = try_form_range(domain, form).unwrap();
+        hi - lo + 1
+    }
+
     #[test]
     fn axis_spans_match_extents() {
         let d = RectDomain::grid(4, 6);
-        assert_eq!(form_span(&d, &ivec![1, 0]), 4);
-        assert_eq!(form_span(&d, &ivec![0, 1]), 6);
+        assert_eq!(span(&d, &ivec![1, 0]), 4);
+        assert_eq!(span(&d, &ivec![0, 1]), 6);
     }
 
     #[test]
@@ -136,26 +78,20 @@ mod tests {
         // points included the storage mapping allocates n + m + 1 (checked
         // in uov-storage).
         let d = RectDomain::grid(5, 7);
-        assert_eq!(form_span(&d, &ivec![-1, 1]), 5 + 7 - 1);
+        assert_eq!(span(&d, &ivec![-1, 1]), 5 + 7 - 1);
     }
 
     #[test]
     fn fig3_projection_spans() {
         let isg = Polygon2::fig3_isg();
         // Perpendicular to ov1 = (3,1): mv = (−1, 3).
-        assert_eq!(form_span(&isg, &ivec![-1, 3]), 16);
+        assert_eq!(span(&isg, &ivec![-1, 3]), 16);
         // Perpendicular to ov2 = (3,0) (primitive direction (1,0)): mv = (0,1).
-        assert_eq!(form_span(&isg, &ivec![0, 1]), 9);
+        assert_eq!(span(&isg, &ivec![0, 1]), 9);
     }
 
     #[test]
-    fn min_projection_picks_shortest_side() {
-        let d = RectDomain::grid(4, 9);
-        assert_eq!(min_projection(&d, &axis_forms(2)), 4);
-    }
-
-    #[test]
-    fn try_variants_report_errors() {
+    fn try_form_range_reports_errors() {
         let d = RectDomain::grid(4, 6);
         assert!(matches!(
             try_form_range(&d, &ivec![1]),
@@ -166,11 +102,9 @@ mod tests {
         ));
         assert_eq!(try_form_range(&d, &ivec![-1, 1]), Ok((-3, 5)));
         assert!(matches!(
-            try_form_span(&d, &ivec![i64::MAX, i64::MAX]),
+            try_form_range(&d, &ivec![i64::MAX, i64::MAX]),
             Err(IsgError::Overflow(_))
         ));
-        assert_eq!(try_min_projection(&d, &[]), Err(IsgError::Empty));
-        assert_eq!(try_min_projection(&d, &axis_forms(2)), Ok(4));
     }
 
     #[test]
@@ -190,7 +124,7 @@ mod tests {
             values.dedup();
             assert_eq!(
                 values.len() as i64,
-                form_span(&isg, &form),
+                span(&isg, &form),
                 "span mismatch for form {form}"
             );
         }

@@ -201,7 +201,7 @@ impl IVec {
         }
     }
 
-    /// Squared Euclidean length, in `i128` to avoid overflow.
+    /// Squared Euclidean length, in `i128`.
     ///
     /// The branch-and-bound search compares candidate occupancy vectors by
     /// length (paper §3.2.1); comparing squared lengths avoids floating
@@ -211,11 +211,17 @@ impl IVec {
     /// use uov_isg::ivec;
     /// assert_eq!(ivec![3, 4].norm_sq(), 25);
     /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if the sum of squares overflows `i128`. Each square is at
+    /// most 2¹²⁶, so two components at `i64::MIN` already reach 2¹²⁷. Use
+    /// [`IVec::try_norm_sq`] on untrusted input.
     pub fn norm_sq(&self) -> i128 {
-        // Each square is < 2¹²⁶; i128 accumulation cannot wrap for any
-        // dimension this workspace handles (it would take ≥ 4 components at
-        // i64::MIN to approach i128::MAX, and even that fits: 4·2¹²⁶ < 2¹²⁷).
-        self.0.iter().map(|&c| c as i128 * c as i128).sum()
+        match self.try_norm_sq() {
+            Ok(sum) => sum,
+            Err(_) => panic!("squared norm overflows i128"),
+        }
     }
 
     /// [`IVec::norm_sq`] with explicit overflow checking on the `i128`
@@ -705,6 +711,12 @@ mod tests {
     fn dot_i128_panics_when_the_sum_leaves_i128() {
         let min = ivec![i64::MIN, i64::MIN];
         let _ = min.dot_i128(&min);
+    }
+
+    #[test]
+    #[should_panic(expected = "squared norm overflows i128")]
+    fn norm_sq_panics_when_the_sum_leaves_i128() {
+        let _ = ivec![i64::MIN, i64::MIN].norm_sq();
     }
 
     #[test]

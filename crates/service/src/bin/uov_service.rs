@@ -16,6 +16,8 @@
 //! and fails over along the ring. A flag the subcommand does not know
 //! is an error (exit status 2), never silently ignored.
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -301,7 +303,6 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
     println!("| oversized frames | {} |", s.server.oversized_frames);
     println!("| panics | {} |", s.server.panics);
     println!("| watchdog cancels | {} |", s.server.watchdog_cancels);
-    println!("| worker restarts | {} |", s.server.worker_restarts);
     println!("| idle timeouts | {} |", s.server.idle_timeouts);
     println!("| cache hits | {} |", s.cache.hits);
     println!("| cache misses | {} |", s.cache.misses);

@@ -15,7 +15,7 @@ pub enum ErrorCode {
     Malformed,
     /// The request asks for something this server version cannot do.
     Unsupported,
-    /// The request crashed or errored inside the server; the worker
+    /// The request crashed or errored inside the server; the server
     /// survived (panic isolation) and the failure is reported, not hidden.
     Internal,
     /// The server is draining: in-flight requests finish, new ones are

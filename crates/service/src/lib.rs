@@ -9,11 +9,13 @@
 //!   (`PlanRequest` → `PlanResponse`) built on the same
 //!   [`uov_core::wire`] primitives as the checkpoint format, and the one
 //!   frame codec every reader and writer in the crate uses.
-//! * [`server`] — an epoll readiness loop (so the crate builds on Linux
-//!   only) feeding a fixed compute pool through a bounded FIFO queue:
-//!   one admission rule (a full queue sheds with a typed `Overloaded`),
-//!   idle/slow-loris read deadlines, per-request deadline budgets, panic
-//!   isolation, and graceful drain on shutdown.
+//! * [`server`] — one blocking thread per connection on std sockets (TCP
+//!   or Unix), with no platform code beyond Unix sockets: plans run on
+//!   their connection's thread behind one admission rule (at most
+//!   `workers` run, at most `queue_depth` wait in arrival order, the rest
+//!   are shed with a typed `Overloaded`), idle/slow-loris read deadlines,
+//!   per-request deadline budgets, panic isolation, and graceful drain on
+//!   shutdown.
 //! * [`plan_cache`] — a canonicalizing plan cache: requests are reduced
 //!   modulo coordinate permutation ([`canon`]) and keyed by the
 //!   workspace-standard fingerprint into a sharded LRU, with
@@ -38,6 +40,7 @@
 //! holds only answers its own search produced: no frame and no file puts
 //! an answer into it, and a restarted server starts cold.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 

@@ -22,10 +22,10 @@
 //! primitives as the checkpoint format.
 //!
 //! This module is the only code that knows the frame layout:
-//! [`encode_frame`]/[`write_frame`] build frames, the server's event loop
-//! parses them incrementally with [`parse_frame`], and blocking readers
-//! (the client, the chaos proxy) pull them with [`read_frame`] through
-//! the same header parse.
+//! [`encode_frame`]/[`write_frame`] build frames, and [`read_frame`] is
+//! the one frame reader. The server's connection threads and the client
+//! pull frames with it, and the chaos proxy with its unverified form,
+//! through the same header parse.
 
 use std::io::{self, Read, Write};
 
@@ -226,20 +226,21 @@ pub struct ErrorResponse {
 /// A liveness/readiness report (the frame body of a `RESP_HEALTH`).
 ///
 /// Liveness is implied by the answer arriving at all; `ready` is the
-/// admission signal: the worker pool is up and the connection queue is
-/// below its high-water mark, so a new request is likely to be served
-/// rather than shed.
+/// admission signal: the server is not draining and fewer than
+/// `queue_depth` plans wait for a compute slot, so a new request is
+/// likely to be served rather than shed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HealthResponse {
     /// Whether the replica should receive new traffic.
     pub ready: bool,
     /// Whether a graceful drain has begun.
     pub draining: bool,
-    /// Worker threads currently alive.
+    /// The server's compute slots: how many plans may run at once. (The
+    /// name is kept from the worker pool that the slots replaced.)
     pub workers_alive: u32,
-    /// Connections waiting in the bounded queue.
+    /// Plans waiting for a compute slot.
     pub queue_len: u32,
-    /// The queue's capacity (its high-water mark).
+    /// How many plans may wait before new ones are shed.
     pub queue_depth: u32,
 }
 
@@ -304,14 +305,16 @@ pub struct StatsResponse {
 impl StatsResponse {
     /// Serialize the stats payload. Fields travel as a count-prefixed
     /// list of `u64`s at fixed positions, so an older client can read the
-    /// counters it knows and skip the rest. Positions 17 (work units),
-    /// 20–21 (bound gossip), 24 (stale epochs) and 25 (anti-entropy
-    /// repairs) belonged to the retired distributed search, 16, 18 and 19
-    /// (cache snapshot loads) and 22–23 (entries pushed by peers, and
-    /// their hits) to the retired ways into the plan cache, and 27–28
-    /// (pressure answers, batch frames) to the retired admission tiers:
-    /// they are written as 0 and ignored on read. Position 30 and the
-    /// per-tenant pairs after it are no longer written.
+    /// counters it knows and skip the rest. Position 12 counted worker
+    /// threads respawned by the retired compute pool. Positions 17 (work
+    /// units), 20–21 (bound gossip), 24 (stale epochs) and 25
+    /// (anti-entropy repairs) belonged to the retired distributed search,
+    /// 16, 18 and 19 (cache snapshot loads) and 22–23 (entries pushed by
+    /// peers, and their hits) to the retired ways into the plan cache,
+    /// and 27–28 (pressure answers, batch frames) to the retired
+    /// admission tiers: they are written as 0 and ignored on read.
+    /// Position 30 and the per-tenant pairs after it are no longer
+    /// written.
     pub fn encode(&self) -> Vec<u8> {
         let s = &self.server;
         let c = &self.cache;
@@ -328,7 +331,7 @@ impl StatsResponse {
             s.bad_version,
             s.oversized_frames,
             s.watchdog_cancels,
-            s.worker_restarts,
+            0,
             c.hits,
             c.misses,
             c.coalesced,
@@ -398,7 +401,6 @@ impl StatsResponse {
                 bad_version: fields[9],
                 oversized_frames: fields[10],
                 watchdog_cancels: fields[11],
-                worker_restarts: fields[12],
                 shed_over_quota: fields[26],
                 idle_timeouts: fields[29],
             },
@@ -416,10 +418,6 @@ impl StatsResponse {
 /// Bytes of magic and version: enough to reject a foreign stream.
 const PREFIX_LEN: usize = 4 + 2;
 
-/// The largest frame a peer may send: the header, a [`MAX_PAYLOAD`]
-/// payload and the CRC.
-pub(crate) const MAX_FRAME_LEN: usize = HEADER_LEN + MAX_PAYLOAD as usize + 4;
-
 /// One CRC-verified frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame {
@@ -433,7 +431,7 @@ pub struct Frame {
 pub(crate) struct FrameHeader {
     kind: u8,
     /// The whole frame's bytes: header, payload and CRC.
-    pub(crate) frame_len: usize,
+    frame_len: usize,
 }
 
 impl FrameHeader {
@@ -471,7 +469,7 @@ pub fn write_frame(w: &mut impl Write, kind: u8, payload: &[u8]) -> Result<(), S
 /// whole header is there. Bad magic and unknown versions are rejected as
 /// soon as their bytes are present, and an oversized declared length
 /// from the header alone, before any payload arrives or is allocated.
-pub(crate) fn parse_header(buf: &[u8]) -> Result<Option<FrameHeader>, ServiceError> {
+fn parse_header(buf: &[u8]) -> Result<Option<FrameHeader>, ServiceError> {
     if buf.len() < PREFIX_LEN {
         return Ok(None);
     }
@@ -512,28 +510,11 @@ fn verified(bytes: &[u8], header: &FrameHeader) -> Result<Frame, ServiceError> {
     })
 }
 
-/// Incrementally parse one frame from the front of `buf`. `Ok(None)`
-/// means more bytes are needed; `Ok(Some((frame, consumed)))` is one
-/// complete, CRC-verified frame of `consumed` bytes; `Err` means the
-/// stream is no longer at a trustable frame boundary.
-///
-/// # Errors
-///
-/// [`ServiceError::BadMagic`], [`ServiceError::UnsupportedVersion`],
-/// [`ServiceError::FrameTooLarge`] (from the header alone) or
-/// [`ServiceError::CrcMismatch`].
-pub fn parse_frame(buf: &[u8]) -> Result<Option<(Frame, usize)>, ServiceError> {
-    let Some(header) = parse_header(buf)? else {
-        return Ok(None);
-    };
-    let Some(bytes) = buf.get(..header.frame_len) else {
-        return Ok(None);
-    };
-    Ok(Some((verified(bytes, &header)?, header.frame_len)))
-}
-
-/// Read one frame from a blocking stream: [`parse_frame`]'s checks, in
-/// the same order, on bytes pulled as the header asks for them.
+/// Read one frame from a blocking stream, pulling bytes as the header
+/// asks for them. Bad magic and unknown versions are rejected as soon as
+/// their bytes arrive, and an oversized declared length from the header
+/// alone, before any payload is read or allocated; then the CRC is
+/// checked over the whole frame.
 ///
 /// Returns `Ok(None)` when the peer closes cleanly at a frame boundary
 /// (EOF before any header byte). A close mid-frame is
@@ -542,8 +523,9 @@ pub fn parse_frame(buf: &[u8]) -> Result<Option<(Frame, usize)>, ServiceError> {
 ///
 /// # Errors
 ///
-/// The errors of [`parse_frame`], [`ServiceError::ConnectionClosed`] or
-/// [`ServiceError::Io`].
+/// [`ServiceError::BadMagic`], [`ServiceError::UnsupportedVersion`],
+/// [`ServiceError::FrameTooLarge`], [`ServiceError::CrcMismatch`],
+/// [`ServiceError::ConnectionClosed`] or [`ServiceError::Io`].
 pub fn read_frame(r: &mut impl Read) -> Result<Option<Frame>, ServiceError> {
     let mut bytes = Vec::with_capacity(HEADER_LEN);
     match read_raw_frame(r, &mut bytes)? {
@@ -861,7 +843,6 @@ mod tests {
                 bad_version: 10,
                 oversized_frames: 11,
                 watchdog_cancels: 12,
-                worker_restarts: 13,
                 shed_over_quota: 27,
                 idle_timeouts: 30,
             },
@@ -872,14 +853,15 @@ mod tests {
             },
         };
         assert_eq!(StatsResponse::decode(&s.encode()).unwrap(), s);
-        // A frame from an older server fills the retired slots (cache
-        // snapshot loads, work units, bound gossip, entries pushed by
-        // peers and their hits, stale epochs, anti-entropy repairs,
-        // pressure answers, batch frames); they are ignored and every
-        // other counter stays in its place.
+        // A frame from an older server fills the retired slots (worker
+        // restarts, cache snapshot loads, work units, bound gossip,
+        // entries pushed by peers and their hits, stale epochs,
+        // anti-entropy repairs, pressure answers, batch frames); they are
+        // ignored and every other counter stays in its place.
         let mut older = s.encode();
         let retired = [
-            (16, 17u64),
+            (12, 13u64),
+            (16, 17),
             (17, 18),
             (18, 19),
             (19, 20),
@@ -928,7 +910,7 @@ mod tests {
         pre.truncate(4 + 8 * 26);
         pre[0..4].copy_from_slice(&26u32.to_le_bytes());
         let decoded = StatsResponse::decode(&pre).unwrap();
-        assert_eq!(decoded.server.worker_restarts, 13);
+        assert_eq!(decoded.server.watchdog_cancels, 12);
         assert_eq!(decoded.server.idle_timeouts, 0);
     }
 
@@ -942,14 +924,14 @@ mod tests {
         assert_eq!(PlanRequest::decode(&got.payload).unwrap(), req);
         // A second read at EOF is a clean close.
         assert!(read_frame(&mut cursor).unwrap().is_none());
-        // The incremental parser stops at the frame boundary: a buffer
-        // holding two frames yields the first and its exact length.
+        // The reader stops at the frame boundary: a stream holding two
+        // frames yields the first, then the second, then a clean close.
         let second = encode_frame(kind::REQ_HEALTH, &[]);
-        let both = [frame.as_slice(), second.as_slice()].concat();
-        let (first, used) = parse_frame(&both).unwrap().unwrap();
-        assert_eq!((first, used), (got, frame.len()));
-        let (next, used) = parse_frame(&both[frame.len()..]).unwrap().unwrap();
-        assert_eq!((next.kind, used), (kind::REQ_HEALTH, second.len()));
+        let mut both = io::Cursor::new([frame.as_slice(), second.as_slice()].concat());
+        assert_eq!(read_frame(&mut both).unwrap(), Some(got));
+        let next = read_frame(&mut both).unwrap().unwrap();
+        assert_eq!((next.kind, next.payload.len()), (kind::REQ_HEALTH, 0));
+        assert!(read_frame(&mut both).unwrap().is_none());
     }
 
     /// The frame layout is pinned to the bytes the protocol has always
@@ -971,35 +953,22 @@ mod tests {
     #[test]
     fn oversized_length_prefix_is_rejected_before_allocation() {
         let mut frame = encode_frame(kind::REQ_PLAN, &[]);
-        // Corrupt the length field to declare a 3 GiB payload: both
-        // readers reject it from the header bytes alone.
+        // Corrupt the length field to declare a 3 GiB payload: the reader
+        // rejects it from the header bytes alone.
         frame[7..11].copy_from_slice(&(3u32 << 30).to_le_bytes());
         assert_eq!(
-            agreed_verdict(&frame[..HEADER_LEN]),
+            verdict(&frame[..HEADER_LEN]),
             Err(ServiceError::FrameTooLarge(3 << 30).to_string())
         );
     }
 
-    /// Run `bytes` through both `parse_frame` and `read_frame` and require
-    /// one verdict: the same frame (consuming all of `bytes`), the same
-    /// error, or "needs more bytes" where the stream reader, which then
-    /// meets EOF, reports `ConnectionClosed` (or a clean close before the
-    /// first byte). Returns the shared verdict.
-    fn agreed_verdict(bytes: &[u8]) -> Result<Option<Frame>, String> {
-        let parsed = parse_frame(bytes);
-        let read = read_frame(&mut io::Cursor::new(bytes));
-        match (parsed, read) {
-            (Ok(Some((a, used))), Ok(Some(b))) if a == b && used == bytes.len() => Ok(Some(a)),
-            (Ok(None), Ok(None)) if bytes.is_empty() => Ok(None),
-            (Ok(None), Err(ServiceError::ConnectionClosed)) if !bytes.is_empty() => {
-                Err(ServiceError::ConnectionClosed.to_string())
-            }
-            (Err(a), Err(b)) if format!("{a:?}") == format!("{b:?}") => Err(a.to_string()),
-            (parsed, read) => panic!("parse_frame {parsed:?} but read_frame {read:?}"),
-        }
+    /// `read_frame`'s verdict on a stream that holds `bytes` and then
+    /// ends, with errors as text.
+    fn verdict(bytes: &[u8]) -> Result<Option<Frame>, String> {
+        read_frame(&mut io::Cursor::new(bytes)).map_err(|e| e.to_string())
     }
 
-    /// Every single-bit flip of a frame is rejected, alike by both readers.
+    /// Every single-bit flip of a frame is rejected.
     #[test]
     fn every_single_bit_flip_is_detected() {
         let frame = encode_frame(kind::REQ_PLAN, &fig1_request().encode());
@@ -1008,27 +977,27 @@ mod tests {
                 let mut flipped = frame.clone();
                 flipped[byte] ^= 1 << bit;
                 assert!(
-                    agreed_verdict(&flipped).is_err(),
+                    verdict(&flipped).is_err(),
                     "undetected flip at byte {byte} bit {bit}"
                 );
             }
         }
     }
 
-    /// Every proper prefix of a frame is a torn frame to both readers
-    /// (the empty one a clean close), and the whole frame reads back.
+    /// Every proper prefix of a frame is a torn frame (the empty one a
+    /// clean close), and the whole frame reads back.
     #[test]
     fn every_truncation_is_clean() {
         let frame = encode_frame(kind::REQ_PLAN, &fig1_request().encode());
-        assert_eq!(agreed_verdict(&[]), Ok(None));
+        assert_eq!(verdict(&[]), Ok(None));
         for cut in 1..frame.len() {
             assert_eq!(
-                agreed_verdict(&frame[..cut]),
+                verdict(&frame[..cut]),
                 Err(ServiceError::ConnectionClosed.to_string()),
                 "cut at {cut}"
             );
         }
-        let whole = agreed_verdict(&frame).unwrap().unwrap();
+        let whole = verdict(&frame).unwrap().unwrap();
         assert_eq!(whole.kind, kind::REQ_PLAN);
         assert_eq!(whole.payload, fig1_request().encode());
     }
@@ -1089,13 +1058,13 @@ mod tests {
             frame
         };
         assert_eq!(
-            agreed_verdict(&resealed(0, b"X")),
+            verdict(&resealed(0, b"X")),
             Err(ServiceError::BadMagic.to_string())
         );
         // Version 2, the retired tenant header, is as unknown as 9.
         for version in [2u16, 9] {
             assert_eq!(
-                agreed_verdict(&resealed(4, &version.to_le_bytes())),
+                verdict(&resealed(4, &version.to_le_bytes())),
                 Err(ServiceError::UnsupportedVersion(version).to_string())
             );
         }

@@ -1,40 +1,45 @@
-//! The planning server: an epoll readiness loop feeding a bounded
-//! compute pool, speaking the framed protocol of [`crate::proto`].
-//! epoll is the only backend, so this crate builds on Linux only; any
-//! other target stops at one `compile_error!`.
+//! The planning server: one blocking thread per connection, speaking the
+//! framed protocol of [`crate::proto`].
 //!
-//! One event thread owns every socket. Connections are per-connection
-//! state machines: bytes accumulate in a read buffer and frames are
-//! parsed incrementally by [`crate::proto::parse_frame`], the codec the
-//! blocking client reads with too. A thousand idle or slow connections
-//! cost no threads, and a slow-loris sender (one byte per second) is
-//! reaped by the read deadline like any other stalled peer. Parsed
-//! compute frames are admitted — or shed — on the event thread and
-//! executed in arrival order on a fixed pool of worker threads.
+//! A named accept thread blocks in `accept` and starts one named thread
+//! per connection. That thread reads a frame with
+//! [`crate::proto::read_frame`], answers it, then reads the next, so a
+//! connection's answers leave in the order its frames arrived. A plan
+//! runs on its connection's own thread: a request is read, planned and
+//! answered there, never handed to a pool and back. Health, stats and
+//! shutdown frames need no compute slot, so they are answered even while
+//! every slot is busy or wedged, and mid-drain.
 //!
-//! Admission has one rule: a compute frame that finds the bounded queue
-//! full ([`ServerConfig::queue_depth`]) is shed with a typed `Overloaded`
-//! (`rejected_overloaded`). A client that wants an answer within a time
-//! bound says so with the request's `deadline_ms`: the search then stops
-//! at the deadline with the best certified legal UOV found (at worst
-//! `Σvᵢ`).
+//! Admission has one rule: at most [`ServerConfig::workers`] plans run
+//! at once, and a plan that finds every compute slot busy waits, in
+//! arrival order, behind at most [`ServerConfig::queue_depth`] others.
+//! Otherwise it is shed with a typed `Overloaded` (`rejected_overloaded`)
+//! and its connection stays usable. A client that wants an answer within
+//! a time bound says so with the request's `deadline_ms`: the search then
+//! stops at the deadline with the best certified legal UOV found (at
+//! worst `Σvᵢ`).
+//!
+//! A connection thread blocks in `read` for at most one 100 ms tick at a
+//! time. A read fails once the connection has completed no frame for
+//! [`ServerConfig::idle_ticks`] ticks, so an idle, half-open or
+//! slow-loris peer (one byte per second) is dropped on schedule; writes
+//! time out after the same deadline. Each open connection costs one
+//! thread, a trade that suits the few connections a compiler's planning
+//! traffic opens at once.
 //!
 //! Shutdown is a drain, not a kill: the drain flag stops the accept
-//! path, in-flight searches run to completion, queued-but-unstarted
-//! work and frames arriving after the flag are answered `ShuttingDown`,
-//! and [`ServerHandle::join`] returns once the event thread and every
-//! worker have exited. Health and stats probes are answered inline on
-//! the event thread — even mid-drain, and even while every worker is
-//! busy or wedged.
+//! thread, running plans finish, waiting plans are answered
+//! `ShuttingDown`, every connection closes within a tick of its last
+//! answer, and [`ServerHandle::join`] returns once the accept thread and
+//! every connection thread have exited.
 
-use std::collections::{HashMap, VecDeque};
-use std::io::{self, Read, Write};
+use std::collections::VecDeque;
+use std::io::{self, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::os::unix::io::AsRawFd;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -46,30 +51,35 @@ use uov_isg::Stencil;
 use crate::error::{ErrorCode, ServiceError};
 use crate::plan_cache::{CacheStats, PlanCache, Planned, DEFAULT_CACHE_CAPACITY};
 use crate::proto::{
-    encode_frame, kind, parse_frame, DegradationCode, ErrorResponse, Frame, HealthResponse,
-    ObjectiveSpec, PlanRequest, PlanResponse, StatsResponse, FLAG_NO_CACHE, MAX_FRAME_LEN,
+    kind, read_frame, write_frame, DegradationCode, ErrorResponse, Frame, HealthResponse,
+    ObjectiveSpec, PlanRequest, PlanResponse, StatsResponse, FLAG_NO_CACHE,
 };
+
+/// How long a connection thread blocks in one `read` before it looks at
+/// the drain flag and its idle deadline again.
+const TICK: Duration = Duration::from_millis(100);
 
 /// Tunables for [`serve`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Compute-pool threads running searches (the event thread that owns
-    /// the sockets is separate and never runs a search).
+    /// Compute slots: at most this many plans run at once, each on its
+    /// connection's own thread.
     pub workers: usize,
-    /// Bounded compute-queue depth between admission and the workers.
-    /// A full queue sheds further requests with `Overloaded`.
+    /// How many plans may wait, in arrival order, for a compute slot. A
+    /// plan that finds this many already waiting is shed with
+    /// `Overloaded`.
     pub queue_depth: usize,
     /// Distinct canonical plans retained by the cache.
     pub cache_capacity: usize,
-    /// Read deadline in ~100 ms ticks: a connection that completes no
-    /// frame for this long (idle, half-open, or slow-loris) is dropped.
-    /// Default ≈ 30 s. Connections with a response in flight or output
-    /// still buffered are never reaped.
+    /// Read deadline in 100 ms ticks: a connection that completes no
+    /// frame for this long (idle, half-open, or slow-loris) is dropped,
+    /// and so is one whose peer stops reading an answer for this long.
+    /// Default 30 s. Time spent planning a request does not count.
     pub idle_ticks: u32,
-    /// How long a worker may stay busy on a single request before the
-    /// watchdog trips its budget's cancellation token, degrading the
-    /// search to the best certified legal answer found so far.
-    /// `Duration::ZERO` (the default) disables wedge detection —
+    /// How long a plan may hold a compute slot before the watchdog trips
+    /// its budget's cancellation token, degrading the search to the best
+    /// certified legal answer found so far. `Duration::ZERO` (the
+    /// default) disables wedge detection, and no watchdog thread starts —
     /// legitimate unbounded searches are never cut.
     pub wedge_timeout: Duration,
 }
@@ -89,21 +99,22 @@ impl Default for ServerConfig {
 /// A snapshot of the server's monotone traffic counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServerStats {
-    /// Connections accepted by the event loop.
+    /// Connections accepted. The drain's own wake-up dial is not counted.
     pub connections: u64,
-    /// Requests shed with `Overloaded` because the compute queue was
-    /// full.
+    /// Plans shed with `Overloaded` because every compute slot was busy
+    /// and `queue_depth` plans were already waiting.
     pub rejected_overloaded: u64,
-    /// Plan requests admitted to a worker.
+    /// Plan requests admitted to a compute slot.
     pub requests: u64,
-    /// Response frames fully written back to a client.
+    /// Plan answers fully written back to a client.
     pub responses: u64,
     /// Frames rejected for protocol violations (bad magic, CRC, torn
-    /// frames, malformed payloads).
+    /// frames, malformed payloads, unknown kinds).
     pub protocol_errors: u64,
-    /// Requests answered `ShuttingDown` during the drain.
+    /// Plans answered `ShuttingDown` during the drain.
     pub rejected_shutdown: u64,
-    /// Worker executions that panicked (isolated; the pool survived).
+    /// Plans that panicked, and connection threads a panic escaped
+    /// (isolated: the server kept serving).
     pub panics: u64,
     /// Frames whose CRC32 did not match their contents (bit damage in
     /// transit). A subset of `protocol_errors`.
@@ -117,17 +128,16 @@ pub struct ServerStats {
     /// Frames whose declared payload exceeded [`crate::proto::MAX_PAYLOAD`]
     /// (rejected before allocation). A subset of `protocol_errors`.
     pub oversized_frames: u64,
-    /// Wedged requests whose budgets the watchdog cancelled.
+    /// Wedged plans whose budgets the watchdog cancelled.
     pub watchdog_cancels: u64,
-    /// Worker threads the watchdog found dead and respawned.
-    pub worker_restarts: u64,
     /// Always 0: the server has no per-tenant quotas any more. The field
     /// (stats slot 26) exists solely because the benchmark
     /// (`perfbench/src/serve.rs`) still reads it and changes only
     /// together with the benchmark definition; new code reads
     /// `rejected_overloaded`.
     pub shed_over_quota: u64,
-    /// Connections reaped by the idle/slow-loris read deadline.
+    /// Connections dropped by the idle/slow-loris read deadline, or by a
+    /// write that stalled past it.
     pub idle_timeouts: u64,
 }
 
@@ -145,7 +155,6 @@ struct Counters {
     bad_version: AtomicU64,
     oversized_frames: AtomicU64,
     watchdog_cancels: AtomicU64,
-    worker_restarts: AtomicU64,
     idle_timeouts: AtomicU64,
 }
 
@@ -164,7 +173,6 @@ impl Counters {
             bad_version: self.bad_version.load(Ordering::Relaxed),
             oversized_frames: self.oversized_frames.load(Ordering::Relaxed),
             watchdog_cancels: self.watchdog_cancels.load(Ordering::Relaxed),
-            worker_restarts: self.worker_restarts.load(Ordering::Relaxed),
             shed_over_quota: 0,
             idle_timeouts: self.idle_timeouts.load(Ordering::Relaxed),
         }
@@ -190,6 +198,12 @@ impl Counters {
             _ => {}
         }
     }
+}
+
+/// Lock `m`, shrugging off poison: every value behind the server's locks
+/// stays consistent across a panic (plans panic outside them).
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 // ------------------------------------------------------------- transports
@@ -222,13 +236,6 @@ impl AnyListener {
         Ok((AnyListener::Tcp(l), local.to_string()))
     }
 
-    fn set_nonblocking(&self, nb: bool) -> io::Result<()> {
-        match self {
-            AnyListener::Tcp(l) => l.set_nonblocking(nb),
-            AnyListener::Unix(l) => l.set_nonblocking(nb),
-        }
-    }
-
     fn accept(&self) -> io::Result<AnyStream> {
         match self {
             AnyListener::Tcp(l) => {
@@ -241,13 +248,6 @@ impl AnyListener {
             }
         }
     }
-
-    fn raw_fd(&self) -> i32 {
-        match self {
-            AnyListener::Tcp(l) => l.as_raw_fd(),
-            AnyListener::Unix(l) => l.as_raw_fd(),
-        }
-    }
 }
 
 impl AnyStream {
@@ -258,17 +258,17 @@ impl AnyStream {
         Ok(AnyStream::Tcp(TcpStream::connect(endpoint)?))
     }
 
-    fn set_nonblocking(&self, nb: bool) -> io::Result<()> {
-        match self {
-            AnyStream::Tcp(s) => s.set_nonblocking(nb),
-            AnyStream::Unix(s) => s.set_nonblocking(nb),
-        }
-    }
-
     pub(crate) fn set_read_timeout(&self, t: Option<Duration>) -> io::Result<()> {
         match self {
             AnyStream::Tcp(s) => s.set_read_timeout(t),
             AnyStream::Unix(s) => s.set_read_timeout(t),
+        }
+    }
+
+    fn set_write_timeout(&self, t: Option<Duration>) -> io::Result<()> {
+        match self {
+            AnyStream::Tcp(s) => s.set_write_timeout(t),
+            AnyStream::Unix(s) => s.set_write_timeout(t),
         }
     }
 
@@ -277,13 +277,6 @@ impl AnyStream {
             AnyStream::Tcp(s) => s.shutdown(std::net::Shutdown::Both),
             AnyStream::Unix(s) => s.shutdown(std::net::Shutdown::Both),
         };
-    }
-
-    fn raw_fd(&self) -> i32 {
-        match self {
-            AnyStream::Tcp(s) => s.as_raw_fd(),
-            AnyStream::Unix(s) => s.as_raw_fd(),
-        }
     }
 }
 
@@ -312,331 +305,172 @@ impl Write for AnyStream {
     }
 }
 
-// ------------------------------------------------------------- readiness
+// -------------------------------------------------------------- admission
 
-/// One readiness report from the poller.
-struct PollEvent {
-    token: u64,
-    readable: bool,
-    writable: bool,
+/// What admission decided for one plan.
+enum Admission {
+    /// Run on this compute slot.
+    Slot(usize),
+    /// Every slot is busy and `queue_depth` plans already wait.
+    Overloaded,
+    /// The drain began before a slot came free.
+    Draining,
 }
 
-const TOKEN_LISTENER: u64 = 0;
-const TOKEN_WAKE: u64 = 1;
-const FIRST_CONN_TOKEN: u64 = 2;
-
-#[cfg(not(target_os = "linux"))]
-compile_error!("uov-service's event loop is epoll-only: it builds on Linux");
-
-/// epoll plus a self-pipe for compute-pool wakeups. Raw FFI — std
-/// already links libc, so no new dependency.
-mod poller {
-    use super::{PollEvent, TOKEN_WAKE};
-    use std::io;
-    use std::os::raw::{c_int, c_void};
-
-    #[repr(C)]
-    #[cfg_attr(target_arch = "x86_64", repr(packed))]
-    #[derive(Clone, Copy)]
-    struct EpollEvent {
-        events: u32,
-        data: u64,
-    }
-
-    const EPOLL_CTL_ADD: c_int = 1;
-    const EPOLL_CTL_DEL: c_int = 2;
-    const EPOLL_CTL_MOD: c_int = 3;
-    const EPOLLIN: u32 = 0x001;
-    const EPOLLOUT: u32 = 0x004;
-    const EPOLLERR: u32 = 0x008;
-    const EPOLLHUP: u32 = 0x010;
-    const EPOLL_CLOEXEC: c_int = 0o2000000;
-    const O_NONBLOCK: c_int = 0o4000;
-    const O_CLOEXEC: c_int = 0o2000000;
-
-    extern "C" {
-        fn epoll_create1(flags: c_int) -> c_int;
-        fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
-        fn epoll_wait(
-            epfd: c_int,
-            events: *mut EpollEvent,
-            maxevents: c_int,
-            timeout: c_int,
-        ) -> c_int;
-        fn pipe2(fds: *mut c_int, flags: c_int) -> c_int;
-        fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
-        fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
-        fn close(fd: c_int) -> c_int;
-    }
-
-    pub(crate) struct Poller {
-        epfd: c_int,
-        wake_rd: c_int,
-    }
-
-    /// The write end of the self-pipe; cloned into every worker so a
-    /// finished computation can interrupt `epoll_wait` immediately.
-    pub(crate) struct Notifier {
-        wake_wr: c_int,
-    }
-
-    impl Poller {
-        pub(crate) fn new() -> io::Result<(Poller, Notifier)> {
-            let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
-            if epfd < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            let mut fds: [c_int; 2] = [0; 2];
-            if unsafe { pipe2(fds.as_mut_ptr(), O_NONBLOCK | O_CLOEXEC) } < 0 {
-                let e = io::Error::last_os_error();
-                unsafe { close(epfd) };
-                return Err(e);
-            }
-            let p = Poller {
-                epfd,
-                wake_rd: fds[0],
-            };
-            p.add(fds[0], TOKEN_WAKE)?;
-            Ok((p, Notifier { wake_wr: fds[1] }))
-        }
-
-        fn ctl(&self, op: c_int, fd: c_int, token: u64, events: u32) -> io::Result<()> {
-            let mut ev = EpollEvent {
-                events,
-                data: token,
-            };
-            if unsafe { epoll_ctl(self.epfd, op, fd, &mut ev) } < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(())
-        }
-
-        /// Register `fd` for reading.
-        pub(crate) fn add(&self, fd: i32, token: u64) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_ADD, fd, token, EPOLLIN)
-        }
-
-        /// Change `fd`'s interest set.
-        pub(crate) fn set(
-            &self,
-            fd: i32,
-            token: u64,
-            readable: bool,
-            writable: bool,
-        ) -> io::Result<()> {
-            let events =
-                (if readable { EPOLLIN } else { 0 }) | (if writable { EPOLLOUT } else { 0 });
-            self.ctl(EPOLL_CTL_MOD, fd, token, events)
-        }
-
-        pub(crate) fn del(&self, fd: i32) {
-            let _ = self.ctl(EPOLL_CTL_DEL, fd, 0, 0);
-        }
-
-        pub(crate) fn wait(&self, timeout_ms: i32) -> Vec<PollEvent> {
-            let mut buf = [EpollEvent { events: 0, data: 0 }; 64];
-            let n = loop {
-                let n = unsafe {
-                    epoll_wait(self.epfd, buf.as_mut_ptr(), buf.len() as c_int, timeout_ms)
-                };
-                if n >= 0 {
-                    break n as usize;
-                }
-                if io::Error::last_os_error().kind() != io::ErrorKind::Interrupted {
-                    break 0;
-                }
-            };
-            buf[..n]
-                .iter()
-                .map(|ev| {
-                    let bits = ev.events;
-                    PollEvent {
-                        token: ev.data,
-                        readable: bits & (EPOLLIN | EPOLLERR | EPOLLHUP) != 0,
-                        writable: bits & (EPOLLOUT | EPOLLERR | EPOLLHUP) != 0,
-                    }
-                })
-                .collect()
-        }
-
-        pub(crate) fn drain_wake(&self) {
-            let mut sink = [0u8; 256];
-            loop {
-                let n =
-                    unsafe { read(self.wake_rd, sink.as_mut_ptr().cast::<c_void>(), sink.len()) };
-                if n <= 0 {
-                    break;
-                }
-            }
-        }
-    }
-
-    impl Drop for Poller {
-        fn drop(&mut self) {
-            unsafe {
-                close(self.wake_rd);
-                close(self.epfd);
-            }
-        }
-    }
-
-    impl Notifier {
-        pub(crate) fn notify(&self) {
-            let byte = 1u8;
-            unsafe {
-                let _ = write(self.wake_wr, (&raw const byte).cast::<c_void>(), 1);
-            }
-        }
-    }
-
-    impl Drop for Notifier {
-        fn drop(&mut self) {
-            unsafe {
-                close(self.wake_wr);
-            }
-        }
-    }
+/// The compute slots nobody holds, and the plans waiting for one.
+struct Slots {
+    free: Vec<usize>,
+    /// Tickets of waiting plans, in arrival order.
+    waiting: VecDeque<u64>,
+    next_ticket: u64,
 }
 
-// ------------------------------------------------------------- scheduler
-
-/// One admitted plan frame, queued for a worker.
-struct WorkItem {
-    token: u64,
-    payload: Vec<u8>,
+/// The admission gate: at most `workers` plans hold a slot, and at most
+/// `depth` wait for one, first come first served.
+struct Gate {
+    slots: Mutex<Slots>,
+    freed: Condvar,
+    depth: usize,
 }
 
-/// A finished computation, handed back to the event thread for writing.
-struct Completion {
-    token: u64,
-    kind: u8,
-    payload: Vec<u8>,
-    counts_response: bool,
-    close: bool,
-}
-
-#[derive(Default)]
-struct SchedInner {
-    queue: VecDeque<WorkItem>,
-    closed: bool,
-}
-
-/// The compute queue: admitted frames in arrival order, shared by the
-/// workers. Its length is bounded at admission, not here.
-struct Scheduler {
-    inner: Mutex<SchedInner>,
-    cv: Condvar,
-}
-
-impl Scheduler {
-    fn new() -> Self {
-        Scheduler {
-            inner: Mutex::new(SchedInner::default()),
-            cv: Condvar::new(),
+impl Gate {
+    fn new(workers: usize, depth: usize) -> Self {
+        Gate {
+            slots: Mutex::new(Slots {
+                free: (0..workers).rev().collect(),
+                waiting: VecDeque::new(),
+                next_ticket: 0,
+            }),
+            freed: Condvar::new(),
+            depth,
         }
     }
 
-    fn push(&self, item: WorkItem) {
-        let mut inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-        inner.queue.push_back(item);
-        drop(inner);
-        self.cv.notify_one();
+    /// Plans waiting for a slot right now.
+    fn waiting(&self) -> usize {
+        lock(&self.slots).waiting.len()
     }
 
-    /// Blocking FIFO dequeue; `None` once closed and drained.
-    fn pop(&self) -> Option<WorkItem> {
-        let mut inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
+    /// Take a slot, waiting in line for one if none is free. The drain
+    /// flag is read under the gate's lock, and the drain takes that lock
+    /// before it wakes the line, so no waiter misses it.
+    fn acquire(&self, draining: &AtomicBool) -> Admission {
+        let mut slots = lock(&self.slots);
+        if slots.waiting.len() >= self.depth {
+            return Admission::Overloaded;
+        }
+        let ticket = slots.next_ticket;
+        slots.next_ticket += 1;
+        slots.waiting.push_back(ticket);
         loop {
-            if let Some(item) = inner.queue.pop_front() {
-                return Some(item);
+            if draining.load(Ordering::SeqCst) {
+                slots.waiting.retain(|&t| t != ticket);
+                return Admission::Draining;
             }
-            if inner.closed {
-                return None;
+            if slots.waiting.front() == Some(&ticket) {
+                if let Some(slot) = slots.free.pop() {
+                    slots.waiting.pop_front();
+                    if !slots.waiting.is_empty() {
+                        // The next in line may find a slot too.
+                        self.freed.notify_all();
+                    }
+                    return Admission::Slot(slot);
+                }
             }
-            inner = self.cv.wait(inner).unwrap_or_else(|p| p.into_inner());
+            slots = self
+                .freed
+                .wait(slots)
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 
-    fn close(&self) {
-        let mut inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-        inner.closed = true;
-        drop(inner);
-        self.cv.notify_all();
+    fn release(&self, slot: usize) {
+        let mut slots = lock(&self.slots);
+        slots.free.push(slot);
+        if !slots.waiting.is_empty() {
+            self.freed.notify_all();
+        }
+    }
+
+    /// Wake every waiting plan, so that each sees the drain.
+    fn wake_all(&self) {
+        let _slots = lock(&self.slots);
+        self.freed.notify_all();
     }
 }
 
 // ----------------------------------------------------------------- server
 
-/// What one worker is doing right now, read and written under one lock so
-/// the watchdog can never cancel a request that registered after its
-/// busy-time check (the check and the trip are atomic w.r.t. registration).
-#[derive(Default)]
-struct BusyState {
-    /// Milliseconds (since server start) when the current request began;
-    /// `None` while idle.
-    since_ms: Option<u64>,
-    /// The current request's budget cancellation token.
-    cancel: Option<Arc<AtomicBool>>,
-}
-
-/// Per-worker liveness bookkeeping for the watchdog.
-#[derive(Default)]
-struct WorkerSlot {
-    /// Milliseconds (since server start) of the worker's last sign of
-    /// life — updated on every dequeue and request boundary.
-    heartbeat_ms: AtomicU64,
-    /// The in-flight request, if any.
-    busy: Mutex<BusyState>,
-}
-
-impl WorkerSlot {
-    fn beat(&self, now_ms: u64) {
-        self.heartbeat_ms.store(now_ms, Ordering::Relaxed);
-    }
-
-    fn begin_request(&self, now_ms: u64, cancel: Arc<AtomicBool>) {
-        let mut busy = self.busy.lock().unwrap_or_else(|p| p.into_inner());
-        busy.since_ms = Some(now_ms);
-        busy.cancel = Some(cancel);
-    }
-
-    fn end_request(&self) {
-        let mut busy = self.busy.lock().unwrap_or_else(|p| p.into_inner());
-        busy.since_ms = None;
-        busy.cancel = None;
-    }
+/// The plan running on one compute slot: when it began, and its budget's
+/// cancellation token. Set and cleared under the slot's lock, so the
+/// watchdog never cancels a plan that began after its check.
+struct Busy {
+    since: Instant,
+    cancel: Arc<AtomicBool>,
 }
 
 struct ServerState {
     config: ServerConfig,
+    /// The bound endpoint; the drain dials it once to wake `accept`.
+    endpoint: String,
     cache: PlanCache,
     shutdown: AtomicBool,
     stats: Counters,
-    /// Work items sitting in the compute queue right now.
-    queue_len: AtomicU64,
-    /// Worker threads currently running their loop.
-    workers_alive: AtomicU64,
-    /// One slot per worker index, shared with the watchdog.
-    slots: Vec<Arc<WorkerSlot>>,
-    /// Server start, the epoch for all slot timestamps.
-    started: Instant,
+    gate: Gate,
+    /// One busy record per compute slot, read by the watchdog.
+    busy: Vec<Mutex<Option<Busy>>>,
+}
+
+/// One answer frame, and what its connection does once it is written.
+struct Reply {
+    kind: u8,
+    payload: Vec<u8>,
+    /// A plan answer: counted in `responses` once fully written.
+    counts_response: bool,
+    /// Close the connection after this frame.
+    close: bool,
+}
+
+impl Reply {
+    fn new(kind: u8, payload: Vec<u8>) -> Self {
+        Reply {
+            kind,
+            payload,
+            counts_response: false,
+            close: false,
+        }
+    }
+
+    fn error(code: ErrorCode, msg: impl Into<String>) -> Self {
+        let msg = msg.into();
+        Reply::new(kind::RESP_ERROR, ErrorResponse { code, msg }.encode())
+    }
 }
 
 impl ServerState {
-    fn now_ms(&self) -> u64 {
-        self.started.elapsed().as_millis() as u64
+    fn draining(&self) -> bool {
+        self.shutdown.load(Ordering::SeqCst)
+    }
+
+    /// Raise the drain flag (once), wake the plans waiting for a slot so
+    /// they answer `ShuttingDown`, and dial the server's own endpoint so
+    /// the accept thread returns from `accept` and stops.
+    fn begin_drain(&self) {
+        if !self.shutdown.swap(true, Ordering::SeqCst) {
+            self.gate.wake_all();
+            let _ = AnyStream::connect(&self.endpoint);
+        }
     }
 
     /// The readiness signal served by `REQ_HEALTH`.
     fn health(&self) -> HealthResponse {
-        let draining = self.shutdown.load(Ordering::SeqCst);
-        let workers_alive = self.workers_alive.load(Ordering::Relaxed) as u32;
-        let queue_len = self.queue_len.load(Ordering::Relaxed) as u32;
-        let queue_depth = self.config.queue_depth.max(1) as u32;
+        let draining = self.draining();
+        let queue_len = self.gate.waiting() as u32;
+        let queue_depth = self.gate.depth as u32;
         HealthResponse {
-            ready: !draining && workers_alive > 0 && queue_len < queue_depth,
+            ready: !draining && queue_len < queue_depth,
             draining,
-            workers_alive,
+            workers_alive: self.busy.len() as u32,
             queue_len,
             queue_depth,
         }
@@ -647,6 +481,86 @@ impl ServerState {
         StatsResponse {
             server: self.stats.snapshot(),
             cache: self.cache.stats(),
+        }
+    }
+
+    /// Answer one frame. Probes and shutdown need no compute slot; plans
+    /// go through the gate.
+    fn answer(&self, frame: Frame) -> Reply {
+        match frame.kind {
+            kind::REQ_HEALTH => Reply::new(kind::RESP_HEALTH, self.health().encode()),
+            kind::REQ_STATS => Reply::new(kind::RESP_STATS, self.stats_response().encode()),
+            kind::REQ_SHUTDOWN => {
+                self.begin_drain();
+                Reply {
+                    close: true,
+                    ..Reply::new(kind::RESP_SHUTDOWN_ACK, Vec::new())
+                }
+            }
+            kind::REQ_PLAN => self.plan(&frame.payload),
+            other => {
+                // The frame itself was intact (CRC passed), so the stream
+                // stays at a frame boundary: report and keep the connection.
+                self.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
+                Reply::error(
+                    ErrorCode::Unsupported,
+                    format!("unknown frame kind {other}"),
+                )
+            }
+        }
+    }
+
+    /// Admit one plan frame to a compute slot, or shed it, and run it
+    /// there under `catch_unwind`.
+    fn plan(&self, payload: &[u8]) -> Reply {
+        let slot = match self.gate.acquire(&self.shutdown) {
+            Admission::Slot(slot) => slot,
+            Admission::Overloaded => {
+                self.stats
+                    .rejected_overloaded
+                    .fetch_add(1, Ordering::Relaxed);
+                return Reply::error(ErrorCode::Overloaded, "request queue is full");
+            }
+            Admission::Draining => {
+                self.stats.rejected_shutdown.fetch_add(1, Ordering::Relaxed);
+                return Reply::error(ErrorCode::ShuttingDown, "server is draining");
+            }
+        };
+        let outcome = catch_unwind(AssertUnwindSafe(|| self.run_plan(payload, slot)));
+        // Clear the busy record even after a panic, so a dead plan's
+        // cancel token is never tripped later.
+        *lock(&self.busy[slot]) = None;
+        self.gate.release(slot);
+        outcome.unwrap_or_else(|_| {
+            self.stats.panics.fetch_add(1, Ordering::Relaxed);
+            Reply {
+                close: true,
+                ..Reply::error(ErrorCode::Internal, "internal panic; request isolated")
+            }
+        })
+    }
+
+    /// Decode and run one admitted plan, registered with the watchdog
+    /// for the search's duration.
+    fn run_plan(&self, payload: &[u8], slot: usize) -> Reply {
+        let req = match PlanRequest::decode(payload) {
+            Ok(req) => req,
+            Err(e) => {
+                self.stats.protocol_error(&e);
+                return Reply::error(ErrorCode::Malformed, e.to_string());
+            }
+        };
+        let cancel = Arc::new(AtomicBool::new(false));
+        *lock(&self.busy[slot]) = Some(Busy {
+            since: Instant::now(),
+            cancel: Arc::clone(&cancel),
+        });
+        match self.handle_plan(&req, cancel) {
+            Ok(resp) => Reply {
+                counts_response: true,
+                ..Reply::new(kind::RESP_PLAN, resp.encode())
+            },
+            Err(err) => Reply::new(kind::RESP_ERROR, err.encode()),
         }
     }
 
@@ -710,545 +624,165 @@ impl ServerState {
     }
 }
 
-// ------------------------------------------------------------ event loop
+// ------------------------------------------------------------ connections
 
-/// One response (or error) frame queued for write, with a resume offset
-/// for partial writes.
-struct WriteBuf {
-    bytes: Vec<u8>,
-    off: usize,
-    /// Count this frame in `responses` once fully written (plan answers
-    /// do; errors and probes don't).
-    counts_response: bool,
-}
-
-/// Per-connection state machine owned by the event thread.
-struct Conn {
+/// A connection's source of bytes. Each read blocks at most one tick. A
+/// read fails with `TimedOut` once the connection has completed no frame
+/// for the idle deadline — a slow drip of bytes never moves `since` — and
+/// within one tick of the drain.
+struct Deadline<'a> {
     stream: AnyStream,
-    token: u64,
-    /// Unparsed input. Bounded: reads stop once a full max-size frame
-    /// could be buffered, so a flooding peer cannot balloon memory.
-    rbuf: Vec<u8>,
-    wqueue: VecDeque<WriteBuf>,
-    /// Parsed frames not yet dispatched.
-    pending: VecDeque<Frame>,
-    /// A compute frame from this connection is on a worker. One frame in
-    /// flight per connection keeps responses in request order.
-    inflight: bool,
-    /// A fatal protocol error to report — deferred until in-flight work
-    /// has been answered, so a valid frame's response is flushed before
-    /// the error reply and close.
-    poisoned: Option<(ErrorCode, String)>,
-    /// Close once the write queue drains.
-    closing: bool,
-    eof: bool,
-    dead: bool,
-    /// `now_ms` of the last *completed* frame, response write progress,
-    /// or completion. A slow-loris peer trickling header bytes never
-    /// resets it, so the idle deadline reaps it on schedule.
-    progress_ms: u64,
-    reg_read: bool,
-    reg_write: bool,
+    state: &'a ServerState,
+    /// When the last frame was answered (or the connection opened).
+    since: Instant,
+    limit: Duration,
 }
 
-fn enqueue_frame(conn: &mut Conn, frame_kind: u8, payload: &[u8], counts_response: bool) {
-    conn.wqueue.push_back(WriteBuf {
-        bytes: encode_frame(frame_kind, payload),
-        off: 0,
-        counts_response,
-    });
-}
-
-/// Drain the socket into `rbuf` until `WouldBlock`, EOF, or the buffer
-/// bound. Never parses — that is `service_conn`'s job.
-fn read_conn(conn: &mut Conn) {
-    if conn.poisoned.is_some() || conn.closing || conn.eof || conn.dead {
-        return;
-    }
-    let mut tmp = [0u8; 16384];
-    loop {
-        if conn.rbuf.len() >= MAX_FRAME_LEN {
-            break;
-        }
-        match conn.stream.read(&mut tmp) {
-            Ok(0) => {
-                conn.eof = true;
-                break;
-            }
-            Ok(n) => conn.rbuf.extend_from_slice(&tmp[..n]),
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => {
-                // Reset mid-stream: nothing to answer, nobody listening.
-                conn.dead = true;
-                break;
-            }
-        }
-    }
-}
-
-/// Write queued frames until `WouldBlock` or the queue drains.
-fn flush_conn(conn: &mut Conn, state: &ServerState) {
-    if conn.dead {
-        return;
-    }
-    while let Some(front) = conn.wqueue.front_mut() {
-        match conn.stream.write(&front.bytes[front.off..]) {
-            Ok(0) => {
-                conn.dead = true;
-                return;
-            }
-            Ok(n) => {
-                front.off += n;
-                conn.progress_ms = state.now_ms();
-                if front.off >= front.bytes.len() {
-                    if front.counts_response {
-                        state.stats.responses.fetch_add(1, Ordering::Relaxed);
-                    }
-                    conn.wqueue.pop_front();
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => {
-                conn.dead = true;
-                return;
-            }
-        }
-    }
-}
-
-/// Admit, shed, or answer one parsed frame. Probes (health/stats) and
-/// shutdown are answered inline on the event thread — even mid-drain,
-/// even with every worker wedged. Compute frames join the queue unless
-/// it is full.
-fn dispatch_frame(conn: &mut Conn, frame: Frame, state: &ServerState, sched: &Scheduler) {
-    let Frame {
-        kind: frame_kind,
-        payload,
-    } = frame;
-    match frame_kind {
-        kind::REQ_HEALTH => {
-            enqueue_frame(conn, kind::RESP_HEALTH, &state.health().encode(), false);
-        }
-        kind::REQ_STATS => {
-            enqueue_frame(
-                conn,
-                kind::RESP_STATS,
-                &state.stats_response().encode(),
-                false,
-            );
-        }
-        kind::REQ_SHUTDOWN => {
-            state.shutdown.store(true, Ordering::SeqCst);
-            enqueue_frame(conn, kind::RESP_SHUTDOWN_ACK, &[], false);
-            conn.closing = true;
-        }
-        kind::REQ_PLAN => {
-            if state.shutdown.load(Ordering::SeqCst) {
-                state
-                    .stats
-                    .rejected_shutdown
-                    .fetch_add(1, Ordering::Relaxed);
-                let err = ErrorResponse {
-                    code: ErrorCode::ShuttingDown,
-                    msg: "server is draining".into(),
-                };
-                enqueue_frame(conn, kind::RESP_ERROR, &err.encode(), false);
-                conn.closing = true;
-                return;
-            }
-            // The one admission rule: a full compute queue sheds.
-            let qlen = state.queue_len.load(Ordering::Relaxed) as usize;
-            if qlen >= state.config.queue_depth.max(1) {
-                state
-                    .stats
-                    .rejected_overloaded
-                    .fetch_add(1, Ordering::Relaxed);
-                let err = ErrorResponse {
-                    code: ErrorCode::Overloaded,
-                    msg: "request queue is full".into(),
-                };
-                enqueue_frame(conn, kind::RESP_ERROR, &err.encode(), false);
-                return;
-            }
-            state.queue_len.fetch_add(1, Ordering::Relaxed);
-            sched.push(WorkItem {
-                token: conn.token,
-                payload,
-            });
-            conn.inflight = true;
-        }
-        other => {
-            // The frame itself was intact (CRC passed), so the stream
-            // stays at a frame boundary: report and keep the connection.
-            state.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-            let err = ErrorResponse {
-                code: ErrorCode::Unsupported,
-                msg: format!("unknown frame kind {other}"),
-            };
-            enqueue_frame(conn, kind::RESP_ERROR, &err.encode(), false);
-        }
-    }
-}
-
-/// Advance one connection's state machine: parse buffered bytes into
-/// frames, dispatch them in order, finalize poison/EOF once in-flight
-/// work has drained, flush output, and resync poller interest.
-fn service_conn(conn: &mut Conn, state: &ServerState, sched: &Scheduler, poller: &poller::Poller) {
-    if conn.poisoned.is_none() && !conn.closing {
-        let mut consumed = 0;
+impl Read for Deadline<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         loop {
-            match parse_frame(&conn.rbuf[consumed..]) {
-                Ok(Some((frame, used))) => {
-                    consumed += used;
-                    conn.progress_ms = state.now_ms();
-                    conn.pending.push_back(frame);
-                }
-                Ok(None) => break,
-                Err(e) => {
-                    // Bad magic, wrong version, oversized prefix, CRC
-                    // mismatch: the stream position is no longer
-                    // trustworthy. Stop reading; the typed reply goes
-                    // out once already-admitted work is answered. The
-                    // reply distinguishes transit damage (`Corrupted`,
-                    // safe to resend verbatim) from version skew
-                    // (`Unsupported`).
-                    state.stats.protocol_error(&e);
-                    let code = match e {
-                        ServiceError::UnsupportedVersion(_) => ErrorCode::Unsupported,
-                        ServiceError::CrcMismatch
-                        | ServiceError::BadMagic
-                        | ServiceError::ConnectionClosed => ErrorCode::Corrupted,
-                        _ => ErrorCode::Malformed,
-                    };
-                    conn.poisoned = Some((code, e.to_string()));
-                    conn.rbuf.clear();
-                    consumed = 0;
-                    break;
-                }
+            if self.state.draining() {
+                return Err(io::Error::new(
+                    io::ErrorKind::ConnectionAborted,
+                    "server is draining",
+                ));
+            }
+            if self.since.elapsed() > self.limit {
+                return Err(io::ErrorKind::TimedOut.into());
+            }
+            match self.stream.read(buf) {
+                Err(e) if stalled(&e) => {}
+                other => return other,
             }
         }
-        if consumed > 0 {
-            conn.rbuf.drain(..consumed);
-        }
-    }
-    // EOF with a partial frame still buffered is a torn frame.
-    if conn.eof && !conn.rbuf.is_empty() && conn.poisoned.is_none() && !conn.closing {
-        let e = ServiceError::ConnectionClosed;
-        state.stats.protocol_error(&e);
-        conn.poisoned = Some((ErrorCode::Corrupted, e.to_string()));
-        conn.rbuf.clear();
-    }
-    // Dispatch in arrival order, one compute frame in flight at a time
-    // (pipelining happens across connections, ordering within one).
-    while !conn.inflight && !conn.closing && !conn.dead {
-        let Some(frame) = conn.pending.pop_front() else {
-            break;
-        };
-        dispatch_frame(conn, frame, state, sched);
-    }
-    // Poison / EOF finalization waits for in-flight work so a valid
-    // frame's answer is flushed before the error reply and the close.
-    if !conn.inflight && conn.pending.is_empty() && !conn.closing {
-        if let Some((code, msg)) = conn.poisoned.take() {
-            let err = ErrorResponse { code, msg };
-            enqueue_frame(conn, kind::RESP_ERROR, &err.encode(), false);
-            conn.closing = true;
-        } else if conn.eof {
-            conn.closing = true;
-        }
-    }
-    flush_conn(conn, state);
-    let want_read = conn.poisoned.is_none() && !conn.closing && !conn.eof && !conn.dead;
-    let want_write = !conn.wqueue.is_empty() && !conn.dead;
-    if !conn.dead && (want_read != conn.reg_read || want_write != conn.reg_write) {
-        conn.reg_read = want_read;
-        conn.reg_write = want_write;
-        let _ = poller.set(conn.stream.raw_fd(), conn.token, want_read, want_write);
-    }
-    if conn.closing && conn.wqueue.is_empty() && !conn.inflight {
-        conn.dead = true;
     }
 }
 
-/// The event thread: owns the listener, every connection and the
-/// poller. Exits once a drain has begun and the last
-/// connection is gone, then closes the scheduler so workers drain and
-/// exit.
-fn event_loop(
-    listener: &AnyListener,
-    poller: &poller::Poller,
-    state: &Arc<ServerState>,
-    sched: &Arc<Scheduler>,
-    completions: &Mutex<Vec<Completion>>,
-) {
-    let mut conns: HashMap<u64, Conn> = HashMap::new();
-    let mut next_token = FIRST_CONN_TOKEN;
-    let _ = poller.add(listener.raw_fd(), TOKEN_LISTENER);
+/// Whether a socket call gave up at its timeout.
+fn stalled(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+    )
+}
+
+/// One connection's thread: read a frame, answer it, read the next.
+fn serve_conn(stream: AnyStream, state: &ServerState) {
+    let limit = TICK * state.config.idle_ticks;
+    if stream.set_read_timeout(Some(TICK)).is_err()
+        || stream.set_write_timeout(Some(limit.max(TICK))).is_err()
+    {
+        stream.close();
+        return;
+    }
+    let mut reader = BufReader::new(Deadline {
+        stream,
+        state,
+        since: Instant::now(),
+        limit,
+    });
     loop {
-        for ev in poller.wait(100) {
-            match ev.token {
-                TOKEN_WAKE => poller.drain_wake(),
-                TOKEN_LISTENER => {
-                    if state.shutdown.load(Ordering::SeqCst) {
-                        continue;
-                    }
-                    loop {
-                        match listener.accept() {
-                            Ok(stream) => {
-                                if stream.set_nonblocking(true).is_err() {
-                                    stream.close();
-                                    continue;
-                                }
-                                let token = next_token;
-                                next_token += 1;
-                                state.stats.connections.fetch_add(1, Ordering::Relaxed);
-                                if poller.add(stream.raw_fd(), token).is_err() {
-                                    stream.close();
-                                    continue;
-                                }
-                                conns.insert(
-                                    token,
-                                    Conn {
-                                        stream,
-                                        token,
-                                        rbuf: Vec::new(),
-                                        wqueue: VecDeque::new(),
-                                        pending: VecDeque::new(),
-                                        inflight: false,
-                                        poisoned: None,
-                                        closing: false,
-                                        eof: false,
-                                        dead: false,
-                                        progress_ms: state.now_ms(),
-                                        reg_read: true,
-                                        reg_write: false,
-                                    },
-                                );
-                            }
-                            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                            Err(_) => break,
-                        }
-                    }
+        let reply = match read_frame(&mut reader) {
+            Ok(Some(frame)) => state.answer(frame),
+            Ok(None) => break,
+            Err(ServiceError::Io(e)) => {
+                if e.kind() == io::ErrorKind::TimedOut {
+                    state.stats.idle_timeouts.fetch_add(1, Ordering::Relaxed);
                 }
-                token => {
-                    if let Some(conn) = conns.get_mut(&token) {
-                        if ev.readable {
-                            read_conn(conn);
-                        }
-                        if ev.writable {
-                            flush_conn(conn, state);
-                        }
-                        service_conn(conn, state, sched, poller);
-                    }
+                break;
+            }
+            Err(e) => {
+                // Bad magic, wrong version, oversized prefix, CRC mismatch
+                // or a torn frame: the stream is no longer at a frame
+                // boundary, so the typed reply is the connection's last.
+                // It tells transit damage (`Corrupted`, safe to resend
+                // verbatim) from version skew (`Unsupported`).
+                state.stats.protocol_error(&e);
+                let code = match e {
+                    ServiceError::UnsupportedVersion(_) => ErrorCode::Unsupported,
+                    ServiceError::CrcMismatch
+                    | ServiceError::BadMagic
+                    | ServiceError::ConnectionClosed => ErrorCode::Corrupted,
+                    _ => ErrorCode::Malformed,
+                };
+                Reply {
+                    close: true,
+                    ..Reply::error(code, e.to_string())
                 }
             }
-        }
-        // Completions from the pool: queue the response and resume the
-        // connection's dispatch loop.
-        let done: Vec<Completion> = {
-            let mut guard = completions.lock().unwrap_or_else(|p| p.into_inner());
-            std::mem::take(&mut *guard)
         };
-        for comp in done {
-            if let Some(conn) = conns.get_mut(&comp.token) {
-                conn.inflight = false;
-                conn.progress_ms = state.now_ms();
-                enqueue_frame(conn, comp.kind, &comp.payload, comp.counts_response);
-                if comp.close {
-                    conn.poisoned = None;
-                    conn.closing = true;
-                }
-                service_conn(conn, state, sched, poller);
+        let conn = reader.get_mut();
+        match write_frame(&mut conn.stream, reply.kind, &reply.payload) {
+            Ok(()) if reply.counts_response => {
+                state.stats.responses.fetch_add(1, Ordering::Relaxed);
             }
-        }
-        // Read-deadline and drain reaping. A connection with work in
-        // flight is never reaped — its answer is still owed.
-        let now = state.now_ms();
-        let deadline_ms = u64::from(state.config.idle_ticks) * 100;
-        let draining = state.shutdown.load(Ordering::SeqCst);
-        for conn in conns.values_mut() {
-            if conn.dead || conn.inflight {
-                continue;
-            }
-            let expired = now.saturating_sub(conn.progress_ms) > deadline_ms;
-            let quiescent = conn.wqueue.is_empty() && conn.pending.is_empty() && !conn.closing;
-            if draining && quiescent {
-                conn.dead = true;
-            } else if expired && quiescent {
-                state.stats.idle_timeouts.fetch_add(1, Ordering::Relaxed);
-                conn.dead = true;
-            } else if expired && !conn.wqueue.is_empty() {
+            Ok(()) => {}
+            Err(ServiceError::Io(e)) if stalled(&e) => {
                 // The peer stopped reading: a write stalled past the
                 // deadline is dropped like a stalled read.
                 state.stats.idle_timeouts.fetch_add(1, Ordering::Relaxed);
-                conn.dead = true;
+                break;
             }
+            Err(_) => break,
         }
-        conns.retain(|_, conn| {
-            if conn.dead {
-                poller.del(conn.stream.raw_fd());
-                conn.stream.close();
-                false
-            } else {
-                true
-            }
-        });
-        if draining && conns.is_empty() {
+        if reply.close {
             break;
         }
+        conn.since = Instant::now();
     }
-    sched.close();
+    reader.get_ref().stream.close();
 }
 
-// ------------------------------------------------------------ compute pool
-
-/// Everything a worker thread needs, bundled so the watchdog can respawn
-/// a dead worker with one `Arc` clone.
-struct WorkerCtx {
-    state: Arc<ServerState>,
-    sched: Arc<Scheduler>,
-    completions: Arc<Mutex<Vec<Completion>>>,
-    notifier: Arc<poller::Notifier>,
-}
-
-/// Execute one admitted plan frame, returning the response frame as
-/// `(kind, payload, counts_response)`.
-fn execute_item(item: &WorkItem, state: &ServerState, slot: &WorkerSlot) -> (u8, Vec<u8>, bool) {
-    // Queued-but-unstarted work admitted before the drain flag went up
-    // is answered `ShuttingDown`, matching the old pool's behavior.
-    if state.shutdown.load(Ordering::SeqCst) {
-        state
-            .stats
-            .rejected_shutdown
-            .fetch_add(1, Ordering::Relaxed);
-        let err = ErrorResponse {
-            code: ErrorCode::ShuttingDown,
-            msg: "server is draining".into(),
+/// The accept thread: one thread per connection until the drain. It
+/// returns the handles of the connection threads still running.
+fn accept_loop(listener: &AnyListener, state: &Arc<ServerState>) -> Vec<JoinHandle<()>> {
+    let mut conns: Vec<JoinHandle<()>> = Vec::new();
+    for n in 0u64.. {
+        let accepted = listener.accept();
+        // The drain's wake-up dial, or a client racing it: not served.
+        if state.draining() {
+            break;
+        }
+        let Ok(stream) = accepted else {
+            thread::sleep(TICK / 10);
+            continue;
         };
-        return (kind::RESP_ERROR, err.encode(), false);
-    }
-    match PlanRequest::decode(&item.payload) {
-        Ok(req) => {
-            // Register with the watchdog before the (potentially long)
-            // search, clear after.
-            let cancel = Arc::new(AtomicBool::new(false));
-            slot.begin_request(state.now_ms(), Arc::clone(&cancel));
-            let outcome = state.handle_plan(&req, cancel);
-            slot.end_request();
-            match outcome {
-                Ok(resp) => (kind::RESP_PLAN, resp.encode(), true),
-                Err(err) => (kind::RESP_ERROR, err.encode(), false),
-            }
+        let (done, live) = conns.into_iter().partition(|c| c.is_finished());
+        conns = live;
+        for conn in done {
+            reap(conn, &state.stats);
         }
-        Err(e) => {
-            state.stats.protocol_error(&e);
-            let err = ErrorResponse {
-                code: ErrorCode::Malformed,
-                msg: e.to_string(),
-            };
-            (kind::RESP_ERROR, err.encode(), false)
-        }
-    }
-}
-
-fn worker_loop(index: usize, ctx: &WorkerCtx) {
-    let state = &ctx.state;
-    state.workers_alive.fetch_add(1, Ordering::Relaxed);
-    // Readiness must drop even if this loop unwinds or is replaced.
-    struct Alive<'a>(&'a AtomicU64);
-    impl Drop for Alive<'_> {
-        fn drop(&mut self) {
-            self.0.fetch_sub(1, Ordering::Relaxed);
-        }
-    }
-    let _alive = Alive(&state.workers_alive);
-    let slot = Arc::clone(&state.slots[index % state.slots.len().max(1)]);
-    while let Some(item) = ctx.sched.pop() {
-        state.queue_len.fetch_sub(1, Ordering::Relaxed);
-        slot.beat(state.now_ms());
-        let outcome = catch_unwind(AssertUnwindSafe(|| execute_item(&item, state, &slot)));
-        // A panic can escape mid-request: clear the watchdog registration
-        // so a dead request's cancel token is never tripped later.
-        slot.end_request();
-        slot.beat(state.now_ms());
-        let comp = match outcome {
-            Ok((frame_kind, payload, counts_response)) => Completion {
-                token: item.token,
-                kind: frame_kind,
-                payload,
-                counts_response,
-                close: false,
-            },
-            Err(_) => {
-                state.stats.panics.fetch_add(1, Ordering::Relaxed);
-                let err = ErrorResponse {
-                    code: ErrorCode::Internal,
-                    msg: "internal panic; request isolated".into(),
-                };
-                Completion {
-                    token: item.token,
-                    kind: kind::RESP_ERROR,
-                    payload: err.encode(),
-                    counts_response: false,
-                    close: true,
-                }
-            }
-        };
+        state.stats.connections.fetch_add(1, Ordering::Relaxed);
+        let conn_state = Arc::clone(state);
+        if let Ok(conn) = thread::Builder::new()
+            .name(format!("uov-service-conn-{n}"))
+            .spawn(move || serve_conn(stream, &conn_state))
         {
-            let mut guard = ctx.completions.lock().unwrap_or_else(|p| p.into_inner());
-            guard.push(comp);
+            conns.push(conn);
         }
-        ctx.notifier.notify();
+    }
+    conns
+}
+
+/// Join a connection thread. A panic that escaped it, outside a plan's
+/// `catch_unwind`, counts in `panics` too.
+fn reap(conn: JoinHandle<()>, stats: &Counters) {
+    if conn.join().is_err() {
+        stats.panics.fetch_add(1, Ordering::Relaxed);
     }
 }
 
-fn spawn_worker(index: usize, ctx: &Arc<WorkerCtx>) -> Result<JoinHandle<()>, ServiceError> {
-    let ctx = Arc::clone(ctx);
-    thread::Builder::new()
-        .name(format!("uov-service-worker-{index}"))
-        .spawn(move || worker_loop(index, &ctx))
-        .map_err(ServiceError::Io)
-}
-
-/// Poll the worker pool: cancel requests stuck past the wedge timeout
-/// (degrading them to certified legal answers via their budgets) and
-/// respawn worker threads that died outright. Exits once the drain flag
-/// is up — the pool is winding down then anyway.
-fn watchdog_loop(ctx: &Arc<WorkerCtx>, workers: &Arc<Mutex<Vec<JoinHandle<()>>>>) {
-    let state = &ctx.state;
-    let wedge_ms = state.config.wedge_timeout.as_millis() as u64;
-    loop {
-        if state.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
+/// Cancel plans that hold a compute slot past the wedge timeout,
+/// degrading them to certified legal answers via their budgets. Exits
+/// once the drain flag is up.
+fn watchdog_loop(state: &ServerState) {
+    let wedge = state.config.wedge_timeout;
+    while !state.draining() {
         thread::sleep(Duration::from_millis(20));
-
-        if wedge_ms > 0 {
-            let now = state.now_ms();
-            for slot in &state.slots {
-                let busy = slot.busy.lock().unwrap_or_else(|p| p.into_inner());
-                if let (Some(since), Some(cancel)) = (busy.since_ms, busy.cancel.as_ref()) {
-                    if now.saturating_sub(since) > wedge_ms && !cancel.swap(true, Ordering::SeqCst)
-                    {
-                        state.stats.watchdog_cancels.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
-        }
-
-        // A worker thread that is gone (its panic isolation itself failed,
-        // or it was killed by the OS) is replaced in place so the pool
-        // never shrinks below its configured size.
-        let mut ws = workers.lock().unwrap_or_else(|p| p.into_inner());
-        for (i, handle) in ws.iter_mut().enumerate() {
-            if handle.is_finished() && !state.shutdown.load(Ordering::SeqCst) {
-                if let Ok(fresh) = spawn_worker(i, ctx) {
-                    let dead = std::mem::replace(handle, fresh);
-                    let _ = dead.join();
-                    state.stats.worker_restarts.fetch_add(1, Ordering::Relaxed);
+        for slot in &state.busy {
+            if let Some(busy) = lock(slot).as_ref() {
+                if busy.since.elapsed() > wedge && !busy.cancel.swap(true, Ordering::SeqCst) {
+                    state.stats.watchdog_cancels.fetch_add(1, Ordering::Relaxed);
                 }
             }
         }
@@ -1258,11 +792,8 @@ fn watchdog_loop(ctx: &Arc<WorkerCtx>, workers: &Arc<Mutex<Vec<JoinHandle<()>>>>
 /// A running server. Dropping the handle does *not* stop the server;
 /// call [`ServerHandle::shutdown`] then [`ServerHandle::join`].
 pub struct ServerHandle {
-    endpoint: String,
     state: Arc<ServerState>,
-    event_thread: Option<JoinHandle<()>>,
-    /// Shared with the watchdog, which replaces dead handles in place.
-    workers: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    accept: JoinHandle<Vec<JoinHandle<()>>>,
     watchdog: Option<JoinHandle<()>>,
 }
 
@@ -1271,13 +802,13 @@ impl ServerHandle {
     /// to the assigned port (`"127.0.0.1:43817"`), for Unix sockets it is
     /// the `unix:<path>` string.
     pub fn endpoint(&self) -> &str {
-        &self.endpoint
+        &self.state.endpoint
     }
 
-    /// Begin a graceful drain: stop accepting, finish in-flight work,
-    /// answer new frames with `ShuttingDown`.
+    /// Begin a graceful drain: stop accepting, finish running plans,
+    /// answer waiting and new ones with `ShuttingDown`.
     pub fn shutdown(&self) {
-        self.state.shutdown.store(true, Ordering::SeqCst);
+        self.state.begin_drain();
     }
 
     /// Current traffic counters.
@@ -1295,25 +826,15 @@ impl ServerHandle {
         self.state.health()
     }
 
-    /// Wait for the drain to finish: the event loop, the watchdog, and
-    /// every worker exit, in-flight connections included. The plan cache
-    /// goes with the server: a restarted server starts cold.
-    pub fn join(mut self) -> ServerStats {
-        // The event thread exits once the drain empties the connection
-        // table, closing both the listener and the scheduler — which in
-        // turn lets the workers drain the queue and exit.
-        if let Some(t) = self.event_thread.take() {
-            let _ = t.join();
+    /// Wait for the drain to finish: the accept thread, then every
+    /// connection thread, then the watchdog exit. The plan cache goes
+    /// with the server: a restarted server starts cold.
+    pub fn join(self) -> ServerStats {
+        for conn in self.accept.join().unwrap_or_default() {
+            reap(conn, &self.state.stats);
         }
-        if let Some(t) = self.watchdog.take() {
-            let _ = t.join();
-        }
-        let handles: Vec<JoinHandle<()>> = {
-            let mut ws = self.workers.lock().unwrap_or_else(|p| p.into_inner());
-            ws.drain(..).collect()
-        };
-        for w in handles {
-            let _ = w.join();
+        if let Some(watchdog) = self.watchdog {
+            let _ = watchdog.join();
         }
         self.state.stats.snapshot()
     }
@@ -1324,63 +845,39 @@ impl ServerHandle {
 ///
 /// # Errors
 ///
-/// [`ServiceError::Io`] if the endpoint cannot be bound or the readiness
-/// poller cannot be created.
+/// [`ServiceError::Io`] if the endpoint cannot be bound or a thread
+/// cannot be started.
 pub fn serve(endpoint: &str, config: ServerConfig) -> Result<ServerHandle, ServiceError> {
+    let (listener, endpoint) = AnyListener::bind(endpoint)?;
     let workers = config.workers.max(1);
-    let (listener, bound) = AnyListener::bind(endpoint)?;
-    listener.set_nonblocking(true)?;
-
     let state = Arc::new(ServerState {
+        endpoint,
         cache: PlanCache::new(config.cache_capacity.max(1)),
         shutdown: AtomicBool::new(false),
         stats: Counters::default(),
-        queue_len: AtomicU64::new(0),
-        workers_alive: AtomicU64::new(0),
-        slots: (0..workers)
-            .map(|_| Arc::new(WorkerSlot::default()))
-            .collect(),
-        started: Instant::now(),
+        gate: Gate::new(workers, config.queue_depth.max(1)),
+        busy: (0..workers).map(|_| Mutex::new(None)).collect(),
         config,
     });
-
-    let (poller, notifier) = poller::Poller::new().map_err(ServiceError::Io)?;
-    let sched = Arc::new(Scheduler::new());
-    let completions = Arc::new(Mutex::new(Vec::new()));
-    let ctx = Arc::new(WorkerCtx {
-        state: Arc::clone(&state),
-        sched: Arc::clone(&sched),
-        completions: Arc::clone(&completions),
-        notifier: Arc::new(notifier),
-    });
-
-    let mut worker_handles = Vec::with_capacity(workers);
-    for i in 0..workers {
-        worker_handles.push(spawn_worker(i, &ctx)?);
-    }
-    let worker_handles = Arc::new(Mutex::new(worker_handles));
-
-    let ev_state = Arc::clone(&state);
-    let ev_sched = Arc::clone(&sched);
-    let ev_completions = Arc::clone(&completions);
-    let event_thread = thread::Builder::new()
-        .name("uov-service-event".into())
-        .spawn(move || event_loop(&listener, &poller, &ev_state, &ev_sched, &ev_completions))
-        .map_err(ServiceError::Io)?;
-
-    let watchdog_ctx = Arc::clone(&ctx);
-    let watchdog_workers = Arc::clone(&worker_handles);
-    let watchdog = thread::Builder::new()
-        .name("uov-service-watchdog".into())
-        .spawn(move || watchdog_loop(&watchdog_ctx, &watchdog_workers))
-        .map_err(ServiceError::Io)?;
-
+    let watchdog = if state.config.wedge_timeout.is_zero() {
+        None
+    } else {
+        let watchdog_state = Arc::clone(&state);
+        Some(
+            thread::Builder::new()
+                .name("uov-service-watchdog".into())
+                .spawn(move || watchdog_loop(&watchdog_state))?,
+        )
+    };
+    let accept_state = Arc::clone(&state);
+    let accept = thread::Builder::new()
+        .name("uov-service-accept".into())
+        .spawn(move || accept_loop(&listener, &accept_state))
+        .inspect_err(|_| state.begin_drain())?;
     Ok(ServerHandle {
-        endpoint: bound,
         state,
-        event_thread: Some(event_thread),
-        workers: worker_handles,
-        watchdog: Some(watchdog),
+        accept,
+        watchdog,
     })
 }
 
@@ -1388,7 +885,7 @@ pub fn serve(endpoint: &str, config: ServerConfig) -> Result<ServerHandle, Servi
 mod tests {
     use super::*;
     use crate::client::Client;
-    use crate::proto::{read_frame, write_frame, CacheOutcome};
+    use crate::proto::{encode_frame, CacheOutcome};
     use uov_core::npc::PartitionInstance;
     use uov_isg::{ivec, RectDomain};
 
@@ -1397,7 +894,7 @@ mod tests {
     }
 
     /// An effectively unbounded search instance (NP-hard reduction),
-    /// used to pin a worker busy for a deadline's worth of time.
+    /// used to hold a compute slot for a deadline's worth of time.
     fn wedge() -> Stencil {
         let inst = PartitionInstance::new(vec![5, 5, 4, 3, 2, 1]).unwrap();
         let (stencil, _) = inst.reduce().unwrap();
@@ -1565,8 +1062,8 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
-    /// The one admission rule: with the only worker wedged and the
-    /// one-slot queue full, a further request is shed with a typed
+    /// The one admission rule: with the only compute slot wedged and the
+    /// one-place queue full, a further request is shed with a typed
     /// `Overloaded`, and the queued request is still answered.
     #[test]
     fn a_full_queue_sheds_with_typed_overloaded() {
@@ -1594,7 +1091,7 @@ mod tests {
             deadline_ms: 2000,
             ..plain(wedge())
         });
-        wait_for("the wedge never reached the worker", &|| {
+        wait_for("the wedge never reached a compute slot", &|| {
             server.stats().requests == 1
         });
         let queued = ask(plain(fig1()));
@@ -1621,5 +1118,91 @@ mod tests {
         let stats = server.join();
         assert_eq!(stats.rejected_overloaded, 1);
         assert_eq!(stats.panics, 0);
+    }
+
+    /// Frames written back to back in one write are answered in order on
+    /// their connection: a plan, a health probe, then a second plan.
+    #[test]
+    fn pipelined_frames_are_answered_in_order() {
+        let server = start();
+        let grid = PlanRequest {
+            objective: ObjectiveSpec::KnownBounds(RectDomain::grid(6, 6)),
+            ..plain(fig1())
+        };
+        let frames = [
+            encode_frame(kind::REQ_PLAN, &plain(fig1()).encode()),
+            encode_frame(kind::REQ_HEALTH, &[]),
+            encode_frame(kind::REQ_PLAN, &grid.encode()),
+        ]
+        .concat();
+        let mut stream = std::net::TcpStream::connect(server.endpoint()).unwrap();
+        stream.write_all(&frames).unwrap();
+        let mut next = || read_frame(&mut stream).unwrap().unwrap();
+        let cost = |frame: Frame| {
+            assert_eq!(frame.kind, kind::RESP_PLAN);
+            PlanResponse::decode(&frame.payload).unwrap().cost
+        };
+        assert_eq!(cost(next()), 2);
+        assert_eq!(next().kind, kind::RESP_HEALTH);
+        assert_eq!(cost(next()), 11);
+        server.shutdown();
+        server.join();
+    }
+
+    /// Health and stats need no compute slot: while a long search holds
+    /// the only one, a second connection's probes are answered at once.
+    #[test]
+    fn probes_are_answered_while_every_compute_slot_is_busy() {
+        let server = serve(
+            "127.0.0.1:0",
+            ServerConfig {
+                workers: 1,
+                ..ServerConfig::default()
+            },
+        )
+        .unwrap();
+        let endpoint = server.endpoint().to_string();
+        let busy = std::thread::spawn(move || {
+            Client::connect(&endpoint).unwrap().plan(&PlanRequest {
+                deadline_ms: 2000,
+                ..plain(wedge())
+            })
+        });
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while server.stats().requests == 0 {
+            assert!(Instant::now() < deadline, "the wedge never started");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        let mut probe = Client::connect(server.endpoint()).unwrap();
+        // Far below the wedge's 2 s: a probe that waited for the slot
+        // would time out.
+        probe.set_timeout(Some(Duration::from_secs(1))).unwrap();
+        let health = probe.health().unwrap();
+        let stats = probe.stats().unwrap().server;
+        assert_eq!(health.queue_len, 0);
+        assert_eq!((stats.requests, stats.responses), (1, 0));
+        busy.join().unwrap().unwrap();
+        server.shutdown();
+        server.join();
+    }
+
+    /// The drain closes quiet connections within a tick: a client that
+    /// planned once and stays connected does not hold `join` until the
+    /// 30 s idle deadline.
+    #[test]
+    fn drain_does_not_wait_for_idle_connections() {
+        let server = start();
+        let mut client = Client::connect(server.endpoint()).unwrap();
+        client.plan(&plain(fig1())).unwrap();
+        let clock = Instant::now();
+        server.shutdown();
+        let stats = server.join();
+        assert!(
+            clock.elapsed() < Duration::from_secs(5),
+            "join took {:?}",
+            clock.elapsed()
+        );
+        assert_eq!((stats.responses, stats.idle_timeouts), (1, 0));
+        drop(client);
     }
 }
