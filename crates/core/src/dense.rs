@@ -26,7 +26,10 @@
 //! pages allocated on first write. A search that touches a few dozen
 //! points near the origin pays for one or two small pages, not for the
 //! whole window — which keeps the per-search fixed cost small next to
-//! the search itself on the many small problems a planner sees.
+//! the search itself on the many small problems a planner sees. Each
+//! table has its own page size: 4 KiB for [`ConeMemo`] (4,096 `u8`
+//! cells) and 8 KiB for [`MaskTable`] (1,024 `u64` cells), whose sparse
+//! nodes would otherwise each pull in a large, mostly empty page.
 //!
 //! Both are single-threaded: one search, or one oracle, owns each.
 //!
@@ -38,11 +41,18 @@ use std::collections::HashMap;
 
 use uov_isg::IVec;
 
-/// Entries per page: pages are 4 KiB for [`ConeMemo`] (u8 cells) and
-/// 32 KiB for [`MaskTable`] (u64 cells) — big enough to amortize the
-/// directory, small enough that first-touch zeroing stays cheap.
-const PAGE_BITS: usize = 12;
-const PAGE: usize = 1 << PAGE_BITS;
+/// Cells per [`ConeMemo`] page, as a power of two: 4,096 `u8` cells make
+/// 4 KiB pages. The oracle's verdicts sit densely near the origin, so
+/// smaller pages would save little memory, and a directory four times as
+/// large would spread the oracle's probes over more cache lines.
+const CONE_PAGE_BITS: usize = 12;
+
+/// Cells per [`MaskTable`] page, as a power of two: 1,024 `u64` cells make
+/// 8 KiB pages. A search's PATHSET nodes sit sparsely in its window, so
+/// each page first touched for one node costs its whole size: with 32 KiB
+/// pages wave3's search on 16×32×32 peaked at 1,461 KB of heap, with
+/// 8 KiB pages at 575 KB.
+const MASK_PAGE_BITS: usize = 10;
 
 /// PRESENT flag in a dense [`MaskTable`] cell. Sound because a stencil
 /// has at most 63 vectors ([`SearchError::TooManyVectors`] otherwise),
@@ -194,24 +204,27 @@ impl Window {
     }
 }
 
-/// Directory of lazily-allocated pages; cells start at zero.
+/// Directory of lazily-allocated pages of `2^BITS` cells; cells start at
+/// zero.
 #[derive(Debug)]
-struct Pages<T> {
+struct Pages<T, const BITS: usize> {
     pages: Vec<Option<Box<[T]>>>,
 }
 
-impl<T: Copy + Default> Pages<T> {
+impl<T: Copy + Default, const BITS: usize> Pages<T, BITS> {
+    const CELLS: usize = 1 << BITS;
+
     fn new(len: usize) -> Self {
         Pages {
-            pages: (0..len.div_ceil(PAGE)).map(|_| None).collect(),
+            pages: (0..len.div_ceil(Self::CELLS)).map(|_| None).collect(),
         }
     }
 
     /// Read a cell; an unallocated page reads as zero.
     #[inline]
     fn load(&self, idx: usize) -> T {
-        match &self.pages[idx >> PAGE_BITS] {
-            Some(page) => page[idx & (PAGE - 1)],
+        match &self.pages[idx >> BITS] {
+            Some(page) => page[idx & (Self::CELLS - 1)],
             None => T::default(),
         }
     }
@@ -219,9 +232,9 @@ impl<T: Copy + Default> Pages<T> {
     /// The cell for `idx`, allocating its page on first touch.
     #[inline]
     fn cell(&mut self, idx: usize) -> &mut T {
-        let page = self.pages[idx >> PAGE_BITS]
-            .get_or_insert_with(|| vec![T::default(); PAGE].into_boxed_slice());
-        &mut page[idx & (PAGE - 1)]
+        let page = self.pages[idx >> BITS]
+            .get_or_insert_with(|| vec![T::default(); Self::CELLS].into_boxed_slice());
+        &mut page[idx & (Self::CELLS - 1)]
     }
 }
 
@@ -235,7 +248,7 @@ const VERDICT_TRUE: u8 = 2;
 #[derive(Debug)]
 pub struct ConeMemo {
     window: Window,
-    cells: Pages<u8>,
+    cells: Pages<u8, CONE_PAGE_BITS>,
     occupied: usize,
 }
 
@@ -317,7 +330,7 @@ pub struct MergeOutcome {
 #[derive(Debug)]
 pub struct MaskTable {
     window: Window,
-    cells: Pages<u64>,
+    cells: Pages<u64, MASK_PAGE_BITS>,
     /// Keys of occupied dense cells in insertion order, so snapshots
     /// enumerate occupancy without scanning the whole window.
     dense_log: Vec<u32>,

@@ -24,6 +24,7 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 
+use uov_isg::vec::try_dot_i128_slices;
 use uov_isg::{IVec, IsgError, IterationDomain, Stencil};
 
 use crate::budget::Budget;
@@ -33,18 +34,6 @@ use crate::error::SearchError;
 /// Entry budget for the dense verdict window; out-of-window queries use
 /// the spill map, so this only trades memory for hit rate.
 const ORACLE_WINDOW_ENTRIES: usize = 1 << 20;
-
-/// Exact `i128` dot product of two equal-length slices (the slice twin
-/// of [`IVec::dot_i128`]; callers guarantee equal dimensions).
-#[inline]
-pub(crate) fn dot_slices(a: &[i64], b: &[i64]) -> i128 {
-    debug_assert_eq!(a.len(), b.len());
-    let mut sum = 0i128;
-    for (&x, &y) in a.iter().zip(b) {
-        sum += x as i128 * y as i128;
-    }
-    sum
-}
 
 /// `a − b` component-wise into `out`, with the same errors as
 /// [`IVec::checked_sub`] but no allocation.
@@ -237,7 +226,9 @@ impl DoneOracle {
     ///
     /// * [`SearchError::DimMismatch`] if `w`'s dimension disagrees with the
     ///   stencil's.
-    /// * [`SearchError::Isg`] on coordinate overflow while walking the cone.
+    /// * [`SearchError::Isg`] on coordinate overflow while walking the
+    ///   cone, or when a functional's value at a walked offset leaves
+    ///   `i128`.
     /// * [`SearchError::Exhausted`] when `budget` runs out mid-query; the
     ///   memo-table cap counts as exhaustion when a needed insertion would
     ///   exceed it.
@@ -262,7 +253,7 @@ impl DoneOracle {
         budget.charge()?;
         let mut memo = self.memo.borrow_mut();
         let key = memo.dense.window().index(w);
-        if let Eval::Decided(b) = self.quick_eval(&memo, w, key) {
+        if let Eval::Decided(b) = self.quick_eval(&memo, w, key)? {
             return Ok(b);
         }
         self.in_cone_dfs(&mut memo, w, key, budget)
@@ -270,24 +261,29 @@ impl DoneOracle {
 
     /// Inspect one node without expanding: base cases, functional cuts, and
     /// the memo tiers. `key` is the node's dense window index, computed
-    /// once by the caller and reused for the verdict write.
+    /// once by the caller and reused for the verdict write. A functional
+    /// value that leaves `i128` is an [`IsgError::Overflow`], as a
+    /// coordinate that leaves `i64` is in the walk: a wrapped sum could
+    /// flip the sign a cut reads.
     #[inline]
-    fn quick_eval(&self, memo: &Memo, w: &[i64], key: Option<usize>) -> Eval {
+    fn quick_eval(&self, memo: &Memo, w: &[i64], key: Option<usize>) -> Result<Eval, SearchError> {
         if w.iter().all(|&c| c == 0) {
-            return Eval::Decided(true);
+            return Ok(Eval::Decided(true));
         }
-        if dot_slices(self.phi.as_slice(), w) < 0 {
-            return Eval::Decided(false);
+        if try_dot_i128_slices(self.phi.as_slice(), w)? < 0 {
+            return Ok(Eval::Decided(false));
         }
         // Dual-cone cuts: a functional non-negative on every generator is
         // non-negative on the whole cone.
-        if self.prunes.iter().any(|f| dot_slices(f.as_slice(), w) < 0) {
-            return Eval::Decided(false);
+        for f in &self.prunes {
+            if try_dot_i128_slices(f.as_slice(), w)? < 0 {
+                return Ok(Eval::Decided(false));
+            }
         }
-        match memo.get(w, key) {
+        Ok(match memo.get(w, key) {
             Some(verdict) => Eval::Decided(verdict),
             None => Eval::Expand,
-        }
+        })
     }
 
     /// Iterative memoised DFS over the cone: an explicit frame stack
@@ -341,7 +337,7 @@ impl DoneOracle {
             }
             budget.charge()?;
             let child_key = memo.dense.window().index(&coords[child_base..]);
-            match self.quick_eval(memo, &coords[child_base..], child_key) {
+            match self.quick_eval(memo, &coords[child_base..], child_key)? {
                 Eval::Decided(true) => {
                     // The whole ancestor chain is in the cone. Memoise what
                     // fits under the cap — the answer is already decided, so

@@ -29,6 +29,13 @@
 //! strictly longer. Without that second fact a domain on which nothing
 //! beats `N` would keep every long offset alive until the exploration cap.
 //!
+//! Every rule is monotone in `φ·child`, and the region they leave shrinks
+//! only when the incumbent improves. So the engine folds them into one
+//! threshold, the largest `φ·child` that survives the incumbent
+//! (`phi_bound_of`), computed at start, on resume and on each
+//! improvement; a child then costs one `i128` comparison, and the square
+//! roots and divisions of the rules never run per child.
+//!
 //! # One worker
 //!
 //! The branch-and-bound is one best-first worker on the calling thread:
@@ -67,11 +74,12 @@
 //! never leave a merged-but-never-queued offset behind.
 
 use std::any::Any;
-use std::cmp::Reverse;
+use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 
+use uov_isg::vec::{try_dot_i128_slices, try_norm_sq_slice};
 use uov_isg::{IVec, IsgError, IterationDomain, Stencil};
 
 use crate::budget::{Budget, Degradation, Exhausted};
@@ -79,7 +87,7 @@ use crate::checkpoint::{self, CheckpointConfig, CheckpointError, Snapshot};
 use crate::dense::{MaskTable, Window};
 use crate::error::SearchError;
 use crate::objective::{storage_class_count, ClassCounter};
-use crate::oracle::{diff_into, dot_slices};
+use crate::oracle::diff_into;
 
 /// What the search minimises.
 ///
@@ -149,7 +157,8 @@ pub struct SearchStats {
     pub pruned: u64,
     /// Children cut off by the hard exploration cap (see
     /// [`find_best_uov`]); non-zero only for known-bounds searches on long,
-    /// thin domains, or for candidates that overflow `i64`.
+    /// thin domains, or for candidates whose coordinates overflow `i64` or
+    /// whose functional value `φ·w` overflows `i128`.
     pub capped: u64,
     /// Whether the search ran to exhaustion (false if the budget ran out).
     pub complete: bool,
@@ -227,9 +236,7 @@ impl<'a> ObjectiveCost<'a> {
     /// known-bounds lattice reduction.
     pub(crate) fn try_cost(&self, w: &[i64], scratch: &mut Vec<i64>) -> Result<u128, IsgError> {
         match self {
-            ObjectiveCost::ShortestVector => checked_norm_sq(w)
-                .map(|n| n as u128)
-                .ok_or(IsgError::Overflow("norm_sq")),
+            ObjectiveCost::ShortestVector => try_norm_sq_slice(w).map(|n| n as u128),
             ObjectiveCost::KnownBounds(counter) => counter.try_count(w, scratch).map(u128::from),
         }
     }
@@ -271,8 +278,7 @@ impl DomainFacts {
         for (i, a) in vertices.chunks_exact(d).enumerate() {
             for b in vertices.chunks_exact(d).skip(i + 1) {
                 diff_into(a, b, &mut diff)?;
-                let sq = checked_norm_sq(&diff).ok_or(IsgError::Overflow("norm_sq"))?;
-                diam_sq = diam_sq.max(sq as u128);
+                diam_sq = diam_sq.max(try_norm_sq_slice(&diff)? as u128);
             }
         }
         Ok(DomainFacts {
@@ -281,27 +287,76 @@ impl DomainFacts {
         })
     }
 
-    /// `true` if every descendant of an offset at least `l` long must cost
-    /// *strictly more* than `best`: classes ≥ N·L/(diam+L). The inequality
-    /// is strict so candidates that merely *tie* the incumbent survive to
-    /// the lexicographic tie-break — that is what makes the answer
-    /// independent of visit order.
-    fn dominated(&self, l: u128, best: u128) -> bool {
-        self.num_points * l > best * (self.diam + l)
-    }
-
-    /// Whether a child longer than the diameter, whose squared length is
-    /// at least `len_sq_lb`, is provably worse than an incumbent of cost
-    /// `best` and squared length `norm`. It joins no two iterations, so it
-    /// and every descendant cost exactly N, which the class bound never
-    /// reaches: worse than an incumbent below N, and worse than one of
-    /// cost N only if strictly longer — equal lengths go on to the
-    /// lexicographic tie-break. The class bound already prunes every such
-    /// child once the incumbent costs at most N/2, and this rule prunes in
-    /// none of the `plan` benchmark's searches.
-    fn loses_at_cost_n(&self, len_sq_lb: u128, best: u128, norm: i128) -> bool {
+    /// The least length bound `λ` — a lower bound on the squared length
+    /// of a child and of all its descendants — at which every descendant
+    /// provably costs more than an incumbent of cost `best` and squared
+    /// length `norm`; `None` if no bound is large enough. With
+    /// `l = ⌊√λ⌋`, two rules prune, and `⌊√λ⌋ ≥ T ⇔ λ ≥ T²` makes each a
+    /// least `λ`:
+    ///
+    /// * The class bound. A class holds at most `diam/l + 1` points, so
+    ///   there are at least `N·l/(diam + l)` classes, which exceeds `best`
+    ///   iff `N·l > best·(diam + l)`, that is iff `N > best` and
+    ///   `l ≥ ⌊best·diam/(N − best)⌋ + 1`.
+    /// * The cost-N rule. An offset longer than the diameter (`l > diam`,
+    ///   so `λ ≥ (diam + 1)²`) joins no two iterations, so it and every
+    ///   descendant cost exactly N. That is worse than an incumbent below
+    ///   N, and worse than one of cost N only if strictly longer
+    ///   (`λ > norm`). The class bound already covers this rule once the
+    ///   incumbent costs at most N/2, and the rule prunes in none of the
+    ///   `plan` benchmark's searches.
+    ///
+    /// Both comparisons are strict, so candidates that merely *tie* the
+    /// incumbent survive to the lexicographic tie-break — that is what
+    /// makes the answer independent of visit order.
+    fn prune_len_sq(&self, best: u128, norm: i128) -> Option<u128> {
         let n = self.num_points;
-        n > best || (n == best && u128::try_from(norm).is_ok_and(|norm| len_sq_lb > norm))
+        let past_diam = self.diam.checked_add(1).and_then(|t| t.checked_mul(t));
+        match n.cmp(&best) {
+            Ordering::Less => None,
+            Ordering::Equal => {
+                let norm = u128::try_from(norm).ok()?;
+                past_diam.map(|len_sq| len_sq.max(norm + 1))
+            }
+            Ordering::Greater => {
+                // best·diam fits u128 on every real domain (N and diam
+                // stay below 2⁶⁴). Where it would not, T > 2⁶⁴ and T²
+                // leaves u128 as well: no length reaches the class bound.
+                let class = best.checked_mul(self.diam).and_then(|x| {
+                    let t = x / (n - best) + 1;
+                    t.checked_mul(t)
+                });
+                class.into_iter().chain(past_diam).min()
+            }
+        }
+    }
+}
+
+/// The largest `φ·child` that survives an incumbent of cost `best` and
+/// squared length `norm`, the threshold [`Engine::expand`] prunes against:
+/// a child with `φ·child > phi_bound_of(…)` is pruned.
+///
+/// Every descendant `u` of a child satisfies `|u|² ≥ (φ·u)²/|φ|² ≥
+/// λ = ⌊min((φ·child)², u128::MAX)/|φ|²⌋`, the square saturating where
+/// `φ·child ≥ 2⁶⁴`. Under the shortest-vector objective the child loses
+/// once `λ > best`; under known bounds once `λ` reaches
+/// [`DomainFacts::prune_len_sq`]. With that least `λ` called `A` and
+/// `X = A·|φ|²`: `⌊q/|φ|²⌋ ≥ A ⇔ q ≥ X`, and for `X ≤ u128::MAX` the
+/// saturated square reaches `X` iff `(φ·child)² ≥ X ⇔ φ·child > ⌊√(X−1)⌋`.
+/// No square reaches an `X` past `u128::MAX`; then, as when no `A`
+/// exists, the bound is `i128::MAX`, which no `φ·child` exceeds.
+///
+/// `isqrt` and the u128 arithmetic run here, when the incumbent changes,
+/// never per child.
+fn phi_bound_of(facts: Option<&DomainFacts>, phi_norm_sq: u128, best: u128, norm: i128) -> i128 {
+    let len_sq = match facts {
+        None => best.checked_add(1),
+        Some(facts) => facts.prune_len_sq(best, norm),
+    };
+    match len_sq.and_then(|a| a.checked_mul(phi_norm_sq)) {
+        // ⌊√(X − 1)⌋ < 2⁶⁴: the cast is exact.
+        Some(x) => isqrt(x.saturating_sub(1)) as i128,
+        None => i128::MAX,
     }
 }
 
@@ -418,7 +473,7 @@ fn validated_setup<'a>(
     let initial = stencil.try_sum()?;
     let phi_norm_sq = phi.try_norm_sq()? as u128;
     // Hard exploration cap, a backstop: pruning alone already ends every
-    // known-bounds search (see `Engine::child_dominated`).
+    // known-bounds search (see `DomainFacts::prune_len_sq`).
     let phi_cap = 64 * phi.dot_i128(&initial).max(1);
     let initial_cost = cost.try_cost(initial.as_slice(), &mut Vec::new())?;
     let window = search_window(stencil, objective, phi_norm_sq, phi_cap, initial_cost);
@@ -622,17 +677,6 @@ struct Setup<'a> {
     initial_norm: i128,
 }
 
-/// Exact squared length of a coordinate slice; `None` on `i128` overflow.
-/// The allocation-free twin of [`IVec::try_norm_sq`].
-fn checked_norm_sq(w: &[i64]) -> Option<i128> {
-    let mut acc: i128 = 0;
-    for &c in w {
-        let c = c as i128;
-        acc = acc.checked_add(c.checked_mul(c)?)?;
-    }
-    Some(acc)
-}
-
 /// The canonical candidate order: objective cost, then squared length,
 /// then lexicographic. A *total* order over candidates, so the minimum of
 /// any discovered set is independent of discovery order — this is what
@@ -644,16 +688,15 @@ fn improves(cost: u128, w: &IVec, best: &(u128, i128, IVec)) -> bool {
 
 /// [`improves`] on scratch coordinates — no allocation on the hot path.
 fn improves_slice(cost: u128, w: &[i64], best: &(u128, i128, IVec)) -> bool {
-    use std::cmp::Ordering as O;
     match cost.cmp(&best.0) {
-        O::Less => true,
-        O::Greater => false,
-        O::Equal => {
-            let norm = checked_norm_sq(w).unwrap_or(i128::MAX);
+        Ordering::Less => true,
+        Ordering::Greater => false,
+        Ordering::Equal => {
+            let norm = try_norm_sq_slice(w).unwrap_or(i128::MAX);
             match norm.cmp(&best.1) {
-                O::Less => true,
-                O::Greater => false,
-                O::Equal => w < best.2.as_slice(),
+                Ordering::Less => true,
+                Ordering::Greater => false,
+                Ordering::Equal => w < best.2.as_slice(),
             }
         }
     }
@@ -679,6 +722,9 @@ struct Engine<'a> {
     store: MaskTable,
     /// Incumbent under the canonical total order.
     incumbent: (u128, i128, IVec),
+    /// The largest `φ·child` no pruning rule cuts against the incumbent
+    /// ([`phi_bound_of`]); set at start and on every improvement.
+    phi_bound: i128,
     /// Counters so far, including those carried over from a resumed
     /// snapshot, so every snapshot records the whole run's.
     stats: SearchStats,
@@ -697,27 +743,21 @@ struct Engine<'a> {
 }
 
 impl Engine<'_> {
-    /// Offer a UOV candidate to the incumbent; true if it improved.
+    /// Offer a UOV candidate to the incumbent; true if it improved. An
+    /// improvement moves the pruning threshold with it.
     fn offer(&mut self, cost: u128, w: &[i64]) -> bool {
         if !improves_slice(cost, w, &self.incumbent) {
             return false;
         }
-        let norm = checked_norm_sq(w).unwrap_or(i128::MAX);
+        let norm = try_norm_sq_slice(w).unwrap_or(i128::MAX);
         self.incumbent = (cost, norm, IVec::from(w));
+        self.phi_bound = phi_bound_of(
+            self.setup.domain_facts.as_ref(),
+            self.setup.phi_norm_sq,
+            cost,
+            norm,
+        );
         true
-    }
-
-    /// Whether a child with descendant-cost lower bound from `len_sq_lb`
-    /// is provably worse than the incumbent (strictly — ties survive to
-    /// the deterministic tie-break).
-    fn child_dominated(&self, len_sq_lb: u128) -> bool {
-        let (bound, norm, _) = &self.incumbent;
-        let Some(facts) = &self.setup.domain_facts else {
-            return len_sq_lb > *bound;
-        };
-        let l = isqrt(len_sq_lb); // floor → weaker bounds → sound
-        facts.dominated(l, *bound)
-            || (l > facts.diam && facts.loses_at_cost_n(len_sq_lb, *bound, *norm))
     }
 
     /// Expand one offset's children (paper Visit step 2) into the queue,
@@ -733,8 +773,9 @@ impl Engine<'_> {
     ) -> Result<(), Exhausted> {
         let (stencil, setup) = (self.stencil, self.setup);
         // One parent functional value serves every child:
-        // φ·(w+vₖ) = φ·w + φ·vₖ.
-        let phi_w = dot_slices(setup.phi.as_slice(), w);
+        // φ·(w+vₖ) = φ·w + φ·vₖ. A functional value that leaves i128
+        // caps the child, as a coordinate that leaves i64 does.
+        let phi_w = try_dot_i128_slices(setup.phi.as_slice(), w).ok();
         for (k, v) in stencil.iter().enumerate() {
             cbuf.clear();
             for (i, &c) in v.as_slice().iter().enumerate() {
@@ -747,14 +788,14 @@ impl Engine<'_> {
                 self.stats.capped += 1;
                 continue;
             }
-            let phi_child = phi_w + setup.phi_v[k];
+            let Some(phi_child) = phi_w.and_then(|p| p.checked_add(setup.phi_v[k])) else {
+                self.stats.capped += 1;
+                continue;
+            };
             debug_assert!(phi_child > 0, "functional must grow along dependences");
-            // Length lower bound for the child and all its descendants:
-            // |u|² ≥ (φ·u)²/|φ|² ≥ (φ·child)²/|φ|² (floor division → sound).
-            // The square saturates; ⌊u128::MAX/|φ|²⌋ is still a lower bound.
-            let len_sq_lb =
-                (phi_child as u128).saturating_mul(phi_child as u128) / setup.phi_norm_sq;
-            if self.child_dominated(len_sq_lb) {
+            // Every descendant is provably worse than the incumbent (see
+            // `phi_bound_of`).
+            if phi_child > self.phi_bound {
                 self.stats.pruned += 1;
                 continue;
             }
@@ -910,6 +951,12 @@ fn search_seeded(
         fingerprint,
         queue: WorkQueue::with_capacity(seed.frontier.len()),
         store: MaskTable::new(setup.window.clone()),
+        phi_bound: phi_bound_of(
+            setup.domain_facts.as_ref(),
+            setup.phi_norm_sq,
+            seed.incumbent.0,
+            seed.incumbent.1,
+        ),
         incumbent: seed.incumbent,
         stats: seed.base,
         stop: None,
@@ -1005,6 +1052,8 @@ pub fn exhaustive_best_uov(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, RngCore, SeedableRng};
     use uov_isg::{ivec, Polygon2, RectDomain};
 
     fn fig1() -> Stencil {
@@ -1319,6 +1368,184 @@ mod tests {
             assert_eq!(isqrt(sq), k);
         }
         assert_eq!(isqrt(u128::MAX), u128::from(u64::MAX));
+    }
+
+    /// The per-child rule [`phi_bound_of`] replaced, kept as the reference
+    /// the threshold must equal: the body of `Engine::child_dominated`,
+    /// with those of `DomainFacts::dominated` and `loses_at_cost_n`, on
+    /// the length bound `len_sq_lb = ⌊min((φ·child)², u128::MAX)/|φ|²⌋`.
+    /// Where the product `best·(diam + l)` leaves u128 the old body
+    /// panicked in debug builds and compared against the wrapped product
+    /// in release. The exact comparison is false there, since `N·l` stays
+    /// below 2¹²⁸; the reference answers that and counts it in `overflows`.
+    fn reference_dominated(
+        facts: Option<&DomainFacts>,
+        best: u128,
+        norm: i128,
+        len_sq_lb: u128,
+        overflows: &mut u32,
+    ) -> bool {
+        let Some(facts) = facts else {
+            return len_sq_lb > best;
+        };
+        let l = isqrt(len_sq_lb); // floor → weaker bounds → sound
+        let n = facts.num_points;
+        let dominated = match best.checked_mul(facts.diam + l) {
+            Some(product) => n * l > product,
+            None => {
+                *overflows += 1;
+                false
+            }
+        };
+        let loses_at_cost_n =
+            n > best || (n == best && u128::try_from(norm).is_ok_and(|norm| len_sq_lb > norm));
+        dominated || (l > facts.diam && loses_at_cost_n)
+    }
+
+    /// Check the threshold against [`reference_dominated`] for one
+    /// incumbent, at `φ·child` on either side of the threshold, around
+    /// 2⁶⁴ (where the square saturates), at the ends of the range and at
+    /// `extra`; return the threshold.
+    fn check_threshold(
+        facts: Option<&DomainFacts>,
+        phi_norm_sq: u128,
+        (best, norm): (u128, i128),
+        extra: &[i128],
+        overflows: &mut u32,
+    ) -> i128 {
+        let bound = phi_bound_of(facts, phi_norm_sq, best, norm);
+        let around = |x: i128| [x.saturating_sub(1), x, x.saturating_add(1)];
+        let probes = around(bound)
+            .into_iter()
+            .chain(around(1 << 64))
+            .chain([1, 2, i128::MAX])
+            .chain(extra.iter().copied());
+        for phi in probes.filter(|&phi| phi >= 1) {
+            let len_sq_lb = (phi as u128).saturating_mul(phi as u128) / phi_norm_sq;
+            assert_eq!(
+                phi > bound,
+                reference_dominated(facts, best, norm, len_sq_lb, overflows),
+                "φ·child {phi}, |φ|² {phi_norm_sq}, best {best}, norm {norm}, \
+                 (N, diam) {:?}: threshold {bound}",
+                facts.map(|f| (f.num_points, f.diam)),
+            );
+        }
+        bound
+    }
+
+    fn seed_from_env() -> u64 {
+        std::env::var("UOV_TEST_SEED")
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(0x5EED_0D1F)
+    }
+
+    /// A draw spread over magnitudes: a bit length up to `bits`, then a
+    /// value of at most that length.
+    fn wide(rng: &mut StdRng, bits: u32) -> u128 {
+        let len = rng.gen_range(0..=bits);
+        let raw = u128::from(rng.next_u64()) << 64 | u128::from(rng.next_u64());
+        raw.checked_shr(128 - len).unwrap_or(0)
+    }
+
+    /// The threshold prunes exactly the children the per-child rule did,
+    /// on random incumbents, domains and functionals of every magnitude,
+    /// under both objectives.
+    #[test]
+    fn phi_bound_matches_the_per_child_rule() {
+        let mut rng = StdRng::seed_from_u64(seed_from_env() ^ 0xF1_B0D);
+        // Near the top of u64, where the old body's product overflows.
+        let top = |rng: &mut StdRng| u128::from(u64::MAX) - wide(rng, 16);
+        let mut overflows = 0;
+        for _ in 0..20_000 {
+            let phi_norm_sq = match rng.gen_range(0u32..4) {
+                0 => 1 + wide(&mut rng, 8),
+                _ => wide(&mut rng, 72).max(1),
+            };
+            let extra = [wide(&mut rng, 127) as i128, wide(&mut rng, 66) as i128];
+            // Shortest vector: the incumbent's cost is its squared length.
+            let best = wide(&mut rng, 127);
+            let incumbent = (best, best as i128);
+            check_threshold(None, phi_norm_sq, incumbent, &extra, &mut overflows);
+            // Known bounds: N fits u64 and the diameter is at least 1. The
+            // incumbent costs less than N mostly, exactly N often, and
+            // more now and then.
+            let facts = match rng.gen_range(0u32..4) {
+                0 => DomainFacts {
+                    num_points: top(&mut rng),
+                    diam: top(&mut rng),
+                },
+                _ => DomainFacts {
+                    num_points: wide(&mut rng, 64),
+                    diam: wide(&mut rng, 64).max(1),
+                },
+            };
+            let n = facts.num_points;
+            let best = match rng.gen_range(0u32..8) {
+                0 | 1 => n,
+                2 => n + wide(&mut rng, 8),
+                _ => u128::from(rng.gen_range(0..=n as u64)),
+            };
+            let norm = match rng.gen_range(0u32..4) {
+                0 => i128::MAX,
+                _ => wide(&mut rng, 127) as i128,
+            };
+            check_threshold(
+                Some(&facts),
+                phi_norm_sq,
+                (best, norm),
+                &extra,
+                &mut overflows,
+            );
+        }
+        assert!(overflows > 0, "no draw reached the old product's overflow");
+    }
+
+    /// The threshold at the edges: `φ·child` around 2⁶⁴, where its square
+    /// saturates; incumbents of cost N, cost 0 and above N; a norm of
+    /// `i128::MAX`; N = `u64::MAX`, where the old body's product leaves
+    /// u128; |φ|² = 1; both objectives.
+    #[test]
+    fn phi_bound_edges_match_the_per_child_rule() {
+        let facts = |num_points, diam| Some(DomainFacts { num_points, diam });
+        let (big, max) = (u128::from(u64::MAX), u128::MAX);
+        let never = i128::MAX;
+        // (domain (N, diam), |φ|², (best, norm), threshold)
+        let rows = [
+            // Shortest vector: pruned once ⌊(φ·child)²/|φ|²⌋ > best.
+            (None, 1, (0, 0), 0),
+            (None, 1, (24, 24), 4),
+            (None, 2, (4, 4), 3),
+            // Only the saturated square exceeds best: φ·child ≥ 2⁶⁴.
+            (None, 1, (max - 1, never), (1 << 64) - 1),
+            (None, 3, (max / 3 - 1, never), (1 << 64) - 1),
+            // Nothing exceeds it.
+            (None, 1, (max, never), never),
+            (None, 3, (max / 3, never), never),
+            // Cost N: past the diameter (λ ≥ 16²) and longer than norm.
+            (facts(100, 15), 2, (100, 200), 22),
+            (facts(100, 15), 1, (100, never), 13_043_817_825_332_782_212),
+            (facts(100, 15), 2, (100, never), never),
+            // Cost 0: a child loses once ⌊(φ·child)²/|φ|²⌋ ≥ 1, as any
+            // class count is at least 1.
+            (facts(100, 15), 2, (0, 0), 1),
+            (facts(100, 15), max, (0, 0), (1 << 64) - 1),
+            // The class bound: 100·l > 25·(15 + l) from l = 6, not at 5.
+            (facts(100, 15), 1, (25, 9), 5),
+            (facts(100, 15), 1, (50, 9), 15),
+            // Above N nothing prunes.
+            (facts(100, 15), 2, (101, 0), never),
+            // N = u64::MAX: best·(diam + l) leaves u128 for large l.
+            (facts(big, 1 << 63), 1, (big - 1, 0), 1 << 63),
+            (facts(big, 1), 1, (big - 1, 0), 1),
+            (facts(big, big), 1, (big, 0), never),
+        ];
+        let mut overflows = 0;
+        for (facts, phi_norm_sq, incumbent, want) in rows {
+            let got = check_threshold(facts.as_ref(), phi_norm_sq, incumbent, &[], &mut overflows);
+            assert_eq!(got, want, "|φ|² {phi_norm_sq}, incumbent {incumbent:?}");
+        }
+        assert!(overflows > 0, "no row reached the old product's overflow");
     }
 
     fn scaled(s: &Stencil, k: i64) -> Stencil {

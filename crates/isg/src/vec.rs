@@ -168,11 +168,12 @@ impl IVec {
     /// comparison rather than an `i64` (cone-membership tests, pruning
     /// bounds).
     ///
-    /// Every product `aₖ·bₖ` is exact in `i128`, and so is the sum while
-    /// `Σₖ |aₖ·bₖ| < 2¹²⁷`: for example whenever every component lies
-    /// within ±2⁶⁰ and there are at most 127 of them. Beyond that a running
-    /// sum can leave `i128` — `[i64::MIN, i64::MIN]` dotted with itself is
-    /// 2¹²⁷ — and the call panics instead of returning a wrapped value.
+    /// The sum is [`try_dot_i128_slices`]: every product `aₖ·bₖ` is exact
+    /// in `i128`, and so is the sum while `Σₖ |aₖ·bₖ| < 2¹²⁷`: for example
+    /// whenever every component lies within ±2⁶⁰ and there are at most 127
+    /// of them. Beyond that a running sum can leave `i128` — `[i64::MIN,
+    /// i64::MIN]` dotted with itself is 2¹²⁷ — and the call panics instead
+    /// of returning a wrapped value.
     ///
     /// # Panics
     ///
@@ -185,19 +186,9 @@ impl IVec {
             self.dim(),
             other.dim()
         );
-        // Each product is at most 2¹²⁶ in magnitude, so only the sum can
-        // leave i128, and it does once the terms' magnitudes reach 2¹²⁷
-        // (two terms of i64::MIN² already do).
-        let sum = self
-            .0
-            .iter()
-            .zip(&other.0)
-            .try_fold(0i128, |sum, (&a, &b)| {
-                sum.checked_add(a as i128 * b as i128)
-            });
-        match sum {
-            Some(sum) => sum,
-            None => panic!("dot product overflows i128"),
+        match try_dot_i128_slices(&self.0, &other.0) {
+            Ok(sum) => sum,
+            Err(_) => panic!("dot product overflows i128"),
         }
     }
 
@@ -225,18 +216,10 @@ impl IVec {
     }
 
     /// [`IVec::norm_sq`] with explicit overflow checking on the `i128`
-    /// accumulation, for adversarial high-dimension input.
+    /// accumulation, for adversarial high-dimension input: the sum is
+    /// [`try_norm_sq_slice`].
     pub fn try_norm_sq(&self) -> Result<i128, IsgError> {
-        let mut sum = 0i128;
-        for &c in &self.0 {
-            let sq = (c as i128)
-                .checked_mul(c as i128)
-                .ok_or(IsgError::Overflow("norm_sq term"))?;
-            sum = sum
-                .checked_add(sq)
-                .ok_or(IsgError::Overflow("norm_sq sum"))?;
-        }
-        Ok(sum)
+        try_norm_sq_slice(&self.0)
     }
 
     /// Maximum absolute component value, as `u64` so `i64::MIN` is exact.
@@ -384,9 +367,9 @@ impl IVec {
 }
 
 /// [`IVec::try_dot`] on coordinate slices of equal length, for callers
-/// that keep points flattened: the terms and their running sum are exact
-/// in `i128`, and [`IsgError::Overflow`] reports a sum that leaves `i128`
-/// or a result that does not fit `i64`.
+/// that keep points flattened: the sum is [`try_dot_i128_slices`], and
+/// [`IsgError::Overflow`] reports a sum that leaves `i128` or a result
+/// that does not fit `i64`.
 ///
 /// ```
 /// use uov_isg::vec::try_dot_slices;
@@ -396,15 +379,49 @@ impl IVec {
 /// assert!(try_dot_slices(&[i64::MIN; 4], &[i64::MIN; 4]).is_err());
 /// ```
 pub fn try_dot_slices(a: &[i64], b: &[i64]) -> Result<i64, IsgError> {
+    let sum = try_dot_i128_slices(a, b)?;
+    i64::try_from(sum).map_err(|_| IsgError::Overflow("dot product"))
+}
+
+/// The exact `i128` dot product of coordinate slices of equal length: the
+/// one checked sum behind [`IVec::dot_i128`], [`try_dot_slices`] and
+/// [`try_norm_sq_slice`]. An `i64 × i64` product always fits `i128`
+/// (at most 2¹²⁶ in magnitude), so only the running sum can leave it, and
+/// [`IsgError::Overflow`] reports that instead of a wrapped value whose
+/// sign could be wrong.
+///
+/// ```
+/// use uov_isg::vec::try_dot_i128_slices;
+/// assert_eq!(try_dot_i128_slices(&[i64::MAX, i64::MAX], &[2, 2]), Ok(4 * i64::MAX as i128));
+/// // Two terms of 2¹²⁶ sum to 2¹²⁷; a wrapping sum would read −2¹²⁷.
+/// assert!(try_dot_i128_slices(&[i64::MIN, i64::MIN], &[i64::MIN, i64::MIN]).is_err());
+/// ```
+#[inline]
+pub fn try_dot_i128_slices(a: &[i64], b: &[i64]) -> Result<i128, IsgError> {
     debug_assert_eq!(a.len(), b.len(), "dot product of mismatched slices");
     let mut sum = 0i128;
     for (&x, &y) in a.iter().zip(b) {
-        // An i64 × i64 product always fits i128; only the sum can leave it.
         sum = sum
             .checked_add(x as i128 * y as i128)
             .ok_or(IsgError::Overflow("dot product sum"))?;
     }
-    i64::try_from(sum).map_err(|_| IsgError::Overflow("dot product"))
+    Ok(sum)
+}
+
+/// The exact squared length `w·w` of a coordinate slice
+/// ([`try_dot_i128_slices`] of `w` with itself), the body of
+/// [`IVec::try_norm_sq`] for callers that keep points flattened. Each
+/// square is at most 2¹²⁶, so two components at `i64::MIN` already make
+/// the sum leave `i128`, which is [`IsgError::Overflow`].
+///
+/// ```
+/// use uov_isg::vec::try_norm_sq_slice;
+/// assert_eq!(try_norm_sq_slice(&[3, 4]), Ok(25));
+/// assert!(try_norm_sq_slice(&[i64::MIN, i64::MIN]).is_err());
+/// ```
+#[inline]
+pub fn try_norm_sq_slice(w: &[i64]) -> Result<i128, IsgError> {
+    try_dot_i128_slices(w, w)
 }
 
 impl From<Vec<i64>> for IVec {
@@ -704,6 +721,31 @@ mod tests {
             edge.dot_i128(&edge),
             (1i128 << 126) + (i64::MAX as i128).pow(2)
         );
+    }
+
+    #[test]
+    fn slice_sums_are_checked_at_the_i128_edge() {
+        let overflow = Err(IsgError::Overflow("dot product sum"));
+        let (min, max) = (i64::MIN as i128, i64::MAX as i128);
+        // i64::MIN² + i64::MAX² = 2¹²⁷ − 2⁶⁴ + 1 fits.
+        let edge = [i64::MIN, i64::MAX];
+        assert_eq!(try_dot_i128_slices(&edge, &edge), Ok(min * min + max * max));
+        assert_eq!(try_norm_sq_slice(&edge), Ok(min * min + max * max));
+        // 2¹²⁶ + 2¹²⁶ does not: a wrapping sum reads i128::MIN, the wrong sign.
+        let min2 = [i64::MIN, i64::MIN];
+        assert_eq!((min * min).wrapping_add(min * min), i128::MIN);
+        assert_eq!(try_dot_i128_slices(&min2, &min2), overflow);
+        assert_eq!(try_norm_sq_slice(&min2), overflow);
+        assert_eq!(ivec![i64::MIN, i64::MIN].try_norm_sq(), overflow);
+        assert!(try_dot_slices(&min2, &min2).is_err());
+        // Below zero: two terms of −2¹²⁶ + 2⁶³ fit, a third leaves i128.
+        let (min3, max3) = ([i64::MIN; 3], [i64::MAX; 3]);
+        assert_eq!(
+            try_dot_i128_slices(&min3[..2], &max3[..2]),
+            Ok(2 * min * max)
+        );
+        assert_eq!((min * max).checked_mul(3), None);
+        assert_eq!(try_dot_i128_slices(&min3, &max3), overflow);
     }
 
     #[test]
