@@ -10,6 +10,13 @@
 //!
 //! Figure 3 of the paper is the motivating case: on a skewed ISG a longer
 //! OV can need *less* storage than the shortest one.
+//!
+//! [`ClassCounter`] is the one implementation of the count. It reduces the
+//! OV to a unimodular basis whose rows `1..d` are the class forms, and
+//! takes each form's range over the domain: from the ends of the domain's
+//! bounding box when its extreme points include every corner of that box
+//! (every rectangular domain), and otherwise by projecting each extreme
+//! point. Both ways give the same count and fail on the same inputs.
 
 use uov_isg::matrix::lattice_reduction_into;
 use uov_isg::vec::try_dot_slices;
@@ -72,8 +79,14 @@ pub fn try_storage_class_count(domain: &dyn IterationDomain, ov: &IVec) -> Resul
 ///
 /// The domain's extreme points are read once, flattened, when the counter
 /// is built; each [`ClassCounter::try_count`] then reduces the vector into
-/// a caller-owned scratch buffer and projects the stored points, so a
-/// search costs its children without heap allocation.
+/// a caller-owned scratch buffer and takes each class form's range over
+/// the domain, so a search costs its children without heap allocation.
+///
+/// When the extreme points include every corner of their bounding box
+/// (every [`RectDomain`](uov_isg::RectDomain), and a rectangular
+/// [`Polygon2`](uov_isg::Polygon2)), a form's range over the points is its
+/// range over the box, read from the box's ends in `O(d)` rather than by
+/// projecting all `2^d` corners. The result, `Ok` or `Err`, is the same.
 ///
 /// # Examples
 ///
@@ -94,6 +107,10 @@ pub struct ClassCounter<'a, D: ?Sized> {
     /// Extreme points, `dim` coordinates each; `Err` if one has another
     /// dimension, which every projection then reports.
     vertices: Result<Vec<i64>, IsgError>,
+    /// Per-axis `(lo, hi)` of the extreme points' bounding box, present iff
+    /// the domain has forms to range (`dim > 1`) and every corner of that
+    /// box is an extreme point.
+    corners: Option<Vec<(i64, i64)>>,
 }
 
 impl<'a, D: IterationDomain + ?Sized> ClassCounter<'a, D> {
@@ -101,17 +118,22 @@ impl<'a, D: IterationDomain + ?Sized> ClassCounter<'a, D> {
     pub fn new(domain: &'a D) -> Self {
         let dim = domain.dim();
         let points = domain.extreme_points();
-        let vertices = match points.iter().find(|p| p.dim() != dim) {
+        let vertices: Result<Vec<i64>, _> = match points.iter().find(|p| p.dim() != dim) {
             Some(p) => Err(IsgError::DimMismatch {
                 expected: dim,
                 found: p.dim(),
             }),
             None => Ok(points.iter().flat_map(|p| p.iter().copied()).collect()),
         };
+        let corners = match &vertices {
+            Ok(v) if dim > 1 => corner_box(v, dim),
+            _ => None,
+        };
         ClassCounter {
             domain,
             dim,
             vertices,
+            corners,
         }
     }
 
@@ -162,12 +184,10 @@ impl<'a, D: IterationDomain + ?Sized> ClassCounter<'a, D> {
                 return Err(IsgError::Empty);
             }
             for form in scratch.chunks_exact(d).skip(1) {
-                let (mut lo, mut hi) = (i64::MAX, i64::MIN);
-                for p in vertices.chunks_exact(d) {
-                    let v = try_dot_slices(form, p)?;
-                    lo = lo.min(v);
-                    hi = hi.max(v);
-                }
+                let (lo, hi) = match self.corners.as_deref().and_then(|b| corner_range(form, b)) {
+                    Some(range) => range,
+                    None => vertex_range(form, vertices)?,
+                };
                 let span = hi
                     .checked_sub(lo)
                     .and_then(|s| s.checked_add(1))
@@ -177,6 +197,69 @@ impl<'a, D: IterationDomain + ?Sized> ClassCounter<'a, D> {
         }
         Ok(classes.min(self.domain.num_points()))
     }
+}
+
+/// The bounding box of `vertices` (`dim ≥ 1` coordinates each) as per-axis
+/// `(lo, hi)`, if every corner of the box is among them. Corners differ
+/// only on the axes where `lo < hi`, so a box with `e` such axes has `2^e`
+/// distinct corners; duplicates and non-corner points do not matter.
+fn corner_box(vertices: &[i64], dim: usize) -> Option<Vec<(i64, i64)>> {
+    let mut bounds: Vec<(i64, i64)> = vertices.get(..dim)?.iter().map(|&c| (c, c)).collect();
+    for p in vertices.chunks_exact(dim) {
+        for (b, &c) in bounds.iter_mut().zip(p) {
+            *b = (b.0.min(c), b.1.max(c));
+        }
+    }
+    let wide = bounds.iter().filter(|(lo, hi)| lo < hi).count();
+    let corners = 1usize.checked_shl(wide as u32)?;
+    if corners > vertices.len() / dim {
+        return None;
+    }
+    // Corner index: one bit per wide axis, set at that axis's `hi`.
+    let mut seen = vec![false; corners];
+    'points: for p in vertices.chunks_exact(dim) {
+        let (mut corner, mut bit) = (0, 0);
+        for (&c, &(lo, hi)) in p.iter().zip(&bounds) {
+            if lo < hi {
+                if c == hi {
+                    corner |= 1 << bit;
+                } else if c != lo {
+                    continue 'points;
+                }
+                bit += 1;
+            }
+        }
+        seen[corner] = true;
+    }
+    seen.iter().all(|&s| s).then_some(bounds)
+}
+
+/// The range of `form` over the box `bounds`: `Σₖ min(fₖ·loₖ, fₖ·hiₖ)` to
+/// `Σₖ max(…)`, in checked `i128`. `None` when a partial sum leaves `i128`
+/// or either end leaves `i64`. Otherwise these sums bound the partial sums
+/// of every point in the box, so no projection of a point fails, and the
+/// box's corners attain both ends: the result is what [`vertex_range`]
+/// returns on extreme points that include every corner.
+fn corner_range(form: &[i64], bounds: &[(i64, i64)]) -> Option<(i64, i64)> {
+    let (mut lo, mut hi) = (0i128, 0i128);
+    for (&f, &(l, h)) in form.iter().zip(bounds) {
+        let (a, b) = (f as i128 * l as i128, f as i128 * h as i128);
+        lo = lo.checked_add(a.min(b))?;
+        hi = hi.checked_add(a.max(b))?;
+    }
+    Some((i64::try_from(lo).ok()?, i64::try_from(hi).ok()?))
+}
+
+/// The range of `form` over the points of `vertices` (`form.len()`
+/// coordinates each, at least one point), projecting each point.
+fn vertex_range(form: &[i64], vertices: &[i64]) -> Result<(i64, i64), IsgError> {
+    let (mut lo, mut hi) = (i64::MAX, i64::MIN);
+    for p in vertices.chunks_exact(form.len()) {
+        let v = try_dot_slices(form, p)?;
+        lo = lo.min(v);
+        hi = hi.max(v);
+    }
+    Ok((lo, hi))
 }
 
 /// Exact number of *occupied* storage-equivalence classes: enumerates every
@@ -269,6 +352,26 @@ mod tests {
         // ov = (k) is a k-cell ring buffer.
         assert_eq!(storage_class_count(&dom, &ivec![3]), 3);
         assert_eq!(storage_class_count_exact(&dom, &ivec![3]), 3);
+    }
+
+    #[test]
+    fn corner_spans_apply_to_boxes_only() {
+        // An extent-1 axis collapses the corners in pairs.
+        let slab = RectDomain::new(ivec![1, -3, 0], ivec![4, 5, 0]);
+        let corners = Some(vec![(1, 4), (-3, 5), (0, 0)]);
+        assert_eq!(ClassCounter::new(&slab).corners, corners);
+        let rectangle = Polygon2::new(vec![(0, 0), (5, 0), (5, 3), (0, 3)]).unwrap();
+        assert_eq!(
+            ClassCounter::new(&rectangle).corners,
+            Some(vec![(0, 5), (0, 3)])
+        );
+        // Three corners of four, and a skewed quadrilateral.
+        let triangle = Polygon2::new(vec![(0, 0), (5, 0), (5, 3)]).unwrap();
+        assert_eq!(ClassCounter::new(&triangle).corners, None);
+        assert_eq!(ClassCounter::new(&Polygon2::fig3_isg()).corners, None);
+        // A line has no class forms to range.
+        let line = RectDomain::new(ivec![0], ivec![9]);
+        assert_eq!(ClassCounter::new(&line).corners, None);
     }
 
     #[test]

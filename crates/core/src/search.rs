@@ -473,10 +473,22 @@ fn validated_setup<'a>(
     let initial = stencil.try_sum()?;
     let phi_norm_sq = phi.try_norm_sq()? as u128;
     // Hard exploration cap, a backstop: pruning alone already ends every
-    // known-bounds search (see `DomainFacts::prune_len_sq`).
-    let phi_cap = 64 * phi.dot_i128(&initial).max(1);
+    // known-bounds search (see `DomainFacts::prune_len_sq`). It saturates
+    // where `64·φ·Σvᵢ` leaves i128.
+    let phi_cap = try_dot_i128_slices(phi.as_slice(), initial.as_slice())
+        .map_or(i128::MAX, |x| x.max(1).saturating_mul(64));
     let initial_cost = cost.try_cost(initial.as_slice(), &mut Vec::new())?;
-    let window = search_window(stencil, objective, phi_norm_sq, phi_cap, initial_cost);
+    let initial_norm = initial.try_norm_sq().unwrap_or(i128::MAX);
+    // No child past the first incumbent's threshold, nor past the cap,
+    // is ever merged, so a window reaching that far covers every node
+    // unless the entry budget halves it.
+    let first_bound = phi_bound_of(
+        domain_facts.as_ref(),
+        phi_norm_sq,
+        initial_cost,
+        initial_norm,
+    );
+    let window = search_window(stencil, first_bound.min(phi_cap));
     Ok(Setup {
         cost,
         domain_facts,
@@ -488,7 +500,7 @@ fn validated_setup<'a>(
         window,
         phi,
         initial_cost,
-        initial_norm: initial.try_norm_sq().unwrap_or(i128::MAX),
+        initial_norm,
         initial,
     })
 }
@@ -498,30 +510,20 @@ const SEARCH_WINDOW_ENTRIES: usize = 1 << 20;
 
 /// Size the dense PATHSET window from the functional reachability bound.
 ///
-/// Every queued offset is a sum of stencil vectors, each backward step
-/// raises `φ·w` by at least 1, and surviving children satisfy
-/// `(φ·w)² ≤ bound·|φ|²` (shortest-vector) or `φ·w ≤ phi_cap`
-/// (known-bounds) — so the step count, and with it every coordinate, is
-/// bounded. The window is purely a performance knob: offsets outside it
-/// (degenerate domains, foreign resumed frontiers, near-overflow
-/// coordinates) spill to the hash tier with identical semantics.
-fn search_window(
-    stencil: &Stencil,
-    objective: &Objective<'_>,
-    phi_norm_sq: u128,
-    phi_cap: i128,
-    initial_cost: u128,
-) -> Window {
-    let steps: i128 = match objective {
-        Objective::ShortestVector => {
-            let bound_sq = initial_cost
-                .saturating_add(1)
-                .saturating_mul(phi_norm_sq.max(1));
-            isqrt(bound_sq).min(i128::MAX as u128) as i128 + 2
-        }
-        Objective::KnownBounds(_) => phi_cap,
-    };
-    let steps = steps.clamp(1, 1 << 20) as i64;
+/// Every queued offset is a sum of stencil vectors, and each backward step
+/// raises `φ·w` by at least 1. No child with `φ·w` past `max_phi` is
+/// merged: the caller passes the smaller of the exploration cap and the
+/// first incumbent's pruning threshold ([`phi_bound_of`]), which only
+/// falls as the incumbent improves. So the step count, and with it every
+/// coordinate, is bounded. The window changes no answer: offsets outside
+/// it (degenerate domains, foreign resumed frontiers, near-overflow
+/// coordinates, the far side of a window halved to its entry budget) spill
+/// to the hash tier, which keeps the same PATHSET unions. Spill keys order
+/// equal-cost ties by discovery, not by `lex w`, so on a search with
+/// spilled nodes another window size can expand tied nodes in another
+/// order and change `pushed` and `visited`.
+fn search_window(stencil: &Stencil, max_phi: i128) -> Window {
+    let steps = max_phi.clamp(1, 1 << 20) as i64;
     let dim = stencil.dim();
     let mut lo = vec![0i64; dim];
     let mut hi = vec![0i64; dim];
@@ -714,8 +716,6 @@ struct Engine<'a> {
     stencil: &'a Stencil,
     setup: &'a Setup<'a>,
     budget: &'a Budget,
-    /// Problem fingerprint stamped on every snapshot.
-    fingerprint: u64,
     queue: WorkQueue,
     /// The PATHSET node pool: dense cells over the reachability window,
     /// hash spill outside it. Its length is the memo-cap measure.
@@ -734,8 +734,9 @@ struct Engine<'a> {
     /// (budget, memo cap, panic) leaves it here, and snapshots include it
     /// so no subtree is lost.
     in_hand: Option<(u128, u64, u64)>,
-    /// Snapshot target; `None` disables snapshots entirely.
-    ckpt: Option<&'a CheckpointConfig>,
+    /// Snapshot target, with the problem fingerprint stamped on every
+    /// snapshot; `None` disables snapshots entirely.
+    ckpt: Option<(&'a CheckpointConfig, u64)>,
     /// Fully processed nodes since the last snapshot.
     since_snapshot: u64,
     /// The first snapshot write failure; no snapshot is written after it.
@@ -865,19 +866,21 @@ impl Engine<'_> {
     /// Count one fully processed node towards the next snapshot, writing
     /// it when [`snapshot_due`].
     fn note_progress(&mut self) {
-        let Some(cfg) = self.ckpt else { return };
+        let Some((cfg, fingerprint)) = self.ckpt else {
+            return;
+        };
         self.since_snapshot += 1;
         if self.ckpt_error.is_none()
             && snapshot_due(self.since_snapshot, self.stats.visited, cfg.interval)
         {
             self.since_snapshot = 0;
-            self.write_snapshot(cfg);
+            self.write_snapshot(cfg, fingerprint);
         }
     }
 
     /// Write the live state to `cfg.path`, keeping the first failure.
-    fn write_snapshot(&mut self, cfg: &CheckpointConfig) {
-        if let Err(e) = checkpoint::write_snapshot(&cfg.path, &self.snapshot()) {
+    fn write_snapshot(&mut self, cfg: &CheckpointConfig, fingerprint: u64) {
+        if let Err(e) = checkpoint::write_snapshot(&cfg.path, &self.snapshot(fingerprint)) {
             self.ckpt_error = Some(e);
         }
     }
@@ -887,7 +890,7 @@ impl Engine<'_> {
     /// counters. Keys decode back to coordinate vectors here, at the
     /// engine boundary — the `UOVCKPT1` wire format stays
     /// layout-independent.
-    fn snapshot(&self) -> Snapshot {
+    fn snapshot(&self, fingerprint: u64) -> Snapshot {
         let mut coords = Vec::new();
         let mut frontier: Vec<(u128, IVec, u64)> = Vec::new();
         let queued = self.queue.iter().map(|Reverse(entry)| entry);
@@ -897,7 +900,7 @@ impl Engine<'_> {
             }
         }
         Snapshot {
-            fingerprint: self.fingerprint,
+            fingerprint,
             dim: self.setup.dim,
             incumbent_cost: self.incumbent.0,
             incumbent: self.incumbent.2.clone(),
@@ -929,12 +932,14 @@ fn search_seeded(
     config: &SearchConfig,
 ) -> Result<SearchResult, SearchError> {
     let setup = validated_setup(stencil, objective)?;
-    let fingerprint = crate::fingerprint(stencil, objective);
+    // Only snapshots carry the problem's fingerprint, so a search that
+    // neither resumes nor writes one never hashes the problem.
+    let fingerprint = || crate::fingerprint(stencil, objective);
     let seed = match seed {
         None => SeedState::fresh(&setup),
-        Some(snap) if snap.fingerprint != fingerprint => {
+        Some(snap) if snap.fingerprint != fingerprint() => {
             return Err(SearchError::Checkpoint(CheckpointError::StencilMismatch {
-                expected: fingerprint,
+                expected: fingerprint(),
                 found: snap.fingerprint,
             }));
         }
@@ -948,7 +953,6 @@ fn search_seeded(
         stencil,
         setup: &setup,
         budget: &config.budget,
-        fingerprint,
         queue: WorkQueue::with_capacity(seed.frontier.len()),
         store: MaskTable::new(setup.window.clone()),
         phi_bound: phi_bound_of(
@@ -961,7 +965,7 @@ fn search_seeded(
         stats: seed.base,
         stop: None,
         in_hand: None,
-        ckpt: config.checkpoint.as_ref(),
+        ckpt: config.checkpoint.as_ref().map(|cfg| (cfg, fingerprint())),
         since_snapshot: 0,
         ckpt_error: None,
     };
@@ -989,9 +993,9 @@ fn search_seeded(
     });
     // Final snapshot, including the entry in hand of a stopped or
     // panicked run.
-    if let Some(cfg) = engine.ckpt {
+    if let Some((cfg, fingerprint)) = engine.ckpt {
         if engine.ckpt_error.is_none() {
-            engine.write_snapshot(cfg);
+            engine.write_snapshot(cfg, fingerprint);
         }
     }
     if let Some(payload) = panic {
@@ -1546,6 +1550,32 @@ mod tests {
             assert_eq!(got, want, "|φ|² {phi_norm_sq}, incumbent {incumbent:?}");
         }
         assert!(overflows > 0, "no row reached the old product's overflow");
+    }
+
+    /// On the valid stencil {(2⁶¹, 0), (2⁶¹, 1)}, with φ = (2⁶² + 1, 1),
+    /// `64·φ·Σvᵢ` is about 2¹³⁰. The exploration cap saturates there: an
+    /// unchecked product panicked in debug builds, outside the engine's
+    /// `catch_unwind`, and in release wrapped to a cap that cut both
+    /// children of the origin and returned Σvᵢ with `capped` 2. Both
+    /// profiles now run the same search, which no threshold prunes (its
+    /// square leaves u128): every sum of up to three vectors is visited,
+    /// and the eight children of the four three-vector sums leave i64.
+    #[test]
+    fn exploration_cap_saturates_past_i128() {
+        let s = Stencil::new(vec![ivec![1i64 << 61, 0], ivec![1i64 << 61, 1]]).unwrap();
+        let res = find_best_uov(&s, Objective::ShortestVector, &SearchConfig::default()).unwrap();
+        assert_eq!(res.uov, ivec![1i64 << 62, 1]);
+        assert_eq!(res.cost, (1u128 << 124) + 1);
+        let want = SearchStats {
+            visited: 10,
+            pushed: 10,
+            improvements: 0,
+            pruned: 0,
+            capped: 8,
+            complete: true,
+        };
+        assert_eq!(res.stats, want);
+        crate::certify::certify(&s, &Objective::ShortestVector, &res).unwrap();
     }
 
     fn scaled(s: &Stencil, k: i64) -> Stencil {

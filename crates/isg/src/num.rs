@@ -6,12 +6,16 @@
 //! that prime mapping vectors touch consecutive storage locations.
 //!
 //! All functions here are exact over the full `i64` range, including
-//! `i64::MIN` (whose absolute value does not fit in `i64`): internals run in
-//! `u64`/`i128`. The one unrepresentable corner is a gcd of exactly `2⁶³`
-//! (`gcd(i64::MIN, 0)`, `gcd(i64::MIN, i64::MIN)`): the `checked_*` variants
-//! return `None` there and on `lcm`/`floor_div` overflow, while the plain
-//! variants keep their documented panics for callers with known-small
-//! inputs.
+//! `i64::MIN` (whose absolute value does not fit in `i64`). The gcd and lcm
+//! run on absolute values in `u64`, the floor division and modulus in
+//! `i128`, and the extended gcd in `i64` with wrapping arithmetic, which is
+//! exact there (see [`checked_extended_gcd`]). The one unrepresentable
+//! corner is a gcd of exactly `2⁶³` (`gcd(i64::MIN, 0)`,
+//! `gcd(i64::MIN, i64::MIN)`): the `checked_*` variants return `None` there
+//! and on `lcm`/`floor_div` overflow, while the plain variants keep their
+//! documented panics for callers with known-small inputs.
+
+use std::num::Wrapping;
 
 /// Greatest common divisor in `u64`, exact for all inputs.
 fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
@@ -106,9 +110,9 @@ pub fn checked_lcm(a: i64, b: i64) -> Option<i64> {
 /// Extended Euclidean algorithm.
 ///
 /// Returns `(g, x, y)` such that `a*x + b*y == g` and `g == gcd(a, b) >= 0`.
-/// Internals run in `i128`; for every representable gcd the Bézout
-/// coefficients are bounded by `|b/(2g)|` and `|a/(2g)|`, so they always fit
-/// in `i64`.
+/// For every representable gcd the Bézout coefficients are bounded by
+/// `|b/(2g)|` and `|a/(2g)|`, so they always fit in `i64`. The pair is the
+/// one truncating Euclid produces (see [`checked_extended_gcd`]).
 ///
 /// # Panics
 ///
@@ -135,35 +139,40 @@ pub fn extended_gcd(a: i64, b: i64) -> (i64, i64, i64) {
 
 /// [`extended_gcd`] returning `None` when the gcd (`2⁶³`) does not fit.
 ///
+/// The loop runs in `i64` with wrapping arithmetic, which is exact here.
+/// Every remainder is `a`, `b` or smaller in magnitude than `b`, so each
+/// fits in `i64`. The one quotient that does not, `i64::MIN / −1 = 2⁶³`,
+/// wraps to `i64::MIN`, which is `2⁶³` mod `2⁶⁴`. The other updates are
+/// ring operations, so every Bézout coefficient is exact mod `2⁶⁴`, and the
+/// returned pair, which fits in `i64` whenever the gcd does (see
+/// [`extended_gcd`]), is exact. A final remainder of `i64::MIN` is the gcd
+/// `2⁶³`.
+///
 /// ```
 /// use uov_isg::num::checked_extended_gcd;
 /// assert_eq!(checked_extended_gcd(i64::MIN, 0), None);
 /// assert!(checked_extended_gcd(i64::MIN, i64::MAX).is_some());
+/// assert_eq!(checked_extended_gcd(240, 46), Some((2, -9, 47)));
 /// ```
 pub fn checked_extended_gcd(a: i64, b: i64) -> Option<(i64, i64, i64)> {
-    // Invariants: old_r = a*old_s + b*old_t, r = a*s + b*t. All values stay
-    // within i128 comfortably: remainders shrink and coefficient magnitudes
-    // are bounded by the starting operands.
-    let (mut old_r, mut r) = (a as i128, b as i128);
-    let (mut old_s, mut s) = (1i128, 0i128);
-    let (mut old_t, mut t) = (0i128, 1i128);
-    while r != 0 {
+    // Invariants: old_r = a*old_s + b*old_t, r = a*s + b*t (mod 2⁶⁴, and
+    // exactly for the remainders).
+    let (mut old_r, mut r) = (Wrapping(a), Wrapping(b));
+    let (mut old_s, mut s) = (Wrapping(1i64), Wrapping(0i64));
+    let (mut old_t, mut t) = (Wrapping(0i64), Wrapping(1i64));
+    while r.0 != 0 {
         let q = old_r / r;
         (old_r, r) = (r, old_r - q * r);
         (old_s, s) = (s, old_s - q * s);
         (old_t, t) = (t, old_t - q * t);
     }
-    if old_r < 0 {
+    if old_r.0 == i64::MIN {
+        return None;
+    }
+    if old_r.0 < 0 {
         (old_r, old_s, old_t) = (-old_r, -old_s, -old_t);
     }
-    match (
-        i64::try_from(old_r),
-        i64::try_from(old_s),
-        i64::try_from(old_t),
-    ) {
-        (Ok(g), Ok(x), Ok(y)) => Some((g, x, y)),
-        _ => None,
-    }
+    Some((old_r.0, old_s.0, old_t.0))
 }
 
 /// Greatest common divisor of a slice, always non-negative.
@@ -281,6 +290,8 @@ pub fn checked_floor_div(a: i64, m: i64) -> Option<i64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, RngCore, SeedableRng};
 
     #[test]
     fn gcd_basic() {
@@ -373,6 +384,113 @@ mod tests {
         }
         assert_eq!(checked_extended_gcd(i64::MIN, 0), None);
         assert_eq!(checked_extended_gcd(i64::MIN, i64::MIN), None);
+    }
+
+    /// The extended Euclid `checked_extended_gcd` ran before its wrapping
+    /// `i64` loop, in `i128`, kept verbatim as the reference that loop must
+    /// equal: the same `(g, x, y)`, `None` included.
+    fn reference_extended_gcd(a: i64, b: i64) -> Option<(i64, i64, i64)> {
+        let (mut old_r, mut r) = (a as i128, b as i128);
+        let (mut old_s, mut s) = (1i128, 0i128);
+        let (mut old_t, mut t) = (0i128, 1i128);
+        while r != 0 {
+            let q = old_r / r;
+            (old_r, r) = (r, old_r - q * r);
+            (old_s, s) = (s, old_s - q * s);
+            (old_t, t) = (t, old_t - q * t);
+        }
+        if old_r < 0 {
+            (old_r, old_s, old_t) = (-old_r, -old_s, -old_t);
+        }
+        match (
+            i64::try_from(old_r),
+            i64::try_from(old_s),
+            i64::try_from(old_t),
+        ) {
+            (Ok(g), Ok(x), Ok(y)) => Some((g, x, y)),
+            _ => None,
+        }
+    }
+
+    fn seed_from_env() -> u64 {
+        std::env::var("UOV_TEST_SEED")
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(0x5EED_0D1F)
+    }
+
+    /// An operand of any magnitude: a bit length up to 63 and a sign, now
+    /// and then a value within 2 of `i64::MIN` or `i64::MAX`, and now and
+    /// then a shared power-of-two factor (the product wraps, which keeps
+    /// the factor).
+    fn operand(rng: &mut StdRng, shift: u32) -> i64 {
+        let v = match rng.gen_range(0u32..8) {
+            0 => i64::MIN + rng.gen_range(0i64..=2),
+            1 => i64::MAX - rng.gen_range(0i64..=2),
+            _ => {
+                let len = rng.gen_range(0u32..=63);
+                let v = ((rng.next_u64() >> 1) >> (63 - len)) as i64;
+                if rng.gen_range(0u32..2) == 0 {
+                    v
+                } else {
+                    -v
+                }
+            }
+        };
+        v.wrapping_mul(1 << shift)
+    }
+
+    /// The wrapping `i64` loop returns the `i128` loop's `(g, x, y)` on
+    /// every pair of the edge values, on seeded random pairs of every
+    /// magnitude, and on consecutive Fibonacci numbers, Euclid's worst
+    /// case, in both orders and every sign.
+    #[test]
+    fn extended_gcd_matches_the_i128_reference() {
+        let check = |a: i64, b: i64| {
+            assert_eq!(
+                checked_extended_gcd(a, b),
+                reference_extended_gcd(a, b),
+                "extended gcd of ({a}, {b})"
+            );
+        };
+        let edges = [
+            0,
+            1,
+            -1,
+            2,
+            -2,
+            1 << 31,
+            -(1 << 31),
+            1 << 62,
+            -(1 << 62),
+            i64::MAX,
+            i64::MAX - 1,
+            i64::MIN + 1,
+            i64::MIN,
+        ];
+        for a in edges {
+            for b in edges {
+                check(a, b);
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(seed_from_env() ^ 0xE6CD);
+        for _ in 0..200_000 {
+            let shift = match rng.gen_range(0u32..4) {
+                0 => rng.gen_range(1u32..=62),
+                _ => 0,
+            };
+            check(operand(&mut rng, shift), operand(&mut rng, shift));
+        }
+        let (mut f0, mut f1) = (0i64, 1i64);
+        while let Some(f2) = f0.checked_add(f1) {
+            for (x, y) in [(f1, f2), (f2, f1)] {
+                for (a, b) in [(x, y), (-x, y), (x, -y), (-x, -y)] {
+                    check(a, b);
+                }
+            }
+            (f0, f1) = (f1, f2);
+        }
+        assert!(f1 > 1 << 62, "the Fibonacci pairs stopped at {f1}");
     }
 
     #[test]

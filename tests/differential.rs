@@ -549,7 +549,7 @@ mod class_count {
     use uov::core::objective::{try_storage_class_count, ClassCounter};
     use uov::isg::num::checked_extended_gcd;
     use uov::isg::project::try_form_range;
-    use uov::isg::{IMat, IsgError, IterationDomain, Polygon2};
+    use uov::isg::{ivec, IMat, IsgError, IterationDomain, Polygon2};
 
     /// The row-vector reduction: rows of the unimodular `W` with
     /// `W·v = (content, 0, …, 0)`, every row operation overflow-checked.
@@ -641,9 +641,21 @@ mod class_count {
     #[test]
     fn counter_matches_the_allocating_reference() {
         let mut rng = StdRng::seed_from_u64(seed_from_env() ^ 0xC1A55);
+        // Near ±2⁶², three steps wide: the class spans fit in i64, but most
+        // forms' values at the corners do not, so most counts must fail.
+        let far = 1i64 << 62;
         let mut domains: Vec<Box<dyn IterationDomain>> = vec![
             Box::new(Polygon2::fig3_isg()),
             Box::new(Polygon2::new(vec![(1, 1), (12, 1), (12, 12)]).expect("a triangle")),
+            // Boxes, which the counter ranges from their corners' ends: a
+            // rectangle given as a polygon, a box with an extent-1 axis
+            // (so duplicate corners), and a box far from the origin.
+            Box::new(Polygon2::new(vec![(-3, 2), (9, 2), (9, 7), (-3, 7)]).expect("a rectangle")),
+            Box::new(RectDomain::new(ivec![2, 5, -1], ivec![6, 5, 3])),
+            Box::new(RectDomain::new(
+                ivec![far - 2, -far - 3],
+                ivec![far + 1, -far],
+            )),
         ];
         for _ in 0..48 {
             let dim = rng.gen_range(1usize..=4);

@@ -13,7 +13,7 @@
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 use uov::core::checkpoint::{read_snapshot, CheckpointConfig, CheckpointError};
@@ -367,9 +367,11 @@ fn snapshot_from_a_different_stencil_cannot_resume() {
 // Kill -9 and resume: the crash-safety acceptance test, in-process.
 // ---------------------------------------------------------------------
 
-/// The kill-loop workload: a few seconds of debug-profile search — long
-/// enough that a 250 ms timer reliably SIGKILLs it mid-run, short enough
-/// that the final resumed completion stays cheap.
+/// The kill-loop workload: 55,984 nodes, so with the first snapshot at
+/// 2,000 nodes and each later gap as long as the run so far, a search
+/// writes five snapshots before it completes. The kill test kills each
+/// child once it has written one, and the final resumed completion stays
+/// cheap.
 fn kill_workload() -> Stencil {
     Stencil::new(vec![
         ivec![5, 0, 0],
@@ -422,8 +424,13 @@ fn sigkilled_and_resumed_search_matches_clean_run() {
 
     let exe = std::env::current_exe().expect("test binary path");
     let path = tmp_path("sigkill");
+    // Progress on disk: each snapshot a child writes counts more nodes than
+    // the last, so its bytes differ. Comparing bytes, not decoded
+    // snapshots, keeps the polling cheap in debug builds.
+    let progress = || std::fs::read(&path).ok();
     let mut kills = 0;
     for _ in 0..6 {
+        let before = progress();
         let mut child = Command::new(&exe)
             .args(["--exact", "checkpoint_child_runner", "--nocapture"])
             .env("UOV_CKPT_CHILD", &path)
@@ -431,36 +438,41 @@ fn sigkilled_and_resumed_search_matches_clean_run() {
             .stderr(Stdio::null())
             .spawn()
             .expect("spawn child test process");
-        std::thread::sleep(Duration::from_millis(250));
-        match child.try_wait().expect("poll child") {
-            Some(_) => break, // ran to completion before the timer
-            None => {
-                child.kill().expect("SIGKILL child"); // SIGKILL on unix
-                let _ = child.wait();
-                kills += 1;
+        // Kill each child once it has written a snapshot of its own, so a
+        // kill lands mid-run and leaves a snapshot in every build profile.
+        let deadline = Instant::now() + Duration::from_secs(60);
+        let finished = loop {
+            if child.try_wait().expect("poll child").is_some() {
+                break true;
             }
+            if progress() != before {
+                break false;
+            }
+            assert!(Instant::now() < deadline, "child wrote no snapshot in 60 s");
+            std::thread::sleep(Duration::from_millis(1));
+        };
+        if finished {
+            break;
         }
+        child.kill().expect("SIGKILL child"); // SIGKILL on unix
+        if child.wait().expect("reap child").success() {
+            break; // finished before the signal arrived
+        }
+        kills += 1;
     }
     assert!(
         kills >= 1,
         "workload finished before any kill landed; grow kill_workload()"
     );
-    // Finish whatever work remains from the last surviving snapshot.
-    let s = kill_workload();
-    let resumed = if path.exists() {
-        search_resume(
-            &path,
-            &s,
-            Objective::ShortestVector,
-            &kill_workload_config(&path),
-        )
-        .expect("snapshot of a killed run must resume")
-    } else {
-        // Every kill landed before the first snapshot interval elapsed:
-        // nothing persisted, so the "resume" is simply a fresh run.
-        find_best_uov(&s, Objective::ShortestVector, &kill_workload_config(&path))
-            .expect("in range")
-    };
+    // Finish whatever work remains from the last snapshot a killed child
+    // wrote.
+    let resumed = search_resume(
+        &path,
+        &kill_workload(),
+        Objective::ShortestVector,
+        &kill_workload_config(&path),
+    )
+    .expect("snapshot of a killed run must resume");
     assert_eq!(
         (resumed.uov.clone(), resumed.cost),
         (clean.uov.clone(), clean.cost),
