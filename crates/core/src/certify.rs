@@ -1,12 +1,14 @@
 //! Independent certification of search results.
 //!
-//! The branch-and-bound engine is ~1000 lines of pruning, sharding and
-//! atomics; the legality of its answer should not rest on all of that
-//! being correct. This module is the deliberately small trust anchor: it
-//! re-derives universality straight from the paper's definition — `w` is
-//! a UOV iff `w − vᵢ` lies in the DONE cone for every stencil vector `vᵢ`
-//! — using a **fresh** [`DoneOracle`] that shares no state with the
-//! search, and re-computes the claimed objective value from scratch.
+//! The branch-and-bound engine is one best-first worker, but its pruning
+//! thresholds, dense PATHSET table and checkpointing (`search` and
+//! `dense`) are far more code than the paper's definition of a UOV; the
+//! legality of its answer should not rest on all of that being correct.
+//! This module is the deliberately small trust anchor: it re-derives
+//! universality straight from the paper's definition — `w` is a UOV iff
+//! `w − vᵢ` lies in the DONE cone for every stencil vector `vᵢ` — using a
+//! **fresh** [`DoneOracle`] that shares no state with the search, and
+//! re-computes the claimed objective value from scratch.
 //!
 //! [`certify`] is run by [`plan`](../../uov/driver/fn.plan.html) on every
 //! emitted UOV (including degraded `Σvᵢ` fallbacks and resumed-run

@@ -429,7 +429,9 @@ pub fn find_best_uov(
 ///
 /// Determinism: an interrupted-then-resumed search that runs to
 /// completion returns the identical `(uov, cost)` as an uninterrupted
-/// one — see the module docs.
+/// one — see the module docs. Resuming a completed run's snapshot (its
+/// frontier is empty) returns that run's answer and statistics and
+/// leaves the file as it is.
 ///
 /// # Errors
 ///
@@ -949,6 +951,19 @@ fn search_seeded(
             state
         }
     };
+    // A resume with no frontier left has no work to do, and the file it
+    // came from already holds its final state: answer without rebuilding
+    // the PATHSET table or rewriting the snapshot.
+    if seed.frontier.is_empty() {
+        let (cost, _, uov) = seed.incumbent;
+        return Ok(SearchResult {
+            uov,
+            cost,
+            stats: seed.base,
+            degradation: None,
+            checkpoint_error: None,
+        });
+    }
     let mut engine = Engine {
         stencil,
         setup: &setup,
@@ -1926,6 +1941,26 @@ mod tests {
             snap.frontier.is_empty(),
             "a completed search leaves no frontier"
         );
+        // Resuming the final snapshot under the same checkpoint config
+        // answers as the run did and leaves the file alone: with a
+        // directory where the `<path>.tmp` scratch file goes, any write
+        // attempt would come back as a checkpoint error.
+        let bytes = std::fs::read(&path).unwrap();
+        let mut blocker = path.clone().into_os_string();
+        blocker.push(".tmp");
+        std::fs::create_dir(&blocker).unwrap();
+        let resumed = search_resume(&path, &s, Objective::ShortestVector, &ckpt_config(&path, 4));
+        std::fs::remove_dir(&blocker).unwrap();
+        let resumed = resumed.unwrap();
+        assert_eq!(
+            (resumed.uov, resumed.cost, resumed.stats),
+            (res.uov, res.cost, res.stats)
+        );
+        assert_eq!(
+            resumed.checkpoint_error, None,
+            "a finished resume rewrote its snapshot"
+        );
+        assert_eq!(std::fs::read(&path).unwrap(), bytes);
         let _ = std::fs::remove_file(&path);
     }
 

@@ -1,116 +1,150 @@
 //! Property-based tests for the UOV core.
 
-use proptest::prelude::*;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use uov_core::npc::PartitionInstance;
 use uov_core::search::{exhaustive_best_uov, find_best_uov, Objective, SearchConfig};
 use uov_core::{initial_uov, DoneOracle};
 use uov_isg::{IVec, RectDomain, Stencil};
 
-fn lex_positive_vec(dim: usize, bound: i64) -> impl Strategy<Value = IVec> {
-    prop::collection::vec(-bound..=bound, dim)
-        .prop_map(IVec::from)
-        .prop_filter("lexicographically positive", |v| v.is_lex_positive())
+fn seed_from_env() -> u64 {
+    std::env::var("UOV_TEST_SEED")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(0x5EED_0D1F)
 }
 
-fn stencil_2d() -> impl Strategy<Value = Stencil> {
-    prop::collection::vec(lex_positive_vec(2, 3), 1..5)
-        .prop_map(|vs| Stencil::new(vs).expect("validated"))
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn initial_uov_is_universal(s in stencil_2d()) {
-        let oracle = DoneOracle::new(&s);
-        prop_assert!(oracle.is_uov(&initial_uov(&s)));
+/// Run `property` on `cases` inputs drawn from one generator seeded with
+/// `UOV_TEST_SEED ^ salt` (default seed above), so CI can sweep seeds to
+/// vary them. A failing case prints its own panic, then fails the test
+/// naming the seed and the case index.
+fn check(salt: u64, cases: u32, mut property: impl FnMut(&mut StdRng)) {
+    let seed = seed_from_env();
+    let mut rng = StdRng::seed_from_u64(seed ^ salt);
+    for case in 0..cases {
+        let run = catch_unwind(AssertUnwindSafe(|| property(&mut rng)));
+        assert!(run.is_ok(), "case {case} failed under UOV_TEST_SEED={seed}");
     }
+}
 
-    #[test]
-    fn cone_membership_matches_naive_enumeration(
-        s in stencil_2d(),
-        w in prop::collection::vec(-6i64..=6, 2).prop_map(IVec::from),
-    ) {
-        // Naive reference: BFS over coefficient vectors with the functional
-        // bound Σaᵢ ≤ φ·w.
+const CASES: u32 = 64;
+
+fn any_vec(rng: &mut StdRng, dim: usize, bound: i64) -> IVec {
+    (0..dim).map(|_| rng.gen_range(-bound..=bound)).collect()
+}
+
+fn lex_positive_vec(rng: &mut StdRng, dim: usize, bound: i64) -> IVec {
+    loop {
+        let v = any_vec(rng, dim, bound);
+        if v.is_lex_positive() {
+            return v;
+        }
+    }
+}
+
+/// One to four lex-positive vectors in `[-3, 3]²`.
+fn stencil_2d(rng: &mut StdRng) -> Stencil {
+    let n = rng.gen_range(1usize..5);
+    let vs = (0..n).map(|_| lex_positive_vec(rng, 2, 3)).collect();
+    Stencil::new(vs).expect("validated")
+}
+
+#[test]
+fn initial_uov_is_universal() {
+    check(0x0C01, CASES, |rng| {
+        let s = stencil_2d(rng);
         let oracle = DoneOracle::new(&s);
-        let phi = s.positive_functional();
-        let budget = phi.dot(&w);
-        let naive = if budget < 0 {
-            false
-        } else {
-            fn rec(s: &Stencil, w: &IVec, idx: usize, budget: i64) -> bool {
-                if w.is_zero() {
-                    return true;
-                }
-                if idx == s.len() || budget <= 0 {
-                    return false;
-                }
-                let v = &s.vectors()[idx];
-                let mut t = w.clone();
-                let mut used = 0;
-                loop {
-                    if rec(s, &t, idx + 1, budget - used) {
-                        return true;
-                    }
-                    if used >= budget {
-                        return false;
-                    }
-                    t = &t - v;
-                    used += 1;
-                    if t.is_zero() {
-                        return true;
-                    }
-                }
+        assert!(oracle.is_uov(&initial_uov(&s)), "stencil {s:?}");
+    });
+}
+
+#[test]
+fn cone_membership_matches_naive_enumeration() {
+    // Naive reference: DFS over coefficient vectors with the functional
+    // bound Σaᵢ ≤ φ·w.
+    fn rec(s: &Stencil, w: &IVec, idx: usize, budget: i64) -> bool {
+        if w.is_zero() {
+            return true;
+        }
+        if idx == s.len() || budget <= 0 {
+            return false;
+        }
+        let v = &s.vectors()[idx];
+        let mut t = w.clone();
+        let mut used = 0;
+        loop {
+            if rec(s, &t, idx + 1, budget - used) {
+                return true;
             }
-            rec(&s, &w, 0, budget)
-        };
-        prop_assert_eq!(oracle.in_done(&w), naive, "stencil {:?} w {}", s, w);
+            if used >= budget {
+                return false;
+            }
+            t = &t - v;
+            used += 1;
+            if t.is_zero() {
+                return true;
+            }
+        }
     }
+    check(0x0C02, CASES, |rng| {
+        let s = stencil_2d(rng);
+        let w = any_vec(rng, 2, 6);
+        let oracle = DoneOracle::new(&s);
+        let budget = s.positive_functional().dot(&w);
+        let naive = budget >= 0 && rec(&s, &w, 0, budget);
+        assert_eq!(oracle.in_done(&w), naive, "stencil {s:?} w {w}");
+    });
+}
 
-    #[test]
-    fn uov_definition_equivalence(
-        s in stencil_2d(),
-        w in prop::collection::vec(-6i64..=6, 2).prop_map(IVec::from),
-    ) {
+#[test]
+fn uov_definition_equivalence() {
+    check(0x0C03, CASES, |rng| {
+        let s = stencil_2d(rng);
+        let w = any_vec(rng, 2, 6);
         // is_uov(w) ⟺ ∀v ∈ V: (w − v) ∈ DONE — the paper's DEAD definition.
         let oracle = DoneOracle::new(&s);
         let by_parts = s.iter().all(|v| oracle.in_done(&(&w - v)));
-        prop_assert_eq!(oracle.is_uov(&w), by_parts);
-    }
+        assert_eq!(oracle.is_uov(&w), by_parts, "stencil {s:?} w {w}");
+    });
+}
 
-    #[test]
-    fn uov_set_closed_under_adding_stencil_vectors(
-        s in stencil_2d(),
-        w in prop::collection::vec(-4i64..=4, 2).prop_map(IVec::from),
-    ) {
+#[test]
+fn uov_set_closed_under_adding_stencil_vectors() {
+    check(0x0C04, CASES, |rng| {
+        let s = stencil_2d(rng);
+        let w = any_vec(rng, 2, 4);
         // If w is a UOV, so is w + vᵢ for any stencil vector: the DEAD set
         // only recedes as q advances.
         let oracle = DoneOracle::new(&s);
         if oracle.is_uov(&w) {
             for v in &s {
-                prop_assert!(oracle.is_uov(&(&w + v)), "w={} v={}", w, v);
+                assert!(oracle.is_uov(&(&w + v)), "w={w} v={v}");
             }
         }
-    }
+    });
+}
 
-    #[test]
-    fn search_matches_exhaustive_on_random_stencils(s in stencil_2d()) {
+#[test]
+fn search_matches_exhaustive_on_random_stencils() {
+    check(0x0C05, CASES, |rng| {
+        let s = stencil_2d(rng);
         let bb = find_best_uov(&s, Objective::ShortestVector, &SearchConfig::default())
             .expect("in-range stencil");
         let radius = i64::try_from(initial_uov(&s).max_abs()).expect("small stencil") + 1;
         let ex = exhaustive_best_uov(&s, Objective::ShortestVector, radius)
             .expect("initial UOV lies within the radius");
-        prop_assert_eq!(bb.cost, ex.cost, "stencil {:?}", s);
-        prop_assert!(bb.stats.complete);
-    }
+        assert_eq!(bb.cost, ex.cost, "stencil {s:?}");
+        assert!(bb.stats.complete);
+    });
+}
 
-    #[test]
-    fn search_known_bounds_never_beats_exhaustive(
-        s in stencil_2d(),
-        n in 2i64..8,
-        m in 2i64..8,
-    ) {
+#[test]
+fn search_known_bounds_never_beats_exhaustive() {
+    check(0x0C06, CASES, |rng| {
+        let s = stencil_2d(rng);
+        let (n, m) = (rng.gen_range(2i64..8), rng.gen_range(2i64..8));
         let grid = RectDomain::grid(n, m);
         let bb = find_best_uov(&s, Objective::KnownBounds(&grid), &SearchConfig::default())
             .expect("in-range stencil");
@@ -120,22 +154,23 @@ proptest! {
         // The B&B result can only be at most as costly when it ran to
         // completion without the cap; equality when radius covers optimum.
         if bb.stats.capped == 0 {
-            prop_assert!(bb.cost <= ex.cost, "stencil {:?} grid {n}x{m}", s);
+            assert!(bb.cost <= ex.cost, "stencil {s:?} grid {n}x{m}");
         }
         let oracle = DoneOracle::new(&s);
-        prop_assert!(oracle.is_uov(&bb.uov));
-    }
+        assert!(oracle.is_uov(&bb.uov));
+    });
+}
 
-    #[test]
-    fn partition_reduction_agrees_with_dp(
-        values in prop::collection::vec(1i64..6, 2..5)
-    ) {
+#[test]
+fn partition_reduction_agrees_with_dp() {
+    check(0x0C07, CASES, |rng| {
+        let len = rng.gen_range(2usize..5);
+        let values: Vec<i64> = (0..len).map(|_| rng.gen_range(1i64..6)).collect();
         let inst = PartitionInstance::new(values.clone()).expect("positive values");
-        prop_assert_eq!(
+        assert_eq!(
             inst.solve_brute(),
             inst.solve_via_uov(),
-            "values {:?}",
-            values
+            "values {values:?}"
         );
-    }
+    });
 }

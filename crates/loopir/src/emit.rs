@@ -14,7 +14,7 @@
 use std::fmt;
 use std::fmt::Write as _;
 
-use uov_isg::{IVec, IterationDomain as _};
+use uov_isg::IVec;
 use uov_storage::{Layout, OvMap, StorageMap as _};
 
 use crate::expr::AffineExpr;
@@ -150,7 +150,9 @@ pub struct OvAccess {
 
 impl OvAccess {
     /// Build the symbolic access lowering for statement `stmt` of `nest`
-    /// under `map`.
+    /// under `map`. The shift and the position form are `map`'s own, so
+    /// the lowered index equals `map.map(q)` on the domain `map` was built
+    /// over.
     ///
     /// # Errors
     ///
@@ -172,21 +174,18 @@ impl OvAccess {
         let Some(mv) = map.mapping_vector_2d() else {
             return Err(EmitError::UnsupportedDim(map.ov().dim()));
         };
-        let dom = nest.domain();
-        // Domains are non-empty by construction; an empty hull needs no
-        // shift.
-        let shift = -(dom
-            .extreme_points()
-            .iter()
-            .map(|p| mv.dot(p))
-            .min()
-            .unwrap_or(0));
         let g = map.ov().content();
         Ok(OvAccess {
             array: nest.stmts()[stmt].array,
-            shift,
+            // The class coordinate is `mv·q − lo`; fold `−lo` into the
+            // constant.
+            shift: -map.class_shifts()[0],
             g,
-            position_form: position_form_of(map),
+            position_form: map
+                .position_form()
+                .iter()
+                .map(|c| c.rem_euclid(g))
+                .collect(),
             layout: map.layout(),
             block: (map.size() as i64) / g.max(1),
             mv,
@@ -251,21 +250,6 @@ impl OvAccess {
     }
 }
 
-fn position_form_of(map: &OvMap) -> IVec {
-    // The position row of the reduction: reconstruct from the OV — any
-    // form with form·ov = g works for the modterm; use the one the map
-    // itself uses via residue probing on unit vectors.
-    let d = map.ov().dim();
-    let zero = IVec::zero(d);
-    let base = map.residue(&zero);
-    (0..d)
-        .map(|k| {
-            let r = map.residue(&IVec::unit(d, k)) - base;
-            r.rem_euclid(map.ov().content().max(1))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -282,43 +266,88 @@ mod tests {
         assert_eq!(render_affine(&m), "2*i - 3*j");
     }
 
+    /// A one-statement nest over `[-3, 4] × [2, 9]` writing
+    /// `A[i + 1][j − 2]`: a domain off the origin and a nonzero write
+    /// offset.
+    fn shifted_nest() -> LoopNest {
+        use crate::{ArrayDecl, Assign, Expr};
+        LoopNest::new(
+            uov_isg::RectDomain::new(ivec![-3, 2], ivec![4, 9]),
+            vec![ArrayDecl {
+                name: "A".into(),
+                rank: 2,
+            }],
+            vec![Assign {
+                array: 0,
+                subscript: vec![AffineExpr::index(2, 0) + 1, AffineExpr::index(2, 1) + -2],
+                rhs: Expr::Const(0.0),
+            }],
+        )
+        .unwrap()
+    }
+
+    /// Lower statement 0's write under `ov` and `layout`, and check the
+    /// symbolic index against `OvMap::map` at every point of the domain.
+    fn lowered_write(nest: &LoopNest, ov: IVec, layout: Layout) -> MappedIndex {
+        use uov_isg::IterationDomain as _;
+        let map = OvMap::new(nest.domain(), ov.clone(), layout);
+        let acc = OvAccess::new(nest, 0, &map).unwrap();
+        let write = &nest.stmts()[0].subscript;
+        let idx = acc.index_of(write);
+        for q in nest.domain().points() {
+            // The write's element subscript is q + c_w; its producer is q.
+            let addr = match &idx {
+                MappedIndex::Affine(e) => e.eval(&q),
+                MappedIndex::Mod {
+                    base,
+                    position,
+                    g,
+                    scale,
+                } => base.eval(&q) + position.eval(&q).rem_euclid(*g) * scale,
+            };
+            assert_eq!(addr, map.map(&q) as i64, "ov {ov} ({layout:?}) at {q}");
+        }
+        idx
+    }
+
     #[test]
     fn prime_ov_lowers_to_pure_affine() {
-        let nest = examples::fig1_nest(4, 3);
-        let map = OvMap::new(nest.domain(), ivec![1, 1], Layout::Interleaved);
-        let acc = OvAccess::new(&nest, 0, &map).unwrap();
-        let idx = acc.index_of(&nest.stmts()[0].subscript);
-        let MappedIndex::Affine(e) = idx else {
-            panic!("prime OV must need no modterm: {idx:?}")
-        };
-        // The symbolic index agrees with OvMap::map at every point.
-        use uov_isg::IterationDomain as _;
-        for q in nest.domain().points() {
-            assert_eq!(e.eval(&q), map.map(&q) as i64, "at {q}");
+        for nest in [examples::fig1_nest(4, 3), shifted_nest()] {
+            for ov in [
+                ivec![1, 1],
+                ivec![3, 1],
+                ivec![1, -2],
+                ivec![-1, 3],
+                ivec![0, 1],
+            ] {
+                for layout in [Layout::Interleaved, Layout::Blocked] {
+                    let idx = lowered_write(&nest, ov.clone(), layout);
+                    assert!(
+                        matches!(idx, MappedIndex::Affine(_)),
+                        "prime OV {ov} must need no modterm: {idx:?}"
+                    );
+                }
+            }
         }
     }
 
     #[test]
     fn nonprime_ov_lowers_with_modterm() {
-        let nest = examples::stencil5_nest(4, 8);
-        for layout in [Layout::Interleaved, Layout::Blocked] {
-            let map = OvMap::new(nest.domain(), ivec![2, 0], layout);
-            let acc = OvAccess::new(&nest, 0, &map).unwrap();
-            let idx = acc.index_of(&nest.stmts()[0].subscript);
-            let MappedIndex::Mod {
-                base,
-                position,
-                g,
-                scale,
-            } = idx
-            else {
-                panic!("non-prime OV needs a modterm: {idx:?}")
-            };
-            assert_eq!(g, 2);
-            use uov_isg::IterationDomain as _;
-            for q in nest.domain().points() {
-                let addr = base.eval(&q) + position.eval(&q).rem_euclid(g) * scale;
-                assert_eq!(addr, map.map(&q) as i64, "at {q} ({layout:?})");
+        for nest in [examples::stencil5_nest(4, 8), shifted_nest()] {
+            for ov in [
+                ivec![2, 0],
+                ivec![2, 2],
+                ivec![2, -2],
+                ivec![-3, 6],
+                ivec![0, 3],
+            ] {
+                for layout in [Layout::Interleaved, Layout::Blocked] {
+                    let idx = lowered_write(&nest, ov.clone(), layout);
+                    let MappedIndex::Mod { g, .. } = idx else {
+                        panic!("non-prime OV {ov} needs a modterm: {idx:?}")
+                    };
+                    assert_eq!(g, ov.content());
+                }
             }
         }
     }

@@ -1,53 +1,81 @@
 //! Property-based tests for the memory-hierarchy simulator.
 
-use proptest::prelude::*;
+use std::ops::Range;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use uov_memsim::{machines, Cache, CacheConfig};
 
-fn small_cache() -> impl Strategy<Value = Cache> {
-    (0u32..4, 0u32..3, 0u32..3).prop_map(|(sets_log, assoc_log, line_log)| {
-        let line = 16u64 << line_log;
-        let assoc = 1u32 << assoc_log;
-        let sets = 1u64 << sets_log;
-        Cache::new(CacheConfig {
-            size_bytes: sets * assoc as u64 * line,
-            line_bytes: line,
-            assoc,
-            hit_cycles: 1,
-        })
+fn seed_from_env() -> u64 {
+    std::env::var("UOV_TEST_SEED")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(0x5EED_0D1F)
+}
+
+/// Run `property` on `cases` inputs drawn from one generator seeded with
+/// `UOV_TEST_SEED ^ salt` (default seed above), so CI can sweep seeds to
+/// vary them. A failing case prints its own panic, then fails the test
+/// naming the seed and the case index.
+fn check(salt: u64, cases: u32, mut property: impl FnMut(&mut StdRng)) {
+    let seed = seed_from_env();
+    let mut rng = StdRng::seed_from_u64(seed ^ salt);
+    for case in 0..cases {
+        let run = catch_unwind(AssertUnwindSafe(|| property(&mut rng)));
+        assert!(run.is_ok(), "case {case} failed under UOV_TEST_SEED={seed}");
+    }
+}
+
+const CASES: u32 = 64;
+
+/// 1–8 sets of 1–4 ways of 16–64-byte lines.
+fn small_cache(rng: &mut StdRng) -> Cache {
+    let sets = 1u64 << rng.gen_range(0u32..4);
+    let assoc = 1u32 << rng.gen_range(0u32..3);
+    let line = 16u64 << rng.gen_range(0u32..3);
+    Cache::new(CacheConfig {
+        size_bytes: sets * assoc as u64 * line,
+        line_bytes: line,
+        assoc,
+        hit_cycles: 1,
     })
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+/// Addresses below `limit`, as many as a draw from `len`.
+fn addrs(rng: &mut StdRng, limit: u64, len: Range<usize>) -> Vec<u64> {
+    let n = rng.gen_range(len);
+    (0..n).map(|_| rng.gen_range(0..limit)).collect()
+}
 
-    #[test]
-    fn accesses_equal_hits_plus_misses(
-        mut cache in small_cache(),
-        addrs in prop::collection::vec(0u64..4096, 1..200),
-    ) {
+#[test]
+fn accesses_equal_hits_plus_misses() {
+    check(0x3E01, CASES, |rng| {
+        let mut cache = small_cache(rng);
+        let addrs = addrs(rng, 4096, 1..200);
         for &a in &addrs {
             cache.access(a);
         }
-        prop_assert_eq!(cache.hits() + cache.misses(), addrs.len() as u64);
-    }
+        assert_eq!(cache.hits() + cache.misses(), addrs.len() as u64);
+    });
+}
 
-    #[test]
-    fn immediate_rereference_always_hits(
-        mut cache in small_cache(),
-        addrs in prop::collection::vec(0u64..4096, 1..100),
-    ) {
-        for &a in &addrs {
+#[test]
+fn immediate_rereference_always_hits() {
+    check(0x3E02, CASES, |rng| {
+        let mut cache = small_cache(rng);
+        for a in addrs(rng, 4096, 1..100) {
             cache.access(a);
-            prop_assert!(cache.access(a), "re-access of {a} must hit");
+            assert!(cache.access(a), "re-access of {a} must hit");
         }
-    }
+    });
+}
 
-    #[test]
-    fn working_set_within_capacity_converges_to_all_hits(
-        assoc_log in 0u32..3,
-        lines in 1u64..8,
-    ) {
-        let assoc = 1u32 << assoc_log;
+#[test]
+fn working_set_within_capacity_converges_to_all_hits() {
+    check(0x3E03, CASES, |rng| {
+        let assoc = 1u32 << rng.gen_range(0u32..3);
+        let lines = rng.gen_range(1u64..8);
         let line = 32u64;
         let mut cache = Cache::new(CacheConfig {
             size_bytes: 8 * assoc as u64 * line, // 8 sets
@@ -64,13 +92,16 @@ proptest! {
         }
         let before = cache.misses();
         for &a in &addrs {
-            prop_assert!(cache.access(a));
+            assert!(cache.access(a), "assoc {assoc}, {lines} lines: {a} missed");
         }
-        prop_assert_eq!(cache.misses(), before);
-    }
+        assert_eq!(cache.misses(), before);
+    });
+}
 
-    #[test]
-    fn machine_determinism(addrs in prop::collection::vec(0u64..(1 << 20), 1..300)) {
+#[test]
+fn machine_determinism() {
+    check(0x3E04, CASES, |rng| {
+        let addrs = addrs(rng, 1 << 20, 1..300);
         let run = |addrs: &[u64]| {
             let mut m = machines::alpha_21164();
             for &a in addrs {
@@ -78,14 +109,15 @@ proptest! {
             }
             m.stats().clone()
         };
-        prop_assert_eq!(run(&addrs), run(&addrs));
-    }
+        assert_eq!(run(&addrs), run(&addrs));
+    });
+}
 
-    #[test]
-    fn cycles_monotone_under_extension(
-        prefix in prop::collection::vec(0u64..(1 << 16), 1..100),
-        extra in prop::collection::vec(0u64..(1 << 16), 1..50),
-    ) {
+#[test]
+fn cycles_monotone_under_extension() {
+    check(0x3E05, CASES, |rng| {
+        let prefix = addrs(rng, 1 << 16, 1..100);
+        let extra = addrs(rng, 1 << 16, 1..50);
         let mut a = machines::pentium_pro();
         for &x in &prefix {
             a.read(x);
@@ -94,13 +126,14 @@ proptest! {
         for &x in &extra {
             a.read(x);
         }
-        prop_assert!(a.cycles() > cycles_prefix);
-    }
+        assert!(a.cycles() > cycles_prefix);
+    });
+}
 
-    #[test]
-    fn reset_restores_initial_behaviour(
-        addrs in prop::collection::vec(0u64..(1 << 16), 1..100),
-    ) {
+#[test]
+fn reset_restores_initial_behaviour() {
+    check(0x3E06, CASES, |rng| {
+        let addrs = addrs(rng, 1 << 16, 1..100);
         let mut warm = machines::ultra_2();
         for &a in &addrs {
             warm.read(a);
@@ -113,6 +146,6 @@ proptest! {
         for &a in &addrs {
             cold.read(a);
         }
-        prop_assert_eq!(warm.stats(), cold.stats());
-    }
+        assert_eq!(warm.stats(), cold.stats());
+    });
 }

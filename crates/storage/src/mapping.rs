@@ -276,6 +276,18 @@ impl OvMap {
         }
     }
 
+    /// Per class form, its minimum over the domain (the paper's `shift`):
+    /// the `k`-th class coordinate of `q` is `form_k·q − class_shifts()[k]`.
+    pub fn class_shifts(&self) -> &[i64] {
+        &self.shifts
+    }
+
+    /// The position form (row 0 of the reduction): `position_form()·q mod
+    /// g` is the residue class of `q`, [`OvMap::residue`].
+    pub fn position_form(&self) -> &IVec {
+        &self.position_form
+    }
+
     /// The flattened storage-equivalence class index of `q` (row-major over
     /// the projected box), in `0 .. size/g`.
     fn class_index(&self, q: &IVec) -> i64 {

@@ -9,13 +9,19 @@
 //! 3. **Degradation stays legal.** A budget-truncated search still returns
 //!    a true UOV (at worst the initial `Σvᵢ`), verified by the exact
 //!    oracle after the fact.
+//!
+//! The randomized starvation properties draw their stencils from a
+//! generator seeded with `UOV_TEST_SEED ^ salt` (default seed below), so
+//! CI can sweep seeds to vary them.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use uov::core::checkpoint::{read_snapshot, CheckpointConfig, CheckpointError};
 use uov::core::npc::PartitionInstance;
 use uov::core::search::{find_best_uov, initial_uov, search_resume, Objective, SearchConfig};
@@ -753,64 +759,98 @@ mod service_faults {
     }
 }
 
-fn lex_positive_vec(dim: usize, bound: i64) -> impl Strategy<Value = IVec> {
-    prop::collection::vec(-bound..=bound, dim)
-        .prop_map(IVec::from)
-        .prop_filter("lexicographically positive", |v| v.is_lex_positive())
+fn seed_from_env() -> u64 {
+    std::env::var("UOV_TEST_SEED")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(0x5EED_0D1F)
 }
 
-fn stencil_2d() -> impl Strategy<Value = Stencil> {
-    prop::collection::vec(lex_positive_vec(2, 4), 1..6)
-        .prop_map(|vs| Stencil::new(vs).expect("validated"))
+/// Run `property` on `cases` inputs drawn from one generator seeded with
+/// `UOV_TEST_SEED ^ salt`. A failing case prints its own panic, then
+/// fails the test naming the seed and the case index.
+fn check(salt: u64, cases: u32, mut property: impl FnMut(&mut StdRng)) {
+    let seed = seed_from_env();
+    let mut rng = StdRng::seed_from_u64(seed ^ salt);
+    for case in 0..cases {
+        let run = catch_unwind(AssertUnwindSafe(|| property(&mut rng)));
+        assert!(run.is_ok(), "case {case} failed under UOV_TEST_SEED={seed}");
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+/// Cases per randomized starvation property.
+const CASES: u32 = 48;
 
-    /// Any node cap, any stencil: the search returns (never panics) and
-    /// whatever it returns is a true UOV. The node cap is exact, so the
-    /// recorded stop point never exceeds cap + 1.
-    #[test]
-    fn starved_search_is_always_legal(s in stencil_2d(), cap in 1u64..200) {
+fn lex_positive_vec(rng: &mut StdRng, bound: i64) -> IVec {
+    loop {
+        let v: IVec = (0..2).map(|_| rng.gen_range(-bound..=bound)).collect();
+        if v.is_lex_positive() {
+            return v;
+        }
+    }
+}
+
+/// One to five lex-positive vectors in `[-4, 4]²`.
+fn stencil_2d(rng: &mut StdRng) -> Stencil {
+    let n = rng.gen_range(1usize..6);
+    let vs = (0..n).map(|_| lex_positive_vec(rng, 4)).collect();
+    Stencil::new(vs).expect("validated")
+}
+
+/// Any node cap, any stencil: the search returns (never panics) and
+/// whatever it returns is a true UOV. The node cap is exact, so the
+/// recorded stop point never exceeds cap + 1.
+#[test]
+fn starved_search_is_always_legal() {
+    check(0xFA01, CASES, |rng| {
+        let s = stencil_2d(rng);
+        let cap = rng.gen_range(1u64..200);
         let budget = Budget::unlimited().with_max_nodes(cap);
         let res = find_best_uov(&s, Objective::ShortestVector, &budgeted(budget))
             .expect("small coordinates cannot overflow");
-        prop_assert!(DoneOracle::new(&s).is_uov(&res.uov));
+        assert!(DoneOracle::new(&s).is_uov(&res.uov), "{s:?} cap {cap}");
         if let Some(d) = &res.degradation {
-            prop_assert_eq!(d.reason, Exhausted::Nodes);
-            prop_assert!(d.nodes_at_stop <= cap + 1, "node cap is exact");
+            assert_eq!(d.reason, Exhausted::Nodes);
+            assert!(d.nodes_at_stop <= cap + 1, "node cap is exact");
         }
-    }
+    });
+}
 
-    /// Budgeted and unbudgeted searches agree whenever the budget did not
-    /// actually bind — degradation is the *only* way answers may differ.
-    #[test]
-    fn generous_budget_changes_nothing(s in stencil_2d()) {
+/// Budgeted and unbudgeted searches agree whenever the budget did not
+/// actually bind — degradation is the *only* way answers may differ.
+#[test]
+fn generous_budget_changes_nothing() {
+    check(0xFA02, CASES, |rng| {
+        let s = stencil_2d(rng);
         let exact = find_best_uov(&s, Objective::ShortestVector, &SearchConfig::default())
             .expect("in range");
         let budget = Budget::unlimited()
             .with_deadline(Duration::from_secs(120))
             .with_max_nodes(u64::MAX)
             .with_max_memo_entries(usize::MAX);
-        let roomy = find_best_uov(&s, Objective::ShortestVector, &budgeted(budget))
-            .expect("in range");
-        prop_assert!(roomy.degradation.is_none());
-        prop_assert_eq!(exact.cost, roomy.cost);
-    }
+        let roomy =
+            find_best_uov(&s, Objective::ShortestVector, &budgeted(budget)).expect("in range");
+        assert!(roomy.degradation.is_none(), "{s:?}");
+        assert_eq!(exact.cost, roomy.cost, "{s:?}");
+    });
+}
 
-    /// Memo-capped oracle queries: either a definitive answer or a typed
-    /// exhaustion — and the raw query is the one place exhaustion is an
-    /// error, because there is no legal fallback for a membership bit.
-    #[test]
-    fn memo_capped_oracle_never_lies(s in stencil_2d(), w in lex_positive_vec(2, 6)) {
+/// Memo-capped oracle queries: either a definitive answer or a typed
+/// exhaustion — and the raw query is the one place exhaustion is an
+/// error, because there is no legal fallback for a membership bit.
+#[test]
+fn memo_capped_oracle_never_lies() {
+    check(0xFA03, CASES, |rng| {
+        let s = stencil_2d(rng);
+        let w = lex_positive_vec(rng, 6);
         let oracle = DoneOracle::new(&s);
         let budget = Budget::unlimited().with_max_memo_entries(4);
         match oracle.is_uov_budgeted(&w, &budget) {
-            Ok(answer) => prop_assert_eq!(answer, oracle.is_uov(&w), "budget changed the answer"),
-            Err(SearchError::Exhausted(reason)) => prop_assert_eq!(reason, Exhausted::Memo),
-            Err(other) => prop_assert!(false, "unexpected error: {other}"),
+            Ok(answer) => assert_eq!(answer, oracle.is_uov(&w), "budget changed the answer"),
+            Err(SearchError::Exhausted(reason)) => assert_eq!(reason, Exhausted::Memo),
+            Err(other) => panic!("unexpected error: {other}"),
         }
-    }
+    });
 }
 
 // ---------------------------------------------------------------------

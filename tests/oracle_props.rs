@@ -12,8 +12,13 @@
 //!    oracle never changes a membership bit.
 //! 5. The UOV set is upward closed: `w ∈ UOV ⟹ w + vᵢ ∈ UOV` for every
 //!    stencil vector `vᵢ` (DEAD only recedes as `q` advances).
+//!
+//! Every test draws its stencils from a generator seeded with
+//! `UOV_TEST_SEED ^ salt` (default seed below), so CI can sweep seeds to
+//! vary them.
 
-use proptest::prelude::*;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use uov::core::search::initial_uov;
@@ -27,89 +32,20 @@ fn seed_from_env() -> u64 {
         .unwrap_or(0x5EED_0D1F)
 }
 
-fn lex_positive_vec(dim: usize, bound: i64) -> impl Strategy<Value = IVec> {
-    prop::collection::vec(-bound..=bound, dim)
-        .prop_map(IVec::from)
-        .prop_filter("lexicographically positive", |v| v.is_lex_positive())
+/// Run `property` on `cases` inputs drawn from one generator seeded with
+/// `UOV_TEST_SEED ^ salt`. A failing case prints its own panic, then
+/// fails the test naming the seed and the case index.
+fn check(salt: u64, cases: u32, mut property: impl FnMut(&mut StdRng)) {
+    let seed = seed_from_env();
+    let mut rng = StdRng::seed_from_u64(seed ^ salt);
+    for case in 0..cases {
+        let run = catch_unwind(AssertUnwindSafe(|| property(&mut rng)));
+        assert!(run.is_ok(), "case {case} failed under UOV_TEST_SEED={seed}");
+    }
 }
 
-fn stencil_2d() -> impl Strategy<Value = Stencil> {
-    prop::collection::vec(lex_positive_vec(2, 3), 1..5)
-        .prop_map(|vs| Stencil::new(vs).expect("validated"))
-}
-
-fn any_vec(dim: usize, bound: i64) -> impl Strategy<Value = IVec> {
-    prop::collection::vec(-bound..=bound, dim).prop_map(IVec::from)
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(40))]
-
-    /// Invariant 1: `uovs_within` only ever reports true UOVs — checked
-    /// against a *fresh* oracle so a cache bug in the enumerating oracle
-    /// cannot vouch for itself.
-    #[test]
-    fn uovs_within_reports_only_uovs(s in stencil_2d()) {
-        let warm = DoneOracle::new(&s);
-        for w in warm.uovs_within(4) {
-            prop_assert!(warm.is_uov(&w), "warm oracle rejects its own {w}");
-            prop_assert!(DoneOracle::new(&s).is_uov(&w), "cold oracle rejects {w}");
-        }
-    }
-
-    /// Invariant 2: the initial UOV `Σvᵢ` is accepted for every stencil.
-    #[test]
-    fn initial_uov_is_always_accepted(s in stencil_2d()) {
-        prop_assert!(DoneOracle::new(&s).is_uov(&initial_uov(&s)));
-    }
-
-    /// Invariant 3: DEAD ⊆ DONE pointwise, sampled over random query
-    /// points. (Dead means *every* consumer has read the value; done means
-    /// the producer has run — the former entails the latter.)
-    #[test]
-    fn dead_is_a_subset_of_done_pointwise(s in stencil_2d(), w in any_vec(2, 5)) {
-        let oracle = DoneOracle::new(&s);
-        if oracle.in_dead(&w) {
-            prop_assert!(oracle.in_done(&w), "{w} is dead but not done");
-        }
-    }
-
-    /// Invariant 3, set-level: the enumerated DEAD set at a query point is
-    /// contained in the DONE set at the same point.
-    #[test]
-    fn dead_points_are_contained_in_done_points(s in stencil_2d()) {
-        let oracle = DoneOracle::new(&s);
-        let grid = RectDomain::grid(5, 5);
-        let q = ivec![4, 4];
-        let done = oracle.done_points(&q, &grid);
-        for p in oracle.dead_points(&q, &grid) {
-            prop_assert!(done.contains(&p), "dead point {p} missing from DONE");
-        }
-    }
-
-    /// Invariant 4: a warmed cache never changes an answer. Query a batch
-    /// twice against one oracle (second pass is all cache hits) and
-    /// compare each bit to a cold oracle's answer.
-    #[test]
-    fn cache_hits_equal_cold_answers(s in stencil_2d()) {
-        let warm = DoneOracle::new(&s);
-        let mut queries = Vec::new();
-        for x in -3i64..=3 {
-            for y in -3i64..=3 {
-                queries.push(ivec![x, y]);
-            }
-        }
-        let first: Vec<bool> = queries.iter().map(|w| warm.in_done(w)).collect();
-        let second: Vec<bool> = queries.iter().map(|w| warm.in_done(w)).collect();
-        prop_assert_eq!(&first, &second, "cache hit changed an answer");
-        let cold: Vec<bool> = {
-            let oracle = DoneOracle::new(&s);
-            queries.iter().map(|w| oracle.in_done(w)).collect()
-        };
-        prop_assert_eq!(&first, &cold, "warm cache disagrees with cold oracle");
-    }
-
-}
+/// Cases per property for invariants 1–4.
+const CASES: u32 = 40;
 
 /// Seeded random stencil in `dim` dimensions, mirroring the generator used
 /// by `tests/differential.rs`.
@@ -132,6 +68,100 @@ fn random_stencil(rng: &mut StdRng, dim: usize, bound: i64, max_vecs: usize) -> 
             return s;
         }
     }
+}
+
+/// One to four lex-positive vectors in `[-3, 3]²`.
+fn stencil_2d(rng: &mut StdRng) -> Stencil {
+    random_stencil(rng, 2, 3, 4)
+}
+
+/// Invariant 1: `uovs_within` only ever reports true UOVs — checked
+/// against a *fresh* oracle so a cache bug in the enumerating oracle
+/// cannot vouch for itself.
+#[test]
+fn uovs_within_reports_only_uovs() {
+    check(0x0A01, CASES, |rng| {
+        let s = stencil_2d(rng);
+        let warm = DoneOracle::new(&s);
+        for w in warm.uovs_within(4) {
+            assert!(warm.is_uov(&w), "warm oracle rejects its own {w} of {s:?}");
+            assert!(
+                DoneOracle::new(&s).is_uov(&w),
+                "cold oracle rejects {w} of {s:?}"
+            );
+        }
+    });
+}
+
+/// Invariant 2: the initial UOV `Σvᵢ` is accepted for every stencil.
+#[test]
+fn initial_uov_is_always_accepted() {
+    check(0x0A02, CASES, |rng| {
+        let s = stencil_2d(rng);
+        assert!(DoneOracle::new(&s).is_uov(&initial_uov(&s)), "{s:?}");
+    });
+}
+
+/// Invariant 3: DEAD ⊆ DONE pointwise, sampled over random query
+/// points. (Dead means *every* consumer has read the value; done means
+/// the producer has run — the former entails the latter.)
+#[test]
+fn dead_is_a_subset_of_done_pointwise() {
+    check(0x0A03, CASES, |rng| {
+        let s = stencil_2d(rng);
+        let w: IVec = (0..2).map(|_| rng.gen_range(-5i64..=5)).collect();
+        let oracle = DoneOracle::new(&s);
+        if oracle.in_dead(&w) {
+            assert!(oracle.in_done(&w), "{w} is dead but not done for {s:?}");
+        }
+    });
+}
+
+/// Invariant 3, set-level: the enumerated DEAD set at a query point is
+/// contained in the DONE set at the same point.
+#[test]
+fn dead_points_are_contained_in_done_points() {
+    check(0x0A04, CASES, |rng| {
+        let s = stencil_2d(rng);
+        let oracle = DoneOracle::new(&s);
+        let grid = RectDomain::grid(5, 5);
+        let q = ivec![4, 4];
+        let done = oracle.done_points(&q, &grid);
+        for p in oracle.dead_points(&q, &grid) {
+            assert!(
+                done.contains(&p),
+                "dead point {p} missing from DONE for {s:?}"
+            );
+        }
+    });
+}
+
+/// Invariant 4: a warmed cache never changes an answer. Query a batch
+/// twice against one oracle (second pass is all cache hits) and
+/// compare each bit to a cold oracle's answer.
+#[test]
+fn cache_hits_equal_cold_answers() {
+    check(0x0A05, CASES, |rng| {
+        let s = stencil_2d(rng);
+        let warm = DoneOracle::new(&s);
+        let mut queries = Vec::new();
+        for x in -3i64..=3 {
+            for y in -3i64..=3 {
+                queries.push(ivec![x, y]);
+            }
+        }
+        let first: Vec<bool> = queries.iter().map(|w| warm.in_done(w)).collect();
+        let second: Vec<bool> = queries.iter().map(|w| warm.in_done(w)).collect();
+        assert_eq!(&first, &second, "cache hit changed an answer for {s:?}");
+        let cold: Vec<bool> = {
+            let oracle = DoneOracle::new(&s);
+            queries.iter().map(|w| oracle.in_done(w)).collect()
+        };
+        assert_eq!(
+            &first, &cold,
+            "warm cache disagrees with cold oracle for {s:?}"
+        );
+    });
 }
 
 /// Invariant 5, on seeded random 2-D and 3-D stencils: every UOV that
